@@ -108,7 +108,6 @@ DEFAULTS = {
         "P0": 3.0,
         "v": 0.3,
         "p0_window": [-1.2, 0.5],
-        "scan_points": 341,
         "free_tolerance": 1e-12,
         "match_tolerance": 1e-10,
         "magnitude_floor": 1e-3,
@@ -120,7 +119,6 @@ DEFAULTS = {
         "p_spatial_a": [0.0, 0.0, 0.0],
         "p_spatial_b": [0.6, 0.0, 0.0],
         "p0_window": [-1.2, 0.5],
-        "scan_points": 341,
         "epsilons": [1e-2, 1e-3, 1e-4],
         "green_choice": "advanced",
         "tolerance": 1e-8,
@@ -244,8 +242,11 @@ def run_compat(cfg):
     system = TwoBodyDiracSystem(_masses(cfg), parse_potential(cfg["potential"]), build_gammas("dirac"))
     rng = np.random.default_rng(int(cfg["seed"]))
     P = np.array([float(cfg["P0"]), 0.0, 0.0, 0.0])
+    n_fields = int(cfg["n_fields"])
+    if n_fields < 1:
+        raise ConfigError(f"n_fields must be at least 1, got {n_fields}")
     residuals = []
-    for _ in range(int(cfg["n_fields"])):
+    for _ in range(n_fields):
         fld = random_band_limited_field(
             P,
             grid,
@@ -266,12 +267,10 @@ def run_compat(cfg):
     return report, {}
 
 
-def _first_equation_states(system, P, p_spatial, window, num):
-    roots = plane_wave_solutions(
-        system, P, p_spatial, p0_window=tuple(window), num=num, equations="first"
-    )
+def _first_equation_states(system, P, p_spatial, window):
+    roots = plane_wave_solutions(system, P, p_spatial, p0_window=tuple(window), equations="first")
     if not roots:
-        raise RuntimeError(f"no dispersion roots found in window {window} at p = {p_spatial}")
+        raise ConfigError(f"no dispersion roots in p0_window {list(window)} at p = {list(p_spatial)}")
     return [
         plane_wave_state(system, P, p_spatial, p0, basis[:, 0], solves="first")
         for p0, basis in roots
@@ -288,13 +287,13 @@ def run_claim1(cfg):
     free = TwoBodyDiracSystem(masses, Zero(), gam)
     Pa = np.array([m1 + m2, 0.0, 0.0, 0.0])
     root_a = 0.5 * (m1 - m2)
-    qa = plane_wave_solutions(free, Pa, (0, 0, 0), (root_a - 0.1, root_a + 0.1), num=41)
+    qa = plane_wave_solutions(free, Pa, (0, 0, 0), (root_a - 0.1, root_a + 0.1))
     pb = (0.3, 0.0, 0.0)
     e1b = math.sqrt(m1**2 + 0.09)
     e2b = math.sqrt(m2**2 + 0.09)
     Pb = np.array([e1b + e2b, 0.0, 0.0, 0.0])
     root_b = 0.5 * (e1b - e2b)
-    qb = plane_wave_solutions(free, Pb, pb, (root_b - 0.1, root_b + 0.1), num=41)
+    qb = plane_wave_solutions(free, Pb, pb, (root_b - 0.1, root_b + 0.1))
     if not qa or not qb:
         raise RuntimeError("free dispersion roots not found")
     sa = plane_wave_state(free, Pa, (0, 0, 0), qa[0][0], qa[0][1][:, 0])
@@ -309,9 +308,12 @@ def run_claim1(cfg):
     v = float(cfg["v"])
     sysv = TwoBodyDiracSystem(masses, Constant(v=v), gam)
     P = np.array([float(cfg["P0"]), 0.0, 0.0, 0.0])
-    states = _first_equation_states(sysv, P, (0, 0, 0), cfg["p0_window"], int(cfg["scan_points"]))
+    states = _first_equation_states(sysv, P, (0, 0, 0), cfg["p0_window"])
     if len(states) < 2:
-        raise RuntimeError("need at least two dispersion roots for a state pair")
+        raise ConfigError(
+            f"p0_window {list(cfg['p0_window'])} holds {len(states)} dispersion root at p = [0, 0, 0]; "
+            "a state pair needs two"
+        )
     sA, sB = states[0], states[1]
     d_direct = divergence1(j_free_current(gam, sA, sB))
     d_closed = surviving_divergence_term(sysv, sA, sB)
@@ -341,9 +343,8 @@ def run_conserve(cfg):
     gam = build_gammas("dirac")
     sysv = TwoBodyDiracSystem(masses, Constant(v=float(cfg["v"])), gam)
     P = np.array([float(cfg["P0"]), 0.0, 0.0, 0.0])
-    num = int(cfg["scan_points"])
-    sA = _first_equation_states(sysv, P, tuple(cfg["p_spatial_a"]), cfg["p0_window"], num)[0]
-    sB = _first_equation_states(sysv, P, tuple(cfg["p_spatial_b"]), cfg["p0_window"], num)[0]
+    sA = _first_equation_states(sysv, P, tuple(cfg["p_spatial_a"]), cfg["p0_window"])[0]
+    sB = _first_equation_states(sysv, P, tuple(cfg["p_spatial_b"]), cfg["p0_window"])[0]
     sweep = conservation_sweep(
         sysv, sA, sB, epsilons=tuple(cfg["epsilons"]), green_choice=cfg["green_choice"]
     )

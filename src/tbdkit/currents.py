@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .kinematics import FourVector, as_four_vector, minkowski_sq
-from .operators import InternalField, PlaneWaveState, TwoBodyDiracSystem, state_residuals
+from .operators import InternalField, PlaneWaveState, TwoBodyDiracSystem, _constant_value, state_residuals
 from .potentials import eval_V
 from .spinor_algebra import GammaSet, gamma0_pair
 
@@ -146,15 +146,9 @@ def surviving_divergence_term(
     divergence1(j_free_current(...)) and the pair is compared to 1e-10
     in the acceptance checks.
     """
-    from .potentials import Constant, Zero
     from .spinor_algebra import lift2, slash2
 
-    if isinstance(system.potential, Zero):
-        v = 0.0
-    elif isinstance(system.potential, Constant):
-        v = system.potential.v
-    else:
-        raise TypeError("closed-form divergence requires a Zero or Constant potential")
+    v = _constant_value(system.potential)
     g = system.gammas
     m2 = system.masses.m2
     ub = _ubar(g, state_a)

@@ -22,7 +22,14 @@ first as pointwise multiplication,
 
 Momenta: p_1 = P/2 + p, p_2 = P/2 - p; on the grid modes e^{+i kappa.x}
 the relative spatial momentum operator p^k acts as +kappa^k, so
-particle 1 carries +kappa and particle 2 carries -kappa.
+particle 1 carries +kappa and particle 2 carries -kappa. Each K_i is
+therefore a Fourier multiplier with the 4x4 symbol
+
+    K_1(kappa) = p_1^0 gamma_1^0 - sum_k gamma_1^k kappa_k
+    K_2(kappa) = p_2^0 gamma_2^0 + sum_k gamma_2^k kappa_k
+
+and a mode of D_1 chi is IFFT[(K_1 - m_1) F chi + (K_2 - m_2) F(V chi)]
+(D_2 likewise).
 
 Compatibility. The necessary consistency condition for the pair is the
 operator identity
@@ -31,14 +38,20 @@ operator identity
 
 whose residual on smooth fields is measured by compatibility_residual.
 The right-hand commutators can be realized two ways: "composed" applies
-the grid operators literally, which reproduces the identity to roundoff
-at any resolution (the discrete operators satisfy the same algebra as
-the continuum ones); "analytic" substitutes the exact gradient form
+the grid operators literally, IFFT[K_i F(V psi)] - V IFFT[K_i F psi],
+which reproduces the identity to roundoff at any resolution (the
+discrete operators satisfy the same algebra as the continuum ones);
+"analytic" substitutes the exact gradient form
 [K_1, V] = +i sum_k gamma_1^k (d_k V), [K_2, V] = -i sum_k gamma_2^k
 (d_k V), which differs from the composed form by the spectral aliasing
 of the product V phi and therefore converges to it at spectral rate
 under grid refinement. The analytic realization is the default since it
 is the one with a measurable discretization error.
+
+Plane waves. For a constant potential v the first equation is the
+linear matrix pencil M_1(p0) = A + p0 B with B = gamma_1^0 - v gamma_2^0,
+whose eigenvalues +-1 +- v make it invertible for |v| < 1. The
+dispersion roots are the real eigenvalues of -B^{-1} A.
 """
 
 from __future__ import annotations
@@ -51,7 +64,7 @@ import numpy as np
 
 from .kinematics import FourVector, MassPair, as_four_vector, minkowski_sq
 from .potentials import Constant, Zero, eval_V, eval_dV_dxperp_sq
-from .spinor_algebra import GammaSet
+from .spinor_algebra import GammaSet, lift1, lift2, slash1, slash2
 
 __all__ = [
     "AliasingWarning",
@@ -215,13 +228,7 @@ def _mult2(g, chi4):
     return np.einsum("bc,acxyz->abxyz", g, chi4)
 
 
-def _spatial_derivatives(grid: Grid, chi4):
-    """Relative momentum p^k acting on chi: returns shape (3,4,4,n,n,n)."""
-    F = np.fft.fftn(chi4, axes=(-3, -2, -1))
-    kap = grid.wavenumber_mesh
-    return np.stack(
-        [np.fft.ifftn(kap[k] * F, axes=(-3, -2, -1)) for k in range(3)]
-    )
+_AXES = (-3, -2, -1)  # the spatial axes of a (4, 4, n, n, n) field
 
 
 def _check_cm(field: InternalField):
@@ -240,16 +247,15 @@ def _potential_on_grid(system: TwoBodyDiracSystem, field: InternalField):
     return np.asarray(eval_V(system.potential, x_perp_sq, P_sq))
 
 
-def _kinetic(gammas: GammaSet, sign: int, particle: int, p0: float, chi4, derivs):
-    """K_i chi for particle i: p_i^0 gamma_i^0 chi - sum_k gamma_i^k (sign kappa_k chi).
-
-    sign is +1 for particle 1 (momentum P/2 + p) and -1 for particle 2.
-    """
+def _kinetic(gammas: GammaSet, particle: int, p_0: float, spec, kappa):
+    """K_i acting on a spectrum: p_i^0 gamma_i^0 spec - sign sum_k gamma_i^k kappa_k spec,
+    with sign +1 for particle 1 (momentum P/2 + p) and -1 for particle 2."""
     mult = _mult1 if particle == 1 else _mult2
+    sign = 1 if particle == 1 else -1
     g = gammas.gamma
-    out = p0 * mult(g[0], chi4)
+    out = p_0 * mult(g[0], spec)
     for k in range(3):
-        out = out - sign * mult(g[k + 1], derivs[k])
+        out = out - sign * mult(g[k + 1], kappa[k] * spec)
     return out
 
 
@@ -258,28 +264,29 @@ def _apply_D(system: TwoBodyDiracSystem, fld: InternalField, which: int) -> Inte
     m1, m2 = system.masses.m1, system.masses.m2
     P0 = fld.P[0]
     V = _potential_on_grid(system, fld)
+    kap = fld.grid.wavenumber_mesh
     out_modes = []
     for p0, chi in fld.modes:
         chi4 = chi.reshape(4, 4, *chi.shape[1:])
         p1_0 = P0 / 2 + p0
         p2_0 = P0 / 2 - p0
-        Vchi = V[None, None] * chi4
-        d_chi = _spatial_derivatives(fld.grid, chi4)
-        d_Vchi = _spatial_derivatives(fld.grid, Vchi)
+        F_chi = np.fft.fftn(chi4, axes=_AXES)
+        F_Vchi = np.fft.fftn(V[None, None] * chi4, axes=_AXES)
         if which == 1:
-            out = (
-                _kinetic(system.gammas, +1, 1, p1_0, chi4, d_chi)
-                - m1 * chi4
-                + _kinetic(system.gammas, -1, 2, p2_0, Vchi, d_Vchi)
-                - m2 * Vchi
+            spec = (
+                _kinetic(system.gammas, 1, p1_0, F_chi, kap)
+                - m1 * F_chi
+                + _kinetic(system.gammas, 2, p2_0, F_Vchi, kap)
+                - m2 * F_Vchi
             )
         else:
-            out = (
-                _kinetic(system.gammas, -1, 2, p2_0, chi4, d_chi)
-                + m2 * chi4
-                + _kinetic(system.gammas, +1, 1, p1_0, Vchi, d_Vchi)
-                + m1 * Vchi
+            spec = (
+                _kinetic(system.gammas, 2, p2_0, F_chi, kap)
+                + m2 * F_chi
+                + _kinetic(system.gammas, 1, p1_0, F_Vchi, kap)
+                + m1 * F_Vchi
             )
+        out = np.fft.ifftn(spec, axes=_AXES)
         out_modes.append((p0, out.reshape(16, *chi.shape[1:])))
     return replace(fld, modes=tuple(out_modes))
 
@@ -367,7 +374,7 @@ def _band_limit_guard(fld: InternalField, threshold: float = 1e-10):
     shell = idx > n / 3.0
     mask = shell[:, None, None] | shell[None, :, None] | shell[None, None, :]
     for _, chi in fld.modes:
-        F = np.fft.fftn(chi, axes=(-3, -2, -1))
+        F = np.fft.fftn(chi, axes=_AXES)
         power = np.sum(np.abs(F) ** 2)
         if power == 0:
             continue
@@ -403,19 +410,18 @@ def _gradient_commutator(system, fld: InternalField, psi: InternalField, particl
 
 
 def _composed_commutator(system, fld, psi, particle: int):
-    """[K_i, V] psi from composed grid operators: K_i(V psi) - V K_i(psi)."""
-    grid = fld.grid
+    """[K_i, V] psi from composed grid operators:
+    IFFT[K_i F(V psi)] - V IFFT[K_i F psi]."""
     V = _potential_on_grid(system, fld)
+    kap = fld.grid.wavenumber_mesh
     P0 = fld.P[0]
-    sign = +1 if particle == 1 else -1
     out_modes = []
     for p0, chi in psi.modes:
         chi4 = chi.reshape(4, 4, *chi.shape[1:])
         pi_0 = P0 / 2 + p0 if particle == 1 else P0 / 2 - p0
-        Vchi = V[None, None] * chi4
-        K_Vchi = _kinetic(system.gammas, sign, particle, pi_0, Vchi, _spatial_derivatives(grid, Vchi))
-        K_chi = _kinetic(system.gammas, sign, particle, pi_0, chi4, _spatial_derivatives(grid, chi4))
-        out = K_Vchi - V[None, None] * K_chi
+        K_Vchi = _kinetic(system.gammas, particle, pi_0, np.fft.fftn(V[None, None] * chi4, axes=_AXES), kap)
+        K_chi = _kinetic(system.gammas, particle, pi_0, np.fft.fftn(chi4, axes=_AXES), kap)
+        out = np.fft.ifftn(K_Vchi, axes=_AXES) - V[None, None] * np.fft.ifftn(K_chi, axes=_AXES)
         out_modes.append((p0, out.reshape(chi.shape)))
     return replace(psi, modes=tuple(out_modes))
 
@@ -498,35 +504,45 @@ def general_compatibility_check(
 # Plane-wave solutions for constant potentials
 
 
-def _dispersion_matrix(system, P, p_spatial, p0, equations):
-    from .spinor_algebra import slash1, slash2
+# Singular values below SV_TOL count as null directions. Eigenvalues of
+# the pencil closer than ROOT_TOL are one root, and eigenvalues with an
+# imaginary part above ROOT_TOL are not real.
+SV_TOL = 1e-8
+ROOT_TOL = 1e-7
 
-    if isinstance(system.potential, Zero):
-        v = 0.0
-    elif isinstance(system.potential, Constant):
-        v = system.potential.v
-    else:
-        raise TypeError("plane-wave dispersion requires a Zero or Constant potential")
-    if not abs(v) < 1:
-        raise ValueError("constant potential must satisfy |v| < 1")
-    P = as_four_vector(P)
-    p = np.array([p0, *p_spatial])
-    p1 = P / 2 + p
-    p2 = P / 2 - p
+
+def _constant_value(potential) -> float:
+    """The value v of a Zero or Constant potential, the only potentials
+    with plane-wave solutions."""
+    if isinstance(potential, Zero):
+        return 0.0
+    if isinstance(potential, Constant):
+        return potential.v
+    raise TypeError("plane-wave states require a Zero or Constant potential")
+
+
+def _equation_matrices(system, p1, p2):
+    """The 16x16 matrices (M_1, M_2) of the two equations at particle
+    momenta p1, p2: D_1 and D_2 with V replaced by its constant value."""
+    v = _constant_value(system.potential)
     m1, m2 = system.masses.m1, system.masses.m2
     S1 = slash1(system.gammas, p1)
     S2 = slash2(system.gammas, p2)
     eye = np.eye(16)
     M1 = S1 - m1 * eye + (S2 - m2 * eye) * v
+    M2 = S2 + m2 * eye + (S1 + m1 * eye) * v
+    return M1, M2
+
+
+def _dispersion_matrix(system, P, p_spatial, p0, equations):
+    if not abs(_constant_value(system.potential)) < 1:
+        raise ValueError("constant potential must satisfy |v| < 1")
+    P = as_four_vector(P)
+    p = np.array([p0, *p_spatial])
+    M1, M2 = _equation_matrices(system, P / 2 + p, P / 2 - p)
     if equations == "first":
         return M1
-    M2 = S2 + m2 * eye + (S1 + m1 * eye) * v
     return np.vstack([M1, M2])
-
-
-def _sigma_min(system, P, p_spatial, p0, equations):
-    M = _dispersion_matrix(system, P, p_spatial, p0, equations)
-    return np.linalg.svd(M, compute_uv=False)[-1]
 
 
 def plane_wave_solutions(
@@ -534,10 +550,7 @@ def plane_wave_solutions(
     P,
     p_spatial,
     p0_window=(-3.0, 3.0),
-    num: int = 601,
     equations: str = "both",
-    sv_tol: float = 1e-8,
-    refine_tol: float = 1e-12,
 ):
     """Relative energies p0 at which the dispersion matrix develops a
     common null space, with a basis of that null space at each root.
@@ -547,47 +560,34 @@ def plane_wave_solutions(
     first equation (16x16), the setting in which the current-divergence
     analysis is nontrivial.
 
-    Roots are located by scanning the smallest singular value over the
-    window, bracketing its local minima, and bisecting on the sign of
-    its one-sided slope down to refine_tol. Minima that do not reach
-    sv_tol are discarded. An empty window is not an error.
+    The first equation is the pencil M_1(p0) = A + p0 B with invertible
+    B = gamma_1^0 - v gamma_2^0, so its roots are the real eigenvalues of
+    -B^{-1} A. Coincident eigenvalues (roots found so far have
+    multiplicity 4 or 8) are grouped into one root, and one SVD of the
+    dispersion matrix there gives the null-space basis; with
+    equations="both" a root is kept only if the stacked matrix is
+    singular there too. Roots are returned in increasing order; an empty
+    window is not an error.
     """
     if equations not in ("both", "first"):
         raise ValueError(f"unknown equations choice: {equations!r}")
     lo, hi = p0_window
-    xs = np.linspace(lo, hi, num)
-    sig = np.array([_sigma_min(system, P, p_spatial, x, equations) for x in xs])
-
-    def slope_sign(x, delta=1e-9):
-        return np.sign(
-            _sigma_min(system, P, p_spatial, x + delta, equations)
-            - _sigma_min(system, P, p_spatial, x - delta, equations)
-        )
-
-    roots = []
-    for i in range(1, num - 1):
-        if not (sig[i] <= sig[i - 1] and sig[i] <= sig[i + 1]):
-            continue
-        a, b = xs[i - 1], xs[i + 1]
-        if slope_sign(a) >= 0 or slope_sign(b) <= 0:
-            continue  # not a descending-then-ascending bracket
-        while b - a > refine_tol:
-            mid = 0.5 * (a + b)
-            if slope_sign(mid) < 0:
-                a = mid
-            else:
-                b = mid
-        p0 = 0.5 * (a + b)
-        if _sigma_min(system, P, p_spatial, p0, equations) < sv_tol:
-            if not roots or abs(p0 - roots[-1]) > 10 * refine_tol:
-                roots.append(p0)
+    v = _constant_value(system.potential)
+    A = _dispersion_matrix(system, P, p_spatial, 0.0, "first")
+    B = lift1(system.gammas, 0) - v * lift2(system.gammas, 0)
+    eigs = np.linalg.eigvals(np.linalg.solve(B, -A))
+    real = np.sort(eigs.real[np.abs(eigs.imag) <= ROOT_TOL])
+    real = real[(real >= lo) & (real <= hi)]
+    groups = np.split(real, np.flatnonzero(np.diff(real) > ROOT_TOL) + 1) if real.size else []
 
     out = []
-    for p0 in roots:
+    for group in groups:
+        p0 = float(np.mean(group))
         M = _dispersion_matrix(system, P, p_spatial, p0, equations)
         _, s, vh = np.linalg.svd(M)
-        basis = vh[s < sv_tol].conj().T
-        out.append((p0, basis))
+        basis = vh[s < SV_TOL].conj().T
+        if basis.shape[1]:
+            out.append((p0, basis))
     return out
 
 
@@ -600,18 +600,5 @@ def plane_wave_state(system, P, p_spatial, p0, u, solves="both") -> PlaneWaveSta
 
 def state_residuals(system: TwoBodyDiracSystem, state: PlaneWaveState):
     """Norms (||M_1 u||, ||M_2 u||) of the two equation residuals."""
-    from .spinor_algebra import slash1, slash2
-
-    if isinstance(system.potential, Zero):
-        v = 0.0
-    elif isinstance(system.potential, Constant):
-        v = system.potential.v
-    else:
-        raise TypeError("plane-wave residuals require a Zero or Constant potential")
-    m1, m2 = system.masses.m1, system.masses.m2
-    S1 = slash1(system.gammas, state.p1)
-    S2 = slash2(system.gammas, state.p2)
-    eye = np.eye(16)
-    r1 = np.linalg.norm((S1 - m1 * eye + (S2 - m2 * eye) * v) @ state.u)
-    r2 = np.linalg.norm((S2 + m2 * eye + (S1 + m1 * eye) * v) @ state.u)
-    return float(r1), float(r2)
+    M1, M2 = _equation_matrices(system, state.p1, state.p2)
+    return float(np.linalg.norm(M1 @ state.u)), float(np.linalg.norm(M2 @ state.u))

@@ -66,7 +66,7 @@ def _line(num, label, passed, detail):
 
 def first_equation_state(system, p_spatial, which=0):
     roots = plane_wave_solutions(
-        system, P_REST, p_spatial, (-1.2, 0.5), num=341, equations="first"
+        system, P_REST, p_spatial, (-1.2, 0.5), equations="first"
     )
     p0, basis = roots[which]
     return plane_wave_state(system, P_REST, p_spatial, p0, basis[:, 0], solves="first")
@@ -146,12 +146,12 @@ def test_criterion_03_free_current_dichotomy():
     free = TwoBodyDiracSystem(MASSES, Zero(), gam)
     # free arm: two on-shell solutions at different momenta
     Pa = np.array([MASSES.m1 + MASSES.m2, 0.0, 0.0, 0.0])
-    qa = plane_wave_solutions(free, Pa, (0, 0, 0), (-0.25, 0.05), num=41)
+    qa = plane_wave_solutions(free, Pa, (0, 0, 0), (-0.25, 0.05))
     e1 = math.sqrt(MASSES.m1**2 + 0.09)
     e2 = math.sqrt(MASSES.m2**2 + 0.09)
     Pb = np.array([e1 + e2, 0.0, 0.0, 0.0])
     split = 0.5 * (e1 - e2)
-    qb = plane_wave_solutions(free, Pb, (0.3, 0, 0), (split - 0.1, split + 0.1), num=41)
+    qb = plane_wave_solutions(free, Pb, (0.3, 0, 0), (split - 0.1, split + 0.1))
     sa = plane_wave_state(free, Pa, (0, 0, 0), qa[0][0], qa[0][1][:, 0])
     sb = plane_wave_state(free, Pb, (0.3, 0, 0), qb[0][0], qb[0][1][:, 0])
     jf = j_free_current(gam, sa, sb)

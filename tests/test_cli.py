@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -196,3 +198,29 @@ def test_gauge_command_passes(tmp_path):
     assert report["report"]["relative_only"]["passed"] is True
     assert report["report"]["total_dependent"]["passed"] is True
     assert report["report"]["kernel_shift_magnitude"] > 0.01
+
+
+@pytest.mark.parametrize(
+    "command, override, message",
+    [
+        ("claim1", {"p0_window": [1.0, 1.1]}, "no dispersion roots in p0_window [1.0, 1.1] at p = [0, 0, 0]"),
+        ("claim1", {"p0_window": [-1.2, 0.0]}, "p0_window [-1.2, 0.0] holds 1 dispersion root"),
+        ("conserve", {"p0_window": [1.0, 1.1]}, "no dispersion roots in p0_window [1.0, 1.1]"),
+        ("compat", {"n_fields": 0}, "n_fields must be at least 1, got 0"),
+        ("claim1", {"scan_points": 341}, "unknown keys in claim1 config: ['scan_points']"),
+    ],
+    ids=["claim1_empty_window", "claim1_one_root", "conserve_empty_window", "compat_no_fields", "scan_points"],
+)
+def test_unusable_config_exits_2_without_traceback(tmp_path, command, override, message):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"schema": "tbdkit-config/1", **override}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tbdkit.cli", command, "--config", str(p), "--out", str(tmp_path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"tbdkit {command}: ")
+    assert message in lines[0]

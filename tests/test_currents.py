@@ -53,7 +53,7 @@ def constant_v_system(gam):
 
 def first_equation_state(system, p_spatial, which=0):
     roots = plane_wave_solutions(
-        system, P_REST, p_spatial, (-1.2, 0.5), num=341, equations="first"
+        system, P_REST, p_spatial, (-1.2, 0.5), equations="first"
     )
     p0, basis = roots[which]
     return plane_wave_state(system, P_REST, p_spatial, p0, basis[:, 0], solves="first")
@@ -75,10 +75,10 @@ def free_pair(gam):
     e2 = math.sqrt(1.69 + 0.09)
     P = np.array([e1 + e2, 0.0, 0.0, 0.0])
     split = 0.5 * (e1 - e2)
-    roots = plane_wave_solutions(free, P, (0.3, 0, 0), (split - 0.1, split + 0.1), num=41)
+    roots = plane_wave_solutions(free, P, (0.3, 0, 0), (split - 0.1, split + 0.1))
     a = plane_wave_state(free, P, (0.3, 0, 0), roots[0][0], roots[0][1][:, 0])
     Pb = np.array([MASSES.m1 + MASSES.m2, 0.0, 0.0, 0.0])
-    roots_b = plane_wave_solutions(free, Pb, (0, 0, 0), (-0.25, 0.05), num=41)
+    roots_b = plane_wave_solutions(free, Pb, (0, 0, 0), (-0.25, 0.05))
     b = plane_wave_state(free, Pb, (0, 0, 0), roots_b[0][0], roots_b[0][1][:, 0])
     return free, a, b
 
@@ -202,7 +202,7 @@ def test_defects_reject_untagged_partial_solutions(constant_v_system):
     # a first-equation root does not solve the full system; claiming
     # solves="both" must fail the residual gate
     roots = plane_wave_solutions(
-        constant_v_system, P_REST, (0, 0, 0), (-1.2, 0.5), num=341, equations="first"
+        constant_v_system, P_REST, (0, 0, 0), (-1.2, 0.5), equations="first"
     )
     p0, basis = roots[0]
     mislabeled = plane_wave_state(

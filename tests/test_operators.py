@@ -173,7 +173,7 @@ def test_on_shell_mode_is_annihilated():
     grid = Grid(n=8, L=6.0)
     kappa = 2.0 * np.pi / grid.L
     roots = plane_wave_solutions(
-        system, P_REST, (kappa, 0, 0), (-1.2, 0.5), num=341, equations="first"
+        system, P_REST, (kappa, 0, 0), (-1.2, 0.5), equations="first"
     )
     assert roots
     p0, basis = roots[0]
@@ -291,7 +291,7 @@ def test_general_check_rejects_longitudinal_dependence():
 
 def test_free_equal_mass_threshold_root():
     free = TwoBodyDiracSystem(MassPair(1.0, 1.0), Zero(), build_gammas("dirac"))
-    roots = plane_wave_solutions(free, np.array([2.0, 0, 0, 0.0]), (0, 0, 0), (-0.5, 0.5), num=101)
+    roots = plane_wave_solutions(free, np.array([2.0, 0, 0, 0.0]), (0, 0, 0), (-0.5, 0.5))
     assert len(roots) == 1
     p0, basis = roots[0]
     assert p0 == pytest.approx(0.0, abs=1e-11)
@@ -303,7 +303,7 @@ def test_free_equal_mass_threshold_root():
 
 def test_free_off_shell_momentum_has_no_roots():
     free = TwoBodyDiracSystem(MassPair(1.0, 1.0), Zero(), build_gammas("dirac"))
-    roots = plane_wave_solutions(free, np.array([2.5, 0, 0, 0.0]), (0, 0, 0), (-0.5, 0.5), num=101)
+    roots = plane_wave_solutions(free, np.array([2.5, 0, 0, 0.0]), (0, 0, 0), (-0.5, 0.5))
     assert roots == []
 
 
@@ -313,7 +313,7 @@ def test_free_moving_pair_root_at_energy_split():
     e2 = math.sqrt(m2**2 + p**2)
     free = TwoBodyDiracSystem(MassPair(m1, m2), Zero(), build_gammas("dirac"))
     P = np.array([e1 + e2, 0, 0, 0.0])
-    roots = plane_wave_solutions(free, P, (p, 0, 0), (-1.0, 1.0), num=201)
+    roots = plane_wave_solutions(free, P, (p, 0, 0), (-1.0, 1.0))
     split = 0.5 * (e1 - e2)
     assert any(abs(r[0] - split) < 1e-10 for r in roots)
 
@@ -323,7 +323,7 @@ def test_first_equation_roots_frozen():
     # the two roots in (-1.2, 0.5) are exactly -4/5 and 17/65
     system = TwoBodyDiracSystem(MASSES, Constant(v=0.3), build_gammas("dirac"))
     roots = plane_wave_solutions(
-        system, P_REST, (0, 0, 0), (-1.2, 0.5), num=341, equations="first"
+        system, P_REST, (0, 0, 0), (-1.2, 0.5), equations="first"
     )
     assert len(roots) == 2
     assert roots[0][0] == pytest.approx(-0.8, abs=1e-11)
@@ -335,15 +335,15 @@ def test_first_equation_roots_frozen():
         assert r1 < 1e-10
 
 
-def test_first_equation_roots_against_brute_scan():
+def test_first_equation_roots_against_brute_scan(gammas):
     # independent check: dense sigma_min scan with step 1e-4 brackets
     # the same roots the solver returns
     from tbdkit.operators import _dispersion_matrix
 
-    system = TwoBodyDiracSystem(MASSES, Constant(v=0.3), build_gammas("dirac"))
+    system = TwoBodyDiracSystem(MASSES, Constant(v=0.3), gammas)
     p_spatial = (0.5, 0.0, 0.0)
     roots = plane_wave_solutions(
-        system, P_REST, p_spatial, (-1.2, 0.5), num=341, equations="first"
+        system, P_REST, p_spatial, (-1.2, 0.5), equations="first"
     )
     assert roots
     grid_p0 = np.arange(-1.2, 0.5, 1e-4)

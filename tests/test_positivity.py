@@ -26,6 +26,7 @@ from tbdkit.potentials import (
     eval_V,
     y_of,
 )
+from tbdkit.scalar_product import build_kernel
 from tbdkit.spinor_algebra import build_gammas
 
 G_UNIT = math.sqrt(FOUR_PI)
@@ -200,9 +201,30 @@ def test_scan_min_matches_eigenvalue_map(gam):
     assert rep.argmin_radius == pytest.approx(float(radius[rep.argmin_index]))
 
 
+@pytest.mark.parametrize("flavor", ["sazdjian", "crater"])
+@pytest.mark.parametrize(
+    "potential, P2",
+    [(TanhOfG(g=GaussianG(amplitude=0.9, width=1.0)), 4.0), (YUKAWA, 1.0)],
+    ids=["tanh_gaussian", "yukawa_ball"],
+)
+def test_eigenvalue_map_matches_dense_eigensolve(gammas, flavor, potential, P2):
+    # oracle: the full 16x16 form matrix A 1 + B gamma_1^0 gamma_2^0 at
+    # every point, diagonalized densely
+    grid = Grid(n=8, L=4.0)
+    emap = min_eigenvalue_map(flavor, potential, P2, grid, gammas)
+    kernel = build_kernel(flavor, potential, np.array([math.sqrt(P2), 0.0, 0.0, 0.0]), grid, gammas)
+    A, B = (c.reshape(-1) for c in kernel.form_coefficients())
+    gp = np.kron(gammas.gamma[0], gammas.gamma[0])
+    dense = np.linalg.eigvalsh(A[:, None, None] * np.eye(16) + B[:, None, None] * gp)[:, 0]
+    scale = np.maximum(1.0, np.abs(A) + np.abs(B))
+    assert np.all(np.abs(emap.reshape(-1) - dense) <= 1e-13 * scale)
+    if potential is YUKAWA:
+        assert np.min(dense) < -0.1  # the violation ball is sampled
+
+
 def test_eigenvalue_map_agrees_with_h_branch(gam):
-    # the dense 16x16 eigensolve lands exactly on the analytic minus
-    # branch at every sampled point
+    # the closed-form form eigenvalue lands exactly on the analytic
+    # minus branch at every sampled point
     grid = Grid(n=8, L=4.0)
     emap = min_eigenvalue_map("sazdjian", YUKAWA, 1.0, grid, gam)
     radius = np.sqrt(grid.radius_sq)
