@@ -4,9 +4,10 @@ and emits deterministic JSON (and CSV) artifacts.
 Exit codes: 0 all assertions passed, 1 a physics assertion failed,
 2 usage or config error.
 
-TBDKIT_THREADS caps BLAS/OpenMP parallelism; it must take effect before
-numpy loads, which is why this module touches the environment first and
-the package root imports nothing heavy.
+TBDKIT_THREADS pins BLAS/OpenMP parallelism: when set, it overrides any
+inherited OMP/OpenBLAS/MKL/numexpr thread variable. It must take effect
+before numpy loads, which is why this module touches the environment
+first and the package root imports nothing heavy.
 """
 
 import os
@@ -21,7 +22,7 @@ def _configure_threads():
             "MKL_NUM_THREADS",
             "NUMEXPR_NUM_THREADS",
         ):
-            os.environ.setdefault(var, cap)
+            os.environ[var] = cap
 
 
 _configure_threads()

@@ -29,7 +29,9 @@ therefore a Fourier multiplier with the 4x4 symbol
     K_2(kappa) = p_2^0 gamma_2^0 + sum_k gamma_2^k kappa_k
 
 and a mode of D_1 chi is IFFT[(K_1 - m_1) F chi + (K_2 - m_2) F(V chi)]
-(D_2 likewise).
+(D_2 likewise). Gamma matrices act on one spinor index of a
+(4, 4, n, n, n) view of the field as a matrix product, and each
+wavenumber component multiplies along its own axis.
 
 Compatibility. The necessary consistency condition for the pair is the
 operator identity
@@ -47,6 +49,14 @@ discrete operators satisfy the same algebra as the continuum ones);
 of the product V phi and therefore converges to it at spectral rate
 under grid refinement. The analytic realization is the default since it
 is the one with a measurable discretization error.
+
+The residual shares transforms: a spectrum that is known is never
+transformed again. Per relative-energy mode, F chi and F(V chi) give the
+spectra of D_1 chi and D_2 chi, whose inverses d_1, d_2 give F(V d_1)
+and F(V d_2), and one inverse transform of the left side follows. That
+is 7 FFTs per mode for the analytic realization (its commutators act
+pointwise on d_1, d_2) and 8 for the composed one; V is evaluated once
+per residual. The band-limit guard reads F chi from the same pass.
 
 Plane waves. For a constant potential v the first equation is the
 linear matrix pencil M_1(p0) = A + p0 B with B = gamma_1^0 - v gamma_2^0,
@@ -119,12 +129,6 @@ class Grid:
     def coord_mesh(self) -> np.ndarray:
         """Shape (3, n, n, n): spatial coordinates of every grid point."""
         return np.stack(np.meshgrid(self.axis, self.axis, self.axis, indexing="ij"))
-
-    @cached_property
-    def wavenumber_mesh(self) -> np.ndarray:
-        """Shape (3, n, n, n): kappa vectors of the FFT modes."""
-        k = self.wavenumbers
-        return np.stack(np.meshgrid(k, k, k, indexing="ij"))
 
     @cached_property
     def radius_sq(self) -> np.ndarray:
@@ -219,16 +223,25 @@ class TwoBodyDiracSystem:
 # Grid application of the operators
 
 
-def _mult1(g, chi4):
-    # chi4 indexed [a, b, x, y, z]; gamma on the particle-1 index a
-    return np.einsum("ac,cbxyz->abxyz", g, chi4)
+def _mult1(g, x):
+    # x indexed [a, b, x, y, z]; gamma on the particle-1 index a
+    return (g @ x.reshape(4, -1)).reshape(x.shape)
 
 
-def _mult2(g, chi4):
-    return np.einsum("bc,acxyz->abxyz", g, chi4)
+def _mult2(g, x):
+    # gamma on the particle-2 index b
+    return np.matmul(g, x.reshape(4, 4, -1)).reshape(x.shape)
 
 
 _AXES = (-3, -2, -1)  # the spatial axes of a (4, 4, n, n, n) field
+
+
+def _fft(x):
+    return np.fft.fftn(x, axes=_AXES)
+
+
+def _ifft(x):
+    return np.fft.ifftn(x, axes=_AXES)
 
 
 def _check_cm(field: InternalField):
@@ -247,47 +260,46 @@ def _potential_on_grid(system: TwoBodyDiracSystem, field: InternalField):
     return np.asarray(eval_V(system.potential, x_perp_sq, P_sq))
 
 
-def _kinetic(gammas: GammaSet, particle: int, p_0: float, spec, kappa):
-    """K_i acting on a spectrum: p_i^0 gamma_i^0 spec - sign sum_k gamma_i^k kappa_k spec,
-    with sign +1 for particle 1 (momentum P/2 + p) and -1 for particle 2."""
+def _kinetic(gammas: GammaSet, particle: int, p_0: float, spec, k, shift: float = 0.0):
+    """(K_i + shift) acting on a spectrum: (p_i^0 gamma_i^0 + shift) spec
+    - sign sum_k gamma_i^k kappa_k spec, with sign +1 for particle 1
+    (momentum P/2 + p) and -1 for particle 2. k is the 1-D wavenumber
+    vector, broadcast along each spatial axis in turn."""
     mult = _mult1 if particle == 1 else _mult2
-    sign = 1 if particle == 1 else -1
     g = gammas.gamma
-    out = p_0 * mult(g[0], spec)
-    for k in range(3):
-        out = out - sign * mult(g[k + 1], kappa[k] * spec)
+    out = mult(p_0 * g[0] + shift * np.eye(4), spec)
+    for axis, kappa in enumerate((k[:, None, None], k[None, :, None], k[None, None, :])):
+        term = mult(g[axis + 1], spec)
+        term *= kappa
+        if particle == 1:
+            out -= term
+        else:
+            out += term
     return out
+
+
+def _D_spectrum(system: TwoBodyDiracSystem, which: int, p1_0, p2_0, k, F_chi, F_Vchi):
+    """Spectrum of D_which chi for one relative-energy mode, from the
+    spectra of chi and V chi:
+    F D_1 chi = (K_1 - m_1) F chi + (K_2 - m_2) F(V chi),
+    F D_2 chi = (K_2 + m_2) F chi + (K_1 + m_1) F(V chi)."""
+    m1, m2 = system.masses.m1, system.masses.m2
+    g = system.gammas
+    if which == 1:
+        return _kinetic(g, 1, p1_0, F_chi, k, -m1) + _kinetic(g, 2, p2_0, F_Vchi, k, -m2)
+    return _kinetic(g, 2, p2_0, F_chi, k, m2) + _kinetic(g, 1, p1_0, F_Vchi, k, m1)
 
 
 def _apply_D(system: TwoBodyDiracSystem, fld: InternalField, which: int) -> InternalField:
     _check_cm(fld)
-    m1, m2 = system.masses.m1, system.masses.m2
     P0 = fld.P[0]
     V = _potential_on_grid(system, fld)
-    kap = fld.grid.wavenumber_mesh
+    k = fld.grid.wavenumbers
     out_modes = []
     for p0, chi in fld.modes:
         chi4 = chi.reshape(4, 4, *chi.shape[1:])
-        p1_0 = P0 / 2 + p0
-        p2_0 = P0 / 2 - p0
-        F_chi = np.fft.fftn(chi4, axes=_AXES)
-        F_Vchi = np.fft.fftn(V[None, None] * chi4, axes=_AXES)
-        if which == 1:
-            spec = (
-                _kinetic(system.gammas, 1, p1_0, F_chi, kap)
-                - m1 * F_chi
-                + _kinetic(system.gammas, 2, p2_0, F_Vchi, kap)
-                - m2 * F_Vchi
-            )
-        else:
-            spec = (
-                _kinetic(system.gammas, 2, p2_0, F_chi, kap)
-                + m2 * F_chi
-                + _kinetic(system.gammas, 1, p1_0, F_Vchi, kap)
-                + m1 * F_Vchi
-            )
-        out = np.fft.ifftn(spec, axes=_AXES)
-        out_modes.append((p0, out.reshape(16, *chi.shape[1:])))
+        spec = _D_spectrum(system, which, P0 / 2 + p0, P0 / 2 - p0, k, _fft(chi4), _fft(V * chi4))
+        out_modes.append((p0, _ifft(spec).reshape(chi.shape)))
     return replace(fld, modes=tuple(out_modes))
 
 
@@ -316,7 +328,7 @@ def field_from_modes(P, grid: Grid, mode_spec, frame: str = "cm") -> InternalFie
     one spec on several grids on purpose.
     """
     n = grid.n
-    mesh = grid.coord_mesh
+    x = grid.axis
     modes = []
     for p0, waves in mode_spec:
         chi = np.zeros((16, n, n, n), dtype=complex)
@@ -329,12 +341,9 @@ def field_from_modes(P, grid: Grid, mode_spec, frame: str = "cm") -> InternalFie
                     AliasingWarning,
                     stacklevel=2,
                 )
-            phase = np.exp(
-                2j
-                * np.pi
-                / grid.L
-                * (m[0] * mesh[0] + m[1] * mesh[1] + m[2] * mesh[2])
-            )
+            # e^{i 2 pi m.x / L} is the outer product of three 1-D phases
+            ex, ey, ez = np.exp(2j * np.pi / grid.L * np.outer(m, x))
+            phase = ex[:, None, None] * ey[None, :, None] * ez[None, None, :]
             chi += np.asarray(amp, dtype=complex).reshape(16, 1, 1, 1) * phase
         modes.append((p0, chi))
     return InternalField(P=as_four_vector(P), grid=grid, modes=tuple(modes), frame=frame)
@@ -366,64 +375,25 @@ def random_band_limited_field(
 # Compatibility identity
 
 
-def _band_limit_guard(fld: InternalField, threshold: float = 1e-10):
-    """Warn if the field carries noticeable weight in the top third of
-    the spectrum; the residual measurement presumes smoothness."""
-    n = fld.grid.n
+def _band_limit_guard(F_chi, threshold: float = 1e-10):
+    """Warn if a mode spectrum carries noticeable weight in the top third
+    of the band; the residual measurement presumes smoothness."""
+    n = F_chi.shape[-1]
     idx = np.abs(np.fft.fftfreq(n, d=1.0 / n))  # integer mode magnitudes
     shell = idx > n / 3.0
     mask = shell[:, None, None] | shell[None, :, None] | shell[None, None, :]
-    for _, chi in fld.modes:
-        F = np.fft.fftn(chi, axes=_AXES)
-        power = np.sum(np.abs(F) ** 2)
-        if power == 0:
-            continue
-        frac = np.sum(np.abs(F[:, mask]) ** 2) / power
-        if frac > threshold:
-            warnings.warn(
-                f"field has fraction {frac:.2e} of spectral weight in the "
-                "top third of the band; residual will be aliasing-dominated",
-                AliasingWarning,
-                stacklevel=3,
-            )
-
-
-def _gradient_commutator(system, fld: InternalField, psi: InternalField, particle: int):
-    """[K_i, V] psi realized from the analytic potential gradient:
-    +i gamma_1^k (d_k V) psi for particle 1, -i gamma_2^k (d_k V) psi
-    for particle 2."""
-    grid = fld.grid
-    P_sq = minkowski_sq(fld.P)
-    dV = np.asarray(eval_dV_dxperp_sq(system.potential, -grid.radius_sq, P_sq))
-    gradV = dV[None] * (-2.0 * grid.coord_mesh)  # d_k V = dV/dxperp^2 * (-2 x^k)
-    sign = 1j if particle == 1 else -1j
-    mult = _mult1 if particle == 1 else _mult2
-    g = system.gammas.gamma
-    out_modes = []
-    for p0, chi in psi.modes:
-        chi4 = chi.reshape(4, 4, *chi.shape[1:])
-        acc = np.zeros_like(chi4)
-        for k in range(3):
-            acc += mult(g[k + 1], gradV[k][None, None] * chi4)
-        out_modes.append((p0, (sign * acc).reshape(chi.shape)))
-    return replace(psi, modes=tuple(out_modes))
-
-
-def _composed_commutator(system, fld, psi, particle: int):
-    """[K_i, V] psi from composed grid operators:
-    IFFT[K_i F(V psi)] - V IFFT[K_i F psi]."""
-    V = _potential_on_grid(system, fld)
-    kap = fld.grid.wavenumber_mesh
-    P0 = fld.P[0]
-    out_modes = []
-    for p0, chi in psi.modes:
-        chi4 = chi.reshape(4, 4, *chi.shape[1:])
-        pi_0 = P0 / 2 + p0 if particle == 1 else P0 / 2 - p0
-        K_Vchi = _kinetic(system.gammas, particle, pi_0, np.fft.fftn(V[None, None] * chi4, axes=_AXES), kap)
-        K_chi = _kinetic(system.gammas, particle, pi_0, np.fft.fftn(chi4, axes=_AXES), kap)
-        out = np.fft.ifftn(K_Vchi, axes=_AXES) - V[None, None] * np.fft.ifftn(K_chi, axes=_AXES)
-        out_modes.append((p0, out.reshape(chi.shape)))
-    return replace(psi, modes=tuple(out_modes))
+    power = np.sum(np.abs(F_chi) ** 2, axis=(0, 1))
+    total = np.sum(power)
+    if total == 0:
+        return
+    frac = np.sum(power[mask]) / total
+    if frac > threshold:
+        warnings.warn(
+            f"field has fraction {frac:.2e} of spectral weight in the "
+            "top third of the band; residual will be aliasing-dominated",
+            AliasingWarning,
+            stacklevel=3,
+        )
 
 
 def compatibility_residual(
@@ -439,22 +409,59 @@ def compatibility_residual(
     the exact potential gradient, so the residual is the discretization
     error of the product spectra and decays at spectral rate on smooth
     band-limited fields.
+
+    One pass per relative-energy mode transforms every field once. With
+    s_i the spectrum of D_i chi and d_i = IFFT s_i, the left side's
+    spectrum is K_1 (s_2 - F(V d_1)) + K_2 (F(V d_2) - s_1)
+    - m_1 (s_2 + F(V d_1)) - m_2 (F(V d_2) + s_1); the composed
+    difference lhs - rhs is IFFT[lhs + K_1 F(V d_1) - K_2 F(V d_2)]
+    - V IFFT[K_1 s_1 - K_2 s_2]. The squared difference is summed mode
+    by mode.
     """
     if commutator_realization not in ("analytic", "composed"):
         raise ValueError(f"unknown commutator realization: {commutator_realization!r}")
     _check_cm(fld)
-    _band_limit_guard(fld)
-    d1 = apply_D1(system, fld)
-    d2 = apply_D2(system, fld)
-    lhs = apply_D1(system, d2) - apply_D2(system, d1)
+    m1, m2 = system.masses.m1, system.masses.m2
+    g = system.gammas
+    grid = fld.grid
+    k = grid.wavenumbers
+    P0 = fld.P[0]
+    V = _potential_on_grid(system, fld)
     if commutator_realization == "analytic":
-        c1 = _gradient_commutator(system, fld, d1, 1)
-        c2 = _gradient_commutator(system, fld, d2, 2)
-    else:
-        c1 = _composed_commutator(system, fld, d1, 1)
-        c2 = _composed_commutator(system, fld, d2, 2)
-    rhs = (-1.0) * c1 + c2
-    return (lhs - rhs).norm() / fld.norm()
+        # [K_1, V] = +i gamma_1^k (d_k V), [K_2, V] = -i gamma_2^k (d_k V),
+        # with d_k V = dV/dxperp^2 * (-2 x^k)
+        dV = np.asarray(eval_dV_dxperp_sq(system.potential, -grid.radius_sq, minkowski_sq(fld.P)))
+        gradV = dV * (-2.0 * grid.coord_mesh)
+    total = 0.0
+    for p0, chi in fld.modes:
+        p1_0, p2_0 = P0 / 2 + p0, P0 / 2 - p0
+        chi4 = chi.reshape(4, 4, *chi.shape[1:])
+        F_chi = _fft(chi4)
+        _band_limit_guard(F_chi)
+        F_Vchi = _fft(V * chi4)
+        s1 = _D_spectrum(system, 1, p1_0, p2_0, k, F_chi, F_Vchi)
+        s2 = _D_spectrum(system, 2, p1_0, p2_0, k, F_chi, F_Vchi)
+        del F_chi, F_Vchi
+        d1, d2 = _ifft(s1), _ifft(s2)
+        F_Vd1, F_Vd2 = _fft(V * d1), _fft(V * d2)
+        lhs = (
+            _kinetic(g, 1, p1_0, s2 - F_Vd1, k)
+            + _kinetic(g, 2, p2_0, F_Vd2 - s1, k)
+            - m1 * (s2 + F_Vd1)
+            - m2 * (F_Vd2 + s1)
+        )
+        if commutator_realization == "analytic":
+            # lhs - rhs with rhs = -[K_1, V] d_1 + [K_2, V] d_2
+            diff = _ifft(lhs)
+            for axis in range(3):
+                diff += 1j * gradV[axis] * (_mult1(g.gamma[axis + 1], d1) + _mult2(g.gamma[axis + 1], d2))
+        else:
+            lhs += _kinetic(g, 1, p1_0, F_Vd1, k)
+            lhs -= _kinetic(g, 2, p2_0, F_Vd2, k)
+            diff = _ifft(lhs)
+            diff -= V * _ifft(_kinetic(g, 1, p1_0, s1, k) - _kinetic(g, 2, p2_0, s2, k))
+        total += np.sum(np.abs(diff) ** 2)
+    return float(np.sqrt(total * grid.h**3)) / fld.norm()
 
 
 # ---------------------------------------------------------------------------

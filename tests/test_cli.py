@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import tbdkit
 from tbdkit.cli import (
     ConfigError,
     DEFAULTS,
@@ -224,3 +227,43 @@ def test_unusable_config_exits_2_without_traceback(tmp_path, command, override, 
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"tbdkit {command}: ")
     assert message in lines[0]
+
+
+# ---------------------------------------------------------------------------
+# Thread pinning
+
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+
+def _env(**overrides):
+    env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
+    src = str(Path(tbdkit.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.update(overrides)
+    return env
+
+
+def test_tbdkit_threads_overrides_inherited_thread_variable():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import os, tbdkit.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"],
+        capture_output=True,
+        text=True,
+        env=_env(OPENBLAS_NUM_THREADS="8", TBDKIT_THREADS="1"),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1"
+
+
+def test_selfcheck_is_byte_identical_across_thread_counts(tmp_path):
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "tbdkit.cli", "selfcheck", "--out", str(out), "--quiet"],
+            capture_output=True,
+            text=True,
+            env=_env(TBDKIT_THREADS=threads),
+        )
+        assert proc.returncode == 0, proc.stderr
+        reports.append((out / "selfcheck.json").read_bytes())
+    assert reports[0] == reports[1]

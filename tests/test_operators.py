@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from tbdkit.kinematics import MassPair
+from tbdkit import operators
+from tbdkit.kinematics import MassPair, minkowski_sq
 from tbdkit.operators import (
     AliasingWarning,
     Grid,
@@ -18,7 +20,15 @@ from tbdkit.operators import (
     random_band_limited_field,
     state_residuals,
 )
-from tbdkit.potentials import Constant, GaussianG, TanhOfG, YukawaTanh, Zero, eval_V
+from tbdkit.potentials import (
+    Constant,
+    GaussianG,
+    TanhOfG,
+    YukawaTanh,
+    Zero,
+    eval_dV_dxperp_sq,
+    eval_V,
+)
 from tbdkit.spinor_algebra import build_gammas, slash1, slash2
 
 MASSES = MassPair(1.0, 1.3)
@@ -116,6 +126,16 @@ def test_random_field_is_deterministic_and_band_limited():
         leak = np.max(np.abs(spec[:, ~mask]))
         peak = np.max(np.abs(spec[:, mask]))
         assert leak <= 1e-12 * peak
+    # the separable plane waves agree with e^{i 2 pi m.x / L} taken over
+    # the full mesh, for the same draws
+    rng = np.random.default_rng(3)
+    for p0, chi in f1.modes:
+        expect = np.zeros_like(chi)
+        for _ in range(6):
+            m = rng.integers(-2, 3, size=3)
+            amp = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+            expect += amp.reshape(16, 1, 1, 1) * mode_phase(grid, m)
+        assert np.linalg.norm(chi - expect) <= 1e-14 * np.linalg.norm(expect)
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +255,6 @@ def test_compatibility_representation_covariance():
     U16 = np.kron(U4, U4)
     grid = Grid(n=16, L=10.5)
     fld = random_band_limited_field(P_REST, grid, np.random.default_rng(41))
-    from dataclasses import replace
-
     rotated = replace(
         fld,
         modes=tuple(
@@ -248,6 +266,94 @@ def test_compatibility_representation_covariance():
     rd = compatibility_residual(sys_d, fld)
     rw = compatibility_residual(sys_w, rotated)
     assert rw == pytest.approx(rd, rel=1e-10)
+
+
+# The residual before transform sharing, rebuilt from the public
+# operators and field arithmetic; K_i and the commutators are written
+# out here with the full wavenumber mesh and einsum contractions.
+
+
+def _kinetic_oracle(gammas, particle, fld):
+    """K_i psi: p_i^0 gamma_i^0 psi -+ sum_k gamma_i^k d(psi)/(i dx^k)."""
+    k = fld.grid.wavenumbers
+    kap = np.stack(np.meshgrid(k, k, k, indexing="ij"))
+    sign = 1.0 if particle == 1 else -1.0
+    sub = "ac,cbxyz->abxyz" if particle == 1 else "bc,acxyz->abxyz"
+    modes = []
+    for p0, chi in fld.modes:
+        F = np.fft.fftn(chi.reshape(4, 4, *chi.shape[1:]), axes=(-3, -2, -1))
+        p_0 = fld.P[0] / 2 + sign * p0
+        spec = p_0 * np.einsum(sub, gammas.gamma[0], F)
+        for j in range(3):
+            spec -= sign * np.einsum(sub, gammas.gamma[j + 1], kap[j] * F)
+        modes.append((p0, np.fft.ifftn(spec, axes=(-3, -2, -1)).reshape(chi.shape)))
+    return replace(fld, modes=tuple(modes))
+
+
+def _times(fld, f):
+    return replace(fld, modes=tuple((p0, f * chi) for p0, chi in fld.modes))
+
+
+def _commutator_oracle(system, psi, particle, realization):
+    """[K_i, V] psi, composed from the grid operators or from the gradient."""
+    grid = psi.grid
+    V = eval_V(system.potential, -grid.radius_sq, minkowski_sq(psi.P))
+    if realization == "composed":
+        return _kinetic_oracle(system.gammas, particle, _times(psi, V)) - _times(
+            _kinetic_oracle(system.gammas, particle, psi), V
+        )
+    dV = eval_dV_dxperp_sq(system.potential, -grid.radius_sq, minkowski_sq(psi.P))
+    sub = "ac,cbxyz->abxyz" if particle == 1 else "bc,acxyz->abxyz"
+    modes = []
+    for p0, chi in psi.modes:
+        chi4 = chi.reshape(4, 4, *chi.shape[1:])
+        acc = sum(
+            np.einsum(sub, system.gammas.gamma[j + 1], -2.0 * grid.coord_mesh[j] * dV * chi4)
+            for j in range(3)
+        )
+        modes.append((p0, (1j if particle == 1 else -1j) * acc.reshape(chi.shape)))
+    return replace(psi, modes=tuple(modes))
+
+
+def _residual_oracle(system, fld, realization):
+    d1 = apply_D1(system, fld)
+    d2 = apply_D2(system, fld)
+    lhs = apply_D1(system, d2) - apply_D2(system, d1)
+    rhs = (-1.0) * _commutator_oracle(system, d1, 1, realization) + _commutator_oracle(
+        system, d2, 2, realization
+    )
+    return (lhs - rhs).norm() / fld.norm()
+
+
+@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("realization", ["analytic", "composed"])
+def test_compatibility_residual_matches_unshared_oracle(gammas, realization, n):
+    system = TwoBodyDiracSystem(MASSES, BUMP, gammas)
+    fld = random_band_limited_field(P_REST, Grid(n=n, L=10.5), np.random.default_rng(51))
+    fused = compatibility_residual(system, fld, realization)
+    oracle = _residual_oracle(system, fld, realization)
+    assert fused == pytest.approx(oracle, abs=1e-12)
+
+
+@pytest.mark.parametrize("realization, per_mode", [("analytic", 7), ("composed", 8)])
+def test_compatibility_residual_transform_and_potential_counts(monkeypatch, realization, per_mode):
+    system = TwoBodyDiracSystem(MASSES, BUMP, build_gammas("dirac"))
+    fld = random_band_limited_field(P_REST, Grid(n=8, L=10.5), np.random.default_rng(61))
+    assert len(fld.modes) == 3
+    calls = {"fft": 0, "eval_V": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(np.fft, "fftn", counted("fft", np.fft.fftn))
+    monkeypatch.setattr(np.fft, "ifftn", counted("fft", np.fft.ifftn))
+    monkeypatch.setattr(operators, "eval_V", counted("eval_V", operators.eval_V))
+    compatibility_residual(system, fld, realization)
+    assert calls == {"fft": per_mode * 3, "eval_V": 1}
 
 
 def test_compatibility_warns_on_spectrally_full_field():
