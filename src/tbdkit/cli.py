@@ -29,6 +29,7 @@ _configure_threads()
 
 import argparse  # noqa: E402
 import copy  # noqa: E402
+import dataclasses  # noqa: E402
 import json  # noqa: E402
 import math  # noqa: E402
 import sys  # noqa: E402
@@ -162,41 +163,42 @@ DEFAULTS = {
 }
 
 
-def _require_keys(obj, allowed, ctx):
+def _require_keys(obj, allowed, ctx, required=True):
     if not isinstance(obj, dict):
         raise ConfigError(f"{ctx} must be an object")
     unknown = set(obj) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown keys in {ctx}: {sorted(unknown)}")
+    missing = set(allowed) - set(obj) if required else ()
+    if missing:
+        raise ConfigError(f"missing keys in {ctx}: {sorted(missing)}")
+
+
+def _parse_spec(obj, family):
+    kind = obj.get("kind") if isinstance(obj, dict) else None
+    if not isinstance(kind, str) or kind not in _SPECS[family]:
+        raise ConfigError(f"unknown {family} kind: {kind!r}")
+    cls = _SPECS[family][kind]
+    keys = [f.name for f in dataclasses.fields(cls)]
+    _require_keys(obj, {"kind", *keys}, f"{kind} {family} spec")
+    return cls(**{key: _CONVERTERS.get(key, float)(obj[key]) for key in keys})
 
 
 def parse_g(obj):
-    _require_keys(obj, {"kind", "c", "coeffs", "amplitude", "width"}, "g spec")
-    kind = obj.get("kind")
-    if kind == "constant":
-        return ConstantG(c=float(obj["c"]))
-    if kind == "polynomial":
-        return PolynomialG(coeffs=tuple(float(c) for c in obj["coeffs"]))
-    if kind == "gaussian":
-        return GaussianG(amplitude=float(obj["amplitude"]), width=float(obj["width"]))
-    raise ConfigError(f"unknown g kind: {kind!r}")
+    return _parse_spec(obj, "g")
 
 
 def parse_potential(obj):
-    _require_keys(obj, {"kind", "v", "g", "g1", "g2", "mu"}, "potential spec")
-    kind = obj.get("kind")
-    try:
-        if kind == "zero":
-            return Zero()
-        if kind == "constant":
-            return Constant(v=float(obj["v"]))
-        if kind == "tanh_of_g":
-            return TanhOfG(g=parse_g(obj["g"]))
-        if kind == "yukawa_tanh":
-            return YukawaTanh(g1=float(obj["g1"]), g2=float(obj["g2"]), mu=float(obj["mu"]))
-    except KeyError as e:
-        raise ConfigError(f"potential spec missing key {e}") from None
-    raise ConfigError(f"unknown potential kind: {kind!r}")
+    return _parse_spec(obj, "potential")
+
+
+# family -> kind -> spec class. A spec's keys are its class's fields, all
+# required; each value is a float unless it has a converter here.
+_SPECS = {
+    "g": {"constant": ConstantG, "polynomial": PolynomialG, "gaussian": GaussianG},
+    "potential": {"zero": Zero, "constant": Constant, "tanh_of_g": TanhOfG, "yukawa_tanh": YukawaTanh},
+}
+_CONVERTERS = {"coeffs": tuple, "g": parse_g}
 
 
 def load_config(command: str, path):
@@ -215,7 +217,7 @@ def load_config(command: str, path):
     declared = data.get("command")
     if declared is not None and declared != command:
         raise ConfigError(f"config is for command {declared!r}, not {command!r}")
-    _require_keys(data, set(cfg) | {"schema", "command"}, f"{command} config")
+    _require_keys(data, set(cfg) | {"schema", "command"}, f"{command} config", required=False)
     for key, value in data.items():
         if key in ("schema", "command"):
             continue
@@ -246,6 +248,8 @@ def run_compat(cfg):
     n_fields = int(cfg["n_fields"])
     if n_fields < 1:
         raise ConfigError(f"n_fields must be at least 1, got {n_fields}")
+    if not cfg["p0_modes"] or int(cfg["waves_per_mode"]) < 1:
+        raise ConfigError("a field needs a nonempty p0_modes and waves_per_mode of at least 1")
     residuals = []
     for _ in range(n_fields):
         fld = random_band_limited_field(
@@ -296,7 +300,7 @@ def run_claim1(cfg):
     root_b = 0.5 * (e1b - e2b)
     qb = plane_wave_solutions(free, Pb, pb, (root_b - 0.1, root_b + 0.1))
     if not qa or not qb:
-        raise RuntimeError("free dispersion roots not found")
+        raise ConfigError(f"free dispersion roots not found at masses m1 = {m1}, m2 = {m2}")
     sa = plane_wave_state(free, Pa, (0, 0, 0), qa[0][0], qa[0][1][:, 0])
     sb = plane_wave_state(free, Pb, pb, qb[0][0], qb[0][1][:, 0])
     jf = j_free_current(gam, sa, sb)

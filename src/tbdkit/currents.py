@@ -34,10 +34,8 @@ from .spinor_algebra import GammaSet, gamma0_pair
 __all__ = [
     "PlaneWaveCurrent",
     "DefectFields",
-    "ConservationReport",
     "ConservationSweep",
     "GaugeReport",
-    "j_free",
     "j_free_current",
     "divergence1",
     "divergence2",
@@ -45,7 +43,6 @@ __all__ = [
     "defects",
     "green_multiplier",
     "j_add",
-    "verify_conservation",
     "extrapolate_to_zero",
     "conservation_sweep",
     "coincidence_limit_term",
@@ -98,14 +95,6 @@ class DefectFields:
 
 def _ubar(gammas: GammaSet, state: PlaneWaveState):
     return state.u.conj() @ gamma0_pair(gammas)
-
-
-def j_free(gammas: GammaSet, state_a: PlaneWaveState, state_b: PlaneWaveState, mu: int, nu: int) -> complex:
-    """Single component u_bar_a gamma_1^mu gamma_2^nu u_b."""
-    if mu not in range(4) or nu not in range(4):
-        raise IndexError("Lorentz indices must be in 0..3")
-    op = np.kron(gammas.gamma[mu], gammas.gamma[nu])
-    return complex(_ubar(gammas, state_a) @ op @ state_b.u)
 
 
 def j_free_current(gammas: GammaSet, state_a: PlaneWaveState, state_b: PlaneWaveState) -> PlaneWaveCurrent:
@@ -162,24 +151,23 @@ def surviving_divergence_term(
     return out
 
 
-def defects(
-    system: TwoBodyDiracSystem,
-    state_a: PlaneWaveState,
-    state_b: PlaneWaveState,
-    residual_tol: float = 1e-8,
-) -> DefectFields:
+# Equation residual above which a state is not accepted as a solution.
+RESIDUAL_TOL = 1e-8
+
+
+def defects(system: TwoBodyDiracSystem, state_a: PlaneWaveState, state_b: PlaneWaveState) -> DefectFields:
     """Divergence defects of the free current for a solution pair.
 
     The defect formulas presuppose that the states actually solve the
     equations they are tagged with ("both" or "first"); inputs whose
-    equation residuals exceed residual_tol are rejected.
+    equation residuals exceed RESIDUAL_TOL are rejected.
     """
     for s in (state_a, state_b):
         r1, r2 = state_residuals(system, s)
         if s.solves == "both":
-            bad = r1 > residual_tol or r2 > residual_tol
+            bad = r1 > RESIDUAL_TOL or r2 > RESIDUAL_TOL
         elif s.solves == "first":
-            bad = r1 > residual_tol
+            bad = r1 > RESIDUAL_TOL
         else:
             bad = True
         if bad:
@@ -229,32 +217,12 @@ def j_add(defect: DefectFields, green_choice: str = "advanced", epsilon: float =
     return PlaneWaveCurrent(J=J, k1=k1, k2=k2, epsilon=epsilon)
 
 
-@dataclass(frozen=True)
-class ConservationReport:
-    max_residual1: float
-    max_residual2: float
-    tolerance: float
-    passed: bool
-
-
-def verify_conservation(j: PlaneWaveCurrent, tolerance: float) -> ConservationReport:
-    """Check both divergences of the given current against a tolerance."""
-    r1 = float(np.max(np.abs(divergence1(j))))
-    r2 = float(np.max(np.abs(divergence2(j))))
-    return ConservationReport(
-        max_residual1=r1,
-        max_residual2=r2,
-        tolerance=tolerance,
-        passed=(r1 <= tolerance and r2 <= tolerance),
-    )
-
-
 def extrapolate_to_zero(epsilons, values):
     """Polynomial (Lagrange) extrapolation of values(epsilon) to
     epsilon = 0. values may be scalars or arrays stacked on axis 0."""
     eps = [float(e) for e in epsilons]
-    if len(set(eps)) != len(eps):
-        raise ValueError("extrapolation nodes must be distinct")
+    if not eps or len(set(eps)) != len(eps):
+        raise ValueError("extrapolation needs one or more distinct nodes")
     vals = [np.asarray(v) for v in values]
     if len(vals) != len(eps):
         raise ValueError("one value per node required")

@@ -1,4 +1,4 @@
-"""Four-vector algebra, total/relative splits, and the transverse projector.
+"""Four-vector algebra, the mass pair, and the transverse projector.
 
 Four-vectors are plain length-4 float arrays (t, x, y, z) in natural
 units. The Minkowski square uses the metric of spinor_algebra,
@@ -54,33 +54,6 @@ class MassPair:
             raise ValueError("masses must be positive")
 
 
-@dataclass(frozen=True)
-class TwoBodyKinematics:
-    """Positions and momenta of the pair with the derived total/relative
-    combinations x = x1 - x2, X = (x1 + x2)/2, p = (p1 - p2)/2, P = p1 + p2."""
-
-    x1: FourVector
-    x2: FourVector
-    p1: FourVector
-    p2: FourVector
-
-    @property
-    def x(self) -> FourVector:
-        return as_four_vector(self.x1) - as_four_vector(self.x2)
-
-    @property
-    def X(self) -> FourVector:
-        return (as_four_vector(self.x1) + as_four_vector(self.x2)) / 2.0
-
-    @property
-    def p(self) -> FourVector:
-        return (as_four_vector(self.p1) - as_four_vector(self.p2)) / 2.0
-
-    @property
-    def P(self) -> FourVector:
-        return as_four_vector(self.p1) + as_four_vector(self.p2)
-
-
 def projector(P) -> np.ndarray:
     """Matrix of the transverse projector, acting on contravariant
     components: (pi x)^mu = x^mu - P^mu (P.x)/(P.P).
@@ -100,12 +73,6 @@ def projector(P) -> np.ndarray:
 def x_perp(x, P) -> FourVector:
     """Transverse part of x with respect to P: x_perp.P = 0."""
     return projector(P) @ as_four_vector(x)
-
-
-def is_spacelike_configuration(x1, x2) -> bool:
-    """True iff the separation x1 - x2 is strictly spacelike."""
-    d = as_four_vector(x1) - as_four_vector(x2)
-    return minkowski_sq(d) < 0.0
 
 
 def boost_matrix(axis: int, rapidity: float) -> np.ndarray:

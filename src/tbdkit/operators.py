@@ -73,7 +73,7 @@ from functools import cached_property
 import numpy as np
 
 from .kinematics import FourVector, MassPair, as_four_vector, minkowski_sq
-from .potentials import Constant, Zero, eval_V, eval_dV_dxperp_sq
+from .potentials import Constant, eval_V, eval_dV_dxperp_sq
 from .spinor_algebra import GammaSet, lift1, lift2, slash1, slash2
 
 __all__ = [
@@ -87,7 +87,6 @@ __all__ = [
     "compatibility_residual",
     "field_from_modes",
     "random_band_limited_field",
-    "general_compatibility_check",
     "plane_wave_solutions",
     "plane_wave_state",
     "state_residuals",
@@ -149,7 +148,6 @@ class InternalField:
     P: FourVector
     grid: Grid
     modes: tuple
-    frame: str = "cm"
 
     def __post_init__(self):
         object.__setattr__(self, "P", as_four_vector(self.P))
@@ -190,24 +188,21 @@ class InternalField:
 
 @dataclass(frozen=True)
 class PlaneWaveState:
-    """Spinor amplitude with the two particle momenta. solves records
-    which of the two equations the state was constructed to satisfy
-    ("both", "first" or "none")."""
+    """Spinor amplitude, normalized to unit length, with the two
+    particle momenta. solves records which of the two equations the
+    state was constructed to satisfy ("both", "first" or "none")."""
 
     u: np.ndarray
     p1: FourVector
     p2: FourVector
-    normalized: bool = True
     solves: str = "both"
 
     def __post_init__(self):
         u = np.asarray(self.u, dtype=complex).reshape(16)
-        if self.normalized:
-            nrm = np.linalg.norm(u)
-            if nrm == 0:
-                raise ValueError("cannot normalize the zero spinor")
-            u = u / nrm
-        object.__setattr__(self, "u", u)
+        nrm = np.linalg.norm(u)
+        if nrm == 0:
+            raise ValueError("cannot normalize the zero spinor")
+        object.__setattr__(self, "u", u / nrm)
         object.__setattr__(self, "p1", as_four_vector(self.p1))
         object.__setattr__(self, "p2", as_four_vector(self.p2))
 
@@ -246,8 +241,6 @@ def _ifft(x):
 
 def _check_cm(field: InternalField):
     P = field.P
-    if field.frame != "cm":
-        raise ValueError("grid operators are implemented in the rest frame only")
     if np.any(P[1:] != 0):
         raise ValueError("rest frame requires vanishing spatial total momentum")
     if minkowski_sq(P) <= 0:
@@ -317,7 +310,7 @@ def apply_D2(system: TwoBodyDiracSystem, fld: InternalField) -> InternalField:
 # Field constructors
 
 
-def field_from_modes(P, grid: Grid, mode_spec, frame: str = "cm") -> InternalField:
+def field_from_modes(P, grid: Grid, mode_spec) -> InternalField:
     """Build an internal field from integer wavevector data.
 
     mode_spec: list of (p0, waves); each wave is (m, amp) with m three
@@ -346,7 +339,7 @@ def field_from_modes(P, grid: Grid, mode_spec, frame: str = "cm") -> InternalFie
             phase = ex[:, None, None] * ey[None, :, None] * ez[None, None, :]
             chi += np.asarray(amp, dtype=complex).reshape(16, 1, 1, 1) * phase
         modes.append((p0, chi))
-    return InternalField(P=as_four_vector(P), grid=grid, modes=tuple(modes), frame=frame)
+    return InternalField(P=as_four_vector(P), grid=grid, modes=tuple(modes))
 
 
 def random_band_limited_field(
@@ -465,49 +458,6 @@ def compatibility_residual(
 
 
 # ---------------------------------------------------------------------------
-# General compatibility condition P.dV/dx = 0
-
-
-def _value_at(potential, x, P):
-    # Test hook: a spec exposing eval_at(x, P) is evaluated directly,
-    # which lets deliberately incompatible potentials into the check.
-    if hasattr(potential, "eval_at"):
-        return float(potential.eval_at(x, P))
-    from .kinematics import x_perp
-
-    return float(eval_V(potential, minkowski_sq(x_perp(x, P)), minkowski_sq(P)))
-
-
-def general_compatibility_check(
-    potential,
-    n_samples: int = 100,
-    seed: int = 0,
-    tol: float = 1e-9,
-    step: float = 1e-5,
-) -> bool:
-    """Check numerically that the potential satisfies P^mu d_mu V = 0.
-
-    Samples random configurations and timelike momenta, and takes a
-    central-difference directional derivative of the potential value
-    along P. For anything that depends on x only through x_perp the
-    derivative vanishes by the chain rule (x_perp.P = 0); a potential
-    smuggling in x.P dependence fails.
-    """
-    rng = np.random.default_rng(seed)
-    for _ in range(n_samples):
-        x = rng.standard_normal(4)
-        P = np.zeros(4)
-        P[0] = rng.uniform(2.0, 4.0)
-        P[1:] = rng.uniform(-0.4, 0.4, size=3) * P[0]
-        d = (_value_at(potential, x + step * P, P) - _value_at(potential, x - step * P, P)) / (
-            2.0 * step
-        )
-        if abs(d) > tol:
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
 # Plane-wave solutions for constant potentials
 
 
@@ -519,10 +469,8 @@ ROOT_TOL = 1e-7
 
 
 def _constant_value(potential) -> float:
-    """The value v of a Zero or Constant potential, the only potentials
-    with plane-wave solutions."""
-    if isinstance(potential, Zero):
-        return 0.0
+    """The value v of a constant potential (Zero included), the only
+    potentials with plane-wave solutions."""
     if isinstance(potential, Constant):
         return potential.v
     raise TypeError("plane-wave states require a Zero or Constant potential")

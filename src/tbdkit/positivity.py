@@ -220,31 +220,6 @@ def flavor_boundary_radius(flavor: str, g1: float, g2: float, mu: float, P0: flo
     return 0.5 * (lo + hi)
 
 
-def scalar_bound_check(
-    f_spec,
-    strict: bool = False,
-    r_max: float = 20.0,
-    n_samples: int = 2000,
-    P_sq: float = 4.0,
-) -> bool:
-    """The scalar positivity criterion for P^2-independent potentials:
-    sup |f| <= 1 (or < 1 with strict=True; the source condition is
-    non-strict, the conclusion prose is strict, so both are exposed).
-
-    f_spec is either a potential spec, sampled through eval_V at the
-    given P^2, or a plain callable f(r).
-    """
-    rs = np.linspace(r_max / n_samples, r_max, n_samples)
-    if callable(f_spec):
-        values = np.array([abs(float(f_spec(r))) for r in rs])
-    else:
-        from .potentials import eval_V
-
-        values = np.abs(np.asarray(eval_V(f_spec, -(rs**2), P_sq)))
-    sup = float(np.max(values))
-    return sup < 1.0 if strict else sup <= 1.0
-
-
 def empirical_boundary_consistent(report: PositivityReport, grid) -> bool:
     """One-grid-cell consistency between a scan's empirical violation
     boundary and the analytic radius in its report."""

@@ -8,8 +8,7 @@ conjugation, and the particle-antiparticle exchange symmetry.
 
 Variants:
 
-  * Zero
-  * Constant(v)
+  * Constant(v), with Zero() the constant 0
   * TanhOfG(g): tanh(g(r^2)) for a built-in smooth g, bounded in (-1, 1)
   * YukawaTanh(g1, g2, mu): tanh of a Yukawa core over sqrt(P^2),
       V = tanh( -(1/(2 sqrt(P^2))) (g1 g2 / 4 pi) e^{-mu r} / r )
@@ -27,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -108,13 +108,15 @@ class GaussianG:
 
 
 @dataclass(frozen=True)
-class Zero:
-    pass
+class Constant:
+    v: float
 
 
 @dataclass(frozen=True)
-class Constant:
-    v: float
+class Zero(Constant):
+    """The constant 0; v is a class constant, so Zero() takes no argument."""
+
+    v: ClassVar[float] = 0.0
 
 
 @dataclass(frozen=True)
@@ -167,8 +169,6 @@ def eval_V(spec, x_perp_sq, P_sq):
     evaluated by analytic continuation of the same formula.
     """
     xps = _validate_args(spec, x_perp_sq, P_sq)
-    if isinstance(spec, Zero):
-        return np.zeros_like(xps) if xps.ndim else 0.0
     if isinstance(spec, Constant):
         out = np.full_like(xps, spec.v)
         return out if xps.ndim else float(spec.v)
@@ -184,7 +184,7 @@ def eval_V(spec, x_perp_sq, P_sq):
 def eval_dV_dP2(spec, x_perp_sq, P_sq):
     """Analytic derivative of eval_V with respect to P^2."""
     xps = _validate_args(spec, x_perp_sq, P_sq)
-    if isinstance(spec, (Zero, Constant, TanhOfG)):
+    if isinstance(spec, (Constant, TanhOfG)):
         return np.zeros_like(xps) if xps.ndim else 0.0
     if isinstance(spec, YukawaTanh):
         c = spec.core(_radius(xps))
@@ -201,7 +201,7 @@ def eval_dV_dxperp_sq(spec, x_perp_sq, P_sq):
     commutators: d_k V = eval_dV_dxperp_sq * (-2 x^k) in the rest frame.
     """
     xps = _validate_args(spec, x_perp_sq, P_sq)
-    if isinstance(spec, (Zero, Constant)):
+    if isinstance(spec, Constant):
         return np.zeros_like(xps) if xps.ndim else 0.0
     if isinstance(spec, TanhOfG):
         s = -xps
@@ -242,7 +242,7 @@ def eval_ddelta_dP2(spec, x_perp_sq, P_sq):
     the core).
     """
     xps = _validate_args(spec, x_perp_sq, P_sq)
-    if isinstance(spec, (Zero, Constant, TanhOfG)):
+    if isinstance(spec, (Constant, TanhOfG)):
         return np.zeros_like(xps) if xps.ndim else 0.0
     if isinstance(spec, YukawaTanh):
         out = 0.5 * spec.core(_radius(xps)) * P_sq ** (-1.5)

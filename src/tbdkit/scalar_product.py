@@ -40,7 +40,7 @@ import numpy as np
 from .kinematics import FourVector, as_four_vector, minkowski_sq
 from .operators import Grid, InternalField
 from .potentials import eval_V, eval_dV_dP2, eval_ddelta_dP2
-from .spinor_algebra import GammaSet, gamma0_pair, slash1, slash2, trace16_normalized
+from .spinor_algebra import GammaSet, gamma0_pair
 
 FLAVORS = ("free", "sazdjian", "crater")
 
@@ -57,12 +57,6 @@ class NormKernel:
     gamma_coef: np.ndarray  # coefficient of gamma_1^0 gamma_2^0
     gammas: GammaSet
 
-    def matrix_at(self, i: int, j: int, k: int) -> np.ndarray:
-        """The kernel matrix K at one grid point."""
-        return self.ident_coef[i, j, k] * np.eye(16) + self.gamma_coef[
-            i, j, k
-        ] * gamma0_pair(self.gammas)
-
     def form_coefficients(self):
         """Coefficient pair (A, B) of the quadratic-form matrix
         A 1 + B gamma_1^0 gamma_2^0, after absorbing the flavor's
@@ -72,10 +66,6 @@ class NormKernel:
             # (gamma_1^0 gamma_2^0)^2 = 1, so the coefficients swap.
             return self.gamma_coef, self.ident_coef
         return self.ident_coef, self.gamma_coef
-
-    def form_matrix_at(self, i: int, j: int, k: int) -> np.ndarray:
-        A, B = self.form_coefficients()
-        return A[i, j, k] * np.eye(16) + B[i, j, k] * gamma0_pair(self.gammas)
 
 
 def _check_cm_timelike(P):
@@ -138,11 +128,7 @@ def free_inner_product(field_a: InternalField, field_b: InternalField) -> comple
 
 
 def _apply_gamma_pair(gammas: GammaSet, profile: np.ndarray) -> np.ndarray:
-    g0 = gammas.gamma[0]
-    p4 = profile.reshape(4, 4, *profile.shape[1:])
-    out = np.einsum("ac,cbxyz->abxyz", g0, p4)
-    out = np.einsum("bc,acxyz->abxyz", g0, out)
-    return out.reshape(profile.shape)
+    return (gamma0_pair(gammas) @ profile.reshape(16, -1)).reshape(profile.shape)
 
 
 def _form_integrand(kernel: NormKernel, pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
@@ -180,30 +166,3 @@ def interacting_inner_product(
     reproduces free_inner_product identically)."""
     _check_domain(kernel, field_a, field_b)
     return _form_value(kernel, _equal_time_profile(field_a), _equal_time_profile(field_b))
-
-
-@dataclass(frozen=True)
-class TraceCondition:
-    value: float
-    raw_trace: complex
-    satisfied: bool
-
-
-def trace_condition(potential_as_spin_op, P, gammas: GammaSet) -> TraceCondition:
-    """The no-relative-time trace condition on a spin-operator-valued
-    potential sample: value = (1/16) Tr[ (n.gamma_1)(n.gamma_2) V ]
-    with n = P/sqrt(P^2), reported with the raw 16x16 trace, and the
-    comparison value < 1.
-
-    The 1/16 normalization is fixed by the constant benchmark
-    V = v gamma_1^0 gamma_2^0, which must evaluate to v.
-    """
-    P = as_four_vector(P)
-    P_sq = minkowski_sq(P)
-    if P_sq <= 0:
-        raise ValueError("total momentum must be timelike")
-    n = P / np.sqrt(P_sq)
-    op = slash1(gammas, n) @ slash2(gammas, n) @ np.asarray(potential_as_spin_op)
-    raw = complex(np.trace(op))
-    value = float(np.real(trace16_normalized(op))) / 4.0
-    return TraceCondition(value=value, raw_trace=raw, satisfied=bool(value < 1.0))

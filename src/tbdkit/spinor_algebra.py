@@ -109,19 +109,6 @@ def slash2(gammas: GammaSet, q) -> TwoBodySpinOp:
     return np.kron(np.eye(4), _slash4(gammas, q))
 
 
-def trace16_normalized(op: TwoBodySpinOp) -> complex:
-    """(1/4) times the 16x16 matrix trace.
-
-    The quarter normalization makes trace16_normalized(1_16) = 4, i.e.
-    it plays the role of a single-particle spinor trace on the product
-    space. The raw trace is np.trace(op) for callers that need it.
-    """
-    op = np.asarray(op)
-    if op.shape != (16, 16):
-        raise ValueError("16x16 operator expected")
-    return complex(np.trace(op)) / 4.0
-
-
 def gamma0_pair(gammas: GammaSet) -> TwoBodySpinOp:
     """The frequently needed product gamma_1^0 gamma_2^0."""
     return np.kron(gammas.gamma[0], gammas.gamma[0])

@@ -26,18 +26,6 @@ def a_product(v, w) -> complex:
     return complex(v.conj() @ A @ w)
 
 
-def in_h_pos(v) -> bool:
-    """Membership in the positive cone: v = 0 or <v, v> > 0 strictly.
-
-    Norm-zero vectors are excluded; callers interested in the boundary
-    can test a_product(v, v) == 0 directly.
-    """
-    v = np.asarray(v, dtype=complex).reshape(2)
-    if not v.any():
-        return True
-    return a_product(v, v).real > 0.0
-
-
 def evolve(u0, t: float) -> np.ndarray:
     """Solution u(t) = cos(t) u0 - i sin(t) B u0 of the toy wave
     equation with initial datum u0."""

@@ -211,8 +211,49 @@ def test_gauge_command_passes(tmp_path):
         ("conserve", {"p0_window": [1.0, 1.1]}, "no dispersion roots in p0_window [1.0, 1.1]"),
         ("compat", {"n_fields": 0}, "n_fields must be at least 1, got 0"),
         ("claim1", {"scan_points": 341}, "unknown keys in claim1 config: ['scan_points']"),
+        (
+            "kernel",
+            {
+                "potential": {
+                    "kind": "yukawa_tanh", "g1": 3.5, "g2": 3.5, "mu": 1.0,
+                    "v": 0.9, "g": {"kind": "constant", "c": 1.0},
+                },
+                "P2_values": [1.0],
+                "grid": {"n": 8, "L": 4.0},
+                "expect_positive": False,
+            },
+            "unknown keys in yukawa_tanh potential spec: ['g', 'v']",
+        ),
+        (
+            "kernel",
+            {
+                "potential": {"kind": "tanh_of_g", "g": {"kind": "gaussian", "amplitude": 0.9, "width": 1.0, "c": 2.0}},
+                "grid": {"n": 8, "L": 4.0},
+            },
+            "unknown keys in gaussian g spec: ['c']",
+        ),
+        ("kernel", {"grid": {"n": 8}}, "missing keys in grid spec: ['L']"),
+        ("claim1", {"masses": {"m1": 1.0}}, "missing keys in masses: ['m2']"),
+        ("claim1", {"masses": {"m1": 1e9, "m2": 1.3}}, "free dispersion roots not found at masses"),
+        ("compat", {"p0_modes": []}, "a field needs a nonempty p0_modes"),
+        ("compat", {"waves_per_mode": 0}, "waves_per_mode of at least 1"),
+        ("conserve", {"epsilons": []}, "extrapolation needs one or more distinct nodes"),
     ],
-    ids=["claim1_empty_window", "claim1_one_root", "conserve_empty_window", "compat_no_fields", "scan_points"],
+    ids=[
+        "claim1_empty_window",
+        "claim1_one_root",
+        "conserve_empty_window",
+        "compat_no_fields",
+        "scan_points",
+        "potential_stray_keys",
+        "g_stray_key",
+        "grid_missing_key",
+        "masses_missing_key",
+        "claim1_no_free_roots",
+        "compat_no_modes",
+        "compat_no_waves",
+        "conserve_no_epsilons",
+    ],
 )
 def test_unusable_config_exits_2_without_traceback(tmp_path, command, override, message):
     p = tmp_path / "cfg.json"
@@ -267,3 +308,19 @@ def test_selfcheck_is_byte_identical_across_thread_counts(tmp_path):
         assert proc.returncode == 0, proc.stderr
         reports.append((out / "selfcheck.json").read_bytes())
     assert reports[0] == reports[1]
+
+
+def test_runtime_imports_no_scipy(tmp_path):
+    # scipy is a test-only dependency: importing every module and running
+    # selfcheck must not load it
+    code = (
+        "import pkgutil, sys, tbdkit\n"
+        "for mod in pkgutil.iter_modules(tbdkit.__path__):\n"
+        "    __import__('tbdkit.' + mod.name)\n"
+        "from tbdkit.cli import main\n"
+        f"status = main(['selfcheck', '--out', {str(tmp_path)!r}, '--quiet'])\n"
+        "print(status, sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 []"

@@ -6,9 +6,7 @@ from hypothesis import strategies as st
 from tbdkit.kinematics import (
     MassPair,
     SingularProjectorError,
-    TwoBodyKinematics,
     boost_matrix,
-    is_spacelike_configuration,
     minkowski_dot,
     minkowski_sq,
     projector,
@@ -103,14 +101,6 @@ def test_x_perp_boost_covariant(eta, axis):
     assert np.allclose(lhs, rhs, atol=1e-10)
 
 
-def test_spacelike_configuration_predicate():
-    assert is_spacelike_configuration([0, 1, 0, 0], [0, 0, 0, 0])
-    assert not is_spacelike_configuration([1, 0, 0, 0], [0, 0, 0, 0])
-    # lightlike separation is not strictly spacelike
-    assert not is_spacelike_configuration([1, 1, 0, 0], [0, 0, 0, 0])
-    assert is_spacelike_configuration([0.5, 2.0, 0, 0], [0.0, 0.0, 0, 0])
-
-
 def test_mass_pair_validation():
     mp = MassPair(1.0, 1.3)
     assert mp.m1 == 1.0 and mp.m2 == 1.3
@@ -118,16 +108,3 @@ def test_mass_pair_validation():
         MassPair(-1.0, 1.0)
     with pytest.raises(ValueError):
         MassPair(1.0, 0.0)
-
-
-def test_two_body_kinematics_combinations():
-    k = TwoBodyKinematics(
-        x1=np.array([1.0, 2.0, 3.0, 4.0]),
-        x2=np.array([0.0, 1.0, 1.0, 1.0]),
-        p1=np.array([2.0, 0.1, 0.0, 0.0]),
-        p2=np.array([1.0, -0.1, 0.0, 0.0]),
-    )
-    assert np.allclose(k.x, [1.0, 1.0, 2.0, 3.0])
-    assert np.allclose(k.X, [0.5, 1.5, 2.0, 2.5])
-    assert np.allclose(k.p, [0.5, 0.1, 0.0, 0.0])
-    assert np.allclose(k.P, [3.0, 0.0, 0.0, 0.0])

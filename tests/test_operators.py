@@ -14,7 +14,6 @@ from tbdkit.operators import (
     apply_D2,
     compatibility_residual,
     field_from_modes,
-    general_compatibility_check,
     plane_wave_solutions,
     plane_wave_state,
     random_band_limited_field,
@@ -24,7 +23,6 @@ from tbdkit.potentials import (
     Constant,
     GaussianG,
     TanhOfG,
-    YukawaTanh,
     Zero,
     eval_dV_dxperp_sq,
     eval_V,
@@ -364,31 +362,6 @@ def test_compatibility_warns_on_spectrally_full_field():
     fld = single_mode(grid, 0.1, (3, 0, 0), u)
     with pytest.warns(AliasingWarning):
         compatibility_residual(system, fld)
-
-
-# ---------------------------------------------------------------------------
-# General compatibility predicate
-
-
-class _SmuggledTimeDependence:
-    """Deliberately bad potential: depends on x through x.P as well."""
-
-    def eval_at(self, x, P):
-        xp = x - (x[0] * P[0] - x[1] * P[1] - x[2] * P[2] - x[3] * P[3]) / (
-            P[0] ** 2 - P[1] ** 2 - P[2] ** 2 - P[3] ** 2
-        ) * P
-        r_sq = max(xp[1] ** 2 + xp[2] ** 2 + xp[3] ** 2 - xp[0] ** 2, 1e-12)
-        longitudinal = x[0] * P[0] - x[1] * P[1] - x[2] * P[2] - x[3] * P[3]
-        return math.tanh(math.exp(-r_sq)) + 0.05 * longitudinal
-
-
-def test_general_check_accepts_invariant_potentials():
-    assert general_compatibility_check(BUMP)
-    assert general_compatibility_check(YukawaTanh(g1=2.0, g2=2.0, mu=1.0))
-
-
-def test_general_check_rejects_longitudinal_dependence():
-    assert not general_compatibility_check(_SmuggledTimeDependence())
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from tbdkit.positivity import (
     h_function,
     h_function_closed,
     min_eigenvalue_map,
-    scalar_bound_check,
     scan,
     violation_radius,
 )
@@ -23,7 +22,6 @@ from tbdkit.potentials import (
     GaussianG,
     TanhOfG,
     YukawaTanh,
-    eval_V,
     y_of,
 )
 from tbdkit.scalar_product import build_kernel
@@ -252,35 +250,3 @@ def test_boundary_consistency_rejects_fabricated_report(gam):
 
     shifted = replace(rep, violation_radius_max=rep.analytic_radius + 1.0)
     assert not empirical_boundary_consistent(shifted, grid)
-
-
-# ---------------------------------------------------------------------------
-# Scalar bound sweep
-
-
-def test_scalar_bound_check_on_callables():
-    assert scalar_bound_check(lambda r: 0.9 * math.exp(-r))
-    assert scalar_bound_check(lambda r: 0.9 * math.exp(-r), strict=True)
-    # touching 1 passes the loose check, fails the strict one
-    assert scalar_bound_check(lambda r: 1.0)
-    assert not scalar_bound_check(lambda r: 1.0, strict=True)
-    assert not scalar_bound_check(lambda r: 1.2 * math.exp(-(r**2)))
-
-
-def test_scalar_bound_check_on_potential_specs():
-    assert scalar_bound_check(TanhOfG(g=GaussianG(amplitude=3.0, width=1.0)), strict=True)
-    # a weak Yukawa stays strictly inside the unit ball even at the
-    # innermost sample; the unit-coupling core saturates tanh to 1.0 in
-    # double precision, so only the loose bound survives there
-    weak = YukawaTanh(g1=1.0, g2=1.0, mu=1.0)
-    assert scalar_bound_check(weak, strict=True)
-    assert scalar_bound_check(YUKAWA)
-    assert not scalar_bound_check(YUKAWA, strict=True)
-
-
-def test_scalar_bound_check_matches_direct_supremum():
-    weak = YukawaTanh(g1=1.0, g2=1.0, mu=1.0)
-    rs = np.linspace(20.0 / 2000, 20.0, 2000)
-    sup = max(abs(eval_V(weak, -(r**2), 4.0)) for r in rs)
-    assert sup < 1.0
-    assert scalar_bound_check(weak, strict=True)

@@ -25,7 +25,6 @@ from tbdkit.scalar_product import (
     build_kernel,
     free_inner_product,
     interacting_inner_product,
-    trace_condition,
 )
 from tbdkit.spinor_algebra import build_gammas, gamma0_pair
 
@@ -104,9 +103,9 @@ def test_free_kernel_coefficients(gam):
     kernel = build_kernel("free", Zero(), P2, grid, gam)
     assert np.all(kernel.ident_coef == 0.0)
     assert np.all(kernel.gamma_coef == 1.0)
-    assert np.allclose(kernel.matrix_at(0, 0, 0), gamma0_pair(gam))
     # the quadratic form of the bar convention is the identity
-    assert np.allclose(kernel.form_matrix_at(0, 0, 0), np.eye(16))
+    A, B = kernel.form_coefficients()
+    assert np.all(A == 1.0) and np.all(B == 0.0)
 
 
 def test_sazdjian_kernel_reduces_to_free_for_zero_potential(gam):
@@ -130,7 +129,8 @@ def test_crater_kernel_is_identity_for_momentum_independent_potentials(gam):
         kernel = build_kernel("crater", pot, P2, grid, gam)
         assert np.allclose(kernel.ident_coef, 1.0)
         assert np.allclose(kernel.gamma_coef, 0.0)
-        assert np.allclose(kernel.form_matrix_at(1, 2, 3), np.eye(16))
+        A, B = kernel.form_coefficients()
+        assert np.allclose(A, 1.0) and np.allclose(B, 0.0)
 
 
 def test_yukawa_kernels_match_potential_evaluations(gam):
@@ -154,11 +154,14 @@ def test_yukawa_kernels_match_potential_evaluations(gam):
 
 
 def test_kernel_form_matrix_is_hermitian(gam):
+    # A 1 + B gamma_1^0 gamma_2^0 is Hermitian when A and B are real
+    g = gamma0_pair(gam)
+    assert np.array_equal(g, g.conj().T)
     grid = Grid(n=8, L=4.0)
     for flavor in ("free", "sazdjian", "crater"):
         kernel = build_kernel(flavor, YUKAWA, P2, grid, gam)
-        m = kernel.form_matrix_at(3, 4, 5)
-        assert np.allclose(m, m.conj().T, atol=1e-14)
+        A, B = kernel.form_coefficients()
+        assert np.isrealobj(A) and np.isrealobj(B)
 
 
 def test_build_kernel_validation(gam):
@@ -223,42 +226,3 @@ def test_negative_norm_state_inside_violation_ball(gam):
     # the same profile on the +1 orientation keeps a positive norm
     plus = gaussian_profile_field(grid, width=0.15, component=int(np.argmax(gp)), P=P)
     assert interacting_inner_product(kernel, plus, plus).real > 0.0
-
-
-# ---------------------------------------------------------------------------
-# Trace condition
-
-
-def test_trace_condition_constant_benchmark(gam):
-    v = 0.3
-    report = trace_condition(v * gamma0_pair(gam), P2, gam)
-    assert report.value == pytest.approx(v, abs=1e-14)
-    assert report.raw_trace == pytest.approx(16.0 * v, abs=1e-12)
-    assert report.satisfied
-
-
-def test_trace_condition_identity_operator_traces_to_zero(gam):
-    report = trace_condition(np.eye(16), P2, gam)
-    assert report.value == pytest.approx(0.0, abs=1e-14)
-    assert report.satisfied
-
-
-def test_trace_condition_flags_saturation(gam):
-    report = trace_condition(1.5 * gamma0_pair(gam), P2, gam)
-    assert report.value == pytest.approx(1.5, abs=1e-14)
-    assert not report.satisfied
-
-
-def test_trace_condition_moving_frame(gam):
-    # n = P/sqrt(P^2) keeps the benchmark exact in any timelike frame
-    P = np.array([2.5, 0.0, 0.9, 0.0])
-    report = trace_condition(0.25 * gamma0_pair(gam), P, gam)
-    n0 = 2.5 / math.sqrt(2.5**2 - 0.81)
-    # slash(n) slash(n) traces pick up the boost factor on gamma^0 pairs
-    assert report.satisfied
-    assert report.value == pytest.approx(0.25 * n0 * n0, rel=1e-12)
-
-
-def test_trace_condition_rejects_spacelike_momentum(gam):
-    with pytest.raises(ValueError):
-        trace_condition(np.eye(16), np.array([0.5, 1.0, 0.0, 0.0]), gam)

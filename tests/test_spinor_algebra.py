@@ -10,7 +10,6 @@ from tbdkit.spinor_algebra import (
     lift2,
     slash1,
     slash2,
-    trace16_normalized,
 )
 
 METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
@@ -86,20 +85,16 @@ def test_lift_index_range(gammas):
 
 
 def test_trace_normalization(gammas):
-    assert trace16_normalized(np.eye(16)) == pytest.approx(4.0)
+    # a quarter of the 16x16 trace plays the single-particle spinor trace
+    assert np.trace(np.eye(16)) / 4 == pytest.approx(4.0)
     for mu in range(4):
-        assert trace16_normalized(lift1(gammas, mu)) == pytest.approx(0.0, abs=1e-14)
+        assert np.trace(lift1(gammas, mu)) / 4 == pytest.approx(0.0, abs=1e-14)
         for nu in range(4):
             # Tr(Gamma_1^mu Gamma_1^nu)/4 = 4 eta^{mu nu}; mixed lifts trace to zero
-            t11 = trace16_normalized(lift1(gammas, mu) @ lift1(gammas, nu))
+            t11 = np.trace(lift1(gammas, mu) @ lift1(gammas, nu)) / 4
             assert t11 == pytest.approx(4.0 * METRIC[mu, nu], abs=1e-13)
-            t12 = trace16_normalized(lift1(gammas, mu) @ lift2(gammas, nu))
+            t12 = np.trace(lift1(gammas, mu) @ lift2(gammas, nu)) / 4
             assert t12 == pytest.approx(0.0, abs=1e-13)
-
-
-def test_trace_rejects_wrong_shape():
-    with pytest.raises(ValueError):
-        trace16_normalized(np.eye(4))
 
 
 def test_gamma0_pair_is_product_of_lifts(gammas):

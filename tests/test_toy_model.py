@@ -10,7 +10,6 @@ from tbdkit.toy_model import (
     BreakdownReport,
     a_product,
     evolve,
-    in_h_pos,
     norm_along_evolution,
     positivity_breakdown_search,
 )
@@ -33,14 +32,6 @@ def test_near_null_family_norm():
     for n in (2, 3, 10, 100):
         b = 1.0 - 1.0 / n
         assert a_product((1, b), (1, b)).real == pytest.approx(1.0 - b * b, abs=1e-15)
-
-
-def test_positive_cone_membership():
-    assert in_h_pos((1, 0))
-    assert in_h_pos((0, 0))
-    assert not in_h_pos((0, 1))
-    assert not in_h_pos((1, 1))  # null boundary is excluded
-    assert in_h_pos((2, 1))
 
 
 def test_evolution_of_first_basis_vector_is_rotation():
@@ -72,10 +63,8 @@ def test_evolution_is_euclidean_unitary_but_not_a_isometric():
 
 def test_positive_norm_is_lost_within_a_period():
     # (1, 0) starts strictly positive and reaches norm -1 at t = pi/2
-    assert in_h_pos((1, 0))
     u_half = evolve((1, 0), math.pi / 2.0)
     assert a_product(u_half, u_half).real == pytest.approx(-1.0, abs=1e-14)
-    assert not in_h_pos(u_half)
 
 
 @settings(max_examples=60, deadline=None)
