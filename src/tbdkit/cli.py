@@ -250,6 +250,9 @@ def run_compat(cfg):
         raise ConfigError(f"n_fields must be at least 1, got {n_fields}")
     if not cfg["p0_modes"] or int(cfg["waves_per_mode"]) < 1:
         raise ConfigError("a field needs a nonempty p0_modes and waves_per_mode of at least 1")
+    tol = cfg["tolerance"]
+    if isinstance(tol, bool) or not isinstance(tol, (int, float)):
+        raise ConfigError(f"tolerance must be a number, got {tol!r}")
     residuals = []
     for _ in range(n_fields):
         fld = random_band_limited_field(
@@ -265,9 +268,9 @@ def run_compat(cfg):
     report = {
         "residuals": residuals,
         "max_residual": worst,
-        "tolerance": cfg["tolerance"],
+        "tolerance": tol,
         "realization": cfg["realization"],
-        "passed": bool(worst <= cfg["tolerance"]),
+        "passed": bool(worst <= tol),
     }
     return report, {}
 
@@ -369,8 +372,10 @@ def run_kernel(cfg):
     grid = _grid(cfg)
     gam = build_gammas("dirac")
     pot = parse_potential(cfg["potential"])
+    expect = cfg["expect_positive"]
+    if not isinstance(expect, bool):
+        raise ConfigError(f"expect_positive must be true or false, got {expect!r}")
     rep = scan(cfg["flavor"], pot, cfg["P2_values"], grid, gam, tol=float(cfg["tolerance"]))
-    expect = bool(cfg["expect_positive"])
     report = {
         "scan": rep,
         "expect_positive": expect,
@@ -415,6 +420,9 @@ def run_radius(cfg):
 
 
 def run_toy(cfg):
+    n_rho, n_phi = int(cfg["sweep_rho_points"]), int(cfg["sweep_phi_points"])
+    if n_rho < 1 or n_phi < 1:
+        raise ConfigError(f"sweep_rho_points and sweep_phi_points must be at least 1, got {n_rho} and {n_phi}")
     checks = {
         "plus_basis_norm": (a_product((1, 0), (1, 0)), 1.0),
         "minus_basis_norm": (a_product((0, 1), (0, 1)), -1.0),
@@ -427,8 +435,8 @@ def run_toy(cfg):
     closed_vs_direct = abs(
         norm_along_evolution(1.0, 0.25j, t) - a_product(evolve((1, 0.25j), t), evolve((1, 0.25j), t)).real
     )
-    rhos = np.linspace(0.0, 0.99, int(cfg["sweep_rho_points"]))
-    phis = np.linspace(0.0, 2.0 * np.pi, int(cfg["sweep_phi_points"]), endpoint=False)
+    rhos = np.linspace(0.0, 0.99, n_rho)
+    phis = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
     samples = [(1.0, rho * np.exp(1j * phi)) for rho in rhos for phi in phis]
     sweep = positivity_breakdown_search(samples)
     values_exact = all(val == expect for val, expect in checks.values())

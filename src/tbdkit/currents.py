@@ -27,9 +27,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .kinematics import FourVector, as_four_vector, minkowski_sq
-from .operators import InternalField, PlaneWaveState, TwoBodyDiracSystem, _constant_value, state_residuals
+from .operators import InternalField, PlaneWaveState, TwoBodyDiracSystem, state_residuals
 from .potentials import eval_V
-from .spinor_algebra import GammaSet, gamma0_pair
+from .spinor_algebra import GammaSet, gamma0_pair, lift2, slash2
 
 __all__ = [
     "PlaneWaveCurrent",
@@ -58,13 +58,11 @@ def _lower(k):
 @dataclass(frozen=True)
 class PlaneWaveCurrent:
     """Closed-form tensor current: coefficient J[mu, nu] of the phase
-    e^{+i(k1.x1 + k2.x2)}, with the regulator it was evaluated at
-    (epsilon = 0 meaning unregulated)."""
+    e^{+i(k1.x1 + k2.x2)}."""
 
     J: np.ndarray
     k1: FourVector
     k2: FourVector
-    epsilon: float = 0.0
 
     def __post_init__(self):
         J = np.asarray(self.J, dtype=complex)
@@ -77,7 +75,7 @@ class PlaneWaveCurrent:
     def __add__(self, other):
         if not (np.allclose(self.k1, other.k1) and np.allclose(self.k2, other.k2)):
             raise ValueError("currents with different momentum transfer cannot be added")
-        return replace(self, J=self.J + other.J, epsilon=max(self.epsilon, other.epsilon))
+        return replace(self, J=self.J + other.J)
 
 
 @dataclass(frozen=True)
@@ -135,9 +133,7 @@ def surviving_divergence_term(
     divergence1(j_free_current(...)) and the pair is compared to 1e-10
     in the acceptance checks.
     """
-    from .spinor_algebra import lift2, slash2
-
-    v = _constant_value(system.potential)
+    v = system.potential.constant_value()
     g = system.gammas
     m2 = system.masses.m2
     ub = _ubar(g, state_a)
@@ -214,7 +210,7 @@ def j_add(defect: DefectFields, green_choice: str = "advanced", epsilon: float =
         - 1j * m2 * np.outer(defect.f2, k2)
         - m1 * m2 * defect.f * np.outer(k1, k2)
     )
-    return PlaneWaveCurrent(J=J, k1=k1, k2=k2, epsilon=epsilon)
+    return PlaneWaveCurrent(J=J, k1=k1, k2=k2)
 
 
 def extrapolate_to_zero(epsilons, values):

@@ -44,6 +44,17 @@ def minkowski_sq(a) -> float:
     return minkowski_dot(a, a)
 
 
+def check_rest_frame(P) -> FourVector:
+    """P as a four-vector, checked to be a timelike total momentum in
+    its rest frame: spatial P = 0 and P^2 > 0."""
+    P = as_four_vector(P)
+    if np.any(P[1:] != 0):
+        raise ValueError("rest frame requires vanishing spatial total momentum")
+    if minkowski_sq(P) <= 0:
+        raise ValueError("total momentum must be timelike")
+    return P
+
+
 @dataclass(frozen=True)
 class MassPair:
     m1: float

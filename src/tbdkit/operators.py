@@ -72,8 +72,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .kinematics import FourVector, MassPair, as_four_vector, minkowski_sq
-from .potentials import Constant, eval_V, eval_dV_dxperp_sq
+from .kinematics import FourVector, MassPair, as_four_vector, check_rest_frame, minkowski_sq
+from .potentials import eval_V, eval_dV_dxperp_sq
 from .spinor_algebra import GammaSet, lift1, lift2, slash1, slash2
 
 __all__ = [
@@ -239,18 +239,10 @@ def _ifft(x):
     return np.fft.ifftn(x, axes=_AXES)
 
 
-def _check_cm(field: InternalField):
-    P = field.P
-    if np.any(P[1:] != 0):
-        raise ValueError("rest frame requires vanishing spatial total momentum")
-    if minkowski_sq(P) <= 0:
-        raise ValueError("total momentum must be timelike")
-
-
 def _potential_on_grid(system: TwoBodyDiracSystem, field: InternalField):
     P_sq = minkowski_sq(field.P)
     x_perp_sq = -field.grid.radius_sq
-    return np.asarray(eval_V(system.potential, x_perp_sq, P_sq))
+    return eval_V(system.potential, x_perp_sq, P_sq)
 
 
 def _kinetic(gammas: GammaSet, particle: int, p_0: float, spec, k, shift: float = 0.0):
@@ -284,7 +276,7 @@ def _D_spectrum(system: TwoBodyDiracSystem, which: int, p1_0, p2_0, k, F_chi, F_
 
 
 def _apply_D(system: TwoBodyDiracSystem, fld: InternalField, which: int) -> InternalField:
-    _check_cm(fld)
+    check_rest_frame(fld.P)
     P0 = fld.P[0]
     V = _potential_on_grid(system, fld)
     k = fld.grid.wavenumbers
@@ -413,7 +405,7 @@ def compatibility_residual(
     """
     if commutator_realization not in ("analytic", "composed"):
         raise ValueError(f"unknown commutator realization: {commutator_realization!r}")
-    _check_cm(fld)
+    check_rest_frame(fld.P)
     m1, m2 = system.masses.m1, system.masses.m2
     g = system.gammas
     grid = fld.grid
@@ -423,7 +415,7 @@ def compatibility_residual(
     if commutator_realization == "analytic":
         # [K_1, V] = +i gamma_1^k (d_k V), [K_2, V] = -i gamma_2^k (d_k V),
         # with d_k V = dV/dxperp^2 * (-2 x^k)
-        dV = np.asarray(eval_dV_dxperp_sq(system.potential, -grid.radius_sq, minkowski_sq(fld.P)))
+        dV = eval_dV_dxperp_sq(system.potential, -grid.radius_sq, minkowski_sq(fld.P))
         gradV = dV * (-2.0 * grid.coord_mesh)
     total = 0.0
     for p0, chi in fld.modes:
@@ -468,18 +460,10 @@ SV_TOL = 1e-8
 ROOT_TOL = 1e-7
 
 
-def _constant_value(potential) -> float:
-    """The value v of a constant potential (Zero included), the only
-    potentials with plane-wave solutions."""
-    if isinstance(potential, Constant):
-        return potential.v
-    raise TypeError("plane-wave states require a Zero or Constant potential")
-
-
 def _equation_matrices(system, p1, p2):
     """The 16x16 matrices (M_1, M_2) of the two equations at particle
     momenta p1, p2: D_1 and D_2 with V replaced by its constant value."""
-    v = _constant_value(system.potential)
+    v = system.potential.constant_value()
     m1, m2 = system.masses.m1, system.masses.m2
     S1 = slash1(system.gammas, p1)
     S2 = slash2(system.gammas, p2)
@@ -490,7 +474,7 @@ def _equation_matrices(system, p1, p2):
 
 
 def _dispersion_matrix(system, P, p_spatial, p0, equations):
-    if not abs(_constant_value(system.potential)) < 1:
+    if not abs(system.potential.constant_value()) < 1:
         raise ValueError("constant potential must satisfy |v| < 1")
     P = as_four_vector(P)
     p = np.array([p0, *p_spatial])
@@ -527,7 +511,7 @@ def plane_wave_solutions(
     if equations not in ("both", "first"):
         raise ValueError(f"unknown equations choice: {equations!r}")
     lo, hi = p0_window
-    v = _constant_value(system.potential)
+    v = system.potential.constant_value()
     A = _dispersion_matrix(system, P, p_spatial, 0.0, "first")
     B = lift1(system.gammas, 0) - v * lift2(system.gammas, 0)
     eigs = np.linalg.eigvals(np.linalg.solve(B, -A))

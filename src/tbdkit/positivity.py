@@ -48,18 +48,6 @@ class PositivityReport:
     passed: bool
 
 
-def _batched_form_eigenvalues(kernel):
-    """Smallest form eigenvalue at every grid point, shape (n, n, n).
-
-    The form matrix is A 1 + B gamma_1^0 gamma_2^0 per point. Since
-    gamma_1^0 gamma_2^0 is a Hermitian involution with both signs in its
-    spectrum, the eigenvalues are exactly A + B and A - B, and the
-    smallest is A - |B|.
-    """
-    A, B = kernel.form_coefficients()
-    return A - np.abs(B)
-
-
 def scan(
     flavor: str,
     potential,
@@ -78,9 +66,7 @@ def scan(
     argmin_P2 = P2_values[0]
     violations = []
     for P2 in P2_values:
-        P = np.array([math.sqrt(P2), 0.0, 0.0, 0.0])
-        kernel = build_kernel(flavor, potential, P, grid, gammas)
-        eigs = _batched_form_eigenvalues(kernel)
+        eigs = min_eigenvalue_map(flavor, potential, P2, grid, gammas)
         idx = np.unravel_index(np.argmin(eigs), eigs.shape)
         if eigs[idx] < min_eig:
             min_eig = float(eigs[idx])
@@ -115,10 +101,16 @@ def scan(
 
 def min_eigenvalue_map(flavor: str, potential, P2: float, grid, gammas: GammaSet):
     """Smallest form eigenvalue at every grid point for a single P^2,
-    shape (n, n, n). This is the per-point data behind scan()."""
+    shape (n, n, n). This is the per-point data behind scan().
+
+    The form matrix is A 1 + B gamma_1^0 gamma_2^0 per point. Since
+    gamma_1^0 gamma_2^0 is a Hermitian involution with both signs in its
+    spectrum, the eigenvalues are exactly A + B and A - B, and the
+    smallest is A - |B|.
+    """
     P = np.array([math.sqrt(float(P2)), 0.0, 0.0, 0.0])
-    kernel = build_kernel(flavor, potential, P, grid, gammas)
-    return _batched_form_eigenvalues(kernel)
+    A, B = build_kernel(flavor, potential, P, grid, gammas).form_coefficients()
+    return A - np.abs(B)
 
 
 def h_function(y: float, branch: str) -> float:
@@ -144,6 +136,18 @@ def h_function_closed(y: float, branch: str) -> float:
     return (1.0 + sign * 2.0 * y) / math.cosh(y) ** 2
 
 
+def _bisect(below, lo, hi, tol):
+    """Midpoint of [lo, hi] after halving it until narrower than tol,
+    moving lo up where below(mid) holds and hi down elsewhere."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def violation_radius(g1: float, g2: float, mu: float, P0: float) -> float:
     """The radius r* > 0 solving r e^{mu r} = g1 g2 / (4 pi |P^0|), found
     by bisection (the left side is strictly increasing). Nonpositive
@@ -157,14 +161,8 @@ def violation_radius(g1: float, g2: float, mu: float, P0: float) -> float:
         return 0.0
     if mu == 0:
         return rhs
-    lo, hi = 0.0, rhs  # r e^{mu r} >= r, so the root is at most rhs
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if mid * math.exp(mu * mid) < rhs:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    # r e^{mu r} >= r, so the root is at most rhs
+    return _bisect(lambda r: r * math.exp(mu * r) < rhs, 0.0, rhs, 1e-12)
 
 
 def _critical_y(flavor: str) -> float:
@@ -179,16 +177,9 @@ def _critical_y(flavor: str) -> float:
             return min(1.0 - 2.0 * y, 1.0 + 2.0 * y)
     else:
         raise ValueError(f"no closed eigenvalue branches for flavor {flavor!r}")
-    lo, hi = 0.0, 8.0
-    if not (worst(lo) > 0 > worst(hi)):
+    if not (worst(0.0) > 0 > worst(8.0)):
         raise RuntimeError("eigenvalue branch does not change sign on [0, 8]")
-    while hi - lo > 1e-14:
-        mid = 0.5 * (lo + hi)
-        if worst(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(lambda y: worst(y) > 0, 0.0, 8.0, 1e-14)
 
 
 def flavor_boundary_radius(flavor: str, g1: float, g2: float, mu: float, P0: float) -> float:
@@ -211,13 +202,7 @@ def flavor_boundary_radius(flavor: str, g1: float, g2: float, mu: float, P0: flo
         hi *= 2.0
         if hi > 1e6:
             raise RuntimeError("violation boundary beyond search range")
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if y_at(mid) > y_c:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(lambda r: y_at(r) > y_c, lo, hi, 1e-12)
 
 
 def empirical_boundary_consistent(report: PositivityReport, grid) -> bool:

@@ -16,10 +16,11 @@ Variants:
 All evaluators are vectorized over x_perp_sq (grids pass the whole
 array). x_perp_sq must be <= 0; the Yukawa core additionally requires
 r > 0 strictly, and grids are laid out to never sample the origin.
-
-eval_V accepts a complex P_sq with positive real part: the tanh forms
-are analytic there, which is what the regulator limits in the current
-construction rely on. The derivative evaluators are real-argument only.
+Every evaluator accepts a complex P_sq with positive real part by
+analytic continuation of the same formula, which regulator limits and
+complex-step derivatives rely on. The formulas are methods of the
+variant classes: adding a variant means subclassing Potential and
+adding its kind to cli._SPECS.
 """
 
 from __future__ import annotations
@@ -107,9 +108,40 @@ class GaussianG:
 # Potential variants
 
 
+class Potential:
+    """Base of the potential specs: the formulas of a potential that
+    depends on neither invariant, i.e. zero derivatives and Delta =
+    arctanh(V) on |V| < 1. A subclass defines V and overrides what it
+    has. Formulas get x_perp_sq as a float array already checked to be
+    <= 0 and a validated P_sq, and return an array of x_perp_sq's shape.
+    """
+
+    def dV_dP2(self, xps, P_sq):
+        return np.zeros_like(xps)
+
+    dV_dxperp_sq = ddelta_dP2 = dV_dP2
+
+    def delta(self, xps, P_sq):
+        v = self.V(xps, P_sq)
+        if np.any(np.abs(v) >= 1):
+            raise PotentialDomainError("arctanh domain requires |V| < 1")
+        return np.arctanh(v)
+
+    def constant_value(self) -> float:
+        """The value v of a constant potential, the only potentials with
+        plane-wave solutions."""
+        raise TypeError("plane-wave states require a Zero or Constant potential")
+
+
 @dataclass(frozen=True)
-class Constant:
+class Constant(Potential):
     v: float
+
+    def V(self, xps, P_sq):
+        return np.full_like(xps, self.v)
+
+    def constant_value(self) -> float:
+        return self.v
 
 
 @dataclass(frozen=True)
@@ -120,12 +152,21 @@ class Zero(Constant):
 
 
 @dataclass(frozen=True)
-class TanhOfG:
+class TanhOfG(Potential):
     g: object  # one of the built-in g functions above
+
+    def V(self, xps, P_sq):
+        return np.tanh(self.delta(xps, P_sq))
+
+    def dV_dxperp_sq(self, xps, P_sq):
+        return -self.g.derivative(-xps) / np.cosh(self.delta(xps, P_sq)) ** 2
+
+    def delta(self, xps, P_sq):
+        return self.g.value(-xps)
 
 
 @dataclass(frozen=True)
-class YukawaTanh:
+class YukawaTanh(Potential):
     g1: float
     g2: float
     mu: float
@@ -143,23 +184,46 @@ class YukawaTanh:
         r = np.asarray(r, dtype=float)
         return -self.core(r) * (self.mu + 1.0 / r)
 
+    def _radius(self, xps):
+        if np.any(xps == 0):
+            raise SingularOriginError("Yukawa core is singular at r = 0; use an offset grid")
+        return np.sqrt(-xps)
 
-def _validate_args(spec, x_perp_sq, P_sq):
+    def V(self, xps, P_sq):
+        return np.tanh(self.delta(xps, P_sq))
+
+    def dV_dP2(self, xps, P_sq):
+        return self.ddelta_dP2(xps, P_sq) / np.cosh(self.delta(xps, P_sq)) ** 2
+
+    def dV_dxperp_sq(self, xps, P_sq):
+        r = self._radius(xps)
+        return self.core_derivative(r) / (2.0 * r * np.sqrt(P_sq) * np.cosh(self.delta(xps, P_sq)) ** 2)
+
+    def delta(self, xps, P_sq):
+        return -self.core(self._radius(xps)) / np.sqrt(P_sq)
+
+    def ddelta_dP2(self, xps, P_sq):
+        return 0.5 * self.core(self._radius(xps)) * P_sq ** (-1.5)
+
+
+def _evaluate(formula, spec, x_perp_sq, P_sq):
+    """One formula of a spec at validated arguments. An array x_perp_sq
+    gives an array of its shape; a scalar gives a float, or a complex
+    for a complex P_sq."""
+    if not isinstance(spec, Potential):
+        raise TypeError(f"not a potential spec: {spec!r}")
     xps = np.asarray(x_perp_sq, dtype=float)
     if np.any(xps > 0):
         raise PotentialDomainError("x_perp_sq must be <= 0 (spacelike transverse separation)")
-    if np.iscomplexobj(np.asarray(P_sq)):
+    if np.iscomplexobj(P_sq):
         if not np.real(P_sq) > 0:
             raise PotentialDomainError("P_sq must have positive real part")
     elif not P_sq > 0:
         raise PotentialDomainError("P_sq must be positive (timelike total momentum)")
-    if isinstance(spec, YukawaTanh) and np.any(xps == 0):
-        raise SingularOriginError("Yukawa core is singular at r = 0; use an offset grid")
-    return xps
-
-
-def _radius(xps):
-    return np.sqrt(-xps)
+    out = getattr(spec, formula)(xps, P_sq)
+    if xps.ndim:
+        return out
+    return complex(out) if np.iscomplexobj(P_sq) else float(out)
 
 
 def eval_V(spec, x_perp_sq, P_sq):
@@ -168,30 +232,12 @@ def eval_V(spec, x_perp_sq, P_sq):
     Vectorized over x_perp_sq. Complex P_sq (positive real part) is
     evaluated by analytic continuation of the same formula.
     """
-    xps = _validate_args(spec, x_perp_sq, P_sq)
-    if isinstance(spec, Constant):
-        out = np.full_like(xps, spec.v)
-        return out if xps.ndim else float(spec.v)
-    if isinstance(spec, TanhOfG):
-        out = np.tanh(spec.g.value(-xps))
-        return out if xps.ndim else float(out)
-    if isinstance(spec, YukawaTanh):
-        out = np.tanh(-spec.core(_radius(xps)) / np.sqrt(P_sq))
-        return out if xps.ndim else complex(out) if np.iscomplexobj(out) else float(out)
-    raise TypeError(f"not a potential spec: {spec!r}")
+    return _evaluate("V", spec, x_perp_sq, P_sq)
 
 
 def eval_dV_dP2(spec, x_perp_sq, P_sq):
     """Analytic derivative of eval_V with respect to P^2."""
-    xps = _validate_args(spec, x_perp_sq, P_sq)
-    if isinstance(spec, (Constant, TanhOfG)):
-        return np.zeros_like(xps) if xps.ndim else 0.0
-    if isinstance(spec, YukawaTanh):
-        c = spec.core(_radius(xps))
-        u = -c / np.sqrt(P_sq)
-        out = 0.5 * c * P_sq ** (-1.5) / np.cosh(u) ** 2
-        return out if xps.ndim else float(out)
-    raise TypeError(f"not a potential spec: {spec!r}")
+    return _evaluate("dV_dP2", spec, x_perp_sq, P_sq)
 
 
 def eval_dV_dxperp_sq(spec, x_perp_sq, P_sq):
@@ -200,19 +246,7 @@ def eval_dV_dxperp_sq(spec, x_perp_sq, P_sq):
     This feeds the gradient realization of the kinetic-potential
     commutators: d_k V = eval_dV_dxperp_sq * (-2 x^k) in the rest frame.
     """
-    xps = _validate_args(spec, x_perp_sq, P_sq)
-    if isinstance(spec, Constant):
-        return np.zeros_like(xps) if xps.ndim else 0.0
-    if isinstance(spec, TanhOfG):
-        s = -xps
-        out = -spec.g.derivative(s) / np.cosh(spec.g.value(s)) ** 2
-        return out if xps.ndim else float(out)
-    if isinstance(spec, YukawaTanh):
-        r = _radius(xps)
-        u = -spec.core(r) / np.sqrt(P_sq)
-        out = spec.core_derivative(r) / (2.0 * r * np.sqrt(P_sq) * np.cosh(u) ** 2)
-        return out if xps.ndim else float(out)
-    raise TypeError(f"not a potential spec: {spec!r}")
+    return _evaluate("dV_dxperp_sq", spec, x_perp_sq, P_sq)
 
 
 def delta_of(spec, x_perp_sq, P_sq):
@@ -221,17 +255,7 @@ def delta_of(spec, x_perp_sq, P_sq):
     For YukawaTanh this is evaluated from the closed form (the inner
     argument of the tanh), which stays finite where 1 - V^2 underflows.
     """
-    xps = _validate_args(spec, x_perp_sq, P_sq)
-    if isinstance(spec, YukawaTanh):
-        out = -spec.core(_radius(xps)) / np.sqrt(P_sq)
-        return out if xps.ndim else float(out)
-    if isinstance(spec, TanhOfG):
-        out = spec.g.value(-xps)
-        return out if xps.ndim else float(out)
-    v = eval_V(spec, x_perp_sq, P_sq)
-    if np.any(np.abs(v) >= 1):
-        raise PotentialDomainError("arctanh domain requires |V| < 1")
-    return np.arctanh(v)
+    return _evaluate("delta", spec, x_perp_sq, P_sq)
 
 
 def eval_ddelta_dP2(spec, x_perp_sq, P_sq):
@@ -241,13 +265,7 @@ def eval_ddelta_dP2(spec, x_perp_sq, P_sq):
     form (c(r)/2) (P^2)^{-3/2} (no tanh factors, so no underflow near
     the core).
     """
-    xps = _validate_args(spec, x_perp_sq, P_sq)
-    if isinstance(spec, (Constant, TanhOfG)):
-        return np.zeros_like(xps) if xps.ndim else 0.0
-    if isinstance(spec, YukawaTanh):
-        out = 0.5 * spec.core(_radius(xps)) * P_sq ** (-1.5)
-        return out if xps.ndim else float(out)
-    raise TypeError(f"not a potential spec: {spec!r}")
+    return _evaluate("ddelta_dP2", spec, x_perp_sq, P_sq)
 
 
 def y_of(g1: float, g2: float, mu: float, P0: float, r: float) -> YVariable:

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kinematics import FourVector, as_four_vector, minkowski_sq
+from .kinematics import FourVector, check_rest_frame, minkowski_sq
 from .operators import Grid, InternalField
 from .potentials import eval_V, eval_dV_dP2, eval_ddelta_dP2
 from .spinor_algebra import GammaSet, gamma0_pair
@@ -68,20 +68,11 @@ class NormKernel:
         return self.ident_coef, self.gamma_coef
 
 
-def _check_cm_timelike(P):
-    P = as_four_vector(P)
-    if np.any(P[1:] != 0):
-        raise ValueError("kernels are built in the rest frame (spatial P = 0)")
-    if minkowski_sq(P) <= 0:
-        raise ValueError("total momentum must be timelike")
-    return P
-
-
 def build_kernel(flavor: str, potential, P, grid: Grid, gammas: GammaSet) -> NormKernel:
     """Pointwise norm kernel of the requested flavor on the grid."""
     if flavor not in FLAVORS:
         raise ValueError(f"unknown kernel flavor: {flavor!r}")
-    P = _check_cm_timelike(P)
+    P = check_rest_frame(P)
     P_sq = minkowski_sq(P)
     shape = (grid.n,) * 3
     x_perp_sq = -grid.radius_sq
@@ -89,14 +80,12 @@ def build_kernel(flavor: str, potential, P, grid: Grid, gammas: GammaSet) -> Nor
         ident = np.zeros(shape)
         gamma = np.ones(shape)
     elif flavor == "sazdjian":
-        V = np.asarray(eval_V(potential, x_perp_sq, P_sq))
-        dV = np.asarray(eval_dV_dP2(potential, x_perp_sq, P_sq))
-        ident = 4.0 * P_sq * dV * np.ones(shape)
-        gamma = 1.0 - V**2 * np.ones(shape)
+        V = eval_V(potential, x_perp_sq, P_sq)
+        ident = 4.0 * P_sq * eval_dV_dP2(potential, x_perp_sq, P_sq)
+        gamma = 1.0 - V**2
     else:
-        dD = np.asarray(eval_ddelta_dP2(potential, x_perp_sq, P_sq))
         ident = np.ones(shape)
-        gamma = -4.0 * P_sq * dD * np.ones(shape)
+        gamma = -4.0 * P_sq * eval_ddelta_dP2(potential, x_perp_sq, P_sq)
     return NormKernel(
         flavor=flavor, P=P, grid=grid, ident_coef=ident, gamma_coef=gamma, gammas=gammas
     )

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import tbdkit
+from tbdkit import cli
 from tbdkit.cli import (
     ConfigError,
     DEFAULTS,
@@ -238,6 +239,9 @@ def test_gauge_command_passes(tmp_path):
         ("compat", {"p0_modes": []}, "a field needs a nonempty p0_modes"),
         ("compat", {"waves_per_mode": 0}, "waves_per_mode of at least 1"),
         ("conserve", {"epsilons": []}, "extrapolation needs one or more distinct nodes"),
+        ("toy", {"sweep_rho_points": 0}, "sweep_rho_points and sweep_phi_points must be at least 1"),
+        ("toy", {"sweep_phi_points": -3}, "must be at least 1, got 100 and -3"),
+        ("kernel", {"expect_positive": "false"}, "expect_positive must be true or false, got 'false'"),
     ],
     ids=[
         "claim1_empty_window",
@@ -253,6 +257,9 @@ def test_gauge_command_passes(tmp_path):
         "compat_no_modes",
         "compat_no_waves",
         "conserve_no_epsilons",
+        "toy_no_rho_points",
+        "toy_no_phi_points",
+        "kernel_expect_positive_string",
     ],
 )
 def test_unusable_config_exits_2_without_traceback(tmp_path, command, override, message):
@@ -268,6 +275,17 @@ def test_unusable_config_exits_2_without_traceback(tmp_path, command, override, 
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"tbdkit {command}: ")
     assert message in lines[0]
+
+
+def test_compat_rejects_non_numeric_tolerance_before_any_residual(tmp_path, monkeypatch, capsys):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a residual was computed before the config was checked")
+
+    monkeypatch.setattr(cli, "compatibility_residual", must_not_run)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"schema": "tbdkit-config/1", "tolerance": "x"}))
+    assert main(["compat", "--config", str(p), "--out", str(tmp_path)]) == 2
+    assert "tolerance must be a number, got 'x'" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from tbdkit.kinematics import (
     MassPair,
     SingularProjectorError,
     boost_matrix,
+    check_rest_frame,
     minkowski_dot,
     minkowski_sq,
     projector,
@@ -108,3 +109,12 @@ def test_mass_pair_validation():
         MassPair(-1.0, 1.0)
     with pytest.raises(ValueError):
         MassPair(1.0, 0.0)
+
+
+def test_check_rest_frame():
+    P = check_rest_frame([2.0, 0.0, 0.0, 0.0])
+    assert isinstance(P, np.ndarray) and P.dtype == float
+    with pytest.raises(ValueError, match="vanishing spatial total momentum"):
+        check_rest_frame([2.0, 0.0, 0.3, 0.0])
+    with pytest.raises(ValueError, match="must be timelike"):
+        check_rest_frame([0.0, 0.0, 0.0, 0.0])

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -6,12 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import lambertw
 
+from tbdkit.operators import Grid
+from tbdkit.positivity import scan
 from tbdkit.potentials import (
     FOUR_PI,
     Constant,
     ConstantG,
     GaussianG,
     PolynomialG,
+    Potential,
     PotentialDomainError,
     SingularOriginError,
     TanhOfG,
@@ -25,6 +29,7 @@ from tbdkit.potentials import (
     eval_V,
     y_of,
 )
+from tbdkit.scalar_product import build_kernel
 
 GAUSS_BUMP = TanhOfG(g=GaussianG(amplitude=-0.25, width=1.0))
 YUKAWA = YukawaTanh(g1=math.sqrt(FOUR_PI), g2=math.sqrt(FOUR_PI), mu=1.0)
@@ -153,6 +158,81 @@ def test_complex_P_sq_continuation():
     assert eval_V(YUKAWA, -1.0, 4.0 + 0.0j) == pytest.approx(eval_V(YUKAWA, -1.0, 4.0))
     with pytest.raises(PotentialDomainError):
         eval_V(YUKAWA, -1.0, -4.0 + 0.1j)
+
+
+def test_complex_step_matches_analytic_P2_derivatives(rng):
+    # Im f(P^2 + ih)/h has no subtractive cancellation, so at h = 1e-20
+    # it differs from f'(P^2) only by the formulas' own rounding
+    h = 1e-20
+    xps, P2 = sample_points(rng, 200)
+    for x, p in zip(xps, P2):
+        dV = eval_V(YUKAWA, x, p + 1j * h).imag / h
+        assert dV == pytest.approx(eval_dV_dP2(YUKAWA, x, p), rel=1e-14, abs=0.0)
+        dD = delta_of(YUKAWA, x, p + 1j * h).imag / h
+        assert dD == pytest.approx(eval_ddelta_dP2(YUKAWA, x, p), rel=1e-14, abs=0.0)
+
+
+EVALUATORS = (eval_V, eval_dV_dP2, eval_dV_dxperp_sq, delta_of, eval_ddelta_dP2)
+
+
+@pytest.mark.parametrize("evaluator", EVALUATORS, ids=lambda f: f.__name__)
+def test_evaluators_reject_non_spec(evaluator):
+    with pytest.raises(TypeError, match="not a potential spec"):
+        evaluator(object(), -1.0, 4.0)
+
+
+@pytest.mark.parametrize("evaluator", EVALUATORS, ids=lambda f: f.__name__)
+def test_complex_P_sq_gives_complex_scalar_and_full_arrays(evaluator):
+    for spec in (Zero(), GAUSS_BUMP, YUKAWA):
+        assert isinstance(evaluator(spec, -1.0, 4.0 + 1e-3j), complex)
+        assert isinstance(evaluator(spec, -1.0, 4.0), float)
+        assert evaluator(spec, -np.ones((2, 3)), 4.0).shape == (2, 3)
+
+
+def test_constant_value_only_for_constant_potentials():
+    assert Constant(v=0.3).constant_value() == 0.3
+    assert Zero().constant_value() == 0.0
+    for spec in (GAUSS_BUMP, YUKAWA):
+        with pytest.raises(TypeError, match="plane-wave states require"):
+            spec.constant_value()
+
+
+@dataclass(frozen=True)
+class MomentumTanh(Potential):
+    """tanh(a e^{x_perp^2} / P^2): a P^2-dependent variant that exists
+    only in this test, to show a variant needs no edit of the module."""
+
+    a: float
+
+    def delta(self, xps, P_sq):
+        return self.a * np.exp(xps) / P_sq
+
+    def V(self, xps, P_sq):
+        return np.tanh(self.delta(xps, P_sq))
+
+    def ddelta_dP2(self, xps, P_sq):
+        return -self.delta(xps, P_sq) / P_sq
+
+    def dV_dP2(self, xps, P_sq):
+        return self.ddelta_dP2(xps, P_sq) / np.cosh(self.delta(xps, P_sq)) ** 2
+
+
+def test_subclass_outside_the_module_runs_through_kernel_and_scan(dirac):
+    spec = MomentumTanh(a=0.2)
+    assert eval_V(spec, -1.0, 4.0) == math.tanh(0.2 * math.exp(-1.0) / 4.0)
+    assert eval_dV_dP2(spec, -1.0, 4.0) == pytest.approx(
+        eval_V(spec, -1.0, 4.0 + 1e-20j).imag / 1e-20, rel=1e-14
+    )
+    assert eval_dV_dxperp_sq(spec, -1.0, 4.0) == 0.0  # the base default
+    grid = Grid(n=8, L=6.0)
+    kernel = build_kernel("sazdjian", spec, np.array([2.0, 0.0, 0.0, 0.0]), grid, dirac)
+    V = np.tanh(0.2 * np.exp(-grid.radius_sq) / 4.0)
+    assert np.allclose(kernel.gamma_coef, 1.0 - V**2, rtol=0.0, atol=1e-15)
+    assert np.all(kernel.ident_coef < 0.0)  # dV/dP^2 < 0 for a > 0
+    rep = scan("sazdjian", spec, [4.0, 9.0], grid, dirac)
+    assert rep.passed and rep.analytic_radius is None
+    A, B = kernel.form_coefficients()
+    assert rep.min_eigenvalue <= float(np.min(A - np.abs(B)))
 
 
 def test_domain_validation():
