@@ -375,6 +375,9 @@ def run_kernel(cfg):
     expect = cfg["expect_positive"]
     if not isinstance(expect, bool):
         raise ConfigError(f"expect_positive must be true or false, got {expect!r}")
+    for P2 in cfg["P2_values"]:
+        if isinstance(P2, bool) or not isinstance(P2, (int, float)) or not P2 > 0:
+            raise ConfigError(f"P2_values entries must be positive numbers, got {P2!r}")
     rep = scan(cfg["flavor"], pot, cfg["P2_values"], grid, gam, tol=float(cfg["tolerance"]))
     report = {
         "scan": rep,

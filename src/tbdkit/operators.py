@@ -29,9 +29,11 @@ therefore a Fourier multiplier with the 4x4 symbol
     K_2(kappa) = p_2^0 gamma_2^0 + sum_k gamma_2^k kappa_k
 
 and a mode of D_1 chi is IFFT[(K_1 - m_1) F chi + (K_2 - m_2) F(V chi)]
-(D_2 likewise). Gamma matrices act on one spinor index of a
-(4, 4, n, n, n) view of the field as a matrix product, and each
-wavenumber component multiplies along its own axis.
+(D_2 likewise). A symbol is applied entry by entry on one spinor index
+of a (4, 4, n, n, n) view of the spectrum: out[a] = sum_b S[a, b] x[b]
+over the nonzero entries only. The entries of sum_k gamma^k kappa_k are
+read off the gammas (two per row for Dirac and Weyl) and broadcast
+over the wavenumber grid; the gamma^0 and mass part is a constant.
 
 Compatibility. The necessary consistency condition for the pair is the
 operator identity
@@ -56,7 +58,9 @@ spectra of D_1 chi and D_2 chi, whose inverses d_1, d_2 give F(V d_1)
 and F(V d_2), and one inverse transform of the left side follows. That
 is 7 FFTs per mode for the analytic realization (its commutators act
 pointwise on d_1, d_2) and 8 for the composed one; V is evaluated once
-per residual. The band-limit guard reads F chi from the same pass.
+per residual, and the symbol tables and the band-limit guard's mask
+once. The guard reads F chi from the same pass; the analytic
+commutators are tables of i gamma^k d_k V applied to d_1 and d_2.
 
 Plane waves. For a constant potential v the first equation is the
 linear matrix pencil M_1(p0) = A + p0 B with B = gamma_1^0 - v gamma_2^0,
@@ -218,16 +222,6 @@ class TwoBodyDiracSystem:
 # Grid application of the operators
 
 
-def _mult1(g, x):
-    # x indexed [a, b, x, y, z]; gamma on the particle-1 index a
-    return (g @ x.reshape(4, -1)).reshape(x.shape)
-
-
-def _mult2(g, x):
-    # gamma on the particle-2 index b
-    return np.matmul(g, x.reshape(4, 4, -1)).reshape(x.shape)
-
-
 _AXES = (-3, -2, -1)  # the spatial axes of a (4, 4, n, n, n) field
 
 
@@ -245,45 +239,74 @@ def _potential_on_grid(system: TwoBodyDiracSystem, field: InternalField):
     return eval_V(system.potential, x_perp_sq, P_sq)
 
 
-def _kinetic(gammas: GammaSet, particle: int, p_0: float, spec, k, shift: float = 0.0):
-    """(K_i + shift) acting on a spectrum: (p_i^0 gamma_i^0 + shift) spec
-    - sign sum_k gamma_i^k kappa_k spec, with sign +1 for particle 1
-    (momentum P/2 + p) and -1 for particle 2. k is the 1-D wavenumber
-    vector, broadcast along each spatial axis in turn."""
-    mult = _mult1 if particle == 1 else _mult2
-    g = gammas.gamma
-    out = mult(p_0 * g[0] + shift * np.eye(4), spec)
-    for axis, kappa in enumerate((k[:, None, None], k[None, :, None], k[None, None, :])):
-        term = mult(g[axis + 1], spec)
-        term *= kappa
-        if particle == 1:
-            out -= term
-        else:
-            out += term
+def _gamma_table(gammas: GammaSet, c):
+    """Nonzero entries of sum_k gamma^k[a, b] c_k as rows: table[a]
+    lists (b, entry), each entry in the broadcast shape of its c_k. The
+    pattern comes from the gammas: 2 entries a row for Dirac and Weyl,
+    4 for a dense representation."""
+    g = gammas.gamma[1:]
+    return [
+        [(b, sum(g[j, a, b] * c[j] for j in np.flatnonzero(g[:, a, b]))) for b in range(4) if g[:, a, b].any()]
+        for a in range(4)
+    ]
+
+
+def _apply_rows(rows, x, particle: int, out=None):
+    """out[a] = sum of s x[b] over (b, s) in rows[a], on the particle's
+    spinor index (axis 0 of x, or 1 for particle 2); added to out when
+    it is given."""
+    fresh = out is None
+    out = np.empty_like(x) if fresh else out
+    xv, ov = (x, out) if particle == 1 else (x.swapaxes(0, 1), out.swapaxes(0, 1))
+    tmp = np.empty_like(xv[0])
+    for a, row in enumerate(rows):
+        if fresh and not row:
+            ov[a] = 0
+        for j, (b, s) in enumerate(row):
+            if fresh and j == 0:
+                np.multiply(xv[b], s, out=ov[a])
+            else:
+                ov[a] += np.multiply(xv[b], s, out=tmp)
     return out
 
 
-def _D_spectrum(system: TwoBodyDiracSystem, which: int, p1_0, p2_0, k, F_chi, F_Vchi):
-    """Spectrum of D_which chi for one relative-energy mode, from the
-    spectra of chi and V chi:
+def _kinetic(gammas: GammaSet, particle: int, p_0: float, spec, table, shift: float = 0.0):
+    """(K_i + shift) acting on a spectrum through its symbol
+    S = p_i^0 gamma^0 + shift -+ sum_k gamma^k kappa_k, minus for
+    particle 1 (momentum P/2 + p), plus for particle 2. The constant
+    4x4 part is merged into the rows of the kappa table."""
+    const = p_0 * gammas.gamma[0] + shift * np.eye(4)
+    sign = 1.0 if particle == 1 else -1.0
+    rows = []
+    for a, row in enumerate(table):
+        merged = {b: const[a, b] for b in np.flatnonzero(const[a])}
+        for b, t in row:
+            merged[b] = merged.get(b, 0.0) - sign * t
+        rows.append(list(merged.items()))
+    return _apply_rows(rows, spec, particle)
+
+
+def _D_spectrum(system: TwoBodyDiracSystem, which: int, p1_0, p2_0, table, F_chi, F_Vchi):
+    """Spectrum of D_which chi for one relative-energy mode, four symbol
+    applications to the spectra of chi and V chi:
     F D_1 chi = (K_1 - m_1) F chi + (K_2 - m_2) F(V chi),
     F D_2 chi = (K_2 + m_2) F chi + (K_1 + m_1) F(V chi)."""
     m1, m2 = system.masses.m1, system.masses.m2
     g = system.gammas
     if which == 1:
-        return _kinetic(g, 1, p1_0, F_chi, k, -m1) + _kinetic(g, 2, p2_0, F_Vchi, k, -m2)
-    return _kinetic(g, 2, p2_0, F_chi, k, m2) + _kinetic(g, 1, p1_0, F_Vchi, k, m1)
+        return _kinetic(g, 1, p1_0, F_chi, table, -m1) + _kinetic(g, 2, p2_0, F_Vchi, table, -m2)
+    return _kinetic(g, 2, p2_0, F_chi, table, m2) + _kinetic(g, 1, p1_0, F_Vchi, table, m1)
 
 
 def _apply_D(system: TwoBodyDiracSystem, fld: InternalField, which: int) -> InternalField:
     check_rest_frame(fld.P)
     P0 = fld.P[0]
     V = _potential_on_grid(system, fld)
-    k = fld.grid.wavenumbers
+    table = _gamma_table(system.gammas, np.ix_(*[fld.grid.wavenumbers] * 3))
     out_modes = []
     for p0, chi in fld.modes:
         chi4 = chi.reshape(4, 4, *chi.shape[1:])
-        spec = _D_spectrum(system, which, P0 / 2 + p0, P0 / 2 - p0, k, _fft(chi4), _fft(V * chi4))
+        spec = _D_spectrum(system, which, P0 / 2 + p0, P0 / 2 - p0, table, _fft(chi4), _fft(V * chi4))
         out_modes.append((p0, _ifft(spec).reshape(chi.shape)))
     return replace(fld, modes=tuple(out_modes))
 
@@ -360,13 +383,10 @@ def random_band_limited_field(
 # Compatibility identity
 
 
-def _band_limit_guard(F_chi, threshold: float = 1e-10):
-    """Warn if a mode spectrum carries noticeable weight in the top third
-    of the band; the residual measurement presumes smoothness."""
-    n = F_chi.shape[-1]
-    idx = np.abs(np.fft.fftfreq(n, d=1.0 / n))  # integer mode magnitudes
-    shell = idx > n / 3.0
-    mask = shell[:, None, None] | shell[None, :, None] | shell[None, None, :]
+def _band_limit_guard(F_chi, mask, threshold: float = 1e-10):
+    """Warn if a mode spectrum carries noticeable weight where mask is
+    set (the top third of the band); the residual measurement presumes
+    smoothness."""
     power = np.sum(np.abs(F_chi) ** 2, axis=(0, 1))
     total = np.sum(power)
     if total == 0:
@@ -409,42 +429,42 @@ def compatibility_residual(
     m1, m2 = system.masses.m1, system.masses.m2
     g = system.gammas
     grid = fld.grid
-    k = grid.wavenumbers
     P0 = fld.P[0]
     V = _potential_on_grid(system, fld)
+    table = _gamma_table(g, np.ix_(*[grid.wavenumbers] * 3))
+    shell = np.abs(np.fft.fftfreq(grid.n, d=1.0 / grid.n)) > grid.n / 3.0  # top third of the band
+    mask = shell[:, None, None] | shell[None, :, None] | shell[None, None, :]
     if commutator_realization == "analytic":
         # [K_1, V] = +i gamma_1^k (d_k V), [K_2, V] = -i gamma_2^k (d_k V),
-        # with d_k V = dV/dxperp^2 * (-2 x^k)
+        # with d_k V = dV/dxperp^2 * (-2 x^k); the table holds i gamma^k d_k V
         dV = eval_dV_dxperp_sq(system.potential, -grid.radius_sq, minkowski_sq(fld.P))
-        gradV = dV * (-2.0 * grid.coord_mesh)
+        commutator = _gamma_table(g, 1j * dV * (-2.0 * grid.coord_mesh))
     total = 0.0
     for p0, chi in fld.modes:
         p1_0, p2_0 = P0 / 2 + p0, P0 / 2 - p0
         chi4 = chi.reshape(4, 4, *chi.shape[1:])
         F_chi = _fft(chi4)
-        _band_limit_guard(F_chi)
+        _band_limit_guard(F_chi, mask)
         F_Vchi = _fft(V * chi4)
-        s1 = _D_spectrum(system, 1, p1_0, p2_0, k, F_chi, F_Vchi)
-        s2 = _D_spectrum(system, 2, p1_0, p2_0, k, F_chi, F_Vchi)
+        s1 = _D_spectrum(system, 1, p1_0, p2_0, table, F_chi, F_Vchi)
+        s2 = _D_spectrum(system, 2, p1_0, p2_0, table, F_chi, F_Vchi)
         del F_chi, F_Vchi
         d1, d2 = _ifft(s1), _ifft(s2)
         F_Vd1, F_Vd2 = _fft(V * d1), _fft(V * d2)
         lhs = (
-            _kinetic(g, 1, p1_0, s2 - F_Vd1, k)
-            + _kinetic(g, 2, p2_0, F_Vd2 - s1, k)
+            _kinetic(g, 1, p1_0, s2 - F_Vd1, table)
+            + _kinetic(g, 2, p2_0, F_Vd2 - s1, table)
             - m1 * (s2 + F_Vd1)
             - m2 * (F_Vd2 + s1)
         )
         if commutator_realization == "analytic":
             # lhs - rhs with rhs = -[K_1, V] d_1 + [K_2, V] d_2
-            diff = _ifft(lhs)
-            for axis in range(3):
-                diff += 1j * gradV[axis] * (_mult1(g.gamma[axis + 1], d1) + _mult2(g.gamma[axis + 1], d2))
+            diff = _apply_rows(commutator, d2, 2, _apply_rows(commutator, d1, 1, _ifft(lhs)))
         else:
-            lhs += _kinetic(g, 1, p1_0, F_Vd1, k)
-            lhs -= _kinetic(g, 2, p2_0, F_Vd2, k)
+            lhs += _kinetic(g, 1, p1_0, F_Vd1, table)
+            lhs -= _kinetic(g, 2, p2_0, F_Vd2, table)
             diff = _ifft(lhs)
-            diff -= V * _ifft(_kinetic(g, 1, p1_0, s1, k) - _kinetic(g, 2, p2_0, s2, k))
+            diff -= V * _ifft(_kinetic(g, 1, p1_0, s1, table) - _kinetic(g, 2, p2_0, s2, table))
         total += np.sum(np.abs(diff) ** 2)
     return float(np.sqrt(total * grid.h**3)) / fld.norm()
 

@@ -242,6 +242,7 @@ def test_gauge_command_passes(tmp_path):
         ("toy", {"sweep_rho_points": 0}, "sweep_rho_points and sweep_phi_points must be at least 1"),
         ("toy", {"sweep_phi_points": -3}, "must be at least 1, got 100 and -3"),
         ("kernel", {"expect_positive": "false"}, "expect_positive must be true or false, got 'false'"),
+        ("kernel", {"P2_values": [4.0, -1.0]}, "P2_values entries must be positive numbers, got -1.0"),
     ],
     ids=[
         "claim1_empty_window",
@@ -260,6 +261,7 @@ def test_gauge_command_passes(tmp_path):
         "toy_no_rho_points",
         "toy_no_phi_points",
         "kernel_expect_positive_string",
+        "kernel_nonpositive_P2",
     ],
 )
 def test_unusable_config_exits_2_without_traceback(tmp_path, command, override, message):

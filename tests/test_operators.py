@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tbdkit import operators
 from tbdkit.kinematics import MassPair, minkowski_sq
@@ -27,7 +29,7 @@ from tbdkit.potentials import (
     eval_dV_dxperp_sq,
     eval_V,
 )
-from tbdkit.spinor_algebra import build_gammas, slash1, slash2
+from tbdkit.spinor_algebra import GammaSet, build_gammas, slash1, slash2
 
 MASSES = MassPair(1.0, 1.3)
 BUMP = TanhOfG(g=GaussianG(amplitude=0.03, width=1.2))
@@ -266,9 +268,31 @@ def test_compatibility_representation_covariance():
     assert rw == pytest.approx(rd, rel=1e-10)
 
 
-# The residual before transform sharing, rebuilt from the public
-# operators and field arithmetic; K_i and the commutators are written
-# out here with the full wavenumber mesh and einsum contractions.
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_residual_does_not_depend_on_a_dense_representation(seed):
+    # a random unitary U makes U gamma^mu U^dagger a representation with
+    # no zero entries, so the symbol tables cannot lean on a sparsity
+    # pattern; the field rotates with kron(U, U)
+    rng = np.random.default_rng(seed)
+    U, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    dirac = build_gammas("dirac")
+    dense = GammaSet("dense", np.stack([U @ g @ U.conj().T for g in dirac.gamma]))
+    assert np.all(dense.gamma != 0)
+    U16 = np.kron(U, U)
+    fld = random_band_limited_field(P_REST, Grid(n=8, L=10.5), rng, max_index=1)
+    rotated = replace(fld, modes=tuple((p0, np.einsum("ab,bxyz->axyz", U16, chi)) for p0, chi in fld.modes))
+    sys_d = TwoBodyDiracSystem(MASSES, BUMP, dirac)
+    sys_u = TwoBodyDiracSystem(MASSES, BUMP, dense)
+    rd = compatibility_residual(sys_d, fld)
+    assert compatibility_residual(sys_u, rotated) == pytest.approx(rd, rel=1e-12)
+    assert compatibility_residual(sys_u, rotated, "composed") <= 1e-12
+
+
+# The residual before transform sharing, rebuilt from field arithmetic
+# alone; K_i, D_i and the commutators are written out here with the full
+# wavenumber mesh and einsum contractions, sharing no code with the
+# operators under test.
 
 
 def _kinetic_oracle(gammas, particle, fld):
@@ -290,6 +314,32 @@ def _kinetic_oracle(gammas, particle, fld):
 
 def _times(fld, f):
     return replace(fld, modes=tuple((p0, f * chi) for p0, chi in fld.modes))
+
+
+def _D_oracle(system, psi, which):
+    """D_1 psi = K_1 psi - m_1 psi + K_2(V psi) - m_2 V psi, and
+    D_2 psi = K_2 psi + m_2 psi + K_1(V psi) + m_1 V psi."""
+    Vpsi = _times(psi, eval_V(system.potential, -psi.grid.radius_sq, minkowski_sq(psi.P)))
+    m1, m2 = system.masses.m1, system.masses.m2
+
+    def K(particle, f):
+        return _kinetic_oracle(system.gammas, particle, f)
+
+    if which == 1:
+        return K(1, psi) - psi * m1 + K(2, Vpsi) - Vpsi * m2
+    return K(2, psi) + psi * m2 + K(1, Vpsi) + Vpsi * m1
+
+
+@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("which", [1, 2])
+def test_apply_D_matches_dense_oracle(gammas, which, n):
+    system = TwoBodyDiracSystem(MASSES, BUMP, gammas)
+    fld = random_band_limited_field(P_REST, Grid(n=n, L=10.5), np.random.default_rng(71))
+    out = (apply_D1 if which == 1 else apply_D2)(system, fld)
+    oracle = _D_oracle(system, fld, which)
+    scale = max(np.max(np.abs(chi)) for _, chi in oracle.modes)
+    for (_, got), (_, want) in zip(out.modes, oracle.modes):
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
 
 
 def _commutator_oracle(system, psi, particle, realization):
@@ -314,9 +364,9 @@ def _commutator_oracle(system, psi, particle, realization):
 
 
 def _residual_oracle(system, fld, realization):
-    d1 = apply_D1(system, fld)
-    d2 = apply_D2(system, fld)
-    lhs = apply_D1(system, d2) - apply_D2(system, d1)
+    d1 = _D_oracle(system, fld, 1)
+    d2 = _D_oracle(system, fld, 2)
+    lhs = _D_oracle(system, d2, 1) - _D_oracle(system, d1, 2)
     rhs = (-1.0) * _commutator_oracle(system, d1, 1, realization) + _commutator_oracle(
         system, d2, 2, realization
     )
