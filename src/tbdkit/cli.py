@@ -375,23 +375,23 @@ def run_kernel(cfg):
     expect = cfg["expect_positive"]
     if not isinstance(expect, bool):
         raise ConfigError(f"expect_positive must be true or false, got {expect!r}")
-    for P2 in cfg["P2_values"]:
+    P2_values, tol = cfg["P2_values"], cfg["tolerance"]
+    if not isinstance(P2_values, list) or not P2_values:
+        raise ConfigError(f"P2_values must be a nonempty list, got {P2_values!r}")
+    for P2 in P2_values:
         if isinstance(P2, bool) or not isinstance(P2, (int, float)) or not P2 > 0:
             raise ConfigError(f"P2_values entries must be positive numbers, got {P2!r}")
-    rep = scan(cfg["flavor"], pot, cfg["P2_values"], grid, gam, tol=float(cfg["tolerance"]))
+    if isinstance(tol, bool) or not isinstance(tol, (int, float)):
+        raise ConfigError(f"tolerance must be a number, got {tol!r}")
+    rep = scan(cfg["flavor"], pot, P2_values, grid, gam, tol=float(tol))
     report = {
         "scan": rep,
         "expect_positive": expect,
         "passed": bool(rep.passed == expect),
     }
     eigmap = min_eigenvalue_map(cfg["flavor"], pot, rep.argmin_P2, grid, gam)
-    radius = np.sqrt(grid.radius_sq)
-    rows = []
-    for i in range(grid.n):
-        for j in range(grid.n):
-            for k in range(grid.n):
-                rows.append((i, j, k, float(radius[i, j, k]), float(eigmap[i, j, k])))
-    extras = {"kernel_min_eigenvalues.csv": (("i", "j", "k", "r", "min_eigenvalue"), rows)}
+    columns = (*np.indices(eigmap.shape).reshape(3, -1), np.sqrt(grid.radius_sq).ravel(), eigmap.ravel())
+    extras = {"kernel_min_eigenvalues.csv": (("i", "j", "k", "r", "min_eigenvalue"), columns)}
     return report, extras
 
 
@@ -647,8 +647,8 @@ def main(argv=None) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_json(out / f"{args.command}.json", full)
-    for fname, (header, rows) in extras.items():
-        write_csv(out / fname, header, rows)
+    for fname, (header, columns) in extras.items():
+        write_csv(out / fname, header, columns)
     if not args.quiet:
         status = "PASS" if report["passed"] else "FAIL"
         print(f"tbdkit {args.command}: {status} (report: {out / (args.command + '.json')})")

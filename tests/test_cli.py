@@ -4,10 +4,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import tbdkit
-from tbdkit import cli
+from tbdkit import cli, serialize
 from tbdkit.cli import (
     ConfigError,
     DEFAULTS,
@@ -16,6 +17,7 @@ from tbdkit.cli import (
     parse_g,
     parse_potential,
 )
+from tbdkit.positivity import min_eigenvalue_map
 from tbdkit.potentials import Constant, GaussianG, TanhOfG, YukawaTanh, Zero
 
 
@@ -156,6 +158,46 @@ def test_kernel_command_flags_expected_violation(tmp_path):
     assert len(csv_lines) == 1 + 8**3
 
 
+def test_kernel_csv_matches_cell_by_cell_reference(tmp_path, monkeypatch, reference_csv):
+    seen = {}
+
+    def capture(flavor, potential, P2, grid, gammas):
+        seen["grid"] = grid
+        seen["eigmap"] = min_eigenvalue_map(flavor, potential, P2, grid, gammas)
+        return seen["eigmap"]
+
+    monkeypatch.setattr(cli, "min_eigenvalue_map", capture)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"schema": "tbdkit-config/1", "grid": {"n": 8, "L": 6.0}}))
+    assert main(["kernel", "--config", str(p), "--out", str(tmp_path), "--quiet"]) == 0
+    grid, eigmap = seen["grid"], seen["eigmap"]
+    radius = np.sqrt(grid.radius_sq)
+    rows = []
+    for i in range(grid.n):
+        for j in range(grid.n):
+            for k in range(grid.n):
+                rows.append((i, j, k, float(radius[i, j, k]), float(eigmap[i, j, k])))
+    expected = reference_csv(("i", "j", "k", "r", "min_eigenvalue"), rows)
+    assert (tmp_path / "kernel_min_eigenvalues.csv").read_text() == expected
+
+
+def test_kernel_csv_formats_each_distinct_float_once(tmp_path, monkeypatch):
+    _, extras = cli.run_kernel(load_config("kernel", None))
+    ((fname, (header, columns)),) = extras.items()
+    assert len(columns[0]) == 32**3
+    expected = sum(len(np.unique(col.view(np.int64))) for col in columns if col.dtype == np.float64)
+    format_float, calls = serialize._format_float, []
+
+    def counting_format_float(x):
+        calls.append(x)
+        return format_float(x)
+
+    monkeypatch.setattr(serialize, "_format_float", counting_format_float)
+    serialize.write_csv(tmp_path / fname, header, columns)
+    # Formatting cell by cell would take 2 * 32**3 calls.
+    assert len(calls) == expected < 2 * 32**3
+
+
 def test_kernel_command_fails_on_unexpected_violation(tmp_path):
     cfg = {
         "schema": "tbdkit-config/1",
@@ -243,6 +285,9 @@ def test_gauge_command_passes(tmp_path):
         ("toy", {"sweep_phi_points": -3}, "must be at least 1, got 100 and -3"),
         ("kernel", {"expect_positive": "false"}, "expect_positive must be true or false, got 'false'"),
         ("kernel", {"P2_values": [4.0, -1.0]}, "P2_values entries must be positive numbers, got -1.0"),
+        ("kernel", {"tolerance": "x"}, "tolerance must be a number, got 'x'"),
+        ("kernel", {"P2_values": 5.0}, "P2_values must be a nonempty list, got 5.0"),
+        ("kernel", {"P2_values": []}, "P2_values must be a nonempty list, got []"),
     ],
     ids=[
         "claim1_empty_window",
@@ -262,6 +307,9 @@ def test_gauge_command_passes(tmp_path):
         "toy_no_phi_points",
         "kernel_expect_positive_string",
         "kernel_nonpositive_P2",
+        "kernel_tolerance_string",
+        "kernel_P2_not_list",
+        "kernel_P2_empty",
     ],
 )
 def test_unusable_config_exits_2_without_traceback(tmp_path, command, override, message):

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tbdkit.serialize import canonical_json, write_csv, write_json
 
@@ -81,15 +83,76 @@ def test_write_json_appends_newline(tmp_path):
 
 def test_write_csv_layout(tmp_path):
     p = tmp_path / "table.csv"
-    write_csv(p, ("i", "value"), [(0, 0.5), (1, 1.0)])
+    write_csv(p, ("i", "value"), [np.array([0, 1]), np.array([0.5, 1.0])])
     assert p.read_text() == "i,value\n0,0.5\n1,1\n"
 
 
 def test_write_csv_rejects_ragged_rows(tmp_path):
     with pytest.raises(ValueError):
-        write_csv(tmp_path / "bad.csv", ("a", "b"), [(1,)])
+        write_csv(tmp_path / "bad.csv", ("a", "b"), [np.array([1, 2]), np.array([0.5])])
+
+
+def test_write_csv_rejects_header_column_count_mismatch(tmp_path):
+    with pytest.raises(ValueError):
+        write_csv(tmp_path / "bad.csv", ("a", "b"), [np.array([1])])
 
 
 def test_write_csv_rejects_complex_cells(tmp_path):
     with pytest.raises(TypeError):
-        write_csv(tmp_path / "bad.csv", ("a",), [(1j,)])
+        write_csv(tmp_path / "bad.csv", ("a",), [np.array([1j])])
+
+
+def test_write_csv_rejects_string_columns(tmp_path):
+    with pytest.raises(TypeError):
+        write_csv(tmp_path / "bad.csv", ("a",), [np.array(["x"])])
+
+
+@pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf")])
+def test_write_csv_rejects_non_finite_floats(tmp_path, x):
+    with pytest.raises(ValueError, match=str(x)):
+        write_csv(tmp_path / "bad.csv", ("a",), [np.array([1.0, x, 1.0])])
+
+
+def test_write_csv_keeps_signed_zero_apart(tmp_path):
+    p = tmp_path / "zeros.csv"
+    write_csv(p, ("x",), [np.array([-0.0, 0.0, -0.0, 0.0])])
+    assert p.read_text() == "x\n-0\n0\n-0\n0\n"
+
+
+_FLOAT_EDGES = [
+    5e-324, -5e-324, 2.2250738585072014e-308 / 3,
+    1.7976931348623157e308, -1.7976931348623157e308, 1.0, -3.0, 2.0**53, 0.1,
+]
+_CELLS = {
+    "int64": st.integers(-(2**63), 2**63 - 1),
+    "bool": st.booleans(),
+    "float64": st.one_of(
+        st.sampled_from([0.0, -0.0]),
+        st.sampled_from(_FLOAT_EDGES),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.integers(-(2**60), 2**60).map(float),
+    ),
+}
+
+
+@st.composite
+def _tables(draw):
+    n_rows = draw(st.integers(0, 40))
+    dtypes = draw(st.lists(st.sampled_from(sorted(_CELLS)), min_size=1, max_size=4))
+    columns = []
+    for dtype in dtypes:
+        # A small pool of values per column, so rows repeat them.
+        pool = draw(st.lists(_CELLS[dtype], min_size=1, max_size=5))
+        cells = draw(st.lists(st.sampled_from(pool), min_size=n_rows, max_size=n_rows))
+        columns.append(np.array(cells, dtype=dtype))
+    return columns
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(columns=_tables())
+def test_write_csv_matches_cell_by_cell_reference(tmp_path, reference_csv, columns):
+    header = tuple(f"c{i}" for i in range(len(columns)))
+    p = tmp_path / "table.csv"
+    write_csv(p, header, columns)
+    rows = list(zip(*columns))
+    assert p.read_bytes() == reference_csv(header, rows).encode("ascii")
