@@ -30,6 +30,7 @@ _configure_threads()
 import argparse  # noqa: E402
 import copy  # noqa: E402
 import dataclasses  # noqa: E402
+import functools  # noqa: E402
 import json  # noqa: E402
 import math  # noqa: E402
 import sys  # noqa: E402
@@ -227,7 +228,12 @@ def load_config(command: str, path):
 
 def _grid(cfg):
     _require_keys(cfg["grid"], {"n", "L"}, "grid spec")
-    return Grid(n=int(cfg["grid"]["n"]), L=float(cfg["grid"]["L"]))
+    n, L = cfg["grid"]["n"], cfg["grid"]["L"]
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ConfigError(f"grid.n must be an integer, got {n!r}")
+    if isinstance(L, bool) or not isinstance(L, (int, float)):
+        raise ConfigError(f"grid.L must be a number, got {L!r}")
+    return Grid(n=n, L=float(L))
 
 
 def _masses(cfg):
@@ -396,11 +402,11 @@ def run_kernel(cfg):
 
 
 def run_radius(cfg):
+    grid = _grid(cfg)
     g1, g2, mu, P0 = (float(cfg[k]) for k in ("g1", "g2", "mu", "P0"))
     r_star = violation_radius(g1, g2, mu, P0)
     r_saz = flavor_boundary_radius("sazdjian", g1, g2, mu, P0)
     r_cra = flavor_boundary_radius("crater", g1, g2, mu, P0)
-    grid = _grid(cfg)
     gam = build_gammas("dirac")
     pot = YukawaTanh(g1=g1, g2=g2, mu=mu)
     rep = scan(cfg["flavor"], pot, [P0**2], grid, gam)
@@ -610,6 +616,7 @@ _HELP = {
 }
 
 
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="tbdkit",

@@ -301,9 +301,9 @@ def coincidence_limit_term(potential, x_perp_sq, P0: float, epsilon: float) -> f
 @dataclass(frozen=True)
 class GaugeReport:
     """Outcome of gauge_check. For kind "relative_only", difference is
-    the quadrature of the pointwise integrand difference, so it can
-    differ from value_after - value_before by about one ulp of the
-    values."""
+    the quadrature of the pointwise density difference,
+    h^3 sum_x [A (rho' - rho) + B (sigma' - sigma)], so it can differ
+    from value_after - value_before by about one ulp of the values."""
 
     kind: str
     P_before: FourVector
@@ -346,24 +346,25 @@ def gauge_check(
     theta_kind="relative_only": theta depends on the relative coordinate
     alone. The total momentum eigenvalue is untouched and the norm
     kernel value must be invariant (the phase cancels pointwise inside
-    the sesquilinear form). The reported difference is accordingly the
-    sum of the pointwise differences of the two integrands, each form
-    evaluated once; it can differ from value_after - value_before by
-    about one ulp of the values.
+    the sesquilinear form). Each of the two profiles is reduced once to
+    its densities rho, sigma (see scalar_product), and the reported
+    difference is the pointwise sum h^3 sum_x [A (rho' - rho) +
+    B (sigma' - sigma)]; it can differ from value_after - value_before
+    by about one ulp of the values.
 
     theta_kind="total_dependent": theta = a.X. The total momentum shifts
     to P + a, and with a P^2-dependent potential the kernel genuinely
     changes; the report compares the change observed through the
     transformation against kernel(P + a) - kernel(P) recomputed
-    directly.
+    directly. The transformation leaves the profile as it is, so one
+    profile's densities serve all three kernels.
     """
     from .scalar_product import (
         _check_domain,
+        _densities,
         _equal_time_profile,
-        _form_integrand,
         _form_value,
         build_kernel,
-        interacting_inner_product,
     )
 
     kernel_before = build_kernel(flavor, system.potential, fld.P, fld.grid, system.gammas)
@@ -374,19 +375,19 @@ def gauge_check(
         out = _transform_relative(fld, c)
         _check_domain(kernel_before, fld, fld)
         _check_domain(kernel_before, out, out)
-        # The invariance is pointwise, so the difference is summed from
-        # the two integrands: subtracting the two rounded totals leaves
-        # a whole number of their ulps, set by numpy's summation order.
-        # The subtraction is in place, so at most two integrands live.
         profile = _equal_time_profile(fld)
-        integrand_before = _form_integrand(kernel_before, profile, profile)
+        rho, sigma = _densities(system.gammas, profile, profile)
         profile = _equal_time_profile(out)
-        integrand_after = _form_integrand(kernel_before, profile, profile)
-        h3 = fld.grid.h**3
-        value_before = complex(np.sum(integrand_before) * h3)
-        value_after = complex(np.sum(integrand_after) * h3)
-        integrand_after -= integrand_before
-        diff = complex(np.sum(integrand_after) * h3)
+        rho_out, sigma_out = _densities(system.gammas, profile, profile)
+        value_before = _form_value(kernel_before, rho, sigma)
+        value_after = _form_value(kernel_before, rho_out, sigma_out)
+        # The invariance is pointwise, so the difference is summed from
+        # the density differences: subtracting the two rounded totals
+        # leaves a whole number of their ulps, set by numpy's summation
+        # order.
+        rho_out -= rho
+        sigma_out -= sigma
+        diff = _form_value(kernel_before, rho_out, sigma_out)
         return GaugeReport(
             kind=theta_kind,
             P_before=fld.P,
@@ -404,14 +405,17 @@ def gauge_check(
             raise ValueError("total_dependent transform needs the shift a")
         out = _transform_total(fld, a)
         kernel_after = build_kernel(flavor, system.potential, out.P, out.grid, system.gammas)
-        value_before = interacting_inner_product(kernel_before, fld, fld)
-        value_after = interacting_inner_product(kernel_after, out, out)
+        _check_domain(kernel_before, fld, fld)
+        _check_domain(kernel_after, out, out)
+        profile = _equal_time_profile(fld)
+        densities = _densities(system.gammas, profile, profile)
+        value_before = _form_value(kernel_before, *densities)
+        value_after = _form_value(kernel_after, *densities)
         diff = value_after - value_before
         # Independent route: same profile data, kernels rebuilt at both
         # momenta directly, no transformation machinery involved.
         k_shift = build_kernel(flavor, system.potential, fld.P + as_four_vector(a), fld.grid, system.gammas)
-        profile = _equal_time_profile(fld)
-        indep = _form_value(k_shift, profile, profile) - _form_value(kernel_before, profile, profile)
+        indep = _form_value(k_shift, *densities) - value_before
         return GaugeReport(
             kind=theta_kind,
             P_before=fld.P,

@@ -17,18 +17,28 @@ flavors:
 The flavors do not share one conjugation convention: free and sazdjian
 are written against psi_bar = psi^dagger gamma_1^0 gamma_2^0, crater
 against psi^dagger directly. interacting_inner_product absorbs this so
-that the free flavor reproduces free_inner_product exactly, and the
-positivity scans act on the resulting quadratic-form matrix (for the
-bar flavors that is gamma_1^0 gamma_2^0 K, whose coefficient pair is
-the kernel's swapped).
+that the free flavor reproduces free_inner_product up to the order of
+summation, and the positivity scans act on the resulting quadratic-form
+matrix (for the bar flavors that is gamma_1^0 gamma_2^0 K, whose
+coefficient pair is the kernel's swapped).
+
+Because every kernel is A 1 + B gamma_1^0 gamma_2^0 in its quadratic
+form, a pair of equal-time profiles pa, pb enters any kernel only
+through two pointwise densities (_densities), each of shape (n, n, n):
+
+    rho   = sum_c conj(pa_c) pb_c
+    sigma = sum_c conj(pa_c) (gamma_1^0 gamma_2^0 pb)_c
+
+and the form value is h^3 sum_x [A rho + B sigma]. The densities of a
+profile pair are computed once and serve every kernel evaluated on it.
 
 Quadrature is the plain Riemann sum over the periodic grid, spectrally
 accurate for smooth periodic integrands; summation uses numpy's
 pairwise reduction, which is deterministic for fixed shapes on one numpy
 build only: its rounding order varies across numpy versions. A small
-difference of two nearly equal forms is therefore summed pointwise from
-the two integrands (_form_integrand), not taken between the two rounded
-totals.
+difference of two nearly equal forms is therefore the form of the
+density differences (the form is linear in the densities), summed
+pointwise, not taken between the two rounded totals.
 """
 
 from __future__ import annotations
@@ -120,18 +130,20 @@ def _apply_gamma_pair(gammas: GammaSet, profile: np.ndarray) -> np.ndarray:
     return (gamma0_pair(gammas) @ profile.reshape(16, -1)).reshape(profile.shape)
 
 
-def _form_integrand(kernel: NormKernel, pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
-    """Pointwise integrand of the kernel's quadratic form on two raw
-    equal-time profiles, per spinor component and grid point, before
-    quadrature."""
+def _densities(gammas: GammaSet, pa: np.ndarray, pb: np.ndarray):
+    """The pointwise densities (rho, sigma) of two raw equal-time
+    profiles, through which every kernel's quadratic form reads them."""
+    pa_conj = pa.conj()
+    rho = np.sum(pa_conj * pb, axis=0)
+    sigma = np.sum(pa_conj * _apply_gamma_pair(gammas, pb), axis=0)
+    return rho, sigma
+
+
+def _form_value(kernel: NormKernel, rho: np.ndarray, sigma: np.ndarray) -> complex:
+    """Quadratic form h^3 sum_x [A rho + B sigma] of the kernel on a
+    profile pair's densities."""
     A, B = kernel.form_coefficients()
-    transformed = A[None] * pb + B[None] * _apply_gamma_pair(kernel.gammas, pb)
-    return pa.conj() * transformed
-
-
-def _form_value(kernel: NormKernel, pa: np.ndarray, pb: np.ndarray) -> complex:
-    """Quadratic form of the kernel on two raw equal-time profiles."""
-    return complex(np.sum(_form_integrand(kernel, pa, pb)) * kernel.grid.h**3)
+    return complex(np.sum(A * rho + B * sigma) * kernel.grid.h**3)
 
 
 def _check_domain(kernel: NormKernel, field_a: InternalField, field_b: InternalField):
@@ -151,7 +163,9 @@ def interacting_inner_product(
     kernel: NormKernel, field_a: InternalField, field_b: InternalField
 ) -> complex:
     """Quadratic form of the kernel between two fields at equal time,
-    with the flavor's conjugation convention absorbed (free flavor
-    reproduces free_inner_product identically)."""
+    with the flavor's conjugation convention absorbed (the free flavor
+    reproduces free_inner_product up to the order of summation)."""
     _check_domain(kernel, field_a, field_b)
-    return _form_value(kernel, _equal_time_profile(field_a), _equal_time_profile(field_b))
+    pa = _equal_time_profile(field_a)
+    pb = pa if field_b is field_a else _equal_time_profile(field_b)
+    return _form_value(kernel, *_densities(kernel.gammas, pa, pb))

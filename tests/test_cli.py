@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import tbdkit
-from tbdkit import cli, serialize
+from tbdkit import cli, scalar_product, serialize
 from tbdkit.cli import (
     ConfigError,
     DEFAULTS,
@@ -114,6 +114,20 @@ def test_quiet_flag_suppresses_summary(tmp_path, capsys):
     code = main(["toy", "--out", str(tmp_path), "--quiet"])
     assert code == 0
     assert capsys.readouterr().out == ""
+
+
+def test_parser_is_built_once_and_each_call_parses_its_own_arguments(tmp_path, capsys):
+    cli._build_parser.cache_clear()
+    assert main(["toy", "--out", str(tmp_path / "a"), "--quiet"]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["claim1", "--out", str(tmp_path / "b")]) == 0
+    assert "tbdkit claim1: PASS" in capsys.readouterr().out
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert sorted(p.name for p in (tmp_path / "a").iterdir()) == ["toy.json"]
+    assert sorted(p.name for p in (tmp_path / "b").iterdir()) == ["claim1.json"]
+    assert json.loads((tmp_path / "a" / "toy.json").read_text())["command"] == "toy"
+    assert json.loads((tmp_path / "b" / "claim1.json").read_text())["command"] == "claim1"
 
 
 def test_reports_are_byte_identical_across_runs(tmp_path):
@@ -246,6 +260,24 @@ def test_gauge_command_passes(tmp_path):
     assert report["report"]["kernel_shift_magnitude"] > 0.01
 
 
+def test_gauge_reduces_each_profile_once(tmp_path, monkeypatch):
+    # the relative branch reduces two profiles and the total branch one;
+    # every kernel form is then evaluated on their densities
+    calls = {"_equal_time_profile": 0, "_apply_gamma_pair": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(scalar_product, name, counted(name, getattr(scalar_product, name)))
+    assert main(["gauge", "--out", str(tmp_path), "--quiet"]) == 0
+    assert calls == {"_equal_time_profile": 3, "_apply_gamma_pair": 3}
+
+
 @pytest.mark.parametrize(
     "command, override, message",
     [
@@ -288,6 +320,10 @@ def test_gauge_command_passes(tmp_path):
         ("kernel", {"tolerance": "x"}, "tolerance must be a number, got 'x'"),
         ("kernel", {"P2_values": 5.0}, "P2_values must be a nonempty list, got 5.0"),
         ("kernel", {"P2_values": []}, "P2_values must be a nonempty list, got []"),
+        ("kernel", {"grid": {"n": 8.7, "L": 4.0}}, "grid.n must be an integer, got 8.7"),
+        ("compat", {"grid": {"n": "8", "L": 4.0}}, "grid.n must be an integer, got '8'"),
+        ("radius", {"grid": {"n": True, "L": 4.0}}, "grid.n must be an integer, got True"),
+        ("gauge", {"grid": {"n": 8, "L": "4.0"}}, "grid.L must be a number, got '4.0'"),
     ],
     ids=[
         "claim1_empty_window",
@@ -310,6 +346,10 @@ def test_gauge_command_passes(tmp_path):
         "kernel_tolerance_string",
         "kernel_P2_not_list",
         "kernel_P2_empty",
+        "grid_n_fraction",
+        "grid_n_string",
+        "grid_n_bool",
+        "grid_L_string",
     ],
 )
 def test_unusable_config_exits_2_without_traceback(tmp_path, command, override, message):

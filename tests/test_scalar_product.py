@@ -26,7 +26,7 @@ from tbdkit.scalar_product import (
     free_inner_product,
     interacting_inner_product,
 )
-from tbdkit.spinor_algebra import build_gammas, gamma0_pair
+from tbdkit.spinor_algebra import GammaSet, build_gammas, gamma0_pair
 
 P2 = np.array([2.0, 0.0, 0.0, 0.0])
 YUKAWA = YukawaTanh(g1=math.sqrt(FOUR_PI), g2=math.sqrt(FOUR_PI), mu=1.0)
@@ -226,3 +226,64 @@ def test_negative_norm_state_inside_violation_ball(gam):
     # the same profile on the +1 orientation keeps a positive norm
     plus = gaussian_profile_field(grid, width=0.15, component=int(np.argmax(gp)), P=P)
     assert interacting_inner_product(kernel, plus, plus).real > 0.0
+
+
+def _dense_gammas(seed):
+    # U gamma^mu U^dagger for a QR-drawn unitary U: a representation in
+    # which gamma_1^0 gamma_2^0 has no zero entries
+    rng = np.random.default_rng(seed)
+    U, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    dirac = build_gammas("dirac")
+    return GammaSet("dense", np.stack([U @ g @ U.conj().T for g in dirac.gamma]))
+
+
+def _per_component_form(kernel, pa, pb):
+    """The per-component formula h^3 sum_{c,x} conj(pa) (A pb + B Gamma pb)
+    that the density form replaced, with Gamma = gamma_1^0 gamma_2^0,
+    and the magnitude sum S = h^3 sum |pa| (|A| |pb| + |B| |Gamma| |pb|)
+    of its terms."""
+    A, B = kernel.form_coefficients()
+    g = gamma0_pair(kernel.gammas)
+    g_pb = (g @ pb.reshape(16, -1)).reshape(pb.shape)
+    terms = pa.conj() * (A[None] * pb + B[None] * g_pb)
+    abs_g_pb = (np.abs(g) @ np.abs(pb).reshape(16, -1)).reshape(pb.shape)
+    scale = np.sum(np.abs(pa) * (np.abs(A)[None] * np.abs(pb) + np.abs(B)[None] * abs_g_pb))
+    h3 = kernel.grid.h**3
+    return complex(np.sum(terms) * h3), float(scale * h3)
+
+
+def _rounding_bound(n, scale):
+    """Both routes sum the same 16 n^3 products and differ only in
+    rounding. A term passing through at most D floating-point operations
+    (a complex product counting 2) carries an error of at most
+    sqrt(2) gamma_D of its magnitude, gamma_D = D u / (1 - D u), so the
+    routes differ by at most sqrt(2) gamma_(D_new + D_old) S. numpy's
+    pairwise sum of N complex values has depth at most 14 + ceil(log2 N)
+    (8 interleaved accumulators over blocks of 128 scalars, their
+    remainder and combination, then one level per halving)."""
+    u = np.finfo(float).eps / 2
+    gamma_pb = 2 + 15  # one row of Gamma pb: 16 complex products, 15 adds
+    # density route: Gamma pb, times conj(pa), sum over 16 components,
+    # times A or B, A rho + B sigma, sum over n^3 points, times h^3
+    d_new = gamma_pb + 2 + 15 + 1 + 1 + 14 + math.ceil(math.log2(n**3)) + 1
+    # per-component route: Gamma pb, times B, plus A pb, times conj(pa),
+    # sum over 16 n^3 terms, times h^3
+    d_old = gamma_pb + 1 + 1 + 2 + 14 + math.ceil(math.log2(16 * n**3)) + 1
+    d = d_new + d_old
+    return math.sqrt(2.0) * d * u / (1.0 - d * u) * scale
+
+
+@pytest.mark.parametrize("flavor", ["free", "sazdjian", "crater"])
+@pytest.mark.parametrize("representation", ["dirac", "weyl", "dense"])
+def test_density_form_matches_per_component_formula(flavor, representation):
+    gam = _dense_gammas(5) if representation == "dense" else build_gammas(representation)
+    grid = Grid(n=8, L=4.0)
+    kernel = build_kernel(flavor, YUKAWA, P2, grid, gam)
+    rng = np.random.default_rng(23)
+    a = random_band_limited_field(P2, grid, rng, max_index=1)
+    b = random_band_limited_field(P2, grid, rng, max_index=1)
+    pa, pb = (sum(chi for _, chi in f.modes) for f in (a, b))
+    for fa, fb, qa, qb in ((a, b, pa, pb), (a, a, pa, pa)):
+        expect, scale = _per_component_form(kernel, qa, qb)
+        got = interacting_inner_product(kernel, fa, fb)
+        assert abs(got - expect) <= _rounding_bound(grid.n, scale)
