@@ -167,5 +167,5 @@ def interacting_inner_product(
     reproduces free_inner_product up to the order of summation)."""
     _check_domain(kernel, field_a, field_b)
     pa = _equal_time_profile(field_a)
-    pb = pa if field_b is field_a else _equal_time_profile(field_b)
+    pb = _equal_time_profile(field_b)
     return _form_value(kernel, *_densities(kernel.gammas, pa, pb))
