@@ -110,7 +110,7 @@ DEFAULTS = {
         "masses": {"m1": 1.0, "m2": 1.3},
         "P0": 3.0,
         "v": 0.3,
-        "p0_window": [-1.2, 0.5],
+        "p0_window": (-1.2, 0.5),
         "free_tolerance": 1e-12,
         "match_tolerance": 1e-10,
         "magnitude_floor": 1e-3,
@@ -119,9 +119,9 @@ DEFAULTS = {
         "masses": {"m1": 1.0, "m2": 1.3},
         "P0": 3.0,
         "v": 0.3,
-        "p_spatial_a": [0.0, 0.0, 0.0],
-        "p_spatial_b": [0.6, 0.0, 0.0],
-        "p0_window": [-1.2, 0.5],
+        "p_spatial_a": (0.0, 0.0, 0.0),
+        "p_spatial_b": (0.6, 0.0, 0.0),
+        "p0_window": (-1.2, 0.5),
         "epsilons": [1e-2, 1e-3, 1e-4],
         "green_choice": "advanced",
         "tolerance": 1e-8,
@@ -153,8 +153,8 @@ DEFAULTS = {
         "P0": 2.0,
         "grid": {"n": 16, "L": 8.0},
         "seed": 7,
-        "c": [0.37, 0.21, -0.4, 0.11],
-        "a": [0.5, 0.0, 0.0, 0.0],
+        "c": (0.37, 0.21, -0.4, 0.11),
+        "a": (0.5, 0.0, 0.0, 0.0),
         "flavor": "sazdjian",
         "tolerance": 1e-10,
     },
@@ -175,41 +175,74 @@ def _require_keys(obj, allowed, ctx, required=True):
         raise ConfigError(f"missing keys in {ctx}: {sorted(missing)}")
 
 
-def _parse_spec(obj, family):
-    kind = obj.get("kind") if isinstance(obj, dict) else None
-    if not isinstance(kind, str) or kind not in _SPECS[family]:
-        raise ConfigError(f"unknown {family} kind: {kind!r}")
-    cls = _SPECS[family][kind]
-    keys = [f.name for f in dataclasses.fields(cls)]
-    _require_keys(obj, {"kind", *keys}, f"{kind} {family} spec")
-    return cls(**{key: _CONVERTERS.get(key, float)(obj[key]) for key in keys})
-
-
-def parse_g(obj):
-    return _parse_spec(obj, "g")
-
-
-def parse_potential(obj):
-    return _parse_spec(obj, "potential")
-
-
 # family -> kind -> spec class. A spec's keys are its class's fields, all
-# required; each value is a float unless it has a converter here.
+# required: a field named after a family holds a nested record of that
+# family, any other field takes the type of its annotation's default.
 _SPECS = {
     "g": {"constant": ConstantG, "polynomial": PolynomialG, "gaussian": GaussianG},
     "potential": {"zero": Zero, "constant": Constant, "tanh_of_g": TanhOfG, "yukawa_tanh": YukawaTanh},
 }
-_CONVERTERS = {"coeffs": tuple, "g": parse_g}
+_FIELD_DEFAULTS = {"float": 0.0, "tuple": []}
+_TYPE_NAMES = {bool: "true or false", int: "an integer", str: "a string"}
+
+
+def _check(path, value, default):
+    """Raise a ConfigError naming the dotted path unless value has the
+    JSON type of default: a bool, an int (not a bool) or a string as the
+    default is; a finite number for a float; a list of finite numbers
+    for a list, of the default's length for a tuple; for a dict, exactly
+    its keys, each checked the same way. A key named after a _SPECS
+    family holds a tagged record of that family."""
+    family = path.rpartition(".")[2]
+    if family in _SPECS:
+        kind = value.get("kind") if isinstance(value, dict) else None
+        if not isinstance(kind, str) or kind not in _SPECS[family]:
+            raise ConfigError(f"unknown {path} kind: {kind!r}")
+        fields = dataclasses.fields(_SPECS[family][kind])
+        _require_keys(value, {"kind", *(f.name for f in fields)}, f"{kind} {family} spec")
+        for f in fields:
+            _check(f"{path}.{f.name}", value[f.name], _FIELD_DEFAULTS.get(f.type))
+    elif isinstance(default, dict):
+        _require_keys(value, default, "grid spec" if path == "grid" else path)
+        for key in default:
+            _check(f"{path}.{key}", value[key], default[key])
+    elif isinstance(default, (list, tuple)):
+        fixed = isinstance(default, tuple)
+        if not isinstance(value, list) or fixed and len(value) != len(default):
+            shape = f"a list of {len(default)} numbers" if fixed else "a nonempty list"
+            raise ConfigError(f"{path} must be {shape}, got {value!r}")
+        for i, entry in enumerate(value):
+            _check(f"{path}[{i}]", entry, 0.0)
+    elif isinstance(default, float):
+        if type(value) not in (int, float):
+            raise ConfigError(f"{path} must be a number, got {value!r}")
+        if not abs(value) <= sys.float_info.max:  # false for NaN, inf and ints beyond any float
+            raise ConfigError(f"{path} must be finite, got {value!r}")
+    elif type(value) is not type(default):
+        raise ConfigError(f"{path} must be {_TYPE_NAMES[type(default)]}, got {value!r}")
+
+
+def _build(family, obj):
+    cls = _SPECS[family][obj["kind"]]
+    return cls(**{key: _build(key, v) if key in _SPECS else v for key, v in obj.items() if key != "kind"})
+
+
+def parse_potential(obj):
+    _check("potential", obj, None)
+    return _build("potential", obj)
 
 
 def load_config(command: str, path):
+    """The config of a command: its DEFAULTS, overridden by the keys of
+    the JSON file at path, each checked against its default's type. The
+    values are kept as given, and a report echoes them."""
     cfg = copy.deepcopy(DEFAULTS[command])
     if path is None:
         return cfg
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # a JSONDecodeError, or bytes that are not UTF-8
         raise ConfigError(f"config is not valid JSON: {e}") from None
     if not isinstance(data, dict):
         raise ConfigError("config root must be an object")
@@ -220,25 +253,10 @@ def load_config(command: str, path):
         raise ConfigError(f"config is for command {declared!r}, not {command!r}")
     _require_keys(data, set(cfg) | {"schema", "command"}, f"{command} config", required=False)
     for key, value in data.items():
-        if key in ("schema", "command"):
-            continue
-        cfg[key] = value
+        if key not in ("schema", "command"):
+            _check(key, value, cfg[key])
+            cfg[key] = value
     return cfg
-
-
-def _grid(cfg):
-    _require_keys(cfg["grid"], {"n", "L"}, "grid spec")
-    n, L = cfg["grid"]["n"], cfg["grid"]["L"]
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise ConfigError(f"grid.n must be an integer, got {n!r}")
-    if isinstance(L, bool) or not isinstance(L, (int, float)):
-        raise ConfigError(f"grid.L must be a number, got {L!r}")
-    return Grid(n=n, L=float(L))
-
-
-def _masses(cfg):
-    _require_keys(cfg["masses"], {"m1", "m2"}, "masses")
-    return MassPair(m1=float(cfg["masses"]["m1"]), m2=float(cfg["masses"]["m2"]))
 
 
 # ---------------------------------------------------------------------------
@@ -247,42 +265,38 @@ def _masses(cfg):
 
 
 def run_compat(cfg):
-    grid = _grid(cfg)
-    system = TwoBodyDiracSystem(_masses(cfg), parse_potential(cfg["potential"]), build_gammas("dirac"))
-    rng = np.random.default_rng(int(cfg["seed"]))
-    P = np.array([float(cfg["P0"]), 0.0, 0.0, 0.0])
-    n_fields = int(cfg["n_fields"])
-    if n_fields < 1:
-        raise ConfigError(f"n_fields must be at least 1, got {n_fields}")
-    if not cfg["p0_modes"] or int(cfg["waves_per_mode"]) < 1:
+    grid = Grid(**cfg["grid"])
+    system = TwoBodyDiracSystem(MassPair(**cfg["masses"]), parse_potential(cfg["potential"]), build_gammas("dirac"))
+    rng = np.random.default_rng(cfg["seed"])
+    P = np.array([cfg["P0"], 0.0, 0.0, 0.0])
+    if cfg["n_fields"] < 1:
+        raise ConfigError(f"n_fields must be at least 1, got {cfg['n_fields']}")
+    if not cfg["p0_modes"] or cfg["waves_per_mode"] < 1:
         raise ConfigError("a field needs a nonempty p0_modes and waves_per_mode of at least 1")
-    tol = cfg["tolerance"]
-    if isinstance(tol, bool) or not isinstance(tol, (int, float)):
-        raise ConfigError(f"tolerance must be a number, got {tol!r}")
     residuals = []
-    for _ in range(n_fields):
+    for _ in range(cfg["n_fields"]):
         fld = random_band_limited_field(
             P,
             grid,
             rng,
-            p0_values=tuple(cfg["p0_modes"]),
-            waves_per_mode=int(cfg["waves_per_mode"]),
-            max_index=int(cfg["max_index"]),
+            p0_values=cfg["p0_modes"],
+            waves_per_mode=cfg["waves_per_mode"],
+            max_index=cfg["max_index"],
         )
         residuals.append(compatibility_residual(system, fld, cfg["realization"]))
     worst = max(residuals)
     report = {
         "residuals": residuals,
         "max_residual": worst,
-        "tolerance": tol,
+        "tolerance": cfg["tolerance"],
         "realization": cfg["realization"],
-        "passed": bool(worst <= tol),
+        "passed": bool(worst <= cfg["tolerance"]),
     }
     return report, {}
 
 
 def _first_equation_states(system, P, p_spatial, window):
-    roots = plane_wave_solutions(system, P, p_spatial, p0_window=tuple(window), equations="first")
+    roots = plane_wave_solutions(system, P, p_spatial, p0_window=window, equations="first")
     if not roots:
         raise ConfigError(f"no dispersion roots in p0_window {list(window)} at p = {list(p_spatial)}")
     return [
@@ -292,7 +306,7 @@ def _first_equation_states(system, P, p_spatial, window):
 
 
 def run_claim1(cfg):
-    masses = _masses(cfg)
+    masses = MassPair(**cfg["masses"])
     gam = build_gammas("dirac")
     m1, m2 = masses.m1, masses.m2
 
@@ -319,9 +333,8 @@ def run_claim1(cfg):
 
     # Interacting arm: first-equation solutions at constant v; the
     # divergence is nonzero and matches the closed-form surviving term.
-    v = float(cfg["v"])
-    sysv = TwoBodyDiracSystem(masses, Constant(v=v), gam)
-    P = np.array([float(cfg["P0"]), 0.0, 0.0, 0.0])
+    sysv = TwoBodyDiracSystem(masses, Constant(v=cfg["v"]), gam)
+    P = np.array([cfg["P0"], 0.0, 0.0, 0.0])
     states = _first_equation_states(sysv, P, (0, 0, 0), cfg["p0_window"])
     if len(states) < 2:
         raise ConfigError(
@@ -353,14 +366,14 @@ def run_claim1(cfg):
 
 
 def run_conserve(cfg):
-    masses = _masses(cfg)
+    masses = MassPair(**cfg["masses"])
     gam = build_gammas("dirac")
-    sysv = TwoBodyDiracSystem(masses, Constant(v=float(cfg["v"])), gam)
-    P = np.array([float(cfg["P0"]), 0.0, 0.0, 0.0])
-    sA = _first_equation_states(sysv, P, tuple(cfg["p_spatial_a"]), cfg["p0_window"])[0]
-    sB = _first_equation_states(sysv, P, tuple(cfg["p_spatial_b"]), cfg["p0_window"])[0]
+    sysv = TwoBodyDiracSystem(masses, Constant(v=cfg["v"]), gam)
+    P = np.array([cfg["P0"], 0.0, 0.0, 0.0])
+    sA = _first_equation_states(sysv, P, cfg["p_spatial_a"], cfg["p0_window"])[0]
+    sB = _first_equation_states(sysv, P, cfg["p_spatial_b"], cfg["p0_window"])[0]
     sweep = conservation_sweep(
-        sysv, sA, sB, epsilons=tuple(cfg["epsilons"]), green_choice=cfg["green_choice"]
+        sysv, sA, sB, epsilons=cfg["epsilons"], green_choice=cfg["green_choice"]
     )
     report = {
         "epsilons": sweep.epsilons,
@@ -375,25 +388,20 @@ def run_conserve(cfg):
 
 
 def run_kernel(cfg):
-    grid = _grid(cfg)
+    grid = Grid(**cfg["grid"])
     gam = build_gammas("dirac")
     pot = parse_potential(cfg["potential"])
-    expect = cfg["expect_positive"]
-    if not isinstance(expect, bool):
-        raise ConfigError(f"expect_positive must be true or false, got {expect!r}")
-    P2_values, tol = cfg["P2_values"], cfg["tolerance"]
-    if not isinstance(P2_values, list) or not P2_values:
+    P2_values = cfg["P2_values"]
+    if not P2_values:
         raise ConfigError(f"P2_values must be a nonempty list, got {P2_values!r}")
     for P2 in P2_values:
-        if isinstance(P2, bool) or not isinstance(P2, (int, float)) or not P2 > 0:
+        if not P2 > 0:
             raise ConfigError(f"P2_values entries must be positive numbers, got {P2!r}")
-    if isinstance(tol, bool) or not isinstance(tol, (int, float)):
-        raise ConfigError(f"tolerance must be a number, got {tol!r}")
-    rep = scan(cfg["flavor"], pot, P2_values, grid, gam, tol=float(tol))
+    rep = scan(cfg["flavor"], pot, P2_values, grid, gam, tol=cfg["tolerance"])
     report = {
         "scan": rep,
-        "expect_positive": expect,
-        "passed": bool(rep.passed == expect),
+        "expect_positive": cfg["expect_positive"],
+        "passed": bool(rep.passed == cfg["expect_positive"]),
     }
     eigmap = min_eigenvalue_map(cfg["flavor"], pot, rep.argmin_P2, grid, gam)
     columns = (*np.indices(eigmap.shape).reshape(3, -1), np.sqrt(grid.radius_sq).ravel(), eigmap.ravel())
@@ -402,8 +410,8 @@ def run_kernel(cfg):
 
 
 def run_radius(cfg):
-    grid = _grid(cfg)
-    g1, g2, mu, P0 = (float(cfg[k]) for k in ("g1", "g2", "mu", "P0"))
+    grid = Grid(**cfg["grid"])
+    g1, g2, mu, P0 = (cfg[k] for k in ("g1", "g2", "mu", "P0"))
     r_star = violation_radius(g1, g2, mu, P0)
     r_saz = flavor_boundary_radius("sazdjian", g1, g2, mu, P0)
     r_cra = flavor_boundary_radius("crater", g1, g2, mu, P0)
@@ -411,7 +419,7 @@ def run_radius(cfg):
     pot = YukawaTanh(g1=g1, g2=g2, mu=mu)
     rep = scan(cfg["flavor"], pot, [P0**2], grid, gam)
     consistent = empirical_boundary_consistent(rep, grid)
-    atol = float(cfg["agreement_tolerance"])
+    atol = cfg["agreement_tolerance"]
     report = {
         "analytic_radius": r_star,
         "sazdjian_boundary_radius": r_saz,
@@ -429,7 +437,7 @@ def run_radius(cfg):
 
 
 def run_toy(cfg):
-    n_rho, n_phi = int(cfg["sweep_rho_points"]), int(cfg["sweep_phi_points"])
+    n_rho, n_phi = cfg["sweep_rho_points"], cfg["sweep_phi_points"]
     if n_rho < 1 or n_phi < 1:
         raise ConfigError(f"sweep_rho_points and sweep_phi_points must be at least 1, got {n_rho} and {n_phi}")
     checks = {
@@ -466,15 +474,15 @@ def run_toy(cfg):
 
 
 def run_gauge(cfg):
-    grid = _grid(cfg)
+    grid = Grid(**cfg["grid"])
     gam = build_gammas("dirac")
-    system = TwoBodyDiracSystem(_masses(cfg), parse_potential(cfg["potential"]), gam)
-    rng = np.random.default_rng(int(cfg["seed"]))
-    P = np.array([float(cfg["P0"]), 0.0, 0.0, 0.0])
+    system = TwoBodyDiracSystem(MassPair(**cfg["masses"]), parse_potential(cfg["potential"]), gam)
+    rng = np.random.default_rng(cfg["seed"])
+    P = np.array([cfg["P0"], 0.0, 0.0, 0.0])
     fld = random_band_limited_field(P, grid, rng)
-    tol = float(cfg["tolerance"])
-    rel = gauge_check(system, fld, "relative_only", c=np.array(cfg["c"], dtype=float), flavor=cfg["flavor"], tol=tol)
-    tot = gauge_check(system, fld, "total_dependent", a=np.array(cfg["a"], dtype=float), flavor=cfg["flavor"], tol=tol)
+    tol = cfg["tolerance"]
+    rel = gauge_check(system, fld, "relative_only", c=cfg["c"], flavor=cfg["flavor"], tol=tol)
+    tot = gauge_check(system, fld, "total_dependent", a=cfg["a"], flavor=cfg["flavor"], tol=tol)
     report = {
         "relative_only": rel,
         "total_dependent": tot,
@@ -515,25 +523,22 @@ def _algebra_battery():
 
 
 def run_selfcheck(cfg):
-    seed = int(cfg["seed"])
     results = {}
     results["algebra"] = _algebra_battery()
 
     toy_rep, _ = run_toy({"sweep_rho_points": 50, "sweep_phi_points": 50})
     results["toy"] = {"passed": toy_rep["passed"], "n_survivors": toy_rep["sweep"].n_survivors}
 
-    g = _SQRT_4PI
-    r_star = violation_radius(g, g, 1.0, 1.0)
-    r_saz = flavor_boundary_radius("sazdjian", g, g, 1.0, 1.0)
-    r_cra = flavor_boundary_radius("crater", g, g, 1.0, 1.0)
+    radius_grid = {**DEFAULTS["radius"]["grid"], "n": 16}
+    radius_rep, _ = run_radius({**DEFAULTS["radius"], "grid": radius_grid})
     results["radius"] = {
-        "analytic": r_star,
-        "sazdjian": r_saz,
-        "crater": r_cra,
-        "passed": bool(abs(r_saz - r_cra) <= 1e-9 and abs(r_star - r_saz) <= 1e-9),
+        "analytic": radius_rep["analytic_radius"],
+        "sazdjian": radius_rep["sazdjian_boundary_radius"],
+        "crater": radius_rep["crater_boundary_radius"],
+        "passed": radius_rep["passed"],
     }
 
-    pot = YukawaTanh(g1=g, g2=g, mu=1.0)
+    pot = parse_potential(DEFAULTS["gauge"]["potential"])
     worst_rel = 0.0
     for r in (0.4, 0.8, 1.6):
         term = extrapolate_to_zero(
@@ -558,38 +563,29 @@ def run_selfcheck(cfg):
         "passed": conserve_rep["passed"],
     }
 
-    gam = build_gammas("dirac")
-    tanh_pot = TanhOfG(g=GaussianG(amplitude=0.9, width=1.0))
-    rep_pos = scan("sazdjian", tanh_pot, [4.0, 9.0], Grid(n=8, L=6.0), gam)
-    rep_neg = scan("sazdjian", pot, [1.0], Grid(n=16, L=4.0), gam)
+    kernel_rep, _ = run_kernel({**DEFAULTS["kernel"], "grid": {"n": 8, "L": 6.0}})
+    rep_neg = radius_rep["scan"]
+    consistent = empirical_boundary_consistent(rep_neg, Grid(**radius_grid))
     results["kernel"] = {
-        "tanh_min_eigenvalue": rep_pos.min_eigenvalue,
+        "tanh_min_eigenvalue": kernel_rep["scan"].min_eigenvalue,
         "yukawa_min_eigenvalue": rep_neg.min_eigenvalue,
-        "yukawa_boundary_consistent": empirical_boundary_consistent(rep_neg, Grid(n=16, L=4.0)),
-        "passed": bool(
-            rep_pos.passed
-            and not rep_neg.passed
-            and empirical_boundary_consistent(rep_neg, Grid(n=16, L=4.0))
-        ),
+        "yukawa_boundary_consistent": consistent,
+        "passed": bool(kernel_rep["passed"] and not rep_neg.passed and consistent),
     }
 
-    system = TwoBodyDiracSystem(
-        MassPair(1.0, 1.3),
-        TanhOfG(g=GaussianG(amplitude=0.03, width=1.2)),
-        gam,
-    )
-    rng = np.random.default_rng(seed)
-    fld = random_band_limited_field(np.array([3.0, 0.0, 0.0, 0.0]), Grid(n=16, L=10.5), rng)
-    res_analytic = compatibility_residual(system, fld, "analytic")
-    res_composed = compatibility_residual(system, fld, "composed")
+    # The same field under both realizations: each run draws it from the seed.
+    compat_grid = {**DEFAULTS["compat"]["grid"], "n": 16}
+    compat_cfg = {**DEFAULTS["compat"], "grid": compat_grid, "n_fields": 1, "seed": cfg["seed"]}
+    analytic, _ = run_compat({**compat_cfg, "tolerance": 1e-3})
+    composed, _ = run_compat({**compat_cfg, "realization": "composed", "tolerance": 1e-10})
     results["compat"] = {
-        "analytic_residual_n16": res_analytic,
-        "composed_residual_n16": res_composed,
-        "passed": bool(res_analytic <= 1e-3 and res_composed <= 1e-10),
+        "analytic_residual_n16": analytic["max_residual"],
+        "composed_residual_n16": composed["max_residual"],
+        "passed": bool(analytic["passed"] and composed["passed"]),
     }
 
     passed = all(section["passed"] for section in results.values())
-    report = {"seed": seed, "results": results, "passed": bool(passed)}
+    report = {"seed": cfg["seed"], "results": results, "passed": bool(passed)}
     return report, {}
 
 
@@ -641,7 +637,7 @@ def main(argv=None) -> int:
         return 2
     try:
         report, extras = _RUNNERS[args.command](cfg)
-    except (ConfigError, ValueError, TypeError) as e:
+    except (ConfigError, ValueError) as e:
         print(f"tbdkit {args.command}: invalid configuration: {e}", file=sys.stderr)
         return 2
     full = {

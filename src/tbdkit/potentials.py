@@ -20,7 +20,9 @@ Every evaluator accepts a complex P_sq with positive real part by
 analytic continuation of the same formula, which regulator limits and
 complex-step derivatives rely on. The formulas are methods of the
 variant classes: adding a variant means subclassing Potential and
-adding its kind to cli._SPECS.
+adding its kind to cli._SPECS. The config checker types a spec field
+by its annotation, float or tuple (a list of numbers), and a field
+named g by the g records.
 """
 
 from __future__ import annotations
@@ -77,6 +79,8 @@ class PolynomialG:
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
+        if not self.coeffs:
+            raise ValueError("coeffs must be nonempty")
 
     def value(self, s):
         return np.polynomial.polynomial.polyval(np.asarray(s, dtype=float), self.coeffs)

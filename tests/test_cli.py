@@ -1,4 +1,6 @@
+import copy
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,7 +16,6 @@ from tbdkit.cli import (
     DEFAULTS,
     load_config,
     main,
-    parse_g,
     parse_potential,
 )
 from tbdkit.positivity import min_eigenvalue_map
@@ -72,6 +73,13 @@ def test_config_rejects_malformed_json(tmp_path):
         load_config("toy", p)
 
 
+def test_config_rejects_bytes_that_are_not_utf8(tmp_path):
+    p = tmp_path / "cfg.json"
+    p.write_bytes(b'{"schema": "tbdkit-config/1", "P0": \xff}')
+    with pytest.raises(ConfigError, match="config is not valid JSON"):
+        load_config("compat", p)
+
+
 def test_parse_potential_all_kinds():
     assert parse_potential({"kind": "zero"}) == Zero()
     assert parse_potential({"kind": "constant", "v": 0.3}) == Constant(v=0.3)
@@ -89,7 +97,7 @@ def test_parse_potential_rejects_unknown_kind():
     with pytest.raises(ConfigError):
         parse_potential({"kind": "constant"})  # missing v
     with pytest.raises(ConfigError):
-        parse_g({"kind": "spline"})
+        parse_potential({"kind": "tanh_of_g", "g": {"kind": "spline"}})
     with pytest.raises(ConfigError):
         parse_potential({"kind": "zero", "extra": 1})
 
@@ -324,6 +332,30 @@ def test_gauge_reduces_each_profile_once(tmp_path, monkeypatch):
         ("compat", {"grid": {"n": "8", "L": 4.0}}, "grid.n must be an integer, got '8'"),
         ("radius", {"grid": {"n": True, "L": 4.0}}, "grid.n must be an integer, got True"),
         ("gauge", {"grid": {"n": 8, "L": "4.0"}}, "grid.L must be a number, got '4.0'"),
+        ("kernel", {"tolerance": math.nan}, "tolerance must be finite, got nan"),
+        ("kernel", {"grid": {"n": 8, "L": math.inf}}, "grid.L must be finite, got inf"),
+        (
+            "kernel",
+            {"potential": {"kind": "tanh_of_g", "g": {"kind": "polynomial", "coeffs": "12"}}},
+            "potential.g.coeffs must be a nonempty list, got '12'",
+        ),
+        (
+            "kernel",
+            {"potential": {"kind": "tanh_of_g", "g": {"kind": "polynomial", "coeffs": []}}},
+            "invalid configuration: coeffs must be nonempty",
+        ),
+        (
+            "compat",
+            {"potential": {"kind": "tanh_of_g", "g": {"kind": "gaussian", "amplitude": "0.9", "width": 1.0}}},
+            "potential.g.amplitude must be a number, got '0.9'",
+        ),
+        ("toy", {"sweep_rho_points": True}, "sweep_rho_points must be an integer, got True"),
+        ("gauge", {"seed": 7.9}, "seed must be an integer, got 7.9"),
+        ("conserve", {"p_spatial_a": []}, "p_spatial_a must be a list of 3 numbers, got []"),
+        ("conserve", {"p_spatial_b": [0.6, 0, 0, 0]}, "p_spatial_b must be a list of 3 numbers, got [0.6, 0, 0, 0]"),
+        ("gauge", {"c": [0.37, 0.21, -0.4]}, "c must be a list of 4 numbers, got [0.37, 0.21, -0.4]"),
+        ("gauge", {"a": [0.5]}, "a must be a list of 4 numbers, got [0.5]"),
+        ("claim1", {"p0_window": [-1.2, 0.0, 0.5]}, "p0_window must be a list of 2 numbers, got [-1.2, 0.0, 0.5]"),
     ],
     ids=[
         "claim1_empty_window",
@@ -350,6 +382,18 @@ def test_gauge_reduces_each_profile_once(tmp_path, monkeypatch):
         "grid_n_string",
         "grid_n_bool",
         "grid_L_string",
+        "kernel_tolerance_nan",
+        "kernel_grid_L_infinity",
+        "polynomial_coeffs_string",
+        "polynomial_coeffs_empty",
+        "gaussian_amplitude_string",
+        "toy_rho_points_bool",
+        "gauge_seed_fraction",
+        "conserve_p_spatial_a_empty",
+        "conserve_p_spatial_b_four_entries",
+        "gauge_c_three_entries",
+        "gauge_a_one_entry",
+        "claim1_window_three_entries",
     ],
 )
 def test_unusable_config_exits_2_without_traceback(tmp_path, command, override, message):
@@ -376,6 +420,72 @@ def test_compat_rejects_non_numeric_tolerance_before_any_residual(tmp_path, monk
     p.write_text(json.dumps({"schema": "tbdkit-config/1", "tolerance": "x"}))
     assert main(["compat", "--config", str(p), "--out", str(tmp_path)]) == 2
     assert "tolerance must be a number, got 'x'" in capsys.readouterr().err
+
+
+def _leaves(path, value):
+    """(dotted path, default) of every typed key below path; a record's
+    kind is its tag, not a typed key."""
+    if not isinstance(value, dict):
+        yield path, value
+        return
+    for key, sub in value.items():
+        if key != "kind":
+            yield from _leaves(f"{path}.{key}" if path else key, sub)
+
+
+def _wrong_values(default):
+    if isinstance(default, bool):
+        return [1]
+    if isinstance(default, int):
+        return [0.5, True]
+    if isinstance(default, str):
+        return [None]
+    if isinstance(default, (list, tuple)):
+        return ["x", None, math.nan, [None] * len(default)]
+    return ["x", None, math.nan]
+
+
+_KEY_WALK = [
+    (command, path, wrong)
+    for command, defaults in DEFAULTS.items()
+    for path, default in _leaves("", defaults)
+    for wrong in _wrong_values(default)
+]
+
+
+@pytest.mark.parametrize(
+    "command, path, wrong", _KEY_WALK, ids=[f"{c}-{p}-{json.dumps(w)}" for c, p, w in _KEY_WALK]
+)
+def test_every_config_key_rejects_a_wrong_type_before_the_run(tmp_path, monkeypatch, capsys, command, path, wrong):
+    def must_not_run(cfg):
+        raise AssertionError("the runner was called on an unchecked config")
+
+    monkeypatch.setitem(cli._RUNNERS, command, must_not_run)
+    head, *rest = path.split(".")
+    value = copy.deepcopy(DEFAULTS[command][head])
+    if rest:
+        record = value
+        for key in rest[:-1]:
+            record = record[key]
+        record[rest[-1]] = wrong
+    else:
+        value = wrong
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"schema": "tbdkit-config/1", head: value}))
+    assert main([command, "--config", str(p), "--out", str(tmp_path)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"tbdkit {command}: config error: ")
+    assert path in lines[0]
+
+
+def test_config_values_are_echoed_as_given(tmp_path):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"schema": "tbdkit-config/1", "P0": 3, "p_spatial_b": [0.6, 0, 0]}))
+    cfg = load_config("conserve", p)
+    assert type(cfg["P0"]) is int and cfg["p_spatial_b"] == [0.6, 0, 0]
+    assert main(["conserve", "--config", str(p), "--out", str(tmp_path), "--quiet"]) == 0
+    echoed = json.loads((tmp_path / "conserve.json").read_text())["config"]
+    assert (echoed["P0"], echoed["p_spatial_b"]) == (3, [0.6, 0, 0])
 
 
 # ---------------------------------------------------------------------------
