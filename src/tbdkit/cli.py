@@ -389,7 +389,6 @@ def run_conserve(cfg):
 
 def run_kernel(cfg):
     grid = Grid(**cfg["grid"])
-    gam = build_gammas("dirac")
     pot = parse_potential(cfg["potential"])
     P2_values = cfg["P2_values"]
     if not P2_values:
@@ -397,13 +396,13 @@ def run_kernel(cfg):
     for P2 in P2_values:
         if not P2 > 0:
             raise ConfigError(f"P2_values entries must be positive numbers, got {P2!r}")
-    rep = scan(cfg["flavor"], pot, P2_values, grid, gam, tol=cfg["tolerance"])
+    rep = scan(cfg["flavor"], pot, P2_values, grid, tol=cfg["tolerance"])
     report = {
         "scan": rep,
         "expect_positive": cfg["expect_positive"],
         "passed": bool(rep.passed == cfg["expect_positive"]),
     }
-    eigmap = min_eigenvalue_map(cfg["flavor"], pot, rep.argmin_P2, grid, gam)
+    eigmap = min_eigenvalue_map(cfg["flavor"], pot, rep.argmin_P2, grid)
     columns = (*np.indices(eigmap.shape).reshape(3, -1), np.sqrt(grid.radius_sq).ravel(), eigmap.ravel())
     extras = {"kernel_min_eigenvalues.csv": (("i", "j", "k", "r", "min_eigenvalue"), columns)}
     return report, extras
@@ -415,9 +414,8 @@ def run_radius(cfg):
     r_star = violation_radius(g1, g2, mu, P0)
     r_saz = flavor_boundary_radius("sazdjian", g1, g2, mu, P0)
     r_cra = flavor_boundary_radius("crater", g1, g2, mu, P0)
-    gam = build_gammas("dirac")
     pot = YukawaTanh(g1=g1, g2=g2, mu=mu)
-    rep = scan(cfg["flavor"], pot, [P0**2], grid, gam)
+    rep = scan(cfg["flavor"], pot, [P0**2], grid)
     consistent = empirical_boundary_consistent(rep, grid)
     atol = cfg["agreement_tolerance"]
     report = {

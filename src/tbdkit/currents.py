@@ -29,6 +29,7 @@ import numpy as np
 from .kinematics import FourVector, as_four_vector, minkowski_sq
 from .operators import InternalField, PlaneWaveState, TwoBodyDiracSystem, state_residuals
 from .potentials import eval_V
+from .scalar_product import build_kernel, check_domain, densities, equal_time_profile, form_value
 from .spinor_algebra import GammaSet, gamma0_pair, lift2, slash2
 
 __all__ = [
@@ -359,35 +360,27 @@ def gauge_check(
     directly. The transformation leaves the profile as it is, so one
     profile's densities serve all three kernels.
     """
-    from .scalar_product import (
-        _check_domain,
-        _densities,
-        _equal_time_profile,
-        _form_value,
-        build_kernel,
-    )
-
-    kernel_before = build_kernel(flavor, system.potential, fld.P, fld.grid, system.gammas)
+    kernel_before = build_kernel(flavor, system.potential, minkowski_sq(fld.P), fld.grid)
 
     if theta_kind == "relative_only":
         if c is None:
             raise ValueError("relative_only transform needs the phase gradient c")
         out = _transform_relative(fld, c)
-        _check_domain(kernel_before, fld, fld)
-        _check_domain(kernel_before, out, out)
-        profile = _equal_time_profile(fld)
-        rho, sigma = _densities(system.gammas, profile, profile)
-        profile = _equal_time_profile(out)
-        rho_out, sigma_out = _densities(system.gammas, profile, profile)
-        value_before = _form_value(kernel_before, rho, sigma)
-        value_after = _form_value(kernel_before, rho_out, sigma_out)
+        check_domain(kernel_before, fld, fld)
+        check_domain(kernel_before, out, out)
+        profile = equal_time_profile(fld)
+        rho, sigma = densities(system.gammas, profile, profile)
+        profile = equal_time_profile(out)
+        rho_out, sigma_out = densities(system.gammas, profile, profile)
+        value_before = form_value(kernel_before, rho, sigma)
+        value_after = form_value(kernel_before, rho_out, sigma_out)
         # The invariance is pointwise, so the difference is summed from
         # the density differences: subtracting the two rounded totals
         # leaves a whole number of their ulps, set by numpy's summation
         # order.
         rho_out -= rho
         sigma_out -= sigma
-        diff = _form_value(kernel_before, rho_out, sigma_out)
+        diff = form_value(kernel_before, rho_out, sigma_out)
         return GaugeReport(
             kind=theta_kind,
             P_before=fld.P,
@@ -404,18 +397,20 @@ def gauge_check(
         if a is None:
             raise ValueError("total_dependent transform needs the shift a")
         out = _transform_total(fld, a)
-        kernel_after = build_kernel(flavor, system.potential, out.P, out.grid, system.gammas)
-        _check_domain(kernel_before, fld, fld)
-        _check_domain(kernel_after, out, out)
-        profile = _equal_time_profile(fld)
-        densities = _densities(system.gammas, profile, profile)
-        value_before = _form_value(kernel_before, *densities)
-        value_after = _form_value(kernel_after, *densities)
+        kernel_after = build_kernel(flavor, system.potential, minkowski_sq(out.P), out.grid)
+        check_domain(kernel_before, fld, fld)
+        check_domain(kernel_after, out, out)
+        profile = equal_time_profile(fld)
+        rho, sigma = densities(system.gammas, profile, profile)
+        value_before = form_value(kernel_before, rho, sigma)
+        value_after = form_value(kernel_after, rho, sigma)
         diff = value_after - value_before
         # Independent route: same profile data, kernels rebuilt at both
         # momenta directly, no transformation machinery involved.
-        k_shift = build_kernel(flavor, system.potential, fld.P + as_four_vector(a), fld.grid, system.gammas)
-        indep = _form_value(k_shift, *densities) - value_before
+        k_shift = build_kernel(
+            flavor, system.potential, minkowski_sq(fld.P + as_four_vector(a)), fld.grid
+        )
+        indep = form_value(k_shift, rho, sigma) - value_before
         return GaugeReport(
             kind=theta_kind,
             P_before=fld.P,

@@ -26,7 +26,6 @@ import numpy as np
 
 from .potentials import FOUR_PI, YukawaTanh, y_of
 from .scalar_product import build_kernel
-from .spinor_algebra import GammaSet
 
 DEFAULT_TOL = 1e-12
 
@@ -53,7 +52,6 @@ def scan(
     potential,
     P2_set,
     grid,
-    gammas: GammaSet,
     tol: float = DEFAULT_TOL,
 ) -> PositivityReport:
     """Smallest eigenvalue of the kernel's quadratic form over the grid
@@ -66,7 +64,7 @@ def scan(
     argmin_P2 = P2_values[0]
     violations = []
     for P2 in P2_values:
-        eigs = min_eigenvalue_map(flavor, potential, P2, grid, gammas)
+        eigs = min_eigenvalue_map(flavor, potential, P2, grid)
         idx = np.unravel_index(np.argmin(eigs), eigs.shape)
         if eigs[idx] < min_eig:
             min_eig = float(eigs[idx])
@@ -99,7 +97,7 @@ def scan(
     )
 
 
-def min_eigenvalue_map(flavor: str, potential, P2: float, grid, gammas: GammaSet):
+def min_eigenvalue_map(flavor: str, potential, P2: float, grid):
     """Smallest form eigenvalue at every grid point for a single P^2,
     shape (n, n, n). This is the per-point data behind scan().
 
@@ -108,9 +106,8 @@ def min_eigenvalue_map(flavor: str, potential, P2: float, grid, gammas: GammaSet
     spectrum, the eigenvalues are exactly A + B and A - B, and the
     smallest is A - |B|.
     """
-    P = np.array([math.sqrt(float(P2)), 0.0, 0.0, 0.0])
-    A, B = build_kernel(flavor, potential, P, grid, gammas).form_coefficients()
-    return A - np.abs(B)
+    kernel = build_kernel(flavor, potential, P2, grid)
+    return kernel.A - np.abs(kernel.B)
 
 
 def h_function(y: float, branch: str) -> float:
@@ -151,18 +148,29 @@ def _bisect(below, lo, hi, tol):
 def violation_radius(g1: float, g2: float, mu: float, P0: float) -> float:
     """The radius r* > 0 solving r e^{mu r} = g1 g2 / (4 pi |P^0|), found
     by bisection (the left side is strictly increasing). Nonpositive
-    coupling product means no violation anywhere: returns 0."""
+    coupling product means no violation anywhere: returns 0. A right
+    side that overflows to infinity is rejected."""
     if P0 == 0:
         raise ValueError("P0 must be nonzero")
     if mu < 0:
         raise ValueError("mu must be nonnegative")
     rhs = g1 * g2 / (FOUR_PI * abs(P0))
+    if not math.isfinite(rhs):
+        raise ValueError(f"g1 g2 / (4 pi |P0|) = {rhs} is not a finite number")
     if rhs <= 0:
         return 0.0
     if mu == 0:
         return rhs
+    log_rhs = math.log(rhs)
+
+    def below(r):
+        # e^{mu r} overflows past mu r = 709.78; compare logarithms there
+        if mu * r > 700.0:
+            return math.log(r) + mu * r < log_rhs
+        return r * math.exp(mu * r) < rhs
+
     # r e^{mu r} >= r, so the root is at most rhs
-    return _bisect(lambda r: r * math.exp(mu * r) < rhs, 0.0, rhs, 1e-12)
+    return _bisect(below, 0.0, rhs, 1e-12)
 
 
 def _critical_y(flavor: str) -> float:
@@ -192,7 +200,7 @@ def flavor_boundary_radius(flavor: str, g1: float, g2: float, mu: float, P0: flo
         return 0.0
 
     def y_at(r):
-        return y_of(g1, g2, mu, P0, r).y
+        return y_of(g1, g2, mu, P0, r)
 
     lo = 1e-12
     if y_at(lo) <= y_c:

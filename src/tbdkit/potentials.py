@@ -44,17 +44,6 @@ class SingularOriginError(PotentialDomainError):
     """The Yukawa core was evaluated at r = 0."""
 
 
-@dataclass(frozen=True)
-class YVariable:
-    """The dimensionless combination y = (1/(2|P^0|)) (g1 g2/4 pi) e^{-mu r}/r."""
-
-    y: float
-
-    def __post_init__(self):
-        if not self.y > 0:
-            raise ValueError("y must be positive")
-
-
 # ---------------------------------------------------------------------------
 # Built-in g functions for TanhOfG, as functions of s = r^2 = -x_perp^2 >= 0.
 # Kept to a small closed set so potential specs stay serializable.
@@ -272,7 +261,7 @@ def eval_ddelta_dP2(spec, x_perp_sq, P_sq):
     return _evaluate("ddelta_dP2", spec, x_perp_sq, P_sq)
 
 
-def y_of(g1: float, g2: float, mu: float, P0: float, r: float) -> YVariable:
+def y_of(g1: float, g2: float, mu: float, P0: float, r: float) -> float:
     """The positivity variable y = (1/(2|P^0|)) (g1 g2/4 pi) e^{-mu r}/r."""
     if not r > 0:
         raise ValueError("r must be positive")
@@ -280,5 +269,4 @@ def y_of(g1: float, g2: float, mu: float, P0: float, r: float) -> YVariable:
         raise ValueError("P0 must be nonzero")
     if not g1 * g2 > 0:
         raise ValueError("attractive coupling g1*g2 > 0 expected")
-    y = (g1 * g2 / FOUR_PI) * math.exp(-mu * r) / (2.0 * abs(P0) * r)
-    return YVariable(y=y)
+    return (g1 * g2 / FOUR_PI) * math.exp(-mu * r) / (2.0 * abs(P0) * r)

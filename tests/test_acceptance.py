@@ -208,7 +208,6 @@ def test_criterion_05_bounded_potential_positivity():
         TanhOfG(g=GaussianG(amplitude=0.9, width=1.0)),
         [4.0, 6.25, 9.0],
         Grid(n=32, L=10.5),
-        build_gammas("dirac"),
     )
     _line(
         5,
@@ -225,7 +224,6 @@ def test_criterion_06_yukawa_violation_ball():
         YukawaTanh(g1=G_UNIT, g2=G_UNIT, mu=1.0),
         [1.0],
         grid,
-        build_gammas("dirac"),
     )
     r_star = violation_radius(G_UNIT, G_UNIT, 1.0, 1.0)
     radius_ok = abs(r_star - OMEGA) <= 1e-9

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import tbdkit
-from tbdkit import cli, scalar_product, serialize
+from tbdkit import cli, currents, serialize
 from tbdkit.cli import (
     ConfigError,
     DEFAULTS,
@@ -183,9 +183,9 @@ def test_kernel_command_flags_expected_violation(tmp_path):
 def test_kernel_csv_matches_cell_by_cell_reference(tmp_path, monkeypatch, reference_csv):
     seen = {}
 
-    def capture(flavor, potential, P2, grid, gammas):
+    def capture(flavor, potential, P2, grid):
         seen["grid"] = grid
-        seen["eigmap"] = min_eigenvalue_map(flavor, potential, P2, grid, gammas)
+        seen["eigmap"] = min_eigenvalue_map(flavor, potential, P2, grid)
         return seen["eigmap"]
 
     monkeypatch.setattr(cli, "min_eigenvalue_map", capture)
@@ -271,7 +271,7 @@ def test_gauge_command_passes(tmp_path):
 def test_gauge_reduces_each_profile_once(tmp_path, monkeypatch):
     # the relative branch reduces two profiles and the total branch one;
     # every kernel form is then evaluated on their densities
-    calls = {"_equal_time_profile": 0, "_apply_gamma_pair": 0}
+    calls = {"equal_time_profile": 0, "densities": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -281,9 +281,9 @@ def test_gauge_reduces_each_profile_once(tmp_path, monkeypatch):
         return wrapper
 
     for name in calls:
-        monkeypatch.setattr(scalar_product, name, counted(name, getattr(scalar_product, name)))
+        monkeypatch.setattr(currents, name, counted(name, getattr(currents, name)))
     assert main(["gauge", "--out", str(tmp_path), "--quiet"]) == 0
-    assert calls == {"_equal_time_profile": 3, "_apply_gamma_pair": 3}
+    assert calls == {"equal_time_profile": 3, "densities": 3}
 
 
 @pytest.mark.parametrize(
@@ -409,6 +409,35 @@ def test_unusable_config_exits_2_without_traceback(tmp_path, command, override, 
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"tbdkit {command}: ")
     assert message in lines[0]
+
+
+@pytest.mark.parametrize(
+    "command, override, message",
+    [
+        (
+            "kernel",
+            {"potential": {"kind": "yukawa_tanh", "g1": 1e300, "g2": 1e300, "mu": 1.0}, "grid": {"n": 8, "L": 4.0}},
+            "g1 g2 / (4 pi |P0|) = inf is not a finite number",
+        ),
+        ("radius", {"P0": 1e-300, "grid": {"n": 8, "L": 4.0}}, "total momentum must be timelike"),
+    ],
+    ids=["kernel_coupling_overflow", "radius_tiny_P0"],
+)
+def test_overflowing_config_exits_2_without_hang_or_traceback(tmp_path, command, override, message):
+    # finite, well-typed values whose violation radius overflows: the
+    # first used to bisect [0, inf] forever, the second raised from e^{mu r}
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"schema": "tbdkit-config/1", **override}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tbdkit.cli", command, "--config", str(p), "--out", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    last = proc.stderr.splitlines()[-1]
+    assert last.startswith(f"tbdkit {command}: invalid configuration: ") and message in last
 
 
 def test_compat_rejects_non_numeric_tolerance_before_any_residual(tmp_path, monkeypatch, capsys):

@@ -32,6 +32,7 @@ from tbdkit.potentials import (
     Zero,
     eval_dV_dP2,
 )
+from tbdkit.scalar_product import build_kernel
 from tbdkit.spinor_algebra import build_gammas, gamma0_pair, lift1, lift2
 
 MASSES = MassPair(1.0, 1.3)
@@ -329,13 +330,56 @@ def gauge_setup(gam):
     return system, fld
 
 
+def _relative_phase_bound(system, fld):
+    """Rounding bound on the sazdjian relative-phase difference
+    h^3 sum_x [A (rho' - rho) + B (sigma' - sigma)], which is 0 in exact
+    arithmetic for any phase of unit modulus.
+
+    The profile is the sum of M mode profiles chi_m, so rho and sigma
+    expand into terms conj(chi_m,c) chi_m',c and conj(chi_m,c) Gamma_cd
+    chi_m',d (Gamma = gamma_1^0 gamma_2^0) whose magnitudes, with
+    Q_c = sum_m |chi_m,c|, sum to R = sum_c Q_c^2 and
+    R_sigma = sum_c Q_c (|Gamma| Q)_c. A term passing through at most D
+    operations (a complex product counting 2) carries an error of at most
+    sqrt(2) gamma_D of its magnitude, gamma_D = D u / (1 - D u):
+
+    - rho: M - 1 mode additions in each of the two profile factors, the
+      product (2), 15 component additions: 2M + 15;
+    - sigma: as rho, plus one row of Gamma pb (16 complex products, 15
+      additions: 17): 2M + 32;
+    - primed densities: each factor is also multiplied by the phase (2),
+      whose modulus np.exp leaves within 2u of 1 (cos and sin each within
+      one ulp; counted 2): 8 more;
+    - the tail, on the density differences: the subtraction, times A or
+      B, A d_rho + B d_sigma, numpy's pairwise sum over n^3 points
+      (depth at most 14 + ceil(log2 n^3)) and times h^3: 18 +
+      ceil(log2 n^3).
+
+    With D the sum of sigma's two depths and the tail (it exceeds rho's)
+    and S = h^3 sum_x [|A| R + |B| R_sigma], |difference| <= sqrt(2)
+    gamma_D S. This is a worst case: it assumes the rounding errors of
+    all n^3 points align.
+    """
+    kernel = build_kernel("sazdjian", system.potential, minkowski_sq(fld.P), fld.grid)
+    Q = sum(np.abs(chi) for _, chi in fld.modes)
+    abs_gamma_Q = (np.abs(gamma0_pair(system.gammas)) @ Q.reshape(16, -1)).reshape(Q.shape)
+    R = np.sum(Q**2, axis=0)
+    R_sigma = np.sum(Q * abs_gamma_Q, axis=0)
+    S = float(np.sum(np.abs(kernel.A) * R + np.abs(kernel.B) * R_sigma) * fld.grid.h**3)
+    M, n = len(fld.modes), fld.grid.n
+    d_sigma = 2 * M + 32
+    d = d_sigma + (d_sigma + 8) + 18 + math.ceil(math.log2(n**3))
+    u = np.finfo(float).eps / 2
+    return math.sqrt(2.0) * d * u / (1.0 - d * u) * S
+
+
 def test_gauge_relative_phase_leaves_norm_invariant(gauge_setup):
     system, fld = gauge_setup
     rep = gauge_check(
         system, fld, "relative_only", c=np.array([0.37, 0.21, -0.4, 0.11])
     )
     assert rep.passed
-    assert abs(rep.difference) < 1e-12
+    assert abs(rep.difference) <= _relative_phase_bound(system, fld)
     assert rep.independent_difference is None
     assert np.allclose(rep.P_before, rep.P_after)
 

@@ -464,11 +464,33 @@ def test_first_equation_roots_frozen():
         assert r1 < 1e-10
 
 
+def _first_equation_matrices(system, P, p_spatial, p0s):
+    """M_1 = (p1.gamma_1 - m1) + v (p2.gamma_2 - m2) at p1 = P/2 + p,
+    p2 = P/2 - p, p = (p0, p_spatial), for every p0 of p0s at once. The
+    elementwise operations are those of slash1/slash2 and the solver's
+    per-p0 build, in the same order, so each matrix is bit-equal to the
+    one built for its p0 alone."""
+    g = system.gammas.gamma
+    v = system.potential.constant_value()
+    P = np.asarray(P, dtype=float)
+    p_spatial = np.asarray(p_spatial, dtype=float)
+
+    def slash4(q0, q_spatial):
+        out = q0[:, None, None] * g[0].astype(complex)
+        for k in (1, 2, 3):
+            out = out - q_spatial[k - 1] * g[k]
+        return out
+
+    eye4 = np.eye(4)[None]
+    S1 = np.kron(slash4(P[0] / 2 + p0s, P[1:] / 2 + p_spatial), eye4)
+    S2 = np.kron(eye4, slash4(P[0] / 2 - p0s, P[1:] / 2 - p_spatial))
+    eye = np.eye(16)
+    return S1 - system.masses.m1 * eye + (S2 - system.masses.m2 * eye) * v
+
+
 def test_first_equation_roots_against_brute_scan(gammas):
     # independent check: dense sigma_min scan with step 1e-4 brackets
     # the same roots the solver returns
-    from tbdkit.operators import _dispersion_matrix
-
     system = TwoBodyDiracSystem(MASSES, Constant(v=0.3), gammas)
     p_spatial = (0.5, 0.0, 0.0)
     roots = plane_wave_solutions(
@@ -476,15 +498,8 @@ def test_first_equation_roots_against_brute_scan(gammas):
     )
     assert roots
     grid_p0 = np.arange(-1.2, 0.5, 1e-4)
-    sig = np.array(
-        [
-            np.linalg.svd(
-                _dispersion_matrix(system, P_REST, p_spatial, p0, "first"),
-                compute_uv=False,
-            )[-1]
-            for p0 in grid_p0
-        ]
-    )
+    matrices = _first_equation_matrices(system, P_REST, p_spatial, grid_p0)
+    sig = np.linalg.svd(matrices, compute_uv=False)[:, -1]
     brute = grid_p0[
         [i for i in range(1, len(sig) - 1) if sig[i] <= sig[i - 1] and sig[i] <= sig[i + 1] and sig[i] < 1e-3]
     ]

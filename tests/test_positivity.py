@@ -22,19 +22,15 @@ from tbdkit.potentials import (
     GaussianG,
     TanhOfG,
     YukawaTanh,
+    eval_dV_dP2,
+    eval_V,
     y_of,
 )
 from tbdkit.scalar_product import build_kernel
-from tbdkit.spinor_algebra import build_gammas
 
 G_UNIT = math.sqrt(FOUR_PI)
 YUKAWA = YukawaTanh(g1=G_UNIT, g2=G_UNIT, mu=1.0)
 OMEGA = 0.5671432904097838  # root of r e^r = 1
-
-
-@pytest.fixture(scope="module")
-def gam():
-    return build_gammas("dirac")
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +99,16 @@ def test_violation_radius_solves_its_equation(rng):
             g1 * g2 / (FOUR_PI * abs(P0)), rel=1e-10
         )
         # the boundary radius is exactly the y = 1/2 locus
-        assert y_of(g1, g2, mu, P0, r).y == pytest.approx(0.5, rel=1e-10)
+        assert y_of(g1, g2, mu, P0, r) == pytest.approx(0.5, rel=1e-10)
+
+
+@pytest.mark.parametrize("P0", [1e-300, 1e-307])
+def test_violation_radius_where_exp_overflows(P0):
+    # bisection midpoints reach mu r > 709.78, where e^{mu r} overflows;
+    # at P0 = 1e-307 the root itself lies past the switch to logarithms
+    r = violation_radius(G_UNIT, G_UNIT, 1.0, P0)
+    assert r == pytest.approx(float(lambertw(1.0 / P0).real), rel=1e-14)
+    assert math.log(r) + r == pytest.approx(-math.log(P0), rel=1e-14)
 
 
 def test_violation_radius_unscreened_limit():
@@ -123,6 +128,9 @@ def test_violation_radius_validation():
         violation_radius(1.0, 1.0, -0.5, 1.0)
     with pytest.raises(ValueError):
         violation_radius(1.0, 1.0, 1.0, 0.0)
+    # g1 g2 overflows to inf, which bisection would halve forever
+    with pytest.raises(ValueError, match="finite"):
+        violation_radius(1e300, 1e300, 1.0, 1.0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -147,6 +155,7 @@ def test_flavor_boundaries_coincide_with_analytic_radius():
         (G_UNIT, G_UNIT, 1.0, 1.0),
         (2.0, 3.0, 0.7, 1.3),
         (4.0, 1.5, 2.0, 0.6),
+        (G_UNIT, G_UNIT, 1.0, 1e-300),  # e^{-mu r} underflows while bracketing
     ):
         r_star = violation_radius(g1, g2, mu, P0)
         r_saz = flavor_boundary_radius("sazdjian", g1, g2, mu, P0)
@@ -164,9 +173,9 @@ def test_flavor_boundary_rejects_unknown_flavor():
 # Grid scans
 
 
-def test_scan_certifies_bounded_tanh_potential(gam):
+def test_scan_certifies_bounded_tanh_potential():
     pot = TanhOfG(g=GaussianG(amplitude=0.9, width=1.0))
-    rep = scan("sazdjian", pot, [4.0, 6.25, 9.0], Grid(n=8, L=6.0), gam)
+    rep = scan("sazdjian", pot, [4.0, 6.25, 9.0], Grid(n=8, L=6.0))
     assert rep.passed
     assert rep.min_eigenvalue >= -1e-12
     assert rep.violation_count == 0
@@ -174,9 +183,9 @@ def test_scan_certifies_bounded_tanh_potential(gam):
     assert rep.P2_values == (4.0, 6.25, 9.0)
 
 
-def test_scan_finds_yukawa_violation_ball(gam):
+def test_scan_finds_yukawa_violation_ball():
     grid = Grid(n=16, L=4.0)
-    rep = scan("sazdjian", YUKAWA, [1.0], grid, gam)
+    rep = scan("sazdjian", YUKAWA, [1.0], grid)
     assert not rep.passed
     assert rep.min_eigenvalue < -0.1
     assert rep.violation_count > 0
@@ -189,10 +198,10 @@ def test_scan_finds_yukawa_violation_ball(gam):
     assert empirical_boundary_consistent(rep, grid)
 
 
-def test_scan_min_matches_eigenvalue_map(gam):
+def test_scan_min_matches_eigenvalue_map():
     grid = Grid(n=16, L=4.0)
-    rep = scan("sazdjian", YUKAWA, [1.0], grid, gam)
-    emap = min_eigenvalue_map("sazdjian", YUKAWA, 1.0, grid, gam)
+    rep = scan("sazdjian", YUKAWA, [1.0], grid)
+    emap = min_eigenvalue_map("sazdjian", YUKAWA, 1.0, grid)
     assert rep.min_eigenvalue == pytest.approx(float(np.min(emap)), abs=1e-15)
     assert emap[rep.argmin_index] == rep.min_eigenvalue
     radius = np.sqrt(grid.radius_sq)
@@ -209,9 +218,9 @@ def test_eigenvalue_map_matches_dense_eigensolve(gammas, flavor, potential, P2):
     # oracle: the full 16x16 form matrix A 1 + B gamma_1^0 gamma_2^0 at
     # every point, diagonalized densely
     grid = Grid(n=8, L=4.0)
-    emap = min_eigenvalue_map(flavor, potential, P2, grid, gammas)
-    kernel = build_kernel(flavor, potential, np.array([math.sqrt(P2), 0.0, 0.0, 0.0]), grid, gammas)
-    A, B = (c.reshape(-1) for c in kernel.form_coefficients())
+    emap = min_eigenvalue_map(flavor, potential, P2, grid)
+    kernel = build_kernel(flavor, potential, P2, grid)
+    A, B = kernel.A.reshape(-1), kernel.B.reshape(-1)
     gp = np.kron(gammas.gamma[0], gammas.gamma[0])
     dense = np.linalg.eigvalsh(A[:, None, None] * np.eye(16) + B[:, None, None] * gp)[:, 0]
     scale = np.maximum(1.0, np.abs(A) + np.abs(B))
@@ -220,32 +229,42 @@ def test_eigenvalue_map_matches_dense_eigensolve(gammas, flavor, potential, P2):
         assert np.min(dense) < -0.1  # the violation ball is sampled
 
 
-def test_eigenvalue_map_agrees_with_h_branch(gam):
+def test_eigenvalue_map_is_evaluated_at_the_requested_P2():
+    # P^2 = 3.0 is not the square of its rounded square root; the map is
+    # A - |B| of the coefficients at P_sq = 3.0 exactly, bit for bit
+    grid = Grid(n=8, L=4.0)
+    x_perp_sq = -grid.radius_sq
+    A = 1.0 - eval_V(YUKAWA, x_perp_sq, 3.0) ** 2
+    B = 4.0 * 3.0 * eval_dV_dP2(YUKAWA, x_perp_sq, 3.0)
+    assert np.array_equal(min_eigenvalue_map("sazdjian", YUKAWA, 3.0, grid), A - np.abs(B))
+
+
+def test_eigenvalue_map_agrees_with_h_branch():
     # the closed-form form eigenvalue lands exactly on the analytic
     # minus branch at every sampled point
     grid = Grid(n=8, L=4.0)
-    emap = min_eigenvalue_map("sazdjian", YUKAWA, 1.0, grid, gam)
+    emap = min_eigenvalue_map("sazdjian", YUKAWA, 1.0, grid)
     radius = np.sqrt(grid.radius_sq)
     for idx in ((0, 0, 0), (3, 4, 5), (4, 4, 4), (7, 1, 2)):
-        y = y_of(G_UNIT, G_UNIT, 1.0, 1.0, float(radius[idx])).y
+        y = y_of(G_UNIT, G_UNIT, 1.0, 1.0, float(radius[idx]))
         assert emap[idx] == pytest.approx(h_function(y, "minus"), abs=1e-12)
 
 
-def test_crater_scan_finds_the_same_ball(gam):
+def test_crater_scan_finds_the_same_ball():
     grid = Grid(n=16, L=4.0)
-    rep = scan("crater", YUKAWA, [1.0], grid, gam)
+    rep = scan("crater", YUKAWA, [1.0], grid)
     assert not rep.passed
     assert empirical_boundary_consistent(rep, grid)
 
 
-def test_scan_rejects_empty_P2_set(gam):
+def test_scan_rejects_empty_P2_set():
     with pytest.raises(ValueError):
-        scan("sazdjian", YUKAWA, [], Grid(n=8, L=4.0), gam)
+        scan("sazdjian", YUKAWA, [], Grid(n=8, L=4.0))
 
 
-def test_boundary_consistency_rejects_fabricated_report(gam):
+def test_boundary_consistency_rejects_fabricated_report():
     grid = Grid(n=16, L=4.0)
-    rep = scan("sazdjian", YUKAWA, [1.0], grid, gam)
+    rep = scan("sazdjian", YUKAWA, [1.0], grid)
     from dataclasses import replace
 
     shifted = replace(rep, violation_radius_max=rep.analytic_radius + 1.0)

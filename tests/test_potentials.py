@@ -20,7 +20,6 @@ from tbdkit.potentials import (
     SingularOriginError,
     TanhOfG,
     YukawaTanh,
-    YVariable,
     Zero,
     delta_of,
     eval_ddelta_dP2,
@@ -217,7 +216,7 @@ class MomentumTanh(Potential):
         return self.ddelta_dP2(xps, P_sq) / np.cosh(self.delta(xps, P_sq)) ** 2
 
 
-def test_subclass_outside_the_module_runs_through_kernel_and_scan(dirac):
+def test_subclass_outside_the_module_runs_through_kernel_and_scan():
     spec = MomentumTanh(a=0.2)
     assert eval_V(spec, -1.0, 4.0) == math.tanh(0.2 * math.exp(-1.0) / 4.0)
     assert eval_dV_dP2(spec, -1.0, 4.0) == pytest.approx(
@@ -225,14 +224,13 @@ def test_subclass_outside_the_module_runs_through_kernel_and_scan(dirac):
     )
     assert eval_dV_dxperp_sq(spec, -1.0, 4.0) == 0.0  # the base default
     grid = Grid(n=8, L=6.0)
-    kernel = build_kernel("sazdjian", spec, np.array([2.0, 0.0, 0.0, 0.0]), grid, dirac)
+    kernel = build_kernel("sazdjian", spec, 4.0, grid)
     V = np.tanh(0.2 * np.exp(-grid.radius_sq) / 4.0)
-    assert np.allclose(kernel.gamma_coef, 1.0 - V**2, rtol=0.0, atol=1e-15)
-    assert np.all(kernel.ident_coef < 0.0)  # dV/dP^2 < 0 for a > 0
-    rep = scan("sazdjian", spec, [4.0, 9.0], grid, dirac)
+    assert np.allclose(kernel.A, 1.0 - V**2, rtol=0.0, atol=1e-15)
+    assert np.all(kernel.B < 0.0)  # dV/dP^2 < 0 for a > 0
+    rep = scan("sazdjian", spec, [4.0, 9.0], grid)
     assert rep.passed and rep.analytic_radius is None
-    A, B = kernel.form_coefficients()
-    assert rep.min_eigenvalue <= float(np.min(A - np.abs(B)))
+    assert rep.min_eigenvalue <= float(np.min(kernel.A - np.abs(kernel.B)))
 
 
 def test_domain_validation():
@@ -271,7 +269,7 @@ def test_constant_g_flat():
 def test_y_of_matches_formula():
     y = y_of(2.0, 3.0, 0.5, 4.0, 1.5)
     expect = (6.0 / FOUR_PI) * math.exp(-0.75) / (2.0 * 4.0 * 1.5)
-    assert y.y == pytest.approx(expect, rel=1e-15)
+    assert y == pytest.approx(expect, rel=1e-15)
 
 
 def test_y_of_is_half_at_omega_radius():
@@ -279,7 +277,7 @@ def test_y_of_is_half_at_omega_radius():
     # radius is the omega constant, root of r e^r = 1
     omega = float(lambertw(1.0).real)
     y = y_of(math.sqrt(FOUR_PI), math.sqrt(FOUR_PI), 1.0, 1.0, omega)
-    assert y.y == pytest.approx(0.5, abs=1e-15)
+    assert y == pytest.approx(0.5, abs=1e-15)
 
 
 def test_y_of_validation():
@@ -289,13 +287,11 @@ def test_y_of_validation():
         y_of(1.0, 1.0, 1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         y_of(1.0, -1.0, 1.0, 2.0, 1.0)
-    with pytest.raises(ValueError):
-        YVariable(y=-0.1)
 
 
 def test_y_of_accepts_zero_screening():
     y = y_of(math.sqrt(FOUR_PI), math.sqrt(FOUR_PI), 0.0, 1.0, 2.0)
-    assert y.y == pytest.approx(0.25, rel=1e-15)
+    assert y == pytest.approx(0.25, rel=1e-15)
 
 
 @settings(max_examples=50, deadline=None)

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tbdkit.kinematics import MassPair
+from tbdkit.kinematics import MassPair, minkowski_sq
 from tbdkit.operators import (
     Grid,
     InternalField,
@@ -23,12 +23,14 @@ from tbdkit.potentials import (
 )
 from tbdkit.scalar_product import (
     build_kernel,
+    check_domain,
     free_inner_product,
     interacting_inner_product,
 )
 from tbdkit.spinor_algebra import GammaSet, build_gammas, gamma0_pair
 
 P2 = np.array([2.0, 0.0, 0.0, 0.0])
+P2_SQ = 4.0  # minkowski_sq(P2)
 YUKAWA = YukawaTanh(g1=math.sqrt(FOUR_PI), g2=math.sqrt(FOUR_PI), mu=1.0)
 
 
@@ -98,57 +100,56 @@ def test_free_product_rejects_mismatched_fields(gam, rng):
 # Kernel construction
 
 
-def test_free_kernel_coefficients(gam):
+def test_free_kernel_coefficients():
     grid = Grid(n=8, L=6.0)
-    kernel = build_kernel("free", Zero(), P2, grid, gam)
-    assert np.all(kernel.ident_coef == 0.0)
-    assert np.all(kernel.gamma_coef == 1.0)
+    kernel = build_kernel("free", Zero(), P2_SQ, grid)
+    # the written bracket gamma_1^0 gamma_2^0 sits swapped in the form:
     # the quadratic form of the bar convention is the identity
-    A, B = kernel.form_coefficients()
-    assert np.all(A == 1.0) and np.all(B == 0.0)
+    assert np.all(kernel.B == 0.0)
+    assert np.all(kernel.A == 1.0)
 
 
-def test_sazdjian_kernel_reduces_to_free_for_zero_potential(gam):
+def test_sazdjian_kernel_reduces_to_free_for_zero_potential():
     grid = Grid(n=8, L=6.0)
-    kernel = build_kernel("sazdjian", Zero(), P2, grid, gam)
-    free = build_kernel("free", Zero(), P2, grid, gam)
-    assert np.allclose(kernel.ident_coef, free.ident_coef)
-    assert np.allclose(kernel.gamma_coef, free.gamma_coef)
+    kernel = build_kernel("sazdjian", Zero(), P2_SQ, grid)
+    free = build_kernel("free", Zero(), P2_SQ, grid)
+    assert np.allclose(kernel.B, free.B)
+    assert np.allclose(kernel.A, free.A)
 
 
-def test_sazdjian_kernel_constant_potential(gam):
+def test_sazdjian_kernel_constant_potential():
     grid = Grid(n=8, L=6.0)
-    kernel = build_kernel("sazdjian", Constant(v=0.3), P2, grid, gam)
-    assert np.allclose(kernel.ident_coef, 0.0)
-    assert np.allclose(kernel.gamma_coef, 1.0 - 0.09)
+    kernel = build_kernel("sazdjian", Constant(v=0.3), P2_SQ, grid)
+    # written 4 P^2 dV/dP^2 1 + (1 - V^2) gamma_1^0 gamma_2^0, swapped
+    assert np.allclose(kernel.B, 0.0)
+    assert np.allclose(kernel.A, 1.0 - 0.09)
 
 
-def test_crater_kernel_is_identity_for_momentum_independent_potentials(gam):
+def test_crater_kernel_is_identity_for_momentum_independent_potentials():
     grid = Grid(n=8, L=6.0)
     for pot in (Zero(), Constant(v=0.4), TanhOfG(g=GaussianG(amplitude=0.5, width=1.0))):
-        kernel = build_kernel("crater", pot, P2, grid, gam)
-        assert np.allclose(kernel.ident_coef, 1.0)
-        assert np.allclose(kernel.gamma_coef, 0.0)
-        A, B = kernel.form_coefficients()
-        assert np.allclose(A, 1.0) and np.allclose(B, 0.0)
+        # the crater bracket is written against psi^dagger: no swap
+        kernel = build_kernel("crater", pot, P2_SQ, grid)
+        assert np.allclose(kernel.A, 1.0)
+        assert np.allclose(kernel.B, 0.0)
 
 
-def test_yukawa_kernels_match_potential_evaluations(gam):
+def test_yukawa_kernels_match_potential_evaluations():
     grid = Grid(n=8, L=4.0)
-    P = np.array([1.5, 0.0, 0.0, 0.0])
     P_sq = 2.25
-    saz = build_kernel("sazdjian", YUKAWA, P, grid, gam)
-    cra = build_kernel("crater", YUKAWA, P, grid, gam)
+    saz = build_kernel("sazdjian", YUKAWA, P_sq, grid)
+    cra = build_kernel("crater", YUKAWA, P_sq, grid)
     i, j, k = 2, 5, 1
     xps = -grid.radius_sq[i, j, k]
     V = eval_V(YUKAWA, xps, P_sq)
     dV = eval_dV_dP2(YUKAWA, xps, P_sq)
-    assert saz.ident_coef[i, j, k] == pytest.approx(4.0 * P_sq * dV, rel=1e-14)
-    assert saz.gamma_coef[i, j, k] == pytest.approx(1.0 - V**2, rel=1e-14)
-    assert cra.ident_coef[i, j, k] == 1.0
+    # the written sazdjian pair sits swapped in the form, crater's does not
+    assert saz.B[i, j, k] == pytest.approx(4.0 * P_sq * dV, rel=1e-14)
+    assert saz.A[i, j, k] == pytest.approx(1.0 - V**2, rel=1e-14)
+    assert cra.A[i, j, k] == 1.0
     # for this potential Delta and V have the same P^2 slope scaled by
     # cosh^2, checked through the closed forms
-    assert cra.gamma_coef[i, j, k] == pytest.approx(
+    assert cra.B[i, j, k] == pytest.approx(
         -4.0 * P_sq * dV * math.cosh(math.atanh(V)) ** 2, rel=1e-12
     )
 
@@ -159,19 +160,24 @@ def test_kernel_form_matrix_is_hermitian(gam):
     assert np.array_equal(g, g.conj().T)
     grid = Grid(n=8, L=4.0)
     for flavor in ("free", "sazdjian", "crater"):
-        kernel = build_kernel(flavor, YUKAWA, P2, grid, gam)
-        A, B = kernel.form_coefficients()
-        assert np.isrealobj(A) and np.isrealobj(B)
+        kernel = build_kernel(flavor, YUKAWA, P2_SQ, grid)
+        assert np.isrealobj(kernel.A) and np.isrealobj(kernel.B)
 
 
-def test_build_kernel_validation(gam):
+def test_build_kernel_validation(rng):
     grid = Grid(n=8, L=4.0)
     with pytest.raises(ValueError):
-        build_kernel("euclidean", Zero(), P2, grid, gam)
+        build_kernel("euclidean", Zero(), P2_SQ, grid)
+    # a moving total momentum is outside the domain of the rest-frame
+    # kernel even at the kernel's own P^2
+    moving = replace(
+        random_band_limited_field(P2, grid, rng, max_index=1), P=np.array([2.0, 0.3, 0.0, 0.0])
+    )
+    kernel = build_kernel("free", Zero(), minkowski_sq(moving.P), grid)
+    with pytest.raises(ValueError, match="rest frame"):
+        check_domain(kernel, moving, moving)
     with pytest.raises(ValueError):
-        build_kernel("free", Zero(), np.array([2.0, 0.3, 0.0, 0.0]), grid, gam)
-    with pytest.raises(ValueError):
-        build_kernel("free", Zero(), np.array([0.0, 0.0, 0.0, 0.0]), grid, gam)
+        build_kernel("free", Zero(), 0.0, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -180,12 +186,12 @@ def test_build_kernel_validation(gam):
 
 def test_free_flavor_reproduces_free_product(gam):
     grid = Grid(n=8, L=6.0)
-    kernel = build_kernel("free", Zero(), P2, grid, gam)
+    kernel = build_kernel("free", Zero(), P2_SQ, grid)
     rng = np.random.default_rng(17)
     for _ in range(20):
         a = random_band_limited_field(P2, grid, rng, max_index=1)
         b = random_band_limited_field(P2, grid, rng, max_index=1)
-        lhs = interacting_inner_product(kernel, a, b)
+        lhs = interacting_inner_product(kernel, a, b, gam)
         rhs = free_inner_product(a, b)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
@@ -193,21 +199,21 @@ def test_free_flavor_reproduces_free_product(gam):
 def test_interacting_self_product_is_real(gam, rng):
     grid = Grid(n=8, L=6.0)
     for flavor in ("sazdjian", "crater"):
-        kernel = build_kernel(flavor, YUKAWA, P2, grid, gam)
+        kernel = build_kernel(flavor, YUKAWA, P2_SQ, grid)
         fld = random_band_limited_field(P2, grid, rng, max_index=1)
-        val = interacting_inner_product(kernel, fld, fld)
+        val = interacting_inner_product(kernel, fld, fld, gam)
         assert abs(val.imag) < 1e-10 * abs(val.real)
 
 
 def test_interacting_product_rejects_foreign_momentum(gam, rng):
     grid = Grid(n=8, L=6.0)
-    kernel = build_kernel("sazdjian", YUKAWA, P2, grid, gam)
+    kernel = build_kernel("sazdjian", YUKAWA, P2_SQ, grid)
     other = replace(
         random_band_limited_field(P2, grid, rng, max_index=1),
         P=np.array([2.5, 0.0, 0.0, 0.0]),
     )
     with pytest.raises(ValueError):
-        interacting_inner_product(kernel, other, other)
+        interacting_inner_product(kernel, other, other, gam)
 
 
 def test_negative_norm_state_inside_violation_ball(gam):
@@ -216,16 +222,16 @@ def test_negative_norm_state_inside_violation_ball(gam):
     # Sazdjian norm
     grid = Grid(n=32, L=4.0)
     P = np.array([1.0, 0.0, 0.0, 0.0])
-    kernel = build_kernel("sazdjian", YUKAWA, P, grid, gam)
+    kernel = build_kernel("sazdjian", YUKAWA, minkowski_sq(P), grid)
     gp = np.real(np.diag(gamma0_pair(gam)))
     component = int(np.argmin(gp))
     assert gp[component] == -1.0
     fld = gaussian_profile_field(grid, width=0.15, component=component, P=P)
-    val = interacting_inner_product(kernel, fld, fld)
+    val = interacting_inner_product(kernel, fld, fld, gam)
     assert val.real < -1e-4
     # the same profile on the +1 orientation keeps a positive norm
     plus = gaussian_profile_field(grid, width=0.15, component=int(np.argmax(gp)), P=P)
-    assert interacting_inner_product(kernel, plus, plus).real > 0.0
+    assert interacting_inner_product(kernel, plus, plus, gam).real > 0.0
 
 
 def _dense_gammas(seed):
@@ -237,13 +243,13 @@ def _dense_gammas(seed):
     return GammaSet("dense", np.stack([U @ g @ U.conj().T for g in dirac.gamma]))
 
 
-def _per_component_form(kernel, pa, pb):
+def _per_component_form(kernel, gammas, pa, pb):
     """The per-component formula h^3 sum_{c,x} conj(pa) (A pb + B Gamma pb)
     that the density form replaced, with Gamma = gamma_1^0 gamma_2^0,
     and the magnitude sum S = h^3 sum |pa| (|A| |pb| + |B| |Gamma| |pb|)
     of its terms."""
-    A, B = kernel.form_coefficients()
-    g = gamma0_pair(kernel.gammas)
+    A, B = kernel.A, kernel.B
+    g = gamma0_pair(gammas)
     g_pb = (g @ pb.reshape(16, -1)).reshape(pb.shape)
     terms = pa.conj() * (A[None] * pb + B[None] * g_pb)
     abs_g_pb = (np.abs(g) @ np.abs(pb).reshape(16, -1)).reshape(pb.shape)
@@ -278,12 +284,12 @@ def _rounding_bound(n, scale):
 def test_density_form_matches_per_component_formula(flavor, representation):
     gam = _dense_gammas(5) if representation == "dense" else build_gammas(representation)
     grid = Grid(n=8, L=4.0)
-    kernel = build_kernel(flavor, YUKAWA, P2, grid, gam)
+    kernel = build_kernel(flavor, YUKAWA, P2_SQ, grid)
     rng = np.random.default_rng(23)
     a = random_band_limited_field(P2, grid, rng, max_index=1)
     b = random_band_limited_field(P2, grid, rng, max_index=1)
     pa, pb = (sum(chi for _, chi in f.modes) for f in (a, b))
     for fa, fb, qa, qb in ((a, b, pa, pb), (a, a, pa, pa)):
-        expect, scale = _per_component_form(kernel, qa, qb)
-        got = interacting_inner_product(kernel, fa, fb)
+        expect, scale = _per_component_form(kernel, gam, qa, qb)
+        got = interacting_inner_product(kernel, fa, fb, gam)
         assert abs(got - expect) <= _rounding_bound(grid.n, scale)
