@@ -300,7 +300,7 @@ def _first_equation_states(system, P, p_spatial, window):
     if not roots:
         raise ConfigError(f"no dispersion roots in p0_window {list(window)} at p = {list(p_spatial)}")
     return [
-        plane_wave_state(system, P, p_spatial, p0, basis[:, 0], solves="first")
+        plane_wave_state(P, p_spatial, p0, basis[:, 0], solves="first")
         for p0, basis in roots
     ]
 
@@ -324,8 +324,8 @@ def run_claim1(cfg):
     qb = plane_wave_solutions(free, Pb, pb, (root_b - 0.1, root_b + 0.1))
     if not qa or not qb:
         raise ConfigError(f"free dispersion roots not found at masses m1 = {m1}, m2 = {m2}")
-    sa = plane_wave_state(free, Pa, (0, 0, 0), qa[0][0], qa[0][1][:, 0])
-    sb = plane_wave_state(free, Pb, pb, qb[0][0], qb[0][1][:, 0])
+    sa = plane_wave_state(Pa, (0, 0, 0), qa[0][0], qa[0][1][:, 0])
+    sb = plane_wave_state(Pb, pb, qb[0][0], qb[0][1][:, 0])
     jf = j_free_current(gam, sa, sb)
     free_max = float(
         max(np.max(np.abs(divergence1(jf))), np.max(np.abs(divergence2(jf))))
@@ -410,12 +410,14 @@ def run_kernel(cfg):
 
 def run_radius(cfg):
     grid = Grid(**cfg["grid"])
-    g1, g2, mu, P0 = (cfg[k] for k in ("g1", "g2", "mu", "P0"))
-    r_star = violation_radius(g1, g2, mu, P0)
-    r_saz = flavor_boundary_radius("sazdjian", g1, g2, mu, P0)
-    r_cra = flavor_boundary_radius("crater", g1, g2, mu, P0)
-    pot = YukawaTanh(g1=g1, g2=g2, mu=mu)
-    rep = scan(cfg["flavor"], pot, [P0**2], grid)
+    pot = YukawaTanh(g1=cfg["g1"], g2=cfg["g2"], mu=cfg["mu"])
+    P0 = float(cfg["P0"])
+    if not 0 < P0 * P0 < math.inf:
+        raise ConfigError(f"P0 = {cfg['P0']!r} must have a positive finite square, got P0^2 = {P0 * P0!r}")
+    r_star = violation_radius(pot, P0)
+    r_saz = flavor_boundary_radius("sazdjian", pot, P0)
+    r_cra = flavor_boundary_radius("crater", pot, P0)
+    rep = scan(cfg["flavor"], pot, [P0 * P0], grid)
     consistent = empirical_boundary_consistent(rep, grid)
     atol = cfg["agreement_tolerance"]
     report = {

@@ -142,7 +142,9 @@ class Grid:
 @dataclass(frozen=True)
 class InternalField:
     """Internal field at fixed total momentum: modes is a tuple of
-    (p0, chi) with chi of shape (16, n, n, n).
+    (p0, chi) with chi of shape (16, n, n, n). P is a timelike
+    rest-frame four-vector; construction (replace included) rejects
+    anything else, so no operator checks it again.
 
     The field norm treats distinct relative-energy modes as orthogonal
     channels (they are, under time averaging), so ||phi||^2 =
@@ -154,7 +156,7 @@ class InternalField:
     modes: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "P", as_four_vector(self.P))
+        object.__setattr__(self, "P", check_rest_frame(self.P))
         n = self.grid.n
         checked = []
         for p0, chi in self.modes:
@@ -299,7 +301,6 @@ def _D_spectrum(system: TwoBodyDiracSystem, which: int, p1_0, p2_0, table, F_chi
 
 
 def _apply_D(system: TwoBodyDiracSystem, fld: InternalField, which: int) -> InternalField:
-    check_rest_frame(fld.P)
     P0 = fld.P[0]
     V = _potential_on_grid(system, fld)
     table = _gamma_table(system.gammas, np.ix_(*[fld.grid.wavenumbers] * 3))
@@ -354,7 +355,7 @@ def field_from_modes(P, grid: Grid, mode_spec) -> InternalField:
             phase = ex[:, None, None] * ey[None, :, None] * ez[None, None, :]
             chi += np.asarray(amp, dtype=complex).reshape(16, 1, 1, 1) * phase
         modes.append((p0, chi))
-    return InternalField(P=as_four_vector(P), grid=grid, modes=tuple(modes))
+    return InternalField(P=P, grid=grid, modes=tuple(modes))
 
 
 def random_band_limited_field(
@@ -425,7 +426,6 @@ def compatibility_residual(
     """
     if commutator_realization not in ("analytic", "composed"):
         raise ValueError(f"unknown commutator realization: {commutator_realization!r}")
-    check_rest_frame(fld.P)
     m1, m2 = system.masses.m1, system.masses.m2
     g = system.gammas
     grid = fld.grid
@@ -550,7 +550,7 @@ def plane_wave_solutions(
     return out
 
 
-def plane_wave_state(system, P, p_spatial, p0, u, solves="both") -> PlaneWaveState:
+def plane_wave_state(P, p_spatial, p0, u, solves="both") -> PlaneWaveState:
     """Package a null vector as a plane-wave state with its momenta."""
     P = as_four_vector(P)
     p = np.array([p0, *p_spatial])

@@ -15,6 +15,10 @@ variable y; its minus branch changes sign at y = 1/2, which is the same
 boundary the Crater-flavor branches 1 -+ 2y produce. Both boundaries
 are recovered numerically by flavor_boundary_radius without assuming
 that coincidence.
+
+The radius routes read the coupling and y(r, P^0) of the YukawaTanh they
+are given, which checked mu > 0 and a finite g1 g2 when it was built;
+they check only what depends on P^0.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .potentials import FOUR_PI, YukawaTanh, y_of
+from .potentials import FOUR_PI, YukawaTanh
 from .scalar_product import build_kernel
 
 DEFAULT_TOL = 1e-12
@@ -76,9 +80,7 @@ def scan(
     vr_max = max((float(radius[i, j, k]) for i, j, k, _ in violations), default=None)
     analytic = None
     if isinstance(potential, YukawaTanh):
-        analytic = violation_radius(
-            potential.g1, potential.g2, potential.mu, math.sqrt(argmin_P2)
-        )
+        analytic = violation_radius(potential, math.sqrt(argmin_P2))
     passed = min_eig >= -tol
     return PositivityReport(
         flavor=flavor,
@@ -134,33 +136,33 @@ def h_function_closed(y: float, branch: str) -> float:
 
 
 def _bisect(below, lo, hi, tol):
-    """Midpoint of [lo, hi] after halving it until narrower than tol,
-    moving lo up where below(mid) holds and hi down elsewhere."""
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
+    """Midpoint of [lo, hi] after halving it until narrower than tol or
+    until no double lies between lo and hi (past 2^13 they are spaced
+    wider than 1e-12), moving lo up where below(mid) holds and hi down
+    elsewhere."""
+    mid = 0.5 * (lo + hi)
+    while hi - lo > tol and lo < mid < hi:
         if below(mid):
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+    return mid
 
 
-def violation_radius(g1: float, g2: float, mu: float, P0: float) -> float:
+def violation_radius(potential: YukawaTanh, P0: float) -> float:
     """The radius r* > 0 solving r e^{mu r} = g1 g2 / (4 pi |P^0|), found
     by bisection (the left side is strictly increasing). Nonpositive
     coupling product means no violation anywhere: returns 0. A right
     side that overflows to infinity is rejected."""
     if P0 == 0:
         raise ValueError("P0 must be nonzero")
-    if mu < 0:
-        raise ValueError("mu must be nonnegative")
-    rhs = g1 * g2 / (FOUR_PI * abs(P0))
+    mu = potential.mu
+    rhs = potential.g1 * potential.g2 / (FOUR_PI * abs(P0))
     if not math.isfinite(rhs):
         raise ValueError(f"g1 g2 / (4 pi |P0|) = {rhs} is not a finite number")
     if rhs <= 0:
         return 0.0
-    if mu == 0:
-        return rhs
     log_rhs = math.log(rhs)
 
     def below(r):
@@ -190,27 +192,22 @@ def _critical_y(flavor: str) -> float:
     return _bisect(lambda y: worst(y) > 0, 0.0, 8.0, 1e-14)
 
 
-def flavor_boundary_radius(flavor: str, g1: float, g2: float, mu: float, P0: float) -> float:
+def flavor_boundary_radius(flavor: str, potential: YukawaTanh, P0: float) -> float:
     """Empirical violation boundary of a kernel flavor for the
     Yukawa-tanh potential: finds the critical y of that flavor's
     eigenvalue branches, then inverts y(r) by bisection. Agreement of
-    the flavors (and with violation_radius) is a result, not an input."""
+    the flavors (and with violation_radius) is a result, not an input.
+    With a finite coupling y(r) <= g1 g2 / (8 pi |P^0| r), so doubling ends."""
     y_c = _critical_y(flavor)
-    if not g1 * g2 > 0:
+    if not potential.g1 * potential.g2 > 0:
         return 0.0
-
-    def y_at(r):
-        return y_of(g1, g2, mu, P0, r)
-
     lo = 1e-12
-    if y_at(lo) <= y_c:
+    if potential.y(lo, P0) <= y_c:
         return 0.0
     hi = 1.0
-    while y_at(hi) > y_c:
+    while potential.y(hi, P0) > y_c:
         hi *= 2.0
-        if hi > 1e6:
-            raise RuntimeError("violation boundary beyond search range")
-    return _bisect(lambda r: y_at(r) > y_c, lo, hi, 1e-12)
+    return _bisect(lambda r: potential.y(r, P0) > y_c, lo, hi, 1e-12)
 
 
 def empirical_boundary_consistent(report: PositivityReport, grid) -> bool:

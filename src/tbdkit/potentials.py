@@ -11,7 +11,9 @@ Variants:
   * Constant(v), with Zero() the constant 0
   * TanhOfG(g): tanh(g(r^2)) for a built-in smooth g, bounded in (-1, 1)
   * YukawaTanh(g1, g2, mu): tanh of a Yukawa core over sqrt(P^2),
-      V = tanh( -(1/(2 sqrt(P^2))) (g1 g2 / 4 pi) e^{-mu r} / r )
+      V = tanh( -(1/(2 sqrt(P^2))) (g1 g2 / 4 pi) e^{-mu r} / r ),
+    built only with mu > 0 and a finite g1 g2; y(r, P^0) is the
+    positivity variable that the violation-radius routes invert
 
 All evaluators are vectorized over x_perp_sq (grids pass the whole
 array). x_perp_sq must be <= 0; the Yukawa core additionally requires
@@ -167,6 +169,13 @@ class YukawaTanh(Potential):
     def __post_init__(self):
         if not self.mu > 0:
             raise ValueError("mu must be positive")
+        if not math.isfinite(self.g1 * self.g2):
+            raise ValueError(f"coupling product g1 g2 = {self.g1 * self.g2} is not a finite number")
+
+    def y(self, r: float, P0: float) -> float:
+        """The positivity variable y = (1/(2|P^0|)) (g1 g2/4 pi) e^{-mu r}/r
+        at a radius r > 0, i.e. c(r)/|P^0|."""
+        return (self.g1 * self.g2 / FOUR_PI) * math.exp(-self.mu * r) / (2.0 * abs(P0) * r)
 
     def core(self, r):
         """c(r) = (1/2) (g1 g2 / 4 pi) e^{-mu r} / r."""
@@ -260,13 +269,3 @@ def eval_ddelta_dP2(spec, x_perp_sq, P_sq):
     """
     return _evaluate("ddelta_dP2", spec, x_perp_sq, P_sq)
 
-
-def y_of(g1: float, g2: float, mu: float, P0: float, r: float) -> float:
-    """The positivity variable y = (1/(2|P^0|)) (g1 g2/4 pi) e^{-mu r}/r."""
-    if not r > 0:
-        raise ValueError("r must be positive")
-    if P0 == 0:
-        raise ValueError("P0 must be nonzero")
-    if not g1 * g2 > 0:
-        raise ValueError("attractive coupling g1*g2 > 0 expected")
-    return (g1 * g2 / FOUR_PI) * math.exp(-mu * r) / (2.0 * abs(P0) * r)

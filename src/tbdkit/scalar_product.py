@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kinematics import check_rest_frame, minkowski_sq
+from .kinematics import minkowski_sq
 from .operators import Grid, InternalField
 from .potentials import eval_V, eval_dV_dP2, eval_ddelta_dP2
 from .spinor_algebra import GammaSet, gamma0_pair
@@ -137,13 +137,12 @@ def form_value(kernel: NormKernel, rho: np.ndarray, sigma: np.ndarray) -> comple
 
 def check_domain(kernel: NormKernel, field_a: InternalField, field_b: InternalField):
     """The two fields share a grid and a momentum, and both are the
-    kernel's: the same grid, and a rest-frame P whose P^2 is the
-    kernel's to a relative 1e-12."""
+    kernel's: the same grid, and a P (rest-frame, as every field's is)
+    whose P^2 is the kernel's to a relative 1e-12."""
     _check_same(field_a, field_b)
     if field_a.grid != kernel.grid:
         raise ValueError("fields and kernel live on different grids")
-    P_sq = minkowski_sq(check_rest_frame(field_a.P))
-    if not math.isclose(P_sq, kernel.P_sq, rel_tol=1e-12):
+    if not math.isclose(minkowski_sq(field_a.P), kernel.P_sq, rel_tol=1e-12):
         raise ValueError(
             "field momentum differs from the kernel's; cross-momentum "
             "products are outside the equal-time kernel's domain"

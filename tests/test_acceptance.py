@@ -69,7 +69,7 @@ def first_equation_state(system, p_spatial, which=0):
         system, P_REST, p_spatial, (-1.2, 0.5), equations="first"
     )
     p0, basis = roots[which]
-    return plane_wave_state(system, P_REST, p_spatial, p0, basis[:, 0], solves="first")
+    return plane_wave_state(P_REST, p_spatial, p0, basis[:, 0], solves="first")
 
 
 def test_criterion_01_algebra_foundations():
@@ -152,8 +152,8 @@ def test_criterion_03_free_current_dichotomy():
     Pb = np.array([e1 + e2, 0.0, 0.0, 0.0])
     split = 0.5 * (e1 - e2)
     qb = plane_wave_solutions(free, Pb, (0.3, 0, 0), (split - 0.1, split + 0.1))
-    sa = plane_wave_state(free, Pa, (0, 0, 0), qa[0][0], qa[0][1][:, 0])
-    sb = plane_wave_state(free, Pb, (0.3, 0, 0), qb[0][0], qb[0][1][:, 0])
+    sa = plane_wave_state(Pa, (0, 0, 0), qa[0][0], qa[0][1][:, 0])
+    sb = plane_wave_state(Pb, (0.3, 0, 0), qb[0][0], qb[0][1][:, 0])
     jf = j_free_current(gam, sa, sb)
     free_max = float(max(np.max(np.abs(divergence1(jf))), np.max(np.abs(divergence2(jf)))))
     # interacting arm: constant v, divergence nonzero and equal to the
@@ -219,13 +219,9 @@ def test_criterion_05_bounded_potential_positivity():
 
 def test_criterion_06_yukawa_violation_ball():
     grid = Grid(n=32, L=4.0)
-    rep = scan(
-        "sazdjian",
-        YukawaTanh(g1=G_UNIT, g2=G_UNIT, mu=1.0),
-        [1.0],
-        grid,
-    )
-    r_star = violation_radius(G_UNIT, G_UNIT, 1.0, 1.0)
+    pot = YukawaTanh(g1=G_UNIT, g2=G_UNIT, mu=1.0)
+    rep = scan("sazdjian", pot, [1.0], grid)
+    r_star = violation_radius(pot, 1.0)
     radius_ok = abs(r_star - OMEGA) <= 1e-9
     boundary_ok = empirical_boundary_consistent(rep, grid)
     h_zero = abs(h_function(0.5, "minus"))
@@ -240,9 +236,10 @@ def test_criterion_06_yukawa_violation_ball():
 
 
 def test_criterion_07_flavor_boundaries_agree():
-    r_saz = flavor_boundary_radius("sazdjian", G_UNIT, G_UNIT, 1.0, 1.0)
-    r_cra = flavor_boundary_radius("crater", G_UNIT, G_UNIT, 1.0, 1.0)
-    r_star = violation_radius(G_UNIT, G_UNIT, 1.0, 1.0)
+    pot = YukawaTanh(g1=G_UNIT, g2=G_UNIT, mu=1.0)
+    r_saz = flavor_boundary_radius("sazdjian", pot, 1.0)
+    r_cra = flavor_boundary_radius("crater", pot, 1.0)
+    r_star = violation_radius(pot, 1.0)
     gap = abs(r_saz - r_cra)
     off = max(abs(r_saz - r_star), abs(r_cra - r_star))
     _line(

@@ -286,6 +286,18 @@ def test_gauge_reduces_each_profile_once(tmp_path, monkeypatch):
     assert calls == {"equal_time_profile": 3, "densities": 3}
 
 
+def _run_config(tmp_path, command, override, timeout=None):
+    """A subprocess run of command on the defaults with override applied."""
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"schema": "tbdkit-config/1", **override}))
+    return subprocess.run(
+        [sys.executable, "-m", "tbdkit.cli", command, "--config", str(p), "--out", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )
+
+
 @pytest.mark.parametrize(
     "command, override, message",
     [
@@ -397,13 +409,7 @@ def test_gauge_reduces_each_profile_once(tmp_path, monkeypatch):
     ],
 )
 def test_unusable_config_exits_2_without_traceback(tmp_path, command, override, message):
-    p = tmp_path / "cfg.json"
-    p.write_text(json.dumps({"schema": "tbdkit-config/1", **override}))
-    proc = subprocess.run(
-        [sys.executable, "-m", "tbdkit.cli", command, "--config", str(p), "--out", str(tmp_path)],
-        capture_output=True,
-        text=True,
-    )
+    proc = _run_config(tmp_path, command, override)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
@@ -417,27 +423,44 @@ def test_unusable_config_exits_2_without_traceback(tmp_path, command, override, 
         (
             "kernel",
             {"potential": {"kind": "yukawa_tanh", "g1": 1e300, "g2": 1e300, "mu": 1.0}, "grid": {"n": 8, "L": 4.0}},
-            "g1 g2 / (4 pi |P0|) = inf is not a finite number",
+            "coupling product g1 g2 = inf is not a finite number",
         ),
-        ("radius", {"P0": 1e-300, "grid": {"n": 8, "L": 4.0}}, "total momentum must be timelike"),
+        ("radius", {"P0": 1e-300, "grid": {"n": 8, "L": 4.0}}, "P0 = 1e-300 must have a positive finite square"),
+        ("radius", {"P0": 1e200, "grid": {"n": 8, "L": 4.0}}, "P0 = 1e+200 must have a positive finite square"),
     ],
-    ids=["kernel_coupling_overflow", "radius_tiny_P0"],
+    ids=["kernel_coupling_overflow", "radius_tiny_P0", "radius_huge_P0"],
 )
 def test_overflowing_config_exits_2_without_hang_or_traceback(tmp_path, command, override, message):
-    # finite, well-typed values whose violation radius overflows: the
-    # first used to bisect [0, inf] forever, the second raised from e^{mu r}
+    # finite, well-typed values whose products overflow or underflow: the
+    # coupling used to be scanned into NaNs and then bisected over [0, inf]
+    # forever, P0^2 underflowed to 0 or raised OverflowError
+    proc = _run_config(tmp_path, command, override, timeout=60)
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"tbdkit {command}: invalid configuration: ")
+    assert message in lines[0]
+
+
+def test_radius_beyond_2_13_ends_without_hang_or_traceback(tmp_path):
+    # r* ~ 3.5e8, where adjacent doubles lie further apart than the
+    # bisection tolerance of 1e-12, which it used to approach forever
+    override = {"g1": 1e5, "g2": 1e5, "mu": 1e-9, "grid": {"n": 8, "L": 4.0}}
+    proc = _run_config(tmp_path, "radius", override, timeout=60)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("override", [{"mu": 0}, {"P0": 1e200}], ids=["mu_zero", "P0_huge"])
+def test_radius_checks_its_inputs_before_any_route(tmp_path, monkeypatch, capsys, override):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a radius route ran before its inputs were checked")
+
+    for route in ("violation_radius", "flavor_boundary_radius", "scan"):
+        monkeypatch.setattr(cli, route, must_not_run)
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"schema": "tbdkit-config/1", **override}))
-    proc = subprocess.run(
-        [sys.executable, "-m", "tbdkit.cli", command, "--config", str(p), "--out", str(tmp_path)],
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    last = proc.stderr.splitlines()[-1]
-    assert last.startswith(f"tbdkit {command}: invalid configuration: ") and message in last
+    assert main(["radius", "--config", str(p), "--out", str(tmp_path)]) == 2
+    assert "tbdkit radius: invalid configuration: " in capsys.readouterr().err
 
 
 def test_compat_rejects_non_numeric_tolerance_before_any_residual(tmp_path, monkeypatch, capsys):
@@ -542,19 +565,27 @@ def test_tbdkit_threads_overrides_inherited_thread_variable():
     assert proc.stdout.strip() == "1"
 
 
+def _default_artifacts(tmp_path, command, threads):
+    """Name -> bytes of every file a default run writes."""
+    out = tmp_path / f"threads{threads}"
+    proc = subprocess.run(
+        [sys.executable, "-m", "tbdkit.cli", command, "--out", str(out), "--quiet"],
+        capture_output=True,
+        text=True,
+        env=_env(TBDKIT_THREADS=threads),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
 def test_selfcheck_is_byte_identical_across_thread_counts(tmp_path):
-    reports = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"threads{threads}"
-        proc = subprocess.run(
-            [sys.executable, "-m", "tbdkit.cli", "selfcheck", "--out", str(out), "--quiet"],
-            capture_output=True,
-            text=True,
-            env=_env(TBDKIT_THREADS=threads),
-        )
-        assert proc.returncode == 0, proc.stderr
-        reports.append((out / "selfcheck.json").read_bytes())
-    assert reports[0] == reports[1]
+    assert _default_artifacts(tmp_path, "selfcheck", "1") == _default_artifacts(tmp_path, "selfcheck", "2")
+
+
+@pytest.mark.parametrize("command", ["claim1", "conserve", "kernel", "radius", "toy", "gauge"])
+def test_default_reports_are_byte_identical_across_thread_counts(tmp_path, command):
+    # kernel also writes kernel_min_eigenvalues.csv
+    assert _default_artifacts(tmp_path, command, "1") == _default_artifacts(tmp_path, command, "2")
 
 
 def test_runtime_imports_no_scipy(tmp_path):

@@ -55,7 +55,7 @@ def first_equation_state(system, p_spatial, which=0):
         system, P_REST, p_spatial, (-1.2, 0.5), equations="first"
     )
     p0, basis = roots[which]
-    return plane_wave_state(system, P_REST, p_spatial, p0, basis[:, 0], solves="first")
+    return plane_wave_state(P_REST, p_spatial, p0, basis[:, 0], solves="first")
 
 
 @pytest.fixture(scope="module")
@@ -75,10 +75,10 @@ def free_pair(gam):
     P = np.array([e1 + e2, 0.0, 0.0, 0.0])
     split = 0.5 * (e1 - e2)
     roots = plane_wave_solutions(free, P, (0.3, 0, 0), (split - 0.1, split + 0.1))
-    a = plane_wave_state(free, P, (0.3, 0, 0), roots[0][0], roots[0][1][:, 0])
+    a = plane_wave_state(P, (0.3, 0, 0), roots[0][0], roots[0][1][:, 0])
     Pb = np.array([MASSES.m1 + MASSES.m2, 0.0, 0.0, 0.0])
     roots_b = plane_wave_solutions(free, Pb, (0, 0, 0), (-0.25, 0.05))
-    b = plane_wave_state(free, Pb, (0, 0, 0), roots_b[0][0], roots_b[0][1][:, 0])
+    b = plane_wave_state(Pb, (0, 0, 0), roots_b[0][0], roots_b[0][1][:, 0])
     return free, a, b
 
 
@@ -183,9 +183,7 @@ def test_defect_consistency_relations(constant_v_system, state_pair):
 
 def test_defects_reject_non_solutions(constant_v_system, rng):
     u = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    bogus = plane_wave_state(
-        constant_v_system, P_REST, (0, 0, 0), 0.1, u, solves="first"
-    )
+    bogus = plane_wave_state(P_REST, (0, 0, 0), 0.1, u, solves="first")
     good = first_equation_state(constant_v_system, (0.0, 0.0, 0.0))
     with pytest.raises(ValueError):
         defects(constant_v_system, good, bogus)
@@ -198,9 +196,7 @@ def test_defects_reject_untagged_partial_solutions(constant_v_system):
         constant_v_system, P_REST, (0, 0, 0), (-1.2, 0.5), equations="first"
     )
     p0, basis = roots[0]
-    mislabeled = plane_wave_state(
-        constant_v_system, P_REST, (0, 0, 0), p0, basis[:, 0], solves="both"
-    )
+    mislabeled = plane_wave_state(P_REST, (0, 0, 0), p0, basis[:, 0], solves="both")
     good = first_equation_state(constant_v_system, (0.6, 0.0, 0.0))
     with pytest.raises(ValueError):
         defects(constant_v_system, mislabeled, good)

@@ -24,7 +24,6 @@ from tbdkit.potentials import (
     YukawaTanh,
     eval_dV_dP2,
     eval_V,
-    y_of,
 )
 from tbdkit.scalar_product import build_kernel
 
@@ -74,9 +73,7 @@ def test_h_rejects_unknown_branch():
 def test_violation_radius_omega_constant():
     # unit coupling, unit screening, unit energy: the radius is the
     # root of r e^r = 1
-    assert violation_radius(G_UNIT, G_UNIT, 1.0, 1.0) == pytest.approx(
-        OMEGA, abs=1e-9
-    )
+    assert violation_radius(YUKAWA, 1.0) == pytest.approx(OMEGA, abs=1e-9)
 
 
 def test_violation_radius_against_lambert_w(rng):
@@ -86,7 +83,7 @@ def test_violation_radius_against_lambert_w(rng):
         P0 = rng.uniform(0.3, 4.0)
         rhs = g1 * g2 / (FOUR_PI * abs(P0))
         expect = float(lambertw(mu * rhs).real) / mu
-        assert violation_radius(g1, g2, mu, P0) == pytest.approx(expect, abs=1e-10)
+        assert violation_radius(YukawaTanh(g1=g1, g2=g2, mu=mu), P0) == pytest.approx(expect, abs=1e-10)
 
 
 def test_violation_radius_solves_its_equation(rng):
@@ -94,43 +91,39 @@ def test_violation_radius_solves_its_equation(rng):
         g1, g2 = rng.uniform(0.5, 6.0, 2)
         mu = rng.uniform(0.1, 3.0)
         P0 = rng.uniform(0.3, 4.0)
-        r = violation_radius(g1, g2, mu, P0)
+        pot = YukawaTanh(g1=g1, g2=g2, mu=mu)
+        r = violation_radius(pot, P0)
         assert r * math.exp(mu * r) == pytest.approx(
             g1 * g2 / (FOUR_PI * abs(P0)), rel=1e-10
         )
         # the boundary radius is exactly the y = 1/2 locus
-        assert y_of(g1, g2, mu, P0, r) == pytest.approx(0.5, rel=1e-10)
+        assert pot.y(r, P0) == pytest.approx(0.5, rel=1e-10)
 
 
 @pytest.mark.parametrize("P0", [1e-300, 1e-307])
 def test_violation_radius_where_exp_overflows(P0):
     # bisection midpoints reach mu r > 709.78, where e^{mu r} overflows;
     # at P0 = 1e-307 the root itself lies past the switch to logarithms
-    r = violation_radius(G_UNIT, G_UNIT, 1.0, P0)
+    r = violation_radius(YUKAWA, P0)
     assert r == pytest.approx(float(lambertw(1.0 / P0).real), rel=1e-14)
     assert math.log(r) + r == pytest.approx(-math.log(P0), rel=1e-14)
 
 
-def test_violation_radius_unscreened_limit():
-    # mu = 0 collapses the equation to r = g1 g2 / (4 pi |P0|)
-    assert violation_radius(2.0, 3.0, 0.0, 1.5) == pytest.approx(
-        6.0 / (FOUR_PI * 1.5), rel=1e-14
-    )
-
-
 def test_violation_radius_repulsive_coupling_has_no_region():
-    assert violation_radius(1.0, -2.0, 1.0, 1.0) == 0.0
-    assert violation_radius(0.0, 2.0, 1.0, 1.0) == 0.0
+    for g1, g2 in ((1.0, -2.0), (0.0, 2.0)):
+        pot = YukawaTanh(g1=g1, g2=g2, mu=1.0)
+        assert violation_radius(pot, 1.0) == 0.0
+        assert flavor_boundary_radius("sazdjian", pot, 1.0) == 0.0
+        assert flavor_boundary_radius("crater", pot, 1.0) == 0.0
 
 
 def test_violation_radius_validation():
     with pytest.raises(ValueError):
-        violation_radius(1.0, 1.0, -0.5, 1.0)
-    with pytest.raises(ValueError):
-        violation_radius(1.0, 1.0, 1.0, 0.0)
-    # g1 g2 overflows to inf, which bisection would halve forever
+        violation_radius(YUKAWA, 0.0)
+    # a finite coupling over a subnormal |P0| overflows to inf, which
+    # bisection would halve forever
     with pytest.raises(ValueError, match="finite"):
-        violation_radius(1e300, 1e300, 1.0, 1.0)
+        violation_radius(YUKAWA, 5e-324)
 
 
 @settings(max_examples=30, deadline=None)
@@ -139,9 +132,9 @@ def test_violation_radius_validation():
     P0=st.floats(min_value=0.5, max_value=3.0),
 )
 def test_violation_radius_monotone_in_coupling_and_energy(scale, P0):
-    base = violation_radius(G_UNIT, G_UNIT, 1.0, P0)
-    stronger = violation_radius(scale * G_UNIT, G_UNIT, 1.0, P0)
-    faster = violation_radius(G_UNIT, G_UNIT, 1.0, scale * P0)
+    base = violation_radius(YUKAWA, P0)
+    stronger = violation_radius(YukawaTanh(g1=scale * G_UNIT, g2=G_UNIT, mu=1.0), P0)
+    faster = violation_radius(YUKAWA, scale * P0)
     assert stronger > base
     assert faster < base
 
@@ -156,17 +149,21 @@ def test_flavor_boundaries_coincide_with_analytic_radius():
         (2.0, 3.0, 0.7, 1.3),
         (4.0, 1.5, 2.0, 0.6),
         (G_UNIT, G_UNIT, 1.0, 1e-300),  # e^{-mu r} underflows while bracketing
+        # r* ~ 1e4: past 2^13 adjacent doubles are further apart than the
+        # bisection tolerance of 1e-12
+        (1.0, 1.0, 1e-9, 1.0 / (FOUR_PI * 1e4)),
     ):
-        r_star = violation_radius(g1, g2, mu, P0)
-        r_saz = flavor_boundary_radius("sazdjian", g1, g2, mu, P0)
-        r_cra = flavor_boundary_radius("crater", g1, g2, mu, P0)
+        pot = YukawaTanh(g1=g1, g2=g2, mu=mu)
+        r_star = violation_radius(pot, P0)
+        r_saz = flavor_boundary_radius("sazdjian", pot, P0)
+        r_cra = flavor_boundary_radius("crater", pot, P0)
         assert abs(r_saz - r_cra) < 1e-9
         assert abs(r_saz - r_star) < 1e-9
 
 
 def test_flavor_boundary_rejects_unknown_flavor():
     with pytest.raises(ValueError):
-        flavor_boundary_radius("free", G_UNIT, G_UNIT, 1.0, 1.0)
+        flavor_boundary_radius("free", YUKAWA, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +243,7 @@ def test_eigenvalue_map_agrees_with_h_branch():
     emap = min_eigenvalue_map("sazdjian", YUKAWA, 1.0, grid)
     radius = np.sqrt(grid.radius_sq)
     for idx in ((0, 0, 0), (3, 4, 5), (4, 4, 4), (7, 1, 2)):
-        y = y_of(G_UNIT, G_UNIT, 1.0, 1.0, float(radius[idx]))
+        y = YUKAWA.y(float(radius[idx]), 1.0)
         assert emap[idx] == pytest.approx(h_function(y, "minus"), abs=1e-12)
 
 

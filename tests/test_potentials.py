@@ -26,7 +26,6 @@ from tbdkit.potentials import (
     eval_dV_dP2,
     eval_dV_dxperp_sq,
     eval_V,
-    y_of,
 )
 from tbdkit.scalar_product import build_kernel
 
@@ -249,6 +248,13 @@ def test_yukawa_requires_positive_mu():
         YukawaTanh(g1=1.0, g2=1.0, mu=-1.0)
 
 
+def test_yukawa_rejects_overflowing_coupling():
+    # g1 g2 overflows to inf, which the violation-radius bisection would
+    # halve forever
+    with pytest.raises(ValueError, match="finite"):
+        YukawaTanh(g1=1e300, g2=1e300, mu=1.0)
+
+
 def test_gaussian_requires_positive_width():
     with pytest.raises(ValueError):
         GaussianG(amplitude=1.0, width=0.0)
@@ -266,32 +272,17 @@ def test_constant_g_flat():
     assert g.derivative(3.0) == 0.0
 
 
-def test_y_of_matches_formula():
-    y = y_of(2.0, 3.0, 0.5, 4.0, 1.5)
+def test_yukawa_y_matches_formula():
+    y = YukawaTanh(g1=2.0, g2=3.0, mu=0.5).y(1.5, 4.0)
     expect = (6.0 / FOUR_PI) * math.exp(-0.75) / (2.0 * 4.0 * 1.5)
     assert y == pytest.approx(expect, rel=1e-15)
 
 
-def test_y_of_is_half_at_omega_radius():
+def test_yukawa_y_is_half_at_omega_radius():
     # with unit couplings g1 g2 = 4 pi, mu = 1, P0 = 1 the y = 1/2
     # radius is the omega constant, root of r e^r = 1
     omega = float(lambertw(1.0).real)
-    y = y_of(math.sqrt(FOUR_PI), math.sqrt(FOUR_PI), 1.0, 1.0, omega)
-    assert y == pytest.approx(0.5, abs=1e-15)
-
-
-def test_y_of_validation():
-    with pytest.raises(ValueError):
-        y_of(1.0, 1.0, 1.0, 2.0, 0.0)
-    with pytest.raises(ValueError):
-        y_of(1.0, 1.0, 1.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        y_of(1.0, -1.0, 1.0, 2.0, 1.0)
-
-
-def test_y_of_accepts_zero_screening():
-    y = y_of(math.sqrt(FOUR_PI), math.sqrt(FOUR_PI), 0.0, 1.0, 2.0)
-    assert y == pytest.approx(0.25, rel=1e-15)
+    assert YUKAWA.y(omega, 1.0) == pytest.approx(0.5, abs=1e-15)
 
 
 @settings(max_examples=50, deadline=None)
