@@ -285,6 +285,23 @@ def test_yukawa_y_is_half_at_omega_radius():
     assert YUKAWA.y(omega, 1.0) == pytest.approx(0.5, abs=1e-15)
 
 
+def test_y_of_validation():
+    # the coupling y is computed from is checked once, when the
+    # potential is built
+    with pytest.raises(ValueError):
+        YukawaTanh(g1=1.0, g2=1.0, mu=0.0)
+    with pytest.raises(ValueError, match="finite"):
+        YukawaTanh(g1=1e300, g2=-1e300, mu=1.0)
+    # a repulsive coupling is a valid potential whose y is negative at
+    # every radius, so it never reaches the violation value 1/2
+    repulsive = YukawaTanh(g1=1.0, g2=-1.0, mu=1.0)
+    assert repulsive.y(1.0, 2.0) == pytest.approx(
+        -math.exp(-1.0) / (4.0 * FOUR_PI), rel=1e-15
+    )
+    for r in (1e-12, 0.5, 50.0):
+        assert repulsive.y(r, 2.0) < 0.0
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     xps=st.floats(min_value=-9.0, max_value=-0.01),
