@@ -77,7 +77,13 @@ from .potentials import (  # noqa: E402
 )
 from .serialize import write_csv, write_json  # noqa: E402
 from .spinor_algebra import build_gammas, lift1, lift2  # noqa: E402
-from .toy_model import a_product, evolve, norm_along_evolution, positivity_breakdown_search  # noqa: E402
+from .toy_model import (  # noqa: E402
+    a_product,
+    evolve,
+    norm_along_evolution,
+    positivity_breakdown_search,
+    sweep_samples,
+)
 
 SCHEMA = "tbdkit-config/1"
 REPORT_SCHEMA = "tbdkit-report/1"
@@ -452,10 +458,7 @@ def run_toy(cfg):
     closed_vs_direct = abs(
         norm_along_evolution(1.0, 0.25j, t) - a_product(evolve((1, 0.25j), t), evolve((1, 0.25j), t)).real
     )
-    rhos = np.linspace(0.0, 0.99, n_rho)
-    phis = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
-    samples = [(1.0, rho * np.exp(1j * phi)) for rho in rhos for phi in phis]
-    sweep = positivity_breakdown_search(samples)
+    sweep = positivity_breakdown_search(sweep_samples(n_rho, n_phi))
     values_exact = all(val == expect for val, expect in checks.values())
     report = {
         "values": {k: v[0] for k, v in checks.items()},

@@ -227,12 +227,15 @@ class TwoBodyDiracSystem:
 _AXES = (-3, -2, -1)  # the spatial axes of a (4, 4, n, n, n) field
 
 
-def _fft(x):
-    return np.fft.fftn(x, axes=_AXES)
+# numpy allocates a fresh output on each axis pass of fftn unless it is
+# given one: every transform gets an out, a new array or (for a complex
+# temporary) its own input, which transforms it in place.
+def _fft(x, out=None):
+    return np.fft.fftn(x, axes=_AXES, out=np.empty(x.shape, complex) if out is None else out)
 
 
-def _ifft(x):
-    return np.fft.ifftn(x, axes=_AXES)
+def _ifft(x, out=None):
+    return np.fft.ifftn(x, axes=_AXES, out=np.empty(x.shape, complex) if out is None else out)
 
 
 def _potential_on_grid(system: TwoBodyDiracSystem, field: InternalField):
@@ -296,8 +299,12 @@ def _D_spectrum(system: TwoBodyDiracSystem, which: int, p1_0, p2_0, table, F_chi
     m1, m2 = system.masses.m1, system.masses.m2
     g = system.gammas
     if which == 1:
-        return _kinetic(g, 1, p1_0, F_chi, table, -m1) + _kinetic(g, 2, p2_0, F_Vchi, table, -m2)
-    return _kinetic(g, 2, p2_0, F_chi, table, m2) + _kinetic(g, 1, p1_0, F_Vchi, table, m1)
+        out = _kinetic(g, 1, p1_0, F_chi, table, -m1)
+        out += _kinetic(g, 2, p2_0, F_Vchi, table, -m2)
+    else:
+        out = _kinetic(g, 2, p2_0, F_chi, table, m2)
+        out += _kinetic(g, 1, p1_0, F_Vchi, table, m1)
+    return out
 
 
 def _apply_D(system: TwoBodyDiracSystem, fld: InternalField, which: int) -> InternalField:
@@ -307,8 +314,9 @@ def _apply_D(system: TwoBodyDiracSystem, fld: InternalField, which: int) -> Inte
     out_modes = []
     for p0, chi in fld.modes:
         chi4 = chi.reshape(4, 4, *chi.shape[1:])
-        spec = _D_spectrum(system, which, P0 / 2 + p0, P0 / 2 - p0, table, _fft(chi4), _fft(V * chi4))
-        out_modes.append((p0, _ifft(spec).reshape(chi.shape)))
+        Vchi = V * chi4
+        spec = _D_spectrum(system, which, P0 / 2 + p0, P0 / 2 - p0, table, _fft(chi4), _fft(Vchi, out=Vchi))
+        out_modes.append((p0, _ifft(spec, out=spec).reshape(chi.shape)))
     return replace(fld, modes=tuple(out_modes))
 
 
@@ -445,26 +453,28 @@ def compatibility_residual(
         chi4 = chi.reshape(4, 4, *chi.shape[1:])
         F_chi = _fft(chi4)
         _band_limit_guard(F_chi, mask)
-        F_Vchi = _fft(V * chi4)
+        Vchi = V * chi4
+        F_Vchi = _fft(Vchi, out=Vchi)
         s1 = _D_spectrum(system, 1, p1_0, p2_0, table, F_chi, F_Vchi)
         s2 = _D_spectrum(system, 2, p1_0, p2_0, table, F_chi, F_Vchi)
-        del F_chi, F_Vchi
+        del F_chi, F_Vchi, Vchi
         d1, d2 = _ifft(s1), _ifft(s2)
-        F_Vd1, F_Vd2 = _fft(V * d1), _fft(V * d2)
-        lhs = (
-            _kinetic(g, 1, p1_0, s2 - F_Vd1, table)
-            + _kinetic(g, 2, p2_0, F_Vd2 - s1, table)
-            - m1 * (s2 + F_Vd1)
-            - m2 * (F_Vd2 + s1)
-        )
+        Vd1, Vd2 = V * d1, V * d2
+        F_Vd1, F_Vd2 = _fft(Vd1, out=Vd1), _fft(Vd2, out=Vd2)
+        lhs = _kinetic(g, 1, p1_0, s2 - F_Vd1, table)
+        lhs += _kinetic(g, 2, p2_0, F_Vd2 - s1, table)
+        lhs -= m1 * (s2 + F_Vd1)
+        lhs -= m2 * (F_Vd2 + s1)
         if commutator_realization == "analytic":
             # lhs - rhs with rhs = -[K_1, V] d_1 + [K_2, V] d_2
-            diff = _apply_rows(commutator, d2, 2, _apply_rows(commutator, d1, 1, _ifft(lhs)))
+            diff = _apply_rows(commutator, d2, 2, _apply_rows(commutator, d1, 1, _ifft(lhs, out=lhs)))
         else:
             lhs += _kinetic(g, 1, p1_0, F_Vd1, table)
             lhs -= _kinetic(g, 2, p2_0, F_Vd2, table)
-            diff = _ifft(lhs)
-            diff -= V * _ifft(_kinetic(g, 1, p1_0, s1, table) - _kinetic(g, 2, p2_0, s2, table))
+            diff = _ifft(lhs, out=lhs)
+            kin = _kinetic(g, 1, p1_0, s1, table)
+            kin -= _kinetic(g, 2, p2_0, s2, table)
+            diff -= V * _ifft(kin, out=kin)
         total += np.sum(np.abs(diff) ** 2)
     return float(np.sqrt(total * grid.h**3)) / fld.norm()
 

@@ -68,7 +68,13 @@ def scan(
     argmin_P2 = P2_values[0]
     violations = []
     for P2 in P2_values:
-        eigs = min_eigenvalue_map(flavor, potential, P2, grid)
+        # an overflow in the potential either drops out of the eigenvalue
+        # (1/cosh^2 of an overflowed cosh is 0) or leaves it non-finite,
+        # which is rejected below with its P^2; numpy's warnings add nothing
+        with np.errstate(over="ignore", invalid="ignore"):
+            eigs = min_eigenvalue_map(flavor, potential, P2, grid)
+        if not np.all(np.isfinite(eigs)):
+            raise ValueError(f"the form eigenvalue is not finite at every grid point for P^2 = {P2!r}")
         idx = np.unravel_index(np.argmin(eigs), eigs.shape)
         if eigs[idx] < min_eig:
             min_eig = float(eigs[idx])

@@ -205,7 +205,11 @@ class YukawaTanh(Potential):
         return -self.core(self._radius(xps)) / np.sqrt(P_sq)
 
     def ddelta_dP2(self, xps, P_sq):
-        return 0.5 * self.core(self._radius(xps)) * P_sq ** (-1.5)
+        try:
+            scale = P_sq ** (-1.5)
+        except OverflowError:  # a Python float or complex P_sq raises where numpy gives inf
+            raise ValueError(f"P^2 = {P_sq!r} is too small: P^2 ** -1.5 overflows") from None
+        return 0.5 * self.core(self._radius(xps)) * scale
 
 
 def _evaluate(formula, spec, x_perp_sq, P_sq):

@@ -10,6 +10,9 @@ something to serialize quietly.
 
 CSV tables are passed as numpy columns, and each distinct value of a
 column is formatted once: same bytes as cell by cell, far fewer calls.
+The last column's distinct texts carry the row terminator, so each row
+is one ",".join over shared strings, and the rows are streamed to the
+file rather than joined into one string.
 """
 
 from __future__ import annotations
@@ -67,19 +70,20 @@ def write_json(path, obj):
         fh.write("\n")
 
 
-def _column_text(col) -> list:
-    """The text of every cell of one CSV column, each distinct value
-    formatted once and shared by all the cells that hold it."""
+def _column_text(col, end: str = "") -> list:
+    """The text of every cell of one CSV column followed by end, each
+    distinct value formatted once and shared by all the cells that hold
+    it."""
     col = np.asarray(col)
     if col.ndim != 1:
         raise ValueError(f"CSV columns must be 1-D, got shape {col.shape}")
     if col.dtype.kind == "f":
         # Keyed on the bit pattern so that -0.0 and 0.0 stay apart.
         bits, inverse = np.unique(col.astype(np.float64, copy=False).view(np.int64), return_inverse=True)
-        distinct = [_format_float(x) for x in bits.view(np.float64).tolist()]
+        distinct = [_format_float(x) + end for x in bits.view(np.float64).tolist()]
     elif col.dtype.kind in "biu":
         values, inverse = np.unique(col, return_inverse=True)
-        distinct = [str(v).lower() for v in values.tolist()]  # True -> "true"
+        distinct = [str(v).lower() + end for v in values.tolist()]  # True -> "true"
     else:
         raise TypeError(f"CSV columns must be bool, integer or float, got {col.dtype}")
     return np.array(distinct, dtype=object)[inverse].tolist()
@@ -92,10 +96,9 @@ def write_csv(path, header, columns):
     Complex columns must be split into re/im pairs by the caller."""
     if len(columns) != len(header):
         raise ValueError(f"{len(columns)} columns for a header of {len(header)}")
-    cells = [_column_text(c) for c in columns]
+    cells = [_column_text(c, "\n" if i == len(columns) - 1 else "") for i, c in enumerate(columns)]
     if len({len(c) for c in cells}) > 1:
         raise ValueError(f"CSV columns differ in length: {[len(c) for c in cells]}")
-    row = ",".join(["%s"] * len(header)) + "\n"
     with open(path, "w", encoding="ascii", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(map(row.__mod__, zip(*cells)))
+        fh.writelines(map(",".join, zip(*cells)))

@@ -6,7 +6,9 @@ B = [[0, i], [-i, 0]]. Restricting to the cone of positive-norm vectors
 does not survive the dynamics: no initial datum with |a| > |b| keeps a
 positive norm at both quarter-period times t = pi/4 and t = 3 pi/4,
 because those two values are +-2 Re(conj(a) b) with opposite signs.
-positivity_breakdown_search demonstrates this exhaustively.
+positivity_breakdown_search demonstrates this on a fixed (rho, phi) grid
+of initial data (1, rho e^{i phi}), built by sweep_samples, and checks
+the whole grid in array operations.
 """
 
 from __future__ import annotations
@@ -50,6 +52,16 @@ class BreakdownReport:
     witness: tuple | None  # a sample failing at the quarter periods, for the record
 
 
+def sweep_samples(n_rho: int, n_phi: int) -> np.ndarray:
+    """The (rho, phi) sweep as an (n_rho n_phi, 2) array of initial data
+    (1, rho e^{i phi}): n_rho radii evenly from 0 to 0.99, n_phi angles
+    evenly over [0, 2 pi), rho-major."""
+    rhos = np.linspace(0.0, 0.99, n_rho)
+    phis = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
+    b = (rhos[:, None] * np.exp(1j * phis)).ravel()
+    return np.stack([np.ones_like(b), b], axis=1)
+
+
 def positivity_breakdown_search(samples=None) -> BreakdownReport:
     """Sweep initial data (a, b) with |a| > |b| and test positivity of
     the evolved norm at t = pi/4 and t = 3 pi/4.
@@ -60,29 +72,30 @@ def positivity_breakdown_search(samples=None) -> BreakdownReport:
     floating point would leave a spurious residue of the first term).
     Positivity at both times would need Re(conj(a) b) to be positive
     and negative at once, so the survivor count is zero; the report
-    carries the first recorded non-survivor as a witness.
+    carries the first non-survivor as a witness.
+
+    samples is a sequence of (a, b) pairs or an (m, 2) array, by default
+    the 100 x 100 sweep_samples grid; all of it is evaluated at once.
     """
-    if samples is None:
-        rhos = np.linspace(0.0, 0.99, 100)
-        phis = np.linspace(0.0, 2.0 * np.pi, 100, endpoint=False)
-        samples = [(1.0, rho * np.exp(1j * phi)) for rho in rhos for phi in phis]
-    survivors = 0
-    positive_initially = 0
+    samples = sweep_samples(100, 100) if samples is None else samples
+    ab = np.asarray(samples, dtype=complex).reshape(len(samples), 2)
+    a, b = ab[:, 0], ab[:, 1]
+    if not np.all(np.abs(a) > np.abs(b)):
+        raise ValueError("samples must satisfy |a| > |b|")
+    # Re(conj(a) b), spelled out in the operation order of Python's
+    # complex product; numpy's complex multiply can differ in the last bit
+    re_ab = a.real * b.real + a.imag * b.imag
+    at_quarter = 2.0 * re_ab
+    at_three_quarters = -2.0 * re_ab
+    survives = (at_quarter > 0) & (at_three_quarters > 0)
+    failing = np.flatnonzero(~survives)
     witness = None
-    for a, b in samples:
-        if not abs(a) > abs(b):
-            raise ValueError("samples must satisfy |a| > |b|")
-        positive_initially += 1  # |a| > |b| puts (a, b) in the positive cone
-        re_ab = (complex(a).conjugate() * complex(b)).real
-        at_quarter = 2.0 * re_ab
-        at_three_quarters = -2.0 * re_ab
-        if at_quarter > 0 and at_three_quarters > 0:
-            survivors += 1
-        elif witness is None:
-            witness = (complex(a), complex(b), at_quarter, at_three_quarters)
+    if failing.size:
+        i = failing[0]
+        witness = (complex(a[i]), complex(b[i]), float(at_quarter[i]), float(at_three_quarters[i]))
     return BreakdownReport(
-        n_samples=len(samples),
-        n_positive_initially=positive_initially,
-        n_survivors=survivors,
+        n_samples=len(ab),
+        n_positive_initially=len(ab),  # |a| > |b| puts every (a, b) in the positive cone
+        n_survivors=int(np.count_nonzero(survives)),
         witness=witness,
     )

@@ -427,8 +427,14 @@ def test_unusable_config_exits_2_without_traceback(tmp_path, command, override, 
         ),
         ("radius", {"P0": 1e-300, "grid": {"n": 8, "L": 4.0}}, "P0 = 1e-300 must have a positive finite square"),
         ("radius", {"P0": 1e200, "grid": {"n": 8, "L": 4.0}}, "P0 = 1e+200 must have a positive finite square"),
+        ("radius", {"P0": -4.5e-120, "grid": {"n": 8, "L": 4.0}}, "P^2 = 2.025e-239 is too small"),
+        (
+            "radius",
+            {"g1": 27.4, "g2": 1.02e184, "mu": 147.5, "P0": 1.287e154, "grid": {"n": 8, "L": 4.0}},
+            "not finite at every grid point for P^2 = 1.6563689999999999e+308",
+        ),
     ],
-    ids=["kernel_coupling_overflow", "radius_tiny_P0", "radius_huge_P0"],
+    ids=["kernel_coupling_overflow", "radius_tiny_P0", "radius_huge_P0", "radius_P2_pow_overflow", "radius_inf_form"],
 )
 def test_overflowing_config_exits_2_without_hang_or_traceback(tmp_path, command, override, message):
     # finite, well-typed values whose products overflow or underflow: the

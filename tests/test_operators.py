@@ -407,6 +407,21 @@ def test_compatibility_residual_transform_and_potential_counts(monkeypatch, real
     assert calls == {"fft": per_mode * 3, "eval_V": 1}
 
 
+def test_operators_leave_the_input_field_unchanged():
+    # the transforms run in place on temporaries, never on the field's modes
+    system = TwoBodyDiracSystem(MASSES, BUMP, build_gammas("dirac"))
+    fld = random_band_limited_field(P_REST, Grid(n=8, L=10.5), np.random.default_rng(62))
+    before = [chi.copy() for _, chi in fld.modes]
+    for run in (
+        lambda: compatibility_residual(system, fld, "analytic"),
+        lambda: compatibility_residual(system, fld, "composed"),
+        lambda: apply_D1(system, fld),
+        lambda: apply_D2(system, fld),
+    ):
+        run()
+        assert all(chi.tobytes() == old.tobytes() for (_, chi), old in zip(fld.modes, before))
+
+
 def test_compatibility_warns_on_spectrally_full_field():
     system = TwoBodyDiracSystem(MASSES, BUMP, build_gammas("dirac"))
     grid = Grid(n=8, L=6.0)

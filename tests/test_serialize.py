@@ -1,11 +1,13 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from tbdkit import cli
 from tbdkit.serialize import canonical_json, write_csv, write_json
 
 
@@ -156,3 +158,21 @@ def test_write_csv_matches_cell_by_cell_reference(tmp_path, reference_csv, colum
     write_csv(p, header, columns)
     rows = list(zip(*columns))
     assert p.read_bytes() == reference_csv(header, rows).encode("ascii")
+
+
+def test_write_csv_streams_the_default_kernel_table(tmp_path):
+    # rows go to the file one by one: the peak allocation stays near the
+    # shared cell strings (about twice the file), where one joined string
+    # of the file would add another file's worth
+    _, extras = cli.run_kernel(cli.load_config("kernel", None))
+    header, columns = extras["kernel_min_eigenvalues.csv"]
+    p = tmp_path / "kernel_min_eigenvalues.csv"
+    tracemalloc.start()
+    try:
+        write_csv(p, header, columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = p.stat().st_size
+    assert size > 1_000_000  # the n = 32 table
+    assert peak < 2.5 * size

@@ -12,6 +12,7 @@ from tbdkit.toy_model import (
     evolve,
     norm_along_evolution,
     positivity_breakdown_search,
+    sweep_samples,
 )
 
 bounded_complex = st.builds(
@@ -113,3 +114,55 @@ def test_quarter_period_values_are_opposite():
         # and they agree with the closed form at the exact angles up to
         # the floating residue of cos^2 - sin^2 at pi/4
         assert norm_along_evolution(a, b, math.pi / 4.0) == pytest.approx(q1, abs=1e-15)
+
+
+def _loop_search(samples):
+    """The sample-by-sample sweep the array version replaced, kept as
+    its oracle."""
+    survivors = 0
+    witness = None
+    for a, b in samples:
+        if not abs(a) > abs(b):
+            raise ValueError("samples must satisfy |a| > |b|")
+        re_ab = (complex(a).conjugate() * complex(b)).real
+        at_quarter = 2.0 * re_ab
+        at_three_quarters = -2.0 * re_ab
+        if at_quarter > 0 and at_three_quarters > 0:
+            survivors += 1
+        elif witness is None:
+            witness = (complex(a), complex(b), at_quarter, at_three_quarters)
+    return BreakdownReport(len(samples), len(samples), survivors, witness)
+
+
+def _bits(report):
+    """A report with every witness number as its exact bits, so that
+    -0.0 and 0.0 compare unequal."""
+    if report.witness is None:
+        return report
+    a, b, q1, q3 = report.witness
+    witness = (a.real.hex(), a.imag.hex(), b.real.hex(), b.imag.hex(), q1.hex(), q3.hex())
+    return BreakdownReport(report.n_samples, report.n_positive_initially, report.n_survivors, witness)
+
+
+_pairs = st.lists(st.tuples(st.one_of(st.just(1.0), bounded_complex), bounded_complex), max_size=30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs=_pairs)
+def test_breakdown_search_matches_the_sample_loop(pairs):
+    valid = [(a, b) for a, b in pairs if abs(a) > abs(b)]
+    assert _bits(positivity_breakdown_search(valid)) == _bits(_loop_search(valid))
+    if len(valid) < len(pairs):
+        with pytest.raises(ValueError):
+            positivity_breakdown_search(pairs)
+
+
+@pytest.mark.parametrize("n_rho, n_phi", [(7, 13), (1, 1), (100, 100)])
+def test_sweep_grid_matches_the_sample_loop(n_rho, n_phi):
+    rhos = np.linspace(0.0, 0.99, n_rho)
+    phis = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
+    listed = [(1.0, rho * np.exp(1j * phi)) for rho in rhos for phi in phis]
+    grid = sweep_samples(n_rho, n_phi)
+    assert grid.shape == (n_rho * n_phi, 2)
+    assert grid.tobytes() == np.array(listed, dtype=complex).tobytes()
+    assert _bits(positivity_breakdown_search(grid)) == _bits(_loop_search(listed))
