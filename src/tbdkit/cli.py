@@ -34,6 +34,7 @@ import functools  # noqa: E402
 import json  # noqa: E402
 import math  # noqa: E402
 import sys  # noqa: E402
+import warnings  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -61,7 +62,6 @@ from .operators import (  # noqa: E402
 from .positivity import (  # noqa: E402
     empirical_boundary_consistent,
     flavor_boundary_radius,
-    min_eigenvalue_map,
     scan,
     violation_radius,
 )
@@ -408,7 +408,7 @@ def run_kernel(cfg):
         "expect_positive": cfg["expect_positive"],
         "passed": bool(rep.passed == cfg["expect_positive"]),
     }
-    eigmap = min_eigenvalue_map(cfg["flavor"], pot, rep.argmin_P2, grid)
+    eigmap = rep.argmin_map
     columns = (*np.indices(eigmap.shape).reshape(3, -1), np.sqrt(grid.radius_sq).ravel(), eigmap.ravel())
     extras = {"kernel_min_eigenvalues.csv": (("i", "j", "k", "r", "min_eigenvalue"), columns)}
     return report, extras
@@ -483,9 +483,7 @@ def run_gauge(cfg):
     rng = np.random.default_rng(cfg["seed"])
     P = np.array([cfg["P0"], 0.0, 0.0, 0.0])
     fld = random_band_limited_field(P, grid, rng)
-    tol = cfg["tolerance"]
-    rel = gauge_check(system, fld, "relative_only", c=cfg["c"], flavor=cfg["flavor"], tol=tol)
-    tot = gauge_check(system, fld, "total_dependent", a=cfg["a"], flavor=cfg["flavor"], tol=tol)
+    rel, tot = gauge_check(system, fld, cfg["c"], cfg["a"], flavor=cfg["flavor"], tol=cfg["tolerance"])
     report = {
         "relative_only": rel,
         "total_dependent": tot,
@@ -638,23 +636,29 @@ def main(argv=None) -> int:
     except (ConfigError, OSError) as e:
         print(f"tbdkit {args.command}: config error: {e}", file=sys.stderr)
         return 2
-    try:
-        report, extras = _RUNNERS[args.command](cfg)
-    except (ConfigError, ValueError) as e:
-        print(f"tbdkit {args.command}: invalid configuration: {e}", file=sys.stderr)
-        return 2
-    full = {
-        "schema": REPORT_SCHEMA,
-        "command": args.command,
-        "config": cfg,
-        "report": report,
-        "passed": report["passed"],
-    }
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_json(out / f"{args.command}.json", full)
-    for fname, (header, columns) in extras.items():
-        write_csv(out / fname, header, columns)
+    # A config that ends in exit 2 prints one line: the warnings of its
+    # run are shown only if the run writes its report.
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            report, extras = _RUNNERS[args.command](cfg)
+            full = {
+                "schema": REPORT_SCHEMA,
+                "command": args.command,
+                "config": cfg,
+                "report": report,
+                "passed": report["passed"],
+            }
+            out.mkdir(parents=True, exist_ok=True)
+            # a non-finite number in the report raises here, before the file opens
+            write_json(out / f"{args.command}.json", full)
+            for fname, (header, columns) in extras.items():
+                write_csv(out / fname, header, columns)
+        except (ConfigError, ValueError) as e:
+            print(f"tbdkit {args.command}: invalid configuration: {e}", file=sys.stderr)
+            return 2
+    for w in caught:
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
     if not args.quiet:
         status = "PASS" if report["passed"] else "FAIL"
         print(f"tbdkit {args.command}: {status} (report: {out / (args.command + '.json')})")

@@ -18,6 +18,12 @@ the completion that switches off with the interaction; both conserve.
 
 The iepsilon regulator is kept finite and the zero limit taken by
 polynomial extrapolation over a decreasing epsilon sequence.
+
+The gauge checks certify both restricted phases in one pass
+(gauge_check): the kernel at P, the field's equal-time profile and its
+densities are built once; a relative phase must leave the norm
+invariant, and a total-momentum phase shifts it by the kernel rebuilt at
+P + a.
 """
 
 from __future__ import annotations
@@ -26,10 +32,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .kinematics import FourVector, as_four_vector, minkowski_sq
+from .kinematics import FourVector, as_four_vector, check_rest_frame, minkowski_sq
 from .operators import InternalField, PlaneWaveState, TwoBodyDiracSystem, state_residuals
 from .potentials import eval_V
-from .scalar_product import build_kernel, check_domain, densities, equal_time_profile, form_value
+from .scalar_product import build_kernel, densities, equal_time_profile, form_value
 from .spinor_algebra import GammaSet, gamma0_pair, lift2, slash2
 
 __all__ = [
@@ -81,7 +87,7 @@ class PlaneWaveCurrent:
 
 @dataclass(frozen=True)
 class DefectFields:
-    """Divergence defects of the free current: coefficients of
+    """Divergence defects of the free current j_free: coefficients of
     F1^nu = d_{1 mu} j^{mu nu}, F2^mu = d_{2 nu} j^{mu nu} and the
     double divergence F, all on the same phase as the current."""
 
@@ -90,6 +96,7 @@ class DefectFields:
     f: complex
     k1: FourVector
     k2: FourVector
+    j_free: PlaneWaveCurrent
 
 
 def _ubar(gammas: GammaSet, state: PlaneWaveState):
@@ -176,7 +183,7 @@ def defects(system: TwoBodyDiracSystem, state_a: PlaneWaveState, state_b: PlaneW
     f1 = divergence1(j)
     f2 = divergence2(j)
     f = complex(-_lower(j.k1) @ j.J @ _lower(j.k2))
-    return DefectFields(f1=f1, f2=f2, f=f, k1=j.k1, k2=j.k2)
+    return DefectFields(f1=f1, f2=f2, f=f, k1=j.k1, k2=j.k2, j_free=j)
 
 
 def green_multiplier(k, epsilon: float, choice: str = "advanced") -> complex:
@@ -254,10 +261,9 @@ def conservation_sweep(
     """Evaluate the completed current j_int = j_free + j_add over an
     epsilon sequence and extrapolate its divergences to epsilon = 0."""
     dfs = defects(system, state_a, state_b)
-    jf = j_free_current(system.gammas, state_a, state_b)
     div1s, div2s, r1s, r2s = [], [], [], []
     for eps in epsilons:
-        j_int = jf + j_add(dfs, green_choice, eps)
+        j_int = dfs.j_free + j_add(dfs, green_choice, eps)
         d1 = divergence1(j_int)
         d2 = divergence2(j_int)
         div1s.append(d1)
@@ -328,99 +334,77 @@ def _transform_relative(fld: InternalField, c) -> InternalField:
     return replace(fld, modes=modes)
 
 
-def _transform_total(fld: InternalField, a) -> InternalField:
-    """psi -> e^{-i a.X} psi: shifts the total momentum eigenvalue."""
-    return replace(fld, P=fld.P + as_four_vector(a))
-
-
 def gauge_check(
     system: TwoBodyDiracSystem,
     fld: InternalField,
-    theta_kind: str,
-    c=None,
-    a=None,
+    c,
+    a,
     flavor: str = "sazdjian",
     tol: float = 1e-10,
-) -> GaugeReport:
-    """Effect of a restricted gauge phase on the interacting norm.
+) -> tuple[GaugeReport, GaugeReport]:
+    """Effect of the two restricted gauge phases on the interacting norm,
+    as the reports (relative_only, total_dependent).
 
-    theta_kind="relative_only": theta depends on the relative coordinate
-    alone. The total momentum eigenvalue is untouched and the norm
-    kernel value must be invariant (the phase cancels pointwise inside
-    the sesquilinear form). Each of the two profiles is reduced once to
-    its densities rho, sigma (see scalar_product), and the reported
-    difference is the pointwise sum h^3 sum_x [A (rho' - rho) +
-    B (sigma' - sigma)]; it can differ from value_after - value_before
-    by about one ulp of the values.
+    The kernel at P, the field's equal-time profile and its densities
+    rho, sigma (see scalar_product) are built once and serve both phases.
+    P + a is checked to be a rest-frame momentum before anything is
+    built.
 
-    theta_kind="total_dependent": theta = a.X. The total momentum shifts
-    to P + a, and with a P^2-dependent potential the kernel genuinely
-    changes; the report compares the change observed through the
-    transformation against kernel(P + a) - kernel(P) recomputed
-    directly. The transformation leaves the profile as it is, so one
-    profile's densities serve all three kernels.
+    relative_only: theta = c.x depends on the relative coordinate alone.
+    P is untouched and the norm must be invariant (the phase cancels
+    pointwise inside the sesquilinear form). The transformed profile is
+    reduced to its own densities, and the reported difference is the
+    pointwise sum h^3 sum_x [A (rho' - rho) + B (sigma' - sigma)]; it can
+    differ from value_after - value_before by about one ulp of the
+    values.
+
+    total_dependent: theta = a.X shifts the total momentum to P + a and
+    leaves the profile as it is, so the kernel rebuilt at P + a is read
+    on the same densities; with a P^2-dependent potential the value
+    genuinely changes. independent_difference rebuilds that kernel a
+    second time at the same P^2, so it repeats the main route and its
+    agreement cannot fail (ROADMAP item 2).
     """
+    P_after = check_rest_frame(fld.P + as_four_vector(a))
     kernel_before = build_kernel(flavor, system.potential, minkowski_sq(fld.P), fld.grid)
-
-    if theta_kind == "relative_only":
-        if c is None:
-            raise ValueError("relative_only transform needs the phase gradient c")
-        out = _transform_relative(fld, c)
-        check_domain(kernel_before, fld, fld)
-        check_domain(kernel_before, out, out)
-        profile = equal_time_profile(fld)
-        rho, sigma = densities(system.gammas, profile, profile)
-        profile = equal_time_profile(out)
-        rho_out, sigma_out = densities(system.gammas, profile, profile)
-        value_before = form_value(kernel_before, rho, sigma)
-        value_after = form_value(kernel_before, rho_out, sigma_out)
-        # The invariance is pointwise, so the difference is summed from
-        # the density differences: subtracting the two rounded totals
-        # leaves a whole number of their ulps, set by numpy's summation
-        # order.
-        rho_out -= rho
-        sigma_out -= sigma
-        diff = form_value(kernel_before, rho_out, sigma_out)
-        return GaugeReport(
-            kind=theta_kind,
-            P_before=fld.P,
-            P_after=out.P,
-            value_before=value_before,
-            value_after=value_after,
-            difference=diff,
-            independent_difference=None,
-            tolerance=tol,
-            passed=bool(abs(diff) <= tol),
-        )
-
-    if theta_kind == "total_dependent":
-        if a is None:
-            raise ValueError("total_dependent transform needs the shift a")
-        out = _transform_total(fld, a)
-        kernel_after = build_kernel(flavor, system.potential, minkowski_sq(out.P), out.grid)
-        check_domain(kernel_before, fld, fld)
-        check_domain(kernel_after, out, out)
-        profile = equal_time_profile(fld)
-        rho, sigma = densities(system.gammas, profile, profile)
-        value_before = form_value(kernel_before, rho, sigma)
-        value_after = form_value(kernel_after, rho, sigma)
-        diff = value_after - value_before
-        # Independent route: same profile data, kernels rebuilt at both
-        # momenta directly, no transformation machinery involved.
-        k_shift = build_kernel(
-            flavor, system.potential, minkowski_sq(fld.P + as_four_vector(a)), fld.grid
-        )
-        indep = form_value(k_shift, rho, sigma) - value_before
-        return GaugeReport(
-            kind=theta_kind,
-            P_before=fld.P,
-            P_after=out.P,
-            value_before=value_before,
-            value_after=value_after,
-            difference=diff,
-            independent_difference=indep,
-            tolerance=tol,
-            passed=bool(abs(diff - indep) <= tol),
-        )
-
-    raise ValueError(f"unknown theta kind: {theta_kind!r}")
+    kernel_after = build_kernel(flavor, system.potential, minkowski_sq(P_after), fld.grid)
+    # independent_difference's kernel: the same build again (see above)
+    k_shift = build_kernel(flavor, system.potential, minkowski_sq(P_after), fld.grid)
+    profile = equal_time_profile(fld)
+    rho, sigma = densities(system.gammas, profile, profile)
+    profile = equal_time_profile(_transform_relative(fld, c))
+    rho_out, sigma_out = densities(system.gammas, profile, profile)
+    value_before = form_value(kernel_before, rho, sigma)
+    value_relative = form_value(kernel_before, rho_out, sigma_out)
+    # The invariance is pointwise, so the difference is summed from the
+    # density differences: subtracting the two rounded totals leaves a
+    # whole number of their ulps, set by numpy's summation order.
+    rho_out -= rho
+    sigma_out -= sigma
+    drift = form_value(kernel_before, rho_out, sigma_out)
+    value_total = form_value(kernel_after, rho, sigma)
+    shift = value_total - value_before
+    indep = form_value(k_shift, rho, sigma) - value_before
+    relative = GaugeReport(
+        kind="relative_only",
+        P_before=fld.P,
+        P_after=fld.P,
+        value_before=value_before,
+        value_after=value_relative,
+        difference=drift,
+        independent_difference=None,
+        tolerance=tol,
+        passed=bool(abs(drift) <= tol),
+    )
+    total = GaugeReport(
+        kind="total_dependent",
+        P_before=fld.P,
+        P_after=P_after,
+        value_before=value_before,
+        value_after=value_total,
+        difference=shift,
+        independent_difference=indep,
+        tolerance=tol,
+        passed=bool(abs(shift - indep) <= tol),
+    )
+    return relative, total

@@ -70,6 +70,7 @@ dispersion roots are the real eigenvalues of -B^{-1} A.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -115,6 +116,12 @@ class Grid:
             raise ValueError("n must be even and >= 2 (odd grids sample the origin)")
         if not self.L > 0:
             raise ValueError("L must be positive")
+        try:
+            cell = self.h**3
+        except OverflowError:  # a float power raises where a product would give inf
+            cell = math.inf
+        if not 0 < cell < math.inf:
+            raise ValueError(f"grid.L = {self.L!r} puts the cell volume (L/n)^3 outside the float range")
 
     @property
     def h(self) -> float:

@@ -24,7 +24,7 @@ they check only what depends on P^0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,6 +49,8 @@ class PositivityReport:
     analytic_radius: float | None
     tolerance: float
     passed: bool
+    # min_eigenvalue_map at argmin_P2, for the kernel CSV; not in the JSON
+    argmin_map: np.ndarray = field(repr=False, compare=False, metadata={"serialize": False})
 
 
 def scan(
@@ -59,7 +61,8 @@ def scan(
     tol: float = DEFAULT_TOL,
 ) -> PositivityReport:
     """Smallest eigenvalue of the kernel's quadratic form over the grid
-    and a set of P^2 values."""
+    and a set of P^2 values. The report keeps the eigenvalue map of the
+    P^2 that holds the minimum."""
     P2_values = tuple(float(p) for p in P2_set)
     if not P2_values:
         raise ValueError("P2_set must be nonempty")
@@ -80,6 +83,7 @@ def scan(
             min_eig = float(eigs[idx])
             argmin = tuple(int(i) for i in idx)
             argmin_P2 = P2
+            argmin_map = eigs
         bad = np.argwhere(eigs < -tol)
         violations.extend((int(i), int(j), int(k), P2) for i, j, k in bad)
     radius = np.sqrt(grid.radius_sq)
@@ -102,6 +106,7 @@ def scan(
         analytic_radius=analytic,
         tolerance=tol,
         passed=passed,
+        argmin_map=argmin_map,
     )
 
 

@@ -91,6 +91,9 @@ class GaussianG:
     def __post_init__(self):
         if not self.width > 0:
             raise ValueError("width must be positive")
+        # width**2 of a float raises OverflowError where the product gives inf
+        if not 0 < self.width * self.width < math.inf:
+            raise ValueError(f"width = {self.width!r} must have a positive finite square")
 
     def value(self, s):
         return self.amplitude * np.exp(-np.asarray(s, dtype=float) / self.width**2)

@@ -6,7 +6,8 @@ and complex values become {"im": ..., "re": ...} records. The stdlib
 json encoder is deliberately not used for numbers so that byte identity
 does not hinge on repr() behavior across interpreter versions.
 Non-finite numbers are rejected: a report containing NaN is a bug, not
-something to serialize quietly.
+something to serialize quietly. A dataclass field whose metadata sets
+"serialize" to False is data for another artifact and is left out.
 
 CSV tables are passed as numpy columns, and each distinct value of a
 column is formatted once: same bytes as cell by cell, far fewer calls.
@@ -55,7 +56,8 @@ def _encode(obj) -> str:
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(_encode(v) for v in obj) + "]"
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return _encode({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)})
+        fields = (f for f in dataclasses.fields(obj) if f.metadata.get("serialize", True))
+        return _encode({f.name: getattr(obj, f.name) for f in fields})
     raise TypeError(f"cannot serialize {type(obj).__name__} deterministically")
 
 
@@ -65,8 +67,11 @@ def canonical_json(obj) -> str:
 
 
 def write_json(path, obj):
+    """Canonical JSON of obj and a newline at path. The text is encoded
+    first, so a report that cannot be serialized leaves no file."""
+    text = canonical_json(obj)
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(canonical_json(obj))
+        fh.write(text)
         fh.write("\n")
 
 

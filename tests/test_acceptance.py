@@ -273,11 +273,8 @@ def test_criterion_09_gauge_restriction():
     grid = Grid(n=16, L=8.0)
     P = np.array([2.0, 0.0, 0.0, 0.0])
     fld = random_band_limited_field(P, grid, np.random.default_rng(7))
-    rel = gauge_check(
-        system, fld, "relative_only", c=np.array([0.37, 0.21, -0.4, 0.11]), tol=1e-10
-    )
-    tot = gauge_check(
-        system, fld, "total_dependent", a=np.array([0.5, 0.0, 0.0, 0.0]), tol=1e-10
+    rel, tot = gauge_check(
+        system, fld, np.array([0.37, 0.21, -0.4, 0.11]), np.array([0.5, 0.0, 0.0, 0.0]), tol=1e-10
     )
     route_gap = abs(tot.difference - tot.independent_difference)
     _line(

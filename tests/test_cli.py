@@ -4,13 +4,17 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import tbdkit
-from tbdkit import cli, currents, serialize
+from tbdkit import cli, currents, scalar_product, serialize
 from tbdkit.cli import (
     ConfigError,
     DEFAULTS,
@@ -18,6 +22,7 @@ from tbdkit.cli import (
     main,
     parse_potential,
 )
+from tbdkit.operators import AliasingWarning
 from tbdkit.positivity import min_eigenvalue_map
 from tbdkit.potentials import Constant, GaussianG, TanhOfG, YukawaTanh, Zero
 
@@ -182,13 +187,15 @@ def test_kernel_command_flags_expected_violation(tmp_path):
 
 def test_kernel_csv_matches_cell_by_cell_reference(tmp_path, monkeypatch, reference_csv):
     seen = {}
+    scan = cli.scan
 
-    def capture(flavor, potential, P2, grid):
+    def capture(flavor, potential, P2_set, grid, tol):
+        rep = scan(flavor, potential, P2_set, grid, tol=tol)
         seen["grid"] = grid
-        seen["eigmap"] = min_eigenvalue_map(flavor, potential, P2, grid)
-        return seen["eigmap"]
+        seen["eigmap"] = min_eigenvalue_map(flavor, potential, rep.argmin_P2, grid)
+        return rep
 
-    monkeypatch.setattr(cli, "min_eigenvalue_map", capture)
+    monkeypatch.setattr(cli, "scan", capture)
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"schema": "tbdkit-config/1", "grid": {"n": 8, "L": 6.0}}))
     assert main(["kernel", "--config", str(p), "--out", str(tmp_path), "--quiet"]) == 0
@@ -269,9 +276,11 @@ def test_gauge_command_passes(tmp_path):
 
 
 def test_gauge_reduces_each_profile_once(tmp_path, monkeypatch):
-    # the relative branch reduces two profiles and the total branch one;
-    # every kernel form is then evaluated on their densities
-    calls = {"equal_time_profile": 0, "densities": 0}
+    # one gauge pass: the kernels at P and P + a (and its repeat), the
+    # field's profile and its relative transform, each reduced once to
+    # densities on which every kernel form is evaluated; no domain check
+    # compares a kernel or field with the one it was built from
+    calls = {"gauge_check": 0, "build_kernel": 0, "equal_time_profile": 0, "densities": 0, "check_domain": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -280,10 +289,36 @@ def test_gauge_reduces_each_profile_once(tmp_path, monkeypatch):
 
         return wrapper
 
-    for name in calls:
+    monkeypatch.setattr(cli, "gauge_check", counted("gauge_check", cli.gauge_check))
+    monkeypatch.setattr(scalar_product, "check_domain", counted("check_domain", scalar_product.check_domain))
+    for name in ("build_kernel", "equal_time_profile", "densities"):
         monkeypatch.setattr(currents, name, counted(name, getattr(currents, name)))
     assert main(["gauge", "--out", str(tmp_path), "--quiet"]) == 0
-    assert calls == {"equal_time_profile": 3, "densities": 3}
+    assert calls == {"gauge_check": 1, "build_kernel": 3, "equal_time_profile": 2, "densities": 2, "check_domain": 0}
+
+
+def test_warnings_of_a_run_that_writes_its_report_still_show(tmp_path):
+    # main holds a run's warnings until its report is written, so that a
+    # config that exits 2 prints one line
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"schema": "tbdkit-config/1", "n_fields": 1, "max_index": 4, "grid": {"n": 8, "L": 10.5}}))
+    with pytest.warns(AliasingWarning):
+        assert main(["compat", "--config", str(p), "--out", str(tmp_path), "--quiet"]) == 1
+    assert (tmp_path / "compat.json").exists()
+
+
+def test_gauge_checks_the_rest_frame_before_any_kernel(tmp_path, monkeypatch, capsys):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a kernel was built before P + a was checked")
+
+    monkeypatch.setattr(currents, "build_kernel", must_not_run)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"schema": "tbdkit-config/1", "a": [0.5, 0.1, 0, 0]}))
+    assert main(["gauge", "--config", str(p), "--out", str(tmp_path)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("tbdkit gauge: invalid configuration: ")
+    assert "rest frame" in lines[0]
+    assert not (tmp_path / "gauge.json").exists()
 
 
 def _run_config(tmp_path, command, override, timeout=None):
@@ -417,6 +452,9 @@ def test_unusable_config_exits_2_without_traceback(tmp_path, command, override, 
     assert message in lines[0]
 
 
+_N8 = {"grid": {"n": 8, "L": 8.0}}
+
+
 @pytest.mark.parametrize(
     "command, override, message",
     [
@@ -433,18 +471,53 @@ def test_unusable_config_exits_2_without_traceback(tmp_path, command, override, 
             {"g1": 27.4, "g2": 1.02e184, "mu": 147.5, "P0": 1.287e154, "grid": {"n": 8, "L": 4.0}},
             "not finite at every grid point for P^2 = 1.6563689999999999e+308",
         ),
+        # reports that hold a NaN
+        ("gauge", {**_N8, "P0": 1e200}, "non-finite number in report: nan"),
+        ("gauge", {**_N8, "a": [1e300, 0, 0, 0]}, "non-finite number in report: nan"),
+        ("gauge", {**_N8, "c": [0, 1e308, 1e308, 0]}, "non-finite number in report: nan"),
+        (
+            "gauge",
+            {"potential": {"kind": "yukawa_tanh", "g1": 1e154, "g2": 1e154, "mu": 1.0}, "grid": {"n": 8, "L": 0.01}},
+            "non-finite number in report: nan",
+        ),
+        ("compat", {"n_fields": 1, "grid": {"n": 8, "L": 10.5}, "P0": 1e200}, "non-finite number in report: nan"),
+        ("compat", {"n_fields": 1, "grid": {"n": 8, "L": 10.5}, "p0_modes": [1e308]}, "non-finite number in report: nan"),
+        # cell volumes outside the float range
+        ("radius", {"grid": {"n": 8, "L": 1e200}}, "grid.L = 1e+200 puts the cell volume (L/n)^3 outside"),
+        ("compat", {"n_fields": 1, "grid": {"n": 8, "L": 1e120}}, "grid.L = 1e+120 puts the cell volume"),
+        ("gauge", {"grid": {"n": 8, "L": 1e120}}, "grid.L = 1e+120 puts the cell volume"),
+        ("compat", {"n_fields": 1, "grid": {"n": 8, "L": 1e-120}}, "grid.L = 1e-120 puts the cell volume"),
     ],
-    ids=["kernel_coupling_overflow", "radius_tiny_P0", "radius_huge_P0", "radius_P2_pow_overflow", "radius_inf_form"],
+    ids=[
+        "kernel_coupling_overflow",
+        "radius_tiny_P0",
+        "radius_huge_P0",
+        "radius_P2_pow_overflow",
+        "radius_inf_form",
+        "gauge_huge_P0",
+        "gauge_huge_a",
+        "gauge_huge_c",
+        "gauge_yukawa_overflow",
+        "compat_huge_P0",
+        "compat_huge_p0_mode",
+        "radius_huge_L",
+        "compat_cell_overflow",
+        "gauge_cell_overflow",
+        "compat_cell_underflow",
+    ],
 )
 def test_overflowing_config_exits_2_without_hang_or_traceback(tmp_path, command, override, message):
     # finite, well-typed values whose products overflow or underflow: the
     # coupling used to be scanned into NaNs and then bisected over [0, inf]
-    # forever, P0^2 underflowed to 0 or raised OverflowError
+    # forever, P0^2 underflowed to 0 or raised OverflowError, a report
+    # that held NaN failed to serialize after its file was opened, and
+    # (L/n)^3 raised OverflowError or gave a zero field norm
     proc = _run_config(tmp_path, command, override, timeout=60)
     assert proc.returncode == 2
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"tbdkit {command}: invalid configuration: ")
     assert message in lines[0]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 def test_radius_beyond_2_13_ends_without_hang_or_traceback(tmp_path):
@@ -608,3 +681,66 @@ def test_runtime_imports_no_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "0 []"
+
+
+# ---------------------------------------------------------------------------
+# Config fuzzing: any JSON value at any key ends in exit 0, 1 or 2
+
+_HUGE_AND_TINY = [0.0, -0.0, 5e-324, 1e-308, 1e-200, 1e-120, 0.01, 1e120, 1e154, 1e200, 1e300, 1e308, -1e308]
+_NUMBER = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(_HUGE_AND_TINY), st.integers(-8, 8)
+)
+# Integers stay small, so a grid.n drawn anywhere is at most 8.
+_JSON = st.recursive(
+    st.none() | st.booleans() | _NUMBER | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _record(kind, **fields):
+    return st.fixed_dictionaries({"kind": st.just(kind), **fields})
+
+
+_G = st.one_of(
+    _record("constant", c=_NUMBER),
+    _record("polynomial", coeffs=st.lists(_NUMBER, max_size=4)),
+    _record("gaussian", amplitude=_NUMBER, width=_NUMBER),
+)
+_POTENTIAL = st.one_of(
+    _record("zero"),
+    _record("constant", v=_NUMBER),
+    _record("tanh_of_g", g=_G | _JSON),
+    _record("yukawa_tanh", g1=_NUMBER, g2=_NUMBER, mu=_NUMBER),
+)
+_GAUGE_KEYS = {
+    "potential": _POTENTIAL,
+    "masses": st.fixed_dictionaries({"m1": _NUMBER, "m2": _NUMBER}),
+    "P0": _NUMBER,
+    "grid": st.fixed_dictionaries({"n": st.integers(-2, 8), "L": _NUMBER}),
+    "seed": st.integers(-1, 2**64),
+    "c": st.lists(_NUMBER, min_size=4, max_size=4),
+    "a": st.lists(_NUMBER, min_size=4, max_size=4),
+    "flavor": st.sampled_from(["free", "sazdjian", "crater"]),
+    "tolerance": _NUMBER,
+}
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.fixed_dictionaries({}, optional={key: value | _JSON for key, value in _GAUGE_KEYS.items()}))
+@example({**_N8, "P0": 1e200})
+@example({**_N8, "a": [1e300, 0, 0, 0]})
+@example({**_N8, "c": [0, 1e308, 1e308, 0]})
+@example({"potential": {"kind": "yukawa_tanh", "g1": 1e154, "g2": 1e154, "mu": 1.0}, "grid": {"n": 8, "L": 0.01}})
+@example({"grid": {"n": 8, "L": 1e120}})
+@example({**_N8, "a": [0.5, 0.1, 0, 0]})
+@example({**_N8, "potential": {"kind": "tanh_of_g", "g": {"kind": "gaussian", "amplitude": 1.0, "width": 1e200}}})
+def test_gauge_config_never_raises(override):
+    # the defaults' grid is n=16; every drawn config runs at n <= 8
+    override.setdefault("grid", {"n": 8, "L": 8.0})
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "cfg.json"
+        p.write_text(json.dumps({"schema": "tbdkit-config/1", **override}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(["gauge", "--config", str(p), "--out", tmp, "--quiet"]) in (0, 1, 2)

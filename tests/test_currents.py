@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from tbdkit import currents
 from tbdkit.currents import (
     PlaneWaveCurrent,
     coincidence_limit_term,
@@ -266,6 +267,22 @@ def test_conservation_sweep_converges_linearly_in_epsilon(constant_v_system, sta
     assert sweep.max_extrapolated_residual < 1e-8
 
 
+def test_conservation_sweep_builds_one_free_current(constant_v_system, state_pair, monkeypatch):
+    # the defects carry the free current they were computed from, and the
+    # sweep completes that current
+    built = []
+
+    def counted(*args):
+        built.append(j_free_current(*args))
+        return built[-1]
+
+    monkeypatch.setattr(currents, "j_free_current", counted)
+    a, b = state_pair
+    conservation_sweep(constant_v_system, a, b)
+    assert len(built) == 1
+    assert defects(constant_v_system, a, b).j_free is built[-1]
+
+
 def test_conservation_sweep_retarded_choice(constant_v_system, state_pair):
     a, b = state_pair
     sweep = conservation_sweep(constant_v_system, a, b, green_choice="retarded")
@@ -371,9 +388,8 @@ def _relative_phase_bound(system, fld):
 
 def test_gauge_relative_phase_leaves_norm_invariant(gauge_setup):
     system, fld = gauge_setup
-    rep = gauge_check(
-        system, fld, "relative_only", c=np.array([0.37, 0.21, -0.4, 0.11])
-    )
+    rep, _ = gauge_check(system, fld, np.array([0.37, 0.21, -0.4, 0.11]), np.array([0.5, 0.0, 0.0, 0.0]))
+    assert rep.kind == "relative_only"
     assert rep.passed
     assert abs(rep.difference) <= _relative_phase_bound(system, fld)
     assert rep.independent_difference is None
@@ -391,15 +407,14 @@ def test_gauge_relative_phase_difference_is_pointwise(gammas):
     c = np.array(
         [0.09367493294533591, -0.4474814800116277, -0.37937426040692157, 0.31878626448227454]
     )
-    rep = gauge_check(system, fld, "relative_only", c=c)
+    rep, _ = gauge_check(system, fld, c, np.array([0.5, 0.0, 0.0, 0.0]))
     assert rep.passed
 
 
 def test_gauge_total_phase_shifts_kernel(gauge_setup):
     system, fld = gauge_setup
-    rep = gauge_check(
-        system, fld, "total_dependent", a=np.array([0.5, 0.0, 0.0, 0.0])
-    )
+    _, rep = gauge_check(system, fld, np.array([0.37, 0.21, -0.4, 0.11]), np.array([0.5, 0.0, 0.0, 0.0]))
+    assert rep.kind == "total_dependent"
     assert rep.passed
     # the kernel value genuinely changes...
     assert abs(rep.difference) > 1e-2
@@ -408,11 +423,15 @@ def test_gauge_total_phase_shifts_kernel(gauge_setup):
     assert rep.P_after[0] == pytest.approx(2.5)
 
 
-def test_gauge_check_validation(gauge_setup):
+def test_gauge_check_validation(gauge_setup, monkeypatch):
+    # P + a must be a rest-frame momentum; it is config input, so it is
+    # checked before any kernel is built
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a kernel was built before P + a was checked")
+
+    monkeypatch.setattr(currents, "build_kernel", must_not_run)
     system, fld = gauge_setup
-    with pytest.raises(ValueError):
-        gauge_check(system, fld, "relative_only")
-    with pytest.raises(ValueError):
-        gauge_check(system, fld, "total_dependent")
-    with pytest.raises(ValueError):
-        gauge_check(system, fld, "arbitrary", c=np.zeros(4))
+    with pytest.raises(ValueError, match="rest frame"):
+        gauge_check(system, fld, np.zeros(4), np.array([0.5, 0.1, 0.0, 0.0]))
+    with pytest.raises(ValueError, match="timelike"):
+        gauge_check(system, fld, np.zeros(4), np.array([-2.0, 0.0, 0.0, 0.0]))

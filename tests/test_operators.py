@@ -68,6 +68,13 @@ def test_grid_rejects_odd_or_tiny_n():
         Grid(n=8, L=0.0)
 
 
+@pytest.mark.parametrize("L", [1e120, 1e-120, 5e-324])
+def test_grid_rejects_a_cell_volume_outside_the_float_range(L):
+    # (L/n)^3 raised OverflowError, or underflowed to a zero field norm
+    with pytest.raises(ValueError, match=r"grid.L = .* cell volume \(L/n\)\^3"):
+        Grid(n=8, L=L)
+
+
 def test_grid_wavenumbers_are_fft_frequencies():
     grid = Grid(n=8, L=4.0)
     assert np.allclose(grid.wavenumbers, 2.0 * np.pi * np.fft.fftfreq(8, d=0.5))

@@ -170,6 +170,14 @@ def test_flavor_boundary_rejects_unknown_flavor():
 # Grid scans
 
 
+def test_scan_keeps_the_eigenvalue_map_of_its_argmin_P2():
+    grid = Grid(n=8, L=4.0)
+    rep = scan("sazdjian", YUKAWA, [4.0, 1.0, 9.0], grid)
+    assert rep.argmin_P2 == 1.0
+    assert np.array_equal(rep.argmin_map, min_eigenvalue_map("sazdjian", YUKAWA, 1.0, grid))
+    assert rep.argmin_map[rep.argmin_index] == rep.min_eigenvalue
+
+
 def test_scan_certifies_bounded_tanh_potential():
     pot = TanhOfG(g=GaussianG(amplitude=0.9, width=1.0))
     rep = scan("sazdjian", pot, [4.0, 6.25, 9.0], Grid(n=8, L=6.0))

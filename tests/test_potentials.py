@@ -260,6 +260,13 @@ def test_gaussian_requires_positive_width():
         GaussianG(amplitude=1.0, width=0.0)
 
 
+@pytest.mark.parametrize("width", [1e200, 1e-200])
+def test_gaussian_rejects_a_width_whose_square_leaves_the_float_range(width):
+    # 1e200**2 raised OverflowError when the potential was first evaluated
+    with pytest.raises(ValueError, match="positive finite square"):
+        GaussianG(amplitude=1.0, width=width)
+
+
 def test_polynomial_g_derivative():
     g = PolynomialG(coeffs=(1.0, 2.0, 3.0))
     assert g.value(2.0) == pytest.approx(1.0 + 4.0 + 12.0)

@@ -83,6 +83,22 @@ def test_write_json_appends_newline(tmp_path):
     assert p.read_bytes() == data
 
 
+def test_write_json_leaves_no_file_for_a_report_it_cannot_encode(tmp_path):
+    p = tmp_path / "report.json"
+    with pytest.raises(ValueError, match="non-finite"):
+        write_json(p, {"a": float("nan")})
+    assert not p.exists()
+
+
+def test_fields_marked_not_serialized_are_left_out():
+    @dataclasses.dataclass
+    class Report:
+        value: float
+        bulk: np.ndarray = dataclasses.field(metadata={"serialize": False})
+
+    assert canonical_json(Report(1.5, np.full(3, np.nan))) == '{"value":1.5}'
+
+
 def test_write_csv_layout(tmp_path):
     p = tmp_path / "table.csv"
     write_csv(p, ("i", "value"), [np.array([0, 1]), np.array([0.5, 1.0])])
