@@ -5,11 +5,11 @@ Submodules (import what you need; this package root stays import-light
 so the CLI can configure threading before numpy loads):
 
   spinor_algebra   gamma matrices and their two-body lifts
-  kinematics       four-vectors, transverse projector, frames
+  kinematics       four-vectors, transverse projector, rest frame
   potentials       the scalar V(x_perp^2, P^2) family
   operators        D_1/D_2 on internal fields, compatibility identity
   currents         tensor currents, conservation repair, gauge checks
-  scalar_product   equal-time products and norm kernels
+  scalar_product   norm kernels and their equal-time forms
   positivity       kernel eigenvalue scans and violation radii
   toy_model        C^2 indefinite-metric counterexample
   cli              command-line driver

@@ -311,6 +311,14 @@ def _first_equation_states(system, P, p_spatial, window):
     ]
 
 
+def _energy(name, m, p_sq):
+    """sqrt(m^2 + p^2), rejecting a mass whose square leaves the float range."""
+    try:
+        return math.sqrt(m**2 + p_sq)
+    except OverflowError:
+        raise ConfigError(f"masses.{name} = {m!r} must have a finite square") from None
+
+
 def run_claim1(cfg):
     masses = MassPair(**cfg["masses"])
     gam = build_gammas("dirac")
@@ -323,8 +331,8 @@ def run_claim1(cfg):
     root_a = 0.5 * (m1 - m2)
     qa = plane_wave_solutions(free, Pa, (0, 0, 0), (root_a - 0.1, root_a + 0.1))
     pb = (0.3, 0.0, 0.0)
-    e1b = math.sqrt(m1**2 + 0.09)
-    e2b = math.sqrt(m2**2 + 0.09)
+    e1b = _energy("m1", m1, 0.09)
+    e2b = _energy("m2", m2, 0.09)
     Pb = np.array([e1b + e2b, 0.0, 0.0, 0.0])
     root_b = 0.5 * (e1b - e2b)
     qb = plane_wave_solutions(free, Pb, pb, (root_b - 0.1, root_b + 0.1))

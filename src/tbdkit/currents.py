@@ -188,16 +188,21 @@ def defects(system: TwoBodyDiracSystem, state_a: PlaneWaveState, state_b: PlaneW
 
 def green_multiplier(k, epsilon: float, choice: str = "advanced") -> complex:
     """Fourier multiplier of the regulated inverse wave operator on the
-    e^{+ik.x} phase: -1/(k^2 + 2ik^0 eps) advanced, minus sign retarded."""
+    e^{+ik.x} phase: -1/(k^2 + 2ik^0 eps) advanced, minus sign retarded.
+    The regulator cannot help a zero transfer k = 0, which is rejected."""
     if not epsilon > 0:
         raise ValueError("the regulated inverse needs epsilon > 0")
     ksq = minkowski_sq(k)
     k0 = as_four_vector(k)[0]
     if choice == "advanced":
-        return -1.0 / (ksq + 2j * k0 * epsilon)
-    if choice == "retarded":
-        return -1.0 / (ksq - 2j * k0 * epsilon)
-    raise ValueError(f"unknown Green choice: {choice!r}")
+        denominator = ksq + 2j * k0 * epsilon
+    elif choice == "retarded":
+        denominator = ksq - 2j * k0 * epsilon
+    else:
+        raise ValueError(f"unknown Green choice: {choice!r}")
+    if denominator == 0:
+        raise ValueError(f"zero momentum transfer k = {as_four_vector(k).tolist()}: the Green multiplier is undefined")
+    return -1.0 / denominator
 
 
 def j_add(defect: DefectFields, green_choice: str = "advanced", epsilon: float = 1e-3) -> PlaneWaveCurrent:

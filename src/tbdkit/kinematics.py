@@ -85,16 +85,3 @@ def x_perp(x, P) -> FourVector:
     """Transverse part of x with respect to P: x_perp.P = 0."""
     return projector(P) @ as_four_vector(x)
 
-
-def boost_matrix(axis: int, rapidity: float) -> np.ndarray:
-    """Lorentz boost along a spatial axis (1, 2 or 3) with the given
-    rapidity, as a 4x4 matrix on contravariant components."""
-    if axis not in (1, 2, 3):
-        raise ValueError("axis must be 1, 2 or 3")
-    ch, sh = np.cosh(rapidity), np.sinh(rapidity)
-    m = np.eye(4)
-    m[0, 0] = ch
-    m[axis, axis] = ch
-    m[0, axis] = sh
-    m[axis, 0] = sh
-    return m

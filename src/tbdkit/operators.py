@@ -72,7 +72,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -87,8 +87,6 @@ __all__ = [
     "InternalField",
     "PlaneWaveState",
     "TwoBodyDiracSystem",
-    "apply_D1",
-    "apply_D2",
     "compatibility_residual",
     "field_from_modes",
     "random_band_limited_field",
@@ -176,27 +174,6 @@ class InternalField:
     def norm(self) -> float:
         total = sum(np.sum(np.abs(chi) ** 2) for _, chi in self.modes)
         return float(np.sqrt(total * self.grid.h**3))
-
-    def _zip_modes(self, other):
-        if self.grid != other.grid or len(self.modes) != len(other.modes):
-            raise ValueError("fields live on different grids or mode sets")
-        for (p0a, ca), (p0b, cb) in zip(self.modes, other.modes):
-            if p0a != p0b:
-                raise ValueError("fields have different relative-energy modes")
-            yield p0a, ca, cb
-
-    def __add__(self, other):
-        modes = tuple((p0, ca + cb) for p0, ca, cb in self._zip_modes(other))
-        return replace(self, modes=modes)
-
-    def __sub__(self, other):
-        modes = tuple((p0, ca - cb) for p0, ca, cb in self._zip_modes(other))
-        return replace(self, modes=modes)
-
-    def __mul__(self, c):
-        return replace(self, modes=tuple((p0, c * chi) for p0, chi in self.modes))
-
-    __rmul__ = __mul__
 
 
 @dataclass(frozen=True)
@@ -312,29 +289,6 @@ def _D_spectrum(system: TwoBodyDiracSystem, which: int, p1_0, p2_0, table, F_chi
         out = _kinetic(g, 2, p2_0, F_chi, table, m2)
         out += _kinetic(g, 1, p1_0, F_Vchi, table, m1)
     return out
-
-
-def _apply_D(system: TwoBodyDiracSystem, fld: InternalField, which: int) -> InternalField:
-    P0 = fld.P[0]
-    V = _potential_on_grid(system, fld)
-    table = _gamma_table(system.gammas, np.ix_(*[fld.grid.wavenumbers] * 3))
-    out_modes = []
-    for p0, chi in fld.modes:
-        chi4 = chi.reshape(4, 4, *chi.shape[1:])
-        Vchi = V * chi4
-        spec = _D_spectrum(system, which, P0 / 2 + p0, P0 / 2 - p0, table, _fft(chi4), _fft(Vchi, out=Vchi))
-        out_modes.append((p0, _ifft(spec, out=spec).reshape(chi.shape)))
-    return replace(fld, modes=tuple(out_modes))
-
-
-def apply_D1(system: TwoBodyDiracSystem, fld: InternalField) -> InternalField:
-    """D_1 = gamma_1.p_1 - m_1 - (-gamma_2.p_2 + m_2) V, potential first."""
-    return _apply_D(system, fld, 1)
-
-
-def apply_D2(system: TwoBodyDiracSystem, fld: InternalField) -> InternalField:
-    """D_2 = gamma_2.p_2 + m_2 + (gamma_1.p_1 + m_1) V, potential first."""
-    return _apply_D(system, fld, 2)
 
 
 # ---------------------------------------------------------------------------

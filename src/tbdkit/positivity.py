@@ -135,17 +135,6 @@ def h_function(y: float, branch: str) -> float:
     return 1.0 - math.tanh(-y) ** 2 + sign * 2.0 * y / math.cosh(-y) ** 2
 
 
-def h_function_closed(y: float, branch: str) -> float:
-    """Simplified form of the same branches, (1 +- 2y)/cosh^2 y."""
-    if branch == "plus":
-        sign = 1.0
-    elif branch == "minus":
-        sign = -1.0
-    else:
-        raise ValueError(f"unknown branch: {branch!r}")
-    return (1.0 + sign * 2.0 * y) / math.cosh(y) ** 2
-
-
 def _bisect(below, lo, hi, tol):
     """Midpoint of [lo, hi] after halving it until narrower than tol or
     until no double lies between lo and hi (past 2^13 they are spaced

@@ -108,22 +108,16 @@ class GaussianG:
 
 class Potential:
     """Base of the potential specs: the formulas of a potential that
-    depends on neither invariant, i.e. zero derivatives and Delta =
-    arctanh(V) on |V| < 1. A subclass defines V and overrides what it
-    has. Formulas get x_perp_sq as a float array already checked to be
-    <= 0 and a validated P_sq, and return an array of x_perp_sq's shape.
+    depends on neither invariant, i.e. zero derivatives. A subclass
+    defines V and overrides what it has. Formulas get x_perp_sq as a
+    float array already checked to be <= 0 and a validated P_sq, and
+    return an array of x_perp_sq's shape.
     """
 
     def dV_dP2(self, xps, P_sq):
         return np.zeros_like(xps)
 
     dV_dxperp_sq = ddelta_dP2 = dV_dP2
-
-    def delta(self, xps, P_sq):
-        v = self.V(xps, P_sq)
-        if np.any(np.abs(v) >= 1):
-            raise PotentialDomainError("arctanh domain requires |V| < 1")
-        return np.arctanh(v)
 
     def constant_value(self) -> float:
         """The value v of a constant potential, the only potentials with
@@ -256,15 +250,6 @@ def eval_dV_dxperp_sq(spec, x_perp_sq, P_sq):
     commutators: d_k V = eval_dV_dxperp_sq * (-2 x^k) in the rest frame.
     """
     return _evaluate("dV_dxperp_sq", spec, x_perp_sq, P_sq)
-
-
-def delta_of(spec, x_perp_sq, P_sq):
-    """Hyperbolic parameter Delta = arctanh(V).
-
-    For YukawaTanh this is evaluated from the closed form (the inner
-    argument of the tanh), which stays finite where 1 - V^2 underflows.
-    """
-    return _evaluate("delta", spec, x_perp_sq, P_sq)
 
 
 def eval_ddelta_dP2(spec, x_perp_sq, P_sq):

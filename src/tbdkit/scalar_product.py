@@ -1,5 +1,4 @@
-"""Equal-time inner products: the free baseline and the interacting
-norm kernels.
+"""Equal-time norm kernels and the quadratic forms they define.
 
 A norm kernel is held in one representation: the pointwise
 quadratic-form matrix A(x) 1_16 + B(x) gamma_1^0 gamma_2^0 at one scalar
@@ -13,8 +12,8 @@ flavors, as the paper writes their brackets:
   crater    K = 1 - 4 P^2 (dDelta/dP^2) gamma_1^0 gamma_2^0
 
 build_kernel absorbs their conjugation conventions (see its docstring),
-so the free flavor reproduces free_inner_product up to the order of
-summation.
+so the free flavor's form is the plain product h^3 sum_x phi_a^dagger
+phi_b.
 
 A pair of equal-time profiles pa, pb enters any kernel only through two
 pointwise densities (densities), each of shape (n, n, n):
@@ -37,12 +36,10 @@ pointwise, not taken between the two rounded totals.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kinematics import minkowski_sq
 from .operators import Grid, InternalField
 from .potentials import eval_V, eval_dV_dP2, eval_ddelta_dP2
 from .spinor_algebra import GammaSet, gamma0_pair
@@ -100,22 +97,6 @@ def equal_time_profile(fld: InternalField) -> np.ndarray:
     return out
 
 
-def _check_same(field_a: InternalField, field_b: InternalField):
-    if field_a.grid != field_b.grid:
-        raise ValueError("fields live on different grids")
-    if not np.allclose(field_a.P, field_b.P, rtol=0.0, atol=1e-12):
-        raise ValueError("fields carry different total momenta")
-
-
-def free_inner_product(field_a: InternalField, field_b: InternalField) -> complex:
-    """Baseline product: integral of phi_a^dagger phi_b over the t = 0
-    slice, as the Riemann sum times the cell volume."""
-    _check_same(field_a, field_b)
-    pa = equal_time_profile(field_a)
-    pb = equal_time_profile(field_b)
-    return complex(np.sum(pa.conj() * pb) * field_a.grid.h**3)
-
-
 def _apply_gamma_pair(gammas: GammaSet, profile: np.ndarray) -> np.ndarray:
     return (gamma0_pair(gammas) @ profile.reshape(16, -1)).reshape(profile.shape)
 
@@ -134,28 +115,3 @@ def form_value(kernel: NormKernel, rho: np.ndarray, sigma: np.ndarray) -> comple
     profile pair's densities."""
     return complex(np.sum(kernel.A * rho + kernel.B * sigma) * kernel.grid.h**3)
 
-
-def check_domain(kernel: NormKernel, field_a: InternalField, field_b: InternalField):
-    """The two fields share a grid and a momentum, and both are the
-    kernel's: the same grid, and a P (rest-frame, as every field's is)
-    whose P^2 is the kernel's to a relative 1e-12."""
-    _check_same(field_a, field_b)
-    if field_a.grid != kernel.grid:
-        raise ValueError("fields and kernel live on different grids")
-    if not math.isclose(minkowski_sq(field_a.P), kernel.P_sq, rel_tol=1e-12):
-        raise ValueError(
-            "field momentum differs from the kernel's; cross-momentum "
-            "products are outside the equal-time kernel's domain"
-        )
-
-
-def interacting_inner_product(
-    kernel: NormKernel, field_a: InternalField, field_b: InternalField, gammas: GammaSet
-) -> complex:
-    """Quadratic form of the kernel between two fields at equal time (the
-    free flavor reproduces free_inner_product up to the order of
-    summation)."""
-    check_domain(kernel, field_a, field_b)
-    pa = equal_time_profile(field_a)
-    pb = equal_time_profile(field_b)
-    return form_value(kernel, *densities(gammas, pa, pb))

@@ -48,7 +48,6 @@ from tbdkit.potentials import (
     Zero,
     eval_dV_dP2,
 )
-from tbdkit.scalar_product import build_kernel, interacting_inner_product
 from tbdkit.spinor_algebra import build_gammas, lift1, lift2
 from tbdkit.toy_model import a_product, evolve, positivity_breakdown_search
 

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import tbdkit
-from tbdkit import cli, currents, scalar_product, serialize
+from tbdkit import cli, currents, serialize
 from tbdkit.cli import (
     ConfigError,
     DEFAULTS,
@@ -278,9 +278,8 @@ def test_gauge_command_passes(tmp_path):
 def test_gauge_reduces_each_profile_once(tmp_path, monkeypatch):
     # one gauge pass: the kernels at P and P + a (and its repeat), the
     # field's profile and its relative transform, each reduced once to
-    # densities on which every kernel form is evaluated; no domain check
-    # compares a kernel or field with the one it was built from
-    calls = {"gauge_check": 0, "build_kernel": 0, "equal_time_profile": 0, "densities": 0, "check_domain": 0}
+    # densities on which every kernel form is evaluated
+    calls = {"gauge_check": 0, "build_kernel": 0, "equal_time_profile": 0, "densities": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -290,11 +289,10 @@ def test_gauge_reduces_each_profile_once(tmp_path, monkeypatch):
         return wrapper
 
     monkeypatch.setattr(cli, "gauge_check", counted("gauge_check", cli.gauge_check))
-    monkeypatch.setattr(scalar_product, "check_domain", counted("check_domain", scalar_product.check_domain))
     for name in ("build_kernel", "equal_time_profile", "densities"):
         monkeypatch.setattr(currents, name, counted(name, getattr(currents, name)))
     assert main(["gauge", "--out", str(tmp_path), "--quiet"]) == 0
-    assert calls == {"gauge_check": 1, "build_kernel": 3, "equal_time_profile": 2, "densities": 2, "check_domain": 0}
+    assert calls == {"gauge_check": 1, "build_kernel": 3, "equal_time_profile": 2, "densities": 2}
 
 
 def test_warnings_of_a_run_that_writes_its_report_still_show(tmp_path):
@@ -339,6 +337,7 @@ def _run_config(tmp_path, command, override, timeout=None):
         ("claim1", {"p0_window": [1.0, 1.1]}, "no dispersion roots in p0_window [1.0, 1.1] at p = [0, 0, 0]"),
         ("claim1", {"p0_window": [-1.2, 0.0]}, "p0_window [-1.2, 0.0] holds 1 dispersion root"),
         ("conserve", {"p0_window": [1.0, 1.1]}, "no dispersion roots in p0_window [1.0, 1.1]"),
+        ("conserve", {"p_spatial_b": [0.0, 0.0, 0.0]}, "zero momentum transfer k = [0.0, 0.0, 0.0, 0.0]"),
         ("compat", {"n_fields": 0}, "n_fields must be at least 1, got 0"),
         ("claim1", {"scan_points": 341}, "unknown keys in claim1 config: ['scan_points']"),
         (
@@ -408,6 +407,7 @@ def _run_config(tmp_path, command, override, timeout=None):
         "claim1_empty_window",
         "claim1_one_root",
         "conserve_empty_window",
+        "conserve_zero_transfer",
         "compat_no_fields",
         "scan_points",
         "potential_stray_keys",
@@ -463,6 +463,7 @@ _N8 = {"grid": {"n": 8, "L": 8.0}}
             {"potential": {"kind": "yukawa_tanh", "g1": 1e300, "g2": 1e300, "mu": 1.0}, "grid": {"n": 8, "L": 4.0}},
             "coupling product g1 g2 = inf is not a finite number",
         ),
+        ("claim1", {"masses": {"m1": 1e200, "m2": 1.3}}, "masses.m1 = 1e+200 must have a finite square"),
         ("radius", {"P0": 1e-300, "grid": {"n": 8, "L": 4.0}}, "P0 = 1e-300 must have a positive finite square"),
         ("radius", {"P0": 1e200, "grid": {"n": 8, "L": 4.0}}, "P0 = 1e+200 must have a positive finite square"),
         ("radius", {"P0": -4.5e-120, "grid": {"n": 8, "L": 4.0}}, "P^2 = 2.025e-239 is too small"),
@@ -490,6 +491,7 @@ _N8 = {"grid": {"n": 8, "L": 8.0}}
     ],
     ids=[
         "kernel_coupling_overflow",
+        "claim1_mass_square_overflow",
         "radius_tiny_P0",
         "radius_huge_P0",
         "radius_P2_pow_overflow",
@@ -738,9 +740,49 @@ _GAUGE_KEYS = {
 def test_gauge_config_never_raises(override):
     # the defaults' grid is n=16; every drawn config runs at n <= 8
     override.setdefault("grid", {"n": 8, "L": 8.0})
+    _exits_0_1_or_2("gauge", override)
+
+
+def _exits_0_1_or_2(command, override):
     with tempfile.TemporaryDirectory() as tmp:
         p = Path(tmp) / "cfg.json"
         p.write_text(json.dumps({"schema": "tbdkit-config/1", **override}))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            assert main(["gauge", "--config", str(p), "--out", tmp, "--quiet"]) in (0, 1, 2)
+            assert main([command, "--config", str(p), "--out", tmp, "--quiet"]) in (0, 1, 2)
+
+
+_PLANE_WAVE_KEYS = {
+    "masses": _GAUGE_KEYS["masses"],
+    "P0": _NUMBER,
+    "v": _NUMBER,
+    "p0_window": st.lists(_NUMBER, min_size=2, max_size=2),
+}
+_CLAIM1_KEYS = {
+    **_PLANE_WAVE_KEYS,
+    "free_tolerance": _NUMBER,
+    "match_tolerance": _NUMBER,
+    "magnitude_floor": _NUMBER,
+}
+_CONSERVE_KEYS = {
+    **_PLANE_WAVE_KEYS,
+    "p_spatial_a": st.lists(_NUMBER, min_size=3, max_size=3),
+    "p_spatial_b": st.lists(_NUMBER, min_size=3, max_size=3),
+    "epsilons": st.lists(_NUMBER, max_size=4),
+    "green_choice": st.sampled_from(["advanced", "retarded"]),
+    "tolerance": _NUMBER,
+}
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.fixed_dictionaries({}, optional={key: value | _JSON for key, value in _CLAIM1_KEYS.items()}))
+@example({"masses": {"m1": 1e200, "m2": 1.3}})
+def test_claim1_config_never_raises(override):
+    _exits_0_1_or_2("claim1", override)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.fixed_dictionaries({}, optional={key: value | _JSON for key, value in _CONSERVE_KEYS.items()}))
+@example({"p_spatial_b": [0.0, 0.0, 0.0]})
+def test_conserve_config_never_raises(override):
+    _exits_0_1_or_2("conserve", override)

@@ -1,0 +1,131 @@
+"""Mutation table: each row perturbs one formula a certificate rests on,
+by wrapping the name where the certificate looks it up, and runs that
+subcommand in-process on its defaults. A certificate that still passes
+under a wrong formula certifies nothing, so each row must turn exit 0
+into exit 1. Source is never edited. Rows that no certificate catches
+yet are strict xfails citing the ROADMAP item that will mend them; a fix
+turns them into passes.
+"""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+
+from tbdkit import cli, currents, positivity
+from tbdkit.cli import main
+from tbdkit.toy_model import B
+
+
+def scaled(fn, factor):
+    def wrapper(*args, **kwargs):
+        return fn(*args, **kwargs) * factor
+
+    return wrapper
+
+
+def green_multiplier(monkeypatch):
+    monkeypatch.setattr(currents, "green_multiplier", scaled(currents.green_multiplier, 1 + 1e-6))
+
+
+def defect_f(monkeypatch):
+    original = currents.defects
+
+    def wrapper(*args, **kwargs):
+        df = original(*args, **kwargs)
+        return dataclasses.replace(df, f=df.f * 1.001)
+
+    monkeypatch.setattr(currents, "defects", wrapper)
+
+
+def surviving_divergence_term(monkeypatch):
+    monkeypatch.setattr(cli, "surviving_divergence_term", scaled(cli.surviving_divergence_term, 1 + 1e-6))
+
+
+def toy_evolve_sin_term(monkeypatch):
+    # u(t) = cos(t) u0 - i sin(t) B u0, with the sin term scaled
+    original = cli.evolve
+
+    def wrapper(u0, t):
+        u0 = np.asarray(u0, dtype=complex).reshape(2)
+        return original(u0, t) - 1e-9 * 1j * np.sin(t) * (B @ u0)
+
+    monkeypatch.setattr(cli, "evolve", wrapper)
+
+
+def sazdjian_B(monkeypatch):
+    original = positivity.build_kernel
+
+    def wrapper(flavor, *args, **kwargs):
+        kernel = original(flavor, *args, **kwargs)
+        if flavor != "sazdjian":
+            return kernel
+        return dataclasses.replace(kernel, B=kernel.B * (1 + 1e-6))
+
+    monkeypatch.setattr(positivity, "build_kernel", wrapper)
+
+
+def _wrap_current(monkeypatch, module, change):
+    original = module.j_free_current
+
+    def wrapper(*args, **kwargs):
+        j = original(*args, **kwargs)
+        return dataclasses.replace(j, J=change(j.J))
+
+    monkeypatch.setattr(module, "j_free_current", wrapper)
+
+
+def j_column_2(monkeypatch):
+    def change(J):
+        J = J.copy()
+        J[:, 2] *= 1.001
+        return J
+
+    _wrap_current(monkeypatch, cli, change)
+
+
+def j_transposed(monkeypatch):
+    _wrap_current(monkeypatch, currents, lambda J: J.T.copy())
+
+
+def norm_cross_term(monkeypatch):
+    # (|a|^2 - |b|^2)(cos^2 t - sin^2 t) + 4 Re(conj(a) b) cos t sin t,
+    # with the cross term scaled
+    original = cli.norm_along_evolution
+
+    def wrapper(a, b, t):
+        cross = 4.0 * (complex(a).conjugate() * complex(b)).real * math.cos(t) * math.sin(t)
+        return original(a, b, t) + 1e-9 * cross
+
+    monkeypatch.setattr(cli, "norm_along_evolution", wrapper)
+
+
+ROWS = [
+    pytest.param(green_multiplier, "conserve", id="green_multiplier-conserve"),
+    pytest.param(defect_f, "conserve", id="defect_f-conserve"),
+    pytest.param(surviving_divergence_term, "claim1", id="surviving_term-claim1"),
+    pytest.param(toy_evolve_sin_term, "toy", id="evolve_sin_term-toy"),
+    pytest.param(
+        sazdjian_B, "radius", id="sazdjian_B-radius",
+        marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1: the radius routes never read the kernel"),
+    ),
+    pytest.param(
+        j_column_2, "claim1", id="J_column_2-claim1",
+        marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 4: claim1's pair at p = 0 reads one divergence component"),
+    ),
+    pytest.param(
+        norm_cross_term, "toy", id="norm_cross_term-toy",
+        marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 4: the toy datum has Re(conj(a) b) = 0"),
+    ),
+    pytest.param(
+        j_transposed, "conserve", id="J_transposed-conserve",
+        marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 5: the completion conserves any J"),
+    ),
+]
+
+
+@pytest.mark.parametrize("mutate, command", ROWS)
+def test_mutation_fails_its_certificate(tmp_path, monkeypatch, mutate, command):
+    mutate(monkeypatch)
+    assert main([command, "--out", str(tmp_path), "--quiet"]) == 1

@@ -12,8 +12,6 @@ from tbdkit.operators import (
     AliasingWarning,
     Grid,
     TwoBodyDiracSystem,
-    apply_D1,
-    apply_D2,
     compatibility_residual,
     field_from_modes,
     plane_wave_solutions,
@@ -38,6 +36,34 @@ P_REST = np.array([3.0, 0.0, 0.0, 0.0])
 
 def single_mode(grid, p0, m, u, P=P_REST):
     return field_from_modes(P, grid, [(p0, [(tuple(m), u)])])
+
+
+def combine(*terms):
+    """The field sum of c * fld over the (c, fld) terms, mode by mode;
+    every fld has the first one's grid and relative energies."""
+    first = terms[0][1]
+    modes = []
+    for i, (p0, _) in enumerate(first.modes):
+        assert all(fld.modes[i][0] == p0 for _, fld in terms)
+        modes.append((p0, sum(c * fld.modes[i][1] for c, fld in terms)))
+    return replace(first, modes=tuple(modes))
+
+
+def apply_D(system, fld, which):
+    """D_which on every mode, from the pieces compatibility_residual runs:
+    the potential, the wavenumber table, the transforms and the D
+    spectrum."""
+    P0 = fld.P[0]
+    V = operators._potential_on_grid(system, fld)
+    table = operators._gamma_table(system.gammas, np.ix_(*[fld.grid.wavenumbers] * 3))
+    modes = []
+    for p0, chi in fld.modes:
+        chi4 = chi.reshape(4, 4, *chi.shape[1:])
+        Vchi = V * chi4
+        F_chi, F_Vchi = operators._fft(chi4), operators._fft(Vchi, out=Vchi)
+        spec = operators._D_spectrum(system, which, P0 / 2 + p0, P0 / 2 - p0, table, F_chi, F_Vchi)
+        modes.append((p0, operators._ifft(spec, out=spec).reshape(chi.shape)))
+    return replace(fld, modes=tuple(modes))
 
 
 def mode_phase(grid, m):
@@ -97,19 +123,6 @@ def test_single_mode_norm():
     assert fld.norm() == pytest.approx(2.0 * grid.L**1.5, rel=1e-13)
 
 
-def test_field_arithmetic():
-    grid = Grid(n=8, L=6.0)
-    u = np.zeros(16)
-    u[0] = 1.0
-    a = single_mode(grid, 0.1, (1, 0, 0), u)
-    b = single_mode(grid, 0.1, (0, 1, 0), u)
-    s = a + b
-    assert s.norm() == pytest.approx(math.sqrt(2.0) * grid.L**1.5, rel=1e-12)
-    d = s - a
-    assert (d - b).norm() == pytest.approx(0.0, abs=1e-13)
-    assert (a * 3.0).norm() == pytest.approx(3.0 * a.norm(), rel=1e-13)
-
-
 def test_field_from_modes_warns_on_aliasing():
     grid = Grid(n=8, L=6.0)
     u = np.zeros(16)
@@ -122,7 +135,7 @@ def test_random_field_is_deterministic_and_band_limited():
     grid = Grid(n=16, L=10.5)
     f1 = random_band_limited_field(P_REST, grid, np.random.default_rng(3))
     f2 = random_band_limited_field(P_REST, grid, np.random.default_rng(3))
-    assert (f1 - f2).norm() == 0.0
+    assert combine((1.0, f1), (-1.0, f2)).norm() == 0.0
     assert f1.norm() > 0.0
     assert len(f1.modes) == 3
     for _, chi in f1.modes:
@@ -165,8 +178,8 @@ def test_apply_matches_per_mode_matrix(rng):
     M1 = slash1(gam, p1) - MASSES.m1 * eye + (slash2(gam, p2) - MASSES.m2 * eye) * 0.3
     M2 = slash2(gam, p2) + MASSES.m2 * eye + (slash1(gam, p1) + MASSES.m1 * eye) * 0.3
     phase = mode_phase(grid, m)
-    for apply_D, M in ((apply_D1, M1), (apply_D2, M2)):
-        out = apply_D(system, fld)
+    for which, M in ((1, M1), (2, M2)):
+        out = apply_D(system, fld, which)
         assert out.modes[0][0] == p0
         expect = (M @ u).reshape(16, 1, 1, 1) * phase
         assert np.max(np.abs(out.modes[0][1] - expect)) < 1e-13
@@ -177,9 +190,9 @@ def test_apply_is_linear(rng):
     grid = Grid(n=8, L=6.0)
     a = random_band_limited_field(P_REST, grid, rng, max_index=1)
     b = random_band_limited_field(P_REST, grid, rng, max_index=1)
-    lhs = apply_D1(system, a * 2.0 + b * (-0.5j))
-    rhs = apply_D1(system, a) * 2.0 + apply_D1(system, b) * (-0.5j)
-    assert (lhs - rhs).norm() < 1e-12 * max(lhs.norm(), 1.0)
+    lhs = apply_D(system, combine((2.0, a), (-0.5j, b)), 1)
+    rhs = combine((2.0, apply_D(system, a, 1)), (-0.5j, apply_D(system, b, 1)))
+    assert combine((1.0, lhs), (-1.0, rhs)).norm() < 1e-12 * max(lhs.norm(), 1.0)
 
 
 def test_apply_requires_rest_frame():
@@ -208,7 +221,7 @@ def test_on_shell_mode_is_annihilated():
     assert roots
     p0, basis = roots[0]
     fld = single_mode(grid, p0, (1, 0, 0), basis[:, 0])
-    out = apply_D1(system, fld)
+    out = apply_D(system, fld, 1)
     assert out.norm() < 1e-10 * fld.norm()
 
 
@@ -299,10 +312,10 @@ def test_residual_does_not_depend_on_a_dense_representation(seed):
     assert compatibility_residual(sys_u, rotated, "composed") <= 1e-12
 
 
-# The residual before transform sharing, rebuilt from field arithmetic
-# alone; K_i, D_i and the commutators are written out here with the full
-# wavenumber mesh and einsum contractions, sharing no code with the
-# operators under test.
+# The residual before transform sharing, rebuilt from mode-wise field
+# sums (combine) alone; K_i, D_i and the commutators are written out
+# here with the full wavenumber mesh and einsum contractions, sharing no
+# code with the operators under test.
 
 
 def _kinetic_oracle(gammas, particle, fld):
@@ -336,8 +349,8 @@ def _D_oracle(system, psi, which):
         return _kinetic_oracle(system.gammas, particle, f)
 
     if which == 1:
-        return K(1, psi) - psi * m1 + K(2, Vpsi) - Vpsi * m2
-    return K(2, psi) + psi * m2 + K(1, Vpsi) + Vpsi * m1
+        return combine((1.0, K(1, psi)), (-m1, psi), (1.0, K(2, Vpsi)), (-m2, Vpsi))
+    return combine((1.0, K(2, psi)), (m2, psi), (1.0, K(1, Vpsi)), (m1, Vpsi))
 
 
 @pytest.mark.parametrize("n", [8, 16])
@@ -345,7 +358,7 @@ def _D_oracle(system, psi, which):
 def test_apply_D_matches_dense_oracle(gammas, which, n):
     system = TwoBodyDiracSystem(MASSES, BUMP, gammas)
     fld = random_band_limited_field(P_REST, Grid(n=n, L=10.5), np.random.default_rng(71))
-    out = (apply_D1 if which == 1 else apply_D2)(system, fld)
+    out = apply_D(system, fld, which)
     oracle = _D_oracle(system, fld, which)
     scale = max(np.max(np.abs(chi)) for _, chi in oracle.modes)
     for (_, got), (_, want) in zip(out.modes, oracle.modes):
@@ -357,8 +370,9 @@ def _commutator_oracle(system, psi, particle, realization):
     grid = psi.grid
     V = eval_V(system.potential, -grid.radius_sq, minkowski_sq(psi.P))
     if realization == "composed":
-        return _kinetic_oracle(system.gammas, particle, _times(psi, V)) - _times(
-            _kinetic_oracle(system.gammas, particle, psi), V
+        return combine(
+            (1.0, _kinetic_oracle(system.gammas, particle, _times(psi, V))),
+            (-1.0, _times(_kinetic_oracle(system.gammas, particle, psi), V)),
         )
     dV = eval_dV_dxperp_sq(system.potential, -grid.radius_sq, minkowski_sq(psi.P))
     sub = "ac,cbxyz->abxyz" if particle == 1 else "bc,acxyz->abxyz"
@@ -376,11 +390,9 @@ def _commutator_oracle(system, psi, particle, realization):
 def _residual_oracle(system, fld, realization):
     d1 = _D_oracle(system, fld, 1)
     d2 = _D_oracle(system, fld, 2)
-    lhs = _D_oracle(system, d2, 1) - _D_oracle(system, d1, 2)
-    rhs = (-1.0) * _commutator_oracle(system, d1, 1, realization) + _commutator_oracle(
-        system, d2, 2, realization
-    )
-    return (lhs - rhs).norm() / fld.norm()
+    lhs = combine((1.0, _D_oracle(system, d2, 1)), (-1.0, _D_oracle(system, d1, 2)))
+    rhs = combine((-1.0, _commutator_oracle(system, d1, 1, realization)), (1.0, _commutator_oracle(system, d2, 2, realization)))
+    return combine((1.0, lhs), (-1.0, rhs)).norm() / fld.norm()
 
 
 @pytest.mark.parametrize("n", [8, 16])
@@ -422,8 +434,8 @@ def test_operators_leave_the_input_field_unchanged():
     for run in (
         lambda: compatibility_residual(system, fld, "analytic"),
         lambda: compatibility_residual(system, fld, "composed"),
-        lambda: apply_D1(system, fld),
-        lambda: apply_D2(system, fld),
+        lambda: apply_D(system, fld, 1),
+        lambda: apply_D(system, fld, 2),
     ):
         run()
         assert all(chi.tobytes() == old.tobytes() for (_, chi), old in zip(fld.modes, before))

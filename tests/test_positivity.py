@@ -12,7 +12,6 @@ from tbdkit.positivity import (
     empirical_boundary_consistent,
     flavor_boundary_radius,
     h_function,
-    h_function_closed,
     min_eigenvalue_map,
     scan,
     violation_radius,
@@ -36,9 +35,15 @@ OMEGA = 0.5671432904097838  # root of r e^r = 1
 # The h branches
 
 
+def h_closed(y, branch):
+    """The simplified form of the same branches, (1 +- 2y)/cosh^2 y."""
+    sign = {"plus": 1.0, "minus": -1.0}[branch]
+    return (1.0 + sign * 2.0 * y) / math.cosh(y) ** 2
+
+
 def test_h_minus_vanishes_at_half():
     assert h_function(0.5, "minus") == pytest.approx(0.0, abs=1e-15)
-    assert h_function_closed(0.5, "minus") == 0.0
+    assert h_closed(0.5, "minus") == 0.0
 
 
 def test_h_minus_negative_beyond_half():
@@ -54,10 +59,10 @@ def test_h_plus_positive():
 def test_h_direct_and_closed_forms_agree():
     for y in np.linspace(0.0, 10.0, 500):
         assert h_function(y, "minus") == pytest.approx(
-            h_function_closed(y, "minus"), abs=1e-14
+            h_closed(y, "minus"), abs=1e-14
         )
         assert h_function(y, "plus") == pytest.approx(
-            h_function_closed(y, "plus"), abs=1e-14
+            h_closed(y, "plus"), abs=1e-14
         )
 
 

@@ -21,7 +21,6 @@ from tbdkit.potentials import (
     TanhOfG,
     YukawaTanh,
     Zero,
-    delta_of,
     eval_ddelta_dP2,
     eval_dV_dP2,
     eval_dV_dxperp_sq,
@@ -66,7 +65,7 @@ def test_values_strictly_bounded(rng):
     xps, P2 = sample_points(rng, 10_000)
     for spec in (GAUSS_BUMP, YUKAWA, TanhOfG(g=PolynomialG(coeffs=(0.2, -1.0, 0.5)))):
         vals = np.array([eval_V(spec, x, p) for x, p in zip(xps, P2)])
-        deltas = np.array([delta_of(spec, x, p) for x, p in zip(xps, P2)])
+        deltas = np.array([spec.delta(x, p) for x, p in zip(xps, P2)])
         # |V| <= 1 everywhere; strictly below 1 wherever tanh has not
         # saturated to 1.0 in double precision (|arg| beyond ~19)
         assert np.all(np.abs(vals) <= 1.0)
@@ -76,30 +75,18 @@ def test_values_strictly_bounded(rng):
 
 def test_delta_inverts_tanh(rng):
     xps, P2 = sample_points(rng)
-    for spec in (GAUSS_BUMP, YUKAWA, Constant(v=0.4)):
+    for spec in (GAUSS_BUMP, YUKAWA):
         for x, p in zip(xps[:30], P2[:30]):
             v = eval_V(spec, x, p)
-            d = delta_of(spec, x, p)
+            d = spec.delta(x, p)
             assert math.tanh(d) == pytest.approx(v, abs=1e-14)
-
-
-def test_delta_of_half():
-    # arctanh(1/2) = ln(3)/2
-    assert delta_of(Constant(v=0.5), -1.0, 4.0) == pytest.approx(
-        math.log(3.0) / 2.0, abs=1e-15
-    )
-
-
-def test_delta_rejects_saturated_value():
-    with pytest.raises(PotentialDomainError):
-        delta_of(Constant(v=1.5), -1.0, 4.0)
 
 
 def test_delta_survives_deep_core():
     # at tiny r the Yukawa tanh saturates and 1 - V^2 underflows, but
     # the closed-form Delta stays finite
     strong = YukawaTanh(g1=40.0, g2=40.0, mu=1.0)
-    d = delta_of(strong, -(1e-4) ** 2, 4.0)
+    d = strong.delta(-(1e-4) ** 2, 4.0)
     assert np.isfinite(d)
     assert d < -100.0
 
@@ -134,7 +121,7 @@ def test_ddelta_dP2_matches_finite_difference(rng):
     xps, P2 = sample_points(rng, 40)
     for x, p in zip(xps, P2):
         h = 1e-5 * p
-        fd = (delta_of(YUKAWA, x, p + h) - delta_of(YUKAWA, x, p - h)) / (2.0 * h)
+        fd = (YUKAWA.delta(x, p + h) - YUKAWA.delta(x, p - h)) / (2.0 * h)
         an = eval_ddelta_dP2(YUKAWA, x, p)
         assert an == pytest.approx(fd, rel=1e-6, abs=1e-12)
     for spec in (Zero(), Constant(v=0.2), GAUSS_BUMP):
@@ -166,11 +153,11 @@ def test_complex_step_matches_analytic_P2_derivatives(rng):
     for x, p in zip(xps, P2):
         dV = eval_V(YUKAWA, x, p + 1j * h).imag / h
         assert dV == pytest.approx(eval_dV_dP2(YUKAWA, x, p), rel=1e-14, abs=0.0)
-        dD = delta_of(YUKAWA, x, p + 1j * h).imag / h
+        dD = YUKAWA.delta(x, p + 1j * h).imag / h
         assert dD == pytest.approx(eval_ddelta_dP2(YUKAWA, x, p), rel=1e-14, abs=0.0)
 
 
-EVALUATORS = (eval_V, eval_dV_dP2, eval_dV_dxperp_sq, delta_of, eval_ddelta_dP2)
+EVALUATORS = (eval_V, eval_dV_dP2, eval_dV_dxperp_sq, eval_ddelta_dP2)
 
 
 @pytest.mark.parametrize("evaluator", EVALUATORS, ids=lambda f: f.__name__)

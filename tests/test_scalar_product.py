@@ -21,11 +21,7 @@ from tbdkit.potentials import (
     eval_dV_dP2,
     eval_V,
 )
-from tbdkit.scalar_product import (
-    build_kernel,
-    free_inner_product,
-    interacting_inner_product,
-)
+from tbdkit.scalar_product import build_kernel, densities, equal_time_profile, form_value
 from tbdkit.spinor_algebra import GammaSet, build_gammas, gamma0_pair
 
 P2 = np.array([2.0, 0.0, 0.0, 0.0])
@@ -44,6 +40,19 @@ def unit_mode(grid, m, component=0, p0=0.1, P=P2):
     return field_from_modes(P, grid, [(p0, [(tuple(m), u)])])
 
 
+def form(kernel, field_a, field_b, gammas):
+    """The kernel's quadratic form between two fields at equal time: the
+    form value on the densities of their equal-time profiles."""
+    pa, pb = equal_time_profile(field_a), equal_time_profile(field_b)
+    return form_value(kernel, *densities(gammas, pa, pb))
+
+
+def free_product(field_a, field_b, gammas):
+    """The free flavor's form at the fields' grid and P^2."""
+    kernel = build_kernel("free", Zero(), minkowski_sq(field_a.P), field_a.grid)
+    return form(kernel, field_a, field_b, gammas)
+
+
 def gaussian_profile_field(grid, width, component, P=P2):
     chi = np.zeros((16,) + (grid.n,) * 3, dtype=complex)
     chi[component] = np.exp(-grid.radius_sq / (2.0 * width**2))
@@ -59,8 +68,8 @@ def test_free_product_of_harmonics_is_orthonormal(gam):
     a = unit_mode(grid, (1, 0, 0))
     b = unit_mode(grid, (0, 2, 0))
     # same harmonic: exactly |u|^2 L^3; distinct harmonics: exactly 0
-    assert free_inner_product(a, a) == pytest.approx(grid.L**3, rel=1e-13)
-    assert abs(free_inner_product(a, b)) < 1e-12
+    assert free_product(a, a, gam) == pytest.approx(grid.L**3, rel=1e-13)
+    assert abs(free_product(a, b, gam)) < 1e-12
 
 
 def test_free_product_gaussian_oracle(gam):
@@ -69,7 +78,7 @@ def test_free_product_gaussian_oracle(gam):
     width = 1.0
     fld = gaussian_profile_field(grid, width, component=3)
     expect = (math.pi * width**2) ** 1.5
-    assert free_inner_product(fld, fld) == pytest.approx(expect, rel=1e-8)
+    assert free_product(fld, fld, gam) == pytest.approx(expect, rel=1e-8)
 
 
 def test_free_product_is_sesquilinear(gam, rng):
@@ -77,22 +86,15 @@ def test_free_product_is_sesquilinear(gam, rng):
     a = random_band_limited_field(P2, grid, rng, max_index=1)
     b = random_band_limited_field(P2, grid, rng, max_index=1)
     c = random_band_limited_field(P2, grid, rng, max_index=1)
-    lhs = free_inner_product(a, b * (0.3 + 1j) + c * (-2.0))
-    rhs = (0.3 + 1j) * free_inner_product(a, b) - 2.0 * free_inner_product(a, c)
-    assert lhs == pytest.approx(rhs, abs=1e-10)
-    assert free_inner_product(a, b) == pytest.approx(
-        np.conj(free_inner_product(b, a)), abs=1e-12
+    combined = replace(
+        b, modes=tuple((p0, (0.3 + 1j) * chi_b - 2.0 * chi_c) for (p0, chi_b), (_, chi_c) in zip(b.modes, c.modes))
     )
-
-
-def test_free_product_rejects_mismatched_fields(gam, rng):
-    a = random_band_limited_field(P2, Grid(n=8, L=6.0), rng, max_index=1)
-    b = random_band_limited_field(P2, Grid(n=8, L=8.0), rng, max_index=1)
-    with pytest.raises(ValueError):
-        free_inner_product(a, b)
-    c = replace(a, P=np.array([2.5, 0.0, 0.0, 0.0]))
-    with pytest.raises(ValueError):
-        free_inner_product(a, c)
+    lhs = free_product(a, combined, gam)
+    rhs = (0.3 + 1j) * free_product(a, b, gam) - 2.0 * free_product(a, c, gam)
+    assert lhs == pytest.approx(rhs, abs=1e-10)
+    assert free_product(a, b, gam) == pytest.approx(
+        np.conj(free_product(b, a, gam)), abs=1e-12
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +188,10 @@ def test_free_flavor_reproduces_free_product(gam):
     for _ in range(20):
         a = random_band_limited_field(P2, grid, rng, max_index=1)
         b = random_band_limited_field(P2, grid, rng, max_index=1)
-        lhs = interacting_inner_product(kernel, a, b, gam)
-        rhs = free_inner_product(a, b)
+        lhs = form(kernel, a, b, gam)
+        # the plain product h^3 sum over components and points of conj(phi_a) phi_b
+        pa, pb = equal_time_profile(a), equal_time_profile(b)
+        rhs = complex(np.sum(pa.conj() * pb) * grid.h**3)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
@@ -196,19 +200,8 @@ def test_interacting_self_product_is_real(gam, rng):
     for flavor in ("sazdjian", "crater"):
         kernel = build_kernel(flavor, YUKAWA, P2_SQ, grid)
         fld = random_band_limited_field(P2, grid, rng, max_index=1)
-        val = interacting_inner_product(kernel, fld, fld, gam)
+        val = form(kernel, fld, fld, gam)
         assert abs(val.imag) < 1e-10 * abs(val.real)
-
-
-def test_interacting_product_rejects_foreign_momentum(gam, rng):
-    grid = Grid(n=8, L=6.0)
-    kernel = build_kernel("sazdjian", YUKAWA, P2_SQ, grid)
-    other = replace(
-        random_band_limited_field(P2, grid, rng, max_index=1),
-        P=np.array([2.5, 0.0, 0.0, 0.0]),
-    )
-    with pytest.raises(ValueError):
-        interacting_inner_product(kernel, other, other, gam)
 
 
 def test_negative_norm_state_inside_violation_ball(gam):
@@ -222,11 +215,11 @@ def test_negative_norm_state_inside_violation_ball(gam):
     component = int(np.argmin(gp))
     assert gp[component] == -1.0
     fld = gaussian_profile_field(grid, width=0.15, component=component, P=P)
-    val = interacting_inner_product(kernel, fld, fld, gam)
+    val = form(kernel, fld, fld, gam)
     assert val.real < -1e-4
     # the same profile on the +1 orientation keeps a positive norm
     plus = gaussian_profile_field(grid, width=0.15, component=int(np.argmax(gp)), P=P)
-    assert interacting_inner_product(kernel, plus, plus, gam).real > 0.0
+    assert form(kernel, plus, plus, gam).real > 0.0
 
 
 def _dense_gammas(seed):
@@ -286,5 +279,5 @@ def test_density_form_matches_per_component_formula(flavor, representation):
     pa, pb = (sum(chi for _, chi in f.modes) for f in (a, b))
     for fa, fb, qa, qb in ((a, b, pa, pb), (a, a, pa, pa)):
         expect, scale = _per_component_form(kernel, gam, qa, qb)
-        got = interacting_inner_product(kernel, fa, fb, gam)
+        got = form(kernel, fa, fb, gam)
         assert abs(got - expect) <= _rounding_bound(grid.n, scale)
