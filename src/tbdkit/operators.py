@@ -140,8 +140,9 @@ class Grid:
 
     @cached_property
     def radius_sq(self) -> np.ndarray:
-        m = self.coord_mesh
-        return m[0] ** 2 + m[1] ** 2 + m[2] ** 2
+        # x^2 + y^2 + z^2 broadcast from the axis, without the mesh
+        s = self.axis**2
+        return s[:, None, None] + s[None, :, None] + s
 
 
 @dataclass(frozen=True)

@@ -6,19 +6,18 @@ and every requested P^2, in closed form as A - |B| (gamma_1^0 gamma_2^0
 is an involution with eigenvalues +-1), and reports the global minimum
 eigenvalue and the set of violating points. For the Yukawa-tanh
 potential the violation region is a ball whose analytic radius r*
-solves r e^{mu r} = g1 g2 / (4 pi |P^0|); the scan's empirical boundary
+solves r e^{mu r} = |g1 g2| / (4 pi |P^0|); the scan's empirical boundary
 is cross-checked against it.
 
-h_function is the pair of eigenvalue branches of the Sazdjian-flavor
-form for the Yukawa-tanh potential as a function of the dimensionless
-variable y; its minus branch changes sign at y = 1/2, which is the same
-boundary the Crater-flavor branches 1 -+ 2y produce. Both boundaries
-are recovered numerically by flavor_boundary_radius without assuming
-that coincidence.
+flavor_boundary_radius finds a flavor's edge of that ball from the form
+pair the scan reads, scalar_product.form_pair: the radius where the
+smallest eigenvalue lambda_-(r) = A - |B| turns positive. Agreement of
+the flavors, and with r*, is a result, not an input: a wrong (A, B)
+moves the flavor's root.
 
-The radius routes read the coupling and y(r, P^0) of the YukawaTanh they
-are given, which checked mu > 0 and a finite g1 g2 when it was built;
-they check only what depends on P^0.
+The radius routes read the coupling of the YukawaTanh they are given,
+which checked mu > 0 and a finite g1 g2 when it was built; they check
+only what depends on P^0.
 """
 
 from __future__ import annotations
@@ -29,9 +28,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .potentials import FOUR_PI, YukawaTanh
-from .scalar_product import build_kernel
+from .scalar_product import form_pair
 
 DEFAULT_TOL = 1e-12
+_BATCH = 256  # radii tested per bisection round
 
 
 @dataclass(frozen=True)
@@ -70,12 +70,10 @@ def scan(
     argmin = (0, 0, 0)
     argmin_P2 = P2_values[0]
     violations = []
+    edges = []  # the largest violating radius of each P^2
+    radius = np.sqrt(grid.radius_sq)
     for P2 in P2_values:
-        # an overflow in the potential either drops out of the eigenvalue
-        # (1/cosh^2 of an overflowed cosh is 0) or leaves it non-finite,
-        # which is rejected below with its P^2; numpy's warnings add nothing
-        with np.errstate(over="ignore", invalid="ignore"):
-            eigs = min_eigenvalue_map(flavor, potential, P2, grid)
+        eigs = min_eigenvalue_map(flavor, potential, P2, grid)
         if not np.all(np.isfinite(eigs)):
             raise ValueError(f"the form eigenvalue is not finite at every grid point for P^2 = {P2!r}")
         idx = np.unravel_index(np.argmin(eigs), eigs.shape)
@@ -84,10 +82,12 @@ def scan(
             argmin = tuple(int(i) for i in idx)
             argmin_P2 = P2
             argmin_map = eigs
-        bad = np.argwhere(eigs < -tol)
-        violations.extend((int(i), int(j), int(k), P2) for i, j, k in bad)
-    radius = np.sqrt(grid.radius_sq)
-    vr_max = max((float(radius[i, j, k]) for i, j, k, _ in violations), default=None)
+        bad = eigs < -tol
+        hits = np.argwhere(bad).tolist()
+        if hits:
+            violations.extend((i, j, k, P2) for i, j, k in hits)
+            edges.append(float(radius[bad].max()))
+    vr_max = max(edges, default=None)
     analytic = None
     if isinstance(potential, YukawaTanh):
         analytic = violation_radius(potential, math.sqrt(argmin_P2))
@@ -119,95 +119,77 @@ def min_eigenvalue_map(flavor: str, potential, P2: float, grid):
     spectrum, the eigenvalues are exactly A + B and A - B, and the
     smallest is A - |B|.
     """
-    kernel = build_kernel(flavor, potential, P2, grid)
-    return kernel.A - np.abs(kernel.B)
+    A, B = form_pair(flavor, potential, P2, -grid.radius_sq)
+    return A - np.abs(B)
 
 
-def h_function(y: float, branch: str) -> float:
-    """Eigenvalue branch of the Sazdjian-form positivity condition,
-    written exactly as the condition reads: 1 - tanh^2(-y) +- 2y/cosh^2(-y)."""
-    if branch == "plus":
-        sign = 1.0
-    elif branch == "minus":
-        sign = -1.0
-    else:
-        raise ValueError(f"unknown branch: {branch!r}")
-    return 1.0 - math.tanh(-y) ** 2 + sign * 2.0 * y / math.cosh(-y) ** 2
+def _first_false(mask) -> int:
+    """Index of the first False in a boolean array, or its length."""
+    return int(np.concatenate((mask, [False])).argmin())
 
 
 def _bisect(below, lo, hi, tol):
-    """Midpoint of [lo, hi] after halving it until narrower than tol or
-    until no double lies between lo and hi (past 2^13 they are spaced
-    wider than 1e-12), moving lo up where below(mid) holds and hi down
-    elsewhere."""
-    mid = 0.5 * (lo + hi)
-    while hi - lo > tol and lo < mid < hi:
-        if below(mid):
-            lo = mid
-        else:
-            hi = mid
-        mid = 0.5 * (lo + hi)
-    return mid
+    """Midpoint of [lo, hi], where below(lo) holds and below(hi) does
+    not, after narrowing it round by round to the cell of _BATCH evenly
+    spaced radii in which the array predicate below first fails, until
+    it is narrower than tol or no double lies inside it (past 2^13
+    doubles are spaced wider than 1e-12)."""
+    while hi - lo > tol:
+        r = np.linspace(lo, hi, _BATCH + 2)
+        i = 1 + _first_false(below(r[1:-1]))
+        if (r[i - 1], r[i]) == (lo, hi):
+            break
+        lo, hi = r[i - 1], r[i]
+    return float(0.5 * (lo + hi))
 
 
 def violation_radius(potential: YukawaTanh, P0: float) -> float:
-    """The radius r* > 0 solving r e^{mu r} = g1 g2 / (4 pi |P^0|), found
-    by bisection (the left side is strictly increasing). Nonpositive
-    coupling product means no violation anywhere: returns 0. A right
-    side that overflows to infinity is rejected."""
+    """The radius r* solving r e^{mu r} = |g1 g2| / (4 pi |P^0|), found
+    by bisection (the left side is strictly increasing). A - |B| is even
+    in the sign of the coupling for both flavors, so a repulsive coupling
+    has the ball of its absolute value; a zero coupling has none and
+    gives 0. A right side that overflows to infinity is rejected."""
     if P0 == 0:
         raise ValueError("P0 must be nonzero")
     mu = potential.mu
-    rhs = potential.g1 * potential.g2 / (FOUR_PI * abs(P0))
+    rhs = abs(potential.g1 * potential.g2) / (FOUR_PI * abs(P0))
     if not math.isfinite(rhs):
-        raise ValueError(f"g1 g2 / (4 pi |P0|) = {rhs} is not a finite number")
-    if rhs <= 0:
+        raise ValueError(f"|g1 g2| / (4 pi |P0|) = {rhs} is not a finite number")
+    if rhs == 0:
         return 0.0
     log_rhs = math.log(rhs)
 
     def below(r):
         # e^{mu r} overflows past mu r = 709.78; compare logarithms there
-        if mu * r > 700.0:
-            return math.log(r) + mu * r < log_rhs
-        return r * math.exp(mu * r) < rhs
+        with np.errstate(over="ignore"):
+            return np.where(mu * r > 700.0, np.log(r) + mu * r < log_rhs, r * np.exp(mu * r) < rhs)
 
     # r e^{mu r} >= r, so the root is at most rhs
     return _bisect(below, 0.0, rhs, 1e-12)
 
 
-def _critical_y(flavor: str) -> float:
-    """Zero crossing of the flavor's smallest form eigenvalue as a
-    function of y, located by bisection without using the analytic
-    simplifications."""
-    if flavor == "sazdjian":
-        def worst(y):
-            return min(h_function(y, "plus"), h_function(y, "minus"))
-    elif flavor == "crater":
-        def worst(y):
-            return min(1.0 - 2.0 * y, 1.0 + 2.0 * y)
-    else:
-        raise ValueError(f"no closed eigenvalue branches for flavor {flavor!r}")
-    if not (worst(0.0) > 0 > worst(8.0)):
-        raise RuntimeError("eigenvalue branch does not change sign on [0, 8]")
-    return _bisect(lambda y: worst(y) > 0, 0.0, 8.0, 1e-14)
-
-
 def flavor_boundary_radius(flavor: str, potential: YukawaTanh, P0: float) -> float:
-    """Empirical violation boundary of a kernel flavor for the
-    Yukawa-tanh potential: finds the critical y of that flavor's
-    eigenvalue branches, then inverts y(r) by bisection. Agreement of
-    the flavors (and with violation_radius) is a result, not an input.
-    With a finite coupling y(r) <= g1 g2 / (8 pi |P^0| r), so doubling ends."""
-    y_c = _critical_y(flavor)
-    if not potential.g1 * potential.g2 > 0:
+    """Violation boundary of a kernel flavor for the Yukawa-tanh
+    potential: the radius past which the smallest form eigenvalue
+    lambda_-(r) = A - |B| of form_pair is positive, bracketed on the
+    ladder r = 2^-40 ... 2^511 (the last radius whose square is finite)
+    and then bisected. A radius counts as outside only where
+    lambda_- > 0 strictly: near the core A - |B| underflows to 0.0 or to
+    a tiny negative. Gives 0 when lambda_- is already positive at
+    2^-40, as for the free flavor or a zero coupling."""
+    P_sq = P0 * P0
+
+    def inside(r):
+        A, B = form_pair(flavor, potential, P_sq, -r * r)
+        return ~(A - np.abs(B) > 0)
+
+    ladder = np.ldexp(1.0, np.arange(-40, 512))
+    k = _first_false(inside(ladder))
+    if k == 0:
         return 0.0
-    lo = 1e-12
-    if potential.y(lo, P0) <= y_c:
-        return 0.0
-    hi = 1.0
-    while potential.y(hi, P0) > y_c:
-        hi *= 2.0
-    return _bisect(lambda r: potential.y(r, P0) > y_c, lo, hi, 1e-12)
+    if k == ladder.size:
+        raise ValueError(f"the {flavor} form eigenvalue A - |B| is positive at no radius up to 2^511")
+    return _bisect(inside, ladder[k - 1], ladder[k], 1e-12)
 
 
 def empirical_boundary_consistent(report: PositivityReport, grid) -> bool:

@@ -12,8 +12,9 @@ Variants:
   * TanhOfG(g): tanh(g(r^2)) for a built-in smooth g, bounded in (-1, 1)
   * YukawaTanh(g1, g2, mu): tanh of a Yukawa core over sqrt(P^2),
       V = tanh( -(1/(2 sqrt(P^2))) (g1 g2 / 4 pi) e^{-mu r} / r ),
-    built only with mu > 0 and a finite g1 g2; y(r, P^0) is the
-    positivity variable that the violation-radius routes invert
+    built only with mu > 0 and a finite g1 g2; the kernel forms built
+    on it turn negative where |y| = |c(r)|/|P^0| exceeds 1/2, a ball
+    around the core that the radius routes locate
 
 All evaluators are vectorized over x_perp_sq (grids pass the whole
 array). x_perp_sq must be <= 0; the Yukawa core additionally requires
@@ -168,11 +169,6 @@ class YukawaTanh(Potential):
             raise ValueError("mu must be positive")
         if not math.isfinite(self.g1 * self.g2):
             raise ValueError(f"coupling product g1 g2 = {self.g1 * self.g2} is not a finite number")
-
-    def y(self, r: float, P0: float) -> float:
-        """The positivity variable y = (1/(2|P^0|)) (g1 g2/4 pi) e^{-mu r}/r
-        at a radius r > 0, i.e. c(r)/|P^0|."""
-        return (self.g1 * self.g2 / FOUR_PI) * math.exp(-self.mu * r) / (2.0 * abs(P0) * r)
 
     def core(self, r):
         """c(r) = (1/2) (g1 g2 / 4 pi) e^{-mu r} / r."""

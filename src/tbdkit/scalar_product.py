@@ -11,8 +11,10 @@ flavors, as the paper writes their brackets:
   sazdjian  K = (1 - V^2) gamma_1^0 gamma_2^0 + 4 P^2 (dV/dP^2) 1
   crater    K = 1 - 4 P^2 (dDelta/dP^2) gamma_1^0 gamma_2^0
 
-build_kernel absorbs their conjugation conventions (see its docstring),
-so the free flavor's form is the plain product h^3 sum_x phi_a^dagger
+form_pair, the one place these formulas live, absorbs their
+conjugation conventions (see its docstring); build_kernel evaluates it
+on a grid, and the positivity scan and radius routes read it directly.
+The free flavor's form is the plain product h^3 sum_x phi_a^dagger
 phi_b.
 
 A pair of equal-time profiles pa, pb enters any kernel only through two
@@ -59,9 +61,9 @@ class NormKernel:
     B: np.ndarray  # coefficient of gamma_1^0 gamma_2^0
 
 
-def build_kernel(flavor: str, potential, P_sq: float, grid: Grid) -> NormKernel:
-    """Pointwise quadratic-form pair (A, B) of the requested flavor at a
-    timelike P^2 > 0.
+def form_pair(flavor: str, potential, P_sq: float, x_perp_sq):
+    """Quadratic-form pair (A, B) of the requested flavor at a timelike
+    P^2 > 0, pointwise over an array of x_perp^2 <= 0.
 
     The free and sazdjian brackets multiply psi_bar = psi^dagger
     gamma_1^0 gamma_2^0, so their form matrix is gamma_1^0 gamma_2^0 K;
@@ -69,22 +71,27 @@ def build_kernel(flavor: str, potential, P_sq: float, grid: Grid) -> NormKernel:
     free (A, B) = (1, 0), sazdjian (A, B) = (1 - V^2, 4 P^2 dV/dP^2).
     The crater bracket multiplies psi^dagger and is taken as written:
     (A, B) = (1, -4 P^2 dDelta/dP^2).
+
+    An overflow in the potential either drops out of the pair (1/cosh^2
+    of an overflowed cosh is 0) or leaves it non-finite, which its
+    callers reject or read as not positive; numpy's warnings add nothing.
     """
     if flavor not in FLAVORS:
         raise ValueError(f"unknown kernel flavor: {flavor!r}")
     if not P_sq > 0:
         raise ValueError("total momentum must be timelike")
-    shape = (grid.n,) * 3
-    x_perp_sq = -grid.radius_sq
-    if flavor == "free":
-        A = np.ones(shape)
-        B = np.zeros(shape)
-    elif flavor == "sazdjian":
-        A = 1.0 - eval_V(potential, x_perp_sq, P_sq) ** 2
-        B = 4.0 * P_sq * eval_dV_dP2(potential, x_perp_sq, P_sq)
-    else:
-        A = np.ones(shape)
-        B = -4.0 * P_sq * eval_ddelta_dP2(potential, x_perp_sq, P_sq)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if flavor == "free":
+            return np.ones_like(x_perp_sq), np.zeros_like(x_perp_sq)
+        if flavor == "sazdjian":
+            A = 1.0 - eval_V(potential, x_perp_sq, P_sq) ** 2
+            return A, 4.0 * P_sq * eval_dV_dP2(potential, x_perp_sq, P_sq)
+        return np.ones_like(x_perp_sq), -4.0 * P_sq * eval_ddelta_dP2(potential, x_perp_sq, P_sq)
+
+
+def build_kernel(flavor: str, potential, P_sq: float, grid: Grid) -> NormKernel:
+    """The form pair (A, B) of the requested flavor on the grid."""
+    A, B = form_pair(flavor, potential, P_sq, -grid.radius_sq)
     return NormKernel(flavor=flavor, P_sq=P_sq, grid=grid, A=A, B=B)
 
 

@@ -35,7 +35,6 @@ from tbdkit.operators import (
 from tbdkit.positivity import (
     empirical_boundary_consistent,
     flavor_boundary_radius,
-    h_function,
     scan,
     violation_radius,
 )
@@ -48,6 +47,7 @@ from tbdkit.potentials import (
     Zero,
     eval_dV_dP2,
 )
+from tbdkit.scalar_product import form_pair
 from tbdkit.spinor_algebra import build_gammas, lift1, lift2
 from tbdkit.toy_model import a_product, evolve, positivity_breakdown_search
 
@@ -223,14 +223,19 @@ def test_criterion_06_yukawa_violation_ball():
     r_star = violation_radius(pot, 1.0)
     radius_ok = abs(r_star - OMEGA) <= 1e-9
     boundary_ok = empirical_boundary_consistent(rep, grid)
-    h_zero = abs(h_function(0.5, "minus"))
-    h_sign_ok = all(h_function(y, "minus") < 0 for y in np.linspace(0.5001, 10.0, 200))
+    # the smallest form eigenvalue A - |B| of the kernel pair vanishes at
+    # r* and is negative inside it
+    A, B = form_pair("sazdjian", pot, 1.0, np.array(-(r_star**2)))
+    lam_zero = abs(float(A - abs(B)))
+    inside = np.linspace(0.05, 0.9999, 200) * r_star
+    A, B = form_pair("sazdjian", pot, 1.0, -(inside**2))
+    lam_sign_ok = bool(np.all(A - np.abs(B) < 0))
     _line(
         6,
         "Yukawa violation ball",
-        (not rep.passed) and radius_ok and boundary_ok and h_zero <= 1e-12 and h_sign_ok,
+        (not rep.passed) and radius_ok and boundary_ok and lam_zero <= 1e-12 and lam_sign_ok,
         f"r* {r_star:.10f}, empirical edge {rep.violation_radius_max:.4f} "
-        f"(cell {math.sqrt(3) * grid.h:.4f}), h(1/2) {h_zero:.1e}",
+        f"(cell {math.sqrt(3) * grid.h:.4f}), lambda_-(r*) {lam_zero:.1e}",
     )
 
 

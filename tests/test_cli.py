@@ -531,6 +531,18 @@ def test_radius_beyond_2_13_ends_without_hang_or_traceback(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_radius_with_repulsive_coupling_passes(tmp_path):
+    # A - |B| is even in the sign of g1 g2: the scan finds the ball of
+    # |g1 g2|, and all three routes give its radius
+    override = {"g2": -math.sqrt(4.0 * math.pi), "grid": {"n": 32, "L": 4.0}}
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"schema": "tbdkit-config/1", **override}))
+    assert main(["radius", "--config", str(p), "--out", str(tmp_path), "--quiet"]) == 0
+    report = json.loads((tmp_path / "radius.json").read_text())["report"]
+    for key in ("analytic_radius", "sazdjian_boundary_radius", "crater_boundary_radius"):
+        assert report[key] == pytest.approx(0.56714329041, abs=1e-9)
+
+
 @pytest.mark.parametrize("override", [{"mu": 0}, {"P0": 1e200}], ids=["mu_zero", "P0_huge"])
 def test_radius_checks_its_inputs_before_any_route(tmp_path, monkeypatch, capsys, override):
     def must_not_run(*args, **kwargs):
@@ -772,6 +784,28 @@ _CONSERVE_KEYS = {
     "green_choice": st.sampled_from(["advanced", "retarded"]),
     "tolerance": _NUMBER,
 }
+
+
+_RADIUS_KEYS = {
+    "g1": _NUMBER,
+    "g2": _NUMBER,
+    "mu": _NUMBER,
+    "P0": _NUMBER,
+    "flavor": _GAUGE_KEYS["flavor"],
+    "grid": st.fixed_dictionaries({"n": st.integers(-2, 16), "L": _NUMBER}),
+    "agreement_tolerance": _NUMBER,
+}
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.fixed_dictionaries({}, optional={key: value | _JSON for key, value in _RADIUS_KEYS.items()}))
+@example({"g2": -math.sqrt(4.0 * math.pi)})
+@example({"P0": 1e-160})
+@example({"mu": 1e300})
+def test_radius_config_never_raises(override):
+    # the defaults' grid is n=32; every drawn config runs at n <= 16
+    override.setdefault("grid", {"n": 16, "L": 4.0})
+    _exits_0_1_or_2("radius", override)
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])

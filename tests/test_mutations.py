@@ -54,16 +54,21 @@ def toy_evolve_sin_term(monkeypatch):
     monkeypatch.setattr(cli, "evolve", wrapper)
 
 
-def sazdjian_B(monkeypatch):
-    original = positivity.build_kernel
+def _scale_B(flavor_name):
+    # positivity reads every form pair, scan and radius routes alike,
+    # through its form_pair binding
+    def mutate(monkeypatch):
+        original = positivity.form_pair
 
-    def wrapper(flavor, *args, **kwargs):
-        kernel = original(flavor, *args, **kwargs)
-        if flavor != "sazdjian":
-            return kernel
-        return dataclasses.replace(kernel, B=kernel.B * (1 + 1e-6))
+        def wrapper(flavor, *args, **kwargs):
+            A, B = original(flavor, *args, **kwargs)
+            if flavor != flavor_name:
+                return A, B
+            return A, B * (1 + 1e-6)
 
-    monkeypatch.setattr(positivity, "build_kernel", wrapper)
+        monkeypatch.setattr(positivity, "form_pair", wrapper)
+
+    return mutate
 
 
 def _wrap_current(monkeypatch, module, change):
@@ -106,18 +111,13 @@ ROWS = [
     pytest.param(defect_f, "conserve", id="defect_f-conserve"),
     pytest.param(surviving_divergence_term, "claim1", id="surviving_term-claim1"),
     pytest.param(toy_evolve_sin_term, "toy", id="evolve_sin_term-toy"),
-    pytest.param(
-        sazdjian_B, "radius", id="sazdjian_B-radius",
-        marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1: the radius routes never read the kernel"),
-    ),
+    pytest.param(_scale_B("sazdjian"), "radius", id="sazdjian_B-radius"),
+    pytest.param(_scale_B("crater"), "radius", id="crater_B-radius"),
     pytest.param(
         j_column_2, "claim1", id="J_column_2-claim1",
         marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 4: claim1's pair at p = 0 reads one divergence component"),
     ),
-    pytest.param(
-        norm_cross_term, "toy", id="norm_cross_term-toy",
-        marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 4: the toy datum has Re(conj(a) b) = 0"),
-    ),
+    pytest.param(norm_cross_term, "toy", id="norm_cross_term-toy"),
     pytest.param(
         j_transposed, "conserve", id="J_transposed-conserve",
         marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 5: the completion conserves any J"),

@@ -11,7 +11,6 @@ from tbdkit.positivity import (
     PositivityReport,
     empirical_boundary_consistent,
     flavor_boundary_radius,
-    h_function,
     min_eigenvalue_map,
     scan,
     violation_radius,
@@ -24,51 +23,68 @@ from tbdkit.potentials import (
     eval_dV_dP2,
     eval_V,
 )
-from tbdkit.scalar_product import build_kernel
+from tbdkit.scalar_product import build_kernel, form_pair
 
 G_UNIT = math.sqrt(FOUR_PI)
 YUKAWA = YukawaTanh(g1=G_UNIT, g2=G_UNIT, mu=1.0)
 OMEGA = 0.5671432904097838  # root of r e^r = 1
+# near the smallest P0 (1.77e-103) whose P0^2 ** -1.5, in the Yukawa
+# dDelta/dP^2, is finite: the kernel rejects anything smaller
+SMALLEST_P0 = 1.8e-103
 
 
 # ---------------------------------------------------------------------------
-# The h branches
+# The h branches: the form eigenvalues A +- |B| as functions of
+# y = c(r)/|P^0|
 
 
 def h_closed(y, branch):
-    """The simplified form of the same branches, (1 +- 2y)/cosh^2 y."""
+    """The simplified form of the sazdjian branches, (1 +- 2y)/cosh^2 y."""
     sign = {"plus": 1.0, "minus": -1.0}[branch]
     return (1.0 + sign * 2.0 * y) / math.cosh(y) ** 2
 
 
+def y_of(pot, r, P0):
+    """The positivity variable y = c(r)/|P^0| of a Yukawa-tanh potential."""
+    return float(pot.core(r)) / abs(P0)
+
+
+def branches_at_y(flavor, y):
+    """(A - |B|, A + |B|) of form_pair at r = 1, P^0 = 1 and mu = 1, with
+    the coupling g1 g2 = 8 pi e y that puts the core at y there."""
+    pot = YukawaTanh(g1=8.0 * math.pi * math.e * y, g2=1.0, mu=1.0)
+    A, B = form_pair(flavor, pot, 1.0, np.array(-1.0))
+    return float(A - abs(B)), float(A + abs(B))
+
+
 def test_h_minus_vanishes_at_half():
-    assert h_function(0.5, "minus") == pytest.approx(0.0, abs=1e-15)
+    for flavor in ("sazdjian", "crater"):
+        assert branches_at_y(flavor, 0.5)[0] == pytest.approx(0.0, abs=1e-15)
     assert h_closed(0.5, "minus") == 0.0
 
 
 def test_h_minus_negative_beyond_half():
-    for y in (0.5001, 0.6, 1.0, 3.0, 8.0):
-        assert h_function(y, "minus") < 0.0
+    for flavor in ("sazdjian", "crater"):
+        for y in (0.5001, 0.6, 1.0, 3.0, 8.0):
+            assert branches_at_y(flavor, y)[0] < 0.0
 
 
 def test_h_plus_positive():
-    for y in np.linspace(0.0, 8.0, 50):
-        assert h_function(y, "plus") > 0.0
+    for flavor in ("sazdjian", "crater"):
+        for y in np.linspace(0.0, 8.0, 50):
+            assert branches_at_y(flavor, y)[1] > 0.0
 
 
 def test_h_direct_and_closed_forms_agree():
+    # the sazdjian pair, read through form_pair, against (1 -+ 2y)/cosh^2 y;
+    # the crater pair is 1 -+ 2y itself
     for y in np.linspace(0.0, 10.0, 500):
-        assert h_function(y, "minus") == pytest.approx(
-            h_closed(y, "minus"), abs=1e-14
-        )
-        assert h_function(y, "plus") == pytest.approx(
-            h_closed(y, "plus"), abs=1e-14
-        )
-
-
-def test_h_rejects_unknown_branch():
-    with pytest.raises(ValueError):
-        h_function(0.5, "zero")
+        minus, plus = branches_at_y("sazdjian", y)
+        assert minus == pytest.approx(h_closed(y, "minus"), abs=1e-14)
+        assert plus == pytest.approx(h_closed(y, "plus"), abs=1e-14)
+        minus, plus = branches_at_y("crater", y)
+        assert minus == pytest.approx(1.0 - 2.0 * y, abs=1e-14)
+        assert plus == pytest.approx(1.0 + 2.0 * y, abs=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +118,7 @@ def test_violation_radius_solves_its_equation(rng):
             g1 * g2 / (FOUR_PI * abs(P0)), rel=1e-10
         )
         # the boundary radius is exactly the y = 1/2 locus
-        assert pot.y(r, P0) == pytest.approx(0.5, rel=1e-10)
+        assert y_of(pot, r, P0) == pytest.approx(0.5, rel=1e-10)
 
 
 @pytest.mark.parametrize("P0", [1e-300, 1e-307])
@@ -114,12 +130,22 @@ def test_violation_radius_where_exp_overflows(P0):
     assert math.log(r) + r == pytest.approx(-math.log(P0), rel=1e-14)
 
 
-def test_violation_radius_repulsive_coupling_has_no_region():
-    for g1, g2 in ((1.0, -2.0), (0.0, 2.0)):
-        pot = YukawaTanh(g1=g1, g2=g2, mu=1.0)
-        assert violation_radius(pot, 1.0) == 0.0
-        assert flavor_boundary_radius("sazdjian", pot, 1.0) == 0.0
-        assert flavor_boundary_radius("crater", pot, 1.0) == 0.0
+def test_violation_radius_is_even_in_the_coupling_sign():
+    # A - |B| is even in the sign of g1 g2 for both flavors, so a
+    # repulsive coupling has the ball of its absolute value; a zero
+    # coupling has none
+    attractive = YukawaTanh(g1=1.0, g2=2.0, mu=1.0)
+    repulsive = YukawaTanh(g1=1.0, g2=-2.0, mu=1.0)
+    r_star = violation_radius(attractive, 1.0)
+    assert r_star > 0.0
+    assert violation_radius(repulsive, 1.0) == r_star
+    for flavor in ("sazdjian", "crater"):
+        assert flavor_boundary_radius(flavor, repulsive, 1.0) == flavor_boundary_radius(flavor, attractive, 1.0)
+        assert abs(flavor_boundary_radius(flavor, repulsive, 1.0) - r_star) < 1e-9
+    zero = YukawaTanh(g1=0.0, g2=2.0, mu=1.0)
+    assert violation_radius(zero, 1.0) == 0.0
+    assert flavor_boundary_radius("sazdjian", zero, 1.0) == 0.0
+    assert flavor_boundary_radius("crater", zero, 1.0) == 0.0
 
 
 def test_violation_radius_validation():
@@ -153,7 +179,8 @@ def test_flavor_boundaries_coincide_with_analytic_radius():
         (G_UNIT, G_UNIT, 1.0, 1.0),
         (2.0, 3.0, 0.7, 1.3),
         (4.0, 1.5, 2.0, 0.6),
-        (G_UNIT, G_UNIT, 1.0, 1e-300),  # e^{-mu r} underflows while bracketing
+        # e^{-mu r} underflows while bracketing
+        (G_UNIT, G_UNIT, 1.0, SMALLEST_P0),
         # r* ~ 1e4: past 2^13 adjacent doubles are further apart than the
         # bisection tolerance of 1e-12
         (1.0, 1.0, 1e-9, 1.0 / (FOUR_PI * 1e4)),
@@ -168,7 +195,27 @@ def test_flavor_boundaries_coincide_with_analytic_radius():
 
 def test_flavor_boundary_rejects_unknown_flavor():
     with pytest.raises(ValueError):
-        flavor_boundary_radius("free", YUKAWA, 1.0)
+        flavor_boundary_radius("euclidean", YUKAWA, 1.0)
+
+
+def test_free_flavor_has_no_boundary():
+    # the free form is the identity: positive at every radius
+    assert flavor_boundary_radius("free", YUKAWA, 1.0) == 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    g1=st.floats(min_value=0.5, max_value=6.0),
+    g2=st.floats(min_value=0.5, max_value=6.0),
+    signs=st.sampled_from([(1, 1), (1, -1), (-1, 1), (-1, -1)]),
+    mu=st.floats(min_value=0.1, max_value=3.0),
+    P0=st.floats(min_value=0.3, max_value=4.0),
+)
+def test_flavor_routes_agree_with_violation_radius(g1, g2, signs, mu, P0):
+    pot = YukawaTanh(g1=signs[0] * g1, g2=signs[1] * g2, mu=mu)
+    r_star = violation_radius(pot, P0)
+    for flavor in ("sazdjian", "crater"):
+        assert abs(flavor_boundary_radius(flavor, pot, P0) - r_star) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +303,8 @@ def test_eigenvalue_map_agrees_with_h_branch():
     emap = min_eigenvalue_map("sazdjian", YUKAWA, 1.0, grid)
     radius = np.sqrt(grid.radius_sq)
     for idx in ((0, 0, 0), (3, 4, 5), (4, 4, 4), (7, 1, 2)):
-        y = YUKAWA.y(float(radius[idx]), 1.0)
-        assert emap[idx] == pytest.approx(h_function(y, "minus"), abs=1e-12)
+        y = y_of(YUKAWA, float(radius[idx]), 1.0)
+        assert emap[idx] == pytest.approx(h_closed(y, "minus"), abs=1e-12)
 
 
 def test_crater_scan_finds_the_same_ball():

@@ -267,7 +267,8 @@ def test_constant_g_flat():
 
 
 def test_yukawa_y_matches_formula():
-    y = YukawaTanh(g1=2.0, g2=3.0, mu=0.5).y(1.5, 4.0)
+    # the positivity variable y = c(r)/|P^0|, read from the core
+    y = float(YukawaTanh(g1=2.0, g2=3.0, mu=0.5).core(1.5)) / 4.0
     expect = (6.0 / FOUR_PI) * math.exp(-0.75) / (2.0 * 4.0 * 1.5)
     assert y == pytest.approx(expect, rel=1e-15)
 
@@ -276,7 +277,7 @@ def test_yukawa_y_is_half_at_omega_radius():
     # with unit couplings g1 g2 = 4 pi, mu = 1, P0 = 1 the y = 1/2
     # radius is the omega constant, root of r e^r = 1
     omega = float(lambertw(1.0).real)
-    assert YUKAWA.y(omega, 1.0) == pytest.approx(0.5, abs=1e-15)
+    assert float(YUKAWA.core(omega)) / 1.0 == pytest.approx(0.5, abs=1e-15)
 
 
 def test_y_of_validation():
@@ -286,14 +287,14 @@ def test_y_of_validation():
         YukawaTanh(g1=1.0, g2=1.0, mu=0.0)
     with pytest.raises(ValueError, match="finite"):
         YukawaTanh(g1=1e300, g2=-1e300, mu=1.0)
-    # a repulsive coupling is a valid potential whose y is negative at
-    # every radius, so it never reaches the violation value 1/2
+    # a repulsive coupling is a valid potential whose y = c(r)/|P^0| is
+    # negative at every radius
     repulsive = YukawaTanh(g1=1.0, g2=-1.0, mu=1.0)
-    assert repulsive.y(1.0, 2.0) == pytest.approx(
+    assert float(repulsive.core(1.0)) / 2.0 == pytest.approx(
         -math.exp(-1.0) / (4.0 * FOUR_PI), rel=1e-15
     )
     for r in (1e-12, 0.5, 50.0):
-        assert repulsive.y(r, 2.0) < 0.0
+        assert float(repulsive.core(r)) / 2.0 < 0.0
 
 
 @settings(max_examples=50, deadline=None)
