@@ -253,7 +253,7 @@ def test_conserve_command_passes(tmp_path):
     code = main(["conserve", "--out", str(tmp_path), "--quiet"])
     assert code == 0
     report = json.loads((tmp_path / "conserve.json").read_text())
-    assert report["report"]["extrapolated_residual"] < 1e-8
+    assert report["report"]["residual"] < 1e-8
 
 
 def test_radius_command_with_small_grid(tmp_path):
@@ -366,7 +366,7 @@ def _run_config(tmp_path, command, override, timeout=None):
         ("claim1", {"masses": {"m1": 1e9, "m2": 1.3}}, "free dispersion roots not found at masses"),
         ("compat", {"p0_modes": []}, "a field needs a nonempty p0_modes"),
         ("compat", {"waves_per_mode": 0}, "waves_per_mode of at least 1"),
-        ("conserve", {"epsilons": []}, "extrapolation needs one or more distinct nodes"),
+        ("conserve", {"epsilons": [1e-2, 1e-3, 1e-4]}, "unknown keys in conserve config: ['epsilons']"),
         ("toy", {"sweep_rho_points": 0}, "sweep_rho_points and sweep_phi_points must be at least 1"),
         ("toy", {"sweep_phi_points": -3}, "must be at least 1, got 100 and -3"),
         ("kernel", {"expect_positive": "false"}, "expect_positive must be true or false, got 'false'"),
@@ -417,7 +417,7 @@ def _run_config(tmp_path, command, override, timeout=None):
         "claim1_no_free_roots",
         "compat_no_modes",
         "compat_no_waves",
-        "conserve_no_epsilons",
+        "conserve_epsilons_key",
         "toy_no_rho_points",
         "toy_no_phi_points",
         "kernel_expect_positive_string",
@@ -780,7 +780,6 @@ _CONSERVE_KEYS = {
     **_PLANE_WAVE_KEYS,
     "p_spatial_a": st.lists(_NUMBER, min_size=3, max_size=3),
     "p_spatial_b": st.lists(_NUMBER, min_size=3, max_size=3),
-    "epsilons": st.lists(_NUMBER, max_size=4),
     "green_choice": st.sampled_from(["advanced", "retarded"]),
     "tolerance": _NUMBER,
 }

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tbdkit import currents
 from tbdkit.currents import (
@@ -11,7 +13,6 @@ from tbdkit.currents import (
     defects,
     divergence1,
     divergence2,
-    extrapolate_to_zero,
     gauge_check,
     green_multiplier,
     j_add,
@@ -51,12 +52,12 @@ def constant_v_system(gam):
     return TwoBodyDiracSystem(MASSES, Constant(v=0.3), gam)
 
 
-def first_equation_state(system, p_spatial, which=0):
+def first_equation_state(system, p_spatial, which=0, P=P_REST):
     roots = plane_wave_solutions(
-        system, P_REST, p_spatial, (-1.2, 0.5), equations="first"
+        system, P, p_spatial, (-1.2, 0.5), equations="first"
     )
     p0, basis = roots[which]
-    return plane_wave_state(P_REST, p_spatial, p0, basis[:, 0], solves="first")
+    return plane_wave_state(P, p_spatial, p0, basis[:, 0], solves="first")
 
 
 @pytest.fixture(scope="module")
@@ -233,6 +234,18 @@ def test_green_multiplier_validation():
         green_multiplier([1.0, 0, 0, 0], 0.1, "principal")
 
 
+def test_green_multiplier_at_zero_epsilon_is_unregulated():
+    for choice in ("advanced", "retarded"):
+        assert green_multiplier([1.0, 0, 0, 0], 0.0, choice) == -1.0
+
+
+def test_green_multiplier_rejects_lightlike_transfer_at_zero_epsilon():
+    with pytest.raises(ValueError, match="lightlike momentum transfer"):
+        green_multiplier([1.0, 1.0, 0, 0], 0.0, "advanced")
+    with pytest.raises(ValueError, match=r"zero momentum transfer k = \[0.0, 0.0, 0.0, 0.0\]"):
+        green_multiplier([0.0, 0, 0, 0], 0.0, "retarded")
+
+
 def test_added_current_from_zero_defects_is_zero(free_pair):
     free, a, b = free_pair
     df = defects(free, a, b)
@@ -264,7 +277,7 @@ def test_conservation_sweep_converges_linearly_in_epsilon(constant_v_system, sta
     # leading residual is linear in eps: one decade in eps buys one
     # decade in residual
     assert r1[0] / r1[1] == pytest.approx(10.0, rel=0.05)
-    assert sweep.max_extrapolated_residual < 1e-8
+    assert sweep.residual < 1e-8
 
 
 def test_conservation_sweep_builds_one_free_current(constant_v_system, state_pair, monkeypatch):
@@ -286,15 +299,24 @@ def test_conservation_sweep_builds_one_free_current(constant_v_system, state_pai
 def test_conservation_sweep_retarded_choice(constant_v_system, state_pair):
     a, b = state_pair
     sweep = conservation_sweep(constant_v_system, a, b, green_choice="retarded")
-    assert sweep.max_extrapolated_residual < 1e-8
+    assert sweep.residual < 1e-8
 
 
-def test_extrapolate_to_zero_is_exact_on_quadratics():
-    eps = np.array([1e-2, 1e-3, 1e-4])
-    values = 3.0 + 2.0 * eps + 5.0 * eps**2
-    assert extrapolate_to_zero(eps, values) == pytest.approx(3.0, abs=1e-14)
-    with pytest.raises(ValueError):
-        extrapolate_to_zero([1e-2, 1e-2, 1e-4], [1.0, 2.0, 3.0])
+@settings(max_examples=50, deadline=None)
+@given(
+    v=st.floats(0.15, 0.3),
+    P0=st.floats(2.8, 3.1),
+    pbx=st.floats(0.3, 0.6),
+    choice=st.sampled_from(["advanced", "retarded"]),
+)
+def test_conservation_residual_is_rounding(gam, v, P0, pbx, choice):
+    # at epsilon = 0 the completed divergences vanish identically, so
+    # over perfbench's conserve draw ranges only rounding is left
+    system = TwoBodyDiracSystem(MASSES, Constant(v=v), gam)
+    P = np.array([P0, 0.0, 0.0, 0.0])
+    a = first_equation_state(system, (0.0, 0.0, 0.0), P=P)
+    b = first_equation_state(system, (pbx, 0.0, 0.0), P=P)
+    assert conservation_sweep(system, a, b, choice).residual <= 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -310,14 +332,10 @@ def test_coincidence_term_quadratic_in_epsilon():
     assert errs[0] / errs[1] == pytest.approx(100.0, rel=0.05)
 
 
-def test_coincidence_term_extrapolates_to_dV_dP2():
+def test_coincidence_term_complex_step_gives_dV_dP2():
     pot = YukawaTanh(g1=math.sqrt(FOUR_PI), g2=math.sqrt(FOUR_PI), mu=1.0)
     for r in (0.4, 0.9, 1.7):
-        nodes = (1e-2, 1e-3, 1e-4)
-        term = extrapolate_to_zero(
-            [e**2 for e in nodes],
-            [coincidence_limit_term(pot, -(r**2), 2.0, e) for e in nodes],
-        ).real
+        term = coincidence_limit_term(pot, -(r**2), 2.0, 1e-20)
         exact = 4.0 * 4.0 * eval_dV_dP2(pot, -(r**2), 4.0)
         assert term == pytest.approx(exact, rel=1e-10)
 

@@ -15,6 +15,7 @@ import pytest
 
 from tbdkit import cli, currents, positivity
 from tbdkit.cli import main
+from tbdkit.potentials import YukawaTanh
 from tbdkit.toy_model import B
 
 
@@ -106,6 +107,30 @@ def norm_cross_term(monkeypatch):
     monkeypatch.setattr(cli, "norm_along_evolution", wrapper)
 
 
+def relative_phase_modulus(monkeypatch):
+    # e^{-i theta} with its modulus off one by 1e-6
+    original = currents._transform_relative
+
+    def wrapper(*args, **kwargs):
+        fld = original(*args, **kwargs)
+        modes = tuple((p0, chi * (1 + 1e-6)) for p0, chi in fld.modes)
+        return dataclasses.replace(fld, modes=modes)
+
+    monkeypatch.setattr(currents, "_transform_relative", wrapper)
+
+
+def gauge_sazdjian_B_doubled(monkeypatch):
+    original = currents.build_kernel
+
+    def wrapper(flavor, *args, **kwargs):
+        kernel = original(flavor, *args, **kwargs)
+        if flavor != "sazdjian":
+            return kernel
+        return dataclasses.replace(kernel, B=2.0 * kernel.B)
+
+    monkeypatch.setattr(currents, "build_kernel", wrapper)
+
+
 ROWS = [
     pytest.param(green_multiplier, "conserve", id="green_multiplier-conserve"),
     pytest.param(defect_f, "conserve", id="defect_f-conserve"),
@@ -120,7 +145,12 @@ ROWS = [
     pytest.param(norm_cross_term, "toy", id="norm_cross_term-toy"),
     pytest.param(
         j_transposed, "conserve", id="J_transposed-conserve",
-        marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 5: the completion conserves any J"),
+        marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason="the completion conserves any J, which is what conserve certifies"),
+    ),
+    pytest.param(relative_phase_modulus, "gauge", id="relative_phase_modulus-gauge"),
+    pytest.param(
+        gauge_sazdjian_B_doubled, "gauge", id="sazdjian_B_doubled-gauge",
+        marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 2: the total-momentum route rebuilds the same kernel"),
     ),
 ]
 
@@ -129,3 +159,12 @@ ROWS = [
 def test_mutation_fails_its_certificate(tmp_path, monkeypatch, mutate, command):
     mutate(monkeypatch)
     assert main([command, "--out", str(tmp_path), "--quiet"]) == 1
+
+
+def test_selfcheck_coincidence_term_catches_dV_dP2(monkeypatch):
+    # selfcheck's coincidence section, not only its radius section, must
+    # see a wrong analytic dV/dP^2
+    original = YukawaTanh.dV_dP2
+    monkeypatch.setattr(YukawaTanh, "dV_dP2", scaled(original, 1 + 1e-6))
+    report, _ = cli.run_selfcheck(cli.DEFAULTS["selfcheck"])
+    assert not report["results"]["coincidence_term"]["passed"]
