@@ -39,7 +39,7 @@ from .kinematics import FourVector, as_four_vector, check_rest_frame, minkowski_
 from .operators import InternalField, PlaneWaveState, TwoBodyDiracSystem, state_residuals
 from .potentials import eval_V
 from .scalar_product import build_kernel, densities, equal_time_profile, form_value
-from .spinor_algebra import GammaSet, gamma0_pair, lift2, slash2
+from .spinor_algebra import GammaSet, gamma0_pair, kron, lift2, slash2
 
 __all__ = [
     "PlaneWaveCurrent",
@@ -112,7 +112,7 @@ def j_free_current(gammas: GammaSet, state_a: PlaneWaveState, state_b: PlaneWave
     J = np.empty((4, 4), dtype=complex)
     for mu in range(4):
         for nu in range(4):
-            J[mu, nu] = ub @ np.kron(gammas.gamma[mu], gammas.gamma[nu]) @ state_b.u
+            J[mu, nu] = ub @ kron(gammas.gamma[mu], gammas.gamma[nu]) @ state_b.u
     return PlaneWaveCurrent(
         J=J, k1=state_a.p1 - state_b.p1, k2=state_a.p2 - state_b.p2
     )

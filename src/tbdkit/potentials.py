@@ -188,7 +188,10 @@ class YukawaTanh(Potential):
         return np.tanh(self.delta(xps, P_sq))
 
     def dV_dP2(self, xps, P_sq):
-        return self.ddelta_dP2(xps, P_sq) / np.cosh(self.delta(xps, P_sq)) ** 2
+        # dDelta/dP^2 / cosh^2(Delta) from one core c: Delta = -c / sqrt(P^2)
+        scale = _inverse_three_halves(P_sq)
+        c = self.core(self._radius(xps))
+        return 0.5 * c * scale / np.cosh(-c / np.sqrt(P_sq)) ** 2
 
     def dV_dxperp_sq(self, xps, P_sq):
         r = self._radius(xps)
@@ -198,11 +201,16 @@ class YukawaTanh(Potential):
         return -self.core(self._radius(xps)) / np.sqrt(P_sq)
 
     def ddelta_dP2(self, xps, P_sq):
-        try:
-            scale = P_sq ** (-1.5)
-        except OverflowError:  # a Python float or complex P_sq raises where numpy gives inf
-            raise ValueError(f"P^2 = {P_sq!r} is too small: P^2 ** -1.5 overflows") from None
+        scale = _inverse_three_halves(P_sq)
         return 0.5 * self.core(self._radius(xps)) * scale
+
+
+def _inverse_three_halves(P_sq):
+    """(P^2)^(-3/2), the P^2 factor of dDelta/dP^2."""
+    try:
+        return P_sq ** (-1.5)
+    except OverflowError:  # a Python float or complex P_sq raises where numpy gives inf
+        raise ValueError(f"P^2 = {P_sq!r} is too small: P^2 ** -1.5 overflows") from None
 
 
 def _evaluate(formula, spec, x_perp_sq, P_sq):

@@ -8,12 +8,22 @@ does not hinge on repr() behavior across interpreter versions.
 Non-finite numbers are rejected: a report containing NaN is a bug, not
 something to serialize quietly. A dataclass field whose metadata sets
 "serialize" to False is data for another artifact and is left out.
+The encoder dispatches on the exact type of the plain Python values
+that make up most of a report (float, int, str, list, tuple, dict)
+before it falls back to isinstance tests for numpy scalars, arrays and
+dataclasses.
 
-CSV tables are passed as numpy columns, and each distinct value of a
-column is formatted once: same bytes as cell by cell, far fewer calls.
-The last column's distinct texts carry the row terminator, so each row
-is one ",".join over shared strings, and the rows are streamed to the
-file rather than joined into one string.
+CSV tables are passed as numpy columns. Each distinct value of a column
+is formatted once, into a byte table: one NUL-padded ASCII row per
+distinct value, ending in the column's separator ("," or, for the last
+column, the row terminator). The distinct values come from np.unique,
+except in an integer column whose values span fewer integers than it
+has cells (grid indices), which is indexed by offset from its minimum
+with no sort. The file is written in blocks of rows: a
+block gathers each column's table rows by the cells' indices into one
+fixed-width byte matrix, drops the padding (no formatted cell holds a
+NUL) and is one write. The bytes are those of formatting cell by cell;
+memory stays at the tables, the indices and one block.
 """
 
 from __future__ import annotations
@@ -24,6 +34,10 @@ import math
 
 import numpy as np
 
+# Rows gathered per CSV write: large enough to amortize the per-block
+# calls, small enough that a block stays a small part of the file.
+_BLOCK_ROWS = 4096
+
 
 def _format_float(x: float) -> str:
     if not math.isfinite(x):
@@ -31,7 +45,27 @@ def _format_float(x: float) -> str:
     return "%.17g" % x
 
 
+def _encode_dict(obj: dict) -> str:
+    for k in obj:
+        if not isinstance(k, str):
+            raise TypeError(f"report keys must be strings, got {k!r}")
+    items = (f"{json.dumps(k, ensure_ascii=True)}:{_encode(v)}" for k, v in sorted(obj.items()))
+    return "{" + ",".join(items) + "}"
+
+
 def _encode(obj) -> str:
+    # exact types first: bool is its own type, so it never takes the int branch
+    t = type(obj)
+    if t is float:
+        return _format_float(obj)
+    if t is int:
+        return str(obj)
+    if t is str:
+        return json.dumps(obj, ensure_ascii=True)
+    if t is list or t is tuple:
+        return "[" + ",".join(map(_encode, obj)) + "]"
+    if t is dict:
+        return _encode_dict(obj)
     if obj is None:
         return "null"
     if isinstance(obj, bool) or isinstance(obj, np.bool_):
@@ -48,16 +82,12 @@ def _encode(obj) -> str:
     if isinstance(obj, np.ndarray):
         return _encode(obj.tolist())
     if isinstance(obj, dict):
-        for k in obj:
-            if not isinstance(k, str):
-                raise TypeError(f"report keys must be strings, got {k!r}")
-        items = (f"{json.dumps(k, ensure_ascii=True)}:{_encode(v)}" for k, v in sorted(obj.items()))
-        return "{" + ",".join(items) + "}"
+        return _encode_dict(obj)
     if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(_encode(v) for v in obj) + "]"
+        return "[" + ",".join(map(_encode, obj)) + "]"
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         fields = (f for f in dataclasses.fields(obj) if f.metadata.get("serialize", True))
-        return _encode({f.name: getattr(obj, f.name) for f in fields})
+        return _encode_dict({f.name: getattr(obj, f.name) for f in fields})
     raise TypeError(f"cannot serialize {type(obj).__name__} deterministically")
 
 
@@ -75,23 +105,29 @@ def write_json(path, obj):
         fh.write("\n")
 
 
-def _column_text(col, end: str = "") -> list:
-    """The text of every cell of one CSV column followed by end, each
-    distinct value formatted once and shared by all the cells that hold
-    it."""
+def _column_table(col, end: bytes):
+    """(table, inverse) of one CSV column: table holds the ASCII text of
+    each distinct value followed by end, one NUL-padded uint8 row per
+    value, each formatted once; cell i's text is table[inverse[i]]."""
     col = np.asarray(col)
     if col.ndim != 1:
         raise ValueError(f"CSV columns must be 1-D, got shape {col.shape}")
     if col.dtype.kind == "f":
         # Keyed on the bit pattern so that -0.0 and 0.0 stay apart.
         bits, inverse = np.unique(col.astype(np.float64, copy=False).view(np.int64), return_inverse=True)
-        distinct = [_format_float(x) + end for x in bits.view(np.float64).tolist()]
+        distinct = [_format_float(x) for x in bits.view(np.float64).tolist()]
+    elif col.dtype.kind in "iu" and len(col) and int(col.max()) - int(col.min()) < len(col):
+        # a dense range, such as grid indices: index by offset, no sort;
+        # the range is taken in Python ints, which cannot overflow
+        inverse = np.subtract(col, col.min(), dtype=np.intp)
+        distinct = [str(v) for v in range(int(col.min()), int(col.max()) + 1)]
     elif col.dtype.kind in "biu":
         values, inverse = np.unique(col, return_inverse=True)
-        distinct = [str(v).lower() + end for v in values.tolist()]  # True -> "true"
+        distinct = [str(v).lower() for v in values.tolist()]  # True -> "true"
     else:
         raise TypeError(f"CSV columns must be bool, integer or float, got {col.dtype}")
-    return np.array(distinct, dtype=object)[inverse].tolist()
+    table = np.array([s.encode("ascii") + end for s in distinct], dtype=bytes)
+    return table.view(np.uint8).reshape(len(distinct), table.dtype.itemsize), inverse
 
 
 def write_csv(path, header, columns):
@@ -101,9 +137,13 @@ def write_csv(path, header, columns):
     Complex columns must be split into re/im pairs by the caller."""
     if len(columns) != len(header):
         raise ValueError(f"{len(columns)} columns for a header of {len(header)}")
-    cells = [_column_text(c, "\n" if i == len(columns) - 1 else "") for i, c in enumerate(columns)]
-    if len({len(c) for c in cells}) > 1:
-        raise ValueError(f"CSV columns differ in length: {[len(c) for c in cells]}")
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(map(",".join, zip(*cells)))
+    tables = [_column_table(c, b"\n" if i == len(columns) - 1 else b",") for i, c in enumerate(columns)]
+    lengths = [len(inverse) for _, inverse in tables]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"CSV columns differ in length: {lengths}")
+    n_rows = lengths[0] if lengths else 0
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode("ascii"))
+        for lo in range(0, n_rows, _BLOCK_ROWS):
+            rows = [np.take(table, inverse[lo : lo + _BLOCK_ROWS], axis=0) for table, inverse in tables]
+            fh.write(np.concatenate(rows, axis=1).tobytes().translate(None, b"\0"))

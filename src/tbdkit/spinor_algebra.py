@@ -26,11 +26,18 @@ METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
 TwoBodySpinOp = np.ndarray
 
 _ID2 = np.eye(2)
+_ID4 = np.eye(4)
 _SIGMA = [
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
     np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
     np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
 ]
+
+
+def kron(a, b) -> np.ndarray:
+    """Kronecker product of two matrices: each entry a[i, j] * b[k, l] of
+    np.kron by the same single multiply, without its generic set-up."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
 def _block(a, b, c, d):
@@ -79,14 +86,14 @@ def lift1(gammas: GammaSet, mu: int) -> TwoBodySpinOp:
     """gamma^mu acting on the first spinor factor: gamma^mu x 1_4."""
     if mu not in range(4):
         raise IndexError(f"Lorentz index out of range: {mu}")
-    return np.kron(gammas.gamma[mu], np.eye(4))
+    return kron(gammas.gamma[mu], _ID4)
 
 
 def lift2(gammas: GammaSet, nu: int) -> TwoBodySpinOp:
     """gamma^nu acting on the second spinor factor: 1_4 x gamma^nu."""
     if nu not in range(4):
         raise IndexError(f"Lorentz index out of range: {nu}")
-    return np.kron(np.eye(4), gammas.gamma[nu])
+    return kron(_ID4, gammas.gamma[nu])
 
 
 def _slash4(gammas: GammaSet, q) -> np.ndarray:
@@ -101,14 +108,14 @@ def _slash4(gammas: GammaSet, q) -> np.ndarray:
 
 def slash1(gammas: GammaSet, q) -> TwoBodySpinOp:
     """Contraction q.gamma_1 = q^0 gamma_1^0 - sum_k q^k gamma_1^k."""
-    return np.kron(_slash4(gammas, q), np.eye(4))
+    return kron(_slash4(gammas, q), _ID4)
 
 
 def slash2(gammas: GammaSet, q) -> TwoBodySpinOp:
     """Contraction q.gamma_2 on the second factor."""
-    return np.kron(np.eye(4), _slash4(gammas, q))
+    return kron(_ID4, _slash4(gammas, q))
 
 
 def gamma0_pair(gammas: GammaSet) -> TwoBodySpinOp:
     """The frequently needed product gamma_1^0 gamma_2^0."""
-    return np.kron(gammas.gamma[0], gammas.gamma[0])
+    return kron(gammas.gamma[0], gammas.gamma[0])

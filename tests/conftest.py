@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -51,3 +54,41 @@ def reference_csv():
         return "".join(line + "\n" for line in lines)
 
     return text
+
+
+def _encode(obj) -> str:
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool) or isinstance(obj, np.bool_):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return _format_float(float(obj))
+    if isinstance(obj, (complex, np.complexfloating)):
+        c = complex(obj)
+        return '{"im":%s,"re":%s}' % (_format_float(c.imag), _format_float(c.real))
+    if isinstance(obj, str):
+        return json.dumps(obj, ensure_ascii=True)
+    if isinstance(obj, np.ndarray):
+        return _encode(obj.tolist())
+    if isinstance(obj, dict):
+        for k in obj:
+            if not isinstance(k, str):
+                raise TypeError(f"report keys must be strings, got {k!r}")
+        items = (f"{json.dumps(k, ensure_ascii=True)}:{_encode(v)}" for k, v in sorted(obj.items()))
+        return "{" + ",".join(items) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(_encode(v) for v in obj) + "]"
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        fields = (f for f in dataclasses.fields(obj) if f.metadata.get("serialize", True))
+        return _encode({f.name: getattr(obj, f.name) for f in fields})
+    raise TypeError(f"cannot serialize {type(obj).__name__} deterministically")
+
+
+@pytest.fixture(scope="session")
+def reference_json():
+    """The isinstance-chain encoder that `serialize.canonical_json`
+    replaced, kept as its oracle: canonical JSON text of a report
+    object, each value tested type by type."""
+    return _encode

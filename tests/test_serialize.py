@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import json
 import tracemalloc
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tbdkit import cli
+from tbdkit import cli, serialize
 from tbdkit.serialize import canonical_json, write_csv, write_json
 
 
@@ -177,9 +178,10 @@ def test_write_csv_matches_cell_by_cell_reference(tmp_path, reference_csv, colum
 
 
 def test_write_csv_streams_the_default_kernel_table(tmp_path):
-    # rows go to the file one by one: the peak allocation stays near the
-    # shared cell strings (about twice the file), where one joined string
-    # of the file would add another file's worth
+    # rows go to the file a block at a time: the peak allocation stays
+    # near the column indices, the byte tables and one block of rows
+    # (about twice the file), where the whole table gathered at once
+    # would add another file's worth
     _, extras = cli.run_kernel(cli.load_config("kernel", None))
     header, columns = extras["kernel_min_eigenvalues.csv"]
     p = tmp_path / "kernel_min_eigenvalues.csv"
@@ -192,3 +194,145 @@ def test_write_csv_streams_the_default_kernel_table(tmp_path):
     size = p.stat().st_size
     assert size > 1_000_000  # the n = 32 table
     assert peak < 2.5 * size
+
+
+def _block_columns(n_rows):
+    i = np.arange(n_rows)
+    return [
+        i % 7 - 3,
+        np.where(i % 3 == 0, -0.0, 1.0 / (i % 11 + 1)),
+        i % 2 == 0,
+        (i % 5).astype(np.uint8) * 50,
+        np.linspace(-1.0, 1.0, n_rows),
+    ]
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, serialize._BLOCK_ROWS, 2 * serialize._BLOCK_ROWS + 1])
+def test_write_csv_block_boundaries_match_reference(tmp_path, reference_csv, n_rows):
+    columns = _block_columns(n_rows)
+    header = ("int", "float", "flag", "byte", "ramp")
+    p = tmp_path / "table.csv"
+    write_csv(p, header, columns)
+    assert p.read_bytes() == reference_csv(header, list(zip(*columns))).encode("ascii")
+
+
+@pytest.mark.parametrize("column", [
+    np.array([2**63 - 1, 2**63 - 3, 2**63 - 1, 2**63 - 2], dtype=np.int64),
+    np.array([-(2**63), -(2**63) + 1, -(2**63)], dtype=np.int64),
+    np.arange(-128, 128).astype(np.int8),
+    np.array([2**64 - 1, 2**64 - 2, 2**64 - 1], dtype=np.uint64),
+    np.array([7, 7, 7], dtype=np.uint8),
+])
+def test_write_csv_dense_integer_ranges_at_the_dtype_limits(tmp_path, reference_csv, column):
+    # a column whose values span fewer integers than it has cells is
+    # indexed by offset from its minimum; at the ends of its dtype the
+    # range must neither wrap nor overflow
+    p = tmp_path / "table.csv"
+    write_csv(p, ("x",), [column])
+    assert p.read_bytes() == reference_csv(("x",), [(v,) for v in column]).encode("ascii")
+
+
+@pytest.mark.parametrize("x", [float("nan"), float("inf")])
+def test_write_csv_non_finite_in_the_last_block_leaves_no_file(tmp_path, x):
+    columns = _block_columns(2 * serialize._BLOCK_ROWS + 1)
+    columns[4][-1] = x
+    p = tmp_path / "bad.csv"
+    with pytest.raises(ValueError, match=str(x)):
+        write_csv(p, ("int", "float", "flag", "byte", "ramp"), columns)
+    assert not p.exists()
+
+
+@dataclasses.dataclass(frozen=True)
+class _Record:
+    label: str
+    value: object
+    bulk: np.ndarray = dataclasses.field(default=None, metadata={"serialize": False})
+
+
+class _Text(str):
+    pass
+
+
+_FINITE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.797e308, -1.797e308, 1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    st.integers(),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(0, 255).map(np.uint8),
+    _FINITE_FLOATS,
+    _FINITE_FLOATS.map(np.float64),
+    st.builds(complex, _FINITE_FLOATS, _FINITE_FLOATS),
+    st.builds(complex, _FINITE_FLOATS, _FINITE_FLOATS).map(np.complex128),
+    st.text(max_size=8),
+    st.text(max_size=8).map(_Text),
+    st.lists(_FINITE_FLOATS, max_size=6).map(np.array),
+    st.lists(st.integers(-(2**63), 2**63 - 1), max_size=6).map(lambda v: np.array(v, dtype=np.int64)),
+    st.lists(_FINITE_FLOATS, min_size=6, max_size=6).map(lambda v: np.array(v).reshape(2, 3)),
+    st.builds(_Record, st.text(max_size=4), _FINITE_FLOATS, st.just(np.full(2, np.nan))),
+)
+_KEYS = st.text(max_size=6)
+
+
+def _reports(leaves):
+    return st.recursive(
+        leaves,
+        lambda children: st.one_of(
+            st.lists(children, max_size=4),
+            st.lists(children, max_size=4).map(tuple),
+            st.dictionaries(_KEYS, children, max_size=4),
+            st.dictionaries(_KEYS, children, max_size=4).map(collections.OrderedDict),
+            st.builds(_Record, st.text(max_size=4), children),
+        ),
+        max_leaves=20,
+    )
+
+
+_NON_FINITE = st.sampled_from([
+    float("nan"), float("inf"), -float("inf"), np.float64("nan"), np.float64("-inf"),
+    complex(1.0, float("inf")), np.complex128(complex(float("nan"), 0.0)),
+    np.array([1.0, float("nan")]), _Record("x", float("inf")),
+])
+
+
+@st.composite
+def _reports_with_one_non_finite(draw):
+    """A finite report with one node, at any depth, replaced by a
+    non-finite value."""
+    bad = draw(_NON_FINITE)
+
+    def plant(node):
+        if isinstance(node, dict) and node and draw(st.booleans()):
+            key = draw(st.sampled_from(sorted(node)))
+            return {**node, key: plant(node[key])}
+        if isinstance(node, (list, tuple)) and node and draw(st.booleans()):
+            items = list(node)
+            at = draw(st.integers(0, len(items) - 1))
+            items[at] = plant(items[at])
+            return type(node)(items)
+        return bad
+
+    return plant(draw(_reports(_LEAVES)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(obj=_reports(_LEAVES))
+def test_canonical_json_matches_isinstance_reference(reference_json, obj):
+    assert canonical_json(obj) == reference_json(obj)
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(obj=_reports_with_one_non_finite())
+def test_non_finite_anywhere_raises_and_leaves_no_file(tmp_path, reference_json, obj):
+    with pytest.raises(ValueError, match="non-finite"):
+        reference_json(obj)
+    with pytest.raises(ValueError, match="non-finite"):
+        canonical_json(obj)
+    p = tmp_path / "report.json"
+    with pytest.raises(ValueError, match="non-finite"):
+        write_json(p, obj)
+    assert not p.exists()
