@@ -188,29 +188,33 @@ class YukawaTanh(Potential):
         return np.tanh(self.delta(xps, P_sq))
 
     def dV_dP2(self, xps, P_sq):
-        # dDelta/dP^2 / cosh^2(Delta) from one core c: Delta = -c / sqrt(P^2)
-        scale = _inverse_three_halves(P_sq)
+        # dDelta/dP^2 / cosh^2(Delta), both from one core evaluation
         c = self.core(self._radius(xps))
-        return 0.5 * c * scale / np.cosh(-c / np.sqrt(P_sq)) ** 2
+        return _ddelta_of(c, P_sq) / np.cosh(_delta_of(c, P_sq)) ** 2
 
     def dV_dxperp_sq(self, xps, P_sq):
         r = self._radius(xps)
         return self.core_derivative(r) / (2.0 * r * np.sqrt(P_sq) * np.cosh(self.delta(xps, P_sq)) ** 2)
 
     def delta(self, xps, P_sq):
-        return -self.core(self._radius(xps)) / np.sqrt(P_sq)
+        return _delta_of(self.core(self._radius(xps)), P_sq)
 
     def ddelta_dP2(self, xps, P_sq):
-        scale = _inverse_three_halves(P_sq)
-        return 0.5 * self.core(self._radius(xps)) * scale
+        return _ddelta_of(self.core(self._radius(xps)), P_sq)
 
 
-def _inverse_three_halves(P_sq):
-    """(P^2)^(-3/2), the P^2 factor of dDelta/dP^2."""
+def _delta_of(c, P_sq):
+    """Delta = -c / sqrt(P^2) of the Yukawa core value c."""
+    return -c / np.sqrt(P_sq)
+
+
+def _ddelta_of(c, P_sq):
+    """dDelta/dP^2 = (1/2) c (P^2)^(-3/2) of the Yukawa core value c."""
     try:
-        return P_sq ** (-1.5)
+        scale = P_sq ** (-1.5)
     except OverflowError:  # a Python float or complex P_sq raises where numpy gives inf
         raise ValueError(f"P^2 = {P_sq!r} is too small: P^2 ** -1.5 overflows") from None
+    return 0.5 * c * scale
 
 
 def _evaluate(formula, spec, x_perp_sq, P_sq):

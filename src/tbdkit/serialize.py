@@ -8,21 +8,19 @@ does not hinge on repr() behavior across interpreter versions.
 Non-finite numbers are rejected: a report containing NaN is a bug, not
 something to serialize quietly. A dataclass field whose metadata sets
 "serialize" to False is data for another artifact and is left out.
-The encoder dispatches on the exact type of the plain Python values
-that make up most of a report (float, int, str, list, tuple, dict)
-before it falls back to isinstance tests for numpy scalars, arrays and
-dataclasses.
+The encoder dispatches on the exact type of the plain Python scalars
+that make up most of a report (float, int, str) and then on containers
+(dicts, lists, tuples) before it falls back to isinstance tests for
+numpy scalars, arrays and dataclasses.
 
 CSV tables are passed as numpy columns. Each distinct value of a column
 is formatted once, into a byte table: one NUL-padded ASCII row per
 distinct value, ending in the column's separator ("," or, for the last
 column, the row terminator). The distinct values come from np.unique,
-except in an integer column whose values span fewer integers than it
-has cells (grid indices), which is indexed by offset from its minimum
-with no sort. The file is written in blocks of rows: a
-block gathers each column's table rows by the cells' indices into one
-fixed-width byte matrix, drops the padding (no formatted cell holds a
-NUL) and is one write. The bytes are those of formatting cell by cell;
+on the bit pattern for floats so that -0.0 and 0.0 stay apart. The
+file is written in blocks of rows: a block gathers each column's table
+rows by the cells' indices into one fixed-width byte matrix, drops the
+padding (no formatted cell holds a NUL) and is one write. The bytes are those of formatting cell by cell;
 memory stays at the tables, the indices and one block.
 """
 
@@ -54,7 +52,7 @@ def _encode_dict(obj: dict) -> str:
 
 
 def _encode(obj) -> str:
-    # exact types first: bool is its own type, so it never takes the int branch
+    # exact scalar types first: bool is its own type, so it never takes the int branch
     t = type(obj)
     if t is float:
         return _format_float(obj)
@@ -62,10 +60,10 @@ def _encode(obj) -> str:
         return str(obj)
     if t is str:
         return json.dumps(obj, ensure_ascii=True)
-    if t is list or t is tuple:
-        return "[" + ",".join(map(_encode, obj)) + "]"
-    if t is dict:
+    if isinstance(obj, dict):
         return _encode_dict(obj)
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(map(_encode, obj)) + "]"
     if obj is None:
         return "null"
     if isinstance(obj, bool) or isinstance(obj, np.bool_):
@@ -81,10 +79,6 @@ def _encode(obj) -> str:
         return json.dumps(obj, ensure_ascii=True)
     if isinstance(obj, np.ndarray):
         return _encode(obj.tolist())
-    if isinstance(obj, dict):
-        return _encode_dict(obj)
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(map(_encode, obj)) + "]"
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         fields = (f for f in dataclasses.fields(obj) if f.metadata.get("serialize", True))
         return _encode_dict({f.name: getattr(obj, f.name) for f in fields})
@@ -116,11 +110,6 @@ def _column_table(col, end: bytes):
         # Keyed on the bit pattern so that -0.0 and 0.0 stay apart.
         bits, inverse = np.unique(col.astype(np.float64, copy=False).view(np.int64), return_inverse=True)
         distinct = [_format_float(x) for x in bits.view(np.float64).tolist()]
-    elif col.dtype.kind in "iu" and len(col) and int(col.max()) - int(col.min()) < len(col):
-        # a dense range, such as grid indices: index by offset, no sort;
-        # the range is taken in Python ints, which cannot overflow
-        inverse = np.subtract(col, col.min(), dtype=np.intp)
-        distinct = [str(v) for v in range(int(col.min()), int(col.max()) + 1)]
     elif col.dtype.kind in "biu":
         values, inverse = np.unique(col, return_inverse=True)
         distinct = [str(v).lower() for v in values.tolist()]  # True -> "true"

@@ -223,10 +223,9 @@ def test_write_csv_block_boundaries_match_reference(tmp_path, reference_csv, n_r
     np.array([2**64 - 1, 2**64 - 2, 2**64 - 1], dtype=np.uint64),
     np.array([7, 7, 7], dtype=np.uint8),
 ])
-def test_write_csv_dense_integer_ranges_at_the_dtype_limits(tmp_path, reference_csv, column):
-    # a column whose values span fewer integers than it has cells is
-    # indexed by offset from its minimum; at the ends of its dtype the
-    # range must neither wrap nor overflow
+def test_write_csv_integer_columns_at_the_dtype_limits(tmp_path, reference_csv, column):
+    # the byte table of an integer column holds its extreme values
+    # exactly, with no wrap at the ends of the dtype
     p = tmp_path / "table.csv"
     write_csv(p, ("x",), [column])
     assert p.read_bytes() == reference_csv(("x",), [(v,) for v in column]).encode("ascii")
