@@ -324,13 +324,15 @@ def _transform_relative(fld: InternalField, c) -> InternalField:
     return replace(fld, modes=modes)
 
 
+GAUGE_TOLERANCE = 1e-10  # bound on each gauge_check verdict's difference
+
+
 def gauge_check(
     system: TwoBodyDiracSystem,
     fld: InternalField,
     c,
     a,
     flavor: str = "sazdjian",
-    tol: float = 1e-10,
 ) -> tuple[GaugeReport, GaugeReport]:
     """Effect of the two restricted gauge phases on the interacting norm,
     as the reports (relative_only, total_dependent).
@@ -383,8 +385,8 @@ def gauge_check(
         value_after=value_relative,
         difference=drift,
         independent_difference=None,
-        tolerance=tol,
-        passed=bool(abs(drift) <= tol),
+        tolerance=GAUGE_TOLERANCE,
+        passed=bool(abs(drift) <= GAUGE_TOLERANCE),
     )
     total = GaugeReport(
         kind="total_dependent",
@@ -394,7 +396,7 @@ def gauge_check(
         value_after=value_total,
         difference=shift,
         independent_difference=indep,
-        tolerance=tol,
-        passed=bool(abs(shift - indep) <= tol),
+        tolerance=GAUGE_TOLERANCE,
+        passed=bool(abs(shift - indep) <= GAUGE_TOLERANCE),
     )
     return relative, total

@@ -6,8 +6,8 @@ and every requested P^2, in closed form as A - |B| (gamma_1^0 gamma_2^0
 is an involution with eigenvalues +-1), and reports the global minimum
 eigenvalue and the set of violating points. For the Yukawa-tanh
 potential the violation region is a ball whose analytic radius r*
-solves r e^{mu r} = |g1 g2| / (4 pi |P^0|); the scan's empirical boundary
-is cross-checked against it.
+solves r e^{mu r} = |g1 g2| / (4 pi |P^0|);
+empirical_boundary_consistent cross-checks a scan's boundary against it.
 
 flavor_boundary_radius finds a flavor's edge of that ball from the form
 pair the scan reads, scalar_product.form_pair: the radius where the
@@ -30,7 +30,7 @@ import numpy as np
 from .potentials import FOUR_PI, YukawaTanh
 from .scalar_product import form_pair
 
-DEFAULT_TOL = 1e-12
+EIGENVALUE_TOLERANCE = 1e-12  # a point violates where A - |B| < -this
 _BATCH = 256  # radii tested per bisection round
 
 
@@ -46,20 +46,13 @@ class PositivityReport:
     violation_count: int
     violation_points: tuple  # (i, j, k, P2) of every violating point
     violation_radius_max: float | None
-    analytic_radius: float | None
     tolerance: float
     passed: bool
     # min_eigenvalue_map at argmin_P2, for the kernel CSV; not in the JSON
     argmin_map: np.ndarray = field(repr=False, compare=False, metadata={"serialize": False})
 
 
-def scan(
-    flavor: str,
-    potential,
-    P2_set,
-    grid,
-    tol: float = DEFAULT_TOL,
-) -> PositivityReport:
+def scan(flavor: str, potential, P2_set, grid) -> PositivityReport:
     """Smallest eigenvalue of the kernel's quadratic form over the grid
     and a set of P^2 values. The report keeps the eigenvalue map of the
     P^2 that holds the minimum."""
@@ -82,16 +75,11 @@ def scan(
             argmin = tuple(int(i) for i in idx)
             argmin_P2 = P2
             argmin_map = eigs
-        bad = eigs < -tol
+        bad = eigs < -EIGENVALUE_TOLERANCE
         hits = np.argwhere(bad).tolist()
         if hits:
             violations.extend((i, j, k, P2) for i, j, k in hits)
             edges.append(float(radius[bad].max()))
-    vr_max = max(edges, default=None)
-    analytic = None
-    if isinstance(potential, YukawaTanh):
-        analytic = violation_radius(potential, math.sqrt(argmin_P2))
-    passed = min_eig >= -tol
     return PositivityReport(
         flavor=flavor,
         potential=repr(potential),
@@ -102,10 +90,9 @@ def scan(
         argmin_P2=argmin_P2,
         violation_count=len(violations),
         violation_points=tuple(violations),
-        violation_radius_max=vr_max,
-        analytic_radius=analytic,
-        tolerance=tol,
-        passed=passed,
+        violation_radius_max=max(edges, default=None),
+        tolerance=EIGENVALUE_TOLERANCE,
+        passed=min_eig >= -EIGENVALUE_TOLERANCE,
         argmin_map=argmin_map,
     )
 
@@ -192,16 +179,12 @@ def flavor_boundary_radius(flavor: str, potential: YukawaTanh, P0: float) -> flo
     return _bisect(inside, ladder[k - 1], ladder[k], 1e-12)
 
 
-def empirical_boundary_consistent(report: PositivityReport, grid) -> bool:
+def empirical_boundary_consistent(report: PositivityReport, r_star: float, grid) -> bool:
     """One-grid-cell consistency between a scan's empirical violation
-    boundary and the analytic radius in its report."""
-    if report.analytic_radius is None:
-        return False
+    boundary and the radius r* of the ball it should find."""
     cell = math.sqrt(3.0) * grid.h
     if report.violation_radius_max is None:
-        # nothing violated: consistent only if the analytic ball is
-        # smaller than one cell (nothing to resolve)
-        return report.analytic_radius <= cell
-    if report.violation_radius_max > report.analytic_radius + cell:
-        return False
-    return report.violation_radius_max >= report.analytic_radius - cell
+        # nothing violated: consistent only if the ball is smaller than
+        # one cell (nothing to resolve)
+        return r_star <= cell
+    return r_star - cell <= report.violation_radius_max <= r_star + cell

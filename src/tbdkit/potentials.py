@@ -175,10 +175,6 @@ class YukawaTanh(Potential):
         r = np.asarray(r, dtype=float)
         return 0.5 * (self.g1 * self.g2 / FOUR_PI) * np.exp(-self.mu * r) / r
 
-    def core_derivative(self, r):
-        r = np.asarray(r, dtype=float)
-        return -self.core(r) * (self.mu + 1.0 / r)
-
     def _radius(self, xps):
         if np.any(xps == 0):
             raise SingularOriginError("Yukawa core is singular at r = 0; use an offset grid")
@@ -193,8 +189,10 @@ class YukawaTanh(Potential):
         return _ddelta_of(c, P_sq) / np.cosh(_delta_of(c, P_sq)) ** 2
 
     def dV_dxperp_sq(self, xps, P_sq):
+        # c'(r) / (2 r sqrt(P^2) cosh^2(Delta)), both from one core evaluation
         r = self._radius(xps)
-        return self.core_derivative(r) / (2.0 * r * np.sqrt(P_sq) * np.cosh(self.delta(xps, P_sq)) ** 2)
+        c = self.core(r)
+        return -c * (self.mu + 1.0 / r) / (2.0 * r * np.sqrt(P_sq) * np.cosh(_delta_of(c, P_sq)) ** 2)
 
     def delta(self, xps, P_sq):
         return _delta_of(self.core(self._radius(xps)), P_sq)

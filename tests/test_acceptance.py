@@ -217,7 +217,7 @@ def test_criterion_06_yukawa_violation_ball():
     rep = scan("sazdjian", pot, [1.0], grid)
     r_star = violation_radius(pot, 1.0)
     radius_ok = abs(r_star - OMEGA) <= 1e-9
-    boundary_ok = empirical_boundary_consistent(rep, grid)
+    boundary_ok = empirical_boundary_consistent(rep, r_star, grid)
     # the smallest form eigenvalue A - |B| of the kernel pair vanishes at
     # r* and is negative inside it
     A, B = form_pair("sazdjian", pot, 1.0, np.array(-(r_star**2)))
@@ -273,7 +273,7 @@ def test_criterion_09_gauge_restriction():
     P = np.array([2.0, 0.0, 0.0, 0.0])
     fld = random_band_limited_field(P, grid, np.random.default_rng(7))
     rel, tot = gauge_check(
-        system, fld, np.array([0.37, 0.21, -0.4, 0.11]), np.array([0.5, 0.0, 0.0, 0.0]), tol=1e-10
+        system, fld, np.array([0.37, 0.21, -0.4, 0.11]), np.array([0.5, 0.0, 0.0, 0.0])
     )
     route_gap = abs(tot.difference - tot.independent_difference)
     _line(

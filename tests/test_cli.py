@@ -189,8 +189,8 @@ def test_kernel_csv_matches_cell_by_cell_reference(tmp_path, monkeypatch, refere
     seen = {}
     scan = cli.scan
 
-    def capture(flavor, potential, P2_set, grid, tol):
-        rep = scan(flavor, potential, P2_set, grid, tol=tol)
+    def capture(flavor, potential, P2_set, grid):
+        rep = scan(flavor, potential, P2_set, grid)
         seen["grid"] = grid
         seen["eigmap"] = min_eigenvalue_map(flavor, potential, rep.argmin_P2, grid)
         return rep
@@ -297,9 +297,10 @@ def test_gauge_reduces_each_profile_once(tmp_path, monkeypatch):
 
 def test_warnings_of_a_run_that_writes_its_report_still_show(tmp_path):
     # main holds a run's warnings until its report is written, so that a
-    # config that exits 2 prints one line
+    # config that exits 2 prints one line; the test field's waves reach
+    # the top of the band of an n=4 grid
     p = tmp_path / "cfg.json"
-    p.write_text(json.dumps({"schema": "tbdkit-config/1", "n_fields": 1, "max_index": 4, "grid": {"n": 8, "L": 10.5}}))
+    p.write_text(json.dumps({"schema": "tbdkit-config/1", "n_fields": 1, "grid": {"n": 4, "L": 10.5}}))
     with pytest.warns(AliasingWarning):
         assert main(["compat", "--config", str(p), "--out", str(tmp_path), "--quiet"]) == 1
     assert (tmp_path / "compat.json").exists()
@@ -364,21 +365,21 @@ def _run_config(tmp_path, command, override, timeout=None):
         ("kernel", {"grid": {"n": 8}}, "missing keys in grid spec: ['L']"),
         ("claim1", {"masses": {"m1": 1.0}}, "missing keys in masses: ['m2']"),
         ("claim1", {"masses": {"m1": 1e9, "m2": 1.3}}, "free dispersion roots not found at masses"),
-        ("compat", {"p0_modes": []}, "a field needs a nonempty p0_modes"),
-        ("compat", {"waves_per_mode": 0}, "waves_per_mode of at least 1"),
+        ("compat", {"p0_modes": []}, "unknown keys in compat config: ['p0_modes']"),
+        ("compat", {"waves_per_mode": 0}, "unknown keys in compat config: ['waves_per_mode']"),
         ("conserve", {"epsilons": [1e-2, 1e-3, 1e-4]}, "unknown keys in conserve config: ['epsilons']"),
         ("toy", {"sweep_rho_points": 0}, "sweep_rho_points and sweep_phi_points must be at least 1"),
         ("toy", {"sweep_phi_points": -3}, "must be at least 1, got 100 and -3"),
         ("kernel", {"expect_positive": "false"}, "expect_positive must be true or false, got 'false'"),
         ("kernel", {"P2_values": [4.0, -1.0]}, "P2_values entries must be positive numbers, got -1.0"),
-        ("kernel", {"tolerance": "x"}, "tolerance must be a number, got 'x'"),
+        ("kernel", {"tolerance": "x"}, "unknown keys in kernel config: ['tolerance']"),
         ("kernel", {"P2_values": 5.0}, "P2_values must be a nonempty list, got 5.0"),
         ("kernel", {"P2_values": []}, "P2_values must be a nonempty list, got []"),
         ("kernel", {"grid": {"n": 8.7, "L": 4.0}}, "grid.n must be an integer, got 8.7"),
         ("compat", {"grid": {"n": "8", "L": 4.0}}, "grid.n must be an integer, got '8'"),
         ("radius", {"grid": {"n": True, "L": 4.0}}, "grid.n must be an integer, got True"),
         ("gauge", {"grid": {"n": 8, "L": "4.0"}}, "grid.L must be a number, got '4.0'"),
-        ("kernel", {"tolerance": math.nan}, "tolerance must be finite, got nan"),
+        ("kernel", {"tolerance": math.nan}, "unknown keys in kernel config: ['tolerance']"),
         ("kernel", {"grid": {"n": 8, "L": math.inf}}, "grid.L must be finite, got inf"),
         (
             "kernel",
@@ -482,7 +483,6 @@ _N8 = {"grid": {"n": 8, "L": 8.0}}
             "non-finite number in report: nan",
         ),
         ("compat", {"n_fields": 1, "grid": {"n": 8, "L": 10.5}, "P0": 1e200}, "non-finite number in report: nan"),
-        ("compat", {"n_fields": 1, "grid": {"n": 8, "L": 10.5}, "p0_modes": [1e308]}, "non-finite number in report: nan"),
         # cell volumes outside the float range
         ("radius", {"grid": {"n": 8, "L": 1e200}}, "grid.L = 1e+200 puts the cell volume (L/n)^3 outside"),
         ("compat", {"n_fields": 1, "grid": {"n": 8, "L": 1e120}}, "grid.L = 1e+120 puts the cell volume"),
@@ -501,7 +501,6 @@ _N8 = {"grid": {"n": 8, "L": 8.0}}
         "gauge_huge_c",
         "gauge_yukawa_overflow",
         "compat_huge_P0",
-        "compat_huge_p0_mode",
         "radius_huge_L",
         "compat_cell_overflow",
         "gauge_cell_overflow",
@@ -590,10 +589,28 @@ def _wrong_values(default):
     return ["x", None, math.nan]
 
 
+# Keys that were settable and are now program constants, with the values
+# they used to default to: certificate bounds and the compat test field.
+# A config that sets one, to any value, exits 2 before the run.
+_REMOVED = {
+    "claim1": {"free_tolerance": 1e-12, "match_tolerance": 1e-10, "magnitude_floor": 1e-3},
+    "conserve": {"tolerance": 1e-12},
+    "kernel": {"tolerance": 1e-12},
+    "gauge": {"tolerance": 1e-10},
+    "radius": {"agreement_tolerance": 1e-9},
+    "compat": {"p0_modes": [0.17, -0.4, 0.33], "waves_per_mode": 6, "max_index": 2},
+}
+
+
+def _settable(command):
+    """The defaults of command with its removed keys put back."""
+    return {**DEFAULTS[command], **_REMOVED.get(command, {})}
+
+
 _KEY_WALK = [
     (command, path, wrong)
-    for command, defaults in DEFAULTS.items()
-    for path, default in _leaves("", defaults)
+    for command in DEFAULTS
+    for path, default in _leaves("", _settable(command))
     for wrong in _wrong_values(default)
 ]
 
@@ -607,7 +624,7 @@ def test_every_config_key_rejects_a_wrong_type_before_the_run(tmp_path, monkeypa
 
     monkeypatch.setitem(cli._RUNNERS, command, must_not_run)
     head, *rest = path.split(".")
-    value = copy.deepcopy(DEFAULTS[command][head])
+    value = copy.deepcopy(_settable(command)[head])
     if rest:
         record = value
         for key in rest[:-1]:
@@ -621,6 +638,25 @@ def test_every_config_key_rejects_a_wrong_type_before_the_run(tmp_path, monkeypa
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"tbdkit {command}: config error: ")
     assert path in lines[0]
+    if head in _REMOVED.get(command, {}):
+        assert f"unknown keys in {command} config" in lines[0]
+
+
+_REMOVED_KEYS = [(command, key, value) for command, keys in _REMOVED.items() for key, value in keys.items()]
+
+
+@pytest.mark.parametrize("command, key, value", _REMOVED_KEYS, ids=[f"{c}-{k}" for c, k, _ in _REMOVED_KEYS])
+def test_removed_config_key_exits_2_as_unknown(tmp_path, monkeypatch, capsys, command, key, value):
+    # even the value the key used to default to: a bound is not a setting
+    def must_not_run(cfg):
+        raise AssertionError("the runner was called on a config with a removed key")
+
+    monkeypatch.setitem(cli._RUNNERS, command, must_not_run)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"schema": "tbdkit-config/1", key: value}))
+    assert main([command, "--config", str(p), "--out", str(tmp_path)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"tbdkit {command}: config error: unknown keys in {command} config: [{key!r}]"]
 
 
 def test_config_values_are_echoed_as_given(tmp_path):
@@ -736,7 +772,6 @@ _GAUGE_KEYS = {
     "c": st.lists(_NUMBER, min_size=4, max_size=4),
     "a": st.lists(_NUMBER, min_size=4, max_size=4),
     "flavor": st.sampled_from(["free", "sazdjian", "crater"]),
-    "tolerance": _NUMBER,
 }
 
 
@@ -764,24 +799,17 @@ def _exits_0_1_or_2(command, override):
             assert main([command, "--config", str(p), "--out", tmp, "--quiet"]) in (0, 1, 2)
 
 
-_PLANE_WAVE_KEYS = {
+_CLAIM1_KEYS = {
     "masses": _GAUGE_KEYS["masses"],
     "P0": _NUMBER,
     "v": _NUMBER,
     "p0_window": st.lists(_NUMBER, min_size=2, max_size=2),
 }
-_CLAIM1_KEYS = {
-    **_PLANE_WAVE_KEYS,
-    "free_tolerance": _NUMBER,
-    "match_tolerance": _NUMBER,
-    "magnitude_floor": _NUMBER,
-}
 _CONSERVE_KEYS = {
-    **_PLANE_WAVE_KEYS,
+    **_CLAIM1_KEYS,
     "p_spatial_a": st.lists(_NUMBER, min_size=3, max_size=3),
     "p_spatial_b": st.lists(_NUMBER, min_size=3, max_size=3),
     "green_choice": st.sampled_from(["advanced", "retarded"]),
-    "tolerance": _NUMBER,
 }
 
 
@@ -792,7 +820,6 @@ _RADIUS_KEYS = {
     "P0": _NUMBER,
     "flavor": _GAUGE_KEYS["flavor"],
     "grid": st.fixed_dictionaries({"n": st.integers(-2, 16), "L": _NUMBER}),
-    "agreement_tolerance": _NUMBER,
 }
 
 

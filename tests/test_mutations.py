@@ -1,19 +1,20 @@
 """Mutation table: each row perturbs one formula a certificate rests on,
 by wrapping the name where the certificate looks it up, and runs that
-subcommand in-process on its defaults. A certificate that still passes
-under a wrong formula certifies nothing, so each row must turn exit 0
-into exit 1. Source is never edited. Rows that no certificate catches
-yet are strict xfails citing the ROADMAP item that will mend them; a fix
-turns them into passes.
+subcommand in-process on its defaults (compat on one field). A
+certificate that still passes under a wrong formula certifies nothing,
+so each row must turn exit 0 into exit 1. Source is never edited. Rows
+that no certificate catches yet are strict xfails citing the ROADMAP
+item that will mend them; a fix turns them into passes.
 """
 
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
-from tbdkit import cli, currents, positivity
+from tbdkit import cli, currents, operators, positivity
 from tbdkit.cli import main
 from tbdkit.potentials import YukawaTanh
 from tbdkit.toy_model import B
@@ -131,6 +132,11 @@ def gauge_sazdjian_B_doubled(monkeypatch):
     monkeypatch.setattr(currents, "build_kernel", wrapper)
 
 
+def analytic_commutator_dV(monkeypatch):
+    # dV/dx_perp^2 of the analytic commutator realization
+    monkeypatch.setattr(operators, "eval_dV_dxperp_sq", scaled(operators.eval_dV_dxperp_sq, 1 + 1e-6))
+
+
 ROWS = [
     pytest.param(green_multiplier, "conserve", id="green_multiplier-conserve"),
     pytest.param(defect_f, "conserve", id="defect_f-conserve"),
@@ -138,6 +144,10 @@ ROWS = [
     pytest.param(toy_evolve_sin_term, "toy", id="evolve_sin_term-toy"),
     pytest.param(_scale_B("sazdjian"), "radius", id="sazdjian_B-radius"),
     pytest.param(_scale_B("crater"), "radius", id="crater_B-radius"),
+    pytest.param(
+        _scale_B("sazdjian"), "kernel", id="sazdjian_B-kernel",
+        marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1: the default potential has B = 0 (no P^2 dependence), and kernel reads only the sign of A - |B|"),
+    ),
     pytest.param(
         j_column_2, "claim1", id="J_column_2-claim1",
         marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 4: claim1's pair at p = 0 reads one divergence component"),
@@ -152,13 +162,26 @@ ROWS = [
         gauge_sazdjian_B_doubled, "gauge", id="sazdjian_B_doubled-gauge",
         marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 2: the total-momentum route rebuilds the same kernel"),
     ),
+    pytest.param(
+        analytic_commutator_dV, "compat", id="analytic_commutator_dV-compat",
+        marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 3: the n=32 residual stays under 1e-8"),
+    ),
 ]
+
+
+# compat runs one field of its ten (about 0.5 s)
+OVERRIDES = {"compat": {"n_fields": 1}}
 
 
 @pytest.mark.parametrize("mutate, command", ROWS)
 def test_mutation_fails_its_certificate(tmp_path, monkeypatch, mutate, command):
     mutate(monkeypatch)
-    assert main([command, "--out", str(tmp_path), "--quiet"]) == 1
+    argv = [command, "--out", str(tmp_path), "--quiet"]
+    if command in OVERRIDES:
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"schema": "tbdkit-config/1", **OVERRIDES[command]}))
+        argv += ["--config", str(p)]
+    assert main(argv) == 1
 
 
 def test_selfcheck_coincidence_term_catches_dV_dP2(monkeypatch):

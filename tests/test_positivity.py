@@ -236,7 +236,6 @@ def test_scan_certifies_bounded_tanh_potential():
     assert rep.passed
     assert rep.min_eigenvalue >= -1e-12
     assert rep.violation_count == 0
-    assert rep.analytic_radius is None
     assert rep.P2_values == (4.0, 6.25, 9.0)
 
 
@@ -246,13 +245,12 @@ def test_scan_finds_yukawa_violation_ball():
     assert not rep.passed
     assert rep.min_eigenvalue < -0.1
     assert rep.violation_count > 0
-    assert rep.analytic_radius == pytest.approx(OMEGA, abs=1e-9)
     # every violating point sits inside the ball (step tolerance one cell)
     cell = math.sqrt(3.0) * grid.h
     radius = np.sqrt(grid.radius_sq)
     for i, j, k, P2 in rep.violation_points:
-        assert radius[i, j, k] < rep.analytic_radius + cell
-    assert empirical_boundary_consistent(rep, grid)
+        assert radius[i, j, k] < OMEGA + cell
+    assert empirical_boundary_consistent(rep, OMEGA, grid)
 
 
 def test_scan_min_matches_eigenvalue_map():
@@ -311,7 +309,7 @@ def test_crater_scan_finds_the_same_ball():
     grid = Grid(n=16, L=4.0)
     rep = scan("crater", YUKAWA, [1.0], grid)
     assert not rep.passed
-    assert empirical_boundary_consistent(rep, grid)
+    assert empirical_boundary_consistent(rep, OMEGA, grid)
 
 
 def test_scan_rejects_empty_P2_set():
@@ -324,5 +322,8 @@ def test_boundary_consistency_rejects_fabricated_report():
     rep = scan("sazdjian", YUKAWA, [1.0], grid)
     from dataclasses import replace
 
-    shifted = replace(rep, violation_radius_max=rep.analytic_radius + 1.0)
-    assert not empirical_boundary_consistent(shifted, grid)
+    assert empirical_boundary_consistent(rep, OMEGA, grid)
+    shifted = replace(rep, violation_radius_max=OMEGA + 1.0)
+    assert not empirical_boundary_consistent(shifted, OMEGA, grid)
+    # and the other way round: a wrong radius against the scan's boundary
+    assert not empirical_boundary_consistent(rep, OMEGA + 1.0, grid)

@@ -117,6 +117,27 @@ def test_dV_dxperp_sq_matches_finite_difference(rng):
             assert an == pytest.approx(fd, rel=1e-6, abs=1e-10)
 
 
+@pytest.mark.parametrize("evaluator", [eval_dV_dP2, eval_dV_dxperp_sq], ids=lambda f: f.__name__)
+def test_yukawa_derivative_evaluates_its_core_once(monkeypatch, evaluator):
+    # the radius and the core feed both the derivative and the cosh^2 of
+    # Delta; each is computed once per call
+    calls = {"_radius": 0, "core": 0}
+
+    def counted(name):
+        original = getattr(YukawaTanh, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(YukawaTanh, name, counted(name))
+    evaluator(YUKAWA, -np.linspace(0.1, 4.0, 7), 2.5)
+    assert calls == {"_radius": 1, "core": 1}
+
+
 def test_ddelta_dP2_matches_finite_difference(rng):
     xps, P2 = sample_points(rng, 40)
     for x, p in zip(xps, P2):
@@ -215,7 +236,7 @@ def test_subclass_outside_the_module_runs_through_kernel_and_scan():
     assert np.allclose(kernel.A, 1.0 - V**2, rtol=0.0, atol=1e-15)
     assert np.all(kernel.B < 0.0)  # dV/dP^2 < 0 for a > 0
     rep = scan("sazdjian", spec, [4.0, 9.0], grid)
-    assert rep.passed and rep.analytic_radius is None
+    assert rep.passed
     assert rep.min_eigenvalue <= float(np.min(kernel.A - np.abs(kernel.B)))
 
 
