@@ -313,15 +313,14 @@ class GaugeReport:
     passed: bool
 
 
-def _transform_relative(fld: InternalField, c) -> InternalField:
-    """psi -> e^{-i theta} psi with theta = c.x in the relative
-    coordinate: shifts every relative energy by c^0 and multiplies the
-    spatial profiles by e^{+i c_spatial . x}."""
+def _relative_phase(grid, c):
+    """e^{+i c_spatial . x} on the grid: the factor by which
+    psi -> e^{-i theta} psi, theta = c.x in the relative coordinate,
+    multiplies the equal-time profile. The shift of every relative
+    energy by c^0 leaves the t = 0 slice as it is."""
     c = as_four_vector(c)
-    mesh = fld.grid.coord_mesh
-    phase = np.exp(1j * (c[1] * mesh[0] + c[2] * mesh[1] + c[3] * mesh[2]))
-    modes = tuple((p0 + c[0], chi * phase[None]) for p0, chi in fld.modes)
-    return replace(fld, modes=modes)
+    mesh = grid.coord_mesh
+    return np.exp(1j * (c[1] * mesh[0] + c[2] * mesh[1] + c[3] * mesh[2]))
 
 
 GAUGE_TOLERANCE = 1e-10  # bound on each gauge_check verdict's difference
@@ -344,10 +343,13 @@ def gauge_check(
 
     relative_only: theta = c.x depends on the relative coordinate alone.
     P is untouched and the norm must be invariant (the phase cancels
-    pointwise inside the sesquilinear form). The transformed profile is
-    reduced to its own densities, and the reported difference is the
-    pointwise sum h^3 sum_x [A (rho' - rho) + B (sigma' - sigma)]; it can
-    differ from value_after - value_before by about one ulp of the
+    pointwise inside the sesquilinear form). On the t = 0 slice the
+    transformed profile is e^{i c.x} times the untransformed one (the
+    shift of p0 by c^0 does not reach it), so the phase multiplies the
+    profile once, in place, after its densities are taken, and the
+    result is reduced to its own densities. The reported difference is
+    the pointwise sum h^3 sum_x [A (rho' - rho) + B (sigma' - sigma)]; it
+    can differ from value_after - value_before by about one ulp of the
     values.
 
     total_dependent: theta = a.X shifts the total momentum to P + a and
@@ -364,7 +366,7 @@ def gauge_check(
     k_shift = build_kernel(flavor, system.potential, minkowski_sq(P_after), fld.grid)
     profile = equal_time_profile(fld)
     rho, sigma = densities(system.gammas, profile, profile)
-    profile = equal_time_profile(_transform_relative(fld, c))
+    profile *= _relative_phase(fld.grid, c)
     rho_out, sigma_out = densities(system.gammas, profile, profile)
     value_before = form_value(kernel_before, rho, sigma)
     value_relative = form_value(kernel_before, rho_out, sigma_out)

@@ -305,26 +305,27 @@ def field_from_modes(P, grid: Grid, mode_spec) -> InternalField:
     [-n/2, n/2) alias onto other modes; that is reported as an
     AliasingWarning, not an error, because convergence studies evaluate
     one spec on several grids on purpose.
+
+    Each wave's phase is the outer product of three 1-D phases; a mode
+    of W waves is one (16 x W) @ (W x n^3) product of its amplitudes and
+    stacked phases, so no profile-sized temporary is made per wave. A
+    mode with no waves is the zero field.
     """
     n = grid.n
-    x = grid.axis
     modes = []
     for p0, waves in mode_spec:
-        chi = np.zeros((16, n, n, n), dtype=complex)
-        for m, amp in waves:
-            m = np.asarray(m, dtype=int)
-            if np.any(m < -n // 2) or np.any(m >= n // 2):
-                warnings.warn(
-                    f"wavevector index {tuple(m)} outside the grid's "
-                    f"representable range [{-n // 2}, {n // 2}); it will alias",
-                    AliasingWarning,
-                    stacklevel=2,
-                )
-            # e^{i 2 pi m.x / L} is the outer product of three 1-D phases
-            ex, ey, ez = np.exp(2j * np.pi / grid.L * np.outer(m, x))
-            phase = ex[:, None, None] * ey[None, :, None] * ez[None, None, :]
-            chi += np.asarray(amp, dtype=complex).reshape(16, 1, 1, 1) * phase
-        modes.append((p0, chi))
+        m = np.array([idx for idx, _ in waves], dtype=int).reshape(-1, 3)
+        amps = np.array([np.asarray(amp, dtype=complex).reshape(16) for _, amp in waves]).reshape(-1, 16)
+        for row in m[np.any((m < -n // 2) | (m >= n // 2), axis=1)]:
+            warnings.warn(
+                f"wavevector index {tuple(row)} outside the grid's "
+                f"representable range [{-n // 2}, {n // 2}); it will alias",
+                AliasingWarning,
+                stacklevel=2,
+            )
+        e = np.exp(2j * np.pi / grid.L * (m[:, :, None] * grid.axis))  # (W, 3, n)
+        phases = e[:, 0, :, None, None] * e[:, 1, None, :, None] * e[:, 2, None, None, :]
+        modes.append((p0, (amps.T @ phases.reshape(len(m), n**3)).reshape(16, n, n, n)))
     return InternalField(P=P, grid=grid, modes=tuple(modes))
 
 

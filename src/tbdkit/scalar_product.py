@@ -23,9 +23,10 @@ pointwise densities (densities), each of shape (n, n, n):
     rho   = sum_c conj(pa_c) pb_c
     sigma = sum_c conj(pa_c) (gamma_1^0 gamma_2^0 pb)_c
 
-and the form value is h^3 sum_x [A rho + B sigma] (form_value). The
-densities of a profile pair are computed once and serve every kernel
-evaluated on it.
+and the form value is h^3 sum_x [A rho + B sigma] (form_value). rho and sigma
+are conjugating dots over the spinor axis (np.vecdot), so no conjugate
+or product of the profiles is stored. The densities of a profile pair
+are computed once and serve every kernel evaluated on it.
 
 Quadrature is the plain Riemann sum over the periodic grid, spectrally
 accurate for smooth periodic integrands; summation uses numpy's
@@ -104,17 +105,13 @@ def equal_time_profile(fld: InternalField) -> np.ndarray:
     return out
 
 
-def _apply_gamma_pair(gammas: GammaSet, profile: np.ndarray) -> np.ndarray:
-    return (gamma0_pair(gammas) @ profile.reshape(16, -1)).reshape(profile.shape)
-
-
 def densities(gammas: GammaSet, pa: np.ndarray, pb: np.ndarray):
     """The pointwise densities (rho, sigma) of two raw equal-time
     profiles, through which every kernel's quadratic form reads them."""
-    pa_conj = pa.conj()
-    rho = np.sum(pa_conj * pb, axis=0)
-    sigma = np.sum(pa_conj * _apply_gamma_pair(gammas, pb), axis=0)
-    return rho, sigma
+    a, b = pa.reshape(16, -1), pb.reshape(16, -1)
+    rho = np.vecdot(a, b, axis=0)
+    sigma = np.vecdot(a, gamma0_pair(gammas) @ b, axis=0)
+    return rho.reshape(pa.shape[1:]), sigma.reshape(pa.shape[1:])
 
 
 def form_value(kernel: NormKernel, rho: np.ndarray, sigma: np.ndarray) -> complex:

@@ -276,9 +276,9 @@ def test_gauge_command_passes(tmp_path):
 
 
 def test_gauge_reduces_each_profile_once(tmp_path, monkeypatch):
-    # one gauge pass: the kernels at P and P + a (and its repeat), the
-    # field's profile and its relative transform, each reduced once to
-    # densities on which every kernel form is evaluated
+    # one gauge pass: the kernels at P and P + a (and its repeat), and
+    # the field's profile, reduced to densities before and after the
+    # relative phase multiplies it; every kernel form reads those
     calls = {"gauge_check": 0, "build_kernel": 0, "equal_time_profile": 0, "densities": 0}
 
     def counted(name, fn):
@@ -292,7 +292,7 @@ def test_gauge_reduces_each_profile_once(tmp_path, monkeypatch):
     for name in ("build_kernel", "equal_time_profile", "densities"):
         monkeypatch.setattr(currents, name, counted(name, getattr(currents, name)))
     assert main(["gauge", "--out", str(tmp_path), "--quiet"]) == 0
-    assert calls == {"gauge_check": 1, "build_kernel": 3, "equal_time_profile": 2, "densities": 2}
+    assert calls == {"gauge_check": 1, "build_kernel": 3, "equal_time_profile": 1, "densities": 2}
 
 
 def test_warnings_of_a_run_that_writes_its_report_still_show(tmp_path):
@@ -846,3 +846,56 @@ def test_claim1_config_never_raises(override):
 @example({"p_spatial_b": [0.0, 0.0, 0.0]})
 def test_conserve_config_never_raises(override):
     _exits_0_1_or_2("conserve", override)
+
+
+_COMPAT_KEYS = {
+    "potential": _POTENTIAL,
+    "masses": _GAUGE_KEYS["masses"],
+    "P0": _NUMBER,
+    "grid": st.fixed_dictionaries({"n": st.integers(-2, 16), "L": _NUMBER}),
+    "n_fields": st.integers(-1, 2),
+    "seed": _GAUGE_KEYS["seed"],
+    "realization": st.sampled_from(["analytic", "composed"]),
+    "tolerance": _NUMBER,
+}
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.fixed_dictionaries({}, optional={key: value | _JSON for key, value in _COMPAT_KEYS.items()}))
+@example({"grid": {"n": 2, "L": 10.5}})  # every wave of the test field aliases
+@example({"grid": {"n": 16, "L": 1e120}})
+@example({"grid": {"n": 16, "L": 1e-100}, "n_fields": 2})
+def test_compat_config_never_raises(override):
+    # the defaults' grid is n=32 with ten fields; every drawn config runs
+    # at n <= 16 with at most two
+    override.setdefault("grid", {"n": 8, "L": 10.5})
+    override.setdefault("n_fields", 1)
+    _exits_0_1_or_2("compat", override)
+
+
+_KERNEL_KEYS = {
+    "flavor": _GAUGE_KEYS["flavor"],
+    "potential": _POTENTIAL,
+    "P2_values": st.lists(_NUMBER, max_size=3),
+    "grid": st.fixed_dictionaries({"n": st.integers(-2, 16), "L": _NUMBER}),
+    "expect_positive": st.booleans(),
+}
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.fixed_dictionaries({}, optional={key: value | _JSON for key, value in _KERNEL_KEYS.items()}))
+@example({"potential": {"kind": "yukawa_tanh", "g1": 1e154, "g2": 1e154, "mu": 1.0}, "P2_values": [1e-300]})
+def test_kernel_config_never_raises(override):
+    # the defaults' grid is n=32; every drawn config runs at n <= 16
+    override.setdefault("grid", {"n": 16, "L": 10.5})
+    _exits_0_1_or_2("kernel", override)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    st.fixed_dictionaries(
+        {}, optional={key: st.integers(-2, 200) | _JSON for key in ("sweep_rho_points", "sweep_phi_points")}
+    )
+)
+def test_toy_config_never_raises(override):
+    _exits_0_1_or_2("toy", override)

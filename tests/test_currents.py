@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from tbdkit.potentials import (
     Zero,
     eval_dV_dP2,
 )
-from tbdkit.scalar_product import build_kernel
+from tbdkit.scalar_product import build_kernel, densities, equal_time_profile, form_value
 from tbdkit.spinor_algebra import build_gammas, gamma0_pair, lift1, lift2
 
 MASSES = MassPair(1.0, 1.3)
@@ -361,35 +362,25 @@ def gauge_setup(gam):
     return system, fld
 
 
-def _relative_phase_bound(system, fld):
-    """Rounding bound on the sazdjian relative-phase difference
-    h^3 sum_x [A (rho' - rho) + B (sigma' - sigma)], which is 0 in exact
-    arithmetic for any phase of unit modulus.
+def _phase_rounding(system, fld):
+    """Magnitude sum S = h^3 sum_x [|A| R + |B| R_sigma] of the terms of
+    the sazdjian form on the profile pair, the depth d_sigma of sigma's
+    chain and the depth of numpy's pairwise sum over the n^3 points.
 
     The profile is the sum of M mode profiles chi_m, so rho and sigma
     expand into terms conj(chi_m,c) chi_m',c and conj(chi_m,c) Gamma_cd
     chi_m',d (Gamma = gamma_1^0 gamma_2^0) whose magnitudes, with
     Q_c = sum_m |chi_m,c|, sum to R = sum_c Q_c^2 and
-    R_sigma = sum_c Q_c (|Gamma| Q)_c. A term passing through at most D
-    operations (a complex product counting 2) carries an error of at most
-    sqrt(2) gamma_D of its magnitude, gamma_D = D u / (1 - D u):
+    R_sigma = sum_c Q_c (|Gamma| Q)_c. Depths count the operations a
+    term passes through, a complex product counting 2:
 
     - rho: M - 1 mode additions in each of the two profile factors, the
-      product (2), 15 component additions: 2M + 15;
+      product (2), at most 15 component additions in the conjugating
+      dot, in any order: 2M + 15;
     - sigma: as rho, plus one row of Gamma pb (16 complex products, 15
       additions: 17): 2M + 32;
-    - primed densities: each factor is also multiplied by the phase (2),
-      whose modulus np.exp leaves within 2u of 1 (cos and sin each within
-      one ulp; counted 2): 8 more;
-    - the tail, on the density differences: the subtraction, times A or
-      B, A d_rho + B d_sigma, numpy's pairwise sum over n^3 points
-      (depth at most 14 + ceil(log2 n^3)) and times h^3: 18 +
+    - numpy's pairwise sum of n^3 points: depth at most 14 +
       ceil(log2 n^3).
-
-    With D the sum of sigma's two depths and the tail (it exceeds rho's)
-    and S = h^3 sum_x [|A| R + |B| R_sigma], |difference| <= sqrt(2)
-    gamma_D S. This is a worst case: it assumes the rounding errors of
-    all n^3 points align.
     """
     kernel = build_kernel("sazdjian", system.potential, minkowski_sq(fld.P), fld.grid)
     Q = sum(np.abs(chi) for _, chi in fld.modes)
@@ -398,10 +389,70 @@ def _relative_phase_bound(system, fld):
     R_sigma = np.sum(Q * abs_gamma_Q, axis=0)
     S = float(np.sum(np.abs(kernel.A) * R + np.abs(kernel.B) * R_sigma) * fld.grid.h**3)
     M, n = len(fld.modes), fld.grid.n
-    d_sigma = 2 * M + 32
-    d = d_sigma + (d_sigma + 8) + 18 + math.ceil(math.log2(n**3))
+    return S, 2 * M + 32, 14 + math.ceil(math.log2(n**3))
+
+
+def _gamma_bound(d, S):
+    """sqrt(2) gamma_d S, gamma_d = d u / (1 - d u): the error of a sum
+    of terms of magnitude sum S, each through at most d operations."""
     u = np.finfo(float).eps / 2
     return math.sqrt(2.0) * d * u / (1.0 - d * u) * S
+
+
+def _relative_phase_bound(system, fld):
+    """Rounding bound on the sazdjian relative-phase difference
+    h^3 sum_x [A (rho' - rho) + B (sigma' - sigma)], which is 0 in exact
+    arithmetic for any phase of unit modulus (see _phase_rounding for S
+    and the depths):
+
+    - primed densities: the phase multiplies the summed profile once,
+      after its M - 1 mode additions (2 per factor), and its modulus
+      np.exp leaves within 2u of 1 (cos and sin each within one ulp;
+      counted 2 per factor): d_sigma + 8. Multiplying each mode before
+      the sum, as the per-mode route does, has the same count;
+    - the tail, on the density differences: the subtraction, times A or
+      B, A d_rho + B d_sigma, the pairwise sum and times h^3: 4 + the
+      sum's depth.
+
+    With D the sum of sigma's two depths and the tail (it exceeds rho's),
+    |difference| <= sqrt(2) gamma_D S. This is a worst case: it assumes
+    the rounding errors of all n^3 points align.
+    """
+    S, d_sigma, d_sum = _phase_rounding(system, fld)
+    return _gamma_bound(d_sigma + (d_sigma + 8) + 4 + d_sum, S)
+
+
+def _per_mode_transformed_profile(fld, c):
+    """The equal-time profile of the relative transform by the per-mode
+    route: every mode's relative energy shifted by c^0 and its profile
+    multiplied by e^{+i c_spatial . x}, then the modes summed."""
+    mesh = fld.grid.coord_mesh
+    phase = np.exp(1j * (c[1] * mesh[0] + c[2] * mesh[1] + c[3] * mesh[2]))
+    modes = tuple((p0 + c[0], chi * phase[None]) for p0, chi in fld.modes)
+    return equal_time_profile(replace(fld, modes=modes))
+
+
+@pytest.mark.parametrize("c", [(0.37, 0.21, -0.4, 0.11), (-0.5, 0.5, 0.5, -0.5), (0.0, 0.0, 0.0, 0.0)])
+def test_gauge_profile_phase_matches_per_mode_route(gauge_setup, c):
+    system, fld = gauge_setup
+    c = np.array(c)
+    rep, _ = gauge_check(system, fld, c, np.array([0.5, 0.0, 0.0, 0.0]))
+    kernel = build_kernel("sazdjian", system.potential, minkowski_sq(fld.P), fld.grid)
+    profile = equal_time_profile(fld)
+    rho, sigma = densities(system.gammas, profile, profile)
+    moved = _per_mode_transformed_profile(fld, c)
+    rho_out, sigma_out = densities(system.gammas, moved, moved)
+    drift = form_value(kernel, rho_out - rho, sigma_out - sigma)
+    bound = _relative_phase_bound(system, fld)
+    assert abs(drift) <= bound
+    assert abs(rep.difference) <= bound
+    # Both routes multiply by the same phase array, so their value_after
+    # differ only in their own primed chains (d_sigma + 4 each, the
+    # phase's modulus counted once: 4) and tails (the product with A or
+    # B, the addition, the pairwise sum and h^3: 3 + the sum's depth).
+    S, d_sigma, d_sum = _phase_rounding(system, fld)
+    after = form_value(kernel, rho_out, sigma_out)
+    assert abs(rep.value_after - after) <= _gamma_bound(2 * (d_sigma + 4) + 4 + 2 * (3 + d_sum), S)
 
 
 def test_gauge_relative_phase_leaves_norm_invariant(gauge_setup):

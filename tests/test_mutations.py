@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from tbdkit import cli, currents, operators, positivity
+from tbdkit import cli, currents, operators, positivity, scalar_product
 from tbdkit.cli import main
 from tbdkit.potentials import YukawaTanh
 from tbdkit.toy_model import B
@@ -73,6 +73,16 @@ def _scale_B(flavor_name):
     return mutate
 
 
+def sazdjian_A_V_squared(monkeypatch):
+    # the sazdjian A = 1 - V^2 computed with V^2 x 1.01: form_pair reads
+    # V only there
+    monkeypatch.setattr(scalar_product, "eval_V", scaled(scalar_product.eval_V, math.sqrt(1.01)))
+
+
+def yukawa_ddelta_dP2(monkeypatch):
+    monkeypatch.setattr(YukawaTanh, "ddelta_dP2", scaled(YukawaTanh.ddelta_dP2, 1 + 1e-6))
+
+
 def _wrap_current(monkeypatch, module, change):
     original = module.j_free_current
 
@@ -110,14 +120,7 @@ def norm_cross_term(monkeypatch):
 
 def relative_phase_modulus(monkeypatch):
     # e^{-i theta} with its modulus off one by 1e-6
-    original = currents._transform_relative
-
-    def wrapper(*args, **kwargs):
-        fld = original(*args, **kwargs)
-        modes = tuple((p0, chi * (1 + 1e-6)) for p0, chi in fld.modes)
-        return dataclasses.replace(fld, modes=modes)
-
-    monkeypatch.setattr(currents, "_transform_relative", wrapper)
+    monkeypatch.setattr(currents, "_relative_phase", scaled(currents._relative_phase, 1 + 1e-6))
 
 
 def gauge_sazdjian_B_doubled(monkeypatch):
@@ -144,6 +147,8 @@ ROWS = [
     pytest.param(toy_evolve_sin_term, "toy", id="evolve_sin_term-toy"),
     pytest.param(_scale_B("sazdjian"), "radius", id="sazdjian_B-radius"),
     pytest.param(_scale_B("crater"), "radius", id="crater_B-radius"),
+    pytest.param(sazdjian_A_V_squared, "radius", id="sazdjian_A_V_squared-radius"),
+    pytest.param(yukawa_ddelta_dP2, "radius", id="yukawa_ddelta_dP2-radius"),
     pytest.param(
         _scale_B("sazdjian"), "kernel", id="sazdjian_B-kernel",
         marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1: the default potential has B = 0 (no P^2 dependence), and kernel reads only the sign of A - |B|"),

@@ -131,6 +131,61 @@ def test_field_from_modes_warns_on_aliasing():
         single_mode(grid, 0.1, (5, 0, 0), u)
 
 
+def _per_wave_field(grid, waves):
+    """A mode built by the per-wave accumulation that field_from_modes
+    replaced: each wave's amp * phase added into chi in turn. Returns
+    chi and the magnitude sum sum_w |amp_w| |phase_w| of its terms."""
+    n = grid.n
+    chi = np.zeros((16, n, n, n), dtype=complex)
+    scale = np.zeros((16, n, n, n))
+    for m, amp in waves:
+        ex, ey, ez = np.exp(2j * np.pi / grid.L * np.outer(np.asarray(m, dtype=int), grid.axis))
+        phase = ex[:, None, None] * ey[None, :, None] * ez[None, None, :]
+        amp = np.asarray(amp, dtype=complex).reshape(16, 1, 1, 1)
+        chi += amp * phase
+        scale += np.abs(amp) * np.abs(phase)
+    return chi, scale
+
+
+def _wave_sum_bound(n_waves, scale):
+    """Both routes form each wave's phase by the same operations, so they
+    differ only in the product with the amplitude (2, a complex product)
+    and the n_waves - 1 additions of the W-term sum, in either order:
+    per route a depth of W + 1, so at most sqrt(2) gamma_(2(W + 1)) of
+    the terms' magnitude sum, gamma_d = d u / (1 - d u)."""
+    u = np.finfo(float).eps / 2
+    d = 2 * (n_waves + 1)
+    return math.sqrt(2.0) * d * u / (1.0 - d * u) * scale
+
+
+def _dirac_amplitudes():
+    """The null spinors of the first equation at a constant potential in
+    the Dirac representation, columns of the roots' bases."""
+    system = TwoBodyDiracSystem(MASSES, Constant(0.3), build_gammas("dirac"))
+    roots = plane_wave_solutions(system, P_REST, (0.2, 0.0, 0.0), p0_window=(-1.2, 0.5), equations="first")
+    return [basis[:, k] for _, basis in roots for k in range(basis.shape[1])]
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_field_from_modes_matches_per_wave_sum(n):
+    grid = Grid(n=n, L=6.0)
+    rng = np.random.default_rng(n)
+    amps = _dirac_amplitudes()
+    waves = [(rng.integers(-2, 3, size=3), amps[w % len(amps)] * rng.standard_normal()) for w in range(5)]
+    # one index outside [-n/2, n/2): it aliases, and still warns once
+    waves.append(((n // 2, 0, -1), rng.standard_normal(16) + 1j * rng.standard_normal(16)))
+    spec = [(0.17, waves), (-0.4, []), (0.33, waves[:1])]
+    with pytest.warns(AliasingWarning, match="outside the grid's representable range") as caught:
+        fld = field_from_modes(P_REST, grid, spec)
+    assert len(caught) == 1 and caught[0].filename == __file__
+    for (p0, chi), (q0, ws) in zip(fld.modes, spec):
+        expect, scale = _per_wave_field(grid, ws)
+        assert p0 == q0
+        assert np.all(np.abs(chi - expect) <= _wave_sum_bound(len(ws), scale))
+    # a mode with no waves is the zero field
+    assert not np.any(fld.modes[1][1])
+
+
 def test_random_field_is_deterministic_and_band_limited():
     grid = Grid(n=16, L=10.5)
     f1 = random_band_limited_field(P_REST, grid, np.random.default_rng(3))

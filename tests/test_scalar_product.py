@@ -257,8 +257,9 @@ def _rounding_bound(n, scale):
     remainder and combination, then one level per halving)."""
     u = np.finfo(float).eps / 2
     gamma_pb = 2 + 15  # one row of Gamma pb: 16 complex products, 15 adds
-    # density route: Gamma pb, times conj(pa), sum over 16 components,
-    # times A or B, A rho + B sigma, sum over n^3 points, times h^3
+    # density route: Gamma pb, the conjugating dot with pa over 16
+    # components (a product and at most 15 adds, in any order), times A
+    # or B, A rho + B sigma, sum over n^3 points, times h^3
     d_new = gamma_pb + 2 + 15 + 1 + 1 + 14 + math.ceil(math.log2(n**3)) + 1
     # per-component route: Gamma pb, times B, plus A pb, times conj(pa),
     # sum over 16 n^3 terms, times h^3
