@@ -5,15 +5,16 @@ quadratic-form matrix A 1 + B gamma_1^0 gamma_2^0 at every grid point
 and every requested P^2, in closed form as A - |B| (gamma_1^0 gamma_2^0
 is an involution with eigenvalues +-1), and reports the global minimum
 eigenvalue and the set of violating points. For the Yukawa-tanh
-potential the violation region is a ball whose analytic radius r*
-solves r e^{mu r} = |g1 g2| / (4 pi |P^0|);
+potential the violation region is a ball whose radius r* solves
+r e^{mu r} = C with C = |g1 g2| / (4 pi |P^0|); violation_radius gives it
+in closed form, r* = W(mu C) / mu with W the principal Lambert W, and
 empirical_boundary_consistent cross-checks a scan's boundary against it.
 
 flavor_boundary_radius finds a flavor's edge of that ball from the form
 pair the scan reads, scalar_product.form_pair: the radius where the
-smallest eigenvalue lambda_-(r) = A - |B| turns positive. Agreement of
-the flavors, and with r*, is a result, not an input: a wrong (A, B)
-moves the flavor's root.
+smallest eigenvalue lambda_-(r) = A - |B| turns positive, bisected down
+to two adjacent doubles. Agreement of the flavors, and with r*, is a
+result, not an input: a wrong (A, B) moves the flavor's root.
 
 The radius routes read the coupling of the YukawaTanh they are given,
 which checked mu > 0 and a finite g1 g2 when it was built; they check
@@ -23,6 +24,7 @@ only what depends on P^0.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +34,7 @@ from .scalar_product import form_pair
 
 EIGENVALUE_TOLERANCE = 1e-12  # a point violates where A - |B| < -this
 _BATCH = 256  # radii tested per bisection round
+_HALLEY_STEPS = 8  # Halley steps for W; 5 suffice for every x tried across the double range
 
 
 @dataclass(frozen=True)
@@ -115,68 +118,83 @@ def _first_false(mask) -> int:
     return int(np.concatenate((mask, [False])).argmin())
 
 
-def _bisect(below, lo, hi, tol):
+def _bisect(below, lo, hi):
     """Midpoint of [lo, hi], where below(lo) holds and below(hi) does
     not, after narrowing it round by round to the cell of _BATCH evenly
     spaced radii in which the array predicate below first fails, until
-    it is narrower than tol or no double lies inside it (past 2^13
-    doubles are spaced wider than 1e-12)."""
-    while hi - lo > tol:
+    no double lies strictly inside it: the result is lo or hi, within
+    one ulp of where below changes."""
+    while True:
         r = np.linspace(lo, hi, _BATCH + 2)
         i = 1 + _first_false(below(r[1:-1]))
         if (r[i - 1], r[i]) == (lo, hi):
-            break
+            return float(0.5 * (lo + hi))
         lo, hi = r[i - 1], r[i]
-    return float(0.5 * (lo + hi))
+
+
+def _lambert_w(mu: float, C: float) -> float:
+    """The principal Lambert W of x = mu C > 0, by Halley's iteration
+    (Corless et al., Adv. Comput. Math. 5 (1996), eq. 5.9). Up to x = e
+    it solves w e^w = x from w = x; past that it solves w + log w = log x
+    from log x - log log x, taking log x as log mu + log C where mu C
+    overflows, so that neither x nor e^w does."""
+    x = mu * C
+    log_x = math.log(x) if x < math.inf else math.log(mu) + math.log(C)
+    w = x if x <= math.e else log_x - math.log(log_x)
+    for _ in range(_HALLEY_STEPS):
+        if x <= math.e:
+            e_w = math.exp(w)
+            f, df, d2f = w * e_w - x, e_w * (w + 1.0), e_w * (w + 2.0)
+        else:
+            f, df, d2f = w + math.log(w) - log_x, 1.0 + 1.0 / w, -1.0 / (w * w)
+        dw = 2.0 * f * df / (2.0 * df * df - f * d2f)
+        if w - dw == w:
+            break
+        w -= dw
+    return w
 
 
 def violation_radius(potential: YukawaTanh, P0: float) -> float:
-    """The radius r* solving r e^{mu r} = |g1 g2| / (4 pi |P^0|), found
-    by bisection (the left side is strictly increasing). A - |B| is even
-    in the sign of the coupling for both flavors, so a repulsive coupling
-    has the ball of its absolute value; a zero coupling has none and
-    gives 0. A right side that overflows to infinity is rejected."""
+    """The radius r* solving r e^{mu r} = C = |g1 g2| / (4 pi |P^0|), in
+    closed form: r* = W(mu C) / mu. A - |B| is even in the sign of the
+    coupling for both flavors, so a repulsive coupling has the ball of
+    its absolute value; a zero coupling has none and gives 0. A C that
+    overflows to infinity is rejected."""
     if P0 == 0:
         raise ValueError("P0 must be nonzero")
     mu = potential.mu
-    rhs = abs(potential.g1 * potential.g2) / (FOUR_PI * abs(P0))
-    if not math.isfinite(rhs):
-        raise ValueError(f"|g1 g2| / (4 pi |P0|) = {rhs} is not a finite number")
-    if rhs == 0:
-        return 0.0
-    log_rhs = math.log(rhs)
-
-    def below(r):
-        # e^{mu r} overflows past mu r = 709.78; compare logarithms there
-        with np.errstate(over="ignore"):
-            return np.where(mu * r > 700.0, np.log(r) + mu * r < log_rhs, r * np.exp(mu * r) < rhs)
-
-    # r e^{mu r} >= r, so the root is at most rhs
-    return _bisect(below, 0.0, rhs, 1e-12)
+    C = abs(potential.g1 * potential.g2) / (FOUR_PI * abs(P0))
+    if not math.isfinite(C):
+        raise ValueError(f"|g1 g2| / (4 pi |P0|) = {C} is not a finite number")
+    if mu * C < sys.float_info.min:
+        # mu C is zero or subnormal, so W(mu C) = mu C and r* = C e^{-W}
+        # is C to double precision (this includes C = 0)
+        return C
+    return _lambert_w(mu, C) / mu
 
 
 def flavor_boundary_radius(flavor: str, potential: YukawaTanh, P0: float) -> float:
     """Violation boundary of a kernel flavor for the Yukawa-tanh
     potential: the radius past which the smallest form eigenvalue
     lambda_-(r) = A - |B| of form_pair is positive, bracketed on the
-    ladder r = 2^-40 ... 2^511 (the last radius whose square is finite)
-    and then bisected. A radius counts as outside only where
+    ladder r = 2^-511 ... 2^511 (the radii whose squares are normal
+    doubles) and then bisected. A radius counts as outside only where
     lambda_- > 0 strictly: near the core A - |B| underflows to 0.0 or to
     a tiny negative. Gives 0 when lambda_- is already positive at
-    2^-40, as for the free flavor or a zero coupling."""
+    2^-511, as for the free flavor or a zero coupling."""
     P_sq = P0 * P0
 
     def inside(r):
         A, B = form_pair(flavor, potential, P_sq, -r * r)
         return ~(A - np.abs(B) > 0)
 
-    ladder = np.ldexp(1.0, np.arange(-40, 512))
+    ladder = np.ldexp(1.0, np.arange(-511, 512))
     k = _first_false(inside(ladder))
     if k == 0:
         return 0.0
     if k == ladder.size:
         raise ValueError(f"the {flavor} form eigenvalue A - |B| is positive at no radius up to 2^511")
-    return _bisect(inside, ladder[k - 1], ladder[k], 1e-12)
+    return _bisect(inside, ladder[k - 1], ladder[k])
 
 
 def empirical_boundary_consistent(report: PositivityReport, r_star: float, grid) -> bool:

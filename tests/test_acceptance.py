@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from tbdkit.cli import AGREEMENT_TOLERANCE
 from tbdkit.cli import main as cli_main
 from tbdkit.currents import (
     coincidence_limit_term,
@@ -216,7 +217,7 @@ def test_criterion_06_yukawa_violation_ball():
     pot = YukawaTanh(g1=G_UNIT, g2=G_UNIT, mu=1.0)
     rep = scan("sazdjian", pot, [1.0], grid)
     r_star = violation_radius(pot, 1.0)
-    radius_ok = abs(r_star - OMEGA) <= 1e-9
+    radius_ok = abs(r_star - OMEGA) <= math.ulp(OMEGA)
     boundary_ok = empirical_boundary_consistent(rep, r_star, grid)
     # the smallest form eigenvalue A - |B| of the kernel pair vanishes at
     # r* and is negative inside it
@@ -244,7 +245,7 @@ def test_criterion_07_flavor_boundaries_agree():
     _line(
         7,
         "both kernel flavors share the boundary",
-        gap <= 1e-9 and off <= 1e-9,
+        gap <= AGREEMENT_TOLERANCE * r_star and off <= AGREEMENT_TOLERANCE * r_star,
         f"flavors differ by {gap:.2e}, off analytic by {off:.2e}",
     )
 

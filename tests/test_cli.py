@@ -262,8 +262,10 @@ def test_radius_command_with_small_grid(tmp_path):
     p.write_text(json.dumps(cfg))
     code = main(["radius", "--config", str(p), "--out", str(tmp_path), "--quiet"])
     assert code == 0
-    report = json.loads((tmp_path / "radius.json").read_text())
-    assert report["report"]["analytic_radius"] == pytest.approx(0.5671432904097838, abs=1e-9)
+    report = json.loads((tmp_path / "radius.json").read_text())["report"]
+    # Omega, the root of r e^r = 1, and the absolute bound the run was held to
+    assert report["analytic_radius"] == 0.5671432904097838
+    assert report["agreement_tolerance"] == cli.AGREEMENT_TOLERANCE * report["analytic_radius"]
 
 
 def test_gauge_command_passes(tmp_path):
@@ -522,8 +524,9 @@ def test_overflowing_config_exits_2_without_hang_or_traceback(tmp_path, command,
 
 
 def test_radius_beyond_2_13_ends_without_hang_or_traceback(tmp_path):
-    # r* ~ 3.5e8, where adjacent doubles lie further apart than the
-    # bisection tolerance of 1e-12, which it used to approach forever
+    # r* ~ 4.9e8, where adjacent doubles are 6e-8 apart: the bisection
+    # must end there. The ball covers the n = 8 grid, so the scan's
+    # boundary fails the run
     override = {"g1": 1e5, "g2": 1e5, "mu": 1e-9, "grid": {"n": 8, "L": 4.0}}
     proc = _run_config(tmp_path, "radius", override, timeout=60)
     assert proc.returncode == 1
@@ -539,7 +542,21 @@ def test_radius_with_repulsive_coupling_passes(tmp_path):
     assert main(["radius", "--config", str(p), "--out", str(tmp_path), "--quiet"]) == 0
     report = json.loads((tmp_path / "radius.json").read_text())["report"]
     for key in ("analytic_radius", "sazdjian_boundary_radius", "crater_boundary_radius"):
-        assert report[key] == pytest.approx(0.56714329041, abs=1e-9)
+        assert abs(report[key] - 0.5671432904097838) <= report["agreement_tolerance"]
+
+
+@pytest.mark.parametrize("g", [1e-3, 1e-5], ids=["r_7.96e-11", "r_7.96e-15"])
+def test_radius_with_a_ball_far_below_the_grid_passes(tmp_path, g):
+    # an absolute bound on the radii would be wider than r* itself; the
+    # relative one is 16 eps r*, and the three routes meet it
+    override = {"g1": g, "g2": g, "mu": 100.0, "P0": 1e3, "grid": {"n": 8, "L": 4.0}}
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"schema": "tbdkit-config/1", **override}))
+    assert main(["radius", "--config", str(p), "--out", str(tmp_path), "--quiet"]) == 0
+    report = json.loads((tmp_path / "radius.json").read_text())["report"]
+    radii = [report[key] for key in ("analytic_radius", "sazdjian_boundary_radius", "crater_boundary_radius")]
+    assert min(radii) > 0
+    assert max(radii) - min(radii) <= report["agreement_tolerance"] == cli.AGREEMENT_TOLERANCE * radii[0]
 
 
 @pytest.mark.parametrize("override", [{"mu": 0}, {"P0": 1e200}], ids=["mu_zero", "P0_huge"])

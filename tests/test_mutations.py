@@ -1,10 +1,11 @@
 """Mutation table: each row perturbs one formula a certificate rests on,
 by wrapping the name where the certificate looks it up, and runs that
-subcommand in-process on its defaults (compat on one field). A
-certificate that still passes under a wrong formula certifies nothing,
-so each row must turn exit 0 into exit 1. Source is never edited. Rows
-that no certificate catches yet are strict xfails citing the ROADMAP
-item that will mend them; a fix turns them into passes.
+subcommand in-process on its defaults or on the row's config (compat on
+one field, radius at a small r*). A certificate that still passes under
+a wrong formula certifies nothing, so each row must turn exit 0 into
+exit 1. Source is never edited. Rows that no certificate catches yet
+are strict xfails citing the ROADMAP item that will mend them; a fix
+turns them into passes.
 """
 
 import dataclasses
@@ -140,51 +141,59 @@ def analytic_commutator_dV(monkeypatch):
     monkeypatch.setattr(operators, "eval_dV_dxperp_sq", scaled(operators.eval_dV_dxperp_sq, 1 + 1e-6))
 
 
+def row(mutate, command, config=None, **kwargs):
+    """A table row: the mutation, the subcommand it must fail, and the
+    config the subcommand runs on, its defaults where None."""
+    return pytest.param(mutate, command, config, **kwargs)
+
+
+# r* = 7.96e-11, far below any absolute bound on the radii
+SMALL_RADIUS = {"g1": 1e-3, "g2": 1e-3, "mu": 100.0, "P0": 1e3}
+# compat runs one field of its ten (about 0.5 s)
+ONE_FIELD = {"n_fields": 1}
+
 ROWS = [
-    pytest.param(green_multiplier, "conserve", id="green_multiplier-conserve"),
-    pytest.param(defect_f, "conserve", id="defect_f-conserve"),
-    pytest.param(surviving_divergence_term, "claim1", id="surviving_term-claim1"),
-    pytest.param(toy_evolve_sin_term, "toy", id="evolve_sin_term-toy"),
-    pytest.param(_scale_B("sazdjian"), "radius", id="sazdjian_B-radius"),
-    pytest.param(_scale_B("crater"), "radius", id="crater_B-radius"),
-    pytest.param(sazdjian_A_V_squared, "radius", id="sazdjian_A_V_squared-radius"),
-    pytest.param(yukawa_ddelta_dP2, "radius", id="yukawa_ddelta_dP2-radius"),
-    pytest.param(
+    row(green_multiplier, "conserve", id="green_multiplier-conserve"),
+    row(defect_f, "conserve", id="defect_f-conserve"),
+    row(surviving_divergence_term, "claim1", id="surviving_term-claim1"),
+    row(toy_evolve_sin_term, "toy", id="evolve_sin_term-toy"),
+    row(_scale_B("sazdjian"), "radius", id="sazdjian_B-radius"),
+    row(_scale_B("crater"), "radius", id="crater_B-radius"),
+    row(sazdjian_A_V_squared, "radius", id="sazdjian_A_V_squared-radius"),
+    row(yukawa_ddelta_dP2, "radius", id="yukawa_ddelta_dP2-radius"),
+    row(yukawa_ddelta_dP2, "radius", SMALL_RADIUS, id="yukawa_ddelta_dP2-radius_small_r"),
+    row(
         _scale_B("sazdjian"), "kernel", id="sazdjian_B-kernel",
         marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1: the default potential has B = 0 (no P^2 dependence), and kernel reads only the sign of A - |B|"),
     ),
-    pytest.param(
+    row(
         j_column_2, "claim1", id="J_column_2-claim1",
         marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 4: claim1's pair at p = 0 reads one divergence component"),
     ),
-    pytest.param(norm_cross_term, "toy", id="norm_cross_term-toy"),
-    pytest.param(
+    row(norm_cross_term, "toy", id="norm_cross_term-toy"),
+    row(
         j_transposed, "conserve", id="J_transposed-conserve",
         marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason="the completion conserves any J, which is what conserve certifies"),
     ),
-    pytest.param(relative_phase_modulus, "gauge", id="relative_phase_modulus-gauge"),
-    pytest.param(
+    row(relative_phase_modulus, "gauge", id="relative_phase_modulus-gauge"),
+    row(
         gauge_sazdjian_B_doubled, "gauge", id="sazdjian_B_doubled-gauge",
         marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 2: the total-momentum route rebuilds the same kernel"),
     ),
-    pytest.param(
-        analytic_commutator_dV, "compat", id="analytic_commutator_dV-compat",
+    row(
+        analytic_commutator_dV, "compat", ONE_FIELD, id="analytic_commutator_dV-compat",
         marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 3: the n=32 residual stays under 1e-8"),
     ),
 ]
 
 
-# compat runs one field of its ten (about 0.5 s)
-OVERRIDES = {"compat": {"n_fields": 1}}
-
-
-@pytest.mark.parametrize("mutate, command", ROWS)
-def test_mutation_fails_its_certificate(tmp_path, monkeypatch, mutate, command):
+@pytest.mark.parametrize("mutate, command, config", ROWS)
+def test_mutation_fails_its_certificate(tmp_path, monkeypatch, mutate, command, config):
     mutate(monkeypatch)
     argv = [command, "--out", str(tmp_path), "--quiet"]
-    if command in OVERRIDES:
+    if config is not None:
         p = tmp_path / "cfg.json"
-        p.write_text(json.dumps({"schema": "tbdkit-config/1", **OVERRIDES[command]}))
+        p.write_text(json.dumps({"schema": "tbdkit-config/1", **config}))
         argv += ["--config", str(p)]
     assert main(argv) == 1
 

@@ -6,9 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import lambertw
 
+from tbdkit.cli import AGREEMENT_TOLERANCE
 from tbdkit.operators import Grid
 from tbdkit.positivity import (
     PositivityReport,
+    _bisect,
+    _lambert_w,
     empirical_boundary_consistent,
     flavor_boundary_radius,
     min_eigenvalue_map,
@@ -28,6 +31,7 @@ from tbdkit.scalar_product import build_kernel, form_pair
 G_UNIT = math.sqrt(FOUR_PI)
 YUKAWA = YukawaTanh(g1=G_UNIT, g2=G_UNIT, mu=1.0)
 OMEGA = 0.5671432904097838  # root of r e^r = 1
+EPS = 2.0**-52
 # near the smallest P0 (1.77e-103) whose P0^2 ** -1.5, in the Yukawa
 # dDelta/dP^2, is finite: the kernel rejects anything smaller
 SMALLEST_P0 = 1.8e-103
@@ -94,17 +98,39 @@ def test_h_direct_and_closed_forms_agree():
 def test_violation_radius_omega_constant():
     # unit coupling, unit screening, unit energy: the radius is the
     # root of r e^r = 1
-    assert violation_radius(YUKAWA, 1.0) == pytest.approx(OMEGA, abs=1e-9)
+    assert abs(violation_radius(YUKAWA, 1.0) - OMEGA) <= math.ulp(OMEGA)
+
+
+def _roadmap_draw(rng):
+    """A Yukawa coupling and energy drawn log-uniformly from g in
+    [1e-3, 1e5], mu in [1e-9, 100] and P0 in [1e-3, 1e3], each coupling
+    of either sign."""
+    g1, g2 = np.exp(rng.uniform(math.log(1e-3), math.log(1e5), 2)) * rng.choice((-1.0, 1.0), 2)
+    mu = math.exp(rng.uniform(math.log(1e-9), math.log(100.0)))
+    P0 = math.exp(rng.uniform(math.log(1e-3), math.log(1e3)))
+    return YukawaTanh(g1=float(g1), g2=float(g2), mu=mu), P0
 
 
 def test_violation_radius_against_lambert_w(rng):
-    for _ in range(30):
-        g1, g2 = rng.uniform(0.5, 6.0, 2)
-        mu = rng.uniform(0.1, 3.0)
-        P0 = rng.uniform(0.3, 4.0)
-        rhs = g1 * g2 / (FOUR_PI * abs(P0))
-        expect = float(lambertw(mu * rhs).real) / mu
-        assert violation_radius(YukawaTanh(g1=g1, g2=g2, mu=mu), P0) == pytest.approx(expect, abs=1e-10)
+    # all three routes against scipy's W(mu C) / mu: each lies a few ulps
+    # from the exact r*, and the oracle rounds C, mu C and W once each;
+    # the worst of these draws is 2.5 eps
+    for _ in range(100):
+        pot, P0 = _roadmap_draw(rng)
+        C = abs(pot.g1 * pot.g2) / (FOUR_PI * abs(P0))
+        expect = float(lambertw(pot.mu * C).real) / pot.mu
+        for r in (
+            violation_radius(pot, P0),
+            flavor_boundary_radius("sazdjian", pot, P0),
+            flavor_boundary_radius("crater", pot, P0),
+        ):
+            assert abs(r - expect) <= 4 * EPS * expect
+
+
+def test_lambert_w_across_the_double_range(rng):
+    for x in np.exp(rng.uniform(math.log(1e-300), math.log(1e300), 2000)):
+        expect = float(lambertw(x).real)
+        assert abs(_lambert_w(1.0, float(x)) - expect) <= 4 * EPS * expect
 
 
 def test_violation_radius_solves_its_equation(rng):
@@ -121,13 +147,27 @@ def test_violation_radius_solves_its_equation(rng):
         assert y_of(pot, r, P0) == pytest.approx(0.5, rel=1e-10)
 
 
-@pytest.mark.parametrize("P0", [1e-300, 1e-307])
-def test_violation_radius_where_exp_overflows(P0):
-    # bisection midpoints reach mu r > 709.78, where e^{mu r} overflows;
-    # at P0 = 1e-307 the root itself lies past the switch to logarithms
-    r = violation_radius(YUKAWA, P0)
-    assert r == pytest.approx(float(lambertw(1.0 / P0).real), rel=1e-14)
-    assert math.log(r) + r == pytest.approx(-math.log(P0), rel=1e-14)
+@pytest.mark.parametrize(
+    "mu, P0", [(1.0, 1e-300), (1.0, 1e-307), (1e10, 1e-300)], ids=["1e-300", "1e-307", "mu_C_overflows"]
+)
+def test_violation_radius_where_exp_overflows(mu, P0):
+    # W(mu C) is about 684, 700 and 707, so e^{mu r} = e^W is within a few
+    # decades of the largest double, and at mu = 1e10 mu C = 1e310 itself
+    # overflows; the iteration on w + log w = log mu + log C needs neither
+    w = mu * violation_radius(YukawaTanh(g1=G_UNIT, g2=G_UNIT, mu=mu), P0)
+    log_x = math.log(mu) - math.log(P0)
+    assert abs(w + math.log(w) - log_x) <= 4 * EPS * log_x
+    if mu / P0 < math.inf:
+        expect = float(lambertw(mu / P0).real)
+        assert abs(w - expect) <= 4 * EPS * expect
+
+
+def test_violation_radius_where_mu_C_underflows():
+    # mu C = 1e-310 is subnormal, where it has lost bits, and 1e-330 is
+    # 0; W(mu C) = mu C to double precision, so r* = C e^{-W} = C
+    for mu, C in ((1e-300, 1e-10), (1e-300, 1e-30)):
+        pot = YukawaTanh(g1=math.sqrt(FOUR_PI * C), g2=math.sqrt(FOUR_PI * C), mu=mu)
+        assert violation_radius(pot, 1.0) == abs(pot.g1 * pot.g2) / FOUR_PI
 
 
 def test_violation_radius_is_even_in_the_coupling_sign():
@@ -141,7 +181,7 @@ def test_violation_radius_is_even_in_the_coupling_sign():
     assert violation_radius(repulsive, 1.0) == r_star
     for flavor in ("sazdjian", "crater"):
         assert flavor_boundary_radius(flavor, repulsive, 1.0) == flavor_boundary_radius(flavor, attractive, 1.0)
-        assert abs(flavor_boundary_radius(flavor, repulsive, 1.0) - r_star) < 1e-9
+        assert abs(flavor_boundary_radius(flavor, repulsive, 1.0) - r_star) <= AGREEMENT_TOLERANCE * r_star
     zero = YukawaTanh(g1=0.0, g2=2.0, mu=1.0)
     assert violation_radius(zero, 1.0) == 0.0
     assert flavor_boundary_radius("sazdjian", zero, 1.0) == 0.0
@@ -151,8 +191,8 @@ def test_violation_radius_is_even_in_the_coupling_sign():
 def test_violation_radius_validation():
     with pytest.raises(ValueError):
         violation_radius(YUKAWA, 0.0)
-    # a finite coupling over a subnormal |P0| overflows to inf, which
-    # bisection would halve forever
+    # a finite coupling over a subnormal |P0| overflows to inf, which has
+    # no radius
     with pytest.raises(ValueError, match="finite"):
         violation_radius(YUKAWA, 5e-324)
 
@@ -171,6 +211,33 @@ def test_violation_radius_monotone_in_coupling_and_energy(scale, P0):
 
 
 # ---------------------------------------------------------------------------
+# Bisection to adjacent doubles
+
+
+def test_bisect_of_adjacent_doubles_returns_one_of_them():
+    # no double lies inside: the first round makes no progress and ends
+    lo = 1.0
+    hi = float(np.nextafter(lo, 2.0))
+    assert _bisect(lambda r: r < hi, lo, hi) in (lo, hi)
+
+
+@pytest.mark.parametrize("root", [OMEGA, 1.3, 1e-300, 4.88e8, 3e200])
+@pytest.mark.parametrize("lo_scale, hi_scale", [(0.0, 2.0), (0.5, 4.0)])
+def test_bisect_ends_within_one_ulp_of_where_its_predicate_flips(root, lo_scale, hi_scale):
+    rounds = []
+
+    def below(r):
+        rounds.append(r.size)
+        return r < root
+
+    r = _bisect(below, lo_scale * root, hi_scale * root)
+    assert abs(r - root) <= math.ulp(root)
+    # 256 radii a round narrow 2^52 doubles to none in 7 rounds, and the
+    # eighth finds no progress
+    assert len(rounds) <= 8
+
+
+# ---------------------------------------------------------------------------
 # Flavor boundaries found without the closed form
 
 
@@ -181,16 +248,21 @@ def test_flavor_boundaries_coincide_with_analytic_radius():
         (4.0, 1.5, 2.0, 0.6),
         # e^{-mu r} underflows while bracketing
         (G_UNIT, G_UNIT, 1.0, SMALLEST_P0),
-        # r* ~ 1e4: past 2^13 adjacent doubles are further apart than the
-        # bisection tolerance of 1e-12
+        # r* ~ 1e4, where adjacent doubles are 1.8e-12 apart
         (1.0, 1.0, 1e-9, 1.0 / (FOUR_PI * 1e4)),
+        # r* ~ 4.88e8, where they are 6e-8 apart
+        (1e5, 1e5, 1e-9, 1.0),
+        # r* ~ 7.96e-11
+        (1e-3, 1e-3, 100.0, 1e3),
+        # r* ~ 7.96e-15 and 7.96e-152, near the ladder's 2^-511 = 1.49e-154
+        (1e-5, 1e-5, 100.0, 1e3),
+        (1e-75, 1e-75, 1.0, 1.0),
     ):
         pot = YukawaTanh(g1=g1, g2=g2, mu=mu)
         r_star = violation_radius(pot, P0)
         r_saz = flavor_boundary_radius("sazdjian", pot, P0)
         r_cra = flavor_boundary_radius("crater", pot, P0)
-        assert abs(r_saz - r_cra) < 1e-9
-        assert abs(r_saz - r_star) < 1e-9
+        assert max(r_star, r_saz, r_cra) - min(r_star, r_saz, r_cra) <= AGREEMENT_TOLERANCE * r_star
 
 
 def test_flavor_boundary_rejects_unknown_flavor():
@@ -203,19 +275,23 @@ def test_free_flavor_has_no_boundary():
     assert flavor_boundary_radius("free", YUKAWA, 1.0) == 0.0
 
 
+def _log_uniform(lo, hi):
+    return st.floats(min_value=math.log(lo), max_value=math.log(hi)).map(math.exp)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
-    g1=st.floats(min_value=0.5, max_value=6.0),
-    g2=st.floats(min_value=0.5, max_value=6.0),
+    g1=_log_uniform(1e-3, 1e5),
+    g2=_log_uniform(1e-3, 1e5),
     signs=st.sampled_from([(1, 1), (1, -1), (-1, 1), (-1, -1)]),
-    mu=st.floats(min_value=0.1, max_value=3.0),
-    P0=st.floats(min_value=0.3, max_value=4.0),
+    mu=_log_uniform(1e-9, 100.0),
+    P0=_log_uniform(1e-3, 1e3),
 )
 def test_flavor_routes_agree_with_violation_radius(g1, g2, signs, mu, P0):
     pot = YukawaTanh(g1=signs[0] * g1, g2=signs[1] * g2, mu=mu)
     r_star = violation_radius(pot, P0)
     for flavor in ("sazdjian", "crater"):
-        assert abs(flavor_boundary_radius(flavor, pot, P0) - r_star) <= 1e-9
+        assert abs(flavor_boundary_radius(flavor, pot, P0) - r_star) <= AGREEMENT_TOLERANCE * r_star
 
 
 # ---------------------------------------------------------------------------
