@@ -467,8 +467,6 @@ def _equation_matrices(system, p1, p2):
 
 
 def _dispersion_matrix(system, P, p_spatial, p0, equations):
-    if not abs(system.potential.constant_value()) < 1:
-        raise ValueError("constant potential must satisfy |v| < 1")
     P = as_four_vector(P)
     p = np.array([p0, *p_spatial])
     M1, M2 = _equation_matrices(system, P / 2 + p, P / 2 - p)

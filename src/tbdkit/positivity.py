@@ -124,12 +124,11 @@ def _bisect(below, lo, hi):
     spaced radii in which the array predicate below first fails, until
     no double lies strictly inside it: the result is lo or hi, within
     one ulp of where below changes."""
-    while True:
+    while np.nextafter(lo, hi) < hi:
         r = np.linspace(lo, hi, _BATCH + 2)
         i = 1 + _first_false(below(r[1:-1]))
-        if (r[i - 1], r[i]) == (lo, hi):
-            return float(0.5 * (lo + hi))
         lo, hi = r[i - 1], r[i]
+    return float(0.5 * (lo + hi))
 
 
 def _lambert_w(mu: float, C: float) -> float:

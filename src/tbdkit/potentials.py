@@ -6,12 +6,13 @@ momenta only through P^2 > 0. That already buys two structural
 properties used downstream: hermiticity under the gamma_1^0 gamma_2^0
 conjugation, and the particle-antiparticle exchange symmetry.
 
-Variants:
+Every variant is V = tanh(Delta) of a rapidity Delta(x_perp^2, P^2)
+and supplies only Delta and the derivatives of Delta it has:
 
-  * Constant(v), with Zero() the constant 0
-  * TanhOfG(g): tanh(g(r^2)) for a built-in smooth g, bounded in (-1, 1)
-  * YukawaTanh(g1, g2, mu): tanh of a Yukawa core over sqrt(P^2),
-      V = tanh( -(1/(2 sqrt(P^2))) (g1 g2 / 4 pi) e^{-mu r} / r ),
+  * Constant(v), |v| < 1, with Zero() the constant 0: Delta = artanh v
+  * TanhOfG(g): Delta = g(r^2) for a built-in smooth g
+  * YukawaTanh(g1, g2, mu): Delta = -c(r) / sqrt(P^2) of the Yukawa core
+      c(r) = (1/2) (g1 g2 / 4 pi) e^{-mu r} / r,
     built only with mu > 0 and a finite g1 g2; the kernel forms built
     on it turn negative where |y| = |c(r)|/|P^0| exceeds 1/2, a ball
     around the core that the radius routes locate
@@ -22,10 +23,10 @@ r > 0 strictly, and grids are laid out to never sample the origin.
 Every evaluator accepts a complex P_sq with positive real part by
 analytic continuation of the same formula, which regulator limits and
 complex-step derivatives rely on. The formulas are methods of the
-variant classes: adding a variant means subclassing Potential and
-adding its kind to cli._SPECS. The config checker types a spec field
-by its annotation, float or tuple (a list of numbers), and a field
-named g by the g records.
+variant classes: adding a variant means subclassing Potential with its
+delta and adding its kind to cli._SPECS. The config checker types a
+spec field by its annotation, float or tuple (a list of numbers), and a
+field named g by the g records.
 """
 
 from __future__ import annotations
@@ -108,17 +109,22 @@ class GaussianG:
 
 
 class Potential:
-    """Base of the potential specs: the formulas of a potential that
-    depends on neither invariant, i.e. zero derivatives. A subclass
-    defines V and overrides what it has. Formulas get x_perp_sq as a
-    float array already checked to be <= 0 and a validated P_sq, and
-    return an array of x_perp_sq's shape.
+    """Base of the potential specs: V = tanh(Delta) and dV/dx_perp^2 of
+    the delta a subclass defines, whose derivatives default to zero.
+    Formulas get x_perp_sq as a float array already checked to be <= 0
+    and a validated P_sq, and return an array of x_perp_sq's shape.
     """
 
-    def dV_dP2(self, xps, P_sq):
+    def V(self, xps, P_sq):
+        return np.tanh(self.delta(xps, P_sq))
+
+    def dV_dxperp_sq(self, xps, P_sq):
+        return self.ddelta_dxperp_sq(xps, P_sq) / np.cosh(self.delta(xps, P_sq)) ** 2
+
+    def ddelta_dP2(self, xps, P_sq):
         return np.zeros_like(xps)
 
-    dV_dxperp_sq = ddelta_dP2 = dV_dP2
+    ddelta_dxperp_sq = ddelta_dP2
 
     def constant_value(self) -> float:
         """The value v of a constant potential, the only potentials with
@@ -130,8 +136,16 @@ class Potential:
 class Constant(Potential):
     v: float
 
+    def __post_init__(self):
+        if not abs(self.v) < 1:
+            raise ValueError(f"constant potential v = {self.v!r} must satisfy |v| < 1")
+
     def V(self, xps, P_sq):
+        # v itself, not tanh(artanh v): the grid and constant_value() read one number
         return np.full_like(xps, self.v)
+
+    def delta(self, xps, P_sq):
+        return np.full_like(xps, math.atanh(self.v))
 
     def constant_value(self) -> float:
         return self.v
@@ -148,14 +162,11 @@ class Zero(Constant):
 class TanhOfG(Potential):
     g: object  # one of the built-in g functions above
 
-    def V(self, xps, P_sq):
-        return np.tanh(self.delta(xps, P_sq))
-
-    def dV_dxperp_sq(self, xps, P_sq):
-        return -self.g.derivative(-xps) / np.cosh(self.delta(xps, P_sq)) ** 2
-
     def delta(self, xps, P_sq):
         return self.g.value(-xps)
+
+    def ddelta_dxperp_sq(self, xps, P_sq):
+        return -self.g.derivative(-xps)
 
 
 @dataclass(frozen=True)
@@ -180,39 +191,21 @@ class YukawaTanh(Potential):
             raise SingularOriginError("Yukawa core is singular at r = 0; use an offset grid")
         return np.sqrt(-xps)
 
-    def V(self, xps, P_sq):
-        return np.tanh(self.delta(xps, P_sq))
-
-    def dV_dP2(self, xps, P_sq):
-        # dDelta/dP^2 / cosh^2(Delta), both from one core evaluation
-        c = self.core(self._radius(xps))
-        return _ddelta_of(c, P_sq) / np.cosh(_delta_of(c, P_sq)) ** 2
-
-    def dV_dxperp_sq(self, xps, P_sq):
-        # c'(r) / (2 r sqrt(P^2) cosh^2(Delta)), both from one core evaluation
-        r = self._radius(xps)
-        c = self.core(r)
-        return -c * (self.mu + 1.0 / r) / (2.0 * r * np.sqrt(P_sq) * np.cosh(_delta_of(c, P_sq)) ** 2)
-
     def delta(self, xps, P_sq):
-        return _delta_of(self.core(self._radius(xps)), P_sq)
+        return -self.core(self._radius(xps)) / np.sqrt(P_sq)
 
     def ddelta_dP2(self, xps, P_sq):
-        return _ddelta_of(self.core(self._radius(xps)), P_sq)
+        c = self.core(self._radius(xps))
+        try:
+            scale = P_sq ** (-1.5)
+        except OverflowError:  # a Python float or complex P_sq raises where numpy gives inf
+            raise ValueError(f"P^2 = {P_sq!r} is too small: P^2 ** -1.5 overflows") from None
+        return 0.5 * c * scale
 
-
-def _delta_of(c, P_sq):
-    """Delta = -c / sqrt(P^2) of the Yukawa core value c."""
-    return -c / np.sqrt(P_sq)
-
-
-def _ddelta_of(c, P_sq):
-    """dDelta/dP^2 = (1/2) c (P^2)^(-3/2) of the Yukawa core value c."""
-    try:
-        scale = P_sq ** (-1.5)
-    except OverflowError:  # a Python float or complex P_sq raises where numpy gives inf
-        raise ValueError(f"P^2 = {P_sq!r} is too small: P^2 ** -1.5 overflows") from None
-    return 0.5 * c * scale
+    def ddelta_dxperp_sq(self, xps, P_sq):
+        # c'(r) / (2 r sqrt(P^2)) with c' = -c (mu + 1/r)
+        r = self._radius(xps)
+        return -self.core(r) * (self.mu + 1.0 / r) / (2.0 * r * np.sqrt(P_sq))
 
 
 def _evaluate(formula, spec, x_perp_sq, P_sq):
@@ -244,9 +237,9 @@ def eval_V(spec, x_perp_sq, P_sq):
     return _evaluate("V", spec, x_perp_sq, P_sq)
 
 
-def eval_dV_dP2(spec, x_perp_sq, P_sq):
-    """Analytic derivative of eval_V with respect to P^2."""
-    return _evaluate("dV_dP2", spec, x_perp_sq, P_sq)
+def eval_delta(spec, x_perp_sq, P_sq):
+    """The rapidity Delta = artanh(V), finite where V saturates to +-1."""
+    return _evaluate("delta", spec, x_perp_sq, P_sq)
 
 
 def eval_dV_dxperp_sq(spec, x_perp_sq, P_sq):
@@ -259,11 +252,7 @@ def eval_dV_dxperp_sq(spec, x_perp_sq, P_sq):
 
 
 def eval_ddelta_dP2(spec, x_perp_sq, P_sq):
-    """Analytic derivative of Delta = arctanh(V) with respect to P^2.
-
-    Zero for every P^2-independent variant; for YukawaTanh the closed
-    form (c(r)/2) (P^2)^{-3/2} (no tanh factors, so no underflow near
-    the core).
-    """
+    """Analytic derivative of Delta with respect to P^2; for YukawaTanh
+    (c(r)/2) (P^2)^{-3/2}."""
     return _evaluate("ddelta_dP2", spec, x_perp_sq, P_sq)
 

@@ -11,11 +11,12 @@ flavors, as the paper writes their brackets:
   sazdjian  K = (1 - V^2) gamma_1^0 gamma_2^0 + 4 P^2 (dV/dP^2) 1
   crater    K = 1 - 4 P^2 (dDelta/dP^2) gamma_1^0 gamma_2^0
 
-form_pair, the one place these formulas live, absorbs their
-conjugation conventions (see its docstring); build_kernel evaluates it
-on a grid, and the positivity scan and radius routes read it directly.
-The free flavor's form is the plain product h^3 sum_x phi_a^dagger
-phi_b.
+form_pair, the one place these formulas live, reads them through the
+rapidity Delta of V = tanh(Delta), so the two flavors' A - |B| differ by
+the positive factor sech^2(Delta) (see its docstring); build_kernel
+evaluates it on a grid, and the positivity scan and radius routes read
+it directly. The free flavor's form is the plain product h^3 sum_x
+phi_a^dagger phi_b.
 
 A pair of equal-time profiles pa, pb enters any kernel only through two
 pointwise densities (densities), each of shape (n, n, n):
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import Grid, InternalField
-from .potentials import eval_V, eval_dV_dP2, eval_ddelta_dP2
+from .potentials import eval_ddelta_dP2, eval_delta
 from .spinor_algebra import GammaSet, gamma0_pair
 
 FLAVORS = ("free", "sazdjian", "crater")
@@ -69,9 +70,10 @@ def form_pair(flavor: str, potential, P_sq: float, x_perp_sq):
     The free and sazdjian brackets multiply psi_bar = psi^dagger
     gamma_1^0 gamma_2^0, so their form matrix is gamma_1^0 gamma_2^0 K;
     as (gamma_1^0 gamma_2^0)^2 = 1, the written pair appears swapped:
-    free (A, B) = (1, 0), sazdjian (A, B) = (1 - V^2, 4 P^2 dV/dP^2).
-    The crater bracket multiplies psi^dagger and is taken as written:
-    (A, B) = (1, -4 P^2 dDelta/dP^2).
+    free (A, B) = (1, 0), sazdjian (A, B) = (1 - V^2, 4 P^2 dV/dP^2)
+    = sech^2(Delta) (1, b) with b = 4 P^2 dDelta/dP^2, whose A does not
+    cancel where V saturates. The crater bracket multiplies psi^dagger
+    and is taken as written: (A, B) = (1, -b).
 
     An overflow in the potential either drops out of the pair (1/cosh^2
     of an overflowed cosh is 0) or leaves it non-finite, which its
@@ -84,10 +86,11 @@ def form_pair(flavor: str, potential, P_sq: float, x_perp_sq):
     with np.errstate(over="ignore", invalid="ignore"):
         if flavor == "free":
             return np.ones_like(x_perp_sq), np.zeros_like(x_perp_sq)
-        if flavor == "sazdjian":
-            A = 1.0 - eval_V(potential, x_perp_sq, P_sq) ** 2
-            return A, 4.0 * P_sq * eval_dV_dP2(potential, x_perp_sq, P_sq)
-        return np.ones_like(x_perp_sq), -4.0 * P_sq * eval_ddelta_dP2(potential, x_perp_sq, P_sq)
+        ddelta = eval_ddelta_dP2(potential, x_perp_sq, P_sq)
+        if flavor == "crater":
+            return np.ones_like(x_perp_sq), -4.0 * P_sq * ddelta
+        sech_sq = 1.0 / np.cosh(eval_delta(potential, x_perp_sq, P_sq)) ** 2
+        return sech_sq, sech_sq * (4.0 * P_sq * ddelta)
 
 
 def build_kernel(flavor: str, potential, P_sq: float, grid: Grid) -> NormKernel:

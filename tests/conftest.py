@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from tbdkit.potentials import eval_ddelta_dP2, eval_delta
 from tbdkit.serialize import _format_float
 from tbdkit.spinor_algebra import build_gammas
 
@@ -92,3 +93,16 @@ def reference_json():
     replaced, kept as its oracle: canonical JSON text of a report
     object, each value tested type by type."""
     return _encode
+
+
+def _dV_dP2(spec, x_perp_sq, P_sq):
+    return eval_ddelta_dP2(spec, x_perp_sq, P_sq) / np.cosh(eval_delta(spec, x_perp_sq, P_sq)) ** 2
+
+
+@pytest.fixture(scope="session")
+def reference_dV_dP2():
+    """dV/dP^2 = sech^2(Delta) dDelta/dP^2 of V = tanh(Delta), which no
+    evaluator supplies: the oracle that the difference quotients of V
+    and the kernels' B = 4 P^2 dV/dP^2 are checked against. A spec,
+    x_perp^2 and P^2 give a float, or an array for an array x_perp^2."""
+    return _dV_dP2

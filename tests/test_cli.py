@@ -393,6 +393,19 @@ def _run_config(tmp_path, command, override, timeout=None):
             {"potential": {"kind": "tanh_of_g", "g": {"kind": "polynomial", "coeffs": []}}},
             "invalid configuration: coeffs must be nonempty",
         ),
+        # V = tanh(artanh v) bounds a constant by 1: kernel read 1 - v^2 < 0
+        # as a violation and compat ran, before Constant checked |v| < 1
+        (
+            "kernel",
+            {"potential": {"kind": "constant", "v": 1.5}, "grid": {"n": 8, "L": 4.0}},
+            "invalid configuration: constant potential v = 1.5 must satisfy |v| < 1",
+        ),
+        (
+            "compat",
+            {"potential": {"kind": "constant", "v": 1.5}, "grid": {"n": 8, "L": 4.0}, "n_fields": 1},
+            "invalid configuration: constant potential v = 1.5 must satisfy |v| < 1",
+        ),
+        ("claim1", {"v": -1.0}, "invalid configuration: constant potential v = -1.0 must satisfy |v| < 1"),
         (
             "compat",
             {"potential": {"kind": "tanh_of_g", "g": {"kind": "gaussian", "amplitude": "0.9", "width": 1.0}}},
@@ -436,6 +449,9 @@ def _run_config(tmp_path, command, override, timeout=None):
         "kernel_grid_L_infinity",
         "polynomial_coeffs_string",
         "polynomial_coeffs_empty",
+        "kernel_constant_beyond_1",
+        "compat_constant_beyond_1",
+        "claim1_constant_at_minus_1",
         "gaussian_amplitude_string",
         "toy_rho_points_bool",
         "gauge_seed_fraction",

@@ -33,7 +33,6 @@ from tbdkit.potentials import (
     FOUR_PI,
     YukawaTanh,
     Zero,
-    eval_dV_dP2,
 )
 from tbdkit.scalar_product import build_kernel, densities, equal_time_profile, form_value
 from tbdkit.spinor_algebra import build_gammas, gamma0_pair, lift1, lift2
@@ -324,20 +323,20 @@ def test_conservation_residual_is_rounding(gam, v, P0, pbx, choice):
 # Coincidence limit of the interaction term
 
 
-def test_coincidence_term_quadratic_in_epsilon():
+def test_coincidence_term_quadratic_in_epsilon(reference_dV_dP2):
     pot = YukawaTanh(g1=math.sqrt(FOUR_PI), g2=math.sqrt(FOUR_PI), mu=1.0)
-    exact = 4.0 * 4.0 * eval_dV_dP2(pot, -0.64, 4.0)
+    exact = 4.0 * 4.0 * reference_dV_dP2(pot, -0.64, 4.0)
     errs = [
         abs(coincidence_limit_term(pot, -0.64, 2.0, eps) - exact) for eps in (1e-2, 1e-3)
     ]
     assert errs[0] / errs[1] == pytest.approx(100.0, rel=0.05)
 
 
-def test_coincidence_term_complex_step_gives_dV_dP2():
+def test_coincidence_term_complex_step_gives_dV_dP2(reference_dV_dP2):
     pot = YukawaTanh(g1=math.sqrt(FOUR_PI), g2=math.sqrt(FOUR_PI), mu=1.0)
     for r in (0.4, 0.9, 1.7):
         term = coincidence_limit_term(pot, -(r**2), 2.0, 1e-20)
-        exact = 4.0 * 4.0 * eval_dV_dP2(pot, -(r**2), 4.0)
+        exact = 4.0 * 4.0 * reference_dV_dP2(pot, -(r**2), 4.0)
         assert term == pytest.approx(exact, rel=1e-10)
 
 

@@ -74,10 +74,16 @@ def _scale_B(flavor_name):
     return mutate
 
 
-def sazdjian_A_V_squared(monkeypatch):
-    # the sazdjian A = 1 - V^2 computed with V^2 x 1.01: form_pair reads
-    # V only there
-    monkeypatch.setattr(scalar_product, "eval_V", scaled(scalar_product.eval_V, math.sqrt(1.01)))
+def sazdjian_A_delta(monkeypatch):
+    # the Delta of the sazdjian A = sech^2(Delta), scaled: form_pair reads
+    # Delta only there, and the same sech^2 multiplies B. So A - |B|
+    # keeps its sign and radius cannot see it; selfcheck's coincidence
+    # term, which compares B with the complex step of V, can
+    monkeypatch.setattr(scalar_product, "eval_delta", scaled(scalar_product.eval_delta, 1 + 1e-6))
+
+
+def yukawa_delta(monkeypatch):
+    monkeypatch.setattr(YukawaTanh, "delta", scaled(YukawaTanh.delta, 1 + 1e-6))
 
 
 def yukawa_ddelta_dP2(monkeypatch):
@@ -159,7 +165,8 @@ ROWS = [
     row(toy_evolve_sin_term, "toy", id="evolve_sin_term-toy"),
     row(_scale_B("sazdjian"), "radius", id="sazdjian_B-radius"),
     row(_scale_B("crater"), "radius", id="crater_B-radius"),
-    row(sazdjian_A_V_squared, "radius", id="sazdjian_A_V_squared-radius"),
+    row(sazdjian_A_delta, "selfcheck", id="sazdjian_A_delta-selfcheck"),
+    row(yukawa_delta, "selfcheck", id="yukawa_delta-selfcheck"),
     row(yukawa_ddelta_dP2, "radius", id="yukawa_ddelta_dP2-radius"),
     row(yukawa_ddelta_dP2, "radius", SMALL_RADIUS, id="yukawa_ddelta_dP2-radius_small_r"),
     row(
@@ -200,8 +207,7 @@ def test_mutation_fails_its_certificate(tmp_path, monkeypatch, mutate, command, 
 
 def test_selfcheck_coincidence_term_catches_dV_dP2(monkeypatch):
     # selfcheck's coincidence section, not only its radius section, must
-    # see a wrong analytic dV/dP^2
-    original = YukawaTanh.dV_dP2
-    monkeypatch.setattr(YukawaTanh, "dV_dP2", scaled(original, 1 + 1e-6))
+    # see a wrong dV/dP^2 = sech^2(Delta) dDelta/dP^2
+    monkeypatch.setattr(YukawaTanh, "ddelta_dP2", scaled(YukawaTanh.ddelta_dP2, 1 + 1e-6))
     report, _ = cli.run_selfcheck(cli.DEFAULTS["selfcheck"])
     assert not report["results"]["coincidence_term"]["passed"]

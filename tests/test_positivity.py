@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import lambertw
 
-from tbdkit.cli import AGREEMENT_TOLERANCE
+from tbdkit import positivity
+from tbdkit.cli import AGREEMENT_TOLERANCE, DEFAULTS
 from tbdkit.operators import Grid
 from tbdkit.positivity import (
     PositivityReport,
@@ -23,8 +24,8 @@ from tbdkit.potentials import (
     GaussianG,
     TanhOfG,
     YukawaTanh,
-    eval_dV_dP2,
-    eval_V,
+    eval_ddelta_dP2,
+    eval_delta,
 )
 from tbdkit.scalar_product import build_kernel, form_pair
 
@@ -215,10 +216,14 @@ def test_violation_radius_monotone_in_coupling_and_energy(scale, P0):
 
 
 def test_bisect_of_adjacent_doubles_returns_one_of_them():
-    # no double lies inside: the first round makes no progress and ends
+    # no double lies inside, so the predicate is never evaluated
     lo = 1.0
     hi = float(np.nextafter(lo, 2.0))
-    assert _bisect(lambda r: r < hi, lo, hi) in (lo, hi)
+
+    def below(r):
+        raise AssertionError("a bracket of adjacent doubles needs no round")
+
+    assert _bisect(below, lo, hi) in (lo, hi)
 
 
 @pytest.mark.parametrize("root", [OMEGA, 1.3, 1e-300, 4.88e8, 3e200])
@@ -232,9 +237,29 @@ def test_bisect_ends_within_one_ulp_of_where_its_predicate_flips(root, lo_scale,
 
     r = _bisect(below, lo_scale * root, hi_scale * root)
     assert abs(r - root) <= math.ulp(root)
-    # 256 radii a round narrow 2^52 doubles to none in 7 rounds, and the
-    # eighth finds no progress
-    assert len(rounds) <= 8
+    # 256 radii a round shrink the bracket 257-fold, so 7 rounds take a
+    # bracket at most 4 root wide below root 2^-54, under one ulp of root
+    # (257^7 > 2^56); the loop then ends on adjacent doubles without
+    # evaluating another round
+    assert len(rounds) <= 7
+
+
+@pytest.mark.parametrize("flavor", ["sazdjian", "crater"])
+def test_flavor_route_reads_form_pair_eight_times_at_the_radius_defaults(monkeypatch, flavor):
+    # one call on the ladder and 7 bisection rounds to adjacent doubles
+    calls = []
+    original = positivity.form_pair
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(positivity, "form_pair", counted)
+    cfg = DEFAULTS["radius"]
+    pot = YukawaTanh(g1=cfg["g1"], g2=cfg["g2"], mu=cfg["mu"])
+    r = flavor_boundary_radius(flavor, pot, cfg["P0"])
+    assert calls == [flavor] * 8
+    assert abs(r - OMEGA) <= math.ulp(OMEGA)
 
 
 # ---------------------------------------------------------------------------
@@ -362,11 +387,12 @@ def test_eigenvalue_map_matches_dense_eigensolve(gammas, flavor, potential, P2):
 
 def test_eigenvalue_map_is_evaluated_at_the_requested_P2():
     # P^2 = 3.0 is not the square of its rounded square root; the map is
-    # A - |B| of the coefficients at P_sq = 3.0 exactly, bit for bit
+    # A - |B| of the coefficients at P_sq = 3.0 exactly, bit for bit:
+    # A = sech^2(Delta) and B = A b, b = 4 P^2 dDelta/dP^2
     grid = Grid(n=8, L=4.0)
     x_perp_sq = -grid.radius_sq
-    A = 1.0 - eval_V(YUKAWA, x_perp_sq, 3.0) ** 2
-    B = 4.0 * 3.0 * eval_dV_dP2(YUKAWA, x_perp_sq, 3.0)
+    A = 1.0 / np.cosh(eval_delta(YUKAWA, x_perp_sq, 3.0)) ** 2
+    B = A * (4.0 * 3.0 * eval_ddelta_dP2(YUKAWA, x_perp_sq, 3.0))
     assert np.array_equal(min_eigenvalue_map("sazdjian", YUKAWA, 3.0, grid), A - np.abs(B))
 
 

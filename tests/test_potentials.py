@@ -22,7 +22,7 @@ from tbdkit.potentials import (
     YukawaTanh,
     Zero,
     eval_ddelta_dP2,
-    eval_dV_dP2,
+    eval_delta,
     eval_dV_dxperp_sq,
     eval_V,
 )
@@ -91,20 +91,20 @@ def test_delta_survives_deep_core():
     assert d < -100.0
 
 
-def test_dV_dP2_matches_finite_difference(rng):
+def test_dV_dP2_matches_finite_difference(rng, reference_dV_dP2):
     xps, P2 = sample_points(rng, 40)
     for x, p in zip(xps, P2):
         h = 1e-5 * p
         fd = (eval_V(YUKAWA, x, p + h) - eval_V(YUKAWA, x, p - h)) / (2.0 * h)
-        an = eval_dV_dP2(YUKAWA, x, p)
+        an = reference_dV_dP2(YUKAWA, x, p)
         assert an == pytest.approx(fd, rel=1e-6, abs=1e-12)
 
 
-def test_dV_dP2_zero_for_momentum_independent_variants(rng):
+def test_dV_dP2_zero_for_momentum_independent_variants(rng, reference_dV_dP2):
     xps, P2 = sample_points(rng, 10)
     for spec in (Zero(), Constant(v=0.2), GAUSS_BUMP):
         for x, p in zip(xps, P2):
-            assert eval_dV_dP2(spec, x, p) == 0.0
+            assert reference_dV_dP2(spec, x, p) == 0.0
 
 
 def test_dV_dxperp_sq_matches_finite_difference(rng):
@@ -115,27 +115,6 @@ def test_dV_dxperp_sq_matches_finite_difference(rng):
             fd = (eval_V(spec, x + h, p) - eval_V(spec, x - h, p)) / (2.0 * h)
             an = eval_dV_dxperp_sq(spec, x, p)
             assert an == pytest.approx(fd, rel=1e-6, abs=1e-10)
-
-
-@pytest.mark.parametrize("evaluator", [eval_dV_dP2, eval_dV_dxperp_sq], ids=lambda f: f.__name__)
-def test_yukawa_derivative_evaluates_its_core_once(monkeypatch, evaluator):
-    # the radius and the core feed both the derivative and the cosh^2 of
-    # Delta; each is computed once per call
-    calls = {"_radius": 0, "core": 0}
-
-    def counted(name):
-        original = getattr(YukawaTanh, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(YukawaTanh, name, counted(name))
-    evaluator(YUKAWA, -np.linspace(0.1, 4.0, 7), 2.5)
-    assert calls == {"_radius": 1, "core": 1}
 
 
 def test_ddelta_dP2_matches_finite_difference(rng):
@@ -166,19 +145,19 @@ def test_complex_P_sq_continuation():
         eval_V(YUKAWA, -1.0, -4.0 + 0.1j)
 
 
-def test_complex_step_matches_analytic_P2_derivatives(rng):
+def test_complex_step_matches_analytic_P2_derivatives(rng, reference_dV_dP2):
     # Im f(P^2 + ih)/h has no subtractive cancellation, so at h = 1e-20
     # it differs from f'(P^2) only by the formulas' own rounding
     h = 1e-20
     xps, P2 = sample_points(rng, 200)
     for x, p in zip(xps, P2):
         dV = eval_V(YUKAWA, x, p + 1j * h).imag / h
-        assert dV == pytest.approx(eval_dV_dP2(YUKAWA, x, p), rel=1e-14, abs=0.0)
+        assert dV == pytest.approx(reference_dV_dP2(YUKAWA, x, p), rel=1e-14, abs=0.0)
         dD = YUKAWA.delta(x, p + 1j * h).imag / h
         assert dD == pytest.approx(eval_ddelta_dP2(YUKAWA, x, p), rel=1e-14, abs=0.0)
 
 
-EVALUATORS = (eval_V, eval_dV_dP2, eval_dV_dxperp_sq, eval_ddelta_dP2)
+EVALUATORS = (eval_V, eval_delta, eval_dV_dxperp_sq, eval_ddelta_dP2)
 
 
 @pytest.mark.parametrize("evaluator", EVALUATORS, ids=lambda f: f.__name__)
@@ -203,30 +182,53 @@ def test_constant_value_only_for_constant_potentials():
             spec.constant_value()
 
 
+@pytest.mark.parametrize("v", [1.0, -1.0, 1.5])
+def test_constant_outside_the_unit_interval_is_rejected(v):
+    # every potential is tanh(Delta), and Delta = artanh v needs |v| < 1
+    with pytest.raises(ValueError, match=r"must satisfy \|v\| < 1"):
+        Constant(v=v)
+
+
+def test_constant_rapidity_is_artanh_v():
+    for v in (0.0, 0.3, -0.9, 1.0 - 2.0**-40):
+        spec = Constant(v=v)
+        assert eval_delta(spec, -1.0, 4.0) == math.atanh(v)
+        assert np.array_equal(eval_delta(spec, -np.ones(3), 4.0), np.full(3, math.atanh(v)))
+        # V is v itself, not tanh(artanh v), so the grid and the plane
+        # waves read the same number
+        assert eval_V(spec, -1.0, 4.0) == spec.constant_value() == v
+    assert eval_delta(Zero(), -1.0, 4.0) == 0.0
+
+
+def test_every_kind_supplies_delta_and_inherits_tanh_of_it():
+    # V = tanh(Delta) and dV/dx_perp^2 are written once, on Potential,
+    # which has no delta of its own; Constant alone keeps V = v (above)
+    assert not hasattr(Potential, "delta")
+    for cls in (Zero, Constant, TanhOfG, YukawaTanh):
+        assert callable(cls.delta)
+        assert cls.dV_dxperp_sq is Potential.dV_dxperp_sq
+    assert TanhOfG.V is YukawaTanh.V is Potential.V
+
+
 @dataclass(frozen=True)
 class MomentumTanh(Potential):
     """tanh(a e^{x_perp^2} / P^2): a P^2-dependent variant that exists
-    only in this test, to show a variant needs no edit of the module."""
+    only in this test, to show a variant needs no edit of the module and
+    supplies only its rapidity and the derivative the kernels read."""
 
     a: float
 
     def delta(self, xps, P_sq):
         return self.a * np.exp(xps) / P_sq
 
-    def V(self, xps, P_sq):
-        return np.tanh(self.delta(xps, P_sq))
-
     def ddelta_dP2(self, xps, P_sq):
         return -self.delta(xps, P_sq) / P_sq
 
-    def dV_dP2(self, xps, P_sq):
-        return self.ddelta_dP2(xps, P_sq) / np.cosh(self.delta(xps, P_sq)) ** 2
 
-
-def test_subclass_outside_the_module_runs_through_kernel_and_scan():
+def test_subclass_outside_the_module_runs_through_kernel_and_scan(reference_dV_dP2):
     spec = MomentumTanh(a=0.2)
     assert eval_V(spec, -1.0, 4.0) == math.tanh(0.2 * math.exp(-1.0) / 4.0)
-    assert eval_dV_dP2(spec, -1.0, 4.0) == pytest.approx(
+    assert reference_dV_dP2(spec, -1.0, 4.0) == pytest.approx(
         eval_V(spec, -1.0, 4.0 + 1e-20j).imag / 1e-20, rel=1e-14
     )
     assert eval_dV_dxperp_sq(spec, -1.0, 4.0) == 0.0  # the base default

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tbdkit.kinematics import MassPair, minkowski_sq
 from tbdkit.operators import (
@@ -18,10 +20,11 @@ from tbdkit.potentials import (
     TanhOfG,
     YukawaTanh,
     Zero,
-    eval_dV_dP2,
+    eval_delta,
     eval_V,
 )
-from tbdkit.scalar_product import build_kernel, densities, equal_time_profile, form_value
+from tbdkit.positivity import violation_radius
+from tbdkit.scalar_product import build_kernel, densities, equal_time_profile, form_pair, form_value
 from tbdkit.spinor_algebra import GammaSet, build_gammas, gamma0_pair
 
 P2 = np.array([2.0, 0.0, 0.0, 0.0])
@@ -135,7 +138,7 @@ def test_crater_kernel_is_identity_for_momentum_independent_potentials():
         assert np.allclose(kernel.B, 0.0)
 
 
-def test_yukawa_kernels_match_potential_evaluations():
+def test_yukawa_kernels_match_potential_evaluations(reference_dV_dP2):
     grid = Grid(n=8, L=4.0)
     P_sq = 2.25
     saz = build_kernel("sazdjian", YUKAWA, P_sq, grid)
@@ -143,7 +146,7 @@ def test_yukawa_kernels_match_potential_evaluations():
     i, j, k = 2, 5, 1
     xps = -grid.radius_sq[i, j, k]
     V = eval_V(YUKAWA, xps, P_sq)
-    dV = eval_dV_dP2(YUKAWA, xps, P_sq)
+    dV = reference_dV_dP2(YUKAWA, xps, P_sq)
     # the written sazdjian pair sits swapped in the form, crater's does not
     assert saz.B[i, j, k] == pytest.approx(4.0 * P_sq * dV, rel=1e-14)
     assert saz.A[i, j, k] == pytest.approx(1.0 - V**2, rel=1e-14)
@@ -153,6 +156,56 @@ def test_yukawa_kernels_match_potential_evaluations():
     assert cra.B[i, j, k] == pytest.approx(
         -4.0 * P_sq * dV * math.cosh(math.atanh(V)) ** 2, rel=1e-12
     )
+
+
+EPS = 2.0**-52
+TINY = 5e-324  # the smallest subnormal, the absolute rounding error of each operation
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    log_g1=st.floats(-3.0, 5.0),
+    log_g2=st.floats(-3.0, 5.0),
+    sign=st.sampled_from([1.0, -1.0]),
+    log_mu=st.floats(-9.0, 2.0),
+    log_P0=st.floats(-3.0, 3.0),
+)
+def test_sazdjian_form_eigenvalue_is_sech_sq_times_crater(log_g1, log_g2, sign, log_mu, log_P0):
+    # With b = 4 P^2 dDelta/dP^2, sazdjian A - |B| = sech^2(Delta) (1 - |b|)
+    # and crater A - |B| = 1 - |b|. Both flavors read the same float b
+    # and the sazdjian A is the float s = sech^2(Delta), so
+    # saz = fl(s - fl(s |b|)) and ref = fl(s fl(1 - |b|)) differ by at
+    # most s |b| u + 3 s |1 - |b|| u <= 4 u s (1 + |b|) to first order in
+    # the unit roundoff u = EPS / 2, plus the absolute error of the four
+    # operations where s is subnormal; the bound below is twice that.
+    pot = YukawaTanh(g1=sign * 10.0**log_g1, g2=10.0**log_g2, mu=10.0**log_mu)
+    P0 = 10.0**log_P0
+    r = violation_radius(pot, P0) * np.logspace(-3.0, 3.0, 401)
+    s, B_saz = form_pair("sazdjian", pot, P0 * P0, -r * r)
+    A_cra, B_cra = form_pair("crater", pot, P0 * P0, -r * r)
+    assert np.all(A_cra == 1.0)
+    b = np.abs(B_cra)
+    assert np.all(np.isfinite(b))
+    saz = s - np.abs(B_saz)
+    cra = A_cra - b
+    assert np.all(np.abs(saz - s * cra) <= 4.0 * EPS * s * (1.0 + b) + 8.0 * TINY)
+    # fl is monotone and s > 0, so fl(s |b|) < s only where |b| < 1: the
+    # signs never disagree where the sazdjian value is nonzero
+    nonzero = saz != 0.0
+    assert np.array_equal(np.sign(saz[nonzero]), np.sign(cra[nonzero]))
+    assert np.any(cra < 0.0) and np.any(cra > 0.0)  # the radii straddle the ball's edge
+
+
+def test_sazdjian_A_does_not_cancel_in_the_core():
+    # radius defaults (Delta = -c(r) at P^0 = 1): at r = 0.05, 1 - V^2 is
+    # off by 2.8e-9 relative, and at r = 0.02 it is 0.0; sech^2(Delta)
+    # against its form 4 e^{-2|Delta|} / (1 + e^{-2|Delta|})^2
+    for r, max_ulps in ((0.05, 4), (0.02, 4)):
+        A, _ = form_pair("sazdjian", YUKAWA, 1.0, np.array(-r * r))
+        delta = abs(eval_delta(YUKAWA, -r * r, 1.0))
+        q = math.exp(-2.0 * delta)
+        assert abs(float(A) - 4.0 * q / (1.0 + q) ** 2) <= max_ulps * EPS * float(A)
+    assert 1.0 - eval_V(YUKAWA, -0.02**2, 1.0) ** 2 == 0.0
 
 
 def test_kernel_form_matrix_is_hermitian(gam):
