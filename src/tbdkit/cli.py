@@ -57,8 +57,10 @@ from .operators import (  # noqa: E402
     plane_wave_solutions,
     plane_wave_state,
     random_band_limited_field,
+    random_band_limited_spec,
 )
 from .positivity import (  # noqa: E402
+    RADIUS_FLOOR,
     empirical_boundary_consistent,
     flavor_boundary_radius,
     scan,
@@ -424,6 +426,11 @@ def run_radius(cfg):
     # which the flavor routes would only see as a boundary they never reach
     rep = scan(cfg["flavor"], pot, [P0 * P0], grid)
     r_star = violation_radius(pot, P0)
+    if 0 < r_star < RADIUS_FLOOR:
+        raise ConfigError(
+            f"the violation radius r* = {r_star!r} is below 2^-511 (about 1.5e-154), "
+            "the smallest radius the flavor routes resolve"
+        )
     r_saz = flavor_boundary_radius("sazdjian", pot, P0)
     r_cra = flavor_boundary_radius("crater", pot, P0)
     agreement = AGREEMENT_TOLERANCE * r_star
@@ -485,8 +492,9 @@ def run_gauge(cfg):
     system = TwoBodyDiracSystem(MassPair(**cfg["masses"]), parse_potential(cfg["potential"]), gam)
     rng = np.random.default_rng(cfg["seed"])
     P = np.array([cfg["P0"], 0.0, 0.0, 0.0])
-    fld = random_band_limited_field(P, grid, rng)
-    rel, tot = gauge_check(system, fld, cfg["c"], cfg["a"], flavor=cfg["flavor"])
+    # the compat test field's draw; gauge_check reads only its t = 0 profile
+    spec = random_band_limited_spec(rng)
+    rel, tot = gauge_check(system, P, grid, spec, cfg["c"], cfg["a"], flavor=cfg["flavor"])
     report = {
         "relative_only": rel,
         "total_dependent": tot,

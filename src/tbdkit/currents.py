@@ -23,7 +23,8 @@ That is what conservation_sweep certifies; its finite regulators show
 the O(eps) approach, where the Green choice matters.
 
 The gauge checks certify both restricted phases in one pass
-(gauge_check): the kernel at P, the field's equal-time profile and its
+(gauge_check): the kernel at P, the field's equal-time profile (built
+from the field's mode spec in one product, without its modes) and its
 densities are built once; a relative phase must leave the norm
 invariant, and a total-momentum phase shifts it by the kernel rebuilt at
 P + a.
@@ -36,9 +37,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .kinematics import FourVector, as_four_vector, check_rest_frame, minkowski_sq
-from .operators import InternalField, PlaneWaveState, TwoBodyDiracSystem, state_residuals
+from .operators import Grid, PlaneWaveState, TwoBodyDiracSystem, equal_time_profile, state_residuals
 from .potentials import eval_V
-from .scalar_product import build_kernel, densities, equal_time_profile, form_value
+from .scalar_product import build_kernel, densities, form_value
 from .spinor_algebra import GammaSet, gamma0_pair, kron, lift2, slash2
 
 __all__ = [
@@ -319,8 +320,8 @@ def _relative_phase(grid, c):
     multiplies the equal-time profile. The shift of every relative
     energy by c^0 leaves the t = 0 slice as it is."""
     c = as_four_vector(c)
-    mesh = grid.coord_mesh
-    return np.exp(1j * (c[1] * mesh[0] + c[2] * mesh[1] + c[3] * mesh[2]))
+    x = grid.axis
+    return np.exp(1j * ((c[1] * x)[:, None, None] + (c[2] * x)[None, :, None] + (c[3] * x)[None, None, :]))
 
 
 GAUGE_TOLERANCE = 1e-10  # bound on each gauge_check verdict's difference
@@ -328,29 +329,33 @@ GAUGE_TOLERANCE = 1e-10  # bound on each gauge_check verdict's difference
 
 def gauge_check(
     system: TwoBodyDiracSystem,
-    fld: InternalField,
+    P,
+    grid: Grid,
+    mode_spec,
     c,
     a,
     flavor: str = "sazdjian",
 ) -> tuple[GaugeReport, GaugeReport]:
-    """Effect of the two restricted gauge phases on the interacting norm,
-    as the reports (relative_only, total_dependent).
+    """Effect of the two restricted gauge phases on the interacting norm
+    of the field field_from_modes(P, grid, mode_spec), as the reports
+    (relative_only, total_dependent).
 
     The kernel at P, the field's equal-time profile and its densities
     rho, sigma (see scalar_product) are built once and serve both phases.
-    P + a is checked to be a rest-frame momentum before anything is
-    built.
+    The profile is built from the spec's waves in one product
+    (operators.equal_time_profile), and no mode of the field is. P and
+    P + a are checked to be rest-frame momenta before anything is built.
 
     relative_only: theta = c.x depends on the relative coordinate alone.
     P is untouched and the norm must be invariant (the phase cancels
     pointwise inside the sesquilinear form). On the t = 0 slice the
     transformed profile is e^{i c.x} times the untransformed one (the
     shift of p0 by c^0 does not reach it), so the phase multiplies the
-    profile once, in place, after its densities are taken, and the
-    result is reduced to its own densities. The reported difference is
-    the pointwise sum h^3 sum_x [A (rho' - rho) + B (sigma' - sigma)]; it
-    can differ from value_after - value_before by about one ulp of the
-    values.
+    profile, which this function owns, in place after its densities are
+    taken, and the result is reduced to its own densities. The reported
+    difference is the pointwise sum h^3 sum_x [A (rho' - rho) + B
+    (sigma' - sigma)]; it can differ from value_after - value_before by
+    about one ulp of the values.
 
     total_dependent: theta = a.X shifts the total momentum to P + a and
     leaves the profile as it is, so the kernel rebuilt at P + a is read
@@ -359,14 +364,15 @@ def gauge_check(
     second time at the same P^2, so it repeats the main route and its
     agreement cannot fail (ROADMAP item 2).
     """
-    P_after = check_rest_frame(fld.P + as_four_vector(a))
-    kernel_before = build_kernel(flavor, system.potential, minkowski_sq(fld.P), fld.grid)
-    kernel_after = build_kernel(flavor, system.potential, minkowski_sq(P_after), fld.grid)
+    P = check_rest_frame(P)
+    P_after = check_rest_frame(P + as_four_vector(a))
+    kernel_before = build_kernel(flavor, system.potential, minkowski_sq(P), grid)
+    kernel_after = build_kernel(flavor, system.potential, minkowski_sq(P_after), grid)
     # independent_difference's kernel: the same build again (see above)
-    k_shift = build_kernel(flavor, system.potential, minkowski_sq(P_after), fld.grid)
-    profile = equal_time_profile(fld)
+    k_shift = build_kernel(flavor, system.potential, minkowski_sq(P_after), grid)
+    profile = equal_time_profile(grid, mode_spec)
     rho, sigma = densities(system.gammas, profile, profile)
-    profile *= _relative_phase(fld.grid, c)
+    profile *= _relative_phase(grid, c)
     rho_out, sigma_out = densities(system.gammas, profile, profile)
     value_before = form_value(kernel_before, rho, sigma)
     value_relative = form_value(kernel_before, rho_out, sigma_out)
@@ -381,8 +387,8 @@ def gauge_check(
     indep = form_value(k_shift, rho, sigma) - value_before
     relative = GaugeReport(
         kind="relative_only",
-        P_before=fld.P,
-        P_after=fld.P,
+        P_before=P,
+        P_after=P,
         value_before=value_before,
         value_after=value_relative,
         difference=drift,
@@ -392,7 +398,7 @@ def gauge_check(
     )
     total = GaugeReport(
         kind="total_dependent",
-        P_before=fld.P,
+        P_before=P,
         P_after=P_after,
         value_before=value_before,
         value_after=value_total,

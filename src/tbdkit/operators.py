@@ -88,8 +88,10 @@ __all__ = [
     "PlaneWaveState",
     "TwoBodyDiracSystem",
     "compatibility_residual",
+    "equal_time_profile",
     "field_from_modes",
     "random_band_limited_field",
+    "random_band_limited_spec",
     "plane_wave_solutions",
     "plane_wave_state",
     "state_residuals",
@@ -296,6 +298,33 @@ def _D_spectrum(system: TwoBodyDiracSystem, which: int, p1_0, p2_0, table, F_chi
 # Field constructors
 
 
+def _wave_sum(grid: Grid, waves) -> np.ndarray:
+    """The field sum_w amp_w e^{+i 2 pi m_w.x / L} of waves (m, amp) on
+    the grid, shape (16, n, n, n), warning once per wave in order whose
+    index lies outside [-n/2, n/2), on behalf of the caller of the
+    public function that calls this one directly.
+
+    Each phase factors over the axes, so the field is one product
+    chi[c, x, (y, z)] = sum_w (amp_wc e^x_w[x]) (e^y_w[y] e^z_w[z]) of a
+    (16 n x W) by a (W x n^2) matrix: no per-wave or (W, n^3) phase
+    array is made. No waves give the zero field.
+    """
+    n = grid.n
+    m = np.array([idx for idx, _ in waves], dtype=int).reshape(-1, 3)
+    amps = np.array([np.asarray(amp, dtype=complex).reshape(16) for _, amp in waves]).reshape(-1, 16)
+    for row in m[np.any((m < -n // 2) | (m >= n // 2), axis=1)]:
+        warnings.warn(
+            f"wavevector index {tuple(row)} outside the grid's "
+            f"representable range [{-n // 2}, {n // 2}); it will alias",
+            AliasingWarning,
+            stacklevel=3,
+        )
+    ex, ey, ez = np.exp(2j * np.pi / grid.L * (m.T[:, :, None] * grid.axis))  # each (W, n)
+    left = (amps.T[:, None, :] * ex.T).reshape(16 * n, len(m))
+    right = (ey[:, :, None] * ez[:, None, :]).reshape(len(m), n * n)
+    return (left @ right).reshape(16, n, n, n)
+
+
 def field_from_modes(P, grid: Grid, mode_spec) -> InternalField:
     """Build an internal field from integer wavevector data.
 
@@ -304,51 +333,40 @@ def field_from_modes(P, grid: Grid, mode_spec) -> InternalField:
     16-component amplitude. Indices outside the representable range
     [-n/2, n/2) alias onto other modes; that is reported as an
     AliasingWarning, not an error, because convergence studies evaluate
-    one spec on several grids on purpose.
-
-    Each wave's phase is the outer product of three 1-D phases; a mode
-    of W waves is one (16 x W) @ (W x n^3) product of its amplitudes and
-    stacked phases, so no profile-sized temporary is made per wave. A
-    mode with no waves is the zero field.
+    one spec on several grids on purpose. Each mode is one product of
+    per-axis factors (see _wave_sum); a mode with no waves is the zero
+    field.
     """
-    n = grid.n
     modes = []
-    for p0, waves in mode_spec:
-        m = np.array([idx for idx, _ in waves], dtype=int).reshape(-1, 3)
-        amps = np.array([np.asarray(amp, dtype=complex).reshape(16) for _, amp in waves]).reshape(-1, 16)
-        for row in m[np.any((m < -n // 2) | (m >= n // 2), axis=1)]:
-            warnings.warn(
-                f"wavevector index {tuple(row)} outside the grid's "
-                f"representable range [{-n // 2}, {n // 2}); it will alias",
-                AliasingWarning,
-                stacklevel=2,
-            )
-        e = np.exp(2j * np.pi / grid.L * (m[:, :, None] * grid.axis))  # (W, 3, n)
-        phases = e[:, 0, :, None, None] * e[:, 1, None, :, None] * e[:, 2, None, None, :]
-        modes.append((p0, (amps.T @ phases.reshape(len(m), n**3)).reshape(16, n, n, n)))
+    for p0, waves in mode_spec:  # not a comprehension: its frame would take the warnings
+        modes.append((p0, _wave_sum(grid, waves)))
     return InternalField(P=P, grid=grid, modes=tuple(modes))
 
 
-def random_band_limited_field(
-    P,
-    grid: Grid,
-    rng: np.random.Generator,
-    p0_values=(0.17, -0.4, 0.33),
-    waves_per_mode: int = 6,
-    max_index: int = 2,
-) -> InternalField:
-    """Random smooth test field: a few relative-energy modes, each a
-    superposition of low-wavevector plane waves with gaussian complex
-    amplitudes."""
-    spec = []
-    for p0 in p0_values:
-        waves = []
-        for _ in range(waves_per_mode):
-            m = rng.integers(-max_index, max_index + 1, size=3)
-            amp = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-            waves.append((m, amp))
-        spec.append((p0, waves))
-    return field_from_modes(P, grid, spec)
+def equal_time_profile(grid: Grid, mode_spec) -> np.ndarray:
+    """phi(0, x) of the field that field_from_modes would build from
+    mode_spec, without building its modes: every relative-energy phase
+    is 1 at t = 0, so it is the sum of all the spec's waves, one product
+    over all of them. The array is new and the caller's to overwrite."""
+    return _wave_sum(grid, [wave for _, waves in mode_spec for wave in waves])
+
+
+def random_band_limited_spec(rng, p0_values=(0.17, -0.4, 0.33), waves_per_mode=6, max_index=2):
+    """Mode spec of a random smooth test field: a few relative-energy
+    modes, each a superposition of low-wavevector plane waves with
+    gaussian complex amplitudes."""
+    return [
+        (p0, [
+            (rng.integers(-max_index, max_index + 1, size=3), rng.standard_normal(16) + 1j * rng.standard_normal(16))
+            for _ in range(waves_per_mode)
+        ])
+        for p0 in p0_values
+    ]
+
+
+def random_band_limited_field(P, grid: Grid, rng: np.random.Generator, **spec) -> InternalField:
+    """The field of random_band_limited_spec(rng, **spec)."""
+    return field_from_modes(P, grid, random_band_limited_spec(rng, **spec))
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +512,9 @@ def plane_wave_solutions(
     B = gamma_1^0 - v gamma_2^0, so its roots are the real eigenvalues of
     -B^{-1} A. Coincident eigenvalues (roots found so far have
     multiplicity 4 or 8) are grouped into one root, and one SVD of the
-    dispersion matrix there gives the null-space basis; with
+    dispersion matrix there gives the null-space basis; a group with no
+    null vector at its mean that spans two roots (at small |v| they can
+    lie closer than ROOT_TOL) is split at its widest gap and retried; with
     equations="both" a root is kept only if the stacked matrix is
     singular there too. Roots are returned in increasing order; an empty
     window is not an error.
@@ -511,13 +531,19 @@ def plane_wave_solutions(
     groups = np.split(real, np.flatnonzero(np.diff(real) > ROOT_TOL) + 1) if real.size else []
 
     out = []
-    for group in groups:
+    while groups:
+        group = groups.pop(0)
         p0 = float(np.mean(group))
         M = _dispersion_matrix(system, P, p_spatial, p0, equations)
         _, s, vh = np.linalg.svd(M)
         basis = vh[s < SV_TOL].conj().T
         if basis.shape[1]:
             out.append((p0, basis))
+        elif group.size > 1 and np.max(np.diff(group)) > SV_TOL:
+            # two roots closer than ROOT_TOL, too far from their mean to
+            # be null there: each side of the widest gap is tried alone
+            cut = int(np.argmax(np.diff(group))) + 1
+            groups[:0] = [group[:cut], group[cut:]]
     return out
 
 

@@ -35,6 +35,7 @@ from .scalar_product import form_pair
 EIGENVALUE_TOLERANCE = 1e-12  # a point violates where A - |B| < -this
 _BATCH = 256  # radii tested per bisection round
 _HALLEY_STEPS = 8  # Halley steps for W; 5 suffice for every x tried across the double range
+RADIUS_FLOOR = 2.0**-511  # the smallest radius whose square is a normal double
 
 
 @dataclass(frozen=True)
@@ -176,18 +177,19 @@ def flavor_boundary_radius(flavor: str, potential: YukawaTanh, P0: float) -> flo
     """Violation boundary of a kernel flavor for the Yukawa-tanh
     potential: the radius past which the smallest form eigenvalue
     lambda_-(r) = A - |B| of form_pair is positive, bracketed on the
-    ladder r = 2^-511 ... 2^511 (the radii whose squares are normal
-    doubles) and then bisected. A radius counts as outside only where
-    lambda_- > 0 strictly: near the core A - |B| underflows to 0.0 or to
-    a tiny negative. Gives 0 when lambda_- is already positive at
-    2^-511, as for the free flavor or a zero coupling."""
+    ladder r = RADIUS_FLOOR = 2^-511 ... 2^511 (the radii whose squares
+    are normal doubles) and then bisected. A radius counts as outside
+    only where lambda_- > 0 strictly: near the core A - |B| underflows
+    to 0.0 or to a tiny negative. Gives 0.0 when lambda_- is already
+    positive at 2^-511, as for the free flavor, a zero coupling or a
+    ball below the ladder (which the radius command rejects by its r*)."""
     P_sq = P0 * P0
 
     def inside(r):
         A, B = form_pair(flavor, potential, P_sq, -r * r)
         return ~(A - np.abs(B) > 0)
 
-    ladder = np.ldexp(1.0, np.arange(-511, 512))
+    ladder = np.ldexp(RADIUS_FLOOR, np.arange(1023))
     k = _first_false(inside(ladder))
     if k == 0:
         return 0.0

@@ -126,6 +126,11 @@ class Potential:
 
     ddelta_dxperp_sq = ddelta_dP2
 
+    def delta_and_ddelta_dP2(self, xps, P_sq):
+        """(Delta, dDelta/dP^2) together, for a variant whose two share
+        work."""
+        return self.delta(xps, P_sq), self.ddelta_dP2(xps, P_sq)
+
     def constant_value(self) -> float:
         """The value v of a constant potential, the only potentials with
         plane-wave solutions."""
@@ -191,16 +196,27 @@ class YukawaTanh(Potential):
             raise SingularOriginError("Yukawa core is singular at r = 0; use an offset grid")
         return np.sqrt(-xps)
 
-    def delta(self, xps, P_sq):
-        return -self.core(self._radius(xps)) / np.sqrt(P_sq)
+    # Delta and dDelta/dP^2 are formulas of the core value c, so that the
+    # kernel forms, which need both, evaluate c once
+    def _delta_of(self, c, P_sq):
+        return -c / np.sqrt(P_sq)
 
-    def ddelta_dP2(self, xps, P_sq):
-        c = self.core(self._radius(xps))
+    def _ddelta_dP2_of(self, c, P_sq):
         try:
             scale = P_sq ** (-1.5)
         except OverflowError:  # a Python float or complex P_sq raises where numpy gives inf
             raise ValueError(f"P^2 = {P_sq!r} is too small: P^2 ** -1.5 overflows") from None
         return 0.5 * c * scale
+
+    def delta(self, xps, P_sq):
+        return self._delta_of(self.core(self._radius(xps)), P_sq)
+
+    def ddelta_dP2(self, xps, P_sq):
+        return self._ddelta_dP2_of(self.core(self._radius(xps)), P_sq)
+
+    def delta_and_ddelta_dP2(self, xps, P_sq):
+        c = self.core(self._radius(xps))
+        return self._delta_of(c, P_sq), self._ddelta_dP2_of(c, P_sq)
 
     def ddelta_dxperp_sq(self, xps, P_sq):
         # c'(r) / (2 r sqrt(P^2)) with c' = -c (mu + 1/r)
@@ -225,7 +241,8 @@ def _evaluate(formula, spec, x_perp_sq, P_sq):
     out = getattr(spec, formula)(xps, P_sq)
     if xps.ndim:
         return out
-    return complex(out) if np.iscomplexobj(P_sq) else float(out)
+    scalar = complex if np.iscomplexobj(P_sq) else float
+    return tuple(map(scalar, out)) if isinstance(out, tuple) else scalar(out)
 
 
 def eval_V(spec, x_perp_sq, P_sq):
@@ -256,3 +273,8 @@ def eval_ddelta_dP2(spec, x_perp_sq, P_sq):
     (c(r)/2) (P^2)^{-3/2}."""
     return _evaluate("ddelta_dP2", spec, x_perp_sq, P_sq)
 
+
+def eval_delta_and_ddelta_dP2(spec, x_perp_sq, P_sq):
+    """(eval_delta, eval_ddelta_dP2) from one evaluation: the Yukawa core
+    is computed once for both."""
+    return _evaluate("delta_and_ddelta_dP2", spec, x_perp_sq, P_sq)

@@ -18,8 +18,10 @@ evaluates it on a grid, and the positivity scan and radius routes read
 it directly. The free flavor's form is the plain product h^3 sum_x
 phi_a^dagger phi_b.
 
-A pair of equal-time profiles pa, pb enters any kernel only through two
-pointwise densities (densities), each of shape (n, n, n):
+A pair of equal-time profiles pa, pb (the t = 0 slices phi(0, x) of two
+fields, of shape (16, n, n, n); operators.equal_time_profile builds one
+from a mode spec) enters any kernel only through two pointwise densities
+(densities), each of shape (n, n, n):
 
     rho   = sum_c conj(pa_c) pb_c
     sigma = sum_c conj(pa_c) (gamma_1^0 gamma_2^0 pb)_c
@@ -44,8 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import Grid, InternalField
-from .potentials import eval_ddelta_dP2, eval_delta
+from .operators import Grid
+from .potentials import eval_ddelta_dP2, eval_delta_and_ddelta_dP2
 from .spinor_algebra import GammaSet, gamma0_pair
 
 FLAVORS = ("free", "sazdjian", "crater")
@@ -86,10 +88,10 @@ def form_pair(flavor: str, potential, P_sq: float, x_perp_sq):
     with np.errstate(over="ignore", invalid="ignore"):
         if flavor == "free":
             return np.ones_like(x_perp_sq), np.zeros_like(x_perp_sq)
-        ddelta = eval_ddelta_dP2(potential, x_perp_sq, P_sq)
         if flavor == "crater":
-            return np.ones_like(x_perp_sq), -4.0 * P_sq * ddelta
-        sech_sq = 1.0 / np.cosh(eval_delta(potential, x_perp_sq, P_sq)) ** 2
+            return np.ones_like(x_perp_sq), -4.0 * P_sq * eval_ddelta_dP2(potential, x_perp_sq, P_sq)
+        delta, ddelta = eval_delta_and_ddelta_dP2(potential, x_perp_sq, P_sq)
+        sech_sq = 1.0 / np.cosh(delta) ** 2
         return sech_sq, sech_sq * (4.0 * P_sq * ddelta)
 
 
@@ -97,15 +99,6 @@ def build_kernel(flavor: str, potential, P_sq: float, grid: Grid) -> NormKernel:
     """The form pair (A, B) of the requested flavor on the grid."""
     A, B = form_pair(flavor, potential, P_sq, -grid.radius_sq)
     return NormKernel(flavor=flavor, P_sq=P_sq, grid=grid, A=A, B=B)
-
-
-def equal_time_profile(fld: InternalField) -> np.ndarray:
-    """phi(0, x) = sum of the mode profiles (the relative-energy phases
-    are all 1 on the t = 0 slice)."""
-    out = np.zeros((16,) + (fld.grid.n,) * 3, dtype=complex)
-    for _, chi in fld.modes:
-        out += chi
-    return out
 
 
 def densities(gammas: GammaSet, pa: np.ndarray, pb: np.ndarray):

@@ -27,21 +27,20 @@ TwoBodySpinOp = np.ndarray
 
 _ID2 = np.eye(2)
 _ID4 = np.eye(4)
-_SIGMA = [
-    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-]
+_SIGMA = np.array(
+    [
+        [[0.0, 1.0], [1.0, 0.0]],
+        [[0.0, -1.0j], [1.0j, 0.0]],
+        [[1.0, 0.0], [0.0, -1.0]],
+    ],
+    dtype=complex,
+)
 
 
 def kron(a, b) -> np.ndarray:
     """Kronecker product of two matrices: each entry a[i, j] * b[k, l] of
     np.kron by the same single multiply, without its generic set-up."""
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
-
-
-def _block(a, b, c, d):
-    return np.block([[a, b], [c, d]]).astype(complex)
 
 
 @dataclass(frozen=True)
@@ -70,16 +69,16 @@ def build_gammas(representation_tag: str = "dirac") -> GammaSet:
     satisfy the Clifford and hermiticity invariants exactly, with
     integer or unit-modulus entries.
     """
-    zero = np.zeros((2, 2))
+    # 2x2 blocks written into zeros: gamma^k = [[0, s_k], [-s_k, 0]] in both
+    g = np.zeros((4, 4, 4), dtype=complex)
     if representation_tag == "dirac":
-        g0 = _block(_ID2, zero, zero, -_ID2)
-        gk = [_block(zero, s, -s, zero) for s in _SIGMA]
+        g[0, :2, :2], g[0, 2:, 2:] = _ID2, -_ID2
     elif representation_tag == "weyl":
-        g0 = _block(zero, _ID2, _ID2, zero)
-        gk = [_block(zero, s, -s, zero) for s in _SIGMA]
+        g[0, :2, 2:], g[0, 2:, :2] = _ID2, _ID2
     else:
         raise ValueError(f"unknown representation tag: {representation_tag!r}")
-    return GammaSet(tag=representation_tag, gamma=np.stack([g0] + gk))
+    g[1:, :2, 2:], g[1:, 2:, :2] = _SIGMA, -_SIGMA
+    return GammaSet(tag=representation_tag, gamma=g)
 
 
 def lift1(gammas: GammaSet, mu: int) -> TwoBodySpinOp:

@@ -31,6 +31,7 @@ from tbdkit.operators import (
     plane_wave_solutions,
     plane_wave_state,
     random_band_limited_field,
+    random_band_limited_spec,
 )
 from tbdkit.positivity import (
     empirical_boundary_consistent,
@@ -271,9 +272,9 @@ def test_criterion_09_gauge_restriction():
     )
     grid = Grid(n=16, L=8.0)
     P = np.array([2.0, 0.0, 0.0, 0.0])
-    fld = random_band_limited_field(P, grid, np.random.default_rng(7))
+    spec = random_band_limited_spec(np.random.default_rng(7))
     rel, tot = gauge_check(
-        system, fld, np.array([0.37, 0.21, -0.4, 0.11]), np.array([0.5, 0.0, 0.0, 0.0])
+        system, P, grid, spec, np.array([0.37, 0.21, -0.4, 0.11]), np.array([0.5, 0.0, 0.0, 0.0])
     )
     route_gap = abs(tot.difference - tot.independent_difference)
     _line(

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import tbdkit
-from tbdkit import cli, currents, serialize
+from tbdkit import cli, currents, operators, serialize
 from tbdkit.cli import (
     ConfigError,
     DEFAULTS,
@@ -279,9 +279,10 @@ def test_gauge_command_passes(tmp_path):
 
 def test_gauge_reduces_each_profile_once(tmp_path, monkeypatch):
     # one gauge pass: the kernels at P and P + a (and its repeat), and
-    # the field's profile, reduced to densities before and after the
-    # relative phase multiplies it; every kernel form reads those
-    calls = {"gauge_check": 0, "build_kernel": 0, "equal_time_profile": 0, "densities": 0}
+    # the field's t = 0 profile, built from its waves in one product and
+    # reduced to densities before and after the relative phase multiplies
+    # it; every kernel form reads those. No mode of the field is built.
+    calls = dict.fromkeys(("gauge_check", "build_kernel", "equal_time_profile", "densities", "field_from_modes"), 0)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -291,10 +292,11 @@ def test_gauge_reduces_each_profile_once(tmp_path, monkeypatch):
         return wrapper
 
     monkeypatch.setattr(cli, "gauge_check", counted("gauge_check", cli.gauge_check))
+    monkeypatch.setattr(operators, "field_from_modes", counted("field_from_modes", operators.field_from_modes))
     for name in ("build_kernel", "equal_time_profile", "densities"):
         monkeypatch.setattr(currents, name, counted(name, getattr(currents, name)))
     assert main(["gauge", "--out", str(tmp_path), "--quiet"]) == 0
-    assert calls == {"gauge_check": 1, "build_kernel": 3, "equal_time_profile": 1, "densities": 2}
+    assert calls == {"gauge_check": 1, "build_kernel": 3, "equal_time_profile": 1, "densities": 2, "field_from_modes": 0}
 
 
 def test_warnings_of_a_run_that_writes_its_report_still_show(tmp_path):
@@ -573,6 +575,29 @@ def test_radius_with_a_ball_far_below_the_grid_passes(tmp_path, g):
     radii = [report[key] for key in ("analytic_radius", "sazdjian_boundary_radius", "crater_boundary_radius")]
     assert min(radii) > 0
     assert max(radii) - min(radii) <= report["agreement_tolerance"] == cli.AGREEMENT_TOLERANCE * radii[0]
+
+
+@pytest.mark.parametrize(
+    "g, code", [(1e-80, 2), (0.0, 0), (1e-75, 0)], ids=["r_7.96e-162", "no_ball", "r_7.96e-152"]
+)
+def test_radius_below_the_ladder_exits_2_naming_r_star(tmp_path, capsys, g, code):
+    # below 2^-511 r^2 is subnormal and the flavor routes read lambda_- > 0
+    # at their first rung; a ball that small is named, not failed, while
+    # no ball (r* = 0) and a ball just above the floor still pass
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"schema": "tbdkit-config/1", "g1": g, "g2": g, "mu": 1.0, "P0": 1.0}))
+    assert main(["radius", "--config", str(p), "--out", str(tmp_path), "--quiet"]) == code
+    err = capsys.readouterr().err.splitlines()
+    if code == 2:
+        assert err == [
+            "tbdkit radius: invalid configuration: the violation radius r* = 7.957747154594767e-162 "
+            "is below 2^-511 (about 1.5e-154), the smallest radius the flavor routes resolve"
+        ]
+        assert not (tmp_path / "radius.json").exists()
+    else:
+        report = json.loads((tmp_path / "radius.json").read_text())["report"]
+        radii = [report[key] for key in ("analytic_radius", "sazdjian_boundary_radius", "crater_boundary_radius")]
+        assert max(radii) - min(radii) <= report["agreement_tolerance"]
 
 
 @pytest.mark.parametrize("override", [{"mu": 0}, {"P0": 1e200}], ids=["mu_zero", "P0_huge"])

@@ -26,7 +26,9 @@ from tbdkit.operators import (
     TwoBodyDiracSystem,
     plane_wave_solutions,
     plane_wave_state,
-    random_band_limited_field,
+    equal_time_profile,
+    field_from_modes,
+    random_band_limited_spec,
 )
 from tbdkit.potentials import (
     Constant,
@@ -34,7 +36,7 @@ from tbdkit.potentials import (
     YukawaTanh,
     Zero,
 )
-from tbdkit.scalar_product import build_kernel, densities, equal_time_profile, form_value
+from tbdkit.scalar_product import build_kernel, densities, form_value
 from tbdkit.spinor_algebra import build_gammas, gamma0_pair, lift1, lift2
 
 MASSES = MassPair(1.0, 1.3)
@@ -357,23 +359,35 @@ def gauge_setup(gam):
     )
     grid = Grid(n=16, L=8.0)
     P = np.array([2.0, 0.0, 0.0, 0.0])
-    fld = random_band_limited_field(P, grid, np.random.default_rng(7))
-    return system, fld
+    spec = random_band_limited_spec(np.random.default_rng(7))
+    return system, P, grid, spec
 
 
-def _phase_rounding(system, fld):
+def _mode_sum(fld):
+    """The equal-time profile as the sum of the field's mode profiles
+    (every relative-energy phase is 1 at t = 0): the route that
+    gauge_check took before it built the profile from the spec, kept as
+    its oracle."""
+    out = np.zeros((16,) + (fld.grid.n,) * 3, dtype=complex)
+    for _, chi in fld.modes:
+        out += chi
+    return out
+
+
+def _phase_rounding(system, P, grid, parts):
     """Magnitude sum S = h^3 sum_x [|A| R + |B| R_sigma] of the terms of
-    the sazdjian form on the profile pair, the depth d_sigma of sigma's
+    the sazdjian form on a profile pair, the depth d_sigma of sigma's
     chain and the depth of numpy's pairwise sum over the n^3 points.
 
-    The profile is the sum of M mode profiles chi_m, so rho and sigma
-    expand into terms conj(chi_m,c) chi_m',c and conj(chi_m,c) Gamma_cd
-    chi_m',d (Gamma = gamma_1^0 gamma_2^0) whose magnitudes, with
-    Q_c = sum_m |chi_m,c|, sum to R = sum_c Q_c^2 and
+    The profile is the sum of the M arrays in parts (M = 1 for the one
+    array that gauge_check builds; its own rounding is shared by both
+    densities), so rho and sigma expand into terms conj(q_m,c) q_m',c
+    and conj(q_m,c) Gamma_cd q_m',d (Gamma = gamma_1^0 gamma_2^0) whose
+    magnitudes, with Q_c = sum_m |q_m,c|, sum to R = sum_c Q_c^2 and
     R_sigma = sum_c Q_c (|Gamma| Q)_c. Depths count the operations a
     term passes through, a complex product counting 2:
 
-    - rho: M - 1 mode additions in each of the two profile factors, the
+    - rho: M - 1 additions in each of the two profile factors, the
       product (2), at most 15 component additions in the conjugating
       dot, in any order: 2M + 15;
     - sigma: as rho, plus one row of Gamma pb (16 complex products, 15
@@ -381,14 +395,22 @@ def _phase_rounding(system, fld):
     - numpy's pairwise sum of n^3 points: depth at most 14 +
       ceil(log2 n^3).
     """
-    kernel = build_kernel("sazdjian", system.potential, minkowski_sq(fld.P), fld.grid)
-    Q = sum(np.abs(chi) for _, chi in fld.modes)
+    Q = sum(np.abs(q) for q in parts)
+    S = _form_magnitude(system, P, grid, Q)
+    M, n = len(parts), grid.n
+    return S, 2 * M + 32, 14 + math.ceil(math.log2(n**3))
+
+
+def _form_magnitude(system, P, grid, Q):
+    """h^3 sum_x [|A| sum_c Q_c^2 + |B| sum_c Q_c (|Gamma| Q)_c] of the
+    sazdjian kernel for component magnitudes Q, an array that
+    broadcasts to (16, n, n, n)."""
+    kernel = build_kernel("sazdjian", system.potential, minkowski_sq(P), grid)
+    Q = np.broadcast_to(Q, (16,) + (grid.n,) * 3)
     abs_gamma_Q = (np.abs(gamma0_pair(system.gammas)) @ Q.reshape(16, -1)).reshape(Q.shape)
     R = np.sum(Q**2, axis=0)
     R_sigma = np.sum(Q * abs_gamma_Q, axis=0)
-    S = float(np.sum(np.abs(kernel.A) * R + np.abs(kernel.B) * R_sigma) * fld.grid.h**3)
-    M, n = len(fld.modes), fld.grid.n
-    return S, 2 * M + 32, 14 + math.ceil(math.log2(n**3))
+    return float(np.sum(np.abs(kernel.A) * R + np.abs(kernel.B) * R_sigma) * grid.h**3)
 
 
 def _gamma_bound(d, S):
@@ -398,17 +420,17 @@ def _gamma_bound(d, S):
     return math.sqrt(2.0) * d * u / (1.0 - d * u) * S
 
 
-def _relative_phase_bound(system, fld):
+def _relative_phase_bound(system, P, grid, parts):
     """Rounding bound on the sazdjian relative-phase difference
-    h^3 sum_x [A (rho' - rho) + B (sigma' - sigma)], which is 0 in exact
-    arithmetic for any phase of unit modulus (see _phase_rounding for S
-    and the depths):
+    h^3 sum_x [A (rho' - rho) + B (sigma' - sigma)] of the profile that
+    sums parts, which is 0 in exact arithmetic for any phase of unit
+    modulus (see _phase_rounding for S and the depths):
 
     - primed densities: the phase multiplies the summed profile once,
-      after its M - 1 mode additions (2 per factor), and its modulus
-      np.exp leaves within 2u of 1 (cos and sin each within one ulp;
-      counted 2 per factor): d_sigma + 8. Multiplying each mode before
-      the sum, as the per-mode route does, has the same count;
+      after its M - 1 additions (2 per factor), and its modulus np.exp
+      leaves within 2u of 1 (cos and sin each within one ulp; counted 2
+      per factor): d_sigma + 8. Multiplying each part before the sum,
+      as the per-mode route does, has the same count;
     - the tail, on the density differences: the subtraction, times A or
       B, A d_rho + B d_sigma, the pairwise sum and times h^3: 4 + the
       sum's depth.
@@ -417,49 +439,88 @@ def _relative_phase_bound(system, fld):
     |difference| <= sqrt(2) gamma_D S. This is a worst case: it assumes
     the rounding errors of all n^3 points align.
     """
-    S, d_sigma, d_sum = _phase_rounding(system, fld)
+    S, d_sigma, d_sum = _phase_rounding(system, P, grid, parts)
     return _gamma_bound(d_sigma + (d_sigma + 8) + 4 + d_sum, S)
+
+
+def _mesh_phase(grid, c):
+    """e^{+i c_spatial . x} from the grid's coordinate mesh."""
+    mesh = grid.coord_mesh
+    return np.exp(1j * (c[1] * mesh[0] + c[2] * mesh[1] + c[3] * mesh[2]))
 
 
 def _per_mode_transformed_profile(fld, c):
     """The equal-time profile of the relative transform by the per-mode
     route: every mode's relative energy shifted by c^0 and its profile
     multiplied by e^{+i c_spatial . x}, then the modes summed."""
-    mesh = fld.grid.coord_mesh
-    phase = np.exp(1j * (c[1] * mesh[0] + c[2] * mesh[1] + c[3] * mesh[2]))
+    phase = _mesh_phase(fld.grid, c)
     modes = tuple((p0 + c[0], chi * phase[None]) for p0, chi in fld.modes)
-    return equal_time_profile(replace(fld, modes=modes))
+    return _mode_sum(replace(fld, modes=modes))
+
+
+def _value_after_bound(system, P, grid, spec):
+    """Bound on the gap between gauge_check's value_after and the
+    per-mode route's, which build the phased profile differently.
+
+    Both routes form the same 1-D phases e^x_w, e^y_w, e^z_w of every
+    wave (operators._wave_sum) and multiply by the same phase array, so
+    they differ from the exact sum over those computed factors only by
+    their own arithmetic. The terms amp_wc e^x_w e^y_w e^z_w e^{i c.x}
+    have magnitudes summing to at most T_c = sum_w |amp_wc| times the
+    four unit factors' moduli (each within 2u of 1: counted 8), and a
+    profile factor passes through:
+
+    - gauge_check: amp e^x (2), e^y e^z (2), their product (2), the
+      W - 1 additions of the one product over all W waves and the phase
+      (2): W + 7, so W + 15 with the moduli;
+    - the per-mode route: the same per mode of W_m waves (W_m + 5), the
+      phase (2) and the M - 1 additions of the modes: W_m + M + 14 with
+      the moduli.
+
+    Each route's value takes two profile factors, then the product, the
+    dot and the row of Gamma of sigma (34, _phase_rounding's depth with
+    M = 1) and the tail: the product with A or B, the addition, the
+    pairwise sum and h^3 (3 + the sum's depth). The gap is at most
+    sqrt(2) gamma_D of the form's magnitude sum with Q = T, D the two
+    routes' depths added.
+    """
+    W = sum(len(waves) for _, waves in spec)
+    W_m, M = max(len(waves) for _, waves in spec), len(spec)
+    T = sum(np.abs(np.asarray(amp, dtype=complex)) for _, waves in spec for _, amp in waves)
+    tail = 34 + 3 + 14 + math.ceil(math.log2(grid.n**3))
+    D = 2 * (W + 15) + tail + 2 * (W_m + M + 14) + tail
+    return _gamma_bound(D, _form_magnitude(system, P, grid, T[:, None, None, None]))
 
 
 @pytest.mark.parametrize("c", [(0.37, 0.21, -0.4, 0.11), (-0.5, 0.5, 0.5, -0.5), (0.0, 0.0, 0.0, 0.0)])
 def test_gauge_profile_phase_matches_per_mode_route(gauge_setup, c):
-    system, fld = gauge_setup
+    system, P, grid, spec = gauge_setup
     c = np.array(c)
-    rep, _ = gauge_check(system, fld, c, np.array([0.5, 0.0, 0.0, 0.0]))
-    kernel = build_kernel("sazdjian", system.potential, minkowski_sq(fld.P), fld.grid)
-    profile = equal_time_profile(fld)
+    rep, _ = gauge_check(system, P, grid, spec, c, np.array([0.5, 0.0, 0.0, 0.0]))
+    kernel = build_kernel("sazdjian", system.potential, minkowski_sq(P), grid)
+    fld = field_from_modes(P, grid, spec)
+    parts = [chi for _, chi in fld.modes]
+    profile = _mode_sum(fld)
     rho, sigma = densities(system.gammas, profile, profile)
     moved = _per_mode_transformed_profile(fld, c)
     rho_out, sigma_out = densities(system.gammas, moved, moved)
     drift = form_value(kernel, rho_out - rho, sigma_out - sigma)
-    bound = _relative_phase_bound(system, fld)
-    assert abs(drift) <= bound
-    assert abs(rep.difference) <= bound
-    # Both routes multiply by the same phase array, so their value_after
-    # differ only in their own primed chains (d_sigma + 4 each, the
-    # phase's modulus counted once: 4) and tails (the product with A or
-    # B, the addition, the pairwise sum and h^3: 3 + the sum's depth).
-    S, d_sigma, d_sum = _phase_rounding(system, fld)
+    assert abs(drift) <= _relative_phase_bound(system, P, grid, parts)
+    assert abs(rep.difference) <= _relative_phase_bound(system, P, grid, [equal_time_profile(grid, spec)])
     after = form_value(kernel, rho_out, sigma_out)
-    assert abs(rep.value_after - after) <= _gamma_bound(2 * (d_sigma + 4) + 4 + 2 * (3 + d_sum), S)
+    assert abs(rep.value_after - after) <= _value_after_bound(system, P, grid, spec)
+    # on gauge_check's own profile, the phase from the coordinate mesh
+    # and a product into a new array give value_after bit for bit
+    same = equal_time_profile(grid, spec) * _mesh_phase(grid, c)
+    assert rep.value_after == form_value(kernel, *densities(system.gammas, same, same))
 
 
 def test_gauge_relative_phase_leaves_norm_invariant(gauge_setup):
-    system, fld = gauge_setup
-    rep, _ = gauge_check(system, fld, np.array([0.37, 0.21, -0.4, 0.11]), np.array([0.5, 0.0, 0.0, 0.0]))
+    system, P, grid, spec = gauge_setup
+    rep, _ = gauge_check(system, P, grid, spec, np.array([0.37, 0.21, -0.4, 0.11]), np.array([0.5, 0.0, 0.0, 0.0]))
     assert rep.kind == "relative_only"
     assert rep.passed
-    assert abs(rep.difference) <= _relative_phase_bound(system, fld)
+    assert abs(rep.difference) <= _relative_phase_bound(system, P, grid, [equal_time_profile(grid, spec)])
     assert rep.independent_difference is None
     assert np.allclose(rep.P_before, rep.P_after)
 
@@ -471,17 +532,17 @@ def test_gauge_relative_phase_difference_is_pointwise(gammas):
         MASSES, YukawaTanh(g1=math.sqrt(FOUR_PI), g2=math.sqrt(FOUR_PI), mu=1.0), gammas
     )
     P = np.array([2.0, 0.0, 0.0, 0.0])
-    fld = random_band_limited_field(P, Grid(n=16, L=8.0), np.random.default_rng(964932733))
+    spec = random_band_limited_spec(np.random.default_rng(964932733))
     c = np.array(
         [0.09367493294533591, -0.4474814800116277, -0.37937426040692157, 0.31878626448227454]
     )
-    rep, _ = gauge_check(system, fld, c, np.array([0.5, 0.0, 0.0, 0.0]))
+    rep, _ = gauge_check(system, P, Grid(n=16, L=8.0), spec, c, np.array([0.5, 0.0, 0.0, 0.0]))
     assert rep.passed
 
 
 def test_gauge_total_phase_shifts_kernel(gauge_setup):
-    system, fld = gauge_setup
-    _, rep = gauge_check(system, fld, np.array([0.37, 0.21, -0.4, 0.11]), np.array([0.5, 0.0, 0.0, 0.0]))
+    system, P, grid, spec = gauge_setup
+    _, rep = gauge_check(system, P, grid, spec, np.array([0.37, 0.21, -0.4, 0.11]), np.array([0.5, 0.0, 0.0, 0.0]))
     assert rep.kind == "total_dependent"
     assert rep.passed
     # the kernel value genuinely changes...
@@ -498,8 +559,8 @@ def test_gauge_check_validation(gauge_setup, monkeypatch):
         raise AssertionError("a kernel was built before P + a was checked")
 
     monkeypatch.setattr(currents, "build_kernel", must_not_run)
-    system, fld = gauge_setup
+    system, P, grid, spec = gauge_setup
     with pytest.raises(ValueError, match="rest frame"):
-        gauge_check(system, fld, np.zeros(4), np.array([0.5, 0.1, 0.0, 0.0]))
+        gauge_check(system, P, grid, spec, np.zeros(4), np.array([0.5, 0.1, 0.0, 0.0]))
     with pytest.raises(ValueError, match="timelike"):
-        gauge_check(system, fld, np.zeros(4), np.array([-2.0, 0.0, 0.0, 0.0]))
+        gauge_check(system, P, grid, spec, np.zeros(4), np.array([-2.0, 0.0, 0.0, 0.0]))

@@ -79,15 +79,23 @@ def sazdjian_A_delta(monkeypatch):
     # Delta only there, and the same sech^2 multiplies B. So A - |B|
     # keeps its sign and radius cannot see it; selfcheck's coincidence
     # term, which compares B with the complex step of V, can
-    monkeypatch.setattr(scalar_product, "eval_delta", scaled(scalar_product.eval_delta, 1 + 1e-6))
+    original = scalar_product.eval_delta_and_ddelta_dP2
+
+    def wrapper(*args, **kwargs):
+        delta, ddelta = original(*args, **kwargs)
+        return delta * (1 + 1e-6), ddelta
+
+    monkeypatch.setattr(scalar_product, "eval_delta_and_ddelta_dP2", wrapper)
 
 
+# the Yukawa Delta and dDelta/dP^2 formulas, which every evaluator of
+# either reads
 def yukawa_delta(monkeypatch):
-    monkeypatch.setattr(YukawaTanh, "delta", scaled(YukawaTanh.delta, 1 + 1e-6))
+    monkeypatch.setattr(YukawaTanh, "_delta_of", scaled(YukawaTanh._delta_of, 1 + 1e-6))
 
 
 def yukawa_ddelta_dP2(monkeypatch):
-    monkeypatch.setattr(YukawaTanh, "ddelta_dP2", scaled(YukawaTanh.ddelta_dP2, 1 + 1e-6))
+    monkeypatch.setattr(YukawaTanh, "_ddelta_dP2_of", scaled(YukawaTanh._ddelta_dP2_of, 1 + 1e-6))
 
 
 def _wrap_current(monkeypatch, module, change):
@@ -208,6 +216,6 @@ def test_mutation_fails_its_certificate(tmp_path, monkeypatch, mutate, command, 
 def test_selfcheck_coincidence_term_catches_dV_dP2(monkeypatch):
     # selfcheck's coincidence section, not only its radius section, must
     # see a wrong dV/dP^2 = sech^2(Delta) dDelta/dP^2
-    monkeypatch.setattr(YukawaTanh, "ddelta_dP2", scaled(YukawaTanh.ddelta_dP2, 1 + 1e-6))
+    yukawa_ddelta_dP2(monkeypatch)
     report, _ = cli.run_selfcheck(cli.DEFAULTS["selfcheck"])
     assert not report["results"]["coincidence_term"]["passed"]

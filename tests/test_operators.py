@@ -3,12 +3,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tbdkit import operators
 from tbdkit.kinematics import MassPair, minkowski_sq
 from tbdkit.operators import (
+    SV_TOL,
     AliasingWarning,
     Grid,
     TwoBodyDiracSystem,
@@ -132,27 +133,28 @@ def test_field_from_modes_warns_on_aliasing():
 
 
 def _per_wave_field(grid, waves):
-    """A mode built by the per-wave accumulation that field_from_modes
-    replaced: each wave's amp * phase added into chi in turn. Returns
-    chi and the magnitude sum sum_w |amp_w| |phase_w| of its terms."""
+    """A mode built by per-wave accumulation: each wave's term
+    (amp e^x) (e^y e^z), with its two factors formed as field_from_modes
+    forms them, added into chi in turn. Returns chi and the magnitude
+    sum of its terms."""
     n = grid.n
     chi = np.zeros((16, n, n, n), dtype=complex)
     scale = np.zeros((16, n, n, n))
     for m, amp in waves:
         ex, ey, ez = np.exp(2j * np.pi / grid.L * np.outer(np.asarray(m, dtype=int), grid.axis))
-        phase = ex[:, None, None] * ey[None, :, None] * ez[None, None, :]
-        amp = np.asarray(amp, dtype=complex).reshape(16, 1, 1, 1)
-        chi += amp * phase
-        scale += np.abs(amp) * np.abs(phase)
+        left = np.asarray(amp, dtype=complex).reshape(16, 1) * ex  # (16, n)
+        right = ey[:, None] * ez[None, :]  # (n, n)
+        chi += left[:, :, None, None] * right
+        scale += np.abs(left)[:, :, None, None] * np.abs(right)
     return chi, scale
 
 
 def _wave_sum_bound(n_waves, scale):
-    """Both routes form each wave's phase by the same operations, so they
-    differ only in the product with the amplitude (2, a complex product)
-    and the n_waves - 1 additions of the W-term sum, in either order:
-    per route a depth of W + 1, so at most sqrt(2) gamma_(2(W + 1)) of
-    the terms' magnitude sum, gamma_d = d u / (1 - d u)."""
+    """Both routes form each wave's factors amp e^x and e^y e^z by the
+    same operations, so they differ only in the product of the two (2, a
+    complex product) and the n_waves - 1 additions of the W-term sum, in
+    either order: per route a depth of W + 1, so at most sqrt(2)
+    gamma_(2(W + 1)) of the terms' magnitude sum, gamma_d = d u / (1 - d u)."""
     u = np.finfo(float).eps / 2
     d = 2 * (n_waves + 1)
     return math.sqrt(2.0) * d * u / (1.0 - d * u) * scale
@@ -598,6 +600,69 @@ def test_first_equation_roots_against_brute_scan(gammas):
     assert len(brute) == len(roots)
     for (p0, _), b in zip(roots, brute):
         assert abs(p0 - b) < 2e-4
+
+
+def _golden_minimum(f, lo, hi, steps=60):
+    """Golden-section search for the minimum of f on [lo, hi]: f is
+    V-shaped near a root of the pencil, so the bracket closes on it."""
+    ratio = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo + (1.0 - ratio) * (hi - lo), lo + ratio * (hi - lo)
+    fa, fb = f(a), f(b)
+    for _ in range(steps):
+        if fa <= fb:
+            hi, b, fb = b, a, fa
+            a = lo + (1.0 - ratio) * (hi - lo)
+            fa = f(a)
+        else:
+            lo, a, fa = a, b, fb
+            b = lo + ratio * (hi - lo)
+            fb = f(b)
+    return (a, fa) if fa <= fb else (b, fb)
+
+
+SCAN_STEP = 5e-3
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    v=st.floats(-0.9, 0.9),
+    m1=st.floats(0.3, 2.0),
+    m2=st.floats(0.3, 2.0),
+    P0=st.floats(0.5, 5.0),
+    p=st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+)
+# at v = 2^-24 the two roots near 3/4 lie 6e-8 apart, closer than ROOT_TOL
+@example(v=2.0**-24, m1=1.0, m2=1.0, P0=0.5, p=(0.0, 0.0, 0.0))
+def test_first_equation_roots_match_a_brute_scan(v, m1, m2, P0, p):
+    # every returned root is a null direction of M_1, and a dense p0 scan
+    # of sigma_min(M_1), each of its dips refined, finds no other: a root
+    # r lies within half a step of a scan point, where sigma_min <=
+    # |p0 - r| ||B|| < SCAN_STEP (||B|| <= 1 + |v|), so every dip below
+    # that is refined, and one that reaches SV_TOL must be a root
+    system = TwoBodyDiracSystem(MassPair(m1, m2), Constant(v=v), build_gammas("dirac"))
+    P = np.array([P0, 0.0, 0.0, 0.0])
+    lo, hi = -3.0, 3.0
+    roots = np.array([p0 for p0, _ in plane_wave_solutions(system, P, p, (lo, hi), equations="first")])
+
+    def sigma_min(p0s):
+        return np.linalg.svd(_first_equation_matrices(system, P, p, np.atleast_1d(p0s)), compute_uv=False)[:, -1]
+
+    if roots.size:
+        assert np.all(sigma_min(roots) < SV_TOL)
+    grid_p0 = np.linspace(lo, hi, int(round((hi - lo) / SCAN_STEP)) + 1)
+    sig = sigma_min(grid_p0)
+    dips = []
+    for i in range(1, len(sig) - 1):
+        if sig[i] <= sig[i - 1] and sig[i] <= sig[i + 1] and sig[i] < SCAN_STEP:
+            at, depth = _golden_minimum(lambda x: sigma_min(x)[0], grid_p0[i - 1], grid_p0[i + 1])
+            if depth < SV_TOL:
+                dips.append(at)
+    for at in dips:
+        assert np.min(np.abs(roots - at), initial=np.inf) < 1e-6
+    # the premise, at every returned root: its nearest scan point reads
+    # below SCAN_STEP (roots closer than a few steps can share one dip)
+    for r in roots:
+        assert sig[np.argmin(np.abs(grid_p0 - r))] < SCAN_STEP
 
 
 def test_plane_wave_state_is_normalized(rng):

@@ -300,6 +300,15 @@ def test_free_flavor_has_no_boundary():
     assert flavor_boundary_radius("free", YUKAWA, 1.0) == 0.0
 
 
+@pytest.mark.parametrize("g", [0.0, 1e-80, 1e-75, 1.0])
+def test_flavor_boundary_radius_is_a_float(g):
+    # no ball, one below the ladder's first rung (read as none), one just
+    # above it and one of order 1
+    pot = YukawaTanh(g1=g, g2=g, mu=1.0)
+    for flavor in ("free", "sazdjian", "crater"):
+        assert type(flavor_boundary_radius(flavor, pot, 1.0)) is float
+
+
 def _log_uniform(lo, hi):
     return st.floats(min_value=math.log(lo), max_value=math.log(hi)).map(math.exp)
 

@@ -23,6 +23,7 @@ from tbdkit.potentials import (
     Zero,
     eval_ddelta_dP2,
     eval_delta,
+    eval_delta_and_ddelta_dP2,
     eval_dV_dxperp_sq,
     eval_V,
 )
@@ -172,6 +173,18 @@ def test_complex_P_sq_gives_complex_scalar_and_full_arrays(evaluator):
         assert isinstance(evaluator(spec, -1.0, 4.0 + 1e-3j), complex)
         assert isinstance(evaluator(spec, -1.0, 4.0), float)
         assert evaluator(spec, -np.ones((2, 3)), 4.0).shape == (2, 3)
+
+
+@pytest.mark.parametrize("P_sq", [4.0, 4.0 + 1e-3j], ids=["real", "complex"])
+def test_delta_pair_is_the_two_evaluators_bit_for_bit(P_sq):
+    xps = -np.linspace(0.01, 9.0, 37)
+    for spec in (Zero(), Constant(v=0.3), GAUSS_BUMP, YUKAWA):
+        delta, ddelta = eval_delta_and_ddelta_dP2(spec, xps, P_sq)
+        assert delta.tobytes() == eval_delta(spec, xps, P_sq).tobytes()
+        assert ddelta.tobytes() == eval_ddelta_dP2(spec, xps, P_sq).tobytes()
+        scalar = eval_delta_and_ddelta_dP2(spec, -1.0, P_sq)
+        assert scalar == (eval_delta(spec, -1.0, P_sq), eval_ddelta_dP2(spec, -1.0, P_sq))
+        assert {type(v) for v in scalar} == {type(eval_delta(spec, -1.0, P_sq))}
 
 
 def test_constant_value_only_for_constant_potentials():

@@ -24,7 +24,7 @@ from tbdkit.potentials import (
     eval_V,
 )
 from tbdkit.positivity import violation_radius
-from tbdkit.scalar_product import build_kernel, densities, equal_time_profile, form_pair, form_value
+from tbdkit.scalar_product import build_kernel, densities, form_pair, form_value
 from tbdkit.spinor_algebra import GammaSet, build_gammas, gamma0_pair
 
 P2 = np.array([2.0, 0.0, 0.0, 0.0])
@@ -41,6 +41,12 @@ def unit_mode(grid, m, component=0, p0=0.1, P=P2):
     u = np.zeros(16)
     u[component] = 1.0
     return field_from_modes(P, grid, [(p0, [(tuple(m), u)])])
+
+
+def equal_time_profile(fld):
+    """phi(0, x) of a field as the sum of its mode profiles (every
+    relative-energy phase is 1 at t = 0)."""
+    return sum(chi for _, chi in fld.modes)
 
 
 def form(kernel, field_a, field_b, gammas):
@@ -232,6 +238,22 @@ def test_build_kernel_validation(rng):
 
 # ---------------------------------------------------------------------------
 # Interacting product
+
+
+@pytest.mark.parametrize("flavor", ["sazdjian", "crater"])
+def test_form_pair_evaluates_the_yukawa_core_once(monkeypatch, flavor):
+    # a sazdjian pair needs Delta and dDelta/dP^2, both of the core c(r)
+    calls = {"core": 0, "_radius": 0}
+    for name in calls:
+        original = getattr(YukawaTanh, name)
+
+        def counted(*args, _name=name, _fn=original):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(YukawaTanh, name, counted)
+    form_pair(flavor, YUKAWA, P2_SQ, -np.linspace(0.1, 2.0, 64) ** 2)
+    assert calls == {"core": 1, "_radius": 1}
 
 
 def test_free_flavor_reproduces_free_product(gam):

@@ -55,6 +55,32 @@ def test_representations_share_spatial_blocks(dirac, weyl):
         assert np.allclose(dirac.gamma[k], weyl.gamma[k], atol=1e-14)
 
 
+def _block_gammas(tag):
+    """The np.block construction that build_gammas replaced, kept as its
+    oracle: four 2x2-block matrices, stacked."""
+    zero = np.zeros((2, 2))
+    eye = np.eye(2)
+    sigma = [
+        np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+        np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
+        np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+    ]
+
+    def block(a, b, c, d):
+        return np.block([[a, b], [c, d]]).astype(complex)
+
+    g0 = block(eye, zero, zero, -eye) if tag == "dirac" else block(zero, eye, eye, zero)
+    return np.stack([g0] + [block(zero, s, -s, zero) for s in sigma])
+
+
+@pytest.mark.parametrize("tag", ["dirac", "weyl"])
+def test_gammas_match_the_block_oracle_bit_for_bit(tag):
+    # bytes, not values: the signs of the zeros are the oracle's too
+    g = build_gammas(tag).gamma
+    assert g.dtype == complex and g.flags.c_contiguous
+    assert g.tobytes() == _block_gammas(tag).tobytes()
+
+
 def test_unknown_tag_rejected():
     with pytest.raises(ValueError):
         build_gammas("euclidean")
