@@ -422,15 +422,15 @@ def run_radius(cfg):
     P0 = float(cfg["P0"])
     if not 0 < P0 * P0 < math.inf:
         raise ConfigError(f"P0 = {cfg['P0']!r} must have a positive finite square, got P0^2 = {P0 * P0!r}")
-    # the scan first: it rejects a form that is not finite on the grid,
-    # which the flavor routes would only see as a boundary they never reach
-    rep = scan(cfg["flavor"], pot, [P0 * P0], grid)
     r_star = violation_radius(pot, P0)
     if 0 < r_star < RADIUS_FLOOR:
         raise ConfigError(
             f"the violation radius r* = {r_star!r} is below 2^-511 (about 1.5e-154), "
             "the smallest radius the flavor routes resolve"
         )
+    # the scan before the flavor routes: it rejects a form that is not finite
+    # on the grid, which they would only see as a boundary they never reach
+    rep = scan(cfg["flavor"], pot, [P0 * P0], grid)
     r_saz = flavor_boundary_radius("sazdjian", pot, P0)
     r_cra = flavor_boundary_radius("crater", pot, P0)
     agreement = AGREEMENT_TOLERANCE * r_star

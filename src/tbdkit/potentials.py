@@ -127,8 +127,8 @@ class Potential:
     ddelta_dxperp_sq = ddelta_dP2
 
     def delta_and_ddelta_dP2(self, xps, P_sq):
-        """(Delta, dDelta/dP^2) together, for a variant whose two share
-        work."""
+        """(Delta, dDelta/dP^2), which the sazdjian form reads together; a
+        variant whose two share work overrides it."""
         return self.delta(xps, P_sq), self.ddelta_dP2(xps, P_sq)
 
     def constant_value(self) -> float:
@@ -196,27 +196,20 @@ class YukawaTanh(Potential):
             raise SingularOriginError("Yukawa core is singular at r = 0; use an offset grid")
         return np.sqrt(-xps)
 
-    # Delta and dDelta/dP^2 are formulas of the core value c, so that the
-    # kernel forms, which need both, evaluate c once
-    def _delta_of(self, c, P_sq):
-        return -c / np.sqrt(P_sq)
+    def delta(self, xps, P_sq):
+        return -self.core(self._radius(xps)) / np.sqrt(P_sq)
 
-    def _ddelta_dP2_of(self, c, P_sq):
+    def ddelta_dP2(self, xps, P_sq):
+        return self.delta_and_ddelta_dP2(xps, P_sq)[1]
+
+    def delta_and_ddelta_dP2(self, xps, P_sq):
+        # both are formulas of the core value c, evaluated once
+        c = self.core(self._radius(xps))
         try:
             scale = P_sq ** (-1.5)
         except OverflowError:  # a Python float or complex P_sq raises where numpy gives inf
             raise ValueError(f"P^2 = {P_sq!r} is too small: P^2 ** -1.5 overflows") from None
-        return 0.5 * c * scale
-
-    def delta(self, xps, P_sq):
-        return self._delta_of(self.core(self._radius(xps)), P_sq)
-
-    def ddelta_dP2(self, xps, P_sq):
-        return self._ddelta_dP2_of(self.core(self._radius(xps)), P_sq)
-
-    def delta_and_ddelta_dP2(self, xps, P_sq):
-        c = self.core(self._radius(xps))
-        return self._delta_of(c, P_sq), self._ddelta_dP2_of(c, P_sq)
+        return -c / np.sqrt(P_sq), 0.5 * c * scale
 
     def ddelta_dxperp_sq(self, xps, P_sq):
         # c'(r) / (2 r sqrt(P^2)) with c' = -c (mu + 1/r)

@@ -600,13 +600,23 @@ def test_radius_below_the_ladder_exits_2_naming_r_star(tmp_path, capsys, g, code
         assert max(radii) - min(radii) <= report["agreement_tolerance"]
 
 
-@pytest.mark.parametrize("override", [{"mu": 0}, {"P0": 1e200}], ids=["mu_zero", "P0_huge"])
-def test_radius_checks_its_inputs_before_any_route(tmp_path, monkeypatch, capsys, override):
+@pytest.mark.parametrize(
+    "override, checked_by",
+    [
+        ({"mu": 0}, ()),
+        ({"P0": 1e200}, ()),
+        ({"g1": 1e-80, "g2": 1e-80, "mu": 1.0, "P0": 1.0}, ("violation_radius",)),
+    ],
+    ids=["mu_zero", "P0_huge", "r_star_below_the_ladder"],
+)
+def test_radius_checks_its_inputs_before_any_route(tmp_path, monkeypatch, capsys, override, checked_by):
+    # r* is a closed form and the floor check needs it; no other route runs
     def must_not_run(*args, **kwargs):
         raise AssertionError("a radius route ran before its inputs were checked")
 
     for route in ("violation_radius", "flavor_boundary_radius", "scan"):
-        monkeypatch.setattr(cli, route, must_not_run)
+        if route not in checked_by:
+            monkeypatch.setattr(cli, route, must_not_run)
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"schema": "tbdkit-config/1", **override}))
     assert main(["radius", "--config", str(p), "--out", str(tmp_path)]) == 2

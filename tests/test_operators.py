@@ -133,30 +133,31 @@ def test_field_from_modes_warns_on_aliasing():
 
 
 def _per_wave_field(grid, waves):
-    """A mode built by per-wave accumulation: each wave's term
-    (amp e^x) (e^y e^z), with its two factors formed as field_from_modes
-    forms them, added into chi in turn. Returns chi and the magnitude
-    sum of its terms."""
+    """A mode built by the per-wave accumulation that field_from_modes
+    replaced: each wave's amp * phase added into chi in turn. Returns
+    chi and the magnitude sum sum_w |amp_w| |phase_w| of its terms."""
     n = grid.n
     chi = np.zeros((16, n, n, n), dtype=complex)
     scale = np.zeros((16, n, n, n))
     for m, amp in waves:
         ex, ey, ez = np.exp(2j * np.pi / grid.L * np.outer(np.asarray(m, dtype=int), grid.axis))
-        left = np.asarray(amp, dtype=complex).reshape(16, 1) * ex  # (16, n)
-        right = ey[:, None] * ez[None, :]  # (n, n)
-        chi += left[:, :, None, None] * right
-        scale += np.abs(left)[:, :, None, None] * np.abs(right)
+        phase = ex[:, None, None] * ey[None, :, None] * ez[None, None, :]
+        amp = np.asarray(amp, dtype=complex).reshape(16, 1, 1, 1)
+        chi += amp * phase
+        scale += np.abs(amp) * np.abs(phase)
     return chi, scale
 
 
 def _wave_sum_bound(n_waves, scale):
-    """Both routes form each wave's factors amp e^x and e^y e^z by the
-    same operations, so they differ only in the product of the two (2, a
-    complex product) and the n_waves - 1 additions of the W-term sum, in
-    either order: per route a depth of W + 1, so at most sqrt(2)
-    gamma_(2(W + 1)) of the terms' magnitude sum, gamma_d = d u / (1 - d u)."""
+    """Both routes form the axes' factors e^x, e^y, e^z of each wave by
+    the same operations and multiply them with amp in different groupings:
+    this oracle as amp ((e^x e^y) e^z), field_from_modes as
+    (amp e^x)(e^y e^z). Each takes three complex products (2 each) per
+    term and the n_waves - 1 additions of the W-term sum, in either order:
+    per route a depth of W + 5, so at most sqrt(2) gamma_(2(W + 5)) of the
+    terms' magnitude sum, gamma_d = d u / (1 - d u)."""
     u = np.finfo(float).eps / 2
-    d = 2 * (n_waves + 1)
+    d = 2 * (n_waves + 5)
     return math.sqrt(2.0) * d * u / (1.0 - d * u) * scale
 
 

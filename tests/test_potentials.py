@@ -182,6 +182,9 @@ def test_delta_pair_is_the_two_evaluators_bit_for_bit(P_sq):
         delta, ddelta = eval_delta_and_ddelta_dP2(spec, xps, P_sq)
         assert delta.tobytes() == eval_delta(spec, xps, P_sq).tobytes()
         assert ddelta.tobytes() == eval_ddelta_dP2(spec, xps, P_sq).tobytes()
+        # the Yukawa pair is its own formula, (c(r)/2) (P^2)^{-3/2}
+        expect = 0.5 * spec.core(np.sqrt(-xps)) * P_sq ** (-1.5) if spec is YUKAWA else np.zeros_like(xps)
+        assert ddelta.tobytes() == expect.tobytes()
         scalar = eval_delta_and_ddelta_dP2(spec, -1.0, P_sq)
         assert scalar == (eval_delta(spec, -1.0, P_sq), eval_ddelta_dP2(spec, -1.0, P_sq))
         assert {type(v) for v in scalar} == {type(eval_delta(spec, -1.0, P_sq))}
