@@ -2,7 +2,7 @@
 and emits deterministic JSON (and CSV) artifacts.
 
 Exit codes: 0 all assertions passed, 1 a physics assertion failed,
-2 usage or config error.
+2 usage or config error, a config too large for memory included.
 
 TBDKIT_THREADS pins BLAS/OpenMP parallelism: when set, it overrides any
 inherited OMP/OpenBLAS/MKL/numexpr thread variable. It must take effect
@@ -54,6 +54,7 @@ from .operators import (  # noqa: E402
     Grid,
     TwoBodyDiracSystem,
     compatibility_residual,
+    free_product_state,
     plane_wave_solutions,
     plane_wave_state,
     random_band_limited_field,
@@ -283,21 +284,10 @@ def run_compat(cfg):
 
 
 def _first_equation_states(system, P, p_spatial, window):
-    roots = plane_wave_solutions(system, P, p_spatial, p0_window=window, equations="first")
+    roots = plane_wave_solutions(system, P, p_spatial, p0_window=window)
     if not roots:
         raise ConfigError(f"no dispersion roots in p0_window {list(window)} at p = {list(p_spatial)}")
-    return [
-        plane_wave_state(P, p_spatial, p0, basis[:, 0], solves="first")
-        for p0, basis in roots
-    ]
-
-
-def _energy(name, m, p_sq):
-    """sqrt(m^2 + p^2), rejecting a mass whose square leaves the float range."""
-    try:
-        return math.sqrt(m**2 + p_sq)
-    except OverflowError:
-        raise ConfigError(f"masses.{name} = {m!r} must have a finite square") from None
+    return [plane_wave_state(P, p_spatial, p0, basis[:, 0]) for p0, basis in roots]
 
 
 # claim1's bounds: the free divergence vanishes, the two routes to the
@@ -310,24 +300,11 @@ MAGNITUDE_FLOOR = 1e-3
 def run_claim1(cfg):
     masses = MassPair(**cfg["masses"])
     gam = build_gammas("dirac")
-    m1, m2 = masses.m1, masses.m2
 
-    # Free dichotomy arm: on-shell product solutions at two different
+    # Free dichotomy arm: on-shell product states at two different
     # momenta; both divergences must vanish.
-    free = TwoBodyDiracSystem(masses, Zero(), gam)
-    Pa = np.array([m1 + m2, 0.0, 0.0, 0.0])
-    root_a = 0.5 * (m1 - m2)
-    qa = plane_wave_solutions(free, Pa, (0, 0, 0), (root_a - 0.1, root_a + 0.1))
-    pb = (0.3, 0.0, 0.0)
-    e1b = _energy("m1", m1, 0.09)
-    e2b = _energy("m2", m2, 0.09)
-    Pb = np.array([e1b + e2b, 0.0, 0.0, 0.0])
-    root_b = 0.5 * (e1b - e2b)
-    qb = plane_wave_solutions(free, Pb, pb, (root_b - 0.1, root_b + 0.1))
-    if not qa or not qb:
-        raise ConfigError(f"free dispersion roots not found at masses m1 = {m1}, m2 = {m2}")
-    sa = plane_wave_state(Pa, (0, 0, 0), qa[0][0], qa[0][1][:, 0])
-    sb = plane_wave_state(Pb, pb, qb[0][0], qb[0][1][:, 0])
+    sa = free_product_state(gam, masses, (0.0, 0.0, 0.0))
+    sb = free_product_state(gam, masses, (0.3, 0.0, 0.0))
     jf = j_free_current(gam, sa, sb)
     free_max = float(
         max(np.max(np.abs(divergence1(jf))), np.max(np.abs(divergence2(jf))))
@@ -665,6 +642,10 @@ def main(argv=None) -> int:
                 write_csv(out / fname, header, columns)
         except (ConfigError, ValueError) as e:
             print(f"tbdkit {args.command}: invalid configuration: {e}", file=sys.stderr)
+            return 2
+        except MemoryError as e:  # numpy's failed allocations subclass it
+            detail = str(e) or "allocation failed"
+            print(f"tbdkit {args.command}: configuration too large for memory: {detail}", file=sys.stderr)
             return 2
     for w in caught:
         warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)

@@ -165,22 +165,17 @@ RESIDUAL_TOL = 1e-8
 def defects(system: TwoBodyDiracSystem, state_a: PlaneWaveState, state_b: PlaneWaveState) -> DefectFields:
     """Divergence defects of the free current for a solution pair.
 
-    The defect formulas presuppose that the states actually solve the
-    equations they are tagged with ("both" or "first"); inputs whose
-    equation residuals exceed RESIDUAL_TOL are rejected.
+    The defect formulas presuppose that both states solve the first
+    equation; a state whose residual ||M_1 u|| exceeds RESIDUAL_TOL is
+    rejected. Free product states solve the second one as well, which
+    state_residuals reports but no formula here needs.
     """
     for s in (state_a, state_b):
-        r1, r2 = state_residuals(system, s)
-        if s.solves == "both":
-            bad = r1 > RESIDUAL_TOL or r2 > RESIDUAL_TOL
-        elif s.solves == "first":
-            bad = r1 > RESIDUAL_TOL
-        else:
-            bad = True
-        if bad:
+        r1, _ = state_residuals(system, s)
+        if r1 > RESIDUAL_TOL:
             raise ValueError(
-                f"state tagged solves={s.solves!r} has equation residuals "
-                f"({r1:.2e}, {r2:.2e}); defect formulas presuppose solutions"
+                f"state has first-equation residual {r1:.2e} above {RESIDUAL_TOL:.0e}; "
+                "defect formulas presuppose solutions"
             )
     j = j_free_current(system.gammas, state_a, state_b)
     f1 = divergence1(j)

@@ -65,7 +65,9 @@ commutators are tables of i gamma^k d_k V applied to d_1 and d_2.
 Plane waves. For a constant potential v the first equation is the
 linear matrix pencil M_1(p0) = A + p0 B with B = gamma_1^0 - v gamma_2^0,
 whose eigenvalues +-1 +- v make it invertible for |v| < 1. The
-dispersion roots are the real eigenvalues of -B^{-1} A.
+dispersion roots are the real eigenvalues of -B^{-1} A. The free pair
+needs no search: its on-shell product states u_1 x u_2 solve both
+equations in closed form (free_product_state).
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ import numpy as np
 
 from .kinematics import FourVector, MassPair, as_four_vector, check_rest_frame, minkowski_sq
 from .potentials import eval_V, eval_dV_dxperp_sq
-from .spinor_algebra import GammaSet, lift1, lift2, slash1, slash2
+from .spinor_algebra import GammaSet, lift1, lift2, slash, slash1, slash2
 
 __all__ = [
     "AliasingWarning",
@@ -90,6 +92,7 @@ __all__ = [
     "compatibility_residual",
     "equal_time_profile",
     "field_from_modes",
+    "free_product_state",
     "random_band_limited_field",
     "random_band_limited_spec",
     "plane_wave_solutions",
@@ -136,11 +139,6 @@ class Grid:
         return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.h)
 
     @cached_property
-    def coord_mesh(self) -> np.ndarray:
-        """Shape (3, n, n, n): spatial coordinates of every grid point."""
-        return np.stack(np.meshgrid(self.axis, self.axis, self.axis, indexing="ij"))
-
-    @cached_property
     def radius_sq(self) -> np.ndarray:
         # x^2 + y^2 + z^2 broadcast from the axis, without the mesh
         s = self.axis**2
@@ -182,13 +180,12 @@ class InternalField:
 @dataclass(frozen=True)
 class PlaneWaveState:
     """Spinor amplitude, normalized to unit length, with the two
-    particle momenta. solves records which of the two equations the
-    state was constructed to satisfy ("both", "first" or "none")."""
+    particle momenta. Every state is meant to solve the first equation;
+    currents.defects checks that it does."""
 
     u: np.ndarray
     p1: FourVector
     p2: FourVector
-    solves: str = "both"
 
     def __post_init__(self):
         u = np.asarray(self.u, dtype=complex).reshape(16)
@@ -223,12 +220,6 @@ def _fft(x, out=None):
 
 def _ifft(x, out=None):
     return np.fft.ifftn(x, axes=_AXES, out=np.empty(x.shape, complex) if out is None else out)
-
-
-def _potential_on_grid(system: TwoBodyDiracSystem, field: InternalField):
-    P_sq = minkowski_sq(field.P)
-    x_perp_sq = -field.grid.radius_sq
-    return eval_V(system.potential, x_perp_sq, P_sq)
 
 
 def _gamma_table(gammas: GammaSet, c):
@@ -418,16 +409,18 @@ def compatibility_residual(
     m1, m2 = system.masses.m1, system.masses.m2
     g = system.gammas
     grid = fld.grid
-    P0 = fld.P[0]
-    V = _potential_on_grid(system, fld)
+    P0, P_sq = fld.P[0], minkowski_sq(fld.P)
+    V = eval_V(system.potential, -grid.radius_sq, P_sq)
     table = _gamma_table(g, np.ix_(*[grid.wavenumbers] * 3))
     shell = np.abs(np.fft.fftfreq(grid.n, d=1.0 / grid.n)) > grid.n / 3.0  # top third of the band
     mask = shell[:, None, None] | shell[None, :, None] | shell[None, None, :]
     if commutator_realization == "analytic":
         # [K_1, V] = +i gamma_1^k (d_k V), [K_2, V] = -i gamma_2^k (d_k V),
-        # with d_k V = dV/dxperp^2 * (-2 x^k); the table holds i gamma^k d_k V
-        dV = eval_dV_dxperp_sq(system.potential, -grid.radius_sq, minkowski_sq(fld.P))
-        commutator = _gamma_table(g, 1j * dV * (-2.0 * grid.coord_mesh))
+        # with d_k V = dV/dxperp^2 * (-2 x^k); the table holds i gamma^k d_k V,
+        # x^k broadcast along its own axis
+        idV = 1j * eval_dV_dxperp_sq(system.potential, -grid.radius_sq, P_sq)
+        x = grid.axis
+        commutator = _gamma_table(g, [idV * (-2.0 * xk) for xk in (x[:, None, None], x[:, None], x)])
     total = 0.0
     for p0, chi in fld.modes:
         p1_0, p2_0 = P0 / 2 + p0, P0 / 2 - p0
@@ -484,46 +477,30 @@ def _equation_matrices(system, p1, p2):
     return M1, M2
 
 
-def _dispersion_matrix(system, P, p_spatial, p0, equations):
+def _dispersion_matrix(system, P, p_spatial, p0):
+    """M_1 at relative energy p0 and relative momentum p_spatial."""
     P = as_four_vector(P)
     p = np.array([p0, *p_spatial])
-    M1, M2 = _equation_matrices(system, P / 2 + p, P / 2 - p)
-    if equations == "first":
-        return M1
-    return np.vstack([M1, M2])
+    return _equation_matrices(system, P / 2 + p, P / 2 - p)[0]
 
 
-def plane_wave_solutions(
-    system: TwoBodyDiracSystem,
-    P,
-    p_spatial,
-    p0_window=(-3.0, 3.0),
-    equations: str = "both",
-):
-    """Relative energies p0 at which the dispersion matrix develops a
-    common null space, with a basis of that null space at each root.
+def plane_wave_solutions(system: TwoBodyDiracSystem, P, p_spatial, p0_window=(-3.0, 3.0)):
+    """Relative energies p0 at which the first equation's matrix M_1
+    is singular, with a basis of its null space at each root: the
+    setting in which the current-divergence analysis is nontrivial.
 
-    equations="both" stacks both operator matrices (32x16) and finds
-    genuine simultaneous solutions; equations="first" uses only the
-    first equation (16x16), the setting in which the current-divergence
-    analysis is nontrivial.
-
-    The first equation is the pencil M_1(p0) = A + p0 B with invertible
+    M_1 is the pencil M_1(p0) = A + p0 B with invertible
     B = gamma_1^0 - v gamma_2^0, so its roots are the real eigenvalues of
     -B^{-1} A. Coincident eigenvalues (roots found so far have
-    multiplicity 4 or 8) are grouped into one root, and one SVD of the
-    dispersion matrix there gives the null-space basis; a group with no
-    null vector at its mean that spans two roots (at small |v| they can
-    lie closer than ROOT_TOL) is split at its widest gap and retried; with
-    equations="both" a root is kept only if the stacked matrix is
-    singular there too. Roots are returned in increasing order; an empty
-    window is not an error.
+    multiplicity 4 or 8) are grouped into one root, and one SVD of M_1
+    there gives the null-space basis; a group with no null vector at its
+    mean that spans two roots (at small |v| they can lie closer than
+    ROOT_TOL) is split at its widest gap and retried. Roots are returned
+    in increasing order; an empty window is not an error.
     """
-    if equations not in ("both", "first"):
-        raise ValueError(f"unknown equations choice: {equations!r}")
     lo, hi = p0_window
     v = system.potential.constant_value()
-    A = _dispersion_matrix(system, P, p_spatial, 0.0, "first")
+    A = _dispersion_matrix(system, P, p_spatial, 0.0)
     B = lift1(system.gammas, 0) - v * lift2(system.gammas, 0)
     eigs = np.linalg.eigvals(np.linalg.solve(B, -A))
     real = np.sort(eigs.real[np.abs(eigs.imag) <= ROOT_TOL])
@@ -534,8 +511,7 @@ def plane_wave_solutions(
     while groups:
         group = groups.pop(0)
         p0 = float(np.mean(group))
-        M = _dispersion_matrix(system, P, p_spatial, p0, equations)
-        _, s, vh = np.linalg.svd(M)
+        _, s, vh = np.linalg.svd(_dispersion_matrix(system, P, p_spatial, p0))
         basis = vh[s < SV_TOL].conj().T
         if basis.shape[1]:
             out.append((p0, basis))
@@ -547,11 +523,32 @@ def plane_wave_solutions(
     return out
 
 
-def plane_wave_state(P, p_spatial, p0, u, solves="both") -> PlaneWaveState:
+def plane_wave_state(P, p_spatial, p0, u) -> PlaneWaveState:
     """Package a null vector as a plane-wave state with its momenta."""
     P = as_four_vector(P)
     p = np.array([p0, *p_spatial])
-    return PlaneWaveState(u=u, p1=P / 2 + p, p2=P / 2 - p, solves=solves)
+    return PlaneWaveState(u=u, p1=P / 2 + p, p2=P / 2 - p)
+
+
+def free_product_state(gammas: GammaSet, masses: MassPair, p_spatial) -> PlaneWaveState:
+    """The on-shell product state of the free pair with particle 1 at
+    p_1 = (E_1, p) and particle 2 at p_2 = (E_2, -p), E_i = hypot(m_i, |p|),
+    so P = (E_1 + E_2, 0) and p0 = (E_1 - E_2)/2.
+
+    u = u_1 x u_2 with u_1 the largest column of (p_1.gamma + m_1) and
+    u_2 that of (p_2.gamma - m_2). On shell (p.gamma)^2 = m^2, so
+    (p_1.gamma - m_1) u_1 = 0 and (p_2.gamma + m_2) u_2 = 0: u solves
+    both free equations (Peskin & Schroeder, ch. 3). Each matrix is
+    divided by its E_i, so its entries are at most 2 for any finite mass.
+    """
+    p = np.asarray(p_spatial, dtype=float)
+    k = math.hypot(*p)
+    p1 = np.array([math.hypot(masses.m1, k), *p])
+    p2 = np.array([math.hypot(masses.m2, k), *(-p)])
+    c1 = slash(gammas, p1 / p1[0]) + masses.m1 / p1[0] * np.eye(4)
+    c2 = slash(gammas, p2 / p2[0]) - masses.m2 / p2[0] * np.eye(4)
+    u1, u2 = (c[:, np.argmax(np.linalg.norm(c, axis=0))] for c in (c1, c2))
+    return PlaneWaveState(u=np.outer(u1, u2), p1=p1, p2=p2)
 
 
 def state_residuals(system: TwoBodyDiracSystem, state: PlaneWaveState):

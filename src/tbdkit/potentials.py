@@ -17,9 +17,12 @@ and supplies only Delta and the derivatives of Delta it has:
     on it turn negative where |y| = |c(r)|/|P^0| exceeds 1/2, a ball
     around the core that the radius routes locate
 
-All evaluators are vectorized over x_perp_sq (grids pass the whole
-array). x_perp_sq must be <= 0; the Yukawa core additionally requires
-r > 0 strictly, and grids are laid out to never sample the origin.
+Each formula is written once: the sazdjian kernel reads Delta and
+dDelta/dP^2 through two evaluators, so a Yukawa kernel evaluates the
+core c(r) twice, by decision (ROADMAP item 13). All evaluators are
+vectorized over x_perp_sq (grids pass the whole array). x_perp_sq must
+be <= 0; the Yukawa core additionally requires r > 0 strictly, and
+grids are laid out to never sample the origin.
 Every evaluator accepts a complex P_sq with positive real part by
 analytic continuation of the same formula, which regulator limits and
 complex-step derivatives rely on. The formulas are methods of the
@@ -126,11 +129,6 @@ class Potential:
 
     ddelta_dxperp_sq = ddelta_dP2
 
-    def delta_and_ddelta_dP2(self, xps, P_sq):
-        """(Delta, dDelta/dP^2), which the sazdjian form reads together; a
-        variant whose two share work overrides it."""
-        return self.delta(xps, P_sq), self.ddelta_dP2(xps, P_sq)
-
     def constant_value(self) -> float:
         """The value v of a constant potential, the only potentials with
         plane-wave solutions."""
@@ -200,16 +198,13 @@ class YukawaTanh(Potential):
         return -self.core(self._radius(xps)) / np.sqrt(P_sq)
 
     def ddelta_dP2(self, xps, P_sq):
-        return self.delta_and_ddelta_dP2(xps, P_sq)[1]
-
-    def delta_and_ddelta_dP2(self, xps, P_sq):
-        # both are formulas of the core value c, evaluated once
+        # (c / 2) (P^2)^{-3/2}
         c = self.core(self._radius(xps))
         try:
             scale = P_sq ** (-1.5)
         except OverflowError:  # a Python float or complex P_sq raises where numpy gives inf
             raise ValueError(f"P^2 = {P_sq!r} is too small: P^2 ** -1.5 overflows") from None
-        return -c / np.sqrt(P_sq), 0.5 * c * scale
+        return 0.5 * c * scale
 
     def ddelta_dxperp_sq(self, xps, P_sq):
         # c'(r) / (2 r sqrt(P^2)) with c' = -c (mu + 1/r)
@@ -234,8 +229,7 @@ def _evaluate(formula, spec, x_perp_sq, P_sq):
     out = getattr(spec, formula)(xps, P_sq)
     if xps.ndim:
         return out
-    scalar = complex if np.iscomplexobj(P_sq) else float
-    return tuple(map(scalar, out)) if isinstance(out, tuple) else scalar(out)
+    return complex(out) if np.iscomplexobj(P_sq) else float(out)
 
 
 def eval_V(spec, x_perp_sq, P_sq):
@@ -266,8 +260,3 @@ def eval_ddelta_dP2(spec, x_perp_sq, P_sq):
     (c(r)/2) (P^2)^{-3/2}."""
     return _evaluate("ddelta_dP2", spec, x_perp_sq, P_sq)
 
-
-def eval_delta_and_ddelta_dP2(spec, x_perp_sq, P_sq):
-    """(eval_delta, eval_ddelta_dP2) from one evaluation: the Yukawa core
-    is computed once for both."""
-    return _evaluate("delta_and_ddelta_dP2", spec, x_perp_sq, P_sq)

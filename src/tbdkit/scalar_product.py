@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import Grid
-from .potentials import eval_ddelta_dP2, eval_delta_and_ddelta_dP2
+from .potentials import eval_ddelta_dP2, eval_delta
 from .spinor_algebra import GammaSet, gamma0_pair
 
 FLAVORS = ("free", "sazdjian", "crater")
@@ -75,7 +75,10 @@ def form_pair(flavor: str, potential, P_sq: float, x_perp_sq):
     free (A, B) = (1, 0), sazdjian (A, B) = (1 - V^2, 4 P^2 dV/dP^2)
     = sech^2(Delta) (1, b) with b = 4 P^2 dDelta/dP^2, whose A does not
     cancel where V saturates. The crater bracket multiplies psi^dagger
-    and is taken as written: (A, B) = (1, -b).
+    and is taken as written: (A, B) = (1, -b). Each flavor reads
+    dDelta/dP^2 from one eval_ddelta_dP2 call; only sazdjian also
+    evaluates Delta (one eval_delta call), so crater never forms a Delta
+    it does not read.
 
     An overflow in the potential either drops out of the pair (1/cosh^2
     of an overflowed cosh is 0) or leaves it non-finite, which its
@@ -85,13 +88,13 @@ def form_pair(flavor: str, potential, P_sq: float, x_perp_sq):
         raise ValueError(f"unknown kernel flavor: {flavor!r}")
     if not P_sq > 0:
         raise ValueError("total momentum must be timelike")
+    if flavor == "free":
+        return np.ones_like(x_perp_sq), np.zeros_like(x_perp_sq)
     with np.errstate(over="ignore", invalid="ignore"):
-        if flavor == "free":
-            return np.ones_like(x_perp_sq), np.zeros_like(x_perp_sq)
+        ddelta = eval_ddelta_dP2(potential, x_perp_sq, P_sq)
         if flavor == "crater":
-            return np.ones_like(x_perp_sq), -4.0 * P_sq * eval_ddelta_dP2(potential, x_perp_sq, P_sq)
-        delta, ddelta = eval_delta_and_ddelta_dP2(potential, x_perp_sq, P_sq)
-        sech_sq = 1.0 / np.cosh(delta) ** 2
+            return np.ones_like(x_perp_sq), -4.0 * P_sq * ddelta  # -b in one pass
+        sech_sq = 1.0 / np.cosh(eval_delta(potential, x_perp_sq, P_sq)) ** 2
         return sech_sq, sech_sq * (4.0 * P_sq * ddelta)
 
 

@@ -95,7 +95,8 @@ def lift2(gammas: GammaSet, nu: int) -> TwoBodySpinOp:
     return kron(_ID4, gammas.gamma[nu])
 
 
-def _slash4(gammas: GammaSet, q) -> np.ndarray:
+def slash(gammas: GammaSet, q) -> np.ndarray:
+    """The 4x4 contraction q.gamma on one spinor factor."""
     q = np.asarray(q)
     if q.shape != (4,):
         raise ValueError("four-vector expected")
@@ -107,12 +108,12 @@ def _slash4(gammas: GammaSet, q) -> np.ndarray:
 
 def slash1(gammas: GammaSet, q) -> TwoBodySpinOp:
     """Contraction q.gamma_1 = q^0 gamma_1^0 - sum_k q^k gamma_1^k."""
-    return kron(_slash4(gammas, q), _ID4)
+    return kron(slash(gammas, q), _ID4)
 
 
 def slash2(gammas: GammaSet, q) -> TwoBodySpinOp:
     """Contraction q.gamma_2 on the second factor."""
-    return kron(_ID4, _slash4(gammas, q))
+    return kron(_ID4, slash(gammas, q))
 
 
 def gamma0_pair(gammas: GammaSet) -> TwoBodySpinOp:

@@ -28,6 +28,7 @@ from tbdkit.operators import (
     Grid,
     TwoBodyDiracSystem,
     compatibility_residual,
+    free_product_state,
     plane_wave_solutions,
     plane_wave_state,
     random_band_limited_field,
@@ -45,7 +46,6 @@ from tbdkit.potentials import (
     GaussianG,
     TanhOfG,
     YukawaTanh,
-    Zero,
 )
 from tbdkit.scalar_product import form_pair
 from tbdkit.spinor_algebra import build_gammas, lift1, lift2
@@ -64,11 +64,8 @@ def _line(num, label, passed, detail):
 
 
 def first_equation_state(system, p_spatial, which=0):
-    roots = plane_wave_solutions(
-        system, P_REST, p_spatial, (-1.2, 0.5), equations="first"
-    )
-    p0, basis = roots[which]
-    return plane_wave_state(P_REST, p_spatial, p0, basis[:, 0], solves="first")
+    p0, basis = plane_wave_solutions(system, P_REST, p_spatial, (-1.2, 0.5))[which]
+    return plane_wave_state(P_REST, p_spatial, p0, basis[:, 0])
 
 
 def test_criterion_01_algebra_foundations():
@@ -142,17 +139,9 @@ def test_criterion_02_compatibility_identity():
 
 def test_criterion_03_free_current_dichotomy():
     gam = build_gammas("dirac")
-    free = TwoBodyDiracSystem(MASSES, Zero(), gam)
-    # free arm: two on-shell solutions at different momenta
-    Pa = np.array([MASSES.m1 + MASSES.m2, 0.0, 0.0, 0.0])
-    qa = plane_wave_solutions(free, Pa, (0, 0, 0), (-0.25, 0.05))
-    e1 = math.sqrt(MASSES.m1**2 + 0.09)
-    e2 = math.sqrt(MASSES.m2**2 + 0.09)
-    Pb = np.array([e1 + e2, 0.0, 0.0, 0.0])
-    split = 0.5 * (e1 - e2)
-    qb = plane_wave_solutions(free, Pb, (0.3, 0, 0), (split - 0.1, split + 0.1))
-    sa = plane_wave_state(Pa, (0, 0, 0), qa[0][0], qa[0][1][:, 0])
-    sb = plane_wave_state(Pb, (0.3, 0, 0), qb[0][0], qb[0][1][:, 0])
+    # free arm: two on-shell product states at different momenta
+    sa = free_product_state(gam, MASSES, (0.0, 0.0, 0.0))
+    sb = free_product_state(gam, MASSES, (0.3, 0.0, 0.0))
     jf = j_free_current(gam, sa, sb)
     free_max = float(max(np.max(np.abs(divergence1(jf))), np.max(np.abs(divergence2(jf)))))
     # interacting arm: constant v, divergence nonzero and equal to the

@@ -368,7 +368,9 @@ def _run_config(tmp_path, command, override, timeout=None):
         ),
         ("kernel", {"grid": {"n": 8}}, "missing keys in grid spec: ['L']"),
         ("claim1", {"masses": {"m1": 1.0}}, "missing keys in masses: ['m2']"),
-        ("claim1", {"masses": {"m1": 1e9, "m2": 1.3}}, "free dispersion roots not found at masses"),
+        # the free states are closed forms at any mass; the interacting arm
+        # finds no root in the window
+        ("claim1", {"masses": {"m1": 1e9, "m2": 1.3}}, "no dispersion roots in p0_window [-1.2, 0.5] at p = [0, 0, 0]"),
         ("compat", {"p0_modes": []}, "unknown keys in compat config: ['p0_modes']"),
         ("compat", {"waves_per_mode": 0}, "unknown keys in compat config: ['waves_per_mode']"),
         ("conserve", {"epsilons": [1e-2, 1e-3, 1e-4]}, "unknown keys in conserve config: ['epsilons']"),
@@ -484,7 +486,9 @@ _N8 = {"grid": {"n": 8, "L": 8.0}}
             {"potential": {"kind": "yukawa_tanh", "g1": 1e300, "g2": 1e300, "mu": 1.0}, "grid": {"n": 8, "L": 4.0}},
             "coupling product g1 g2 = inf is not a finite number",
         ),
-        ("claim1", {"masses": {"m1": 1e200, "m2": 1.3}}, "masses.m1 = 1e+200 must have a finite square"),
+        # hypot forms the free energies without m1^2; the interacting roots lie
+        # far outside the window
+        ("claim1", {"masses": {"m1": 1e200, "m2": 1.3}}, "no dispersion roots in p0_window [-1.2, 0.5]"),
         ("radius", {"P0": 1e-300, "grid": {"n": 8, "L": 4.0}}, "P0 = 1e-300 must have a positive finite square"),
         ("radius", {"P0": 1e200, "grid": {"n": 8, "L": 4.0}}, "P0 = 1e+200 must have a positive finite square"),
         ("radius", {"P0": -4.5e-120, "grid": {"n": 8, "L": 4.0}}, "P^2 = 2.025e-239 is too small"),
@@ -539,6 +543,39 @@ def test_overflowing_config_exits_2_without_hang_or_traceback(tmp_path, command,
     assert len(lines) == 1 and lines[0].startswith(f"tbdkit {command}: invalid configuration: ")
     assert message in lines[0]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_runner_out_of_memory_exits_2_in_one_line(monkeypatch, tmp_path, capsys):
+    def runner(cfg):
+        raise MemoryError()
+
+    monkeypatch.setitem(cli._RUNNERS, "toy", runner)
+    assert main(["toy", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.splitlines() == ["tbdkit toy: configuration too large for memory: allocation failed"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_config_too_large_for_memory_exits_2(tmp_path):
+    # a 10^6 x 10^6 toy sweep asks numpy for 14.6 TiB; the address space is
+    # capped at 1 GiB, so the allocation fails whatever the host's
+    # overcommit policy (numpy and a default toy run fit in 512 MiB)
+    import resource
+
+    cap = 2**30
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"schema": "tbdkit-config/1", "sweep_rho_points": 10**6, "sweep_phi_points": 10**6}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tbdkit.cli", "toy", "--config", str(p), "--out", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "TBDKIT_THREADS": "1"},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("tbdkit toy: configuration too large for memory: Unable to allocate")
+    assert sorted(q.name for q in tmp_path.iterdir()) == ["cfg.json"]
 
 
 def test_radius_beyond_2_13_ends_without_hang_or_traceback(tmp_path):

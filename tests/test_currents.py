@@ -24,9 +24,11 @@ from tbdkit.kinematics import MassPair, minkowski_sq
 from tbdkit.operators import (
     Grid,
     TwoBodyDiracSystem,
+    equal_time_profile,
+    free_product_state,
     plane_wave_solutions,
     plane_wave_state,
-    equal_time_profile,
+    state_residuals,
     field_from_modes,
     random_band_limited_spec,
 )
@@ -55,11 +57,8 @@ def constant_v_system(gam):
 
 
 def first_equation_state(system, p_spatial, which=0, P=P_REST):
-    roots = plane_wave_solutions(
-        system, P, p_spatial, (-1.2, 0.5), equations="first"
-    )
-    p0, basis = roots[which]
-    return plane_wave_state(P, p_spatial, p0, basis[:, 0], solves="first")
+    p0, basis = plane_wave_solutions(system, P, p_spatial, (-1.2, 0.5))[which]
+    return plane_wave_state(P, p_spatial, p0, basis[:, 0])
 
 
 @pytest.fixture(scope="module")
@@ -74,15 +73,8 @@ def state_pair(constant_v_system):
 @pytest.fixture(scope="module")
 def free_pair(gam):
     free = TwoBodyDiracSystem(MASSES, Zero(), gam)
-    e1 = math.sqrt(1.0 + 0.09)
-    e2 = math.sqrt(1.69 + 0.09)
-    P = np.array([e1 + e2, 0.0, 0.0, 0.0])
-    split = 0.5 * (e1 - e2)
-    roots = plane_wave_solutions(free, P, (0.3, 0, 0), (split - 0.1, split + 0.1))
-    a = plane_wave_state(P, (0.3, 0, 0), roots[0][0], roots[0][1][:, 0])
-    Pb = np.array([MASSES.m1 + MASSES.m2, 0.0, 0.0, 0.0])
-    roots_b = plane_wave_solutions(free, Pb, (0, 0, 0), (-0.25, 0.05))
-    b = plane_wave_state(Pb, (0, 0, 0), roots_b[0][0], roots_b[0][1][:, 0])
+    a = free_product_state(gam, MASSES, (0.3, 0.0, 0.0))
+    b = free_product_state(gam, MASSES, (0.0, 0.0, 0.0))
     return free, a, b
 
 
@@ -187,23 +179,25 @@ def test_defect_consistency_relations(constant_v_system, state_pair):
 
 def test_defects_reject_non_solutions(constant_v_system, rng):
     u = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    bogus = plane_wave_state(P_REST, (0, 0, 0), 0.1, u, solves="first")
+    bogus = plane_wave_state(P_REST, (0, 0, 0), 0.1, u)
     good = first_equation_state(constant_v_system, (0.0, 0.0, 0.0))
     with pytest.raises(ValueError):
         defects(constant_v_system, good, bogus)
 
 
-def test_defects_reject_untagged_partial_solutions(constant_v_system):
-    # a first-equation root does not solve the full system; claiming
-    # solves="both" must fail the residual gate
-    roots = plane_wave_solutions(
-        constant_v_system, P_REST, (0, 0, 0), (-1.2, 0.5), equations="first"
-    )
-    p0, basis = roots[0]
-    mislabeled = plane_wave_state(P_REST, (0, 0, 0), p0, basis[:, 0], solves="both")
-    good = first_equation_state(constant_v_system, (0.6, 0.0, 0.0))
-    with pytest.raises(ValueError):
-        defects(constant_v_system, mislabeled, good)
+@pytest.mark.parametrize("p", [(0.3, 0.0, 0.0), (0.2, -0.7, 1.1)])
+def test_free_product_states_have_zero_defects(gammas, p):
+    # both states solve both free equations, in either representation,
+    # so every defect of their free current vanishes
+    free = TwoBodyDiracSystem(MASSES, Zero(), gammas)
+    a = free_product_state(gammas, MASSES, p)
+    b = free_product_state(gammas, MASSES, (0.0, 0.0, 0.0))
+    for s in (a, b):
+        assert max(state_residuals(free, s)) <= currents.RESIDUAL_TOL
+    df = defects(free, a, b)
+    assert np.max(np.abs(df.f1)) < 1e-12
+    assert np.max(np.abs(df.f2)) < 1e-12
+    assert abs(df.f) < 1e-12
 
 
 def test_zero_defects_for_free_solutions(free_pair):
@@ -436,7 +430,7 @@ def _relative_phase_bound(system, P, grid, parts):
 
 def _mesh_phase(grid, c):
     """e^{+i c_spatial . x} from the grid's coordinate mesh."""
-    mesh = grid.coord_mesh
+    mesh = np.meshgrid(grid.axis, grid.axis, grid.axis, indexing="ij")
     return np.exp(1j * (c[1] * mesh[0] + c[2] * mesh[1] + c[3] * mesh[2]))
 
 

@@ -74,37 +74,21 @@ def _scale_B(flavor_name):
     return mutate
 
 
-def scaled_entry(fn, index, factor):
-    """fn with entry index of the pair it returns scaled."""
-
-    def wrapper(*args, **kwargs):
-        out = list(fn(*args, **kwargs))
-        out[index] = out[index] * factor
-        return tuple(out)
-
-    return wrapper
-
-
 def sazdjian_A_delta(monkeypatch):
     # the Delta of the sazdjian A = sech^2(Delta), scaled: form_pair reads
     # Delta only there, and the same sech^2 multiplies B. So A - |B|
     # keeps its sign and radius cannot see it; selfcheck's coincidence
     # term, which compares B with the complex step of V, can
-    wrapped = scaled_entry(scalar_product.eval_delta_and_ddelta_dP2, 0, 1 + 1e-6)
-    monkeypatch.setattr(scalar_product, "eval_delta_and_ddelta_dP2", wrapped)
+    monkeypatch.setattr(scalar_product, "eval_delta", scaled(scalar_product.eval_delta, 1 + 1e-6))
 
 
 def yukawa_delta(monkeypatch):
-    # the Yukawa Delta where it is written: delta, which V reads, and the
-    # pair the kernel forms read
+    # the one place the Yukawa Delta is written; V and the sazdjian form read it
     monkeypatch.setattr(YukawaTanh, "delta", scaled(YukawaTanh.delta, 1 + 1e-6))
-    pair = scaled_entry(YukawaTanh.delta_and_ddelta_dP2, 0, 1 + 1e-6)
-    monkeypatch.setattr(YukawaTanh, "delta_and_ddelta_dP2", pair)
 
 
 def yukawa_ddelta_dP2(monkeypatch):
-    pair = scaled_entry(YukawaTanh.delta_and_ddelta_dP2, 1, 1 + 1e-6)
-    monkeypatch.setattr(YukawaTanh, "delta_and_ddelta_dP2", pair)
+    monkeypatch.setattr(YukawaTanh, "ddelta_dP2", scaled(YukawaTanh.ddelta_dP2, 1 + 1e-6))
 
 
 def _wrap_current(monkeypatch, module, change):

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tbdkit import operators
+from tbdkit.currents import RESIDUAL_TOL
 from tbdkit.kinematics import MassPair, minkowski_sq
 from tbdkit.operators import (
     SV_TOL,
@@ -15,6 +16,7 @@ from tbdkit.operators import (
     TwoBodyDiracSystem,
     compatibility_residual,
     field_from_modes,
+    free_product_state,
     plane_wave_solutions,
     plane_wave_state,
     random_band_limited_field,
@@ -55,7 +57,7 @@ def apply_D(system, fld, which):
     the potential, the wavenumber table, the transforms and the D
     spectrum."""
     P0 = fld.P[0]
-    V = operators._potential_on_grid(system, fld)
+    V = eval_V(system.potential, -fld.grid.radius_sq, minkowski_sq(fld.P))
     table = operators._gamma_table(system.gammas, np.ix_(*[fld.grid.wavenumbers] * 3))
     modes = []
     for p0, chi in fld.modes:
@@ -67,8 +69,13 @@ def apply_D(system, fld, which):
     return replace(fld, modes=tuple(modes))
 
 
+def coord_mesh(grid):
+    """Shape (3, n, n, n): the spatial coordinates of every grid point."""
+    return np.stack(np.meshgrid(grid.axis, grid.axis, grid.axis, indexing="ij"))
+
+
 def mode_phase(grid, m):
-    mesh = grid.coord_mesh
+    mesh = coord_mesh(grid)
     return np.exp(
         2j * np.pi / grid.L * (m[0] * mesh[0] + m[1] * mesh[1] + m[2] * mesh[2])
     )
@@ -165,7 +172,7 @@ def _dirac_amplitudes():
     """The null spinors of the first equation at a constant potential in
     the Dirac representation, columns of the roots' bases."""
     system = TwoBodyDiracSystem(MASSES, Constant(0.3), build_gammas("dirac"))
-    roots = plane_wave_solutions(system, P_REST, (0.2, 0.0, 0.0), p0_window=(-1.2, 0.5), equations="first")
+    roots = plane_wave_solutions(system, P_REST, (0.2, 0.0, 0.0), p0_window=(-1.2, 0.5))
     return [basis[:, k] for _, basis in roots for k in range(basis.shape[1])]
 
 
@@ -273,9 +280,7 @@ def test_on_shell_mode_is_annihilated():
     system = TwoBodyDiracSystem(MASSES, Constant(v=0.3), gam)
     grid = Grid(n=8, L=6.0)
     kappa = 2.0 * np.pi / grid.L
-    roots = plane_wave_solutions(
-        system, P_REST, (kappa, 0, 0), (-1.2, 0.5), equations="first"
-    )
+    roots = plane_wave_solutions(system, P_REST, (kappa, 0, 0), (-1.2, 0.5))
     assert roots
     p0, basis = roots[0]
     fld = single_mode(grid, p0, (1, 0, 0), basis[:, 0])
@@ -434,11 +439,12 @@ def _commutator_oracle(system, psi, particle, realization):
         )
     dV = eval_dV_dxperp_sq(system.potential, -grid.radius_sq, minkowski_sq(psi.P))
     sub = "ac,cbxyz->abxyz" if particle == 1 else "bc,acxyz->abxyz"
+    mesh = coord_mesh(grid)
     modes = []
     for p0, chi in psi.modes:
         chi4 = chi.reshape(4, 4, *chi.shape[1:])
         acc = sum(
-            np.einsum(sub, system.gammas.gamma[j + 1], -2.0 * grid.coord_mesh[j] * dV * chi4)
+            np.einsum(sub, system.gammas.gamma[j + 1], -2.0 * mesh[j] * dV * chi4)
             for j in range(3)
         )
         modes.append((p0, (1j if particle == 1 else -1j) * acc.reshape(chi.shape)))
@@ -514,21 +520,30 @@ def test_compatibility_warns_on_spectrally_full_field():
 
 
 def test_free_equal_mass_threshold_root():
-    free = TwoBodyDiracSystem(MassPair(1.0, 1.0), Zero(), build_gammas("dirac"))
+    # the first equation constrains particle 1 alone: at threshold its
+    # root p0 = 0 has an 8-dimensional null space, which holds the
+    # closed-form product state
+    masses = MassPair(1.0, 1.0)
+    gam = build_gammas("dirac")
+    free = TwoBodyDiracSystem(masses, Zero(), gam)
     roots = plane_wave_solutions(free, np.array([2.0, 0, 0, 0.0]), (0, 0, 0), (-0.5, 0.5))
     assert len(roots) == 1
     p0, basis = roots[0]
     assert p0 == pytest.approx(0.0, abs=1e-11)
-    assert basis.shape == (16, 4)
+    assert basis.shape == (16, 8)
     state = plane_wave_state(np.array([2.0, 0, 0, 0.0]), (0, 0, 0), p0, basis[:, 0])
-    r1, r2 = state_residuals(free, state)
-    assert r1 < 1e-10 and r2 < 1e-10
+    assert state_residuals(free, state)[0] < 1e-10
+    u = free_product_state(gam, masses, (0, 0, 0)).u
+    assert np.linalg.norm(u - basis @ (basis.conj().T @ u)) < 1e-12
 
 
 def test_free_off_shell_momentum_has_no_roots():
+    # at P0 = 2.5 particle 1 is on shell only at p0 = -0.25; a window
+    # that keeps p_1^0 = 1.25 + p0 off 1 holds no root
     free = TwoBodyDiracSystem(MassPair(1.0, 1.0), Zero(), build_gammas("dirac"))
-    roots = plane_wave_solutions(free, np.array([2.5, 0, 0, 0.0]), (0, 0, 0), (-0.5, 0.5))
-    assert roots == []
+    P = np.array([2.5, 0, 0, 0.0])
+    assert plane_wave_solutions(free, P, (0, 0, 0), (-0.2, 0.5)) == []
+    assert [round(p0, 12) for p0, _ in plane_wave_solutions(free, P, (0, 0, 0), (-0.5, 0.5))] == [-0.25]
 
 
 def test_free_moving_pair_root_at_energy_split():
@@ -542,19 +557,58 @@ def test_free_moving_pair_root_at_energy_split():
     assert any(abs(r[0] - split) < 1e-10 for r in roots)
 
 
+FREE_MOMENTA = [(0.0, 0.0, 0.0), (0.3, 0.0, 0.0), (0.2, -0.7, 1.1), (5.0, 0.0, 0.0)]
+
+
+@pytest.mark.parametrize("p", FREE_MOMENTA)
+def test_free_product_state_solves_both_equations(gammas, p):
+    # the closed-form u_1 x u_2 is a null vector of M_1 and of M_2
+    free = TwoBodyDiracSystem(MASSES, Zero(), gammas)
+    state = free_product_state(gammas, MASSES, p)
+    assert np.linalg.norm(state.u) == pytest.approx(1.0, abs=1e-15)
+    r1, r2 = state_residuals(free, state)
+    assert r1 <= RESIDUAL_TOL and r2 <= RESIDUAL_TOL
+
+
+def test_free_product_state_momenta_are_on_shell():
+    # p_1 = (E_1, p), p_2 = (E_2, -p): P = (E_1 + E_2, 0), and the state is
+    # the one plane_wave_state packages at p0 = (E_1 - E_2)/2
+    p = (0.2, -0.7, 1.1)
+    state = free_product_state(build_gammas("dirac"), MASSES, p)
+    k = math.hypot(*p)
+    e1, e2 = math.hypot(MASSES.m1, k), math.hypot(MASSES.m2, k)
+    assert state.p1.tolist() == [e1, *p]
+    assert state.p2.tolist() == [e2, *(-np.asarray(p))]
+    assert minkowski_sq(state.p1) == pytest.approx(MASSES.m1**2, rel=1e-14)
+    assert minkowski_sq(state.p2) == pytest.approx(MASSES.m2**2, rel=1e-14)
+    packaged = plane_wave_state(state.p1 + state.p2, p, (e1 - e2) / 2, state.u)
+    assert np.allclose(packaged.p1, state.p1, rtol=0, atol=1e-15)
+    assert np.allclose(packaged.p2, state.p2, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("m", [1e-300, 1e200, 1e300])
+def test_free_product_state_is_finite_at_extreme_masses(m):
+    # E_i = hypot(m_i, |p|) and each matrix divided by its E_i: no square
+    # of a mass, and no norm of the factors, leaves the float range
+    masses = MassPair(m, m)
+    gam = build_gammas("dirac")
+    state = free_product_state(gam, masses, (0.3, 0.0, 0.0))
+    assert np.all(np.isfinite(state.u))
+    assert np.linalg.norm(state.u) == pytest.approx(1.0, abs=1e-15)
+    assert np.isfinite(state.p1[0]) and state.p1[0] >= m
+
+
 def test_first_equation_roots_frozen():
     # constant v = 0.3, masses (1, 1.3), P0 = 3, zero relative momentum:
     # the two roots in (-1.2, 0.5) are exactly -4/5 and 17/65
     system = TwoBodyDiracSystem(MASSES, Constant(v=0.3), build_gammas("dirac"))
-    roots = plane_wave_solutions(
-        system, P_REST, (0, 0, 0), (-1.2, 0.5), equations="first"
-    )
+    roots = plane_wave_solutions(system, P_REST, (0, 0, 0), (-1.2, 0.5))
     assert len(roots) == 2
     assert roots[0][0] == pytest.approx(-0.8, abs=1e-11)
     assert roots[1][0] == pytest.approx(17.0 / 65.0, abs=1e-11)
     for p0, basis in roots:
         assert basis.shape == (16, 4)
-        state = plane_wave_state(P_REST, (0, 0, 0), p0, basis[:, 0], solves="first")
+        state = plane_wave_state(P_REST, (0, 0, 0), p0, basis[:, 0])
         r1, _ = state_residuals(system, state)
         assert r1 < 1e-10
 
@@ -588,9 +642,7 @@ def test_first_equation_roots_against_brute_scan(gammas):
     # the same roots the solver returns
     system = TwoBodyDiracSystem(MASSES, Constant(v=0.3), gammas)
     p_spatial = (0.5, 0.0, 0.0)
-    roots = plane_wave_solutions(
-        system, P_REST, p_spatial, (-1.2, 0.5), equations="first"
-    )
+    roots = plane_wave_solutions(system, P_REST, p_spatial, (-1.2, 0.5))
     assert roots
     grid_p0 = np.arange(-1.2, 0.5, 1e-4)
     matrices = _first_equation_matrices(system, P_REST, p_spatial, grid_p0)
@@ -643,7 +695,7 @@ def test_first_equation_roots_match_a_brute_scan(v, m1, m2, P0, p):
     system = TwoBodyDiracSystem(MassPair(m1, m2), Constant(v=v), build_gammas("dirac"))
     P = np.array([P0, 0.0, 0.0, 0.0])
     lo, hi = -3.0, 3.0
-    roots = np.array([p0 for p0, _ in plane_wave_solutions(system, P, p, (lo, hi), equations="first")])
+    roots = np.array([p0 for p0, _ in plane_wave_solutions(system, P, p, (lo, hi))])
 
     def sigma_min(p0s):
         return np.linalg.svd(_first_equation_matrices(system, P, p, np.atleast_1d(p0s)), compute_uv=False)[:, -1]

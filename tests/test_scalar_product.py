@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tbdkit import scalar_product
 from tbdkit.kinematics import MassPair, minkowski_sq
 from tbdkit.operators import (
     Grid,
@@ -240,20 +241,23 @@ def test_build_kernel_validation(rng):
 # Interacting product
 
 
-@pytest.mark.parametrize("flavor", ["sazdjian", "crater"])
-def test_form_pair_evaluates_the_yukawa_core_once(monkeypatch, flavor):
-    # a sazdjian pair needs Delta and dDelta/dP^2, both of the core c(r)
-    calls = {"core": 0, "_radius": 0}
+@pytest.mark.parametrize(
+    "flavor, expect", [("sazdjian", (1, 1)), ("crater", (0, 1)), ("free", (0, 0))], ids=["sazdjian", "crater", "free"]
+)
+def test_form_pair_calls_each_evaluator_at_most_once(monkeypatch, flavor, expect):
+    # b = 4 P^2 dDelta/dP^2 is formed once; only sazdjian reads Delta, so
+    # crater never evaluates a Delta it does not use
+    calls = {"eval_delta": 0, "eval_ddelta_dP2": 0}
     for name in calls:
-        original = getattr(YukawaTanh, name)
+        original = getattr(scalar_product, name)
 
         def counted(*args, _name=name, _fn=original):
             calls[_name] += 1
             return _fn(*args)
 
-        monkeypatch.setattr(YukawaTanh, name, counted)
+        monkeypatch.setattr(scalar_product, name, counted)
     form_pair(flavor, YUKAWA, P2_SQ, -np.linspace(0.1, 2.0, 64) ** 2)
-    assert calls == {"core": 1, "_radius": 1}
+    assert (calls["eval_delta"], calls["eval_ddelta_dP2"]) == expect
 
 
 def test_free_flavor_reproduces_free_product(gam):
