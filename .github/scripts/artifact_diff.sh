@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Run the eight default subcommands from two source trees at one BLAS
 # thread and name every artifact that differs between them (by cmp).
-# It only reports: a run that fails or a file that moved is printed,
-# and the script exits 0.
+# For a JSON artifact present on both sides, each dotted path whose value
+# differs is named instead (e.g. "conserve.json: report.residual"); lists
+# are compared whole. It only reports: a run that fails or a file that
+# moved is printed, and the script exits 0.
 #
 #   artifact_diff.sh BASE_TREE HEAD_TREE OUT_DIR
 set -u
@@ -15,10 +17,39 @@ for side in base head; do
       || echo "$side: tbdkit $cmd exited $?"
   done
 done
+json_paths() {
+  python - "$@" <<'EOF' || echo "differs: $3"
+import json
+import sys
+
+base_file, head_file, name = sys.argv[1:]
+with open(base_file) as fb, open(head_file) as fh:
+    base, head = json.load(fb), json.load(fh)
+
+
+def walk(a, b, path):
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(set(a) | set(b)):
+            yield from walk(a.get(key), b.get(key), f"{path}.{key}" if path else key)
+    elif a != b:
+        yield path or "(root)"
+
+
+paths = list(walk(base, head, ""))
+for path in paths:
+    print(f"{name}: {path}")
+if not paths:  # the bytes differ, the parsed values do not
+    print(f"differs: {name}")
+EOF
+}
 moved=0
 for name in $( (ls "$out/base"; ls "$out/head") | sort -u); do
   if ! cmp -s "$out/base/$name" "$out/head/$name"; then
-    echo "differs: $name"
+    if [[ $name == *.json && -f $out/base/$name && -f $out/head/$name ]]; then
+      json_paths "$out/base/$name" "$out/head/$name" "$name"
+    else
+      echo "differs: $name"
+    fi
     moved=$((moved + 1))
   fi
 done

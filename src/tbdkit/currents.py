@@ -23,11 +23,11 @@ That is what conservation_sweep certifies; its finite regulators show
 the O(eps) approach, where the Green choice matters.
 
 The gauge checks certify both restricted phases in one pass
-(gauge_check): the kernel at P, the field's equal-time profile (built
-from the field's mode spec in one product, without its modes) and its
-densities are built once; a relative phase must leave the norm
-invariant, and a total-momentum phase shifts it by the kernel rebuilt at
-P + a.
+(gauge_check): the kernels at P and at P + a, the field's equal-time
+profile (built from the field's mode spec in one product, without its
+modes) and its densities are built once each; a relative phase must
+leave the norm invariant, and a total-momentum phase shifts it by the
+kernel at P + a.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .kinematics import FourVector, as_four_vector, check_rest_frame, minkowski_sq
-from .operators import Grid, PlaneWaveState, TwoBodyDiracSystem, equal_time_profile, state_residuals
+from .operators import Grid, PlaneWaveState, TwoBodyDiracSystem, equal_time_profile, first_equation_residual
 from .potentials import eval_V
 from .scalar_product import build_kernel, densities, form_value
 from .spinor_algebra import GammaSet, gamma0_pair, kron, lift2, slash2
@@ -166,12 +166,11 @@ def defects(system: TwoBodyDiracSystem, state_a: PlaneWaveState, state_b: PlaneW
     """Divergence defects of the free current for a solution pair.
 
     The defect formulas presuppose that both states solve the first
-    equation; a state whose residual ||M_1 u|| exceeds RESIDUAL_TOL is
-    rejected. Free product states solve the second one as well, which
-    state_residuals reports but no formula here needs.
+    equation; a state whose first_equation_residual ||M_1 u|| exceeds
+    RESIDUAL_TOL is rejected. No formula here reads the second equation.
     """
     for s in (state_a, state_b):
-        r1, _ = state_residuals(system, s)
+        r1 = first_equation_residual(system, s)
         if r1 > RESIDUAL_TOL:
             raise ValueError(
                 f"state has first-equation residual {r1:.2e} above {RESIDUAL_TOL:.0e}; "
@@ -335,11 +334,12 @@ def gauge_check(
     of the field field_from_modes(P, grid, mode_spec), as the reports
     (relative_only, total_dependent).
 
-    The kernel at P, the field's equal-time profile and its densities
-    rho, sigma (see scalar_product) are built once and serve both phases.
-    The profile is built from the spec's waves in one product
-    (operators.equal_time_profile), and no mode of the field is. P and
-    P + a are checked to be rest-frame momenta before anything is built.
+    The kernels at P and P + a, the field's equal-time profile and its
+    densities rho, sigma (see scalar_product) are built once each and
+    serve both phases. The profile is built from the spec's waves in one
+    product (operators.equal_time_profile), and no mode of the field is.
+    P and P + a are checked to be rest-frame momenta before anything is
+    built.
 
     relative_only: theta = c.x depends on the relative coordinate alone.
     P is untouched and the norm must be invariant (the phase cancels
@@ -353,18 +353,16 @@ def gauge_check(
     about one ulp of the values.
 
     total_dependent: theta = a.X shifts the total momentum to P + a and
-    leaves the profile as it is, so the kernel rebuilt at P + a is read
-    on the same densities; with a P^2-dependent potential the value
-    genuinely changes. independent_difference rebuilds that kernel a
-    second time at the same P^2, so it repeats the main route and its
-    agreement cannot fail (ROADMAP item 2).
+    leaves the profile as it is, so the kernel at P + a is read on the
+    same densities; with a P^2-dependent potential the value genuinely
+    changes. independent_difference reads that same kernel again, so it
+    repeats the main route bit for bit and its agreement cannot fail
+    (ROADMAP item 2).
     """
     P = check_rest_frame(P)
     P_after = check_rest_frame(P + as_four_vector(a))
     kernel_before = build_kernel(flavor, system.potential, minkowski_sq(P), grid)
     kernel_after = build_kernel(flavor, system.potential, minkowski_sq(P_after), grid)
-    # independent_difference's kernel: the same build again (see above)
-    k_shift = build_kernel(flavor, system.potential, minkowski_sq(P_after), grid)
     profile = equal_time_profile(grid, mode_spec)
     rho, sigma = densities(system.gammas, profile, profile)
     profile *= _relative_phase(grid, c)
@@ -379,7 +377,8 @@ def gauge_check(
     drift = form_value(kernel_before, rho_out, sigma_out)
     value_total = form_value(kernel_after, rho, sigma)
     shift = value_total - value_before
-    indep = form_value(k_shift, rho, sigma) - value_before
+    # independent_difference: the same kernel read again (see above)
+    indep = form_value(kernel_after, rho, sigma) - value_before
     relative = GaugeReport(
         kind="relative_only",
         P_before=P,

@@ -65,9 +65,10 @@ commutators are tables of i gamma^k d_k V applied to d_1 and d_2.
 Plane waves. For a constant potential v the first equation is the
 linear matrix pencil M_1(p0) = A + p0 B with B = gamma_1^0 - v gamma_2^0,
 whose eigenvalues +-1 +- v make it invertible for |v| < 1. The
-dispersion roots are the real eigenvalues of -B^{-1} A. The free pair
-needs no search: its on-shell product states u_1 x u_2 solve both
-equations in closed form (free_product_state).
+dispersion roots are the real eigenvalues of -B^{-1} A. No certificate
+reads the second equation, so M_1 is the only equation matrix built.
+The free pair needs no search: its on-shell product states u_1 x u_2
+solve both equations in closed form (free_product_state).
 """
 
 from __future__ import annotations
@@ -92,12 +93,12 @@ __all__ = [
     "compatibility_residual",
     "equal_time_profile",
     "field_from_modes",
+    "first_equation_residual",
     "free_product_state",
     "random_band_limited_field",
     "random_band_limited_spec",
     "plane_wave_solutions",
     "plane_wave_state",
-    "state_residuals",
 ]
 
 
@@ -464,24 +465,19 @@ SV_TOL = 1e-8
 ROOT_TOL = 1e-7
 
 
-def _equation_matrices(system, p1, p2):
-    """The 16x16 matrices (M_1, M_2) of the two equations at particle
-    momenta p1, p2: D_1 and D_2 with V replaced by its constant value."""
+def _first_equation_matrix(system, p1, p2):
+    """The 16x16 matrix M_1 of the first equation at particle momenta
+    p1, p2: D_1 with V replaced by its constant value."""
     v = system.potential.constant_value()
     m1, m2 = system.masses.m1, system.masses.m2
-    S1 = slash1(system.gammas, p1)
-    S2 = slash2(system.gammas, p2)
     eye = np.eye(16)
-    M1 = S1 - m1 * eye + (S2 - m2 * eye) * v
-    M2 = S2 + m2 * eye + (S1 + m1 * eye) * v
-    return M1, M2
+    return slash1(system.gammas, p1) - m1 * eye + (slash2(system.gammas, p2) - m2 * eye) * v
 
 
 def _dispersion_matrix(system, P, p_spatial, p0):
     """M_1 at relative energy p0 and relative momentum p_spatial."""
-    P = as_four_vector(P)
     p = np.array([p0, *p_spatial])
-    return _equation_matrices(system, P / 2 + p, P / 2 - p)[0]
+    return _first_equation_matrix(system, P / 2 + p, P / 2 - p)
 
 
 def plane_wave_solutions(system: TwoBodyDiracSystem, P, p_spatial, p0_window=(-3.0, 3.0)):
@@ -496,13 +492,19 @@ def plane_wave_solutions(system: TwoBodyDiracSystem, P, p_spatial, p0_window=(-3
     there gives the null-space basis; a group with no null vector at its
     mean that spans two roots (at small |v| they can lie closer than
     ROOT_TOL) is split at its widest gap and retried. Roots are returned
-    in increasing order; an empty window is not an error.
+    in increasing order; an empty window is not an error. Masses, P0 and
+    v large enough to overflow -B^{-1} A raise a ValueError naming them.
     """
     lo, hi = p0_window
+    P = as_four_vector(P)
     v = system.potential.constant_value()
     A = _dispersion_matrix(system, P, p_spatial, 0.0)
     B = lift1(system.gammas, 0) - v * lift2(system.gammas, 0)
-    eigs = np.linalg.eigvals(np.linalg.solve(B, -A))
+    pencil = np.linalg.solve(B, -A)
+    if not np.isfinite(pencil).all():
+        m1, m2, P0 = system.masses.m1, system.masses.m2, float(P[0])
+        raise ValueError(f"masses ({m1!r}, {m2!r}), P0 = {P0!r} and v = {v!r} overflow the dispersion pencil -B^-1 A")
+    eigs = np.linalg.eigvals(pencil)
     real = np.sort(eigs.real[np.abs(eigs.imag) <= ROOT_TOL])
     real = real[(real >= lo) & (real <= hi)]
     groups = np.split(real, np.flatnonzero(np.diff(real) > ROOT_TOL) + 1) if real.size else []
@@ -551,7 +553,6 @@ def free_product_state(gammas: GammaSet, masses: MassPair, p_spatial) -> PlaneWa
     return PlaneWaveState(u=np.outer(u1, u2), p1=p1, p2=p2)
 
 
-def state_residuals(system: TwoBodyDiracSystem, state: PlaneWaveState):
-    """Norms (||M_1 u||, ||M_2 u||) of the two equation residuals."""
-    M1, M2 = _equation_matrices(system, state.p1, state.p2)
-    return float(np.linalg.norm(M1 @ state.u)), float(np.linalg.norm(M2 @ state.u))
+def first_equation_residual(system: TwoBodyDiracSystem, state: PlaneWaveState) -> float:
+    """Norm ||M_1 u|| of the first equation's residual on the state."""
+    return float(np.linalg.norm(_first_equation_matrix(system, state.p1, state.p2) @ state.u))

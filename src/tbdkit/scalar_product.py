@@ -58,8 +58,6 @@ class NormKernel:
     """Quadratic-form matrix A 1 + B gamma_1^0 gamma_2^0 of a kernel
     flavor at one P^2, pointwise on the grid."""
 
-    flavor: str
-    P_sq: float
     grid: Grid
     A: np.ndarray  # coefficient of 1_16, shape (n, n, n)
     B: np.ndarray  # coefficient of gamma_1^0 gamma_2^0
@@ -101,7 +99,7 @@ def form_pair(flavor: str, potential, P_sq: float, x_perp_sq):
 def build_kernel(flavor: str, potential, P_sq: float, grid: Grid) -> NormKernel:
     """The form pair (A, B) of the requested flavor on the grid."""
     A, B = form_pair(flavor, potential, P_sq, -grid.radius_sq)
-    return NormKernel(flavor=flavor, P_sq=P_sq, grid=grid, A=A, B=B)
+    return NormKernel(grid=grid, A=A, B=B)
 
 
 def densities(gammas: GammaSet, pa: np.ndarray, pb: np.ndarray):

@@ -6,7 +6,7 @@ import pytest
 
 from tbdkit.potentials import eval_ddelta_dP2, eval_delta
 from tbdkit.serialize import _format_float
-from tbdkit.spinor_algebra import build_gammas
+from tbdkit.spinor_algebra import build_gammas, slash1, slash2
 
 
 @pytest.fixture(scope="session")
@@ -106,3 +106,52 @@ def reference_dV_dP2():
     and the kernels' B = 4 P^2 dV/dP^2 are checked against. A spec,
     x_perp^2 and P^2 give a float, or an array for an array x_perp^2."""
     return _dV_dP2
+
+
+def _first_equation_matrices(system, P, p_spatial, p0s):
+    """M_1 = (p1.gamma_1 - m1) + v (p2.gamma_2 - m2) at p1 = P/2 + p,
+    p2 = P/2 - p, p = (p0, p_spatial), for every p0 of p0s at once. The
+    elementwise operations are those of slash1/slash2 and the solver's
+    per-p0 build, in the same order, so each matrix is bit-equal to the
+    one built for its p0 alone."""
+    g = system.gammas.gamma
+    v = system.potential.constant_value()
+    P = np.asarray(P, dtype=float)
+    p_spatial = np.asarray(p_spatial, dtype=float)
+
+    def slash4(q0, q_spatial):
+        out = q0[:, None, None] * g[0].astype(complex)
+        for k in (1, 2, 3):
+            out = out - q_spatial[k - 1] * g[k]
+        return out
+
+    eye4 = np.eye(4)[None]
+    S1 = np.kron(slash4(P[0] / 2 + p0s, P[1:] / 2 + p_spatial), eye4)
+    S2 = np.kron(eye4, slash4(P[0] / 2 - p0s, P[1:] / 2 - p_spatial))
+    eye = np.eye(16)
+    return S1 - system.masses.m1 * eye + (S2 - system.masses.m2 * eye) * v
+
+
+@pytest.fixture(scope="session")
+def reference_first_equation_matrices():
+    """The first equation's matrices M_1 at a stack of relative energies,
+    each bit-equal to the one the plane-wave solver builds: the oracle of
+    the root searches' brute scans."""
+    return _first_equation_matrices
+
+
+def _second_equation_residual(system, state):
+    v = system.potential.constant_value()
+    m1, m2 = system.masses.m1, system.masses.m2
+    eye = np.eye(16)
+    M2 = slash2(system.gammas, state.p2) + m2 * eye + (slash1(system.gammas, state.p1) + m1 * eye) * v
+    return float(np.linalg.norm(M2 @ state.u))
+
+
+@pytest.fixture(scope="session")
+def reference_second_equation_residual():
+    """||M_2 u|| of a plane-wave state, with M_2 = (slash_2(p2) + m2)
+    + v (slash_1(p1) + m1) the second equation D_2 at constant v. No
+    certificate reads the second equation; the free product states are
+    held to it here."""
+    return _second_equation_residual

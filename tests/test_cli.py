@@ -1,4 +1,5 @@
 import copy
+import importlib.util
 import json
 import math
 import os
@@ -69,6 +70,30 @@ def test_config_command_tag_must_match(tmp_path):
     with pytest.raises(ConfigError):
         load_config("compat", p)
     assert load_config("toy", p) == DEFAULTS["toy"]
+
+
+def test_benchmark_configs_load(tmp_path, monkeypatch):
+    # the benchmark's smoke run checks its result schema, not verdicts, so
+    # a key it sends that load_config stopped accepting would fail only
+    # the benchmark: every step config of seeds 1-50, written as
+    # perfbench/run.py writes it, must load and reach the config
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # nothing is written under perfbench/
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "certs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_certs", path)
+    certs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(certs)
+    p = tmp_path / "cfg.json"
+    green_choices = set()
+    for workload in certs.WORKLOADS:
+        for seed in range(1, 51):
+            for step in (step for cert in certs.build(workload, seed) for step in cert.steps):
+                doc = {"schema": "tbdkit-config/1", "command": step.command, **step.config}
+                p.write_text(json.dumps(doc, sort_keys=True) + "\n", encoding="ascii")
+                cfg = load_config(step.command, p)
+                assert all(cfg[key] == value for key, value in step.config.items())
+                if step.command == "conserve":
+                    green_choices.add(cfg["green_choice"])
+    assert green_choices == {"advanced", "retarded"}
 
 
 def test_config_rejects_malformed_json(tmp_path):
@@ -278,7 +303,7 @@ def test_gauge_command_passes(tmp_path):
 
 
 def test_gauge_reduces_each_profile_once(tmp_path, monkeypatch):
-    # one gauge pass: the kernels at P and P + a (and its repeat), and
+    # one gauge pass: the kernels at P and P + a, each built once, and
     # the field's t = 0 profile, built from its waves in one product and
     # reduced to densities before and after the relative phase multiplies
     # it; every kernel form reads those. No mode of the field is built.
@@ -296,7 +321,7 @@ def test_gauge_reduces_each_profile_once(tmp_path, monkeypatch):
     for name in ("build_kernel", "equal_time_profile", "densities"):
         monkeypatch.setattr(currents, name, counted(name, getattr(currents, name)))
     assert main(["gauge", "--out", str(tmp_path), "--quiet"]) == 0
-    assert calls == {"gauge_check": 1, "build_kernel": 3, "equal_time_profile": 1, "densities": 2, "field_from_modes": 0}
+    assert calls == {"gauge_check": 1, "build_kernel": 2, "equal_time_profile": 1, "densities": 2, "field_from_modes": 0}
 
 
 def test_warnings_of_a_run_that_writes_its_report_still_show(tmp_path):
@@ -489,6 +514,9 @@ _N8 = {"grid": {"n": 8, "L": 8.0}}
         # hypot forms the free energies without m1^2; the interacting roots lie
         # far outside the window
         ("claim1", {"masses": {"m1": 1e200, "m2": 1.3}}, "no dispersion roots in p0_window [-1.2, 0.5]"),
+        # near the float limit -B^-1 A itself overflows, before any eigenvalue
+        ("claim1", {"masses": {"m1": 1.7e308, "m2": 1.3}}, "masses (1.7e+308, 1.3), P0 = 3.0 and v = 0.3 overflow"),
+        ("conserve", {"masses": {"m1": 1.7e308, "m2": 1.3}}, "masses (1.7e+308, 1.3), P0 = 3.0 and v = 0.3 overflow"),
         ("radius", {"P0": 1e-300, "grid": {"n": 8, "L": 4.0}}, "P0 = 1e-300 must have a positive finite square"),
         ("radius", {"P0": 1e200, "grid": {"n": 8, "L": 4.0}}, "P0 = 1e+200 must have a positive finite square"),
         ("radius", {"P0": -4.5e-120, "grid": {"n": 8, "L": 4.0}}, "P^2 = 2.025e-239 is too small"),
@@ -516,6 +544,8 @@ _N8 = {"grid": {"n": 8, "L": 8.0}}
     ids=[
         "kernel_coupling_overflow",
         "claim1_mass_square_overflow",
+        "claim1_pencil_overflow",
+        "conserve_pencil_overflow",
         "radius_tiny_P0",
         "radius_huge_P0",
         "radius_P2_pow_overflow",
