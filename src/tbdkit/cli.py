@@ -67,15 +67,7 @@ from .positivity import (  # noqa: E402
     scan,
     violation_radius,
 )
-from .potentials import (  # noqa: E402
-    Constant,
-    ConstantG,
-    GaussianG,
-    PolynomialG,
-    TanhOfG,
-    YukawaTanh,
-    Zero,
-)
+from .potentials import Constant, GaussianG, TanhOfG, YukawaTanh  # noqa: E402
 from .scalar_product import form_pair  # noqa: E402
 from .serialize import write_csv, write_json  # noqa: E402
 from .spinor_algebra import build_gammas, lift1, lift2  # noqa: E402
@@ -174,12 +166,11 @@ def _require_keys(obj, allowed, ctx, required=True):
 
 # family -> kind -> spec class. A spec's keys are its class's fields, all
 # required: a field named after a family holds a nested record of that
-# family, any other field takes the type of its annotation's default.
+# family, any other field is a number.
 _SPECS = {
-    "g": {"constant": ConstantG, "polynomial": PolynomialG, "gaussian": GaussianG},
-    "potential": {"zero": Zero, "constant": Constant, "tanh_of_g": TanhOfG, "yukawa_tanh": YukawaTanh},
+    "g": {"gaussian": GaussianG},
+    "potential": {"constant": Constant, "tanh_of_g": TanhOfG, "yukawa_tanh": YukawaTanh},
 }
-_FIELD_DEFAULTS = {"float": 0.0, "tuple": []}
 _TYPE_NAMES = {bool: "true or false", int: "an integer", str: "a string"}
 
 
@@ -198,7 +189,7 @@ def _check(path, value, default):
         fields = dataclasses.fields(_SPECS[family][kind])
         _require_keys(value, {"kind", *(f.name for f in fields)}, f"{kind} {family} spec")
         for f in fields:
-            _check(f"{path}.{f.name}", value[f.name], _FIELD_DEFAULTS.get(f.type))
+            _check(f"{path}.{f.name}", value[f.name], 0.0)
     elif isinstance(default, dict):
         _require_keys(value, default, "grid spec" if path == "grid" else path)
         for key in default:

@@ -9,8 +9,8 @@ conjugation, and the particle-antiparticle exchange symmetry.
 Every variant is V = tanh(Delta) of a rapidity Delta(x_perp^2, P^2)
 and supplies only Delta and the derivatives of Delta it has:
 
-  * Constant(v), |v| < 1, with Zero() the constant 0: Delta = artanh v
-  * TanhOfG(g): Delta = g(r^2) for a built-in smooth g
+  * Constant(v), |v| < 1: Delta = artanh v
+  * TanhOfG(g): Delta = g(r^2) of a GaussianG, amplitude e^{-r^2/width^2}
   * YukawaTanh(g1, g2, mu): Delta = -c(r) / sqrt(P^2) of the Yukawa core
       c(r) = (1/2) (g1 g2 / 4 pi) e^{-mu r} / r,
     built only with mu > 0 and a finite g1 g2; the kernel forms built
@@ -27,16 +27,14 @@ Every evaluator accepts a complex P_sq with positive real part by
 analytic continuation of the same formula, which regulator limits and
 complex-step derivatives rely on. The formulas are methods of the
 variant classes: adding a variant means subclassing Potential with its
-delta and adding its kind to cli._SPECS. The config checker types a
-spec field by its annotation, float or tuple (a list of numbers), and a
-field named g by the g records.
+delta and adding its kind to cli._SPECS. The config checker reads a
+field named g as a g record and every other spec field as a float.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
@@ -52,38 +50,7 @@ class SingularOriginError(PotentialDomainError):
 
 
 # ---------------------------------------------------------------------------
-# Built-in g functions for TanhOfG, as functions of s = r^2 = -x_perp^2 >= 0.
-# Kept to a small closed set so potential specs stay serializable.
-
-
-@dataclass(frozen=True)
-class ConstantG:
-    c: float
-
-    def value(self, s):
-        return np.full_like(np.asarray(s, dtype=float), self.c)
-
-    def derivative(self, s):
-        return np.zeros_like(np.asarray(s, dtype=float))
-
-
-@dataclass(frozen=True)
-class PolynomialG:
-    """g(s) = sum_j coeffs[j] s^j."""
-
-    coeffs: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
-        if not self.coeffs:
-            raise ValueError("coeffs must be nonempty")
-
-    def value(self, s):
-        return np.polynomial.polynomial.polyval(np.asarray(s, dtype=float), self.coeffs)
-
-    def derivative(self, s):
-        dcoeffs = [j * c for j, c in enumerate(self.coeffs)][1:] or [0.0]
-        return np.polynomial.polynomial.polyval(np.asarray(s, dtype=float), dcoeffs)
+# The g function of TanhOfG, of s = r^2 = -x_perp^2 >= 0.
 
 
 @dataclass(frozen=True)
@@ -132,7 +99,7 @@ class Potential:
     def constant_value(self) -> float:
         """The value v of a constant potential, the only potentials with
         plane-wave solutions."""
-        raise TypeError("plane-wave states require a Zero or Constant potential")
+        raise TypeError("plane-wave states require a Constant potential")
 
 
 @dataclass(frozen=True)
@@ -155,15 +122,8 @@ class Constant(Potential):
 
 
 @dataclass(frozen=True)
-class Zero(Constant):
-    """The constant 0; v is a class constant, so Zero() takes no argument."""
-
-    v: ClassVar[float] = 0.0
-
-
-@dataclass(frozen=True)
 class TanhOfG(Potential):
-    g: object  # one of the built-in g functions above
+    g: GaussianG
 
     def delta(self, xps, P_sq):
         return self.g.value(-xps)

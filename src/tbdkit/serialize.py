@@ -110,20 +110,21 @@ def _column_table(col, end: bytes):
         # Keyed on the bit pattern so that -0.0 and 0.0 stay apart.
         bits, inverse = np.unique(col.astype(np.float64, copy=False).view(np.int64), return_inverse=True)
         distinct = [_format_float(x) for x in bits.view(np.float64).tolist()]
-    elif col.dtype.kind in "biu":
+    elif col.dtype.kind in "iu":
         values, inverse = np.unique(col, return_inverse=True)
-        distinct = [str(v).lower() for v in values.tolist()]  # True -> "true"
+        distinct = [str(v) for v in values.tolist()]
     else:
-        raise TypeError(f"CSV columns must be bool, integer or float, got {col.dtype}")
+        raise TypeError(f"CSV columns must be integer or float, got {col.dtype}")
     table = np.array([s.encode("ascii") + end for s in distinct], dtype=bytes)
     return table.view(np.uint8).reshape(len(distinct), table.dtype.itemsize), inverse
 
 
 def write_csv(path, header, columns):
-    """Comma-separated table of equal-length 1-D columns, header row
-    first, '%.17g' floats, true/false, no locale dependence. Each distinct
-    value is formatted once; the bytes are those of formatting each cell.
-    Complex columns must be split into re/im pairs by the caller."""
+    """Comma-separated table of equal-length 1-D integer or float
+    columns, header row first, '%.17g' floats, no locale dependence. Each
+    distinct value is formatted once; the bytes are those of formatting
+    each cell. Complex columns must be split into re/im pairs by the
+    caller; any other dtype, bool included, raises TypeError."""
     if len(columns) != len(header):
         raise ValueError(f"{len(columns)} columns for a header of {len(header)}")
     tables = [_column_table(c, b"\n" if i == len(columns) - 1 else b",") for i, c in enumerate(columns)]

@@ -32,8 +32,6 @@ def rng():
 def _format_cell(v) -> str:
     if isinstance(v, str):
         return v
-    if isinstance(v, bool) or isinstance(v, np.bool_):
-        return "true" if v else "false"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     if isinstance(v, (float, np.floating)):
@@ -140,12 +138,23 @@ def reference_first_equation_matrices():
     return _first_equation_matrices
 
 
-def _second_equation_residual(system, state):
+def _second_equation_matrix(system, p1, p2):
     v = system.potential.constant_value()
     m1, m2 = system.masses.m1, system.masses.m2
     eye = np.eye(16)
-    M2 = slash2(system.gammas, state.p2) + m2 * eye + (slash1(system.gammas, state.p1) + m1 * eye) * v
-    return float(np.linalg.norm(M2 @ state.u))
+    return slash2(system.gammas, p2) + m2 * eye + (slash1(system.gammas, p1) + m1 * eye) * v
+
+
+@pytest.fixture(scope="session")
+def reference_second_equation_matrix():
+    """M_2 = (slash_2(p2) + m2) + v (slash_1(p1) + m1), the second
+    equation D_2 at constant v on the plane wave of constituent momenta
+    p1 and p2, which no module builds."""
+    return _second_equation_matrix
+
+
+def _second_equation_residual(system, state):
+    return float(np.linalg.norm(_second_equation_matrix(system, state.p1, state.p2) @ state.u))
 
 
 @pytest.fixture(scope="session")

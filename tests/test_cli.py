@@ -25,7 +25,7 @@ from tbdkit.cli import (
 )
 from tbdkit.operators import AliasingWarning
 from tbdkit.positivity import min_eigenvalue_map
-from tbdkit.potentials import Constant, GaussianG, TanhOfG, YukawaTanh, Zero
+from tbdkit.potentials import Constant, GaussianG, TanhOfG, YukawaTanh
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +111,6 @@ def test_config_rejects_bytes_that_are_not_utf8(tmp_path):
 
 
 def test_parse_potential_all_kinds():
-    assert parse_potential({"kind": "zero"}) == Zero()
     assert parse_potential({"kind": "constant", "v": 0.3}) == Constant(v=0.3)
     pot = parse_potential(
         {"kind": "tanh_of_g", "g": {"kind": "gaussian", "amplitude": 0.5, "width": 1.0}}
@@ -129,7 +128,7 @@ def test_parse_potential_rejects_unknown_kind():
     with pytest.raises(ConfigError):
         parse_potential({"kind": "tanh_of_g", "g": {"kind": "spline"}})
     with pytest.raises(ConfigError):
-        parse_potential({"kind": "zero", "extra": 1})
+        parse_potential({"kind": "constant", "v": 0.0, "extra": 1})
 
 
 # ---------------------------------------------------------------------------
@@ -412,15 +411,18 @@ def _run_config(tmp_path, command, override, timeout=None):
         ("gauge", {"grid": {"n": 8, "L": "4.0"}}, "grid.L must be a number, got '4.0'"),
         ("kernel", {"tolerance": math.nan}, "unknown keys in kernel config: ['tolerance']"),
         ("kernel", {"grid": {"n": 8, "L": math.inf}}, "grid.L must be finite, got inf"),
+        # one spelling per potential: the constant 0 is a constant, and
+        # tanh_of_g takes a gaussian g only
+        ("kernel", {"potential": {"kind": "zero"}}, "unknown potential kind: 'zero'"),
         (
             "kernel",
-            {"potential": {"kind": "tanh_of_g", "g": {"kind": "polynomial", "coeffs": "12"}}},
-            "potential.g.coeffs must be a nonempty list, got '12'",
+            {"potential": {"kind": "tanh_of_g", "g": {"kind": "constant", "c": 0.3}}},
+            "unknown potential.g kind: 'constant'",
         ),
         (
             "kernel",
-            {"potential": {"kind": "tanh_of_g", "g": {"kind": "polynomial", "coeffs": []}}},
-            "invalid configuration: coeffs must be nonempty",
+            {"potential": {"kind": "tanh_of_g", "g": {"kind": "polynomial", "coeffs": [0.2, -1.0]}}},
+            "unknown potential.g kind: 'polynomial'",
         ),
         # V = tanh(artanh v) bounds a constant by 1: kernel read 1 - v^2 < 0
         # as a violation and compat ran, before Constant checked |v| < 1
@@ -476,8 +478,9 @@ def _run_config(tmp_path, command, override, timeout=None):
         "grid_L_string",
         "kernel_tolerance_nan",
         "kernel_grid_L_infinity",
-        "polynomial_coeffs_string",
-        "polynomial_coeffs_empty",
+        "potential_kind_zero",
+        "g_kind_constant",
+        "g_kind_polynomial",
         "kernel_constant_beyond_1",
         "compat_constant_beyond_1",
         "claim1_constant_at_minus_1",
@@ -887,15 +890,9 @@ def _record(kind, **fields):
     return st.fixed_dictionaries({"kind": st.just(kind), **fields})
 
 
-_G = st.one_of(
-    _record("constant", c=_NUMBER),
-    _record("polynomial", coeffs=st.lists(_NUMBER, max_size=4)),
-    _record("gaussian", amplitude=_NUMBER, width=_NUMBER),
-)
 _POTENTIAL = st.one_of(
-    _record("zero"),
     _record("constant", v=_NUMBER),
-    _record("tanh_of_g", g=_G | _JSON),
+    _record("tanh_of_g", g=_record("gaussian", amplitude=_NUMBER, width=_NUMBER) | _JSON),
     _record("yukawa_tanh", g1=_NUMBER, g2=_NUMBER, mu=_NUMBER),
 )
 _GAUGE_KEYS = {

@@ -36,7 +36,6 @@ from tbdkit.potentials import (
     Constant,
     FOUR_PI,
     YukawaTanh,
-    Zero,
 )
 from tbdkit.scalar_product import build_kernel, densities, form_value
 from tbdkit.spinor_algebra import build_gammas, gamma0_pair, lift1, lift2
@@ -72,7 +71,7 @@ def state_pair(constant_v_system):
 
 @pytest.fixture(scope="module")
 def free_pair(gam):
-    free = TwoBodyDiracSystem(MASSES, Zero(), gam)
+    free = TwoBodyDiracSystem(MASSES, Constant(v=0.0), gam)
     a = free_product_state(gam, MASSES, (0.3, 0.0, 0.0))
     b = free_product_state(gam, MASSES, (0.0, 0.0, 0.0))
     return free, a, b
@@ -189,7 +188,7 @@ def test_defects_reject_non_solutions(constant_v_system, rng):
 def test_free_product_states_have_zero_defects(gammas, p, reference_second_equation_residual):
     # both states solve both free equations, in either representation,
     # so every defect of their free current vanishes
-    free = TwoBodyDiracSystem(MASSES, Zero(), gammas)
+    free = TwoBodyDiracSystem(MASSES, Constant(v=0.0), gammas)
     a = free_product_state(gammas, MASSES, p)
     b = free_product_state(gammas, MASSES, (0.0, 0.0, 0.0))
     for s in (a, b):

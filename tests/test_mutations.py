@@ -186,7 +186,7 @@ ROWS = [
     row(relative_phase_modulus, "gauge", id="relative_phase_modulus-gauge"),
     row(
         gauge_sazdjian_B_doubled, "gauge", id="sazdjian_B_doubled-gauge",
-        marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 2: the total-momentum route rebuilds the same kernel"),
+        marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 2: the total-momentum route reads the same kernel_after and builds nothing"),
     ),
     row(
         analytic_commutator_dV, "compat", ONE_FIELD, id="analytic_commutator_dV-compat",

@@ -26,11 +26,10 @@ from tbdkit.potentials import (
     Constant,
     GaussianG,
     TanhOfG,
-    Zero,
     eval_dV_dxperp_sq,
     eval_V,
 )
-from tbdkit.spinor_algebra import GammaSet, build_gammas, slash1, slash2
+from tbdkit.spinor_algebra import GammaSet, build_gammas
 
 MASSES = MassPair(1.0, 1.3)
 BUMP = TanhOfG(g=GaussianG(amplitude=0.03, width=1.2))
@@ -227,11 +226,10 @@ def test_random_field_is_deterministic_and_band_limited():
 # Operator application
 
 
-def test_apply_matches_per_mode_matrix(rng):
+def test_apply_matches_per_mode_matrix(rng, reference_first_equation_matrices, reference_second_equation_matrix):
     # on a single harmonic both operators act as explicit 16x16
-    # matrices in the constituent momenta; build those independently
-    gam = build_gammas("dirac")
-    system = TwoBodyDiracSystem(MASSES, Constant(v=0.3), gam)
+    # matrices in the constituent momenta: the test oracles' M_1 and M_2
+    system = TwoBodyDiracSystem(MASSES, Constant(v=0.3), build_gammas("dirac"))
     grid = Grid(n=8, L=6.0)
     u = rng.standard_normal(16) + 1j * rng.standard_normal(16)
     p0, m = 0.21, (1, -2, 0)
@@ -239,9 +237,8 @@ def test_apply_matches_per_mode_matrix(rng):
     kappa = 2.0 * np.pi * np.asarray(m) / grid.L
     p1 = np.array([P_REST[0] / 2 + p0, *kappa])
     p2 = np.array([P_REST[0] / 2 - p0, *(-kappa)])
-    eye = np.eye(16)
-    M1 = slash1(gam, p1) - MASSES.m1 * eye + (slash2(gam, p2) - MASSES.m2 * eye) * 0.3
-    M2 = slash2(gam, p2) + MASSES.m2 * eye + (slash1(gam, p1) + MASSES.m1 * eye) * 0.3
+    M1 = reference_first_equation_matrices(system, P_REST, kappa, np.array([p0]))[0]
+    M2 = reference_second_equation_matrix(system, p1, p2)
     phase = mode_phase(grid, m)
     for which, M in ((1, M1), (2, M2)):
         out = apply_D(system, fld, which)
@@ -293,7 +290,7 @@ def test_on_shell_mode_is_annihilated():
 
 
 def test_compatibility_zero_potential():
-    system = TwoBodyDiracSystem(MASSES, Zero(), build_gammas("dirac"))
+    system = TwoBodyDiracSystem(MASSES, Constant(v=0.0), build_gammas("dirac"))
     grid = Grid(n=16, L=10.5)
     fld = random_band_limited_field(P_REST, grid, np.random.default_rng(11))
     assert compatibility_residual(system, fld) < 1e-13
@@ -525,7 +522,7 @@ def test_free_equal_mass_threshold_root():
     # closed-form product state
     masses = MassPair(1.0, 1.0)
     gam = build_gammas("dirac")
-    free = TwoBodyDiracSystem(masses, Zero(), gam)
+    free = TwoBodyDiracSystem(masses, Constant(v=0.0), gam)
     roots = plane_wave_solutions(free, np.array([2.0, 0, 0, 0.0]), (0, 0, 0), (-0.5, 0.5))
     assert len(roots) == 1
     p0, basis = roots[0]
@@ -540,7 +537,7 @@ def test_free_equal_mass_threshold_root():
 def test_free_off_shell_momentum_has_no_roots():
     # at P0 = 2.5 particle 1 is on shell only at p0 = -0.25; a window
     # that keeps p_1^0 = 1.25 + p0 off 1 holds no root
-    free = TwoBodyDiracSystem(MassPair(1.0, 1.0), Zero(), build_gammas("dirac"))
+    free = TwoBodyDiracSystem(MassPair(1.0, 1.0), Constant(v=0.0), build_gammas("dirac"))
     P = np.array([2.5, 0, 0, 0.0])
     assert plane_wave_solutions(free, P, (0, 0, 0), (-0.2, 0.5)) == []
     assert [round(p0, 12) for p0, _ in plane_wave_solutions(free, P, (0, 0, 0), (-0.5, 0.5))] == [-0.25]
@@ -550,7 +547,7 @@ def test_free_moving_pair_root_at_energy_split():
     m1, m2, p = 1.0, 1.3, 0.4
     e1 = math.sqrt(m1**2 + p**2)
     e2 = math.sqrt(m2**2 + p**2)
-    free = TwoBodyDiracSystem(MassPair(m1, m2), Zero(), build_gammas("dirac"))
+    free = TwoBodyDiracSystem(MassPair(m1, m2), Constant(v=0.0), build_gammas("dirac"))
     P = np.array([e1 + e2, 0, 0, 0.0])
     roots = plane_wave_solutions(free, P, (p, 0, 0), (-1.0, 1.0))
     split = 0.5 * (e1 - e2)
@@ -563,7 +560,7 @@ FREE_MOMENTA = [(0.0, 0.0, 0.0), (0.3, 0.0, 0.0), (0.2, -0.7, 1.1), (5.0, 0.0, 0
 @pytest.mark.parametrize("p", FREE_MOMENTA)
 def test_free_product_state_solves_both_equations(gammas, p, reference_second_equation_residual):
     # the closed-form u_1 x u_2 is a null vector of M_1 and of M_2
-    free = TwoBodyDiracSystem(MASSES, Zero(), gammas)
+    free = TwoBodyDiracSystem(MASSES, Constant(v=0.0), gammas)
     state = free_product_state(gammas, MASSES, p)
     assert np.linalg.norm(state.u) == pytest.approx(1.0, abs=1e-15)
     assert first_equation_residual(free, state) <= RESIDUAL_TOL

@@ -12,15 +12,12 @@ from tbdkit.positivity import scan
 from tbdkit.potentials import (
     FOUR_PI,
     Constant,
-    ConstantG,
     GaussianG,
-    PolynomialG,
     Potential,
     PotentialDomainError,
     SingularOriginError,
     TanhOfG,
     YukawaTanh,
-    Zero,
     eval_ddelta_dP2,
     eval_delta,
     eval_dV_dxperp_sq,
@@ -46,7 +43,7 @@ def test_value_at_unit_radius_frozen():
 
 
 def test_zero_and_constant_values():
-    assert eval_V(Zero(), -1.0, 4.0) == 0.0
+    assert eval_V(Constant(v=0.0), -1.0, 4.0) == 0.0
     assert eval_V(Constant(v=0.3), -2.5, 9.0) == 0.3
     arr = eval_V(Constant(v=0.3), np.array([-1.0, -2.0]), 4.0)
     assert np.array_equal(arr, [0.3, 0.3])
@@ -63,7 +60,7 @@ def test_yukawa_value_matches_formula(rng):
 
 def test_values_strictly_bounded(rng):
     xps, P2 = sample_points(rng, 10_000)
-    for spec in (GAUSS_BUMP, YUKAWA, TanhOfG(g=PolynomialG(coeffs=(0.2, -1.0, 0.5)))):
+    for spec in (GAUSS_BUMP, YUKAWA):
         vals = np.array([eval_V(spec, x, p) for x, p in zip(xps, P2)])
         deltas = np.array([spec.delta(x, p) for x, p in zip(xps, P2)])
         # |V| <= 1 everywhere; strictly below 1 wherever tanh has not
@@ -102,14 +99,14 @@ def test_dV_dP2_matches_finite_difference(rng, reference_dV_dP2):
 
 def test_dV_dP2_zero_for_momentum_independent_variants(rng, reference_dV_dP2):
     xps, P2 = sample_points(rng, 10)
-    for spec in (Zero(), Constant(v=0.2), GAUSS_BUMP):
+    for spec in (Constant(v=0.0), Constant(v=0.2), GAUSS_BUMP):
         for x, p in zip(xps, P2):
             assert reference_dV_dP2(spec, x, p) == 0.0
 
 
 def test_dV_dxperp_sq_matches_finite_difference(rng):
     xps, P2 = sample_points(rng, 40)
-    for spec in (GAUSS_BUMP, YUKAWA, TanhOfG(g=PolynomialG(coeffs=(0.0, 0.3)))):
+    for spec in (GAUSS_BUMP, YUKAWA):
         for x, p in zip(xps, P2):
             h = 1e-6 * max(1.0, abs(x))
             fd = (eval_V(spec, x + h, p) - eval_V(spec, x - h, p)) / (2.0 * h)
@@ -124,7 +121,7 @@ def test_ddelta_dP2_matches_finite_difference(rng):
         fd = (YUKAWA.delta(x, p + h) - YUKAWA.delta(x, p - h)) / (2.0 * h)
         an = eval_ddelta_dP2(YUKAWA, x, p)
         assert an == pytest.approx(fd, rel=1e-6, abs=1e-12)
-    for spec in (Zero(), Constant(v=0.2), GAUSS_BUMP):
+    for spec in (Constant(v=0.0), Constant(v=0.2), GAUSS_BUMP):
         assert eval_ddelta_dP2(spec, -1.0, 4.0) == 0.0
 
 
@@ -168,7 +165,7 @@ def test_evaluators_reject_non_spec(evaluator):
 
 @pytest.mark.parametrize("evaluator", EVALUATORS, ids=lambda f: f.__name__)
 def test_complex_P_sq_gives_complex_scalar_and_full_arrays(evaluator):
-    for spec in (Zero(), GAUSS_BUMP, YUKAWA):
+    for spec in (Constant(v=0.0), GAUSS_BUMP, YUKAWA):
         assert isinstance(evaluator(spec, -1.0, 4.0 + 1e-3j), complex)
         assert isinstance(evaluator(spec, -1.0, 4.0), float)
         assert evaluator(spec, -np.ones((2, 3)), 4.0).shape == (2, 3)
@@ -178,14 +175,14 @@ def test_complex_P_sq_gives_complex_scalar_and_full_arrays(evaluator):
 def test_ddelta_dP2_is_its_formula_bit_for_bit(P_sq):
     # the Yukawa dDelta/dP^2 is (c(r)/2) (P^2)^{-3/2}; the other kinds have none
     xps = -np.linspace(0.01, 9.0, 37)
-    for spec in (Zero(), Constant(v=0.3), GAUSS_BUMP, YUKAWA):
+    for spec in (Constant(v=0.0), Constant(v=0.3), GAUSS_BUMP, YUKAWA):
         expect = 0.5 * spec.core(np.sqrt(-xps)) * P_sq ** (-1.5) if spec is YUKAWA else np.zeros_like(xps)
         assert eval_ddelta_dP2(spec, xps, P_sq).tobytes() == expect.tobytes()
 
 
 def test_constant_value_only_for_constant_potentials():
     assert Constant(v=0.3).constant_value() == 0.3
-    assert Zero().constant_value() == 0.0
+    assert Constant(v=0.0).constant_value() == 0.0
     for spec in (GAUSS_BUMP, YUKAWA):
         with pytest.raises(TypeError, match="plane-wave states require"):
             spec.constant_value()
@@ -206,14 +203,13 @@ def test_constant_rapidity_is_artanh_v():
         # V is v itself, not tanh(artanh v), so the grid and the plane
         # waves read the same number
         assert eval_V(spec, -1.0, 4.0) == spec.constant_value() == v
-    assert eval_delta(Zero(), -1.0, 4.0) == 0.0
 
 
 def test_every_kind_supplies_delta_and_inherits_tanh_of_it():
     # V = tanh(Delta) and dV/dx_perp^2 are written once, on Potential,
     # which has no delta of its own; Constant alone keeps V = v (above)
     assert not hasattr(Potential, "delta")
-    for cls in (Zero, Constant, TanhOfG, YukawaTanh):
+    for cls in (Constant, TanhOfG, YukawaTanh):
         assert callable(cls.delta)
         assert cls.dV_dxperp_sq is Potential.dV_dxperp_sq
     assert TanhOfG.V is YukawaTanh.V is Potential.V
@@ -284,18 +280,6 @@ def test_gaussian_rejects_a_width_whose_square_leaves_the_float_range(width):
     # 1e200**2 raised OverflowError when the potential was first evaluated
     with pytest.raises(ValueError, match="positive finite square"):
         GaussianG(amplitude=1.0, width=width)
-
-
-def test_polynomial_g_derivative():
-    g = PolynomialG(coeffs=(1.0, 2.0, 3.0))
-    assert g.value(2.0) == pytest.approx(1.0 + 4.0 + 12.0)
-    assert g.derivative(2.0) == pytest.approx(2.0 + 12.0)
-
-
-def test_constant_g_flat():
-    g = ConstantG(c=0.7)
-    assert g.value(3.0) == 0.7
-    assert g.derivative(3.0) == 0.0
 
 
 def test_yukawa_y_matches_formula():

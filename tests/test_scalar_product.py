@@ -20,7 +20,6 @@ from tbdkit.potentials import (
     GaussianG,
     TanhOfG,
     YukawaTanh,
-    Zero,
     eval_delta,
     eval_V,
 )
@@ -59,7 +58,7 @@ def form(kernel, field_a, field_b, gammas):
 
 def free_product(field_a, field_b, gammas):
     """The free flavor's form at the fields' grid and P^2."""
-    kernel = build_kernel("free", Zero(), minkowski_sq(field_a.P), field_a.grid)
+    kernel = build_kernel("free", Constant(v=0.0), minkowski_sq(field_a.P), field_a.grid)
     return form(kernel, field_a, field_b, gammas)
 
 
@@ -113,7 +112,7 @@ def test_free_product_is_sesquilinear(gam, rng):
 
 def test_free_kernel_coefficients():
     grid = Grid(n=8, L=6.0)
-    kernel = build_kernel("free", Zero(), P2_SQ, grid)
+    kernel = build_kernel("free", Constant(v=0.0), P2_SQ, grid)
     # the written bracket gamma_1^0 gamma_2^0 sits swapped in the form:
     # the quadratic form of the bar convention is the identity
     assert np.all(kernel.B == 0.0)
@@ -122,8 +121,8 @@ def test_free_kernel_coefficients():
 
 def test_sazdjian_kernel_reduces_to_free_for_zero_potential():
     grid = Grid(n=8, L=6.0)
-    kernel = build_kernel("sazdjian", Zero(), P2_SQ, grid)
-    free = build_kernel("free", Zero(), P2_SQ, grid)
+    kernel = build_kernel("sazdjian", Constant(v=0.0), P2_SQ, grid)
+    free = build_kernel("free", Constant(v=0.0), P2_SQ, grid)
     assert np.allclose(kernel.B, free.B)
     assert np.allclose(kernel.A, free.A)
 
@@ -138,7 +137,7 @@ def test_sazdjian_kernel_constant_potential():
 
 def test_crater_kernel_is_identity_for_momentum_independent_potentials():
     grid = Grid(n=8, L=6.0)
-    for pot in (Zero(), Constant(v=0.4), TanhOfG(g=GaussianG(amplitude=0.5, width=1.0))):
+    for pot in (Constant(v=0.0), Constant(v=0.4), TanhOfG(g=GaussianG(amplitude=0.5, width=1.0))):
         # the crater bracket is written against psi^dagger: no swap
         kernel = build_kernel("crater", pot, P2_SQ, grid)
         assert np.allclose(kernel.A, 1.0)
@@ -228,13 +227,13 @@ def test_kernel_form_matrix_is_hermitian(gam):
 def test_build_kernel_validation(rng):
     grid = Grid(n=8, L=4.0)
     with pytest.raises(ValueError):
-        build_kernel("euclidean", Zero(), P2_SQ, grid)
+        build_kernel("euclidean", Constant(v=0.0), P2_SQ, grid)
     # a moving total momentum is outside the domain of the rest-frame
     # kernel even at the kernel's own P^2; no such field can be built
     with pytest.raises(ValueError, match="rest frame"):
         replace(random_band_limited_field(P2, grid, rng, max_index=1), P=np.array([2.0, 0.3, 0.0, 0.0]))
     with pytest.raises(ValueError):
-        build_kernel("free", Zero(), 0.0, grid)
+        build_kernel("free", Constant(v=0.0), 0.0, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +261,7 @@ def test_form_pair_calls_each_evaluator_at_most_once(monkeypatch, flavor, expect
 
 def test_free_flavor_reproduces_free_product(gam):
     grid = Grid(n=8, L=6.0)
-    kernel = build_kernel("free", Zero(), P2_SQ, grid)
+    kernel = build_kernel("free", Constant(v=0.0), P2_SQ, grid)
     rng = np.random.default_rng(17)
     for _ in range(20):
         a = random_band_limited_field(P2, grid, rng, max_index=1)

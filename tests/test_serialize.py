@@ -124,6 +124,9 @@ def test_write_csv_rejects_complex_cells(tmp_path):
 def test_write_csv_rejects_string_columns(tmp_path):
     with pytest.raises(TypeError):
         write_csv(tmp_path / "bad.csv", ("a",), [np.array(["x"])])
+    # nor bool: a CSV column is integer or float
+    with pytest.raises(TypeError, match="integer or float"):
+        write_csv(tmp_path / "bad.csv", ("a", "b"), [np.array([1, 2]), np.array([True, False])])
 
 
 @pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf")])
@@ -144,7 +147,6 @@ _FLOAT_EDGES = [
 ]
 _CELLS = {
     "int64": st.integers(-(2**63), 2**63 - 1),
-    "bool": st.booleans(),
     "float64": st.one_of(
         st.sampled_from([0.0, -0.0]),
         st.sampled_from(_FLOAT_EDGES),
@@ -201,7 +203,7 @@ def _block_columns(n_rows):
     return [
         i % 7 - 3,
         np.where(i % 3 == 0, -0.0, 1.0 / (i % 11 + 1)),
-        i % 2 == 0,
+        i % 2,
         (i % 5).astype(np.uint8) * 50,
         np.linspace(-1.0, 1.0, n_rows),
     ]
@@ -210,7 +212,7 @@ def _block_columns(n_rows):
 @pytest.mark.parametrize("n_rows", [0, 1, serialize._BLOCK_ROWS, 2 * serialize._BLOCK_ROWS + 1])
 def test_write_csv_block_boundaries_match_reference(tmp_path, reference_csv, n_rows):
     columns = _block_columns(n_rows)
-    header = ("int", "float", "flag", "byte", "ramp")
+    header = ("int", "float", "parity", "byte", "ramp")
     p = tmp_path / "table.csv"
     write_csv(p, header, columns)
     assert p.read_bytes() == reference_csv(header, list(zip(*columns))).encode("ascii")
