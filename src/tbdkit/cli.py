@@ -244,6 +244,8 @@ def load_config(command: str, path):
         if key not in ("schema", "command"):
             _check(key, value, cfg[key])
             cfg[key] = value
+    if cfg.get("seed", 0) < 0:  # numpy's own message names no key
+        raise ConfigError(f"seed must be a non-negative integer, got {cfg['seed']!r}")
     return cfg
 
 

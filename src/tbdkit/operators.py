@@ -8,7 +8,8 @@ phi is carried as a finite list of relative-energy modes,
 
     phi(x) = sum_m e^{-i p0_m x^0} chi_m(bold x),
 
-each chi_m a C^16-valued field on a periodic spatial grid. Time
+each chi_m a C^16-valued field on a periodic spatial grid, held as its
+waves: integer wavevector indices and 16-component amplitudes. Time
 derivatives then act analytically on the mode labels and only the three
 spatial derivatives are spectral. The grid is offset by half a cell so
 the origin (where the Yukawa core blows up) is never sampled; n must be
@@ -52,15 +53,18 @@ of the product V phi and therefore converges to it at spectral rate
 under grid refinement. The analytic realization is the default since it
 is the one with a measurable discretization error.
 
-The residual shares transforms: a spectrum that is known is never
-transformed again. Per relative-energy mode, F chi and F(V chi) give the
-spectra of D_1 chi and D_2 chi, whose inverses d_1, d_2 give F(V d_1)
-and F(V d_2), and one inverse transform of the left side follows. That
-is 7 FFTs per mode for the analytic realization (its commutators act
-pointwise on d_1, d_2) and 8 for the composed one; V is evaluated once
-per residual, and the symbol tables and the band-limit guard's mask
-once. The guard reads F chi from the same pass; the analytic
-commutators are tables of i gamma^k d_k V applied to d_1 and d_2.
+The residual starts from the spectrum. On the half-cell-offset grid a
+wave e^{+i 2 pi m.x / L} is e^{i pi m (1/n - 1)} e^{+i 2 pi m.j / n} per
+axis at sample j, so F chi is n^3 times the mode's coefficients at its
+indices m mod n, and F(V chi) = sum_u c_u F V(. - k_u) is one product of
+the (16 x U) coefficients with U shifted copies of F V, transformed once
+per residual. Per relative-energy mode the symbols of D_1 and D_2 act on
+F chi point by point and on F(V chi) as tables; the inverses d_1, d_2
+give F(V d_1) and F(V d_2), and one inverse transform of the left side
+follows: 5 FFTs per mode for the analytic realization (its commutators
+act pointwise on d_1, d_2) and 6 for the composed one, plus 1 per
+residual. V, the symbol tables, F V and the work arrays are made once
+per residual and reused for every mode.
 
 Plane waves. For a constant potential v the first equation is the
 linear matrix pencil M_1(p0) = A + p0 B with B = gamma_1^0 - v gamma_2^0,
@@ -149,13 +153,18 @@ class Grid:
 @dataclass(frozen=True)
 class InternalField:
     """Internal field at fixed total momentum: modes is a tuple of
-    (p0, chi) with chi of shape (16, n, n, n). P is a timelike
-    rest-frame four-vector; construction (replace included) rejects
-    anything else, so no operator checks it again.
+    (p0, m, amps), one per relative-energy mode, whose profile is the sum
+    of its waves amps[w] e^{+i 2 pi m[w].x / L}: m an int (W, 3) array of
+    wavevector indices, amps a complex (W, 16) array. No samples are
+    stored; _wave_sum makes them. P is a timelike rest-frame
+    four-vector; construction (replace included) rejects anything else,
+    so no operator checks it again.
 
     The field norm treats distinct relative-energy modes as orthogonal
     channels (they are, under time averaging), so ||phi||^2 =
-    sum_modes ||chi||^2 h^3.
+    sum_modes ||chi||^2 h^3, each ||chi||^2 h^3 read by Parseval from
+    the coefficients of the mode's distinct grid indices (_mode_points):
+    repeated and aliased wavevectors count once.
     """
 
     P: FourVector
@@ -164,18 +173,17 @@ class InternalField:
 
     def __post_init__(self):
         object.__setattr__(self, "P", check_rest_frame(self.P))
-        n = self.grid.n
         checked = []
-        for p0, chi in self.modes:
-            chi = np.asarray(chi, dtype=complex)
-            if chi.shape != (16, n, n, n):
-                raise ValueError(f"mode field must have shape (16, {n}, {n}, {n})")
-            checked.append((float(p0), chi))
+        for p0, m, amps in self.modes:
+            m, amps = np.asarray(m), np.asarray(amps, dtype=complex)
+            if m.dtype.kind not in "iu" or m.ndim != 2 or m.shape[1] != 3 or amps.shape != (len(m), 16):
+                raise ValueError("a mode's waves must be integer indices of shape (W, 3) and amplitudes of shape (W, 16)")
+            checked.append((float(p0), m, amps))
         object.__setattr__(self, "modes", tuple(checked))
 
     def norm(self) -> float:
-        total = sum(np.sum(np.abs(chi) ** 2) for _, chi in self.modes)
-        return float(np.sqrt(total * self.grid.h**3))
+        total = sum(np.sum(np.abs(_mode_points(self.grid, m, amps)[1]) ** 2) for _, m, amps in self.modes)
+        return float(np.sqrt(total * self.grid.n**3 * self.grid.h**3))
 
 
 @dataclass(frozen=True)
@@ -213,14 +221,14 @@ _AXES = (-3, -2, -1)  # the spatial axes of a (4, 4, n, n, n) field
 
 
 # numpy allocates a fresh output on each axis pass of fftn unless it is
-# given one: every transform gets an out, a new array or (for a complex
-# temporary) its own input, which transforms it in place.
+# given one: every transform gets an out, a new array (F V) or a work
+# array, often its own input, which transforms it in place.
 def _fft(x, out=None):
     return np.fft.fftn(x, axes=_AXES, out=np.empty(x.shape, complex) if out is None else out)
 
 
-def _ifft(x, out=None):
-    return np.fft.ifftn(x, axes=_AXES, out=np.empty(x.shape, complex) if out is None else out)
+def _ifft(x, out):
+    return np.fft.ifftn(x, axes=_AXES, out=out)
 
 
 def _gamma_table(gammas: GammaSet, c):
@@ -235,27 +243,25 @@ def _gamma_table(gammas: GammaSet, c):
     ]
 
 
-def _apply_rows(rows, x, particle: int, out=None):
+def _apply_rows(rows, x, particle: int, out, add: bool = False):
     """out[a] = sum of s x[b] over (b, s) in rows[a], on the particle's
-    spinor index (axis 0 of x, or 1 for particle 2); added to out when
-    it is given."""
-    fresh = out is None
-    out = np.empty_like(x) if fresh else out
+    spinor index (axis 0 of x, or 1 for particle 2), written over out or,
+    with add, added to it. Returns out."""
     xv, ov = (x, out) if particle == 1 else (x.swapaxes(0, 1), out.swapaxes(0, 1))
     tmp = np.empty_like(xv[0])
     for a, row in enumerate(rows):
-        if fresh and not row:
+        if not (add or row):
             ov[a] = 0
         for j, (b, s) in enumerate(row):
-            if fresh and j == 0:
+            if j == 0 and not add:
                 np.multiply(xv[b], s, out=ov[a])
             else:
                 ov[a] += np.multiply(xv[b], s, out=tmp)
     return out
 
 
-def _kinetic(gammas: GammaSet, particle: int, p_0: float, spec, table, shift: float = 0.0):
-    """(K_i + shift) acting on a spectrum through its symbol
+def _symbol_rows(gammas: GammaSet, particle: int, p_0: float, table, shift: float = 0.0):
+    """Rows (see _apply_rows) of the symbol of K_i + shift,
     S = p_i^0 gamma^0 + shift -+ sum_k gamma^k kappa_k, minus for
     particle 1 (momentum P/2 + p), plus for particle 2. The constant
     4x4 part is merged into the rows of the kappa table."""
@@ -267,22 +273,38 @@ def _kinetic(gammas: GammaSet, particle: int, p_0: float, spec, table, shift: fl
         for b, t in row:
             merged[b] = merged.get(b, 0.0) - sign * t
         rows.append(list(merged.items()))
-    return _apply_rows(rows, spec, particle)
+    return rows
 
 
-def _D_spectrum(system: TwoBodyDiracSystem, which: int, p1_0, p2_0, table, F_chi, F_Vchi):
-    """Spectrum of D_which chi for one relative-energy mode, four symbol
-    applications to the spectra of chi and V chi:
+def _D_spectrum(system: TwoBodyDiracSystem, which: int, p1_0, p2_0, table, F_chi, F_Vchi, out):
+    """Spectrum of D_which chi for one relative-energy mode, into out:
     F D_1 chi = (K_1 - m_1) F chi + (K_2 - m_2) F(V chi),
-    F D_2 chi = (K_2 + m_2) F chi + (K_1 + m_1) F(V chi)."""
+    F D_2 chi = (K_2 + m_2) F chi + (K_1 + m_1) F(V chi).
+    F(V chi) is dense and takes the table's rows. F chi is (flat, kappa, f):
+    its values f (4, 4, U) at the U distinct flat grid indices flat, of
+    wavevectors kappa (U, 3), where the same rows are built from a table
+    of the U points alone and the result is added at flat."""
     m1, m2 = system.masses.m1, system.masses.m2
     g = system.gammas
-    if which == 1:
-        out = _kinetic(g, 1, p1_0, F_chi, table, -m1)
-        out += _kinetic(g, 2, p2_0, F_Vchi, table, -m2)
-    else:
-        out = _kinetic(g, 2, p2_0, F_chi, table, m2)
-        out += _kinetic(g, 1, p1_0, F_Vchi, table, m1)
+    particle, p_0, shift = (2, p2_0, -m2) if which == 1 else (1, p1_0, m1)
+    _apply_rows(_symbol_rows(g, particle, p_0, table, shift), F_Vchi, particle, out)
+    particle, p_0, shift = (1, p1_0, -m1) if which == 1 else (2, p2_0, m2)
+    flat, kappa, f = F_chi
+    rows = _symbol_rows(g, particle, p_0, _gamma_table(g, kappa.T), shift)
+    out.reshape(4, 4, -1)[:, :, flat] += _apply_rows(rows, f, particle, np.empty_like(f))
+    return out
+
+
+def _V_times(FV2, k, c, shifted, out):
+    """F(V chi) into out, shape (4, 4, n, n, n), for the mode
+    chi_j = sum_u c_u e^{+i 2 pi k_u.j / n}: sum_u c_u F V(. - k_u), one
+    product of c^T (16 x U) with the U shifted copies of F V, each a
+    slice of FV2 (F V tiled twice along every axis) copied into the
+    rows of the work array shifted."""
+    n, U = out.shape[-1], len(k)
+    for u, (x, y, z) in enumerate(n - k):
+        shifted[u] = FV2[x : x + n, y : y + n, z : z + n]
+    np.matmul(c.T, shifted[:U].reshape(U, -1), out=out.reshape(16, -1))
     return out
 
 
@@ -290,17 +312,11 @@ def _D_spectrum(system: TwoBodyDiracSystem, which: int, p1_0, p2_0, table, F_chi
 # Field constructors
 
 
-def _wave_sum(grid: Grid, waves) -> np.ndarray:
-    """The field sum_w amp_w e^{+i 2 pi m_w.x / L} of waves (m, amp) on
-    the grid, shape (16, n, n, n), warning once per wave in order whose
-    index lies outside [-n/2, n/2), on behalf of the caller of the
-    public function that calls this one directly.
-
-    Each phase factors over the axes, so the field is one product
-    chi[c, x, (y, z)] = sum_w (amp_wc e^x_w[x]) (e^y_w[y] e^z_w[z]) of a
-    (16 n x W) by a (W x n^2) matrix: no per-wave or (W, n^3) phase
-    array is made. No waves give the zero field.
-    """
+def _pack(grid: Grid, waves):
+    """The waves (m, amp) of a mode as arrays: m int (W, 3), amps
+    complex (W, 16). Warns once per wave in order whose index lies
+    outside [-n/2, n/2), on behalf of the caller of the public function
+    that calls this one directly."""
     n = grid.n
     m = np.array([idx for idx, _ in waves], dtype=int).reshape(-1, 3)
     amps = np.array([np.asarray(amp, dtype=complex).reshape(16) for _, amp in waves]).reshape(-1, 16)
@@ -311,10 +327,40 @@ def _wave_sum(grid: Grid, waves) -> np.ndarray:
             AliasingWarning,
             stacklevel=3,
         )
+    return m, amps
+
+
+def _wave_sum(grid: Grid, m, amps) -> np.ndarray:
+    """The samples sum_w amps_w e^{+i 2 pi m_w.x / L} on the grid,
+    shape (16, n, n, n).
+
+    Each phase factors over the axes, so the field is one product
+    chi[c, x, (y, z)] = sum_w (amp_wc e^x_w[x]) (e^y_w[y] e^z_w[z]) of a
+    (16 n x W) by a (W x n^2) matrix: no per-wave or (W, n^3) phase
+    array is made. No waves give the zero field.
+    """
+    n = grid.n
     ex, ey, ez = np.exp(2j * np.pi / grid.L * (m.T[:, :, None] * grid.axis))  # each (W, n)
     left = (amps.T[:, None, :] * ex.T).reshape(16 * n, len(m))
     right = (ey[:, :, None] * ez[:, None, :]).reshape(len(m), n * n)
     return (left @ right).reshape(16, n, n, n)
+
+
+def _mode_points(grid: Grid, m, amps):
+    """The distinct grid indices k (U, 3), in [0, n), of a mode's waves
+    and its coefficients c (U, 16) there, so that its samples are
+    chi_j = sum_u c_u e^{+i 2 pi k_u.j / n} and F chi = n^3 c at k.
+
+    At x_j = -L/2 + (j + 1/2) h a wave e^{+i 2 pi m x / L} is
+    e^{i pi m (1/n - 1)} e^{+i 2 pi m j / n} per axis, so each amplitude
+    takes the product of its axes' phases and waves with the same index
+    mod n (repeated or aliased) add, in wave order."""
+    n = grid.n
+    phase = np.exp(1j * np.pi * (1.0 / n - 1.0) * m.sum(axis=1))
+    flat, which = np.unique(np.ravel_multi_index((m % n).T, (n, n, n)), return_inverse=True)
+    c = np.zeros((len(flat), 16), complex)
+    np.add.at(c, which, phase[:, None] * amps)
+    return np.stack(np.unravel_index(flat, (n, n, n)), axis=1), c
 
 
 def field_from_modes(P, grid: Grid, mode_spec) -> InternalField:
@@ -325,22 +371,21 @@ def field_from_modes(P, grid: Grid, mode_spec) -> InternalField:
     16-component amplitude. Indices outside the representable range
     [-n/2, n/2) alias onto other modes; that is reported as an
     AliasingWarning, not an error, because convergence studies evaluate
-    one spec on several grids on purpose. Each mode is one product of
-    per-axis factors (see _wave_sum); a mode with no waves is the zero
-    field.
+    one spec on several grids on purpose. The field keeps each mode's
+    waves as arrays; a mode with no waves is the zero field.
     """
     modes = []
     for p0, waves in mode_spec:  # not a comprehension: its frame would take the warnings
-        modes.append((p0, _wave_sum(grid, waves)))
+        modes.append((p0, *_pack(grid, waves)))
     return InternalField(P=P, grid=grid, modes=tuple(modes))
 
 
 def equal_time_profile(grid: Grid, mode_spec) -> np.ndarray:
     """phi(0, x) of the field that field_from_modes would build from
-    mode_spec, without building its modes: every relative-energy phase
-    is 1 at t = 0, so it is the sum of all the spec's waves, one product
-    over all of them. The array is new and the caller's to overwrite."""
-    return _wave_sum(grid, [wave for _, waves in mode_spec for wave in waves])
+    mode_spec, sampled on the grid: every relative-energy phase is 1 at
+    t = 0, so it is the sum of all the spec's waves, one product over
+    all of them. The array is new and the caller's to overwrite."""
+    return _wave_sum(grid, *_pack(grid, [wave for _, waves in mode_spec for wave in waves]))
 
 
 def random_band_limited_spec(rng, p0_values=(0.17, -0.4, 0.33), waves_per_mode=6, max_index=2):
@@ -365,15 +410,16 @@ def random_band_limited_field(P, grid: Grid, rng: np.random.Generator, **spec) -
 # Compatibility identity
 
 
-def _band_limit_guard(F_chi, mask, threshold: float = 1e-10):
-    """Warn if a mode spectrum carries noticeable weight where mask is
-    set (the top third of the band); the residual measurement presumes
-    smoothness."""
-    power = np.sum(np.abs(F_chi) ** 2, axis=(0, 1))
+def _band_limit_guard(n: int, k, c, threshold: float = 1e-10):
+    """Warn if a mode carries noticeable weight in the top third of the
+    band, read from its coefficients c at its grid indices k; the
+    residual measurement presumes smoothness."""
+    power = np.sum(np.abs(c) ** 2, axis=1)
     total = np.sum(power)
     if total == 0:
         return
-    frac = np.sum(power[mask]) / total
+    signed = np.where(k >= n // 2, k - n, k)  # fftfreq's signed index
+    frac = np.sum(power[np.any(np.abs(signed) > n / 3.0, axis=1)]) / total
     if frac > threshold:
         warnings.warn(
             f"field has fraction {frac:.2e} of spectral weight in the "
@@ -397,60 +443,80 @@ def compatibility_residual(
     error of the product spectra and decays at spectral rate on smooth
     band-limited fields.
 
-    One pass per relative-energy mode transforms every field once. With
-    s_i the spectrum of D_i chi and d_i = IFFT s_i, the left side's
-    spectrum is K_1 (s_2 - F(V d_1)) + K_2 (F(V d_2) - s_1)
-    - m_1 (s_2 + F(V d_1)) - m_2 (F(V d_2) + s_1); the composed
-    difference lhs - rhs is IFFT[lhs + K_1 F(V d_1) - K_2 F(V d_2)]
+    One pass per relative-energy mode, in six work arrays made once. With
+    s_i the spectrum of D_i chi, d_i = IFFT s_i, A = F(V d_1) and
+    B = F(V d_2), the left side's spectrum is
+    (K_1 - m_1)(s_2 - A) + (K_2 - m_2)(B - s_1) - 2 m_1 A - 2 m_2 s_1;
+    the composed difference lhs - rhs is IFFT[lhs + K_1 A - K_2 B]
     - V IFFT[K_1 s_1 - K_2 s_2]. The squared difference is summed mode
-    by mode.
+    by mode. Masses and P0 that overflow it raise a ValueError naming
+    them.
     """
     if commutator_realization not in ("analytic", "composed"):
         raise ValueError(f"unknown commutator realization: {commutator_realization!r}")
+    composed = commutator_realization == "composed"
     m1, m2 = system.masses.m1, system.masses.m2
     g = system.gammas
     grid = fld.grid
+    n = grid.n
     P0, P_sq = fld.P[0], minkowski_sq(fld.P)
     V = eval_V(system.potential, -grid.radius_sq, P_sq)
     table = _gamma_table(g, np.ix_(*[grid.wavenumbers] * 3))
-    shell = np.abs(np.fft.fftfreq(grid.n, d=1.0 / grid.n)) > grid.n / 3.0  # top third of the band
-    mask = shell[:, None, None] | shell[None, :, None] | shell[None, None, :]
-    if commutator_realization == "analytic":
+    if not composed:
         # [K_1, V] = +i gamma_1^k (d_k V), [K_2, V] = -i gamma_2^k (d_k V),
         # with d_k V = dV/dxperp^2 * (-2 x^k); the table holds i gamma^k d_k V,
         # x^k broadcast along its own axis
         idV = 1j * eval_dV_dxperp_sq(system.potential, -grid.radius_sq, P_sq)
         x = grid.axis
         commutator = _gamma_table(g, [idV * (-2.0 * xk) for xk in (x[:, None, None], x[:, None], x)])
+    points = [_mode_points(grid, m, amps) for _, m, amps in fld.modes]
+    FV2 = np.tile(_fft(V), (2, 2, 2))
+    shifted = np.empty((max((len(k) for k, _ in points), default=0), n, n, n), complex)
+    s1, s2, d1, d2, a, b = np.empty((6, 4, 4, n, n, n), complex)
     total = 0.0
-    for p0, chi in fld.modes:
+    for (p0, _, _), (k, c) in zip(fld.modes, points):
+        _band_limit_guard(n, k, c)
         p1_0, p2_0 = P0 / 2 + p0, P0 / 2 - p0
-        chi4 = chi.reshape(4, 4, *chi.shape[1:])
-        F_chi = _fft(chi4)
-        _band_limit_guard(F_chi, mask)
-        Vchi = V * chi4
-        F_Vchi = _fft(Vchi, out=Vchi)
-        s1 = _D_spectrum(system, 1, p1_0, p2_0, table, F_chi, F_Vchi)
-        s2 = _D_spectrum(system, 2, p1_0, p2_0, table, F_chi, F_Vchi)
-        del F_chi, F_Vchi, Vchi
-        d1, d2 = _ifft(s1), _ifft(s2)
-        Vd1, Vd2 = V * d1, V * d2
-        F_Vd1, F_Vd2 = _fft(Vd1, out=Vd1), _fft(Vd2, out=Vd2)
-        lhs = _kinetic(g, 1, p1_0, s2 - F_Vd1, table)
-        lhs += _kinetic(g, 2, p2_0, F_Vd2 - s1, table)
-        lhs -= m1 * (s2 + F_Vd1)
-        lhs -= m2 * (F_Vd2 + s1)
-        if commutator_realization == "analytic":
-            # lhs - rhs with rhs = -[K_1, V] d_1 + [K_2, V] d_2
-            diff = _apply_rows(commutator, d2, 2, _apply_rows(commutator, d1, 1, _ifft(lhs, out=lhs)))
+        F_chi = (np.ravel_multi_index(k.T, (n, n, n)), grid.wavenumbers[k], n**3 * c.T.reshape(4, 4, -1))
+        F_Vchi = _V_times(FV2, k, c, shifted, out=d1)
+        _D_spectrum(system, 1, p1_0, p2_0, table, F_chi, F_Vchi, out=s1)
+        _D_spectrum(system, 2, p1_0, p2_0, table, F_chi, F_Vchi, out=s2)
+        _ifft(s1, out=d1)
+        _ifft(s2, out=d2)
+        _fft(np.multiply(V, d1, out=a), out=a)
+        _fft(np.multiply(V, d2, out=b), out=b)
+        if composed:
+            # V IFFT[K_1 s_1 - K_2 s_2] into d_1, and the left side starts
+            # in d_2 with K_1 A - K_2 B, the composed commutators' spectra
+            K1, K2 = _symbol_rows(g, 1, p1_0, table), _symbol_rows(g, 2, p2_0, table)
+            _apply_rows(K1, s1, 1, d1)
+            d1 -= _apply_rows(K2, s2, 2, d2)
+            np.multiply(V, _ifft(d1, out=d1), out=d1)
+            lhs = _apply_rows(K1, a, 1, d2)
+            s2 -= a
+            a *= -2 * m1
+            lhs += a
+            lhs -= _apply_rows(K2, b, 2, a)
         else:
-            lhs += _kinetic(g, 1, p1_0, F_Vd1, table)
-            lhs -= _kinetic(g, 2, p2_0, F_Vd2, table)
-            diff = _ifft(lhs, out=lhs)
-            kin = _kinetic(g, 1, p1_0, s1, table)
-            kin -= _kinetic(g, 2, p2_0, s2, table)
-            diff -= V * _ifft(kin, out=kin)
-        total += np.sum(np.abs(diff) ** 2)
+            s2 -= a
+            lhs = a
+            lhs *= -2 * m1
+        b -= s1
+        s1 *= 2 * m2
+        lhs -= s1
+        _apply_rows(_symbol_rows(g, 1, p1_0, table, -m1), s2, 1, lhs, add=True)
+        _apply_rows(_symbol_rows(g, 2, p2_0, table, -m2), b, 2, lhs, add=True)
+        diff = _ifft(lhs, out=lhs)
+        if composed:
+            diff -= d1
+        else:
+            # lhs - rhs with rhs = -[K_1, V] d_1 + [K_2, V] d_2
+            _apply_rows(commutator, d1, 1, diff, add=True)
+            _apply_rows(commutator, d2, 2, diff, add=True)
+        # s_1 is spent: its floats take the squares of diff's
+        total += np.sum(np.square(diff.view(float), out=s1.view(float)))
+    if not math.isfinite(total):
+        raise ValueError(f"masses ({m1!r}, {m2!r}) and P0 = {float(P0)!r} overflow the compatibility residual")
     return float(np.sqrt(total * grid.h**3)) / fld.norm()
 
 

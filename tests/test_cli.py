@@ -444,6 +444,9 @@ def _run_config(tmp_path, command, override, timeout=None):
         ),
         ("toy", {"sweep_rho_points": True}, "sweep_rho_points must be an integer, got True"),
         ("gauge", {"seed": 7.9}, "seed must be an integer, got 7.9"),
+        ("compat", {"seed": -1}, "seed must be a non-negative integer, got -1"),
+        ("gauge", {"seed": -1}, "seed must be a non-negative integer, got -1"),
+        ("selfcheck", {"seed": -3}, "seed must be a non-negative integer, got -3"),
         ("conserve", {"p_spatial_a": []}, "p_spatial_a must be a list of 3 numbers, got []"),
         ("conserve", {"p_spatial_b": [0.6, 0, 0, 0]}, "p_spatial_b must be a list of 3 numbers, got [0.6, 0, 0, 0]"),
         ("gauge", {"c": [0.37, 0.21, -0.4]}, "c must be a list of 4 numbers, got [0.37, 0.21, -0.4]"),
@@ -487,6 +490,9 @@ def _run_config(tmp_path, command, override, timeout=None):
         "gaussian_amplitude_string",
         "toy_rho_points_bool",
         "gauge_seed_fraction",
+        "compat_seed_negative",
+        "gauge_seed_negative",
+        "selfcheck_seed_negative",
         "conserve_p_spatial_a_empty",
         "conserve_p_spatial_b_four_entries",
         "gauge_c_three_entries",
@@ -537,7 +543,17 @@ _N8 = {"grid": {"n": 8, "L": 8.0}}
             {"potential": {"kind": "yukawa_tanh", "g1": 1e154, "g2": 1e154, "mu": 1.0}, "grid": {"n": 8, "L": 0.01}},
             "non-finite number in report: nan",
         ),
-        ("compat", {"n_fields": 1, "grid": {"n": 8, "L": 10.5}, "P0": 1e200}, "non-finite number in report: nan"),
+        # the residual itself overflows: its message names the inputs
+        (
+            "compat",
+            {"n_fields": 1, "grid": {"n": 8, "L": 10.5}, "P0": 1e200},
+            "masses (1.0, 1.3) and P0 = 1e+200 overflow the compatibility residual",
+        ),
+        (
+            "compat",
+            {"n_fields": 1, "grid": {"n": 8, "L": 10.5}, "masses": {"m1": 1e308, "m2": 1.3}},
+            "masses (1e+308, 1.3) and P0 = 3.0 overflow the compatibility residual",
+        ),
         # cell volumes outside the float range
         ("radius", {"grid": {"n": 8, "L": 1e200}}, "grid.L = 1e+200 puts the cell volume (L/n)^3 outside"),
         ("compat", {"n_fields": 1, "grid": {"n": 8, "L": 1e120}}, "grid.L = 1e+120 puts the cell volume"),
@@ -558,6 +574,7 @@ _N8 = {"grid": {"n": 8, "L": 8.0}}
         "gauge_huge_c",
         "gauge_yukawa_overflow",
         "compat_huge_P0",
+        "compat_huge_m1",
         "radius_huge_L",
         "compat_cell_overflow",
         "gauge_cell_overflow",
@@ -832,11 +849,12 @@ def test_tbdkit_threads_overrides_inherited_thread_variable():
     assert proc.stdout.strip() == "1"
 
 
-def _default_artifacts(tmp_path, command, threads):
-    """Name -> bytes of every file a default run writes."""
+def _default_artifacts(tmp_path, command, threads, *flags):
+    """Name -> bytes of every file a default run writes (flags: extra
+    arguments, such as a --config)."""
     out = tmp_path / f"threads{threads}"
     proc = subprocess.run(
-        [sys.executable, "-m", "tbdkit.cli", command, "--out", str(out), "--quiet"],
+        [sys.executable, "-m", "tbdkit.cli", command, *flags, "--out", str(out), "--quiet"],
         capture_output=True,
         text=True,
         env=_env(TBDKIT_THREADS=threads),
@@ -853,6 +871,16 @@ def test_selfcheck_is_byte_identical_across_thread_counts(tmp_path):
 def test_default_reports_are_byte_identical_across_thread_counts(tmp_path, command):
     # kernel also writes kernel_min_eigenvalues.csv
     assert _default_artifacts(tmp_path, command, "1") == _default_artifacts(tmp_path, command, "2")
+
+
+def test_compat_report_is_byte_identical_across_thread_counts(tmp_path):
+    # F(V chi) is one BLAS product per mode; one field of the default n = 32
+    # runs it at the benchmark's size (the default's ten take about 3 s)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema": "tbdkit-config/1", "n_fields": 1}))
+    one = _default_artifacts(tmp_path, "compat", "1", "--config", str(cfg))
+    assert list(one) == ["compat.json"]
+    assert one == _default_artifacts(tmp_path, "compat", "2", "--config", str(cfg))
 
 
 def test_runtime_imports_no_scipy(tmp_path):

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,7 +28,6 @@ from tbdkit.operators import (
     free_product_state,
     plane_wave_solutions,
     plane_wave_state,
-    field_from_modes,
     random_band_limited_spec,
 )
 from tbdkit.potentials import (
@@ -357,12 +355,12 @@ def gauge_setup(gam):
     return system, P, grid, spec
 
 
-def _mode_sum(fld):
-    """The equal-time profile as the sum of the field's mode profiles
+def _mode_sum(parts):
+    """The equal-time profile as the sum of the mode profiles in parts
     (every relative-energy phase is 1 at t = 0), an oracle for the one
     product over all waves that gauge_check builds."""
-    out = np.zeros((16,) + (fld.grid.n,) * 3, dtype=complex)
-    for _, chi in fld.modes:
+    out = np.zeros_like(parts[0])
+    for chi in parts:
         out += chi
     return out
 
@@ -434,13 +432,13 @@ def _mesh_phase(grid, c):
     return np.exp(1j * (c[1] * mesh[0] + c[2] * mesh[1] + c[3] * mesh[2]))
 
 
-def _per_mode_transformed_profile(fld, c):
+def _per_mode_transformed_profile(grid, parts, c):
     """The equal-time profile of the relative transform by the per-mode
-    route: every mode's relative energy shifted by c^0 and its profile
-    multiplied by e^{+i c_spatial . x}, then the modes summed."""
-    phase = _mesh_phase(fld.grid, c)
-    modes = tuple((p0 + c[0], chi * phase[None]) for p0, chi in fld.modes)
-    return _mode_sum(replace(fld, modes=modes))
+    route: every mode profile in parts multiplied by e^{+i c_spatial . x}
+    (the shift of its relative energy by c^0 is 1 at t = 0), then the
+    modes summed."""
+    phase = _mesh_phase(grid, c)
+    return _mode_sum([chi * phase[None] for chi in parts])
 
 
 @pytest.mark.parametrize("c", [(0.37, 0.21, -0.4, 0.11), (-0.5, 0.5, 0.5, -0.5), (0.0, 0.0, 0.0, 0.0)])
@@ -449,11 +447,10 @@ def test_gauge_profile_phase_matches_per_mode_route(gauge_setup, c):
     c = np.array(c)
     rep, _ = gauge_check(system, P, grid, spec, c, np.array([0.5, 0.0, 0.0, 0.0]))
     kernel = build_kernel("sazdjian", system.potential, minkowski_sq(P), grid)
-    fld = field_from_modes(P, grid, spec)
-    parts = [chi for _, chi in fld.modes]
-    profile = _mode_sum(fld)
+    parts = [equal_time_profile(grid, [mode]) for mode in spec]
+    profile = _mode_sum(parts)
     rho, sigma = densities(system.gammas, profile, profile)
-    moved = _per_mode_transformed_profile(fld, c)
+    moved = _per_mode_transformed_profile(grid, parts, c)
     rho_out, sigma_out = densities(system.gammas, moved, moved)
     drift = form_value(kernel, rho_out - rho, sigma_out - sigma)
     assert abs(drift) <= _relative_phase_bound(system, P, grid, parts)

@@ -15,6 +15,7 @@ from tbdkit.operators import (
     Grid,
     TwoBodyDiracSystem,
     compatibility_residual,
+    equal_time_profile,
     field_from_modes,
     free_product_state,
     plane_wave_solutions,
@@ -40,32 +41,59 @@ def single_mode(grid, p0, m, u, P=P_REST):
     return field_from_modes(P, grid, [(p0, [(tuple(m), u)])])
 
 
-def combine(*terms):
-    """The field sum of c * fld over the (c, fld) terms, mode by mode;
-    every fld has the first one's grid and relative energies."""
+def samples(fld):
+    """The field's relative-energy modes as plain (p0, chi) pairs, chi
+    the samples (16, n, n, n) of the mode's waves."""
+    return [(p0, operators._wave_sum(fld.grid, m, amps)) for p0, m, amps in fld.modes]
+
+
+def superpose(*terms):
+    """The field sum of c * fld over the (c, fld) terms, as one field
+    whose modes hold every term's waves; every fld has the first one's
+    grid and relative energies."""
     first = terms[0][1]
     modes = []
-    for i, (p0, _) in enumerate(first.modes):
+    for i, (p0, _, _) in enumerate(first.modes):
         assert all(fld.modes[i][0] == p0 for _, fld in terms)
-        modes.append((p0, sum(c * fld.modes[i][1] for c, fld in terms)))
+        m = np.concatenate([fld.modes[i][1] for _, fld in terms])
+        modes.append((p0, m, np.concatenate([c * fld.modes[i][2] for c, fld in terms])))
     return replace(first, modes=tuple(modes))
 
 
+def combine(*terms):
+    """The mode list sum of c * modes over the (c, modes) terms, mode by
+    mode; every list has the first one's relative energies."""
+    first = terms[0][1]
+    out = []
+    for i, (p0, _) in enumerate(first):
+        assert all(modes[i][0] == p0 for _, modes in terms)
+        out.append((p0, sum(c * modes[i][1] for c, modes in terms)))
+    return out
+
+
+def modes_norm(grid, modes):
+    """sqrt(sum_modes ||chi||^2 h^3) of a mode list, from its samples."""
+    return math.sqrt(sum(np.sum(np.abs(chi) ** 2) for _, chi in modes) * grid.h**3)
+
+
 def apply_D(system, fld, which):
-    """D_which on every mode, from the pieces compatibility_residual runs:
-    the potential, the wavenumber table, the transforms and the D
-    spectrum."""
-    P0 = fld.P[0]
-    V = eval_V(system.potential, -fld.grid.radius_sq, minkowski_sq(fld.P))
-    table = operators._gamma_table(system.gammas, np.ix_(*[fld.grid.wavenumbers] * 3))
-    modes = []
-    for p0, chi in fld.modes:
-        chi4 = chi.reshape(4, 4, *chi.shape[1:])
-        Vchi = V * chi4
-        F_chi, F_Vchi = operators._fft(chi4), operators._fft(Vchi, out=Vchi)
-        spec = operators._D_spectrum(system, which, P0 / 2 + p0, P0 / 2 - p0, table, F_chi, F_Vchi)
-        modes.append((p0, operators._ifft(spec, out=spec).reshape(chi.shape)))
-    return replace(fld, modes=tuple(modes))
+    """D_which on every mode as a mode list, from the pieces
+    compatibility_residual runs: the potential and its transform, the
+    wavenumber table, the mode's points, the product F(V chi), the D
+    spectrum and the inverse transform."""
+    grid, n, P0 = fld.grid, fld.grid.n, fld.P[0]
+    V = eval_V(system.potential, -grid.radius_sq, minkowski_sq(fld.P))
+    table = operators._gamma_table(system.gammas, np.ix_(*[grid.wavenumbers] * 3))
+    FV2 = np.tile(operators._fft(V), (2, 2, 2))
+    out = []
+    for p0, m, amps in fld.modes:
+        k, c = operators._mode_points(grid, m, amps)
+        F_chi = (np.ravel_multi_index(k.T, (n, n, n)), grid.wavenumbers[k], n**3 * c.T.reshape(4, 4, -1))
+        work = np.empty((2, 4, 4, n, n, n), complex)
+        F_Vchi = operators._V_times(FV2, k, c, np.empty((len(k), n, n, n), complex), work[0])
+        spec = operators._D_spectrum(system, which, P0 / 2 + p0, P0 / 2 - p0, table, F_chi, F_Vchi, work[1])
+        out.append((p0, operators._ifft(spec, out=spec).reshape(16, n, n, n)))
+    return out
 
 
 def coord_mesh(grid):
@@ -139,8 +167,8 @@ def test_field_from_modes_warns_on_aliasing():
 
 
 def _per_wave_field(grid, waves):
-    """A mode built by the per-wave accumulation that field_from_modes
-    replaced: each wave's amp * phase added into chi in turn. Returns
+    """A mode's samples by per-wave accumulation: each wave's
+    amp * phase added into chi in turn. Returns
     chi and the magnitude sum sum_w |amp_w| |phase_w| of its terms."""
     n = grid.n
     chi = np.zeros((16, n, n, n), dtype=complex)
@@ -157,7 +185,7 @@ def _per_wave_field(grid, waves):
 def _wave_sum_bound(n_waves, scale):
     """Both routes form the axes' factors e^x, e^y, e^z of each wave by
     the same operations and multiply them with amp in different groupings:
-    this oracle as amp ((e^x e^y) e^z), field_from_modes as
+    this oracle as amp ((e^x e^y) e^z), _wave_sum as
     (amp e^x)(e^y e^z). Each takes three complex products (2 each) per
     term and the n_waves - 1 additions of the W-term sum, in either order:
     per route a depth of W + 5, so at most sqrt(2) gamma_(2(W + 5)) of the
@@ -167,10 +195,10 @@ def _wave_sum_bound(n_waves, scale):
     return math.sqrt(2.0) * d * u / (1.0 - d * u) * scale
 
 
-def _dirac_amplitudes():
+def _null_amplitudes(gammas):
     """The null spinors of the first equation at a constant potential in
-    the Dirac representation, columns of the roots' bases."""
-    system = TwoBodyDiracSystem(MASSES, Constant(0.3), build_gammas("dirac"))
+    the representation gammas, columns of the roots' bases."""
+    system = TwoBodyDiracSystem(MASSES, Constant(0.3), gammas)
     roots = plane_wave_solutions(system, P_REST, (0.2, 0.0, 0.0), p0_window=(-1.2, 0.5))
     return [basis[:, k] for _, basis in roots for k in range(basis.shape[1])]
 
@@ -179,7 +207,7 @@ def _dirac_amplitudes():
 def test_field_from_modes_matches_per_wave_sum(n):
     grid = Grid(n=n, L=6.0)
     rng = np.random.default_rng(n)
-    amps = _dirac_amplitudes()
+    amps = _null_amplitudes(build_gammas("dirac"))
     waves = [(rng.integers(-2, 3, size=3), amps[w % len(amps)] * rng.standard_normal()) for w in range(5)]
     # one index outside [-n/2, n/2): it aliases, and still warns once
     waves.append(((n // 2, 0, -1), rng.standard_normal(16) + 1j * rng.standard_normal(16)))
@@ -187,22 +215,114 @@ def test_field_from_modes_matches_per_wave_sum(n):
     with pytest.warns(AliasingWarning, match="outside the grid's representable range") as caught:
         fld = field_from_modes(P_REST, grid, spec)
     assert len(caught) == 1 and caught[0].filename == __file__
-    for (p0, chi), (q0, ws) in zip(fld.modes, spec):
-        expect, scale = _per_wave_field(grid, ws)
+    # the field keeps the spec's waves, and their samples are the per-wave sum
+    for (p0, m, amps), (q0, ws) in zip(fld.modes, spec, strict=True):
         assert p0 == q0
-        assert np.all(np.abs(chi - expect) <= _wave_sum_bound(len(ws), scale))
+        assert m.shape == (len(ws), 3) and amps.shape == (len(ws), 16)
+        assert all(np.array_equal(mw, idx) and np.array_equal(aw, amp) for mw, aw, (idx, amp) in zip(m, amps, ws))
+        expect, scale = _per_wave_field(grid, ws)
+        assert np.all(np.abs(operators._wave_sum(grid, m, amps) - expect) <= _wave_sum_bound(len(ws), scale))
     # a mode with no waves is the zero field
-    assert not np.any(fld.modes[1][1])
+    assert not np.any(samples(fld)[1][1]) and fld.modes[1][1].shape == (0, 3)
+
+
+def test_internal_field_rejects_malformed_waves():
+    grid = Grid(n=8, L=6.0)
+    # float indices, two indices a wave, and more amplitudes than waves
+    for m, amps in (([(0.5, 0.0, 1.0)], np.zeros((1, 16))), ([(1, 0)], np.zeros((1, 16))), ([(1, 0, 0)], np.zeros((2, 16)))):
+        with pytest.raises(ValueError, match="integer indices of shape"):
+            operators.InternalField(P=P_REST, grid=grid, modes=((0.1, np.asarray(m), amps),))
+
+
+def _gamma(d):
+    """gamma_d = d u / (1 - d u), u the unit roundoff."""
+    u = np.finfo(float).eps / 2
+    return d * u / (1.0 - d * u)
+
+
+def _spectrum_bounds(grid, m, amps, n_points):
+    """Relative bounds, as multiples of the scale N ||A||_2 (N = n^3,
+    A_c = sum_w |amp_wc|, F chi's 2-norm is at most N ||A||_2), on the
+    2-norm gap between the mode's spectrum from its waves and the
+    transform of its samples, for F chi and, in units of N max|V|
+    ||A||_2, for F(V chi). With Theta = pi max_w ||m_w||_1:
+
+    - samples (_wave_sum): each axis's phase argument 2 pi m x_j / L
+      carries the rounding of x_j (at most gamma_4 L) and of its three
+      products, so it is off by at most gamma_11 pi |m|, and exp adds 2u
+      (cos and sin within an ulp each): gamma_11 Theta + 6u a wave; then
+      three complex products and W - 1 sums, gamma_(W + 5);
+    - points (_mode_points): the argument pi (1/n - 1) sum(m) has four
+      roundings, gamma_4 Theta + 2u, then the product with amp and the
+      merging sums, gamma_(W + 1);
+    - each transform of length n per axis, as three passes of a
+      Cooley-Tukey FFT (Higham, Accuracy and Stability of Numerical
+      Algorithms, 2nd ed., thm 24.2): 3 log2(n) eta with
+      eta = u + gamma_4 (sqrt 2 + u), twiddles taken as accurate to u;
+    - the product: V times the samples, gamma_1; on the other side the
+      (16 x U) @ (U x N) product, gamma_(2U), and F V's transform.
+
+    A transform's 2-norm error carries over unscaled and a sample
+    error's by sqrt(N) times sqrt(N) samples, so each term is a
+    multiple of the scale."""
+    u = np.finfo(float).eps / 2
+    W = len(m)
+    theta = math.pi * np.max(np.sum(np.abs(m), axis=1))
+    fft = 3 * math.log2(grid.n) * (u + _gamma(4) * (math.sqrt(2.0) + u))
+    sampled = _gamma(11) * theta + 6 * u + _gamma(W + 5)
+    pointwise = _gamma(4) * theta + 2 * u + _gamma(W + 1)
+    F_chi = sampled + fft + pointwise
+    F_Vchi = sampled + _gamma(1) + fft + pointwise + fft + _gamma(2 * n_points)
+    return F_chi, F_Vchi, sampled + pointwise
+
+
+def test_mode_spectrum_matches_transform_of_samples(gammas):
+    # a repeated wavevector and an index (5 on n = 8) that aliases onto
+    # -3: both merge, so the mode has two grid points, not four
+    grid = Grid(n=8, L=10.5)
+    n, N = grid.n, grid.n**3
+    system = TwoBodyDiracSystem(MASSES, BUMP, gammas)
+    rng = np.random.default_rng(28)
+    amps = _null_amplitudes(gammas)
+    noise = rng.standard_normal((2, 16)) + 1j * rng.standard_normal((2, 16))
+    waves = [((1, -2, 0), amps[0]), ((5, 0, -1), noise[0]), ((1, -2, 0), 0.5j * amps[1]), ((-3, 0, -1), noise[1])]
+    mode = (0.17, waves)
+    with pytest.warns(AliasingWarning):
+        fld = field_from_modes(P_REST, grid, [mode])
+    with pytest.warns(AliasingWarning):
+        chi = equal_time_profile(grid, [mode])
+    ((_, m, a),) = fld.modes
+    k, c = operators._mode_points(grid, m, a)
+    assert sorted(map(tuple, k)) == [(1, 6, 0), (5, 0, 7)]
+    scale = N * np.linalg.norm(np.sum(np.abs(a), axis=0))
+    F_chi_bound, F_Vchi_bound, norm_bound = _spectrum_bounds(grid, m, a, len(k))
+
+    scattered = np.zeros((16, n, n, n), complex)
+    scattered[:, k[:, 0], k[:, 1], k[:, 2]] = N * c.T
+    assert np.linalg.norm(scattered - np.fft.fftn(chi, axes=(1, 2, 3))) <= F_chi_bound * scale
+
+    V = eval_V(system.potential, -grid.radius_sq, minkowski_sq(fld.P))
+    work = np.empty((4, 4, n, n, n), complex)
+    product = operators._V_times(np.tile(np.fft.fftn(V), (2, 2, 2)), k, c, np.empty((len(k), n, n, n), complex), work)
+    expect = np.fft.fftn(V * chi, axes=(1, 2, 3))
+    assert np.linalg.norm(product.reshape(16, n, n, n) - expect) <= F_Vchi_bound * np.max(np.abs(V)) * scale
+
+    # norm by Parseval against the samples' sum of squares, each rounded
+    # to within gamma_(log2(16 N) + 16) of its square (pairwise sums)
+    sampled_norm = math.sqrt(np.sum(np.abs(chi) ** 2) * grid.h**3)
+    rounding = _gamma(math.ceil(math.log2(16 * N)) + 16)
+    assert abs(fld.norm() - sampled_norm) <= (norm_bound + 2 * rounding) * scale / math.sqrt(N) * grid.h**1.5
 
 
 def test_random_field_is_deterministic_and_band_limited():
     grid = Grid(n=16, L=10.5)
     f1 = random_band_limited_field(P_REST, grid, np.random.default_rng(3))
     f2 = random_band_limited_field(P_REST, grid, np.random.default_rng(3))
-    assert combine((1.0, f1), (-1.0, f2)).norm() == 0.0
+    for (p0, m, amps), (q0, m2, amps2) in zip(f1.modes, f2.modes, strict=True):
+        assert p0 == q0 and np.array_equal(m, m2) and np.array_equal(amps, amps2)
     assert f1.norm() > 0.0
     assert len(f1.modes) == 3
-    for _, chi in f1.modes:
+    for _, chi in samples(f1):
         spec = np.fft.fftn(chi, axes=(1, 2, 3))
         mask = np.ones((16, 16, 16), dtype=bool)
         for axis_modes in np.meshgrid(*[np.fft.fftfreq(16, d=1 / 16)] * 3, indexing="ij"):
@@ -213,7 +333,7 @@ def test_random_field_is_deterministic_and_band_limited():
     # the separable plane waves agree with e^{i 2 pi m.x / L} taken over
     # the full mesh, for the same draws
     rng = np.random.default_rng(3)
-    for p0, chi in f1.modes:
+    for p0, chi in samples(f1):
         expect = np.zeros_like(chi)
         for _ in range(6):
             m = rng.integers(-2, 3, size=3)
@@ -241,10 +361,10 @@ def test_apply_matches_per_mode_matrix(rng, reference_first_equation_matrices, r
     M2 = reference_second_equation_matrix(system, p1, p2)
     phase = mode_phase(grid, m)
     for which, M in ((1, M1), (2, M2)):
-        out = apply_D(system, fld, which)
-        assert out.modes[0][0] == p0
+        ((q0, got),) = apply_D(system, fld, which)
+        assert q0 == p0
         expect = (M @ u).reshape(16, 1, 1, 1) * phase
-        assert np.max(np.abs(out.modes[0][1] - expect)) < 1e-13
+        assert np.max(np.abs(got - expect)) < 1e-13
 
 
 def test_apply_is_linear(rng):
@@ -252,9 +372,9 @@ def test_apply_is_linear(rng):
     grid = Grid(n=8, L=6.0)
     a = random_band_limited_field(P_REST, grid, rng, max_index=1)
     b = random_band_limited_field(P_REST, grid, rng, max_index=1)
-    lhs = apply_D(system, combine((2.0, a), (-0.5j, b)), 1)
+    lhs = apply_D(system, superpose((2.0, a), (-0.5j, b)), 1)
     rhs = combine((2.0, apply_D(system, a, 1)), (-0.5j, apply_D(system, b, 1)))
-    assert combine((1.0, lhs), (-1.0, rhs)).norm() < 1e-12 * max(lhs.norm(), 1.0)
+    assert modes_norm(grid, combine((1.0, lhs), (-1.0, rhs))) < 1e-12 * max(modes_norm(grid, lhs), 1.0)
 
 
 def test_apply_requires_rest_frame():
@@ -281,8 +401,7 @@ def test_on_shell_mode_is_annihilated():
     assert roots
     p0, basis = roots[0]
     fld = single_mode(grid, p0, (1, 0, 0), basis[:, 0])
-    out = apply_D(system, fld, 1)
-    assert out.norm() < 1e-10 * fld.norm()
+    assert modes_norm(grid, apply_D(system, fld, 1)) < 1e-10 * fld.norm()
 
 
 # ---------------------------------------------------------------------------
@@ -338,12 +457,7 @@ def test_compatibility_representation_covariance():
     U16 = np.kron(U4, U4)
     grid = Grid(n=16, L=10.5)
     fld = random_band_limited_field(P_REST, grid, np.random.default_rng(41))
-    rotated = replace(
-        fld,
-        modes=tuple(
-            (p0, np.einsum("ab,bxyz->axyz", U16, chi)) for p0, chi in fld.modes
-        ),
-    )
+    rotated = replace(fld, modes=tuple((p0, m, amps @ U16.T) for p0, m, amps in fld.modes))
     sys_d = TwoBodyDiracSystem(MASSES, BUMP, dirac)
     sys_w = TwoBodyDiracSystem(MASSES, BUMP, weyl)
     rd = compatibility_residual(sys_d, fld)
@@ -364,7 +478,7 @@ def test_residual_does_not_depend_on_a_dense_representation(seed):
     assert np.all(dense.gamma != 0)
     U16 = np.kron(U, U)
     fld = random_band_limited_field(P_REST, Grid(n=8, L=10.5), rng, max_index=1)
-    rotated = replace(fld, modes=tuple((p0, np.einsum("ab,bxyz->axyz", U16, chi)) for p0, chi in fld.modes))
+    rotated = replace(fld, modes=tuple((p0, m, amps @ U16.T) for p0, m, amps in fld.modes))
     sys_d = TwoBodyDiracSystem(MASSES, BUMP, dirac)
     sys_u = TwoBodyDiracSystem(MASSES, BUMP, dense)
     rd = compatibility_residual(sys_d, fld)
@@ -372,41 +486,43 @@ def test_residual_does_not_depend_on_a_dense_representation(seed):
     assert compatibility_residual(sys_u, rotated, "composed") <= 1e-12
 
 
-# The residual before transform sharing, rebuilt from mode-wise field
-# sums (combine) alone; K_i, D_i and the commutators are written out
-# here with the full wavenumber mesh and einsum contractions, sharing no
-# code with the operators under test.
+# The residual before transform sharing, rebuilt from mode-wise sums of
+# sample lists (combine) alone: the field's modes are sampled first and
+# K_i, D_i and the commutators are written out here with the full
+# wavenumber mesh, einsum contractions and transforms of the samples,
+# sharing no code with the operators under test.
 
 
-def _kinetic_oracle(gammas, particle, fld):
+def _kinetic_oracle(gammas, particle, fld, psi):
     """K_i psi: p_i^0 gamma_i^0 psi -+ sum_k gamma_i^k d(psi)/(i dx^k)."""
     k = fld.grid.wavenumbers
     kap = np.stack(np.meshgrid(k, k, k, indexing="ij"))
     sign = 1.0 if particle == 1 else -1.0
     sub = "ac,cbxyz->abxyz" if particle == 1 else "bc,acxyz->abxyz"
-    modes = []
-    for p0, chi in fld.modes:
+    out = []
+    for p0, chi in psi:
         F = np.fft.fftn(chi.reshape(4, 4, *chi.shape[1:]), axes=(-3, -2, -1))
         p_0 = fld.P[0] / 2 + sign * p0
         spec = p_0 * np.einsum(sub, gammas.gamma[0], F)
         for j in range(3):
             spec -= sign * np.einsum(sub, gammas.gamma[j + 1], kap[j] * F)
-        modes.append((p0, np.fft.ifftn(spec, axes=(-3, -2, -1)).reshape(chi.shape)))
-    return replace(fld, modes=tuple(modes))
+        out.append((p0, np.fft.ifftn(spec, axes=(-3, -2, -1)).reshape(chi.shape)))
+    return out
 
 
-def _times(fld, f):
-    return replace(fld, modes=tuple((p0, f * chi) for p0, chi in fld.modes))
+def _times(psi, f):
+    return [(p0, f * chi) for p0, chi in psi]
 
 
-def _D_oracle(system, psi, which):
+def _D_oracle(system, fld, psi, which):
     """D_1 psi = K_1 psi - m_1 psi + K_2(V psi) - m_2 V psi, and
-    D_2 psi = K_2 psi + m_2 psi + K_1(V psi) + m_1 V psi."""
-    Vpsi = _times(psi, eval_V(system.potential, -psi.grid.radius_sq, minkowski_sq(psi.P)))
+    D_2 psi = K_2 psi + m_2 psi + K_1(V psi) + m_1 V psi, for a mode list
+    psi on fld's grid and total momentum."""
+    Vpsi = _times(psi, eval_V(system.potential, -fld.grid.radius_sq, minkowski_sq(fld.P)))
     m1, m2 = system.masses.m1, system.masses.m2
 
     def K(particle, f):
-        return _kinetic_oracle(system.gammas, particle, f)
+        return _kinetic_oracle(system.gammas, particle, fld, f)
 
     if which == 1:
         return combine((1.0, K(1, psi)), (-m1, psi), (1.0, K(2, Vpsi)), (-m2, Vpsi))
@@ -419,41 +535,45 @@ def test_apply_D_matches_dense_oracle(gammas, which, n):
     system = TwoBodyDiracSystem(MASSES, BUMP, gammas)
     fld = random_band_limited_field(P_REST, Grid(n=n, L=10.5), np.random.default_rng(71))
     out = apply_D(system, fld, which)
-    oracle = _D_oracle(system, fld, which)
-    scale = max(np.max(np.abs(chi)) for _, chi in oracle.modes)
-    for (_, got), (_, want) in zip(out.modes, oracle.modes):
+    oracle = _D_oracle(system, fld, samples(fld), which)
+    scale = max(np.max(np.abs(chi)) for _, chi in oracle)
+    for (_, got), (_, want) in zip(out, oracle, strict=True):
         assert np.max(np.abs(got - want)) <= 1e-13 * scale
 
 
-def _commutator_oracle(system, psi, particle, realization):
+def _commutator_oracle(system, fld, psi, particle, realization):
     """[K_i, V] psi, composed from the grid operators or from the gradient."""
-    grid = psi.grid
-    V = eval_V(system.potential, -grid.radius_sq, minkowski_sq(psi.P))
+    grid = fld.grid
+    V = eval_V(system.potential, -grid.radius_sq, minkowski_sq(fld.P))
     if realization == "composed":
         return combine(
-            (1.0, _kinetic_oracle(system.gammas, particle, _times(psi, V))),
-            (-1.0, _times(_kinetic_oracle(system.gammas, particle, psi), V)),
+            (1.0, _kinetic_oracle(system.gammas, particle, fld, _times(psi, V))),
+            (-1.0, _times(_kinetic_oracle(system.gammas, particle, fld, psi), V)),
         )
-    dV = eval_dV_dxperp_sq(system.potential, -grid.radius_sq, minkowski_sq(psi.P))
+    dV = eval_dV_dxperp_sq(system.potential, -grid.radius_sq, minkowski_sq(fld.P))
     sub = "ac,cbxyz->abxyz" if particle == 1 else "bc,acxyz->abxyz"
     mesh = coord_mesh(grid)
-    modes = []
-    for p0, chi in psi.modes:
+    out = []
+    for p0, chi in psi:
         chi4 = chi.reshape(4, 4, *chi.shape[1:])
         acc = sum(
             np.einsum(sub, system.gammas.gamma[j + 1], -2.0 * mesh[j] * dV * chi4)
             for j in range(3)
         )
-        modes.append((p0, (1j if particle == 1 else -1j) * acc.reshape(chi.shape)))
-    return replace(psi, modes=tuple(modes))
+        out.append((p0, (1j if particle == 1 else -1j) * acc.reshape(chi.shape)))
+    return out
 
 
 def _residual_oracle(system, fld, realization):
-    d1 = _D_oracle(system, fld, 1)
-    d2 = _D_oracle(system, fld, 2)
-    lhs = combine((1.0, _D_oracle(system, d2, 1)), (-1.0, _D_oracle(system, d1, 2)))
-    rhs = combine((-1.0, _commutator_oracle(system, d1, 1, realization)), (1.0, _commutator_oracle(system, d2, 2, realization)))
-    return combine((1.0, lhs), (-1.0, rhs)).norm() / fld.norm()
+    psi = samples(fld)
+    d1 = _D_oracle(system, fld, psi, 1)
+    d2 = _D_oracle(system, fld, psi, 2)
+    lhs = combine((1.0, _D_oracle(system, fld, d2, 1)), (-1.0, _D_oracle(system, fld, d1, 2)))
+    rhs = combine(
+        (-1.0, _commutator_oracle(system, fld, d1, 1, realization)),
+        (1.0, _commutator_oracle(system, fld, d2, 2, realization)),
+    )
+    return modes_norm(fld.grid, combine((1.0, lhs), (-1.0, rhs))) / modes_norm(fld.grid, psi)
 
 
 @pytest.mark.parametrize("n", [8, 16])
@@ -466,8 +586,10 @@ def test_compatibility_residual_matches_unshared_oracle(gammas, realization, n):
     assert fused == pytest.approx(oracle, abs=1e-12)
 
 
-@pytest.mark.parametrize("realization, per_mode", [("analytic", 7), ("composed", 8)])
+@pytest.mark.parametrize("realization, per_mode", [("analytic", 5), ("composed", 6)])
 def test_compatibility_residual_transform_and_potential_counts(monkeypatch, realization, per_mode):
+    # per mode: d_1, d_2, F(V d_1), F(V d_2) and the left side's inverse,
+    # plus V IFFT[K_1 s_1 - K_2 s_2] when composed; F V once per residual
     system = TwoBodyDiracSystem(MASSES, BUMP, build_gammas("dirac"))
     fld = random_band_limited_field(P_REST, Grid(n=8, L=10.5), np.random.default_rng(61))
     assert len(fld.modes) == 3
@@ -484,14 +606,14 @@ def test_compatibility_residual_transform_and_potential_counts(monkeypatch, real
     monkeypatch.setattr(np.fft, "ifftn", counted("fft", np.fft.ifftn))
     monkeypatch.setattr(operators, "eval_V", counted("eval_V", operators.eval_V))
     compatibility_residual(system, fld, realization)
-    assert calls == {"fft": per_mode * 3, "eval_V": 1}
+    assert calls == {"fft": per_mode * 3 + 1, "eval_V": 1}
 
 
 def test_operators_leave_the_input_field_unchanged():
-    # the transforms run in place on temporaries, never on the field's modes
+    # the transforms run in place on work arrays, never on the field's waves
     system = TwoBodyDiracSystem(MASSES, BUMP, build_gammas("dirac"))
     fld = random_band_limited_field(P_REST, Grid(n=8, L=10.5), np.random.default_rng(62))
-    before = [chi.copy() for _, chi in fld.modes]
+    before = [(m.tobytes(), amps.tobytes()) for _, m, amps in fld.modes]
     for run in (
         lambda: compatibility_residual(system, fld, "analytic"),
         lambda: compatibility_residual(system, fld, "composed"),
@@ -499,7 +621,7 @@ def test_operators_leave_the_input_field_unchanged():
         lambda: apply_D(system, fld, 2),
     ):
         run()
-        assert all(chi.tobytes() == old.tobytes() for (_, chi), old in zip(fld.modes, before))
+        assert [(m.tobytes(), amps.tobytes()) for _, m, amps in fld.modes] == before
 
 
 def test_compatibility_warns_on_spectrally_full_field():

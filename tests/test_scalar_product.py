@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tbdkit import scalar_product
+from tbdkit import operators, scalar_product
 from tbdkit.kinematics import MassPair, minkowski_sq
 from tbdkit.operators import (
     Grid,
-    InternalField,
     field_from_modes,
     random_band_limited_field,
 )
@@ -43,29 +42,36 @@ def unit_mode(grid, m, component=0, p0=0.1, P=P2):
     return field_from_modes(P, grid, [(p0, [(tuple(m), u)])])
 
 
-def equal_time_profile(fld):
-    """phi(0, x) of a field as the sum of its mode profiles (every
+def samples(fld):
+    """A field's relative-energy modes as a plain list of (p0, chi), chi
+    the samples (16, n, n, n) of the mode's waves."""
+    return [(p0, operators._wave_sum(fld.grid, m, amps)) for p0, m, amps in fld.modes]
+
+
+def equal_time_profile(modes):
+    """phi(0, x) of a mode list as the sum of its mode profiles (every
     relative-energy phase is 1 at t = 0)."""
-    return sum(chi for _, chi in fld.modes)
+    return sum(chi for _, chi in modes)
 
 
-def form(kernel, field_a, field_b, gammas):
-    """The kernel's quadratic form between two fields at equal time: the
-    form value on the densities of their equal-time profiles."""
-    pa, pb = equal_time_profile(field_a), equal_time_profile(field_b)
+def form(kernel, modes_a, modes_b, gammas):
+    """The kernel's quadratic form between two mode lists at equal time:
+    the form value on the densities of their equal-time profiles."""
+    pa, pb = equal_time_profile(modes_a), equal_time_profile(modes_b)
     return form_value(kernel, *densities(gammas, pa, pb))
 
 
-def free_product(field_a, field_b, gammas):
-    """The free flavor's form at the fields' grid and P^2."""
-    kernel = build_kernel("free", Constant(v=0.0), minkowski_sq(field_a.P), field_a.grid)
-    return form(kernel, field_a, field_b, gammas)
+def free_product(grid, modes_a, modes_b, gammas):
+    """The free flavor's form on the grid at P^2 = P2_SQ."""
+    kernel = build_kernel("free", Constant(v=0.0), P2_SQ, grid)
+    return form(kernel, modes_a, modes_b, gammas)
 
 
-def gaussian_profile_field(grid, width, component, P=P2):
+def gaussian_profile_modes(grid, width, component):
+    """One mode, p0 = 0, of a spherical gaussian in one spinor component."""
     chi = np.zeros((16,) + (grid.n,) * 3, dtype=complex)
     chi[component] = np.exp(-grid.radius_sq / (2.0 * width**2))
-    return InternalField(P=P, grid=grid, modes=((0.0, chi),))
+    return [(0.0, chi)]
 
 
 # ---------------------------------------------------------------------------
@@ -74,35 +80,31 @@ def gaussian_profile_field(grid, width, component, P=P2):
 
 def test_free_product_of_harmonics_is_orthonormal(gam):
     grid = Grid(n=8, L=6.0)
-    a = unit_mode(grid, (1, 0, 0))
-    b = unit_mode(grid, (0, 2, 0))
+    a = samples(unit_mode(grid, (1, 0, 0)))
+    b = samples(unit_mode(grid, (0, 2, 0)))
     # same harmonic: exactly |u|^2 L^3; distinct harmonics: exactly 0
-    assert free_product(a, a, gam) == pytest.approx(grid.L**3, rel=1e-13)
-    assert abs(free_product(a, b, gam)) < 1e-12
+    assert free_product(grid, a, a, gam) == pytest.approx(grid.L**3, rel=1e-13)
+    assert abs(free_product(grid, a, b, gam)) < 1e-12
 
 
 def test_free_product_gaussian_oracle(gam):
     # analytic integral of a spherical gaussian against the Riemann sum
     grid = Grid(n=32, L=10.5)
     width = 1.0
-    fld = gaussian_profile_field(grid, width, component=3)
+    modes = gaussian_profile_modes(grid, width, component=3)
     expect = (math.pi * width**2) ** 1.5
-    assert free_product(fld, fld, gam) == pytest.approx(expect, rel=1e-8)
+    assert free_product(grid, modes, modes, gam) == pytest.approx(expect, rel=1e-8)
 
 
 def test_free_product_is_sesquilinear(gam, rng):
     grid = Grid(n=8, L=6.0)
-    a = random_band_limited_field(P2, grid, rng, max_index=1)
-    b = random_band_limited_field(P2, grid, rng, max_index=1)
-    c = random_band_limited_field(P2, grid, rng, max_index=1)
-    combined = replace(
-        b, modes=tuple((p0, (0.3 + 1j) * chi_b - 2.0 * chi_c) for (p0, chi_b), (_, chi_c) in zip(b.modes, c.modes))
-    )
-    lhs = free_product(a, combined, gam)
-    rhs = (0.3 + 1j) * free_product(a, b, gam) - 2.0 * free_product(a, c, gam)
+    a, b, c = (samples(random_band_limited_field(P2, grid, rng, max_index=1)) for _ in range(3))
+    combined = [(p0, (0.3 + 1j) * chi_b - 2.0 * chi_c) for (p0, chi_b), (_, chi_c) in zip(b, c)]
+    lhs = free_product(grid, a, combined, gam)
+    rhs = (0.3 + 1j) * free_product(grid, a, b, gam) - 2.0 * free_product(grid, a, c, gam)
     assert lhs == pytest.approx(rhs, abs=1e-10)
-    assert free_product(a, b, gam) == pytest.approx(
-        np.conj(free_product(b, a, gam)), abs=1e-12
+    assert free_product(grid, a, b, gam) == pytest.approx(
+        np.conj(free_product(grid, b, a, gam)), abs=1e-12
     )
 
 
@@ -264,8 +266,8 @@ def test_free_flavor_reproduces_free_product(gam):
     kernel = build_kernel("free", Constant(v=0.0), P2_SQ, grid)
     rng = np.random.default_rng(17)
     for _ in range(20):
-        a = random_band_limited_field(P2, grid, rng, max_index=1)
-        b = random_band_limited_field(P2, grid, rng, max_index=1)
+        a = samples(random_band_limited_field(P2, grid, rng, max_index=1))
+        b = samples(random_band_limited_field(P2, grid, rng, max_index=1))
         lhs = form(kernel, a, b, gam)
         # the plain product h^3 sum over components and points of conj(phi_a) phi_b
         pa, pb = equal_time_profile(a), equal_time_profile(b)
@@ -277,8 +279,8 @@ def test_interacting_self_product_is_real(gam, rng):
     grid = Grid(n=8, L=6.0)
     for flavor in ("sazdjian", "crater"):
         kernel = build_kernel(flavor, YUKAWA, P2_SQ, grid)
-        fld = random_band_limited_field(P2, grid, rng, max_index=1)
-        val = form(kernel, fld, fld, gam)
+        modes = samples(random_band_limited_field(P2, grid, rng, max_index=1))
+        val = form(kernel, modes, modes, gam)
         assert abs(val.imag) < 1e-10 * abs(val.real)
 
 
@@ -292,11 +294,11 @@ def test_negative_norm_state_inside_violation_ball(gam):
     gp = np.real(np.diag(gamma0_pair(gam)))
     component = int(np.argmin(gp))
     assert gp[component] == -1.0
-    fld = gaussian_profile_field(grid, width=0.15, component=component, P=P)
-    val = form(kernel, fld, fld, gam)
+    modes = gaussian_profile_modes(grid, width=0.15, component=component)
+    val = form(kernel, modes, modes, gam)
     assert val.real < -1e-4
     # the same profile on the +1 orientation keeps a positive norm
-    plus = gaussian_profile_field(grid, width=0.15, component=int(np.argmax(gp)), P=P)
+    plus = gaussian_profile_modes(grid, width=0.15, component=int(np.argmax(gp)))
     assert form(kernel, plus, plus, gam).real > 0.0
 
 
@@ -353,9 +355,9 @@ def test_density_form_matches_per_component_formula(flavor, representation):
     grid = Grid(n=8, L=4.0)
     kernel = build_kernel(flavor, YUKAWA, P2_SQ, grid)
     rng = np.random.default_rng(23)
-    a = random_band_limited_field(P2, grid, rng, max_index=1)
-    b = random_band_limited_field(P2, grid, rng, max_index=1)
-    pa, pb = (sum(chi for _, chi in f.modes) for f in (a, b))
+    a = samples(random_band_limited_field(P2, grid, rng, max_index=1))
+    b = samples(random_band_limited_field(P2, grid, rng, max_index=1))
+    pa, pb = equal_time_profile(a), equal_time_profile(b)
     for fa, fb, qa, qb in ((a, b, pa, pb), (a, a, pa, pa)):
         expect, scale = _per_component_form(kernel, gam, qa, qb)
         got = form(kernel, fa, fb, gam)
