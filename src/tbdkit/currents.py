@@ -23,23 +23,24 @@ That is what conservation_sweep certifies; its finite regulators show
 the O(eps) approach, where the Green choice matters.
 
 The gauge checks certify both restricted phases in one pass
-(gauge_check): the kernels at P and at P + a, the field's equal-time
-profile (built from the field's mode spec in one product, without its
-modes) and its densities are built once each; a relative phase must
-leave the norm invariant, and a total-momentum phase shifts it by the
-kernel at P + a.
+(gauge_check) on the compat test field: the form pairs at P and at
+P + a, the field's equal-time profile (one product over all its waves)
+and its densities are built once each; a relative phase must leave the
+norm invariant, and a total-momentum phase shifts it by the kernel at
+P + a.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .kinematics import FourVector, as_four_vector, check_rest_frame, minkowski_sq
-from .operators import Grid, PlaneWaveState, TwoBodyDiracSystem, equal_time_profile, first_equation_residual
+from .operators import InternalField, PlaneWaveState, TwoBodyDiracSystem, equal_time_profile, first_equation_residual
 from .potentials import eval_V
-from .scalar_product import build_kernel, densities, form_value
+from .scalar_product import densities, form_pair, form_value
 from .spinor_algebra import GammaSet, gamma0_pair, kron, lift2, slash2
 
 __all__ = [
@@ -322,24 +323,23 @@ GAUGE_TOLERANCE = 1e-10  # bound on each gauge_check verdict's difference
 
 
 def gauge_check(
-    system: TwoBodyDiracSystem,
-    P,
-    grid: Grid,
-    mode_spec,
+    potential,
+    gammas: GammaSet,
+    fld: InternalField,
     c,
     a,
     flavor: str = "sazdjian",
 ) -> tuple[GaugeReport, GaugeReport]:
     """Effect of the two restricted gauge phases on the interacting norm
-    of the field field_from_modes(P, grid, mode_spec), as the reports
-    (relative_only, total_dependent).
+    of the field fld, at its total momentum P and on its grid, as the
+    reports (relative_only, total_dependent).
 
-    The kernels at P and P + a, the field's equal-time profile and its
-    densities rho, sigma (see scalar_product) are built once each and
-    serve both phases. The profile is built from the spec's waves in one
-    product (operators.equal_time_profile), and no mode of the field is.
-    P and P + a are checked to be rest-frame momenta before anything is
-    built.
+    The form pairs (A, B) at P and P + a (scalar_product.form_pair on
+    the grid), the field's equal-time profile and its densities rho,
+    sigma (see scalar_product) are built once each and serve both
+    phases. The profile is one product over all the field's waves
+    (operators.equal_time_profile). The field has checked that P is a
+    rest-frame momentum; P + a is checked before anything is built.
 
     relative_only: theta = c.x depends on the relative coordinate alone.
     P is untouched and the norm must be invariant (the phase cancels
@@ -358,27 +358,37 @@ def gauge_check(
     changes. independent_difference reads that same kernel again, so it
     repeats the main route bit for bit and its agreement cannot fail
     (ROADMAP item 2).
+
+    A value that overflows raises a ValueError naming the inputs that
+    can cause it.
     """
-    P = check_rest_frame(P)
+    P, grid = fld.P, fld.grid
     P_after = check_rest_frame(P + as_four_vector(a))
-    kernel_before = build_kernel(flavor, system.potential, minkowski_sq(P), grid)
-    kernel_after = build_kernel(flavor, system.potential, minkowski_sq(P_after), grid)
-    profile = equal_time_profile(grid, mode_spec)
-    rho, sigma = densities(system.gammas, profile, profile)
+    x_perp_sq = -grid.radius_sq
+    kernel_before = form_pair(flavor, potential, minkowski_sq(P), x_perp_sq)
+    kernel_after = form_pair(flavor, potential, minkowski_sq(P_after), x_perp_sq)
+    profile = equal_time_profile(fld)
+    rho, sigma = densities(gammas, profile, profile)
     profile *= _relative_phase(grid, c)
-    rho_out, sigma_out = densities(system.gammas, profile, profile)
-    value_before = form_value(kernel_before, rho, sigma)
-    value_relative = form_value(kernel_before, rho_out, sigma_out)
+    rho_out, sigma_out = densities(gammas, profile, profile)
+    value_before = form_value(kernel_before, grid, rho, sigma)
+    value_relative = form_value(kernel_before, grid, rho_out, sigma_out)
     # The invariance is pointwise, so the difference is summed from the
     # density differences: subtracting the two rounded totals leaves a
     # whole number of their ulps, set by numpy's summation order.
     rho_out -= rho
     sigma_out -= sigma
-    drift = form_value(kernel_before, rho_out, sigma_out)
-    value_total = form_value(kernel_after, rho, sigma)
+    drift = form_value(kernel_before, grid, rho_out, sigma_out)
+    value_total = form_value(kernel_after, grid, rho, sigma)
     shift = value_total - value_before
     # independent_difference: the same kernel read again (see above)
-    indep = form_value(kernel_after, rho, sigma) - value_before
+    indep = form_value(kernel_after, grid, rho, sigma) - value_before
+    if not cmath.isfinite(value_before):
+        raise ValueError(f"the potential, grid.L and P0 = {float(P[0])!r} overflow the norm at P")
+    if not (cmath.isfinite(value_relative) and cmath.isfinite(drift)):
+        raise ValueError(f"c = {[float(x) for x in as_four_vector(c)]} and grid.L overflow the relative phase")
+    if not (cmath.isfinite(value_total) and cmath.isfinite(shift)):
+        raise ValueError(f"the potential and a = {[float(x) for x in as_four_vector(a)]} overflow the norm at P + a")
     relative = GaugeReport(
         kind="relative_only",
         P_before=P,

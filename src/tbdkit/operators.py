@@ -13,7 +13,11 @@ waves: integer wavevector indices and 16-component amplitudes. Time
 derivatives then act analytically on the mode labels and only the three
 spatial derivatives are spectral. The grid is offset by half a cell so
 the origin (where the Yukawa core blows up) is never sampled; n must be
-even or the offset pattern would put a point at r = 0.
+even or the offset pattern would put a point at r = 0. An InternalField
+is built from its waves directly and warns once per wave outside the
+grid's band; random_band_limited_field draws the one random test field
+that compat and gauge share, and equal_time_profile samples a field's
+t = 0 slice.
 
 Operators. With K_i = gamma_i . p_i (kinetic contractions) and V acting
 first as pointwise multiplication,
@@ -96,11 +100,9 @@ __all__ = [
     "TwoBodyDiracSystem",
     "compatibility_residual",
     "equal_time_profile",
-    "field_from_modes",
     "first_equation_residual",
     "free_product_state",
     "random_band_limited_field",
-    "random_band_limited_spec",
     "plane_wave_solutions",
     "plane_wave_state",
 ]
@@ -155,10 +157,16 @@ class InternalField:
     """Internal field at fixed total momentum: modes is a tuple of
     (p0, m, amps), one per relative-energy mode, whose profile is the sum
     of its waves amps[w] e^{+i 2 pi m[w].x / L}: m an int (W, 3) array of
-    wavevector indices, amps a complex (W, 16) array. No samples are
-    stored; _wave_sum makes them. P is a timelike rest-frame
-    four-vector; construction (replace included) rejects anything else,
-    so no operator checks it again.
+    wavevector indices, amps a complex (W, 16) array; lists are
+    converted. No samples are stored; _wave_sum makes them. P is a
+    timelike rest-frame four-vector; construction (replace included)
+    rejects anything else, so no operator checks it again.
+
+    Indices outside the grid's representable range [-n/2, n/2) alias
+    onto other modes. Construction reports each such wave as an
+    AliasingWarning that names the line building the field, not as an
+    error, because convergence studies evaluate one set of waves on
+    several grids on purpose.
 
     The field norm treats distinct relative-energy modes as orthogonal
     channels (they are, under time averaging), so ||phi||^2 =
@@ -173,11 +181,19 @@ class InternalField:
 
     def __post_init__(self):
         object.__setattr__(self, "P", check_rest_frame(self.P))
+        half = self.grid.n // 2
         checked = []
         for p0, m, amps in self.modes:
             m, amps = np.asarray(m), np.asarray(amps, dtype=complex)
             if m.dtype.kind not in "iu" or m.ndim != 2 or m.shape[1] != 3 or amps.shape != (len(m), 16):
                 raise ValueError("a mode's waves must be integer indices of shape (W, 3) and amplitudes of shape (W, 16)")
+            for row in m[np.any((m < -half) | (m >= half), axis=1)]:
+                warnings.warn(
+                    f"wavevector index {tuple(row.tolist())} outside the grid's "
+                    f"representable range [{-half}, {half}); it will alias",
+                    AliasingWarning,
+                    stacklevel=3,  # past __post_init__ and __init__
+                )
             checked.append((float(p0), m, amps))
         object.__setattr__(self, "modes", tuple(checked))
 
@@ -312,24 +328,6 @@ def _V_times(FV2, k, c, shifted, out):
 # Field constructors
 
 
-def _pack(grid: Grid, waves):
-    """The waves (m, amp) of a mode as arrays: m int (W, 3), amps
-    complex (W, 16). Warns once per wave in order whose index lies
-    outside [-n/2, n/2), on behalf of the caller of the public function
-    that calls this one directly."""
-    n = grid.n
-    m = np.array([idx for idx, _ in waves], dtype=int).reshape(-1, 3)
-    amps = np.array([np.asarray(amp, dtype=complex).reshape(16) for _, amp in waves]).reshape(-1, 16)
-    for row in m[np.any((m < -n // 2) | (m >= n // 2), axis=1)]:
-        warnings.warn(
-            f"wavevector index {tuple(row)} outside the grid's "
-            f"representable range [{-n // 2}, {n // 2}); it will alias",
-            AliasingWarning,
-            stacklevel=3,
-        )
-    return m, amps
-
-
 def _wave_sum(grid: Grid, m, amps) -> np.ndarray:
     """The samples sum_w amps_w e^{+i 2 pi m_w.x / L} on the grid,
     shape (16, n, n, n).
@@ -363,47 +361,37 @@ def _mode_points(grid: Grid, m, amps):
     return np.stack(np.unravel_index(flat, (n, n, n)), axis=1), c
 
 
-def field_from_modes(P, grid: Grid, mode_spec) -> InternalField:
-    """Build an internal field from integer wavevector data.
+def equal_time_profile(fld: InternalField) -> np.ndarray:
+    """phi(0, x) of the field sampled on its grid: every relative-energy
+    phase is 1 at t = 0, so it is the sum of all the field's waves, one
+    product over all of them. The array is new and the caller's to
+    overwrite."""
+    m = np.concatenate([m for _, m, _ in fld.modes])
+    amps = np.concatenate([amps for _, _, amps in fld.modes])
+    return _wave_sum(fld.grid, m, amps)
 
-    mode_spec: list of (p0, waves); each wave is (m, amp) with m three
-    integers indexing the Fourier mode e^{+i 2 pi m.x / L} and amp a
-    16-component amplitude. Indices outside the representable range
-    [-n/2, n/2) alias onto other modes; that is reported as an
-    AliasingWarning, not an error, because convergence studies evaluate
-    one spec on several grids on purpose. The field keeps each mode's
-    waves as arrays; a mode with no waves is the zero field.
-    """
+
+# The test field's relative energies and its waves per mode.
+_TEST_P0 = (0.17, -0.4, 0.33)
+_TEST_WAVES = 6
+
+
+def random_band_limited_field(P, grid: Grid, rng: np.random.Generator, max_index: int = 2) -> InternalField:
+    """A random smooth test field: three relative-energy modes, each a
+    superposition of six plane waves of integer wavevector indices in
+    [-max_index, max_index] with gaussian complex amplitudes. Per wave
+    the rng draws the indices, then the amplitudes' real parts, then
+    their imaginary parts."""
     modes = []
-    for p0, waves in mode_spec:  # not a comprehension: its frame would take the warnings
-        modes.append((p0, *_pack(grid, waves)))
+    for p0 in _TEST_P0:
+        m = np.empty((_TEST_WAVES, 3), dtype=int)
+        amps = np.empty((_TEST_WAVES, 16), dtype=complex)
+        for w in range(_TEST_WAVES):
+            m[w] = rng.integers(-max_index, max_index + 1, size=3)
+            amps[w].real = rng.standard_normal(16)
+            amps[w].imag = rng.standard_normal(16)
+        modes.append((p0, m, amps))
     return InternalField(P=P, grid=grid, modes=tuple(modes))
-
-
-def equal_time_profile(grid: Grid, mode_spec) -> np.ndarray:
-    """phi(0, x) of the field that field_from_modes would build from
-    mode_spec, sampled on the grid: every relative-energy phase is 1 at
-    t = 0, so it is the sum of all the spec's waves, one product over
-    all of them. The array is new and the caller's to overwrite."""
-    return _wave_sum(grid, *_pack(grid, [wave for _, waves in mode_spec for wave in waves]))
-
-
-def random_band_limited_spec(rng, p0_values=(0.17, -0.4, 0.33), waves_per_mode=6, max_index=2):
-    """Mode spec of a random smooth test field: a few relative-energy
-    modes, each a superposition of low-wavevector plane waves with
-    gaussian complex amplitudes."""
-    return [
-        (p0, [
-            (rng.integers(-max_index, max_index + 1, size=3), rng.standard_normal(16) + 1j * rng.standard_normal(16))
-            for _ in range(waves_per_mode)
-        ])
-        for p0 in p0_values
-    ]
-
-
-def random_band_limited_field(P, grid: Grid, rng: np.random.Generator, **spec) -> InternalField:
-    """The field of random_band_limited_spec(rng, **spec)."""
-    return field_from_modes(P, grid, random_band_limited_spec(rng, **spec))
 
 
 # ---------------------------------------------------------------------------

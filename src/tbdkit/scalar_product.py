@@ -1,11 +1,12 @@
 """Equal-time norm kernels and the quadratic forms they define.
 
-A norm kernel is held in one representation: the pointwise
-quadratic-form matrix A(x) 1_16 + B(x) gamma_1^0 gamma_2^0 at one scalar
-P^2, with real A, B of shape (n, n, n), hence Hermitian pointwise. The
-sesquilinear form of two internal fields on the t = 0 slice reads it,
-and the positivity scans certify its eigenvalues A +- B. The three
-flavors, as the paper writes their brackets:
+A norm kernel is its form pair (A, B): the pointwise quadratic-form
+matrix A(x) 1_16 + B(x) gamma_1^0 gamma_2^0 at one scalar P^2, with real
+A, B, hence Hermitian pointwise. On a grid, A and B are evaluated at
+x_perp^2 = -grid.radius_sq and have shape (n, n, n). The sesquilinear
+form of two internal fields on the t = 0 slice reads the pair, and the
+positivity scans certify its eigenvalues A +- B. The three flavors, as
+the paper writes their brackets:
 
   free      K = gamma_1^0 gamma_2^0
   sazdjian  K = (1 - V^2) gamma_1^0 gamma_2^0 + 4 P^2 (dV/dP^2) 1
@@ -13,14 +14,14 @@ flavors, as the paper writes their brackets:
 
 form_pair, the one place these formulas live, reads them through the
 rapidity Delta of V = tanh(Delta), so the two flavors' A - |B| differ by
-the positive factor sech^2(Delta) (see its docstring); build_kernel
-evaluates it on a grid, and the positivity scan and radius routes read
-it directly. The free flavor's form is the plain product h^3 sum_x
-phi_a^dagger phi_b.
+the positive factor sech^2(Delta) (see its docstring). The gauge
+checks, the positivity scan and the radius routes all read it directly.
+The free flavor's form is the plain product h^3 sum_x phi_a^dagger
+phi_b.
 
 A pair of equal-time profiles pa, pb (the t = 0 slices phi(0, x) of two
 fields, of shape (16, n, n, n); operators.equal_time_profile builds one
-from a mode spec) enters any kernel only through two pointwise densities
+from an internal field) enters any kernel only through two pointwise densities
 (densities), each of shape (n, n, n):
 
     rho   = sum_c conj(pa_c) pb_c
@@ -42,8 +43,6 @@ pointwise, not taken between the two rounded totals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .operators import Grid
@@ -51,16 +50,6 @@ from .potentials import eval_ddelta_dP2, eval_delta
 from .spinor_algebra import GammaSet, gamma0_pair
 
 FLAVORS = ("free", "sazdjian", "crater")
-
-
-@dataclass(frozen=True)
-class NormKernel:
-    """Quadratic-form matrix A 1 + B gamma_1^0 gamma_2^0 of a kernel
-    flavor at one P^2, pointwise on the grid."""
-
-    grid: Grid
-    A: np.ndarray  # coefficient of 1_16, shape (n, n, n)
-    B: np.ndarray  # coefficient of gamma_1^0 gamma_2^0
 
 
 def form_pair(flavor: str, potential, P_sq: float, x_perp_sq):
@@ -96,12 +85,6 @@ def form_pair(flavor: str, potential, P_sq: float, x_perp_sq):
         return sech_sq, sech_sq * (4.0 * P_sq * ddelta)
 
 
-def build_kernel(flavor: str, potential, P_sq: float, grid: Grid) -> NormKernel:
-    """The form pair (A, B) of the requested flavor on the grid."""
-    A, B = form_pair(flavor, potential, P_sq, -grid.radius_sq)
-    return NormKernel(grid=grid, A=A, B=B)
-
-
 def densities(gammas: GammaSet, pa: np.ndarray, pb: np.ndarray):
     """The pointwise densities (rho, sigma) of two raw equal-time
     profiles, through which every kernel's quadratic form reads them."""
@@ -111,8 +94,9 @@ def densities(gammas: GammaSet, pa: np.ndarray, pb: np.ndarray):
     return rho.reshape(pa.shape[1:]), sigma.reshape(pa.shape[1:])
 
 
-def form_value(kernel: NormKernel, rho: np.ndarray, sigma: np.ndarray) -> complex:
-    """Quadratic form h^3 sum_x [A rho + B sigma] of the kernel on a
-    profile pair's densities."""
-    return complex(np.sum(kernel.A * rho + kernel.B * sigma) * kernel.grid.h**3)
+def form_value(pair, grid: Grid, rho: np.ndarray, sigma: np.ndarray) -> complex:
+    """Quadratic form h^3 sum_x [A rho + B sigma] of the form pair
+    (A, B) on the grid, read on a profile pair's densities."""
+    A, B = pair
+    return complex(np.sum(A * rho + B * sigma) * grid.h**3)
 

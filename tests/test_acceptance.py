@@ -32,7 +32,6 @@ from tbdkit.operators import (
     plane_wave_solutions,
     plane_wave_state,
     random_band_limited_field,
-    random_band_limited_spec,
 )
 from tbdkit.positivity import (
     empirical_boundary_consistent,
@@ -256,14 +255,14 @@ def test_criterion_08_indefinite_metric_toy():
 
 
 def test_criterion_09_gauge_restriction():
-    system = TwoBodyDiracSystem(
-        MASSES, YukawaTanh(g1=G_UNIT, g2=G_UNIT, mu=1.0), build_gammas("dirac")
-    )
-    grid = Grid(n=16, L=8.0)
     P = np.array([2.0, 0.0, 0.0, 0.0])
-    spec = random_band_limited_spec(np.random.default_rng(7))
+    fld = random_band_limited_field(P, Grid(n=16, L=8.0), np.random.default_rng(7))
     rel, tot = gauge_check(
-        system, P, grid, spec, np.array([0.37, 0.21, -0.4, 0.11]), np.array([0.5, 0.0, 0.0, 0.0])
+        YukawaTanh(g1=G_UNIT, g2=G_UNIT, mu=1.0),
+        build_gammas("dirac"),
+        fld,
+        np.array([0.37, 0.21, -0.4, 0.11]),
+        np.array([0.5, 0.0, 0.0, 0.0]),
     )
     route_gap = abs(tot.difference - tot.independent_difference)
     _line(

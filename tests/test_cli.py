@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import tbdkit
-from tbdkit import cli, currents, operators, serialize
+from tbdkit import cli, currents, serialize
 from tbdkit.cli import (
     ConfigError,
     DEFAULTS,
@@ -302,11 +302,11 @@ def test_gauge_command_passes(tmp_path):
 
 
 def test_gauge_reduces_each_profile_once(tmp_path, monkeypatch):
-    # one gauge pass: the kernels at P and P + a, each built once, and
-    # the field's t = 0 profile, built from its waves in one product and
-    # reduced to densities before and after the relative phase multiplies
-    # it; every kernel form reads those. No mode of the field is built.
-    calls = dict.fromkeys(("gauge_check", "build_kernel", "equal_time_profile", "densities", "field_from_modes"), 0)
+    # one gauge pass: the test field built once, the form pairs at P and
+    # P + a, each built once, and the field's t = 0 profile, built from
+    # its waves in one product and reduced to densities before and after
+    # the relative phase multiplies it; every kernel form reads those.
+    calls = dict.fromkeys(("random_band_limited_field", "gauge_check", "form_pair", "equal_time_profile", "densities"), 0)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -315,12 +315,12 @@ def test_gauge_reduces_each_profile_once(tmp_path, monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(cli, "gauge_check", counted("gauge_check", cli.gauge_check))
-    monkeypatch.setattr(operators, "field_from_modes", counted("field_from_modes", operators.field_from_modes))
-    for name in ("build_kernel", "equal_time_profile", "densities"):
+    for name in ("random_band_limited_field", "gauge_check"):
+        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    for name in ("form_pair", "equal_time_profile", "densities"):
         monkeypatch.setattr(currents, name, counted(name, getattr(currents, name)))
     assert main(["gauge", "--out", str(tmp_path), "--quiet"]) == 0
-    assert calls == {"gauge_check": 1, "build_kernel": 2, "equal_time_profile": 1, "densities": 2, "field_from_modes": 0}
+    assert calls == {"random_band_limited_field": 1, "gauge_check": 1, "form_pair": 2, "equal_time_profile": 1, "densities": 2}
 
 
 def test_warnings_of_a_run_that_writes_its_report_still_show(tmp_path):
@@ -338,7 +338,7 @@ def test_gauge_checks_the_rest_frame_before_any_kernel(tmp_path, monkeypatch, ca
     def must_not_run(*args, **kwargs):
         raise AssertionError("a kernel was built before P + a was checked")
 
-    monkeypatch.setattr(currents, "build_kernel", must_not_run)
+    monkeypatch.setattr(currents, "form_pair", must_not_run)
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"schema": "tbdkit-config/1", "a": [0.5, 0.1, 0, 0]}))
     assert main(["gauge", "--config", str(p), "--out", str(tmp_path)]) == 2
@@ -534,14 +534,14 @@ _N8 = {"grid": {"n": 8, "L": 8.0}}
             {"g1": 27.4, "g2": 1.02e184, "mu": 147.5, "P0": 1.287e154, "grid": {"n": 8, "L": 4.0}},
             "not finite at every grid point for P^2 = 1.6563689999999999e+308",
         ),
-        # reports that hold a NaN
-        ("gauge", {**_N8, "P0": 1e200}, "non-finite number in report: nan"),
-        ("gauge", {**_N8, "a": [1e300, 0, 0, 0]}, "non-finite number in report: nan"),
-        ("gauge", {**_N8, "c": [0, 1e308, 1e308, 0]}, "non-finite number in report: nan"),
+        # gauge norms that overflow: each message names the inputs
+        ("gauge", {**_N8, "P0": 1e200}, "the potential, grid.L and P0 = 1e+200 overflow the norm at P"),
+        ("gauge", {**_N8, "a": [1e300, 0, 0, 0]}, "the potential and a = [1e+300, 0.0, 0.0, 0.0] overflow the norm at P + a"),
+        ("gauge", {**_N8, "c": [0, 1e308, 1e308, 0]}, "c = [0.0, 1e+308, 1e+308, 0.0] and grid.L overflow the relative phase"),
         (
             "gauge",
             {"potential": {"kind": "yukawa_tanh", "g1": 1e154, "g2": 1e154, "mu": 1.0}, "grid": {"n": 8, "L": 0.01}},
-            "non-finite number in report: nan",
+            "the potential, grid.L and P0 = 2.0 overflow the norm at P",
         ),
         # the residual itself overflows: its message names the inputs
         (
@@ -744,14 +744,15 @@ def _wrong_values(default):
     return ["x", None, math.nan]
 
 
-# Keys that were settable and are now program constants, with the values
-# they used to default to: certificate bounds and the compat test field.
-# A config that sets one, to any value, exits 2 before the run.
+# Keys that were settable and are now program constants or were never
+# read, with the values they used to default to: certificate bounds, the
+# compat test field and gauge's masses. A config that sets one, to any
+# value, exits 2 before the run.
 _REMOVED = {
     "claim1": {"free_tolerance": 1e-12, "match_tolerance": 1e-10, "magnitude_floor": 1e-3},
     "conserve": {"tolerance": 1e-12},
     "kernel": {"tolerance": 1e-12},
-    "gauge": {"tolerance": 1e-10},
+    "gauge": {"tolerance": 1e-10, "masses": {"m1": 1.0, "m2": 1.3}},
     "radius": {"agreement_tolerance": 1e-9},
     "compat": {"p0_modes": [0.17, -0.4, 0.33], "waves_per_mode": 6, "max_index": 2},
 }
@@ -792,9 +793,10 @@ def test_every_config_key_rejects_a_wrong_type_before_the_run(tmp_path, monkeypa
     assert main([command, "--config", str(p), "--out", str(tmp_path)]) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"tbdkit {command}: config error: ")
-    assert path in lines[0]
     if head in _REMOVED.get(command, {}):
-        assert f"unknown keys in {command} config" in lines[0]
+        assert lines[0].endswith(f"unknown keys in {command} config: [{head!r}]")
+    else:
+        assert path in lines[0]
 
 
 _REMOVED_KEYS = [(command, key, value) for command, keys in _REMOVED.items() for key, value in keys.items()]
@@ -923,9 +925,9 @@ _POTENTIAL = st.one_of(
     _record("tanh_of_g", g=_record("gaussian", amplitude=_NUMBER, width=_NUMBER) | _JSON),
     _record("yukawa_tanh", g1=_NUMBER, g2=_NUMBER, mu=_NUMBER),
 )
+_MASSES = st.fixed_dictionaries({"m1": _NUMBER, "m2": _NUMBER})
 _GAUGE_KEYS = {
     "potential": _POTENTIAL,
-    "masses": st.fixed_dictionaries({"m1": _NUMBER, "m2": _NUMBER}),
     "P0": _NUMBER,
     "grid": st.fixed_dictionaries({"n": st.integers(-2, 8), "L": _NUMBER}),
     "seed": st.integers(-1, 2**64),
@@ -960,7 +962,7 @@ def _exits_0_1_or_2(command, override):
 
 
 _CLAIM1_KEYS = {
-    "masses": _GAUGE_KEYS["masses"],
+    "masses": _MASSES,
     "P0": _NUMBER,
     "v": _NUMBER,
     "p0_window": st.lists(_NUMBER, min_size=2, max_size=2),
@@ -1010,7 +1012,7 @@ def test_conserve_config_never_raises(override):
 
 _COMPAT_KEYS = {
     "potential": _POTENTIAL,
-    "masses": _GAUGE_KEYS["masses"],
+    "masses": _MASSES,
     "P0": _NUMBER,
     "grid": st.fixed_dictionaries({"n": st.integers(-2, 16), "L": _NUMBER}),
     "n_fields": st.integers(-1, 2),

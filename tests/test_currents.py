@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,14 +29,14 @@ from tbdkit.operators import (
     free_product_state,
     plane_wave_solutions,
     plane_wave_state,
-    random_band_limited_spec,
+    random_band_limited_field,
 )
 from tbdkit.potentials import (
     Constant,
     FOUR_PI,
     YukawaTanh,
 )
-from tbdkit.scalar_product import build_kernel, densities, form_value
+from tbdkit.scalar_product import densities, form_pair, form_value
 from tbdkit.spinor_algebra import build_gammas, gamma0_pair, lift1, lift2
 
 MASSES = MassPair(1.0, 1.3)
@@ -344,15 +345,24 @@ def test_coincidence_term_requires_positive_epsilon():
 # Gauge restriction
 
 
+GAUGE_YUKAWA = YukawaTanh(g1=math.sqrt(FOUR_PI), g2=math.sqrt(FOUR_PI), mu=1.0)
+P_GAUGE = np.array([2.0, 0.0, 0.0, 0.0])
+
+
 @pytest.fixture(scope="module")
 def gauge_setup(gam):
-    system = TwoBodyDiracSystem(
-        MASSES, YukawaTanh(g1=math.sqrt(FOUR_PI), g2=math.sqrt(FOUR_PI), mu=1.0), gam
-    )
-    grid = Grid(n=16, L=8.0)
-    P = np.array([2.0, 0.0, 0.0, 0.0])
-    spec = random_band_limited_spec(np.random.default_rng(7))
-    return system, P, grid, spec
+    fld = random_band_limited_field(P_GAUGE, Grid(n=16, L=8.0), np.random.default_rng(7))
+    return GAUGE_YUKAWA, gam, fld
+
+
+def _kernel(potential, fld):
+    """The sazdjian form pair at the field's P on its grid."""
+    return form_pair("sazdjian", potential, minkowski_sq(fld.P), -fld.grid.radius_sq)
+
+
+def _mode_profiles(fld):
+    """The equal-time profile of each relative-energy mode of fld."""
+    return [equal_time_profile(replace(fld, modes=(mode,))) for mode in fld.modes]
 
 
 def _mode_sum(parts):
@@ -365,7 +375,7 @@ def _mode_sum(parts):
     return out
 
 
-def _phase_rounding(system, P, grid, parts):
+def _phase_rounding(potential, gammas, fld, parts):
     """Magnitude sum S = h^3 sum_x [|A| R + |B| R_sigma] of the terms of
     the sazdjian form on a profile pair, the depth d_sigma of sigma's
     chain and the depth of numpy's pairwise sum over the n^3 points.
@@ -386,13 +396,13 @@ def _phase_rounding(system, P, grid, parts):
     - numpy's pairwise sum of n^3 points: depth at most 14 +
       ceil(log2 n^3).
     """
-    kernel = build_kernel("sazdjian", system.potential, minkowski_sq(P), grid)
+    A, B = _kernel(potential, fld)
     Q = sum(np.abs(q) for q in parts)
-    abs_gamma_Q = (np.abs(gamma0_pair(system.gammas)) @ Q.reshape(16, -1)).reshape(Q.shape)
+    abs_gamma_Q = (np.abs(gamma0_pair(gammas)) @ Q.reshape(16, -1)).reshape(Q.shape)
     R = np.sum(Q**2, axis=0)
     R_sigma = np.sum(Q * abs_gamma_Q, axis=0)
-    S = float(np.sum(np.abs(kernel.A) * R + np.abs(kernel.B) * R_sigma) * grid.h**3)
-    M, n = len(parts), grid.n
+    S = float(np.sum(np.abs(A) * R + np.abs(B) * R_sigma) * fld.grid.h**3)
+    M, n = len(parts), fld.grid.n
     return S, 2 * M + 32, 14 + math.ceil(math.log2(n**3))
 
 
@@ -403,7 +413,7 @@ def _gamma_bound(d, S):
     return math.sqrt(2.0) * d * u / (1.0 - d * u) * S
 
 
-def _relative_phase_bound(system, P, grid, parts):
+def _relative_phase_bound(potential, gammas, fld, parts):
     """Rounding bound on the sazdjian relative-phase difference
     h^3 sum_x [A (rho' - rho) + B (sigma' - sigma)] of the profile that
     sums parts, which is 0 in exact arithmetic for any phase of unit
@@ -422,7 +432,7 @@ def _relative_phase_bound(system, P, grid, parts):
     |difference| <= sqrt(2) gamma_D S. This is a worst case: it assumes
     the rounding errors of all n^3 points align.
     """
-    S, d_sigma, d_sum = _phase_rounding(system, P, grid, parts)
+    S, d_sigma, d_sum = _phase_rounding(potential, gammas, fld, parts)
     return _gamma_bound(d_sigma + (d_sigma + 8) + 4 + d_sum, S)
 
 
@@ -443,19 +453,20 @@ def _per_mode_transformed_profile(grid, parts, c):
 
 @pytest.mark.parametrize("c", [(0.37, 0.21, -0.4, 0.11), (-0.5, 0.5, 0.5, -0.5), (0.0, 0.0, 0.0, 0.0)])
 def test_gauge_profile_phase_matches_per_mode_route(gauge_setup, c):
-    system, P, grid, spec = gauge_setup
+    potential, gammas, fld = gauge_setup
+    grid = fld.grid
     c = np.array(c)
-    rep, _ = gauge_check(system, P, grid, spec, c, np.array([0.5, 0.0, 0.0, 0.0]))
-    kernel = build_kernel("sazdjian", system.potential, minkowski_sq(P), grid)
-    parts = [equal_time_profile(grid, [mode]) for mode in spec]
+    rep, _ = gauge_check(potential, gammas, fld, c, np.array([0.5, 0.0, 0.0, 0.0]))
+    kernel = _kernel(potential, fld)
+    parts = _mode_profiles(fld)
     profile = _mode_sum(parts)
-    rho, sigma = densities(system.gammas, profile, profile)
+    rho, sigma = densities(gammas, profile, profile)
     moved = _per_mode_transformed_profile(grid, parts, c)
-    rho_out, sigma_out = densities(system.gammas, moved, moved)
-    drift = form_value(kernel, rho_out - rho, sigma_out - sigma)
-    assert abs(drift) <= _relative_phase_bound(system, P, grid, parts)
-    assert abs(rep.difference) <= _relative_phase_bound(system, P, grid, [equal_time_profile(grid, spec)])
-    after = form_value(kernel, rho_out, sigma_out)
+    rho_out, sigma_out = densities(gammas, moved, moved)
+    drift = form_value(kernel, grid, rho_out - rho, sigma_out - sigma)
+    assert abs(drift) <= _relative_phase_bound(potential, gammas, fld, parts)
+    assert abs(rep.difference) <= _relative_phase_bound(potential, gammas, fld, [equal_time_profile(fld)])
+    after = form_value(kernel, grid, rho_out, sigma_out)
     # Two routes that sum the same mode arrays and multiply by the same
     # phase array differ in value_after only by their own primed chains
     # (d_sigma + 4 each, the phase's modulus counted once: 4) and tails
@@ -464,20 +475,20 @@ def test_gauge_profile_phase_matches_per_mode_route(gauge_setup, c):
     # from the per-mode route, as one sum of all W waves against M sums of
     # W_m waves and M - 1 additions; this bound leaves that uncharged, and
     # the gap reads 0.0 on each c here.
-    S, d_sigma, d_sum = _phase_rounding(system, P, grid, parts)
+    S, d_sigma, d_sum = _phase_rounding(potential, gammas, fld, parts)
     assert abs(rep.value_after - after) <= _gamma_bound(2 * (d_sigma + 4) + 4 + 2 * (3 + d_sum), S)
     # on gauge_check's own profile, the phase from the coordinate mesh
     # and a product into a new array give value_after bit for bit
-    same = equal_time_profile(grid, spec) * _mesh_phase(grid, c)
-    assert rep.value_after == form_value(kernel, *densities(system.gammas, same, same))
+    same = equal_time_profile(fld) * _mesh_phase(grid, c)
+    assert rep.value_after == form_value(kernel, grid, *densities(gammas, same, same))
 
 
 def test_gauge_relative_phase_leaves_norm_invariant(gauge_setup):
-    system, P, grid, spec = gauge_setup
-    rep, _ = gauge_check(system, P, grid, spec, np.array([0.37, 0.21, -0.4, 0.11]), np.array([0.5, 0.0, 0.0, 0.0]))
+    potential, gammas, fld = gauge_setup
+    rep, _ = gauge_check(potential, gammas, fld, np.array([0.37, 0.21, -0.4, 0.11]), np.array([0.5, 0.0, 0.0, 0.0]))
     assert rep.kind == "relative_only"
     assert rep.passed
-    assert abs(rep.difference) <= _relative_phase_bound(system, P, grid, [equal_time_profile(grid, spec)])
+    assert abs(rep.difference) <= _relative_phase_bound(potential, gammas, fld, [equal_time_profile(fld)])
     assert rep.independent_difference is None
     assert np.allclose(rep.P_before, rep.P_after)
 
@@ -485,21 +496,17 @@ def test_gauge_relative_phase_leaves_norm_invariant(gauge_setup):
 def test_gauge_relative_phase_difference_is_pointwise(gammas):
     # A draw whose two rounded form values (~3.2e5) differed by 2 ulps,
     # 1.16e-10 > tol, when the difference was taken between them.
-    system = TwoBodyDiracSystem(
-        MASSES, YukawaTanh(g1=math.sqrt(FOUR_PI), g2=math.sqrt(FOUR_PI), mu=1.0), gammas
-    )
-    P = np.array([2.0, 0.0, 0.0, 0.0])
-    spec = random_band_limited_spec(np.random.default_rng(964932733))
+    fld = random_band_limited_field(P_GAUGE, Grid(n=16, L=8.0), np.random.default_rng(964932733))
     c = np.array(
         [0.09367493294533591, -0.4474814800116277, -0.37937426040692157, 0.31878626448227454]
     )
-    rep, _ = gauge_check(system, P, Grid(n=16, L=8.0), spec, c, np.array([0.5, 0.0, 0.0, 0.0]))
+    rep, _ = gauge_check(GAUGE_YUKAWA, gammas, fld, c, np.array([0.5, 0.0, 0.0, 0.0]))
     assert rep.passed
 
 
 def test_gauge_total_phase_shifts_kernel(gauge_setup):
-    system, P, grid, spec = gauge_setup
-    _, rep = gauge_check(system, P, grid, spec, np.array([0.37, 0.21, -0.4, 0.11]), np.array([0.5, 0.0, 0.0, 0.0]))
+    potential, gammas, fld = gauge_setup
+    _, rep = gauge_check(potential, gammas, fld, np.array([0.37, 0.21, -0.4, 0.11]), np.array([0.5, 0.0, 0.0, 0.0]))
     assert rep.kind == "total_dependent"
     assert rep.passed
     # the kernel value genuinely changes...
@@ -515,9 +522,9 @@ def test_gauge_check_validation(gauge_setup, monkeypatch):
     def must_not_run(*args, **kwargs):
         raise AssertionError("a kernel was built before P + a was checked")
 
-    monkeypatch.setattr(currents, "build_kernel", must_not_run)
-    system, P, grid, spec = gauge_setup
+    monkeypatch.setattr(currents, "form_pair", must_not_run)
+    potential, gammas, fld = gauge_setup
     with pytest.raises(ValueError, match="rest frame"):
-        gauge_check(system, P, grid, spec, np.zeros(4), np.array([0.5, 0.1, 0.0, 0.0]))
+        gauge_check(potential, gammas, fld, np.zeros(4), np.array([0.5, 0.1, 0.0, 0.0]))
     with pytest.raises(ValueError, match="timelike"):
-        gauge_check(system, P, grid, spec, np.zeros(4), np.array([-2.0, 0.0, 0.0, 0.0]))
+        gauge_check(potential, gammas, fld, np.zeros(4), np.array([-2.0, 0.0, 0.0, 0.0]))

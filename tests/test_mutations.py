@@ -132,15 +132,15 @@ def relative_phase_modulus(monkeypatch):
 
 
 def gauge_sazdjian_B_doubled(monkeypatch):
-    original = currents.build_kernel
+    original = currents.form_pair
 
     def wrapper(flavor, *args, **kwargs):
-        kernel = original(flavor, *args, **kwargs)
+        A, B = original(flavor, *args, **kwargs)
         if flavor != "sazdjian":
-            return kernel
-        return dataclasses.replace(kernel, B=2.0 * kernel.B)
+            return A, B
+        return A, 2.0 * B
 
-    monkeypatch.setattr(currents, "build_kernel", wrapper)
+    monkeypatch.setattr(currents, "form_pair", wrapper)
 
 
 def analytic_commutator_dV(monkeypatch):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 
@@ -13,10 +14,10 @@ from tbdkit.operators import (
     SV_TOL,
     AliasingWarning,
     Grid,
+    InternalField,
     TwoBodyDiracSystem,
     compatibility_residual,
     equal_time_profile,
-    field_from_modes,
     free_product_state,
     plane_wave_solutions,
     plane_wave_state,
@@ -38,7 +39,7 @@ P_REST = np.array([3.0, 0.0, 0.0, 0.0])
 
 
 def single_mode(grid, p0, m, u, P=P_REST):
-    return field_from_modes(P, grid, [(p0, [(tuple(m), u)])])
+    return InternalField(P=P, grid=grid, modes=((p0, [m], [u]),))
 
 
 def samples(fld):
@@ -162,8 +163,10 @@ def test_field_from_modes_warns_on_aliasing():
     grid = Grid(n=8, L=6.0)
     u = np.zeros(16)
     u[0] = 1.0
-    with pytest.warns(AliasingWarning):
+    # the warning names the line that builds the field
+    with pytest.warns(AliasingWarning, match=r"index \(5, 0, 0\) outside") as caught:
         single_mode(grid, 0.1, (5, 0, 0), u)
+    assert len(caught) == 1 and caught[0].filename == __file__
 
 
 def _per_wave_field(grid, waves):
@@ -212,10 +215,14 @@ def test_field_from_modes_matches_per_wave_sum(n):
     # one index outside [-n/2, n/2): it aliases, and still warns once
     waves.append(((n // 2, 0, -1), rng.standard_normal(16) + 1j * rng.standard_normal(16)))
     spec = [(0.17, waves), (-0.4, []), (0.33, waves[:1])]
+    modes = tuple(
+        (p0, np.array([idx for idx, _ in ws], dtype=int).reshape(-1, 3), np.array([a for _, a in ws]).reshape(-1, 16))
+        for p0, ws in spec
+    )
     with pytest.warns(AliasingWarning, match="outside the grid's representable range") as caught:
-        fld = field_from_modes(P_REST, grid, spec)
+        fld = InternalField(P=P_REST, grid=grid, modes=modes)
     assert len(caught) == 1 and caught[0].filename == __file__
-    # the field keeps the spec's waves, and their samples are the per-wave sum
+    # the field keeps the given waves, and their samples are the per-wave sum
     for (p0, m, amps), (q0, ws) in zip(fld.modes, spec, strict=True):
         assert p0 == q0
         assert m.shape == (len(ws), 3) and amps.shape == (len(ws), 16)
@@ -286,11 +293,10 @@ def test_mode_spectrum_matches_transform_of_samples(gammas):
     amps = _null_amplitudes(gammas)
     noise = rng.standard_normal((2, 16)) + 1j * rng.standard_normal((2, 16))
     waves = [((1, -2, 0), amps[0]), ((5, 0, -1), noise[0]), ((1, -2, 0), 0.5j * amps[1]), ((-3, 0, -1), noise[1])]
-    mode = (0.17, waves)
-    with pytest.warns(AliasingWarning):
-        fld = field_from_modes(P_REST, grid, [mode])
-    with pytest.warns(AliasingWarning):
-        chi = equal_time_profile(grid, [mode])
+    with pytest.warns(AliasingWarning) as caught:
+        fld = InternalField(P=P_REST, grid=grid, modes=((0.17, [m for m, _ in waves], [a for _, a in waves]),))
+    assert len(caught) == 1 and caught[0].filename == __file__
+    chi = equal_time_profile(fld)
     ((_, m, a),) = fld.modes
     k, c = operators._mode_points(grid, m, a)
     assert sorted(map(tuple, k)) == [(1, 6, 0), (5, 0, 7)]
@@ -340,6 +346,24 @@ def test_random_field_is_deterministic_and_band_limited():
             amp = rng.standard_normal(16) + 1j * rng.standard_normal(16)
             expect += amp.reshape(16, 1, 1, 1) * mode_phase(grid, m)
         assert np.linalg.norm(chi - expect) <= 1e-14 * np.linalg.norm(expect)
+
+
+def test_random_field_draw_is_pinned():
+    # compat, gauge, selfcheck and every benchmark seed read the test
+    # field through the rng's call order: per wave the indices, then the
+    # amplitudes' real parts, then their imaginary parts. These are the
+    # waves that order draws from seed 7.
+    fld = random_band_limited_field(P_REST, Grid(n=16, L=8.0), np.random.default_rng(7))
+    assert [p0 for p0, _, _ in fld.modes] == [0.17, -0.4, 0.33]
+    m = np.concatenate([m for _, m, _ in fld.modes])
+    amps = np.concatenate([amps for _, _, amps in fld.modes])
+    assert m.tolist() == [
+        [2, 1, 1], [2, 2, -1], [0, 2, 2], [-1, 1, 0], [-1, 0, -1], [2, -1, 1],
+        [1, 0, -1], [-2, -2, 0], [-2, 0, -2], [2, -2, -1], [-1, -1, 0], [1, 2, -1],
+        [0, 2, 0], [1, -1, 2], [-1, 0, -1], [0, 0, 2], [2, 0, -2], [0, -2, -2],
+    ]
+    digest = hashlib.sha256(amps.astype("<c16").tobytes()).hexdigest()
+    assert digest == "9d9fba1c33ef52d41ee7575c3f826514a1e7341bffd851a07ba4dca519c5e03e"
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from tbdkit.potentials import (
     eval_ddelta_dP2,
     eval_delta,
 )
-from tbdkit.scalar_product import build_kernel, form_pair
+from tbdkit.scalar_product import form_pair
 
 G_UNIT = math.sqrt(FOUR_PI)
 YUKAWA = YukawaTanh(g1=G_UNIT, g2=G_UNIT, mu=1.0)
@@ -384,8 +384,7 @@ def test_eigenvalue_map_matches_dense_eigensolve(gammas, flavor, potential, P2):
     # every point, diagonalized densely
     grid = Grid(n=8, L=4.0)
     emap = min_eigenvalue_map(flavor, potential, P2, grid)
-    kernel = build_kernel(flavor, potential, P2, grid)
-    A, B = kernel.A.reshape(-1), kernel.B.reshape(-1)
+    A, B = (x.reshape(-1) for x in form_pair(flavor, potential, P2, -grid.radius_sq))
     gp = np.kron(gammas.gamma[0], gammas.gamma[0])
     dense = np.linalg.eigvalsh(A[:, None, None] * np.eye(16) + B[:, None, None] * gp)[:, 0]
     scale = np.maximum(1.0, np.abs(A) + np.abs(B))

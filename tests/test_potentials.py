@@ -23,7 +23,7 @@ from tbdkit.potentials import (
     eval_dV_dxperp_sq,
     eval_V,
 )
-from tbdkit.scalar_product import build_kernel
+from tbdkit.scalar_product import form_pair
 
 GAUSS_BUMP = TanhOfG(g=GaussianG(amplitude=-0.25, width=1.0))
 YUKAWA = YukawaTanh(g1=math.sqrt(FOUR_PI), g2=math.sqrt(FOUR_PI), mu=1.0)
@@ -238,13 +238,13 @@ def test_subclass_outside_the_module_runs_through_kernel_and_scan(reference_dV_d
     )
     assert eval_dV_dxperp_sq(spec, -1.0, 4.0) == 0.0  # the base default
     grid = Grid(n=8, L=6.0)
-    kernel = build_kernel("sazdjian", spec, 4.0, grid)
+    A, B = form_pair("sazdjian", spec, 4.0, -grid.radius_sq)
     V = np.tanh(0.2 * np.exp(-grid.radius_sq) / 4.0)
-    assert np.allclose(kernel.A, 1.0 - V**2, rtol=0.0, atol=1e-15)
-    assert np.all(kernel.B < 0.0)  # dV/dP^2 < 0 for a > 0
+    assert np.allclose(A, 1.0 - V**2, rtol=0.0, atol=1e-15)
+    assert np.all(B < 0.0)  # dV/dP^2 < 0 for a > 0
     rep = scan("sazdjian", spec, [4.0, 9.0], grid)
     assert rep.passed
-    assert rep.min_eigenvalue <= float(np.min(kernel.A - np.abs(kernel.B)))
+    assert rep.min_eigenvalue <= float(np.min(A - np.abs(B)))
 
 
 def test_domain_validation():

@@ -10,7 +10,7 @@ from tbdkit import operators, scalar_product
 from tbdkit.kinematics import MassPair, minkowski_sq
 from tbdkit.operators import (
     Grid,
-    field_from_modes,
+    InternalField,
     random_band_limited_field,
 )
 from tbdkit.potentials import (
@@ -23,7 +23,7 @@ from tbdkit.potentials import (
     eval_V,
 )
 from tbdkit.positivity import violation_radius
-from tbdkit.scalar_product import build_kernel, densities, form_pair, form_value
+from tbdkit.scalar_product import densities, form_pair, form_value
 from tbdkit.spinor_algebra import GammaSet, build_gammas, gamma0_pair
 
 P2 = np.array([2.0, 0.0, 0.0, 0.0])
@@ -39,7 +39,7 @@ def gam():
 def unit_mode(grid, m, component=0, p0=0.1, P=P2):
     u = np.zeros(16)
     u[component] = 1.0
-    return field_from_modes(P, grid, [(p0, [(tuple(m), u)])])
+    return InternalField(P=P, grid=grid, modes=((p0, [m], [u]),))
 
 
 def samples(fld):
@@ -54,17 +54,21 @@ def equal_time_profile(modes):
     return sum(chi for _, chi in modes)
 
 
-def form(kernel, modes_a, modes_b, gammas):
-    """The kernel's quadratic form between two mode lists at equal time:
+def grid_pair(flavor, potential, P_sq, grid):
+    """The flavor's form pair (A, B) at P^2 on the grid's points."""
+    return form_pair(flavor, potential, P_sq, -grid.radius_sq)
+
+
+def form(pair, grid, modes_a, modes_b, gammas):
+    """The pair's quadratic form between two mode lists at equal time:
     the form value on the densities of their equal-time profiles."""
     pa, pb = equal_time_profile(modes_a), equal_time_profile(modes_b)
-    return form_value(kernel, *densities(gammas, pa, pb))
+    return form_value(pair, grid, *densities(gammas, pa, pb))
 
 
 def free_product(grid, modes_a, modes_b, gammas):
     """The free flavor's form on the grid at P^2 = P2_SQ."""
-    kernel = build_kernel("free", Constant(v=0.0), P2_SQ, grid)
-    return form(kernel, modes_a, modes_b, gammas)
+    return form(grid_pair("free", Constant(v=0.0), P2_SQ, grid), grid, modes_a, modes_b, gammas)
 
 
 def gaussian_profile_modes(grid, width, component):
@@ -114,54 +118,54 @@ def test_free_product_is_sesquilinear(gam, rng):
 
 def test_free_kernel_coefficients():
     grid = Grid(n=8, L=6.0)
-    kernel = build_kernel("free", Constant(v=0.0), P2_SQ, grid)
+    A, B = grid_pair("free", Constant(v=0.0), P2_SQ, grid)
     # the written bracket gamma_1^0 gamma_2^0 sits swapped in the form:
     # the quadratic form of the bar convention is the identity
-    assert np.all(kernel.B == 0.0)
-    assert np.all(kernel.A == 1.0)
+    assert np.all(B == 0.0)
+    assert np.all(A == 1.0)
 
 
 def test_sazdjian_kernel_reduces_to_free_for_zero_potential():
     grid = Grid(n=8, L=6.0)
-    kernel = build_kernel("sazdjian", Constant(v=0.0), P2_SQ, grid)
-    free = build_kernel("free", Constant(v=0.0), P2_SQ, grid)
-    assert np.allclose(kernel.B, free.B)
-    assert np.allclose(kernel.A, free.A)
+    A, B = grid_pair("sazdjian", Constant(v=0.0), P2_SQ, grid)
+    A_free, B_free = grid_pair("free", Constant(v=0.0), P2_SQ, grid)
+    assert np.allclose(B, B_free)
+    assert np.allclose(A, A_free)
 
 
 def test_sazdjian_kernel_constant_potential():
     grid = Grid(n=8, L=6.0)
-    kernel = build_kernel("sazdjian", Constant(v=0.3), P2_SQ, grid)
+    A, B = grid_pair("sazdjian", Constant(v=0.3), P2_SQ, grid)
     # written 4 P^2 dV/dP^2 1 + (1 - V^2) gamma_1^0 gamma_2^0, swapped
-    assert np.allclose(kernel.B, 0.0)
-    assert np.allclose(kernel.A, 1.0 - 0.09)
+    assert np.allclose(B, 0.0)
+    assert np.allclose(A, 1.0 - 0.09)
 
 
 def test_crater_kernel_is_identity_for_momentum_independent_potentials():
     grid = Grid(n=8, L=6.0)
     for pot in (Constant(v=0.0), Constant(v=0.4), TanhOfG(g=GaussianG(amplitude=0.5, width=1.0))):
         # the crater bracket is written against psi^dagger: no swap
-        kernel = build_kernel("crater", pot, P2_SQ, grid)
-        assert np.allclose(kernel.A, 1.0)
-        assert np.allclose(kernel.B, 0.0)
+        A, B = grid_pair("crater", pot, P2_SQ, grid)
+        assert np.allclose(A, 1.0)
+        assert np.allclose(B, 0.0)
 
 
 def test_yukawa_kernels_match_potential_evaluations(reference_dV_dP2):
     grid = Grid(n=8, L=4.0)
     P_sq = 2.25
-    saz = build_kernel("sazdjian", YUKAWA, P_sq, grid)
-    cra = build_kernel("crater", YUKAWA, P_sq, grid)
+    A_saz, B_saz = grid_pair("sazdjian", YUKAWA, P_sq, grid)
+    A_cra, B_cra = grid_pair("crater", YUKAWA, P_sq, grid)
     i, j, k = 2, 5, 1
     xps = -grid.radius_sq[i, j, k]
     V = eval_V(YUKAWA, xps, P_sq)
     dV = reference_dV_dP2(YUKAWA, xps, P_sq)
     # the written sazdjian pair sits swapped in the form, crater's does not
-    assert saz.B[i, j, k] == pytest.approx(4.0 * P_sq * dV, rel=1e-14)
-    assert saz.A[i, j, k] == pytest.approx(1.0 - V**2, rel=1e-14)
-    assert cra.A[i, j, k] == 1.0
+    assert B_saz[i, j, k] == pytest.approx(4.0 * P_sq * dV, rel=1e-14)
+    assert A_saz[i, j, k] == pytest.approx(1.0 - V**2, rel=1e-14)
+    assert A_cra[i, j, k] == 1.0
     # for this potential Delta and V have the same P^2 slope scaled by
     # cosh^2, checked through the closed forms
-    assert cra.B[i, j, k] == pytest.approx(
+    assert B_cra[i, j, k] == pytest.approx(
         -4.0 * P_sq * dV * math.cosh(math.atanh(V)) ** 2, rel=1e-12
     )
 
@@ -222,20 +226,20 @@ def test_kernel_form_matrix_is_hermitian(gam):
     assert np.array_equal(g, g.conj().T)
     grid = Grid(n=8, L=4.0)
     for flavor in ("free", "sazdjian", "crater"):
-        kernel = build_kernel(flavor, YUKAWA, P2_SQ, grid)
-        assert np.isrealobj(kernel.A) and np.isrealobj(kernel.B)
+        A, B = grid_pair(flavor, YUKAWA, P2_SQ, grid)
+        assert np.isrealobj(A) and np.isrealobj(B)
 
 
 def test_build_kernel_validation(rng):
     grid = Grid(n=8, L=4.0)
     with pytest.raises(ValueError):
-        build_kernel("euclidean", Constant(v=0.0), P2_SQ, grid)
+        grid_pair("euclidean", Constant(v=0.0), P2_SQ, grid)
     # a moving total momentum is outside the domain of the rest-frame
     # kernel even at the kernel's own P^2; no such field can be built
     with pytest.raises(ValueError, match="rest frame"):
         replace(random_band_limited_field(P2, grid, rng, max_index=1), P=np.array([2.0, 0.3, 0.0, 0.0]))
     with pytest.raises(ValueError):
-        build_kernel("free", Constant(v=0.0), 0.0, grid)
+        grid_pair("free", Constant(v=0.0), 0.0, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -263,12 +267,12 @@ def test_form_pair_calls_each_evaluator_at_most_once(monkeypatch, flavor, expect
 
 def test_free_flavor_reproduces_free_product(gam):
     grid = Grid(n=8, L=6.0)
-    kernel = build_kernel("free", Constant(v=0.0), P2_SQ, grid)
+    pair = grid_pair("free", Constant(v=0.0), P2_SQ, grid)
     rng = np.random.default_rng(17)
     for _ in range(20):
         a = samples(random_band_limited_field(P2, grid, rng, max_index=1))
         b = samples(random_band_limited_field(P2, grid, rng, max_index=1))
-        lhs = form(kernel, a, b, gam)
+        lhs = form(pair, grid, a, b, gam)
         # the plain product h^3 sum over components and points of conj(phi_a) phi_b
         pa, pb = equal_time_profile(a), equal_time_profile(b)
         rhs = complex(np.sum(pa.conj() * pb) * grid.h**3)
@@ -278,9 +282,9 @@ def test_free_flavor_reproduces_free_product(gam):
 def test_interacting_self_product_is_real(gam, rng):
     grid = Grid(n=8, L=6.0)
     for flavor in ("sazdjian", "crater"):
-        kernel = build_kernel(flavor, YUKAWA, P2_SQ, grid)
+        pair = grid_pair(flavor, YUKAWA, P2_SQ, grid)
         modes = samples(random_band_limited_field(P2, grid, rng, max_index=1))
-        val = form(kernel, modes, modes, gam)
+        val = form(pair, grid, modes, modes, gam)
         assert abs(val.imag) < 1e-10 * abs(val.real)
 
 
@@ -290,16 +294,16 @@ def test_negative_norm_state_inside_violation_ball(gam):
     # Sazdjian norm
     grid = Grid(n=32, L=4.0)
     P = np.array([1.0, 0.0, 0.0, 0.0])
-    kernel = build_kernel("sazdjian", YUKAWA, minkowski_sq(P), grid)
+    pair = grid_pair("sazdjian", YUKAWA, minkowski_sq(P), grid)
     gp = np.real(np.diag(gamma0_pair(gam)))
     component = int(np.argmin(gp))
     assert gp[component] == -1.0
     modes = gaussian_profile_modes(grid, width=0.15, component=component)
-    val = form(kernel, modes, modes, gam)
+    val = form(pair, grid, modes, modes, gam)
     assert val.real < -1e-4
     # the same profile on the +1 orientation keeps a positive norm
     plus = gaussian_profile_modes(grid, width=0.15, component=int(np.argmax(gp)))
-    assert form(kernel, plus, plus, gam).real > 0.0
+    assert form(pair, grid, plus, plus, gam).real > 0.0
 
 
 def _dense_gammas(seed):
@@ -311,18 +315,18 @@ def _dense_gammas(seed):
     return GammaSet("dense", np.stack([U @ g @ U.conj().T for g in dirac.gamma]))
 
 
-def _per_component_form(kernel, gammas, pa, pb):
+def _per_component_form(pair, grid, gammas, pa, pb):
     """The per-component formula h^3 sum_{c,x} conj(pa) (A pb + B Gamma pb)
     that the density form replaced, with Gamma = gamma_1^0 gamma_2^0,
     and the magnitude sum S = h^3 sum |pa| (|A| |pb| + |B| |Gamma| |pb|)
     of its terms."""
-    A, B = kernel.A, kernel.B
+    A, B = pair
     g = gamma0_pair(gammas)
     g_pb = (g @ pb.reshape(16, -1)).reshape(pb.shape)
     terms = pa.conj() * (A[None] * pb + B[None] * g_pb)
     abs_g_pb = (np.abs(g) @ np.abs(pb).reshape(16, -1)).reshape(pb.shape)
     scale = np.sum(np.abs(pa) * (np.abs(A)[None] * np.abs(pb) + np.abs(B)[None] * abs_g_pb))
-    h3 = kernel.grid.h**3
+    h3 = grid.h**3
     return complex(np.sum(terms) * h3), float(scale * h3)
 
 
@@ -353,12 +357,12 @@ def _rounding_bound(n, scale):
 def test_density_form_matches_per_component_formula(flavor, representation):
     gam = _dense_gammas(5) if representation == "dense" else build_gammas(representation)
     grid = Grid(n=8, L=4.0)
-    kernel = build_kernel(flavor, YUKAWA, P2_SQ, grid)
+    pair = grid_pair(flavor, YUKAWA, P2_SQ, grid)
     rng = np.random.default_rng(23)
     a = samples(random_band_limited_field(P2, grid, rng, max_index=1))
     b = samples(random_band_limited_field(P2, grid, rng, max_index=1))
     pa, pb = equal_time_profile(a), equal_time_profile(b)
     for fa, fb, qa, qb in ((a, b, pa, pb), (a, a, pa, pa)):
-        expect, scale = _per_component_form(kernel, gam, qa, qb)
-        got = form(kernel, fa, fb, gam)
+        expect, scale = _per_component_form(pair, grid, gam, qa, qb)
+        got = form(pair, grid, fa, fb, gam)
         assert abs(got - expect) <= _rounding_bound(grid.n, scale)
