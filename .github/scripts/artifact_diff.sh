@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Run the eight default subcommands from two source trees at one BLAS
-# thread and name every artifact that differs between them (by cmp).
+# thread, and kernel once more on a Yukawa config whose sazdjian form has
+# B != 0 and a violation ball (its artifacts go to yukawa_kernel/), and
+# name every artifact that differs between them (by cmp).
 # For a JSON artifact present on both sides, each dotted path whose value
 # differs is named instead (e.g. "conserve.json: report.residual"); lists
 # are compared whole. It only reports: a run that fails or a file that
@@ -9,6 +11,13 @@
 #   artifact_diff.sh BASE_TREE HEAD_TREE OUT_DIR
 set -u
 base=$1 head=$2 out=$3
+mkdir -p "$out"
+yukawa=$out/yukawa_kernel_config.json
+cat > "$yukawa" <<'EOF'
+{"schema": "tbdkit-config/1", "flavor": "sazdjian",
+ "potential": {"kind": "yukawa_tanh", "g1": 3.5449077018110318, "g2": 3.5449077018110318, "mu": 1.0},
+ "P2_values": [1.0, 2.25], "grid": {"n": 32, "L": 4.0}, "expect_positive": false}
+EOF
 for side in base head; do
   tree=${!side}
   mkdir -p "$out/$side"
@@ -16,6 +25,8 @@ for side in base head; do
     TBDKIT_THREADS=1 PYTHONPATH="$tree/src" python -m tbdkit.cli "$cmd" --out "$out/$side" --quiet \
       || echo "$side: tbdkit $cmd exited $?"
   done
+  TBDKIT_THREADS=1 PYTHONPATH="$tree/src" python -m tbdkit.cli kernel --config "$yukawa" \
+    --out "$out/$side/yukawa_kernel" --quiet || echo "$side: tbdkit kernel (yukawa) exited $?"
 done
 json_paths() {
   python - "$@" <<'EOF' || echo "differs: $3"
@@ -43,7 +54,7 @@ if not paths:  # the bytes differ, the parsed values do not
 EOF
 }
 moved=0
-for name in $( (ls "$out/base"; ls "$out/head") | sort -u); do
+for name in $( (cd "$out/base" && find . -type f; cd "$out/head" && find . -type f) | sed 's|^\./||' | sort -u); do
   if ! cmp -s "$out/base/$name" "$out/head/$name"; then
     if [[ $name == *.json && -f $out/base/$name && -f $out/head/$name ]]; then
       json_paths "$out/base/$name" "$out/head/$name" "$name"

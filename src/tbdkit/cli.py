@@ -369,8 +369,15 @@ def run_kernel(cfg):
         "expect_positive": cfg["expect_positive"],
         "passed": bool(rep.passed == cfg["expect_positive"]),
     }
-    eigmap = rep.argmin_map
-    columns = (*np.indices(eigmap.shape).reshape(3, -1), np.sqrt(grid.radius_sq).ravel(), eigmap.ravel())
+    # (values, codes) columns: i, j, k code into the axis indices, r and
+    # min_eigenvalue into the grid's distinct radii
+    r2, index = grid.radial
+    axis = np.arange(grid.n)
+    columns = (
+        *((axis, c) for c in np.indices(index.shape).reshape(3, -1)),
+        (np.sqrt(r2), index.ravel()),
+        (rep.argmin_map, index.ravel()),
+    )
     extras = {"kernel_min_eigenvalues.csv": (("i", "j", "k", "r", "min_eigenvalue"), columns)}
     return report, extras
 

@@ -335,9 +335,9 @@ def gauge_check(
     reports (relative_only, total_dependent).
 
     The form pairs (A, B) at P and P + a (scalar_product.form_pair on
-    the grid), the field's equal-time profile and its densities rho,
-    sigma (see scalar_product) are built once each and serve both
-    phases. The profile is one product over all the field's waves
+    the grid's distinct radii, taken at each point's radius), the field's
+    equal-time profile and its densities rho, sigma (see scalar_product)
+    are built once each and serve both phases. The profile is one product over all the field's waves
     (operators.equal_time_profile). The field has checked that P is a
     rest-frame momentum; P + a is checked before anything is built.
 
@@ -364,9 +364,9 @@ def gauge_check(
     """
     P, grid = fld.P, fld.grid
     P_after = check_rest_frame(P + as_four_vector(a))
-    x_perp_sq = -grid.radius_sq
-    kernel_before = form_pair(flavor, potential, minkowski_sq(P), x_perp_sq)
-    kernel_after = form_pair(flavor, potential, minkowski_sq(P_after), x_perp_sq)
+    r2, index = grid.radial
+    kernel_before = tuple(x[index] for x in form_pair(flavor, potential, minkowski_sq(P), -r2))
+    kernel_after = tuple(x[index] for x in form_pair(flavor, potential, minkowski_sq(P_after), -r2))
     profile = equal_time_profile(fld)
     rho, sigma = densities(gammas, profile, profile)
     profile *= _relative_phase(grid, c)

@@ -116,7 +116,10 @@ class AliasingWarning(UserWarning):
 class Grid:
     """Periodic spatial grid of n^3 points in a box of side L, offset by
     half a cell: x_j = -L/2 + (j + 1/2) h. The offset keeps r = 0 out of
-    the sample set, which the Yukawa core requires."""
+    the sample set, which the Yukawa core requires. A radial function
+    (the potential, a form pair) is evaluated once per distinct squared
+    radius of radial and read at each point's radius; radius_sq, the
+    per-point definition, is what radial reproduces."""
 
     n: int
     L: float
@@ -150,6 +153,18 @@ class Grid:
         # x^2 + y^2 + z^2 broadcast from the axis, without the mesh
         s = self.axis**2
         return s[:, None, None] + s[None, :, None] + s
+
+    @cached_property
+    def radial(self) -> tuple[np.ndarray, np.ndarray]:
+        """(r2, index): r2 the sorted distinct values of radius_sq and
+        index an (n, n, n) array with r2[index] equal to radius_sq bit for
+        bit. radius_sq sums as (s_i + s_j) + s_k, so the distinct inner
+        sums come first (n^2 values), then the distinct sums of those
+        with s_k; neither pass sorts n^3 values."""
+        s = self.axis**2
+        inner, inner_index = np.unique(s[:, None] + s, return_inverse=True)
+        r2, outer_index = np.unique(inner[:, None] + s, return_inverse=True)
+        return r2, outer_index.reshape(inner.size, self.n)[inner_index.reshape(self.n, self.n)]
 
 
 @dataclass(frozen=True)
@@ -448,13 +463,15 @@ def compatibility_residual(
     grid = fld.grid
     n = grid.n
     P0, P_sq = fld.P[0], minkowski_sq(fld.P)
-    V = eval_V(system.potential, -grid.radius_sq, P_sq)
+    # V and dV/dxperp^2 on the grid's distinct radii, taken at each point's radius
+    r2, index = grid.radial
+    V = eval_V(system.potential, -r2, P_sq)[index]
     table = _gamma_table(g, np.ix_(*[grid.wavenumbers] * 3))
     if not composed:
         # [K_1, V] = +i gamma_1^k (d_k V), [K_2, V] = -i gamma_2^k (d_k V),
         # with d_k V = dV/dxperp^2 * (-2 x^k); the table holds i gamma^k d_k V,
         # x^k broadcast along its own axis
-        idV = 1j * eval_dV_dxperp_sq(system.potential, -grid.radius_sq, P_sq)
+        idV = 1j * eval_dV_dxperp_sq(system.potential, -r2, P_sq)[index]
         x = grid.axis
         commutator = _gamma_table(g, [idV * (-2.0 * xk) for xk in (x[:, None, None], x[:, None], x)])
     points = [_mode_points(grid, m, amps) for _, m, amps in fld.modes]

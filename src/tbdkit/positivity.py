@@ -4,7 +4,10 @@ The scan evaluates the smallest eigenvalue of a kernel flavor's
 quadratic-form matrix A 1 + B gamma_1^0 gamma_2^0 at every grid point
 and every requested P^2, in closed form as A - |B| (gamma_1^0 gamma_2^0
 is an involution with eigenvalues +-1), and reports the global minimum
-eigenvalue and the set of violating points. For the Yukawa-tanh
+eigenvalue and the set of violating points. The form depends on the
+point only through r^2, so it is evaluated once per distinct radius of
+the grid (grid.radial: 276 radii for the 32768 points of n = 32) and a
+point reads the value of its radius. For the Yukawa-tanh
 potential the violation region is a ball whose radius r* solves
 r e^{mu r} = C with C = |g1 g2| / (4 pi |P^0|); violation_radius gives it
 in closed form, r* = W(mu C) / mu with W the principal Lambert W, and
@@ -52,45 +55,47 @@ class PositivityReport:
     violation_radius_max: float | None
     tolerance: float
     passed: bool
-    # min_eigenvalue_map at argmin_P2, for the kernel CSV; not in the JSON
+    # the smallest eigenvalue at each of grid.radial's radii for argmin_P2,
+    # for the kernel CSV; not in the JSON
     argmin_map: np.ndarray = field(repr=False, compare=False, metadata={"serialize": False})
 
 
 def scan(flavor: str, potential, P2_set, grid) -> PositivityReport:
     """Smallest eigenvalue of the kernel's quadratic form over the grid
-    and a set of P^2 values. The report keeps the eigenvalue map of the
-    P^2 that holds the minimum."""
+    and a set of P^2 values, evaluated on the grid's distinct radii. The
+    argmin is the first grid point, in C order, that holds the minimum.
+    The report keeps the per-radius eigenvalues of the P^2 that holds
+    the minimum."""
     P2_values = tuple(float(p) for p in P2_set)
     if not P2_values:
         raise ValueError("P2_set must be nonempty")
+    r2, index = grid.radial
     min_eig = math.inf
     argmin = (0, 0, 0)
     argmin_P2 = P2_values[0]
     violations = []
     edges = []  # the largest violating radius of each P^2
-    radius = np.sqrt(grid.radius_sq)
     for P2 in P2_values:
-        eigs = min_eigenvalue_map(flavor, potential, P2, grid)
+        eigs = _radial_min_eigenvalues(flavor, potential, P2, r2)
         if not np.all(np.isfinite(eigs)):
             raise ValueError(f"the form eigenvalue is not finite at every grid point for P^2 = {P2!r}")
-        idx = np.unravel_index(np.argmin(eigs), eigs.shape)
-        if eigs[idx] < min_eig:
-            min_eig = float(eigs[idx])
-            argmin = tuple(int(i) for i in idx)
+        if eigs.min() < min_eig:
+            point = np.unravel_index(np.argmin(eigs[index]), index.shape)
+            min_eig = float(eigs[index[point]])
+            argmin = tuple(int(i) for i in point)
             argmin_P2 = P2
             argmin_map = eigs
         bad = eigs < -EIGENVALUE_TOLERANCE
-        hits = np.argwhere(bad).tolist()
-        if hits:
-            violations.extend((i, j, k, P2) for i, j, k in hits)
-            edges.append(float(radius[bad].max()))
+        if bad.any():
+            violations.extend((i, j, k, P2) for i, j, k in np.argwhere(bad[index]).tolist())
+            edges.append(math.sqrt(r2[bad].max()))
     return PositivityReport(
         flavor=flavor,
         potential=repr(potential),
         P2_values=P2_values,
         min_eigenvalue=min_eig,
         argmin_index=argmin,
-        argmin_radius=float(radius[argmin]),
+        argmin_radius=math.sqrt(r2[index[argmin]]),
         argmin_P2=argmin_P2,
         violation_count=len(violations),
         violation_points=tuple(violations),
@@ -101,17 +106,24 @@ def scan(flavor: str, potential, P2_set, grid) -> PositivityReport:
     )
 
 
+def _radial_min_eigenvalues(flavor: str, potential, P2: float, r2):
+    """A - |B| of the form pair at each squared radius of r2."""
+    A, B = form_pair(flavor, potential, P2, -r2)
+    return A - np.abs(B)
+
+
 def min_eigenvalue_map(flavor: str, potential, P2: float, grid):
     """Smallest form eigenvalue at every grid point for a single P^2,
-    shape (n, n, n). This is the per-point data behind scan().
+    shape (n, n, n): the values on the grid's distinct radii, taken at
+    each point's radius. This is the per-point data behind scan().
 
     The form matrix is A 1 + B gamma_1^0 gamma_2^0 per point. Since
     gamma_1^0 gamma_2^0 is a Hermitian involution with both signs in its
     spectrum, the eigenvalues are exactly A + B and A - B, and the
     smallest is A - |B|.
     """
-    A, B = form_pair(flavor, potential, P2, -grid.radius_sq)
-    return A - np.abs(B)
+    r2, index = grid.radial
+    return _radial_min_eigenvalues(flavor, potential, P2, r2)[index]
 
 
 def _first_false(mask) -> int:

@@ -3,7 +3,8 @@
 A norm kernel is its form pair (A, B): the pointwise quadratic-form
 matrix A(x) 1_16 + B(x) gamma_1^0 gamma_2^0 at one scalar P^2, with real
 A, B, hence Hermitian pointwise. On a grid, A and B are evaluated at
-x_perp^2 = -grid.radius_sq and have shape (n, n, n). The sesquilinear
+x_perp^2 = -r2 of the grid's distinct squared radii (grid.radial); a
+grid point reads the pair of its radius. The sesquilinear
 form of two internal fields on the t = 0 slice reads the pair, and the
 positivity scans certify its eigenvalues A +- B. The three flavors, as
 the paper writes their brackets:

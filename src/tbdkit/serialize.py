@@ -13,15 +13,16 @@ that make up most of a report (float, int, str) and then on containers
 (dicts, lists, tuples) before it falls back to isinstance tests for
 numpy scalars, arrays and dataclasses.
 
-CSV tables are passed as numpy columns. Each distinct value of a column
-is formatted once, into a byte table: one NUL-padded ASCII row per
-distinct value, ending in the column's separator ("," or, for the last
-column, the row terminator). The distinct values come from np.unique,
-on the bit pattern for floats so that -0.0 and 0.0 stay apart. The
-file is written in blocks of rows: a block gathers each column's table
-rows by the cells' indices into one fixed-width byte matrix, drops the
-padding (no formatted cell holds a NUL) and is one write. The bytes are those of formatting cell by cell;
-memory stays at the tables, the indices and one block.
+CSV tables are passed as dictionary-encoded columns: a column is a
+pair (values, codes) of 1-D numpy arrays, and its cell i is
+values[codes[i]]. Each entry of values is formatted once, into a byte
+table: one NUL-padded ASCII row per entry, ending in the column's
+separator ("," or, for the last column, the row terminator). The file
+is written in blocks of rows: a block gathers each column's table rows
+by its codes into one fixed-width byte matrix, drops the padding (no
+formatted cell holds a NUL) and is one write. The bytes are those of
+formatting cell by cell; memory stays at the tables, the codes and one
+block.
 """
 
 from __future__ import annotations
@@ -63,7 +64,20 @@ def _encode(obj) -> str:
     if isinstance(obj, dict):
         return _encode_dict(obj)
     if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(map(_encode, obj)) + "]"
+        # the exact scalar types inline, without a call per element: a
+        # report's long lists (violation_points) are tuples of them
+        parts = []
+        for x in obj:
+            t = type(x)
+            if t is float:
+                parts.append("%.17g" % x if math.isfinite(x) else _format_float(x))
+            elif t is int:
+                parts.append(str(x))
+            elif t is str:
+                parts.append(json.dumps(x, ensure_ascii=True))
+            else:
+                parts.append(_encode(x))
+        return "[" + ",".join(parts) + "]"
     if obj is None:
         return "null"
     if isinstance(obj, bool) or isinstance(obj, np.bool_):
@@ -99,41 +113,46 @@ def write_json(path, obj):
         fh.write("\n")
 
 
-def _column_table(col, end: bytes):
-    """(table, inverse) of one CSV column: table holds the ASCII text of
-    each distinct value followed by end, one NUL-padded uint8 row per
-    value, each formatted once; cell i's text is table[inverse[i]]."""
-    col = np.asarray(col)
-    if col.ndim != 1:
-        raise ValueError(f"CSV columns must be 1-D, got shape {col.shape}")
-    if col.dtype.kind == "f":
-        # Keyed on the bit pattern so that -0.0 and 0.0 stay apart.
-        bits, inverse = np.unique(col.astype(np.float64, copy=False).view(np.int64), return_inverse=True)
-        distinct = [_format_float(x) for x in bits.view(np.float64).tolist()]
-    elif col.dtype.kind in "iu":
-        values, inverse = np.unique(col, return_inverse=True)
-        distinct = [str(v) for v in values.tolist()]
+def _column_table(column, end: bytes):
+    """(table, codes) of one (values, codes) CSV column: table holds the
+    ASCII text of each entry of values followed by end, one NUL-padded
+    uint8 row per entry, each formatted once; cell i's text is
+    table[codes[i]]."""
+    values, codes = (np.asarray(a) for a in column)
+    if values.ndim != 1 or codes.ndim != 1:
+        raise ValueError(f"CSV values and codes must be 1-D, got shapes {values.shape} and {codes.shape}")
+    if values.dtype.kind == "f":
+        texts = [_format_float(x) for x in values.astype(np.float64, copy=False).tolist()]
+    elif values.dtype.kind in "iu":
+        texts = [str(v) for v in values.tolist()]
     else:
-        raise TypeError(f"CSV columns must be integer or float, got {col.dtype}")
-    table = np.array([s.encode("ascii") + end for s in distinct], dtype=bytes)
-    return table.view(np.uint8).reshape(len(distinct), table.dtype.itemsize), inverse
+        raise TypeError(f"CSV columns must be integer or float, got {values.dtype}")
+    if codes.dtype.kind not in "iu":
+        raise TypeError(f"CSV codes must be integers, got {codes.dtype}")
+    if codes.size and not (codes.min() >= 0 and codes.max() < len(texts)):
+        raise ValueError(f"CSV codes must lie in [0, {len(texts)})")
+    table = np.array([t.encode("ascii") + end for t in texts], dtype=bytes)
+    return table.view(np.uint8).reshape(len(texts), table.dtype.itemsize), codes
 
 
 def write_csv(path, header, columns):
-    """Comma-separated table of equal-length 1-D integer or float
-    columns, header row first, '%.17g' floats, no locale dependence. Each
-    distinct value is formatted once; the bytes are those of formatting
-    each cell. Complex columns must be split into re/im pairs by the
-    caller; any other dtype, bool included, raises TypeError."""
+    """Comma-separated table of dictionary-encoded columns, header row
+    first, '%.17g' floats, no locale dependence. Each column is a pair
+    (values, codes) of 1-D arrays, integer or float values and integer
+    codes, whose cell i is values[codes[i]]; all columns have as many
+    codes. The bytes are those of formatting each cell. Complex columns
+    must be split into re/im pairs by the caller; any other dtype of
+    values, bool included, raises TypeError. Every check, the
+    formatting of values included, is done before the file opens."""
     if len(columns) != len(header):
         raise ValueError(f"{len(columns)} columns for a header of {len(header)}")
     tables = [_column_table(c, b"\n" if i == len(columns) - 1 else b",") for i, c in enumerate(columns)]
-    lengths = [len(inverse) for _, inverse in tables]
+    lengths = [len(codes) for _, codes in tables]
     if len(set(lengths)) > 1:
         raise ValueError(f"CSV columns differ in length: {lengths}")
     n_rows = lengths[0] if lengths else 0
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode("ascii"))
         for lo in range(0, n_rows, _BLOCK_ROWS):
-            rows = [np.take(table, inverse[lo : lo + _BLOCK_ROWS], axis=0) for table, inverse in tables]
+            rows = [np.take(table, codes[lo : lo + _BLOCK_ROWS], axis=0) for table, codes in tables]
             fh.write(np.concatenate(rows, axis=1).tobytes().translate(None, b"\0"))

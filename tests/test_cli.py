@@ -237,8 +237,10 @@ def test_kernel_csv_matches_cell_by_cell_reference(tmp_path, monkeypatch, refere
 def test_kernel_csv_formats_each_distinct_float_once(tmp_path, monkeypatch):
     _, extras = cli.run_kernel(load_config("kernel", None))
     ((fname, (header, columns)),) = extras.items()
-    assert len(columns[0]) == 32**3
-    expected = sum(len(np.unique(col.view(np.int64))) for col in columns if col.dtype == np.float64)
+    assert all(len(codes) == 32**3 for _, codes in columns)
+    # r and min_eigenvalue code into the 276 distinct radii of the n = 32 grid
+    expected = sum(len(values) for values, _ in columns if values.dtype == np.float64)
+    assert expected == 2 * 276
     format_float, calls = serialize._format_float, []
 
     def counting_format_float(x):

@@ -147,6 +147,20 @@ def test_grid_radius_never_vanishes():
     assert np.min(grid.radius_sq) > 0.0
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 24).map(lambda m: 2 * m), L=st.floats(-100.0, 100.0).map(lambda e: 10.0**e))
+@example(n=32, L=10.5)
+@example(n=32, L=4.0)
+@example(n=16, L=8.0)
+def test_grid_radial_reproduces_radius_sq_bitwise(n, L):
+    grid = Grid(n=n, L=L)
+    r2, index = grid.radial
+    assert index.shape == (n, n, n)
+    assert np.all(np.diff(r2) > 0)  # sorted and distinct
+    assert np.unique(index).size == r2.size  # every radius is a grid point's
+    assert np.array_equal(r2[index].view(np.int64), grid.radius_sq.view(np.int64))
+
+
 # ---------------------------------------------------------------------------
 # Fields
 

@@ -333,11 +333,53 @@ def test_flavor_routes_agree_with_violation_radius(g1, g2, signs, mu, P0):
 
 
 def test_scan_keeps_the_eigenvalue_map_of_its_argmin_P2():
+    # argmin_map holds one eigenvalue per distinct radius of the grid
     grid = Grid(n=8, L=4.0)
+    r2, index = grid.radial
     rep = scan("sazdjian", YUKAWA, [4.0, 1.0, 9.0], grid)
     assert rep.argmin_P2 == 1.0
-    assert np.array_equal(rep.argmin_map, min_eigenvalue_map("sazdjian", YUKAWA, 1.0, grid))
-    assert rep.argmin_map[rep.argmin_index] == rep.min_eigenvalue
+    assert rep.argmin_map.shape == r2.shape
+    assert np.array_equal(rep.argmin_map[index], min_eigenvalue_map("sazdjian", YUKAWA, 1.0, grid))
+    assert rep.argmin_map[index[rep.argmin_index]] == rep.min_eigenvalue
+
+
+def _point_scan(flavor, potential, P2_values, grid):
+    """The scan evaluated at every grid point, as scan did before it read
+    the grid's distinct radii: the fields of its report, argmin_map left out."""
+    radius = np.sqrt(grid.radius_sq)
+    min_eig, argmin, argmin_P2, violations, edges = math.inf, None, None, [], []
+    for P2 in P2_values:
+        A, B = form_pair(flavor, potential, P2, -grid.radius_sq)
+        eigs = A - np.abs(B)
+        idx = np.unravel_index(np.argmin(eigs), eigs.shape)
+        if eigs[idx] < min_eig:
+            min_eig, argmin, argmin_P2 = float(eigs[idx]), tuple(int(i) for i in idx), P2
+        bad = eigs < -positivity.EIGENVALUE_TOLERANCE
+        violations.extend((i, j, k, P2) for i, j, k in np.argwhere(bad).tolist())
+        if bad.any():
+            edges.append(float(radius[bad].max()))
+    return {
+        "min_eigenvalue": min_eig,
+        "argmin_index": argmin,
+        "argmin_radius": float(radius[argmin]),
+        "argmin_P2": argmin_P2,
+        "violation_points": tuple(violations),
+        "violation_radius_max": max(edges, default=None),
+    }
+
+
+@pytest.mark.parametrize("flavor, potential, P2_values, grid", [
+    ("sazdjian", YUKAWA, [4.0, 1.0, 0.5], Grid(n=16, L=4.0)),
+    ("crater", YUKAWA, [1.0, 2.0], Grid(n=12, L=3.0)),
+    ("sazdjian", TanhOfG(g=GaussianG(amplitude=0.9, width=1.0)), [4.0, 6.25, 9.0], Grid(n=16, L=10.5)),
+    # every point ties at 1: the argmin is the first point
+    ("free", YUKAWA, [1.0, 2.0], Grid(n=8, L=4.0)),
+], ids=["yukawa_sazdjian", "yukawa_crater", "tanh_gaussian", "free_ties"])
+def test_scan_on_distinct_radii_matches_a_point_by_point_scan(flavor, potential, P2_values, grid):
+    rep = scan(flavor, potential, P2_values, grid)
+    expected = _point_scan(flavor, potential, P2_values, grid)
+    assert {key: getattr(rep, key) for key in expected} == expected
+    assert rep.violation_count == len(expected["violation_points"])
 
 
 def test_scan_certifies_bounded_tanh_potential():

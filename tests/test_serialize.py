@@ -100,45 +100,93 @@ def test_fields_marked_not_serialized_are_left_out():
     assert canonical_json(Report(1.5, np.full(3, np.nan))) == '{"value":1.5}'
 
 
+def _cells(column):
+    values, codes = column
+    return [values[c] for c in codes]
+
+
+def _rows(columns):
+    """The rows of (values, codes) columns, cell by cell, for reference_csv."""
+    return list(zip(*map(_cells, columns)))
+
+
+def _plain(*cells):
+    """A (values, codes) column that codes each cell to its own entry."""
+    values = np.array(cells)
+    return values, np.arange(len(values))
+
+
 def test_write_csv_layout(tmp_path):
     p = tmp_path / "table.csv"
-    write_csv(p, ("i", "value"), [np.array([0, 1]), np.array([0.5, 1.0])])
+    write_csv(p, ("i", "value"), [(np.array([1, 0]), np.array([1, 0])), (np.array([0.5, 1.0]), np.array([0, 1]))])
     assert p.read_text() == "i,value\n0,0.5\n1,1\n"
 
 
 def test_write_csv_rejects_ragged_rows(tmp_path):
-    with pytest.raises(ValueError):
-        write_csv(tmp_path / "bad.csv", ("a", "b"), [np.array([1, 2]), np.array([0.5])])
+    with pytest.raises(ValueError, match="differ in length"):
+        write_csv(tmp_path / "bad.csv", ("a", "b"), [_plain(1, 2), (np.array([0.5]), np.array([0]))])
 
 
 def test_write_csv_rejects_header_column_count_mismatch(tmp_path):
     with pytest.raises(ValueError):
-        write_csv(tmp_path / "bad.csv", ("a", "b"), [np.array([1])])
+        write_csv(tmp_path / "bad.csv", ("a", "b"), [_plain(1)])
 
 
 def test_write_csv_rejects_complex_cells(tmp_path):
     with pytest.raises(TypeError):
-        write_csv(tmp_path / "bad.csv", ("a",), [np.array([1j])])
+        write_csv(tmp_path / "bad.csv", ("a",), [_plain(1j)])
 
 
 def test_write_csv_rejects_string_columns(tmp_path):
     with pytest.raises(TypeError):
-        write_csv(tmp_path / "bad.csv", ("a",), [np.array(["x"])])
+        write_csv(tmp_path / "bad.csv", ("a",), [_plain("x")])
     # nor bool: a CSV column is integer or float
     with pytest.raises(TypeError, match="integer or float"):
-        write_csv(tmp_path / "bad.csv", ("a", "b"), [np.array([1, 2]), np.array([True, False])])
+        write_csv(tmp_path / "bad.csv", ("a", "b"), [_plain(1, 2), _plain(True, False)])
 
 
 @pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf")])
 def test_write_csv_rejects_non_finite_floats(tmp_path, x):
     with pytest.raises(ValueError, match=str(x)):
-        write_csv(tmp_path / "bad.csv", ("a",), [np.array([1.0, x, 1.0])])
+        write_csv(tmp_path / "bad.csv", ("a",), [(np.array([1.0, x]), np.array([0, 1, 0]))])
+
+
+@pytest.mark.parametrize("codes, error", [
+    (np.array([0, 2]), ValueError),  # past the end of values
+    (np.array([0, -1]), ValueError),  # negative: no wrap to the end
+    (np.array([0.0, 1.0]), TypeError),
+    (np.array([[0, 1]]), ValueError),
+])
+def test_write_csv_rejects_codes_outside_values_and_leaves_no_file(tmp_path, codes, error):
+    p = tmp_path / "bad.csv"
+    with pytest.raises(error):
+        write_csv(p, ("a",), [(np.array([0.5, 1.5]), codes)])
+    assert not p.exists()
 
 
 def test_write_csv_keeps_signed_zero_apart(tmp_path):
     p = tmp_path / "zeros.csv"
-    write_csv(p, ("x",), [np.array([-0.0, 0.0, -0.0, 0.0])])
+    write_csv(p, ("x",), [(np.array([-0.0, 0.0]), np.array([0, 1, 0, 1]))])
     assert p.read_text() == "x\n-0\n0\n-0\n0\n"
+
+
+def test_write_csv_reads_values_that_repeat_or_are_signed_zeros(tmp_path, reference_csv):
+    # values need not be distinct: each entry is formatted on its own
+    columns = [
+        (np.array([0.0, -0.0, 0.0, 2.5, 2.5]), np.array([4, 1, 0, 2, 3, 1])),
+        (np.array([7, 7, -7]), np.array([0, 1, 2, 2, 1, 0])),
+    ]
+    p = tmp_path / "table.csv"
+    write_csv(p, ("f", "i"), columns)
+    assert p.read_bytes() == reference_csv(("f", "i"), _rows(columns)).encode("ascii")
+    assert p.read_text().splitlines()[1:4] == ["2.5,7", "-0,7", "0,-7"]
+
+
+@pytest.mark.parametrize("values", [np.array([1.5, -0.0]), np.array([], dtype=np.int64)])
+def test_write_csv_with_empty_codes_writes_the_header_only(tmp_path, values):
+    p = tmp_path / "table.csv"
+    write_csv(p, ("a", "b"), [(values, np.array([], dtype=np.int64)), _plain()])
+    assert p.read_text() == "a,b\n"
 
 
 _FLOAT_EDGES = [
@@ -162,10 +210,12 @@ def _tables(draw):
     dtypes = draw(st.lists(st.sampled_from(sorted(_CELLS)), min_size=1, max_size=4))
     columns = []
     for dtype in dtypes:
-        # A small pool of values per column, so rows repeat them.
-        pool = draw(st.lists(_CELLS[dtype], min_size=1, max_size=5))
-        cells = draw(st.lists(st.sampled_from(pool), min_size=n_rows, max_size=n_rows))
-        columns.append(np.array(cells, dtype=dtype))
+        # A small pool of values per column, duplicates allowed, so the
+        # codes repeat them.
+        values = draw(st.lists(_CELLS[dtype], min_size=1, max_size=5))
+        codes = draw(st.lists(st.integers(0, len(values) - 1), min_size=n_rows, max_size=n_rows))
+        code_dtype = draw(st.sampled_from([np.int64, np.int32, np.uint16]))
+        columns.append((np.array(values, dtype=dtype), np.array(codes, dtype=code_dtype)))
     return columns
 
 
@@ -175,15 +225,14 @@ def test_write_csv_matches_cell_by_cell_reference(tmp_path, reference_csv, colum
     header = tuple(f"c{i}" for i in range(len(columns)))
     p = tmp_path / "table.csv"
     write_csv(p, header, columns)
-    rows = list(zip(*columns))
-    assert p.read_bytes() == reference_csv(header, rows).encode("ascii")
+    assert p.read_bytes() == reference_csv(header, _rows(columns)).encode("ascii")
 
 
 def test_write_csv_streams_the_default_kernel_table(tmp_path):
     # rows go to the file a block at a time: the peak allocation stays
-    # near the column indices, the byte tables and one block of rows
-    # (about twice the file), where the whole table gathered at once
-    # would add another file's worth
+    # near the byte tables and one block of rows (the codes are the
+    # caller's), where the whole table gathered at once would add
+    # another file's worth
     _, extras = cli.run_kernel(cli.load_config("kernel", None))
     header, columns = extras["kernel_min_eigenvalues.csv"]
     p = tmp_path / "kernel_min_eigenvalues.csv"
@@ -201,11 +250,11 @@ def test_write_csv_streams_the_default_kernel_table(tmp_path):
 def _block_columns(n_rows):
     i = np.arange(n_rows)
     return [
-        i % 7 - 3,
-        np.where(i % 3 == 0, -0.0, 1.0 / (i % 11 + 1)),
-        i % 2,
-        (i % 5).astype(np.uint8) * 50,
-        np.linspace(-1.0, 1.0, n_rows),
+        (np.arange(-3, 4), i % 7),
+        (np.concatenate([[-0.0], 1.0 / np.arange(1, 12)]), np.where(i % 3 == 0, 0, i % 11 + 1)),
+        (np.array([0, 1]), i % 2),
+        (np.arange(5).astype(np.uint8) * 50, i % 5),
+        (np.linspace(-1.0, 1.0, n_rows), i),
     ]
 
 
@@ -215,7 +264,7 @@ def test_write_csv_block_boundaries_match_reference(tmp_path, reference_csv, n_r
     header = ("int", "float", "parity", "byte", "ramp")
     p = tmp_path / "table.csv"
     write_csv(p, header, columns)
-    assert p.read_bytes() == reference_csv(header, list(zip(*columns))).encode("ascii")
+    assert p.read_bytes() == reference_csv(header, _rows(columns)).encode("ascii")
 
 
 @pytest.mark.parametrize("column", [
@@ -228,15 +277,17 @@ def test_write_csv_block_boundaries_match_reference(tmp_path, reference_csv, n_r
 def test_write_csv_integer_columns_at_the_dtype_limits(tmp_path, reference_csv, column):
     # the byte table of an integer column holds its extreme values
     # exactly, with no wrap at the ends of the dtype
+    codes = np.concatenate([np.arange(len(column)), np.arange(len(column))[::-1]])
     p = tmp_path / "table.csv"
-    write_csv(p, ("x",), [column])
-    assert p.read_bytes() == reference_csv(("x",), [(v,) for v in column]).encode("ascii")
+    write_csv(p, ("x",), [(column, codes)])
+    assert p.read_bytes() == reference_csv(("x",), _rows([(column, codes)])).encode("ascii")
 
 
 @pytest.mark.parametrize("x", [float("nan"), float("inf")])
 def test_write_csv_non_finite_in_the_last_block_leaves_no_file(tmp_path, x):
+    # the ramp's last value is read by the last row only
     columns = _block_columns(2 * serialize._BLOCK_ROWS + 1)
-    columns[4][-1] = x
+    columns[4][0][-1] = x
     p = tmp_path / "bad.csv"
     with pytest.raises(ValueError, match=str(x)):
         write_csv(p, ("int", "float", "flag", "byte", "ramp"), columns)
