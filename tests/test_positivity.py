@@ -344,8 +344,9 @@ def test_scan_keeps_the_eigenvalue_map_of_its_argmin_P2():
 
 
 def _point_scan(flavor, potential, P2_values, grid):
-    """The scan evaluated at every grid point, as scan did before it read
-    the grid's distinct radii: the fields of its report, argmin_map left out."""
+    """The scan evaluated at every grid point, the oracle for scan's
+    evaluation on the distinct radii: the fields of its report, argmin_map
+    left out."""
     radius = np.sqrt(grid.radius_sq)
     min_eig, argmin, argmin_P2, violations, edges = math.inf, None, None, [], []
     for P2 in P2_values:
