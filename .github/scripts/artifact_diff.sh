@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Run the eight default subcommands from two source trees at one BLAS
-# thread, and kernel once more on a Yukawa config whose sazdjian form has
-# B != 0 and a violation ball (its artifacts go to yukawa_kernel/), and
-# name every artifact that differs between them (by cmp).
+# thread, then kernel once more on a Yukawa config whose sazdjian form has
+# B != 0 and a violation ball (its artifacts go to yukawa_kernel/) and
+# radius on the same coupling with the crater flavor (crater_radius/), so
+# that both flavors' violating radii are compared, and name every
+# artifact that differs between them (by cmp).
 # For a JSON artifact present on both sides, each dotted path whose value
 # differs is named instead (e.g. "conserve.json: report.residual"); lists
 # are compared whole. It only reports: a run that fails or a file that
@@ -18,6 +20,12 @@ cat > "$yukawa" <<'EOF'
  "potential": {"kind": "yukawa_tanh", "g1": 3.5449077018110318, "g2": 3.5449077018110318, "mu": 1.0},
  "P2_values": [1.0, 2.25], "grid": {"n": 32, "L": 4.0}, "expect_positive": false}
 EOF
+crater=$out/crater_radius_config.json
+cat > "$crater" <<'EOF'
+{"schema": "tbdkit-config/1", "flavor": "crater",
+ "g1": 3.5449077018110318, "g2": 3.5449077018110318, "mu": 1.0, "P0": 1.0,
+ "grid": {"n": 24, "L": 5.0}}
+EOF
 for side in base head; do
   tree=${!side}
   mkdir -p "$out/$side"
@@ -27,6 +35,8 @@ for side in base head; do
   done
   TBDKIT_THREADS=1 PYTHONPATH="$tree/src" python -m tbdkit.cli kernel --config "$yukawa" \
     --out "$out/$side/yukawa_kernel" --quiet || echo "$side: tbdkit kernel (yukawa) exited $?"
+  TBDKIT_THREADS=1 PYTHONPATH="$tree/src" python -m tbdkit.cli radius --config "$crater" \
+    --out "$out/$side/crater_radius" --quiet || echo "$side: tbdkit radius (crater) exited $?"
 done
 json_paths() {
   python - "$@" <<'EOF' || echo "differs: $3"

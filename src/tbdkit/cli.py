@@ -369,16 +369,10 @@ def run_kernel(cfg):
         "expect_positive": cfg["expect_positive"],
         "passed": bool(rep.passed == cfg["expect_positive"]),
     }
-    # (values, codes) columns: i, j, k code into the axis indices, r and
-    # min_eigenvalue into the grid's distinct radii
-    r2, index = grid.radial
-    axis = np.arange(grid.n)
-    columns = (
-        *((axis, c) for c in np.indices(index.shape).reshape(3, -1)),
-        (np.sqrt(r2), index.ravel()),
-        (rep.argmin_map, index.ravel()),
-    )
-    extras = {"kernel_min_eigenvalues.csv": (("i", "j", "k", "r", "min_eigenvalue"), columns)}
+    # one row per distinct squared radius of the grid (grid.radial), in increasing order
+    r2, _ = grid.radial
+    columns = (np.sqrt(r2), rep.radius_points, rep.argmin_map)
+    extras = {"kernel_min_eigenvalues.csv": (("r", "points", "min_eigenvalue"), columns)}
     return report, extras
 
 

@@ -4,14 +4,16 @@ The scan evaluates the smallest eigenvalue of a kernel flavor's
 quadratic-form matrix A 1 + B gamma_1^0 gamma_2^0 at every grid point
 and every requested P^2, in closed form as A - |B| (gamma_1^0 gamma_2^0
 is an involution with eigenvalues +-1), and reports the global minimum
-eigenvalue and the set of violating points. The form depends on the
-point only through r^2, so it is evaluated once per distinct radius of
-the grid (grid.radial: 276 radii for the 32768 points of n = 32) and a
-point reads the value of its radius. For the Yukawa-tanh
-potential the violation region is a ball whose radius r* solves
-r e^{mu r} = C with C = |g1 g2| / (4 pi |P^0|); violation_radius gives it
-in closed form, r* = W(mu C) / mu with W the principal Lambert W, and
-empirical_boundary_consistent cross-checks a scan's boundary against it.
+eigenvalue and the violating radii. The form depends on the point only
+through r^2, so it is evaluated once per distinct radius of the grid
+(grid.radial: 276 radii for the 32768 points of n = 32), and the report
+is kept per radius too: a radius stands for the grid points on it.
+
+For the Yukawa-tanh potential the violation region is a ball whose
+radius r* solves r e^{mu r} = C with C = |g1 g2| / (4 pi |P^0|);
+violation_radius gives it in closed form, r* = W(mu C) / mu with W the
+principal Lambert W, and empirical_boundary_consistent cross-checks a
+scan's boundary against it.
 
 flavor_boundary_radius finds a flavor's edge of that ball from the form
 pair the scan reads, scalar_product.form_pair: the radius where the
@@ -50,13 +52,15 @@ class PositivityReport:
     argmin_index: tuple  # (i, j, k) grid index of the minimum
     argmin_radius: float
     argmin_P2: float
-    violation_count: int
-    violation_points: tuple  # (i, j, k, P2) of every violating point
+    violation_count: int  # grid points that violate, summed over P2_values
+    violation_radii: tuple  # (r, points, P2) of each violating radius of grid.radial at each P2
     violation_radius_max: float | None
     tolerance: float
     passed: bool
-    # the smallest eigenvalue at each of grid.radial's radii for argmin_P2,
-    # for the kernel CSV; not in the JSON
+    # per radius of grid.radial, for the kernel CSV; not in the JSON: the
+    # number of grid points at the radius, and the smallest eigenvalue
+    # there for argmin_P2
+    radius_points: np.ndarray = field(repr=False, compare=False, metadata={"serialize": False})
     argmin_map: np.ndarray = field(repr=False, compare=False, metadata={"serialize": False})
 
 
@@ -64,17 +68,17 @@ def scan(flavor: str, potential, P2_set, grid) -> PositivityReport:
     """Smallest eigenvalue of the kernel's quadratic form over the grid
     and a set of P^2 values, evaluated on the grid's distinct radii. The
     argmin is the first grid point, in C order, that holds the minimum.
-    The report keeps the per-radius eigenvalues of the P^2 that holds
-    the minimum."""
+    The report keeps the number of grid points at each radius and the
+    per-radius eigenvalues of the P^2 that holds the minimum."""
     P2_values = tuple(float(p) for p in P2_set)
     if not P2_values:
         raise ValueError("P2_set must be nonempty")
     r2, index = grid.radial
+    points = np.bincount(index.ravel())
     min_eig = math.inf
     argmin = (0, 0, 0)
     argmin_P2 = P2_values[0]
     violations = []
-    edges = []  # the largest violating radius of each P^2
     for P2 in P2_values:
         eigs = _radial_min_eigenvalues(flavor, potential, P2, r2)
         if not np.all(np.isfinite(eigs)):
@@ -86,9 +90,7 @@ def scan(flavor: str, potential, P2_set, grid) -> PositivityReport:
             argmin_P2 = P2
             argmin_map = eigs
         bad = eigs < -EIGENVALUE_TOLERANCE
-        if bad.any():
-            violations.extend((i, j, k, P2) for i, j, k in np.argwhere(bad[index]).tolist())
-            edges.append(math.sqrt(r2[bad].max()))
+        violations.extend((r, c, P2) for r, c in zip(np.sqrt(r2[bad]).tolist(), points[bad].tolist()))
     return PositivityReport(
         flavor=flavor,
         potential=repr(potential),
@@ -97,11 +99,12 @@ def scan(flavor: str, potential, P2_set, grid) -> PositivityReport:
         argmin_index=argmin,
         argmin_radius=math.sqrt(r2[index[argmin]]),
         argmin_P2=argmin_P2,
-        violation_count=len(violations),
-        violation_points=tuple(violations),
-        violation_radius_max=max(edges, default=None),
+        violation_count=sum(c for _, c, _ in violations),
+        violation_radii=tuple(violations),
+        violation_radius_max=max((r for r, _, _ in violations), default=None),
         tolerance=EIGENVALUE_TOLERANCE,
         passed=min_eig >= -EIGENVALUE_TOLERANCE,
+        radius_points=points,
         argmin_map=argmin_map,
     )
 
@@ -110,20 +113,6 @@ def _radial_min_eigenvalues(flavor: str, potential, P2: float, r2):
     """A - |B| of the form pair at each squared radius of r2."""
     A, B = form_pair(flavor, potential, P2, -r2)
     return A - np.abs(B)
-
-
-def min_eigenvalue_map(flavor: str, potential, P2: float, grid):
-    """Smallest form eigenvalue at every grid point for a single P^2,
-    shape (n, n, n): the values on the grid's distinct radii, taken at
-    each point's radius. This is the per-point data behind scan().
-
-    The form matrix is A 1 + B gamma_1^0 gamma_2^0 per point. Since
-    gamma_1^0 gamma_2^0 is a Hermitian involution with both signs in its
-    spectrum, the eigenvalues are exactly A + B and A - B, and the
-    smallest is A - |B|.
-    """
-    r2, index = grid.radial
-    return _radial_min_eigenvalues(flavor, potential, P2, r2)[index]
 
 
 def _first_false(mask) -> int:

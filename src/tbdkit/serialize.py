@@ -13,16 +13,9 @@ that make up most of a report (float, int, str) and then on containers
 (dicts, lists, tuples) before it falls back to isinstance tests for
 numpy scalars, arrays and dataclasses.
 
-CSV tables are passed as dictionary-encoded columns: a column is a
-pair (values, codes) of 1-D numpy arrays, and its cell i is
-values[codes[i]]. Each entry of values is formatted once, into a byte
-table: one NUL-padded ASCII row per entry, ending in the column's
-separator ("," or, for the last column, the row terminator). The file
-is written in blocks of rows: a block gathers each column's table rows
-by its codes into one fixed-width byte matrix, drops the padding (no
-formatted cell holds a NUL) and is one write. The bytes are those of
-formatting cell by cell; memory stays at the tables, the codes and one
-block.
+CSV tables are passed as plain columns: equal-length 1-D integer or
+float arrays, one per header entry. Every cell is formatted on its own
+and the file is written in one call.
 """
 
 from __future__ import annotations
@@ -32,10 +25,6 @@ import json
 import math
 
 import numpy as np
-
-# Rows gathered per CSV write: large enough to amortize the per-block
-# calls, small enough that a block stays a small part of the file.
-_BLOCK_ROWS = 4096
 
 
 def _format_float(x: float) -> str:
@@ -64,20 +53,7 @@ def _encode(obj) -> str:
     if isinstance(obj, dict):
         return _encode_dict(obj)
     if isinstance(obj, (list, tuple)):
-        # the exact scalar types inline, without a call per element: a
-        # report's long lists (violation_points) are tuples of them
-        parts = []
-        for x in obj:
-            t = type(x)
-            if t is float:
-                parts.append("%.17g" % x if math.isfinite(x) else _format_float(x))
-            elif t is int:
-                parts.append(str(x))
-            elif t is str:
-                parts.append(json.dumps(x, ensure_ascii=True))
-            else:
-                parts.append(_encode(x))
-        return "[" + ",".join(parts) + "]"
+        return "[" + ",".join(_encode(x) for x in obj) + "]"
     if obj is None:
         return "null"
     if isinstance(obj, bool) or isinstance(obj, np.bool_):
@@ -113,46 +89,30 @@ def write_json(path, obj):
         fh.write("\n")
 
 
-def _column_table(column, end: bytes):
-    """(table, codes) of one (values, codes) CSV column: table holds the
-    ASCII text of each entry of values followed by end, one NUL-padded
-    uint8 row per entry, each formatted once; cell i's text is
-    table[codes[i]]."""
-    values, codes = (np.asarray(a) for a in column)
-    if values.ndim != 1 or codes.ndim != 1:
-        raise ValueError(f"CSV values and codes must be 1-D, got shapes {values.shape} and {codes.shape}")
-    if values.dtype.kind == "f":
-        texts = [_format_float(x) for x in values.astype(np.float64, copy=False).tolist()]
-    elif values.dtype.kind in "iu":
-        texts = [str(v) for v in values.tolist()]
-    else:
-        raise TypeError(f"CSV columns must be integer or float, got {values.dtype}")
-    if codes.dtype.kind not in "iu":
-        raise TypeError(f"CSV codes must be integers, got {codes.dtype}")
-    if codes.size and not (codes.min() >= 0 and codes.max() < len(texts)):
-        raise ValueError(f"CSV codes must lie in [0, {len(texts)})")
-    table = np.array([t.encode("ascii") + end for t in texts], dtype=bytes)
-    return table.view(np.uint8).reshape(len(texts), table.dtype.itemsize), codes
+def _column_cells(column) -> list:
+    """The text of each cell of a 1-D integer or float CSV column."""
+    column = np.asarray(column)
+    if column.ndim != 1:
+        raise ValueError(f"CSV columns must be 1-D, got shape {column.shape}")
+    if column.dtype.kind == "f":
+        return [_format_float(x) for x in column.astype(np.float64, copy=False).tolist()]
+    if column.dtype.kind in "iu":
+        return [str(v) for v in column.tolist()]
+    raise TypeError(f"CSV columns must be integer or float, got {column.dtype}")
 
 
 def write_csv(path, header, columns):
-    """Comma-separated table of dictionary-encoded columns, header row
-    first, '%.17g' floats, no locale dependence. Each column is a pair
-    (values, codes) of 1-D arrays, integer or float values and integer
-    codes, whose cell i is values[codes[i]]; all columns have as many
-    codes. The bytes are those of formatting each cell. Complex columns
-    must be split into re/im pairs by the caller; any other dtype of
-    values, bool included, raises TypeError. Every check, the
-    formatting of values included, is done before the file opens."""
+    """Comma-separated table of equal-length 1-D integer or float
+    columns, header row first, '%.17g' floats, no locale dependence.
+    Complex columns must be split into re/im pairs by the caller; any
+    other dtype, bool included, raises TypeError. Every check, the
+    formatting of each cell included, is done before the file opens."""
     if len(columns) != len(header):
         raise ValueError(f"{len(columns)} columns for a header of {len(header)}")
-    tables = [_column_table(c, b"\n" if i == len(columns) - 1 else b",") for i, c in enumerate(columns)]
-    lengths = [len(codes) for _, codes in tables]
+    cells = [_column_cells(c) for c in columns]
+    lengths = [len(c) for c in cells]
     if len(set(lengths)) > 1:
         raise ValueError(f"CSV columns differ in length: {lengths}")
-    n_rows = lengths[0] if lengths else 0
+    lines = [",".join(header), *(",".join(row) for row in zip(*cells))]
     with open(path, "wb") as fh:
-        fh.write((",".join(header) + "\n").encode("ascii"))
-        for lo in range(0, n_rows, _BLOCK_ROWS):
-            rows = [np.take(table, codes[lo : lo + _BLOCK_ROWS], axis=0) for table, codes in tables]
-            fh.write(np.concatenate(rows, axis=1).tobytes().translate(None, b"\0"))
+        fh.write("".join(line + "\n" for line in lines).encode("ascii"))

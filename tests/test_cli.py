@@ -23,9 +23,9 @@ from tbdkit.cli import (
     main,
     parse_potential,
 )
-from tbdkit.operators import AliasingWarning
-from tbdkit.positivity import min_eigenvalue_map
+from tbdkit.operators import AliasingWarning, Grid
 from tbdkit.potentials import Constant, GaussianG, TanhOfG, YukawaTanh
+from tbdkit.scalar_product import form_pair
 
 
 # ---------------------------------------------------------------------------
@@ -205,42 +205,74 @@ def test_kernel_command_flags_expected_violation(tmp_path):
     assert report["report"]["scan"]["passed"] is False
     assert report["passed"] is True
     csv_lines = (tmp_path / "kernel_min_eigenvalues.csv").read_text().splitlines()
-    assert csv_lines[0] == "i,j,k,r,min_eigenvalue"
-    assert len(csv_lines) == 1 + 8**3
+    assert csv_lines[0] == "r,points,min_eigenvalue"
+    # one row per distinct radius: the n = 8 grid has 15
+    assert len(csv_lines) == 1 + 15
 
 
-def test_kernel_csv_matches_cell_by_cell_reference(tmp_path, monkeypatch, reference_csv):
-    seen = {}
-    scan = cli.scan
+def _point_eigenvalues(cfg, P2):
+    """The smallest form eigenvalue A - |B| of a kernel config at each
+    grid point, evaluated point by point: the oracle of the per-radius
+    CSV."""
+    grid = Grid(**cfg["grid"])
+    A, B = form_pair(cfg["flavor"], parse_potential(cfg["potential"]), P2, -grid.radius_sq)
+    return grid, A - np.abs(B)
 
-    def capture(flavor, potential, P2_set, grid):
-        rep = scan(flavor, potential, P2_set, grid)
-        seen["grid"] = grid
-        seen["eigmap"] = min_eigenvalue_map(flavor, potential, rep.argmin_P2, grid)
-        return rep
 
-    monkeypatch.setattr(cli, "scan", capture)
+def _run_kernel_csv(tmp_path, grid):
     p = tmp_path / "cfg.json"
-    p.write_text(json.dumps({"schema": "tbdkit-config/1", "grid": {"n": 8, "L": 6.0}}))
+    p.write_text(json.dumps({"schema": "tbdkit-config/1", "grid": grid}))
     assert main(["kernel", "--config", str(p), "--out", str(tmp_path), "--quiet"]) == 0
-    grid, eigmap = seen["grid"], seen["eigmap"]
-    radius = np.sqrt(grid.radius_sq)
-    rows = []
-    for i in range(grid.n):
-        for j in range(grid.n):
-            for k in range(grid.n):
-                rows.append((i, j, k, float(radius[i, j, k]), float(eigmap[i, j, k])))
-    expected = reference_csv(("i", "j", "k", "r", "min_eigenvalue"), rows)
-    assert (tmp_path / "kernel_min_eigenvalues.csv").read_text() == expected
+    report = json.loads((tmp_path / "kernel.json").read_text())
+    return report["config"], report["report"]["scan"]["argmin_P2"], (tmp_path / "kernel_min_eigenvalues.csv").read_text()
+
+
+def test_kernel_csv_matches_cell_by_cell_reference(tmp_path, reference_csv):
+    # the rows are the grid's distinct squared radii, in increasing order,
+    # each with its number of points and the value a point-by-point
+    # evaluation has at every one of them
+    cfg, P2, text = _run_kernel_csv(tmp_path, {"n": 8, "L": 6.0})
+    grid, eigs = _point_eigenvalues(cfg, P2)
+    r2, first, inverse, counts = np.unique(grid.radius_sq, return_index=True, return_inverse=True, return_counts=True)
+    values = eigs.ravel()[first]
+    assert np.array_equal(values[inverse].reshape(eigs.shape), eigs)
+    rows = zip(np.sqrt(r2).tolist(), counts.tolist(), values.tolist())
+    assert text == reference_csv(("r", "points", "min_eigenvalue"), rows)
+
+
+@pytest.mark.parametrize("grid", [
+    {"n": 8, "L": 6.0},
+    # h = 5/24 squares inexactly: one radius takes several rows, which
+    # differ in the last bits of r^2 and can share r
+    {"n": 24, "L": 5.0},
+    {"n": 32, "L": 10.5},
+], ids=["n8", "n24", "n32"])
+def test_kernel_csv_rebuilds_the_point_by_point_table(tmp_path, reference_csv, grid):
+    # the per-point table (i, j, k, r, min_eigenvalue), read back from the
+    # per-radius rows through Grid.radial, is that of a point-by-point
+    # evaluation
+    cfg, P2, text = _run_kernel_csv(tmp_path, grid)
+    grid, eigs = _point_eigenvalues(cfg, P2)
+    rows = [tuple(map(float, line.split(","))) for line in text.splitlines()[1:]]
+    r, points, min_eig = (np.array(c) for c in zip(*rows))
+    _, index = grid.radial
+    assert np.array_equal(points, np.bincount(index.ravel()))
+    header = ("i", "j", "k", "r", "min_eigenvalue")
+    ijk = np.indices(index.shape).reshape(3, -1).tolist()
+    rebuilt = zip(*ijk, r[index].ravel().tolist(), min_eig[index].ravel().tolist())
+    by_point = zip(*ijk, np.sqrt(grid.radius_sq).ravel().tolist(), eigs.ravel().tolist())
+    assert reference_csv(header, rebuilt) == reference_csv(header, by_point)
 
 
 def test_kernel_csv_formats_each_distinct_float_once(tmp_path, monkeypatch):
     _, extras = cli.run_kernel(load_config("kernel", None))
     ((fname, (header, columns)),) = extras.items()
-    assert all(len(codes) == 32**3 for _, codes in columns)
-    # r and min_eigenvalue code into the 276 distinct radii of the n = 32 grid
-    expected = sum(len(values) for values, _ in columns if values.dtype == np.float64)
-    assert expected == 2 * 276
+    assert header == ("r", "points", "min_eigenvalue")
+    # one row per distinct radius of the n = 32 grid
+    r, points, _ = columns
+    assert all(len(c) == 276 for c in columns)
+    assert np.all(np.diff(r) > 0)  # this grid's squared radii are exact sums
+    assert points.sum() == 32**3
     format_float, calls = serialize._format_float, []
 
     def counting_format_float(x):
@@ -249,8 +281,7 @@ def test_kernel_csv_formats_each_distinct_float_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(serialize, "_format_float", counting_format_float)
     serialize.write_csv(tmp_path / fname, header, columns)
-    # Formatting cell by cell would take 2 * 32**3 calls.
-    assert len(calls) == expected < 2 * 32**3
+    assert len(calls) == 2 * 276
 
 
 def test_kernel_command_fails_on_unexpected_violation(tmp_path):
@@ -1010,6 +1041,22 @@ def test_claim1_config_never_raises(override):
 @example({"p_spatial_b": [0.0, 0.0, 0.0]})
 def test_conserve_config_never_raises(override):
     _exits_0_1_or_2("conserve", override)
+
+
+@settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(0, 10**40))
+@example(10**40)
+def test_selfcheck_seed_never_raises(seed):
+    # each seed draws selfcheck's compat field; the report echoes it
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "cfg.json"
+        p.write_text(json.dumps({"schema": "tbdkit-config/1", "seed": seed}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = main(["selfcheck", "--config", str(p), "--out", tmp, "--quiet"])
+        report = json.loads((Path(tmp) / "selfcheck.json").read_text())
+    assert code in (0, 1)
+    assert report["config"]["seed"] == report["report"]["seed"] == seed
 
 
 _COMPAT_KEYS = {

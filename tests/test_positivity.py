@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -15,7 +16,6 @@ from tbdkit.positivity import (
     _lambert_w,
     empirical_boundary_consistent,
     flavor_boundary_radius,
-    min_eigenvalue_map,
     scan,
     violation_radius,
 )
@@ -332,23 +332,35 @@ def test_flavor_routes_agree_with_violation_radius(g1, g2, signs, mu, P0):
 # Grid scans
 
 
+def _eigenvalue_map(flavor, potential, P2, grid):
+    """The smallest form eigenvalue at every grid point for one P^2,
+    read from the values on the grid's distinct radii."""
+    r2, index = grid.radial
+    return positivity._radial_min_eigenvalues(flavor, potential, P2, r2)[index]
+
+
 def test_scan_keeps_the_eigenvalue_map_of_its_argmin_P2():
-    # argmin_map holds one eigenvalue per distinct radius of the grid
+    # argmin_map holds one eigenvalue per distinct radius of the grid, and
+    # radius_points the number of grid points at each
     grid = Grid(n=8, L=4.0)
     r2, index = grid.radial
     rep = scan("sazdjian", YUKAWA, [4.0, 1.0, 9.0], grid)
     assert rep.argmin_P2 == 1.0
-    assert rep.argmin_map.shape == r2.shape
-    assert np.array_equal(rep.argmin_map[index], min_eigenvalue_map("sazdjian", YUKAWA, 1.0, grid))
+    assert rep.argmin_map.shape == rep.radius_points.shape == r2.shape
+    A, B = form_pair("sazdjian", YUKAWA, 1.0, -grid.radius_sq)
+    assert np.array_equal(rep.argmin_map[index], A - np.abs(B))
     assert rep.argmin_map[index[rep.argmin_index]] == rep.min_eigenvalue
+    assert rep.radius_points.tolist() == [int(np.sum(grid.radius_sq == v)) for v in r2]
 
 
 def _point_scan(flavor, potential, P2_values, grid):
     """The scan evaluated at every grid point, the oracle for scan's
-    evaluation on the distinct radii: the fields of its report, argmin_map
-    left out."""
+    evaluation on the distinct radii: the fields of its report, the
+    per-radius arrays left out. The violating points are grouped by
+    squared radius, in increasing order at each P^2, into (r, points, P2)."""
     radius = np.sqrt(grid.radius_sq)
     min_eig, argmin, argmin_P2, violations, edges = math.inf, None, None, [], []
+    n_bad = 0
     for P2 in P2_values:
         A, B = form_pair(flavor, potential, P2, -grid.radius_sq)
         eigs = A - np.abs(B)
@@ -356,7 +368,9 @@ def _point_scan(flavor, potential, P2_values, grid):
         if eigs[idx] < min_eig:
             min_eig, argmin, argmin_P2 = float(eigs[idx]), tuple(int(i) for i in idx), P2
         bad = eigs < -positivity.EIGENVALUE_TOLERANCE
-        violations.extend((i, j, k, P2) for i, j, k in np.argwhere(bad).tolist())
+        n_bad += int(bad.sum())
+        groups = collections.Counter(grid.radius_sq[bad].tolist())
+        violations.extend((math.sqrt(r2), groups[r2], P2) for r2 in sorted(groups))
         if bad.any():
             edges.append(float(radius[bad].max()))
     return {
@@ -364,7 +378,8 @@ def _point_scan(flavor, potential, P2_values, grid):
         "argmin_index": argmin,
         "argmin_radius": float(radius[argmin]),
         "argmin_P2": argmin_P2,
-        "violation_points": tuple(violations),
+        "violation_count": n_bad,
+        "violation_radii": tuple(violations),
         "violation_radius_max": max(edges, default=None),
     }
 
@@ -375,12 +390,14 @@ def _point_scan(flavor, potential, P2_values, grid):
     ("sazdjian", TanhOfG(g=GaussianG(amplitude=0.9, width=1.0)), [4.0, 6.25, 9.0], Grid(n=16, L=10.5)),
     # every point ties at 1: the argmin is the first point
     ("free", YUKAWA, [1.0, 2.0], Grid(n=8, L=4.0)),
-], ids=["yukawa_sazdjian", "yukawa_crater", "tanh_gaussian", "free_ties"])
+    # h = 5/24 squares inexactly: squared radii that differ in the last
+    # bits are apart, and some share r
+    ("crater", YUKAWA, [1.0], Grid(n=24, L=5.0)),
+], ids=["yukawa_sazdjian", "yukawa_crater", "tanh_gaussian", "free_ties", "inexact_squares"])
 def test_scan_on_distinct_radii_matches_a_point_by_point_scan(flavor, potential, P2_values, grid):
     rep = scan(flavor, potential, P2_values, grid)
     expected = _point_scan(flavor, potential, P2_values, grid)
     assert {key: getattr(rep, key) for key in expected} == expected
-    assert rep.violation_count == len(expected["violation_points"])
 
 
 def test_scan_certifies_bounded_tanh_potential():
@@ -398,18 +415,17 @@ def test_scan_finds_yukawa_violation_ball():
     assert not rep.passed
     assert rep.min_eigenvalue < -0.1
     assert rep.violation_count > 0
-    # every violating point sits inside the ball (step tolerance one cell)
+    # every violating radius lies inside the ball (step tolerance one cell)
     cell = math.sqrt(3.0) * grid.h
-    radius = np.sqrt(grid.radius_sq)
-    for i, j, k, P2 in rep.violation_points:
-        assert radius[i, j, k] < OMEGA + cell
+    for r, points, P2 in rep.violation_radii:
+        assert r < OMEGA + cell
     assert empirical_boundary_consistent(rep, OMEGA, grid)
 
 
 def test_scan_min_matches_eigenvalue_map():
     grid = Grid(n=16, L=4.0)
     rep = scan("sazdjian", YUKAWA, [1.0], grid)
-    emap = min_eigenvalue_map("sazdjian", YUKAWA, 1.0, grid)
+    emap = _eigenvalue_map("sazdjian", YUKAWA, 1.0, grid)
     assert rep.min_eigenvalue == pytest.approx(float(np.min(emap)), abs=1e-15)
     assert emap[rep.argmin_index] == rep.min_eigenvalue
     radius = np.sqrt(grid.radius_sq)
@@ -426,7 +442,7 @@ def test_eigenvalue_map_matches_dense_eigensolve(gammas, flavor, potential, P2):
     # oracle: the full 16x16 form matrix A 1 + B gamma_1^0 gamma_2^0 at
     # every point, diagonalized densely
     grid = Grid(n=8, L=4.0)
-    emap = min_eigenvalue_map(flavor, potential, P2, grid)
+    emap = _eigenvalue_map(flavor, potential, P2, grid)
     A, B = (x.reshape(-1) for x in form_pair(flavor, potential, P2, -grid.radius_sq))
     gp = np.kron(gammas.gamma[0], gammas.gamma[0])
     dense = np.linalg.eigvalsh(A[:, None, None] * np.eye(16) + B[:, None, None] * gp)[:, 0]
@@ -444,14 +460,14 @@ def test_eigenvalue_map_is_evaluated_at_the_requested_P2():
     x_perp_sq = -grid.radius_sq
     A = 1.0 / np.cosh(eval_delta(YUKAWA, x_perp_sq, 3.0)) ** 2
     B = A * (4.0 * 3.0 * eval_ddelta_dP2(YUKAWA, x_perp_sq, 3.0))
-    assert np.array_equal(min_eigenvalue_map("sazdjian", YUKAWA, 3.0, grid), A - np.abs(B))
+    assert np.array_equal(_eigenvalue_map("sazdjian", YUKAWA, 3.0, grid), A - np.abs(B))
 
 
 def test_eigenvalue_map_agrees_with_h_branch():
     # the closed-form form eigenvalue lands exactly on the analytic
     # minus branch at every sampled point
     grid = Grid(n=8, L=4.0)
-    emap = min_eigenvalue_map("sazdjian", YUKAWA, 1.0, grid)
+    emap = _eigenvalue_map("sazdjian", YUKAWA, 1.0, grid)
     radius = np.sqrt(grid.radius_sq)
     for idx in ((0, 0, 0), (3, 4, 5), (4, 4, 4), (7, 1, 2)):
         y = y_of(YUKAWA, float(radius[idx]), 1.0)

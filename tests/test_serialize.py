@@ -1,14 +1,12 @@
 import collections
 import dataclasses
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tbdkit import cli, serialize
 from tbdkit.serialize import canonical_json, write_csv, write_json
 
 
@@ -100,92 +98,80 @@ def test_fields_marked_not_serialized_are_left_out():
     assert canonical_json(Report(1.5, np.full(3, np.nan))) == '{"value":1.5}'
 
 
-def _cells(column):
-    values, codes = column
-    return [values[c] for c in codes]
-
-
 def _rows(columns):
-    """The rows of (values, codes) columns, cell by cell, for reference_csv."""
-    return list(zip(*map(_cells, columns)))
-
-
-def _plain(*cells):
-    """A (values, codes) column that codes each cell to its own entry."""
-    values = np.array(cells)
-    return values, np.arange(len(values))
+    """The rows of plain columns, cell by cell, for reference_csv."""
+    return list(zip(*columns))
 
 
 def test_write_csv_layout(tmp_path):
     p = tmp_path / "table.csv"
-    write_csv(p, ("i", "value"), [(np.array([1, 0]), np.array([1, 0])), (np.array([0.5, 1.0]), np.array([0, 1]))])
+    write_csv(p, ("i", "value"), [np.array([0, 1]), np.array([0.5, 1.0])])
     assert p.read_text() == "i,value\n0,0.5\n1,1\n"
 
 
 def test_write_csv_rejects_ragged_rows(tmp_path):
     with pytest.raises(ValueError, match="differ in length"):
-        write_csv(tmp_path / "bad.csv", ("a", "b"), [_plain(1, 2), (np.array([0.5]), np.array([0]))])
+        write_csv(tmp_path / "bad.csv", ("a", "b"), [np.array([1, 2]), np.array([0.5])])
 
 
 def test_write_csv_rejects_header_column_count_mismatch(tmp_path):
     with pytest.raises(ValueError):
-        write_csv(tmp_path / "bad.csv", ("a", "b"), [_plain(1)])
+        write_csv(tmp_path / "bad.csv", ("a", "b"), [np.array([1])])
 
 
 def test_write_csv_rejects_complex_cells(tmp_path):
     with pytest.raises(TypeError):
-        write_csv(tmp_path / "bad.csv", ("a",), [_plain(1j)])
+        write_csv(tmp_path / "bad.csv", ("a",), [np.array([1j])])
 
 
 def test_write_csv_rejects_string_columns(tmp_path):
     with pytest.raises(TypeError):
-        write_csv(tmp_path / "bad.csv", ("a",), [_plain("x")])
+        write_csv(tmp_path / "bad.csv", ("a",), [np.array(["x"])])
     # nor bool: a CSV column is integer or float
     with pytest.raises(TypeError, match="integer or float"):
-        write_csv(tmp_path / "bad.csv", ("a", "b"), [_plain(1, 2), _plain(True, False)])
+        write_csv(tmp_path / "bad.csv", ("a", "b"), [np.array([1, 2]), np.array([True, False])])
 
 
 @pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf")])
 def test_write_csv_rejects_non_finite_floats(tmp_path, x):
     with pytest.raises(ValueError, match=str(x)):
-        write_csv(tmp_path / "bad.csv", ("a",), [(np.array([1.0, x]), np.array([0, 1, 0]))])
+        write_csv(tmp_path / "bad.csv", ("a",), [np.array([1.0, x, 1.0])])
 
 
-@pytest.mark.parametrize("codes, error", [
-    (np.array([0, 2]), ValueError),  # past the end of values
-    (np.array([0, -1]), ValueError),  # negative: no wrap to the end
-    (np.array([0.0, 1.0]), TypeError),
-    (np.array([[0, 1]]), ValueError),
-])
-def test_write_csv_rejects_codes_outside_values_and_leaves_no_file(tmp_path, codes, error):
+@pytest.mark.parametrize("columns, error", [
+    ([np.array([[0.5, 1.5]])], ValueError),  # 2-D
+    ([np.array(0.5)], ValueError),  # 0-D
+    ([np.array([0.5, 1.5]), np.array([1])], ValueError),  # ragged
+    ([np.array([0.5, 1.5]), np.array([True, False])], TypeError),
+    ([np.array([0.5, 1.5]), np.array([1 + 0j, 2])], TypeError),
+    ([np.array([0.5, 1.5]), np.array(["a", "b"])], TypeError),
+], ids=["2d", "0d", "ragged", "bool", "complex", "str"])
+def test_write_csv_rejects_a_malformed_column_and_leaves_no_file(tmp_path, columns, error):
     p = tmp_path / "bad.csv"
     with pytest.raises(error):
-        write_csv(p, ("a",), [(np.array([0.5, 1.5]), codes)])
+        write_csv(p, tuple("ab"[: len(columns)]), columns)
     assert not p.exists()
 
 
 def test_write_csv_keeps_signed_zero_apart(tmp_path):
     p = tmp_path / "zeros.csv"
-    write_csv(p, ("x",), [(np.array([-0.0, 0.0]), np.array([0, 1, 0, 1]))])
+    write_csv(p, ("x",), [np.array([-0.0, 0.0, -0.0, 0.0])])
     assert p.read_text() == "x\n-0\n0\n-0\n0\n"
 
 
 def test_write_csv_reads_values_that_repeat_or_are_signed_zeros(tmp_path, reference_csv):
-    # values need not be distinct: each entry is formatted on its own
-    columns = [
-        (np.array([0.0, -0.0, 0.0, 2.5, 2.5]), np.array([4, 1, 0, 2, 3, 1])),
-        (np.array([7, 7, -7]), np.array([0, 1, 2, 2, 1, 0])),
-    ]
+    # cells need not be distinct: each is formatted on its own
+    columns = [np.array([2.5, -0.0, 0.0, 0.0, 2.5, -0.0]), np.array([7, 7, -7, -7, 7, 7])]
     p = tmp_path / "table.csv"
     write_csv(p, ("f", "i"), columns)
     assert p.read_bytes() == reference_csv(("f", "i"), _rows(columns)).encode("ascii")
     assert p.read_text().splitlines()[1:4] == ["2.5,7", "-0,7", "0,-7"]
 
 
-@pytest.mark.parametrize("values", [np.array([1.5, -0.0]), np.array([], dtype=np.int64)])
-def test_write_csv_with_empty_codes_writes_the_header_only(tmp_path, values):
+@pytest.mark.parametrize("values", [np.array([], dtype=np.float64), np.array([], dtype=np.int64)])
+def test_write_csv_with_empty_columns_writes_the_header_only(tmp_path, values):
     p = tmp_path / "table.csv"
-    write_csv(p, ("a", "b"), [(values, np.array([], dtype=np.int64)), _plain()])
+    write_csv(p, ("a", "b"), [values, np.array([], dtype=np.int64)])
     assert p.read_text() == "a,b\n"
 
 
@@ -208,60 +194,13 @@ _CELLS = {
 def _tables(draw):
     n_rows = draw(st.integers(0, 40))
     dtypes = draw(st.lists(st.sampled_from(sorted(_CELLS)), min_size=1, max_size=4))
-    columns = []
-    for dtype in dtypes:
-        # A small pool of values per column, duplicates allowed, so the
-        # codes repeat them.
-        values = draw(st.lists(_CELLS[dtype], min_size=1, max_size=5))
-        codes = draw(st.lists(st.integers(0, len(values) - 1), min_size=n_rows, max_size=n_rows))
-        code_dtype = draw(st.sampled_from([np.int64, np.int32, np.uint16]))
-        columns.append((np.array(values, dtype=dtype), np.array(codes, dtype=code_dtype)))
-    return columns
+    return [np.array(draw(st.lists(_CELLS[d], min_size=n_rows, max_size=n_rows)), dtype=d) for d in dtypes]
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(columns=_tables())
 def test_write_csv_matches_cell_by_cell_reference(tmp_path, reference_csv, columns):
     header = tuple(f"c{i}" for i in range(len(columns)))
-    p = tmp_path / "table.csv"
-    write_csv(p, header, columns)
-    assert p.read_bytes() == reference_csv(header, _rows(columns)).encode("ascii")
-
-
-def test_write_csv_streams_the_default_kernel_table(tmp_path):
-    # rows go to the file a block at a time: the peak allocation stays
-    # near the byte tables and one block of rows (the codes are the
-    # caller's), where the whole table gathered at once would add
-    # another file's worth
-    _, extras = cli.run_kernel(cli.load_config("kernel", None))
-    header, columns = extras["kernel_min_eigenvalues.csv"]
-    p = tmp_path / "kernel_min_eigenvalues.csv"
-    tracemalloc.start()
-    try:
-        write_csv(p, header, columns)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    size = p.stat().st_size
-    assert size > 1_000_000  # the n = 32 table
-    assert peak < 2.5 * size
-
-
-def _block_columns(n_rows):
-    i = np.arange(n_rows)
-    return [
-        (np.arange(-3, 4), i % 7),
-        (np.concatenate([[-0.0], 1.0 / np.arange(1, 12)]), np.where(i % 3 == 0, 0, i % 11 + 1)),
-        (np.array([0, 1]), i % 2),
-        (np.arange(5).astype(np.uint8) * 50, i % 5),
-        (np.linspace(-1.0, 1.0, n_rows), i),
-    ]
-
-
-@pytest.mark.parametrize("n_rows", [0, 1, serialize._BLOCK_ROWS, 2 * serialize._BLOCK_ROWS + 1])
-def test_write_csv_block_boundaries_match_reference(tmp_path, reference_csv, n_rows):
-    columns = _block_columns(n_rows)
-    header = ("int", "float", "parity", "byte", "ramp")
     p = tmp_path / "table.csv"
     write_csv(p, header, columns)
     assert p.read_bytes() == reference_csv(header, _rows(columns)).encode("ascii")
@@ -275,22 +214,21 @@ def test_write_csv_block_boundaries_match_reference(tmp_path, reference_csv, n_r
     np.array([7, 7, 7], dtype=np.uint8),
 ])
 def test_write_csv_integer_columns_at_the_dtype_limits(tmp_path, reference_csv, column):
-    # the byte table of an integer column holds its extreme values
-    # exactly, with no wrap at the ends of the dtype
-    codes = np.concatenate([np.arange(len(column)), np.arange(len(column))[::-1]])
+    # an integer column holds its extreme values exactly, with no wrap at
+    # the ends of the dtype
     p = tmp_path / "table.csv"
-    write_csv(p, ("x",), [(column, codes)])
-    assert p.read_bytes() == reference_csv(("x",), _rows([(column, codes)])).encode("ascii")
+    write_csv(p, ("x",), [column])
+    assert p.read_bytes() == reference_csv(("x",), _rows([column])).encode("ascii")
 
 
 @pytest.mark.parametrize("x", [float("nan"), float("inf")])
-def test_write_csv_non_finite_in_the_last_block_leaves_no_file(tmp_path, x):
-    # the ramp's last value is read by the last row only
-    columns = _block_columns(2 * serialize._BLOCK_ROWS + 1)
-    columns[4][0][-1] = x
+def test_write_csv_non_finite_in_the_last_row_leaves_no_file(tmp_path, x):
+    # every cell is checked before the file opens, the last one included
+    ramp = np.linspace(-1.0, 1.0, 1000)
+    ramp[-1] = x
     p = tmp_path / "bad.csv"
     with pytest.raises(ValueError, match=str(x)):
-        write_csv(p, ("int", "float", "flag", "byte", "ramp"), columns)
+        write_csv(p, ("i", "ramp"), [np.arange(ramp.size), ramp])
     assert not p.exists()
 
 
