@@ -1,10 +1,13 @@
 #!/usr/bin/env bash
 # Run the eight default subcommands from two source trees at one BLAS
 # thread, then kernel once more on a Yukawa config whose sazdjian form has
-# B != 0 and a violation ball (its artifacts go to yukawa_kernel/) and
-# radius on the same coupling with the crater flavor (crater_radius/), so
-# that both flavors' violating radii are compared, and name every
-# artifact that differs between them (by cmp).
+# B != 0 and a violation ball (its artifacts go to yukawa_kernel/), kernel
+# on the same config on a grid whose spacing squares inexactly
+# (yukawa_kernel_n24/, so that a change to how grid points are grouped by
+# radius shows as a CSV diff) and radius on the same coupling with the
+# crater flavor (crater_radius/), so that both flavors' violating radii
+# are compared, and name every artifact that differs between them (by
+# cmp).
 # For a JSON artifact present on both sides, each dotted path whose value
 # differs is named instead (e.g. "conserve.json: report.residual"); lists
 # are compared whole. It only reports: a run that fails or a file that
@@ -20,6 +23,8 @@ cat > "$yukawa" <<'EOF'
  "potential": {"kind": "yukawa_tanh", "g1": 3.5449077018110318, "g2": 3.5449077018110318, "mu": 1.0},
  "P2_values": [1.0, 2.25], "grid": {"n": 32, "L": 4.0}, "expect_positive": false}
 EOF
+yukawa24=$out/yukawa_kernel_n24_config.json
+sed 's/"n": 32, "L": 4.0/"n": 24, "L": 5.0/' "$yukawa" > "$yukawa24"
 crater=$out/crater_radius_config.json
 cat > "$crater" <<'EOF'
 {"schema": "tbdkit-config/1", "flavor": "crater",
@@ -35,6 +40,8 @@ for side in base head; do
   done
   TBDKIT_THREADS=1 PYTHONPATH="$tree/src" python -m tbdkit.cli kernel --config "$yukawa" \
     --out "$out/$side/yukawa_kernel" --quiet || echo "$side: tbdkit kernel (yukawa) exited $?"
+  TBDKIT_THREADS=1 PYTHONPATH="$tree/src" python -m tbdkit.cli kernel --config "$yukawa24" \
+    --out "$out/$side/yukawa_kernel_n24" --quiet || echo "$side: tbdkit kernel (yukawa, n = 24) exited $?"
   TBDKIT_THREADS=1 PYTHONPATH="$tree/src" python -m tbdkit.cli radius --config "$crater" \
     --out "$out/$side/crater_radius" --quiet || echo "$side: tbdkit radius (crater) exited $?"
 done

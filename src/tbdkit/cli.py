@@ -194,7 +194,7 @@ def _check(path, value, default):
             _check(f"{path}.{key}", value[key], default[key])
     elif isinstance(default, (list, tuple)):
         fixed = isinstance(default, tuple)
-        if not isinstance(value, list) or fixed and len(value) != len(default):
+        if not isinstance(value, list) or (len(value) != len(default) if fixed else not value):
             shape = f"a list of {len(default)} numbers" if fixed else "a nonempty list"
             raise ConfigError(f"{path} must be {shape}, got {value!r}")
         for i, entry in enumerate(value):
@@ -358,8 +358,6 @@ def run_kernel(cfg):
     grid = Grid(**cfg["grid"])
     pot = parse_potential(cfg["potential"])
     P2_values = cfg["P2_values"]
-    if not P2_values:
-        raise ConfigError(f"P2_values must be a nonempty list, got {P2_values!r}")
     for P2 in P2_values:
         if not P2 > 0:
             raise ConfigError(f"P2_values entries must be positive numbers, got {P2!r}")

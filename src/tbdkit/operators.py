@@ -115,11 +115,13 @@ class AliasingWarning(UserWarning):
 @dataclass(frozen=True)
 class Grid:
     """Periodic spatial grid of n^3 points in a box of side L, offset by
-    half a cell: x_j = -L/2 + (j + 1/2) h. The offset keeps r = 0 out of
-    the sample set, which the Yukawa core requires. A radial function
-    (the potential, a form pair) is evaluated once per distinct squared
-    radius of radial and read at each point's radius; radius_sq, the
-    per-point definition, is what radial reproduces."""
+    half a cell: x_j = -L/2 + (j + 1/2) h = (h/2) o_j with the odd offset
+    o_j = 2j + 1 - n. The offset keeps r = 0 out of the sample set, which
+    the Yukawa core requires. A point's squared radius is (h/2)^2 q with
+    the integer q = o_i^2 + o_j^2 + o_k^2, so points on one radius share
+    q exactly on every grid. A radial function (the potential, a form
+    pair) is evaluated once per distinct q, the entries of radial, and
+    read at each point's radius."""
 
     n: int
     L: float
@@ -149,22 +151,16 @@ class Grid:
         return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.h)
 
     @cached_property
-    def radius_sq(self) -> np.ndarray:
-        # x^2 + y^2 + z^2 broadcast from the axis, without the mesh
-        s = self.axis**2
-        return s[:, None, None] + s[None, :, None] + s
-
-    @cached_property
     def radial(self) -> tuple[np.ndarray, np.ndarray]:
-        """(r2, index): r2 the sorted distinct values of radius_sq and
-        index an (n, n, n) array with r2[index] equal to radius_sq bit for
-        bit. radius_sq sums as (s_i + s_j) + s_k, so the distinct inner
-        sums come first (n^2 values), then the distinct sums of those
-        with s_k; neither pass sorts n^3 values."""
-        s = self.axis**2
+        """(r2, index): r2 = (h/2)^2 q over the sorted distinct integers q
+        of the grid's points, and index an (n, n, n) array with q[index]
+        the q of each point. The distinct inner sums o_i^2 + o_j^2 come
+        first (n^2 values), then the distinct sums of those with o_k^2;
+        neither pass sorts n^3 values."""
+        s = np.arange(1 - self.n, self.n, 2) ** 2
         inner, inner_index = np.unique(s[:, None] + s, return_inverse=True)
-        r2, outer_index = np.unique(inner[:, None] + s, return_inverse=True)
-        return r2, outer_index.reshape(inner.size, self.n)[inner_index.reshape(self.n, self.n)]
+        q, outer_index = np.unique(inner[:, None] + s, return_inverse=True)
+        return (self.h / 2) ** 2 * q, outer_index.reshape(inner.size, self.n)[inner_index.reshape(self.n, self.n)]
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,11 @@ quadratic-form matrix A 1 + B gamma_1^0 gamma_2^0 at every grid point
 and every requested P^2, in closed form as A - |B| (gamma_1^0 gamma_2^0
 is an involution with eigenvalues +-1), and reports the global minimum
 eigenvalue and the violating radii. The form depends on the point only
-through r^2, so it is evaluated once per distinct radius of the grid
-(grid.radial: 276 radii for the 32768 points of n = 32), and the report
-is kept per radius too: a radius stands for the grid points on it.
+through r^2, so it is evaluated once per radius of the grid (grid.radial:
+276 radii for the 32768 points of n = 32), and the report is kept per
+radius too: a radius stands for the grid points on it. grid.radial
+groups the points by the integer q of r^2 = (h/2)^2 q, so each radius
+is one entry on every grid, whether or not h squares exactly.
 
 For the Yukawa-tanh potential the violation region is a ball whose
 radius r* solves r e^{mu r} = C with C = |g1 g2| / (4 pi |P^0|);
@@ -187,8 +189,7 @@ def flavor_boundary_radius(flavor: str, potential: YukawaTanh, P0: float) -> flo
     P_sq = P0 * P0
 
     def inside(r):
-        A, B = form_pair(flavor, potential, P_sq, -r * r)
-        return ~(A - np.abs(B) > 0)
+        return ~(_radial_min_eigenvalues(flavor, potential, P_sq, r * r) > 0)
 
     ladder = np.ldexp(RADIUS_FLOOR, np.arange(1023))
     k = _first_false(inside(ladder))

@@ -93,6 +93,20 @@ def reference_json():
     return _encode
 
 
+def _radius_sq(grid):
+    o_sq = np.arange(1 - grid.n, grid.n, 2) ** 2
+    return (grid.h / 2) ** 2 * (o_sq[:, None, None] + o_sq[:, None] + o_sq)
+
+
+@pytest.fixture(scope="session")
+def reference_radius_sq():
+    """The squared radius (h/2)^2 q of every point of a grid, with the
+    integer q = o_i^2 + o_j^2 + o_k^2 of the odd offsets o_j = 2j + 1 - n,
+    broadcast to (n, n, n) without grouping: the per-point oracle of
+    Grid.radial, and the x_perp^2 = -r^2 of point-by-point evaluations."""
+    return _radius_sq
+
+
 def _dV_dP2(spec, x_perp_sq, P_sq):
     return eval_ddelta_dP2(spec, x_perp_sq, P_sq) / np.cosh(eval_delta(spec, x_perp_sq, P_sq)) ** 2
 

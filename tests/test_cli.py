@@ -210,13 +210,12 @@ def test_kernel_command_flags_expected_violation(tmp_path):
     assert len(csv_lines) == 1 + 15
 
 
-def _point_eigenvalues(cfg, P2):
+def _point_eigenvalues(cfg, P2, r_sq):
     """The smallest form eigenvalue A - |B| of a kernel config at each
-    grid point, evaluated point by point: the oracle of the per-radius
-    CSV."""
-    grid = Grid(**cfg["grid"])
-    A, B = form_pair(cfg["flavor"], parse_potential(cfg["potential"]), P2, -grid.radius_sq)
-    return grid, A - np.abs(B)
+    grid point, evaluated point by point at its squared radius r_sq: the
+    oracle of the per-radius CSV."""
+    A, B = form_pair(cfg["flavor"], parse_potential(cfg["potential"]), P2, -r_sq)
+    return A - np.abs(B)
 
 
 def _run_kernel_csv(tmp_path, grid):
@@ -227,13 +226,14 @@ def _run_kernel_csv(tmp_path, grid):
     return report["config"], report["report"]["scan"]["argmin_P2"], (tmp_path / "kernel_min_eigenvalues.csv").read_text()
 
 
-def test_kernel_csv_matches_cell_by_cell_reference(tmp_path, reference_csv):
+def test_kernel_csv_matches_cell_by_cell_reference(tmp_path, reference_csv, reference_radius_sq):
     # the rows are the grid's distinct squared radii, in increasing order,
     # each with its number of points and the value a point-by-point
     # evaluation has at every one of them
     cfg, P2, text = _run_kernel_csv(tmp_path, {"n": 8, "L": 6.0})
-    grid, eigs = _point_eigenvalues(cfg, P2)
-    r2, first, inverse, counts = np.unique(grid.radius_sq, return_index=True, return_inverse=True, return_counts=True)
+    r_sq = reference_radius_sq(Grid(**cfg["grid"]))
+    eigs = _point_eigenvalues(cfg, P2, r_sq)
+    r2, first, inverse, counts = np.unique(r_sq, return_index=True, return_inverse=True, return_counts=True)
     values = eigs.ravel()[first]
     assert np.array_equal(values[inverse].reshape(eigs.shape), eigs)
     rows = zip(np.sqrt(r2).tolist(), counts.tolist(), values.tolist())
@@ -242,17 +242,19 @@ def test_kernel_csv_matches_cell_by_cell_reference(tmp_path, reference_csv):
 
 @pytest.mark.parametrize("grid", [
     {"n": 8, "L": 6.0},
-    # h = 5/24 squares inexactly: one radius takes several rows, which
-    # differ in the last bits of r^2 and can share r
+    # h = 5/24 squares inexactly: the per-point (h/2)^2 q still puts each
+    # radius on one row
     {"n": 24, "L": 5.0},
     {"n": 32, "L": 10.5},
 ], ids=["n8", "n24", "n32"])
-def test_kernel_csv_rebuilds_the_point_by_point_table(tmp_path, reference_csv, grid):
+def test_kernel_csv_rebuilds_the_point_by_point_table(tmp_path, reference_csv, reference_radius_sq, grid):
     # the per-point table (i, j, k, r, min_eigenvalue), read back from the
     # per-radius rows through Grid.radial, is that of a point-by-point
     # evaluation
     cfg, P2, text = _run_kernel_csv(tmp_path, grid)
-    grid, eigs = _point_eigenvalues(cfg, P2)
+    grid = Grid(**cfg["grid"])
+    r_sq = reference_radius_sq(grid)
+    eigs = _point_eigenvalues(cfg, P2, r_sq)
     rows = [tuple(map(float, line.split(","))) for line in text.splitlines()[1:]]
     r, points, min_eig = (np.array(c) for c in zip(*rows))
     _, index = grid.radial
@@ -260,8 +262,25 @@ def test_kernel_csv_rebuilds_the_point_by_point_table(tmp_path, reference_csv, g
     header = ("i", "j", "k", "r", "min_eigenvalue")
     ijk = np.indices(index.shape).reshape(3, -1).tolist()
     rebuilt = zip(*ijk, r[index].ravel().tolist(), min_eig[index].ravel().tolist())
-    by_point = zip(*ijk, np.sqrt(grid.radius_sq).ravel().tolist(), eigs.ravel().tolist())
+    by_point = zip(*ijk, np.sqrt(r_sq).ravel().tolist(), eigs.ravel().tolist())
     assert reference_csv(header, rebuilt) == reference_csv(header, by_point)
+
+
+def test_inexact_grid_reports_each_radius_once(tmp_path):
+    # h = 5/24 squares inexactly: grouping points by the float sums of
+    # their squared coordinates would split one radius into several
+    # entries, 661 for the 152 radii of this grid and 19 violating
+    # entries for the crater ball's 4
+    grid = {"n": 24, "L": 5.0}
+    report, _ = cli.run_radius({**DEFAULTS["radius"], "flavor": "crater", "grid": grid})
+    radii = report["scan"].violation_radii
+    assert [points for _, points, _ in radii] == [8, 24, 24, 32]
+    assert report["scan"].violation_count == 88
+    assert report["passed"]
+    _, _, text = _run_kernel_csv(tmp_path, grid)
+    r = np.array([float(line.split(",")[0]) for line in text.splitlines()[1:]])
+    assert r.size == 152
+    assert np.all(np.diff(r) > 0)
 
 
 def test_kernel_csv_formats_each_distinct_float_once(tmp_path, monkeypatch):

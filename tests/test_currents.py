@@ -357,7 +357,8 @@ def gauge_setup(gam):
 
 def _kernel(potential, fld):
     """The sazdjian form pair at the field's P on its grid."""
-    return form_pair("sazdjian", potential, minkowski_sq(fld.P), -fld.grid.radius_sq)
+    r2, index = fld.grid.radial
+    return form_pair("sazdjian", potential, minkowski_sq(fld.P), -r2[index])
 
 
 def _mode_profiles(fld):

@@ -83,7 +83,8 @@ def apply_D(system, fld, which):
     wavenumber table, the mode's points, the product F(V chi), the D
     spectrum and the inverse transform."""
     grid, n, P0 = fld.grid, fld.grid.n, fld.P[0]
-    V = eval_V(system.potential, -grid.radius_sq, minkowski_sq(fld.P))
+    r2, index = grid.radial
+    V = eval_V(system.potential, -r2, minkowski_sq(fld.P))[index]
     table = operators._gamma_table(system.gammas, np.ix_(*[grid.wavenumbers] * 3))
     FV2 = np.tile(operators._fft(V), (2, 2, 2))
     out = []
@@ -143,22 +144,32 @@ def test_grid_wavenumbers_are_fft_frequencies():
 
 
 def test_grid_radius_never_vanishes():
-    grid = Grid(n=8, L=6.0)
-    assert np.min(grid.radius_sq) > 0.0
+    r2, _ = Grid(n=8, L=6.0).radial
+    assert r2[0] > 0.0
 
 
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 24).map(lambda m: 2 * m), L=st.floats(-100.0, 100.0).map(lambda e: 10.0**e))
-@example(n=32, L=10.5)
-@example(n=32, L=4.0)
-@example(n=16, L=8.0)
-def test_grid_radial_reproduces_radius_sq_bitwise(n, L):
+@example(n=24, L=5.0)
+@example(n=10, L=10.5)
+def test_grid_radial_groups_points_by_integer_shell(reference_radius_sq, n, L):
     grid = Grid(n=n, L=L)
     r2, index = grid.radial
     assert index.shape == (n, n, n)
     assert np.all(np.diff(r2) > 0)  # sorted and distinct
     assert np.unique(index).size == r2.size  # every radius is a grid point's
-    assert np.array_equal(r2[index].view(np.int64), grid.radius_sq.view(np.int64))
+    assert np.array_equal(r2[index].view(np.int64), reference_radius_sq(grid).view(np.int64))
+
+
+@pytest.mark.parametrize("n, L", [(16, 10.5), (24, 10.5), (32, 10.5), (32, 4.0), (16, 8.0), (8, 6.0)])
+def test_grid_radial_is_the_axis_sum_on_dyadic_grids(n, L):
+    # h is dyadic, so every coordinate, square and sum is exact and
+    # (h/2)^2 q is the float sum (s_i + s_j) + s_k of the squared axis
+    # coordinates, bit for bit
+    grid = Grid(n=n, L=L)
+    r2, index = grid.radial
+    s = grid.axis**2
+    assert np.array_equal(r2[index].view(np.int64), (s[:, None, None] + s[None, :, None] + s).view(np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +308,7 @@ def _spectrum_bounds(grid, m, amps, n_points):
     return F_chi, F_Vchi, sampled + pointwise
 
 
-def test_mode_spectrum_matches_transform_of_samples(gammas):
+def test_mode_spectrum_matches_transform_of_samples(gammas, reference_radius_sq):
     # a repeated wavevector and an index (5 on n = 8) that aliases onto
     # -3: both merge, so the mode has two grid points, not four
     grid = Grid(n=8, L=10.5)
@@ -321,7 +332,7 @@ def test_mode_spectrum_matches_transform_of_samples(gammas):
     scattered[:, k[:, 0], k[:, 1], k[:, 2]] = N * c.T
     assert np.linalg.norm(scattered - np.fft.fftn(chi, axes=(1, 2, 3))) <= F_chi_bound * scale
 
-    V = eval_V(system.potential, -grid.radius_sq, minkowski_sq(fld.P))
+    V = eval_V(system.potential, -reference_radius_sq(grid), minkowski_sq(fld.P))
     work = np.empty((4, 4, n, n, n), complex)
     product = operators._V_times(np.tile(np.fft.fftn(V), (2, 2, 2)), k, c, np.empty((len(k), n, n, n), complex), work)
     expect = np.fft.fftn(V * chi, axes=(1, 2, 3))
@@ -552,11 +563,12 @@ def _times(psi, f):
     return [(p0, f * chi) for p0, chi in psi]
 
 
-def _D_oracle(system, fld, psi, which):
+def _D_oracle(system, fld, psi, which, r_sq):
     """D_1 psi = K_1 psi - m_1 psi + K_2(V psi) - m_2 V psi, and
     D_2 psi = K_2 psi + m_2 psi + K_1(V psi) + m_1 V psi, for a mode list
-    psi on fld's grid and total momentum."""
-    Vpsi = _times(psi, eval_V(system.potential, -fld.grid.radius_sq, minkowski_sq(fld.P)))
+    psi on fld's grid and total momentum, with V evaluated at each
+    point's squared radius r_sq."""
+    Vpsi = _times(psi, eval_V(system.potential, -r_sq, minkowski_sq(fld.P)))
     m1, m2 = system.masses.m1, system.masses.m2
 
     def K(particle, f):
@@ -569,26 +581,26 @@ def _D_oracle(system, fld, psi, which):
 
 @pytest.mark.parametrize("n", [8, 16])
 @pytest.mark.parametrize("which", [1, 2])
-def test_apply_D_matches_dense_oracle(gammas, which, n):
+def test_apply_D_matches_dense_oracle(gammas, which, n, reference_radius_sq):
     system = TwoBodyDiracSystem(MASSES, BUMP, gammas)
     fld = random_band_limited_field(P_REST, Grid(n=n, L=10.5), np.random.default_rng(71))
     out = apply_D(system, fld, which)
-    oracle = _D_oracle(system, fld, samples(fld), which)
+    oracle = _D_oracle(system, fld, samples(fld), which, reference_radius_sq(fld.grid))
     scale = max(np.max(np.abs(chi)) for _, chi in oracle)
     for (_, got), (_, want) in zip(out, oracle, strict=True):
         assert np.max(np.abs(got - want)) <= 1e-13 * scale
 
 
-def _commutator_oracle(system, fld, psi, particle, realization):
+def _commutator_oracle(system, fld, psi, particle, realization, r_sq):
     """[K_i, V] psi, composed from the grid operators or from the gradient."""
     grid = fld.grid
-    V = eval_V(system.potential, -grid.radius_sq, minkowski_sq(fld.P))
+    V = eval_V(system.potential, -r_sq, minkowski_sq(fld.P))
     if realization == "composed":
         return combine(
             (1.0, _kinetic_oracle(system.gammas, particle, fld, _times(psi, V))),
             (-1.0, _times(_kinetic_oracle(system.gammas, particle, fld, psi), V)),
         )
-    dV = eval_dV_dxperp_sq(system.potential, -grid.radius_sq, minkowski_sq(fld.P))
+    dV = eval_dV_dxperp_sq(system.potential, -r_sq, minkowski_sq(fld.P))
     sub = "ac,cbxyz->abxyz" if particle == 1 else "bc,acxyz->abxyz"
     mesh = coord_mesh(grid)
     out = []
@@ -602,25 +614,25 @@ def _commutator_oracle(system, fld, psi, particle, realization):
     return out
 
 
-def _residual_oracle(system, fld, realization):
+def _residual_oracle(system, fld, realization, r_sq):
     psi = samples(fld)
-    d1 = _D_oracle(system, fld, psi, 1)
-    d2 = _D_oracle(system, fld, psi, 2)
-    lhs = combine((1.0, _D_oracle(system, fld, d2, 1)), (-1.0, _D_oracle(system, fld, d1, 2)))
+    d1 = _D_oracle(system, fld, psi, 1, r_sq)
+    d2 = _D_oracle(system, fld, psi, 2, r_sq)
+    lhs = combine((1.0, _D_oracle(system, fld, d2, 1, r_sq)), (-1.0, _D_oracle(system, fld, d1, 2, r_sq)))
     rhs = combine(
-        (-1.0, _commutator_oracle(system, fld, d1, 1, realization)),
-        (1.0, _commutator_oracle(system, fld, d2, 2, realization)),
+        (-1.0, _commutator_oracle(system, fld, d1, 1, realization, r_sq)),
+        (1.0, _commutator_oracle(system, fld, d2, 2, realization, r_sq)),
     )
     return modes_norm(fld.grid, combine((1.0, lhs), (-1.0, rhs))) / modes_norm(fld.grid, psi)
 
 
 @pytest.mark.parametrize("n", [8, 16])
 @pytest.mark.parametrize("realization", ["analytic", "composed"])
-def test_compatibility_residual_matches_unshared_oracle(gammas, realization, n):
+def test_compatibility_residual_matches_unshared_oracle(gammas, realization, n, reference_radius_sq):
     system = TwoBodyDiracSystem(MASSES, BUMP, gammas)
     fld = random_band_limited_field(P_REST, Grid(n=n, L=10.5), np.random.default_rng(51))
     fused = compatibility_residual(system, fld, realization)
-    oracle = _residual_oracle(system, fld, realization)
+    oracle = _residual_oracle(system, fld, realization, reference_radius_sq(fld.grid))
     assert fused == pytest.approx(oracle, abs=1e-12)
 
 

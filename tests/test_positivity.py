@@ -339,7 +339,7 @@ def _eigenvalue_map(flavor, potential, P2, grid):
     return positivity._radial_min_eigenvalues(flavor, potential, P2, r2)[index]
 
 
-def test_scan_keeps_the_eigenvalue_map_of_its_argmin_P2():
+def test_scan_keeps_the_eigenvalue_map_of_its_argmin_P2(reference_radius_sq):
     # argmin_map holds one eigenvalue per distinct radius of the grid, and
     # radius_points the number of grid points at each
     grid = Grid(n=8, L=4.0)
@@ -347,29 +347,31 @@ def test_scan_keeps_the_eigenvalue_map_of_its_argmin_P2():
     rep = scan("sazdjian", YUKAWA, [4.0, 1.0, 9.0], grid)
     assert rep.argmin_P2 == 1.0
     assert rep.argmin_map.shape == rep.radius_points.shape == r2.shape
-    A, B = form_pair("sazdjian", YUKAWA, 1.0, -grid.radius_sq)
+    r_sq = reference_radius_sq(grid)
+    A, B = form_pair("sazdjian", YUKAWA, 1.0, -r_sq)
     assert np.array_equal(rep.argmin_map[index], A - np.abs(B))
     assert rep.argmin_map[index[rep.argmin_index]] == rep.min_eigenvalue
-    assert rep.radius_points.tolist() == [int(np.sum(grid.radius_sq == v)) for v in r2]
+    assert rep.radius_points.tolist() == [int(np.sum(r_sq == v)) for v in r2]
 
 
-def _point_scan(flavor, potential, P2_values, grid):
-    """The scan evaluated at every grid point, the oracle for scan's
-    evaluation on the distinct radii: the fields of its report, the
-    per-radius arrays left out. The violating points are grouped by
-    squared radius, in increasing order at each P^2, into (r, points, P2)."""
-    radius = np.sqrt(grid.radius_sq)
+def _point_scan(flavor, potential, P2_values, r_sq):
+    """The scan evaluated at every grid point, at its squared radius
+    r_sq, the oracle for scan's evaluation on the distinct radii: the
+    fields of its report, the per-radius arrays left out. The violating
+    points are grouped by squared radius, in increasing order at each
+    P^2, into (r, points, P2)."""
+    radius = np.sqrt(r_sq)
     min_eig, argmin, argmin_P2, violations, edges = math.inf, None, None, [], []
     n_bad = 0
     for P2 in P2_values:
-        A, B = form_pair(flavor, potential, P2, -grid.radius_sq)
+        A, B = form_pair(flavor, potential, P2, -r_sq)
         eigs = A - np.abs(B)
         idx = np.unravel_index(np.argmin(eigs), eigs.shape)
         if eigs[idx] < min_eig:
             min_eig, argmin, argmin_P2 = float(eigs[idx]), tuple(int(i) for i in idx), P2
         bad = eigs < -positivity.EIGENVALUE_TOLERANCE
         n_bad += int(bad.sum())
-        groups = collections.Counter(grid.radius_sq[bad].tolist())
+        groups = collections.Counter(r_sq[bad].tolist())
         violations.extend((math.sqrt(r2), groups[r2], P2) for r2 in sorted(groups))
         if bad.any():
             edges.append(float(radius[bad].max()))
@@ -390,13 +392,13 @@ def _point_scan(flavor, potential, P2_values, grid):
     ("sazdjian", TanhOfG(g=GaussianG(amplitude=0.9, width=1.0)), [4.0, 6.25, 9.0], Grid(n=16, L=10.5)),
     # every point ties at 1: the argmin is the first point
     ("free", YUKAWA, [1.0, 2.0], Grid(n=8, L=4.0)),
-    # h = 5/24 squares inexactly: squared radii that differ in the last
-    # bits are apart, and some share r
+    # h = 5/24 squares inexactly: the points of one radius still share
+    # (h/2)^2 q, so each violating radius is one entry
     ("crater", YUKAWA, [1.0], Grid(n=24, L=5.0)),
 ], ids=["yukawa_sazdjian", "yukawa_crater", "tanh_gaussian", "free_ties", "inexact_squares"])
-def test_scan_on_distinct_radii_matches_a_point_by_point_scan(flavor, potential, P2_values, grid):
+def test_scan_on_distinct_radii_matches_a_point_by_point_scan(reference_radius_sq, flavor, potential, P2_values, grid):
     rep = scan(flavor, potential, P2_values, grid)
-    expected = _point_scan(flavor, potential, P2_values, grid)
+    expected = _point_scan(flavor, potential, P2_values, reference_radius_sq(grid))
     assert {key: getattr(rep, key) for key in expected} == expected
 
 
@@ -422,13 +424,13 @@ def test_scan_finds_yukawa_violation_ball():
     assert empirical_boundary_consistent(rep, OMEGA, grid)
 
 
-def test_scan_min_matches_eigenvalue_map():
+def test_scan_min_matches_eigenvalue_map(reference_radius_sq):
     grid = Grid(n=16, L=4.0)
     rep = scan("sazdjian", YUKAWA, [1.0], grid)
     emap = _eigenvalue_map("sazdjian", YUKAWA, 1.0, grid)
     assert rep.min_eigenvalue == pytest.approx(float(np.min(emap)), abs=1e-15)
     assert emap[rep.argmin_index] == rep.min_eigenvalue
-    radius = np.sqrt(grid.radius_sq)
+    radius = np.sqrt(reference_radius_sq(grid))
     assert rep.argmin_radius == pytest.approx(float(radius[rep.argmin_index]))
 
 
@@ -438,12 +440,12 @@ def test_scan_min_matches_eigenvalue_map():
     [(TanhOfG(g=GaussianG(amplitude=0.9, width=1.0)), 4.0), (YUKAWA, 1.0)],
     ids=["tanh_gaussian", "yukawa_ball"],
 )
-def test_eigenvalue_map_matches_dense_eigensolve(gammas, flavor, potential, P2):
+def test_eigenvalue_map_matches_dense_eigensolve(gammas, reference_radius_sq, flavor, potential, P2):
     # oracle: the full 16x16 form matrix A 1 + B gamma_1^0 gamma_2^0 at
     # every point, diagonalized densely
     grid = Grid(n=8, L=4.0)
     emap = _eigenvalue_map(flavor, potential, P2, grid)
-    A, B = (x.reshape(-1) for x in form_pair(flavor, potential, P2, -grid.radius_sq))
+    A, B = (x.reshape(-1) for x in form_pair(flavor, potential, P2, -reference_radius_sq(grid)))
     gp = np.kron(gammas.gamma[0], gammas.gamma[0])
     dense = np.linalg.eigvalsh(A[:, None, None] * np.eye(16) + B[:, None, None] * gp)[:, 0]
     scale = np.maximum(1.0, np.abs(A) + np.abs(B))
@@ -452,23 +454,23 @@ def test_eigenvalue_map_matches_dense_eigensolve(gammas, flavor, potential, P2):
         assert np.min(dense) < -0.1  # the violation ball is sampled
 
 
-def test_eigenvalue_map_is_evaluated_at_the_requested_P2():
+def test_eigenvalue_map_is_evaluated_at_the_requested_P2(reference_radius_sq):
     # P^2 = 3.0 is not the square of its rounded square root; the map is
     # A - |B| of the coefficients at P_sq = 3.0 exactly, bit for bit:
     # A = sech^2(Delta) and B = A b, b = 4 P^2 dDelta/dP^2
     grid = Grid(n=8, L=4.0)
-    x_perp_sq = -grid.radius_sq
+    x_perp_sq = -reference_radius_sq(grid)
     A = 1.0 / np.cosh(eval_delta(YUKAWA, x_perp_sq, 3.0)) ** 2
     B = A * (4.0 * 3.0 * eval_ddelta_dP2(YUKAWA, x_perp_sq, 3.0))
     assert np.array_equal(_eigenvalue_map("sazdjian", YUKAWA, 3.0, grid), A - np.abs(B))
 
 
-def test_eigenvalue_map_agrees_with_h_branch():
+def test_eigenvalue_map_agrees_with_h_branch(reference_radius_sq):
     # the closed-form form eigenvalue lands exactly on the analytic
     # minus branch at every sampled point
     grid = Grid(n=8, L=4.0)
     emap = _eigenvalue_map("sazdjian", YUKAWA, 1.0, grid)
-    radius = np.sqrt(grid.radius_sq)
+    radius = np.sqrt(reference_radius_sq(grid))
     for idx in ((0, 0, 0), (3, 4, 5), (4, 4, 4), (7, 1, 2)):
         y = y_of(YUKAWA, float(radius[idx]), 1.0)
         assert emap[idx] == pytest.approx(h_closed(y, "minus"), abs=1e-12)

@@ -230,7 +230,7 @@ class MomentumTanh(Potential):
         return -self.delta(xps, P_sq) / P_sq
 
 
-def test_subclass_outside_the_module_runs_through_kernel_and_scan(reference_dV_dP2):
+def test_subclass_outside_the_module_runs_through_kernel_and_scan(reference_dV_dP2, reference_radius_sq):
     spec = MomentumTanh(a=0.2)
     assert eval_V(spec, -1.0, 4.0) == math.tanh(0.2 * math.exp(-1.0) / 4.0)
     assert reference_dV_dP2(spec, -1.0, 4.0) == pytest.approx(
@@ -238,8 +238,9 @@ def test_subclass_outside_the_module_runs_through_kernel_and_scan(reference_dV_d
     )
     assert eval_dV_dxperp_sq(spec, -1.0, 4.0) == 0.0  # the base default
     grid = Grid(n=8, L=6.0)
-    A, B = form_pair("sazdjian", spec, 4.0, -grid.radius_sq)
-    V = np.tanh(0.2 * np.exp(-grid.radius_sq) / 4.0)
+    r_sq = reference_radius_sq(grid)
+    A, B = form_pair("sazdjian", spec, 4.0, -r_sq)
+    V = np.tanh(0.2 * np.exp(-r_sq) / 4.0)
     assert np.allclose(A, 1.0 - V**2, rtol=0.0, atol=1e-15)
     assert np.all(B < 0.0)  # dV/dP^2 < 0 for a > 0
     rep = scan("sazdjian", spec, [4.0, 9.0], grid)

@@ -56,7 +56,8 @@ def equal_time_profile(modes):
 
 def grid_pair(flavor, potential, P_sq, grid):
     """The flavor's form pair (A, B) at P^2 on the grid's points."""
-    return form_pair(flavor, potential, P_sq, -grid.radius_sq)
+    r2, index = grid.radial
+    return form_pair(flavor, potential, P_sq, -r2[index])
 
 
 def form(pair, grid, modes_a, modes_b, gammas):
@@ -74,7 +75,8 @@ def free_product(grid, modes_a, modes_b, gammas):
 def gaussian_profile_modes(grid, width, component):
     """One mode, p0 = 0, of a spherical gaussian in one spinor component."""
     chi = np.zeros((16,) + (grid.n,) * 3, dtype=complex)
-    chi[component] = np.exp(-grid.radius_sq / (2.0 * width**2))
+    r2, index = grid.radial
+    chi[component] = np.exp(-r2[index] / (2.0 * width**2))
     return [(0.0, chi)]
 
 
@@ -150,13 +152,13 @@ def test_crater_kernel_is_identity_for_momentum_independent_potentials():
         assert np.allclose(B, 0.0)
 
 
-def test_yukawa_kernels_match_potential_evaluations(reference_dV_dP2):
+def test_yukawa_kernels_match_potential_evaluations(reference_dV_dP2, reference_radius_sq):
     grid = Grid(n=8, L=4.0)
     P_sq = 2.25
     A_saz, B_saz = grid_pair("sazdjian", YUKAWA, P_sq, grid)
     A_cra, B_cra = grid_pair("crater", YUKAWA, P_sq, grid)
     i, j, k = 2, 5, 1
-    xps = -grid.radius_sq[i, j, k]
+    xps = -reference_radius_sq(grid)[i, j, k]
     V = eval_V(YUKAWA, xps, P_sq)
     dV = reference_dV_dP2(YUKAWA, xps, P_sq)
     # the written sazdjian pair sits swapped in the form, crater's does not
