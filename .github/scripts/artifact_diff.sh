@@ -9,9 +9,12 @@
 # are compared, and name every artifact that differs between them (by
 # cmp).
 # For a JSON artifact present on both sides, each dotted path whose value
-# differs is named instead (e.g. "conserve.json: report.residual"); lists
-# are compared whole. It only reports: a run that fails or a file that
-# moved is printed, and the script exits 0.
+# differs is named instead (e.g. "conserve.json: report.residual"). Lists
+# of one length on both sides are compared item by item ("residuals[3]"),
+# others whole. A numeric leaf that moved is printed with its base value,
+# its head value and the relative change, so that a move at roundoff
+# (about 1e-16) can be told from a real one. It only reports: a run that
+# fails or a file that moved is printed, and the script exits 0.
 #
 #   artifact_diff.sh BASE_TREE HEAD_TREE OUT_DIR
 set -u
@@ -48,6 +51,7 @@ done
 json_paths() {
   python - "$@" <<'EOF' || echo "differs: $3"
 import json
+import math
 import sys
 
 base_file, head_file, name = sys.argv[1:]
@@ -55,12 +59,24 @@ with open(base_file) as fb, open(head_file) as fh:
     base, head = json.load(fb), json.load(fh)
 
 
+def number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def walk(a, b, path):
     if isinstance(a, dict) and isinstance(b, dict):
         for key in sorted(set(a) | set(b)):
             yield from walk(a.get(key), b.get(key), f"{path}.{key}" if path else key)
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for i, (x, y) in enumerate(zip(a, b)):
+            yield from walk(x, y, f"{path}[{i}]")
     elif a != b:
-        yield path or "(root)"
+        path = path or "(root)"
+        if number(a) and number(b):
+            change = (b - a) / abs(a) if a else math.copysign(math.inf, b)
+            yield f"{path}: {a!r} -> {b!r} (relative change {change:+.3g})"
+        else:
+            yield path
 
 
 paths = list(walk(base, head, ""))

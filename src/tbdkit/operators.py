@@ -34,8 +34,8 @@ therefore a Fourier multiplier with the 4x4 symbol
     K_2(kappa) = p_2^0 gamma_2^0 + sum_k gamma_2^k kappa_k
 
 and a mode of D_1 chi is IFFT[(K_1 - m_1) F chi + (K_2 - m_2) F(V chi)]
-(D_2 likewise). A symbol is applied entry by entry on one spinor index
-of a (4, 4, n, n, n) view of the spectrum: out[a] = sum_b S[a, b] x[b]
+(D_2 likewise). On a spectrum a symbol is applied entry by entry on one
+spinor index of a (4, 4, n, n, n) view: out[a] = sum_b S[a, b] x[b]
 over the nonzero entries only. The entries of sum_k gamma^k kappa_k are
 read off the gammas (two per row for Dirac and Weyl) and broadcast
 over the wavenumber grid; the gamma^0 and mass part is a constant.
@@ -57,18 +57,28 @@ of the product V phi and therefore converges to it at spectral rate
 under grid refinement. The analytic realization is the default since it
 is the one with a measurable discretization error.
 
-The residual starts from the spectrum. On the half-cell-offset grid a
-wave e^{+i 2 pi m.x / L} is e^{i pi m (1/n - 1)} e^{+i 2 pi m.j / n} per
-axis at sample j, so F chi is n^3 times the mode's coefficients at its
-indices m mod n, and F(V chi) = sum_u c_u F V(. - k_u) is one product of
-the (16 x U) coefficients with U shifted copies of F V, transformed once
-per residual. Per relative-energy mode the symbols of D_1 and D_2 act on
-F chi point by point and on F(V chi) as tables; the inverses d_1, d_2
-give F(V d_1) and F(V d_2), and one inverse transform of the left side
-follows: 5 FFTs per mode for the analytic realization (its commutators
-act pointwise on d_1, d_2) and 6 for the composed one, plus 1 per
-residual. V, the symbol tables, F V and the work arrays are made once
-per residual and reused for every mode.
+The residual is built from one dictionary of scalar fields. On the
+half-cell-offset grid a wave e^{+i 2 pi m.x / L} is
+e^{i pi m (1/n - 1)} e^{+i 2 pi m.j / n} per axis at sample j, so a mode
+is chi = sum_u c_u e_u with e_u = e^{+i 2 pi k_u.j / n} at its distinct
+indices k_u = m mod n, and F(V chi) = sum_u c_u F V(. - k_u). By the DFT
+shift theorem (Trefethen, Spectral Methods in MATLAB, ch. 3)
+IFFT[kappa_k F V(. - k_u)] = e_u h_{k,(k_u)_k} with
+h_{k,s} = IFFT[kappa_k(. + s e_k) F V], so D_1 chi and D_2 chi are
+sums over the basis [e_u, e_u V, e_u h_1, e_u h_2, e_u h_3] with
+coefficients from the gammas: one matrix product per mode. There is
+one h per axis and index value that the modes' points take on it (15
+for the test field's indices in [-2, 2]), and all of them take one
+batched inverse transform after F V, once per residual. Because K_1
+and K_2 commute and K_1^2 - K_2^2 = (p_1^0)^2 - (p_2^0)^2 = 2 P0 p0
+(Sazdjian, Phys. Rev. D 33 (1986) 3401), the left side [D_1, D_2] chi
+is IFFT[(K_2 - m_2) F(V d_2) - (K_1 + m_1) F(V d_1)] +
+(2 P0 p0 + m_2^2 - m_1^2) V chi with d_i = D_i chi: 3 FFTs per mode for
+either realization, plus 2 per residual. The composed realization
+takes the same path: its commutators cancel the K_i parts of that
+spectrum, and it compares what is left with V (K_1 d_1 - K_2 d_2), whose
+closed form is a third coefficient matrix on the same basis; so it
+checks the coefficients and the transforms to roundoff.
 
 Plane waves. For a constant potential v the first equation is the
 linear matrix pencil M_1(p0) = A + p0 B with B = gamma_1^0 - v gamma_2^0,
@@ -303,35 +313,76 @@ def _symbol_rows(gammas: GammaSet, particle: int, p_0: float, table, shift: floa
     return rows
 
 
-def _D_spectrum(system: TwoBodyDiracSystem, which: int, p1_0, p2_0, table, F_chi, F_Vchi, out):
-    """Spectrum of D_which chi for one relative-energy mode, into out:
-    F D_1 chi = (K_1 - m_1) F chi + (K_2 - m_2) F(V chi),
-    F D_2 chi = (K_2 + m_2) F chi + (K_1 + m_1) F(V chi).
-    F(V chi) is dense and takes the table's rows. F chi is (flat, kappa, f):
-    its values f (4, 4, U) at the U distinct flat grid indices flat, of
-    wavevectors kappa (U, 3), where the same rows are built from a table
-    of the U points alone and the result is added at flat."""
-    m1, m2 = system.masses.m1, system.masses.m2
-    g = system.gammas
-    particle, p_0, shift = (2, p2_0, -m2) if which == 1 else (1, p1_0, m1)
-    _apply_rows(_symbol_rows(g, particle, p_0, table, shift), F_Vchi, particle, out)
-    particle, p_0, shift = (1, p1_0, -m1) if which == 1 else (2, p2_0, m2)
-    flat, kappa, f = F_chi
-    rows = _symbol_rows(g, particle, p_0, _gamma_table(g, kappa.T), shift)
-    out.reshape(4, 4, -1)[:, :, flat] += _apply_rows(rows, f, particle, np.empty_like(f))
+def _symbol_parts(gammas: GammaSet, particle: int, p_0: float, shift: float = 0.0) -> np.ndarray:
+    """The symbol of K_i + shift as parts S (4, 4, 4): S(kappa) =
+    S[0] + sum_k kappa_k S[k] with S[0] = p_i^0 gamma^0 + shift and
+    S[k] = -+ gamma^k, minus for particle 1 (momentum P/2 + p), plus for
+    particle 2."""
+    sign = -1.0 if particle == 1 else 1.0
+    return np.concatenate([[p_0 * gammas.gamma[0] + shift * np.eye(4)], sign * gammas.gamma[1:]])
+
+
+def _D_terms(system: TwoBodyDiracSystem, p1_0: float, p2_0: float):
+    """The terms (see _coefficients) of D_1 = (K_1 - m_1) + (K_2 - m_2) V
+    and of D_2 = (K_2 + m_2) + (K_1 + m_1) V at one relative energy."""
+    m1, m2, g = system.masses.m1, system.masses.m2, system.gammas
+    return (
+        [(1, _symbol_parts(g, 1, p1_0, -m1), False), (2, _symbol_parts(g, 2, p2_0, -m2), True)],
+        [(2, _symbol_parts(g, 2, p2_0, m2), False), (1, _symbol_parts(g, 1, p1_0, m1), True)],
+    )
+
+
+def _coefficients(terms, kappa, c, scalar: float = 0.0) -> np.ndarray:
+    """Coefficients (5, U, 4, 4) on the mode's basis (see _basis) of
+    scalar chi plus, for each term (particle, S, times_V), S chi or, with
+    times_V, S (V chi), S acting on the particle's spinor index; the
+    mode is chi = sum_u c_u e_u, c (U, 4, 4), at wavevectors kappa (U, 3).
+    S chi takes S(kappa_u) c_u on e_u. S (V chi) takes S[0] c_u on e_u V
+    and S[k] c_u on e_u h_k, because IFFT[kappa_k F V(. - k_u)] = e_u h_k
+    (see _dictionary)."""
+    out = np.zeros((5, *c.shape), complex)
+    out[0] = scalar * c
+    for particle, S, times_V in terms:
+        if times_V:
+            S, block = S[:, None], out[1:]
+        else:
+            S, block = S[0] + np.tensordot(kappa, S[1:], axes=1), out[0]
+        block += S @ c if particle == 1 else c @ np.swapaxes(S, -1, -2)
     return out
 
 
-def _V_times(FV2, k, c, shifted, out):
-    """F(V chi) into out, shape (4, 4, n, n, n), for the mode
-    chi_j = sum_u c_u e^{+i 2 pi k_u.j / n}: sum_u c_u F V(. - k_u), one
-    product of c^T (16 x U) with the U shifted copies of F V, each a
-    slice of FV2 (F V tiled twice along every axis) copied into the
-    rows of the work array shifted."""
-    n, U = out.shape[-1], len(k)
-    for u, (x, y, z) in enumerate(n - k):
-        shifted[u] = FV2[x : x + n, y : y + n, z : z + n]
-    np.matmul(c.T, shifted[:U].reshape(U, -1), out=out.reshape(16, -1))
+def _dictionary(grid: Grid, V, points):
+    """The scalar fields that every mode's basis shares: h (H, n, n, n)
+    with h_{k,s} = IFFT[kappa_k(. + s e_k) F V] for each axis k and each
+    index s that a point of the modes has on that axis, and rows (3, n),
+    rows[k, s] the row of h_{k,s}. By the shift theorem
+    IFFT[kappa_k F V(. - k_u)] = e_u h_{k,(k_u)_k}, e_u = e^{+i 2 pi k_u.j / n}.
+    Two transforms: F V, and one inverse over all of h."""
+    n = grid.n
+    used = np.zeros((3, n), bool)
+    for k, _ in points:
+        used[np.arange(3), k] = True
+    rows = np.cumsum(used).reshape(3, n) - 1
+    FV = _fft(V)
+    h = np.empty((np.count_nonzero(used), n, n, n), complex)
+    for (axis, s), row in zip(np.argwhere(used), h):
+        np.multiply(FV, np.roll(grid.wavenumbers, -s).reshape([-1 if a == axis else 1 for a in range(3)]), out=row)
+    return _ifft(h, out=h), rows
+
+
+def _basis(grid: Grid, V, h, rows, k, out):
+    """A mode's basis into out (5U, n, n, n), in blocks of U rows in the
+    order of its grid indices k (U, 3): e_u, e_u V, then e_u h_{j,(k_u)_j}
+    for the axes j (h and rows from _dictionary). e_u is the product of
+    its axes' n-th roots of unity, read at k_u j mod n. Returns out."""
+    n, U = grid.n, len(k)
+    roots = np.exp(2j * np.pi / n * np.arange(n))
+    ex, ey, ez = roots[k.T[:, :, None] * np.arange(n) % n]  # each (U, n)
+    e = np.multiply(ex[:, :, None, None], (ey[:, :, None] * ez[:, None, :])[:, None], out=out[:U])
+    np.multiply(e, V, out=out[U : 2 * U])
+    for axis in range(3):
+        for u in range(U):
+            np.multiply(e[u], h[rows[axis, k[u, axis]]], out=out[(2 + axis) * U + u])
     return out
 
 
@@ -442,12 +493,23 @@ def compatibility_residual(
     error of the product spectra and decays at spectral rate on smooth
     band-limited fields.
 
-    One pass per relative-energy mode, in six work arrays made once. With
-    s_i the spectrum of D_i chi, d_i = IFFT s_i, A = F(V d_1) and
-    B = F(V d_2), the left side's spectrum is
-    (K_1 - m_1)(s_2 - A) + (K_2 - m_2)(B - s_1) - 2 m_1 A - 2 m_2 s_1;
-    the composed difference lhs - rhs is IFFT[lhs + K_1 A - K_2 B]
-    - V IFFT[K_1 s_1 - K_2 s_2]. The squared difference is summed mode
+    D_1 chi, D_2 chi and a third field come from one product per
+    relative-energy mode: the coefficients of _coefficients times the
+    mode's basis (_basis), whose scalar fields are built from the
+    dictionary h that _dictionary makes once. Since K_1 K_2 = K_2 K_1 and
+    K_i^2 = (p_i^0)^2 - |kappa|^2, with d_i = D_i chi the left side is
+
+        [D_1, D_2] chi = IFFT[(K_2 - m_2) F(V d_2) - (K_1 + m_1) F(V d_1)]
+                         + (2 P0 p0 + m_2^2 - m_1^2) V chi,
+
+    the third field being that constant times chi, so three transforms
+    per mode: F(V d_1), F(V d_2) and one inverse. The analytic
+    commutators then act pointwise on d_1 and d_2. The composed ones
+    cancel the K_i parts of the left spectrum, leaving
+    IFFT[-m_1 F(V d_1) - m_2 F(V d_2)], and subtract V (K_1 d_1 - K_2 d_2),
+    a third coefficient matrix on the same basis from
+    K_1 d_1 - K_2 d_2 = (2 P0 p0 - m_1 K_1 - m_2 K_2) chi
+    - (m_2 K_1 + m_1 K_2)(V chi). The squared difference is summed mode
     by mode. Masses and P0 that overflow it raise a ValueError naming
     them.
     """
@@ -462,8 +524,9 @@ def compatibility_residual(
     # V and dV/dxperp^2 on the grid's distinct radii, taken at each point's radius
     r2, index = grid.radial
     V = eval_V(system.potential, -r2, P_sq)[index]
-    table = _gamma_table(g, np.ix_(*[grid.wavenumbers] * 3))
+    minus_V = np.negative(V)
     if not composed:
+        table = _gamma_table(g, np.ix_(*[grid.wavenumbers] * 3))
         # [K_1, V] = +i gamma_1^k (d_k V), [K_2, V] = -i gamma_2^k (d_k V),
         # with d_k V = dV/dxperp^2 * (-2 x^k); the table holds i gamma^k d_k V,
         # x^k broadcast along its own axis
@@ -471,51 +534,46 @@ def compatibility_residual(
         x = grid.axis
         commutator = _gamma_table(g, [idV * (-2.0 * xk) for xk in (x[:, None, None], x[:, None], x)])
     points = [_mode_points(grid, m, amps) for _, m, amps in fld.modes]
-    FV2 = np.tile(_fft(V), (2, 2, 2))
-    shifted = np.empty((max((len(k) for k, _ in points), default=0), n, n, n), complex)
-    s1, s2, d1, d2, a, b = np.empty((6, 4, 4, n, n, n), complex)
+    h, rows = _dictionary(grid, V, points)
+    # the basis is spent after each mode's product; its first 16 rows then
+    # take the analytic left side's spectrum
+    basis = np.empty((max(5 * max((len(k) for k, _ in points), default=0), 16), n, n, n), complex)
+    work = np.empty((3, 4, 4, n, n, n), complex)
     total = 0.0
     for (p0, _, _), (k, c) in zip(fld.modes, points):
         _band_limit_guard(n, k, c)
+        U = len(k)
         p1_0, p2_0 = P0 / 2 + p0, P0 / 2 - p0
-        F_chi = (np.ravel_multi_index(k.T, (n, n, n)), grid.wavenumbers[k], n**3 * c.T.reshape(4, 4, -1))
-        F_Vchi = _V_times(FV2, k, c, shifted, out=d1)
-        _D_spectrum(system, 1, p1_0, p2_0, table, F_chi, F_Vchi, out=s1)
-        _D_spectrum(system, 2, p1_0, p2_0, table, F_chi, F_Vchi, out=s2)
-        _ifft(s1, out=d1)
-        _ifft(s2, out=d2)
-        _fft(np.multiply(V, d1, out=a), out=a)
-        _fft(np.multiply(V, d2, out=b), out=b)
+        kappa, c = grid.wavenumbers[k], c.reshape(U, 4, 4)
+        D1, D2 = (_coefficients(terms, kappa, c) for terms in _D_terms(system, p1_0, p2_0))
+        third = _coefficients([], kappa, c, scalar=2 * P0 * p0 + (m2 - m1) * (m2 + m1))
         if composed:
-            # V IFFT[K_1 s_1 - K_2 s_2] into d_1, and the left side starts
-            # in d_2 with K_1 A - K_2 B, the composed commutators' spectra
-            K1, K2 = _symbol_rows(g, 1, p1_0, table), _symbol_rows(g, 2, p2_0, table)
-            _apply_rows(K1, s1, 1, d1)
-            d1 -= _apply_rows(K2, s2, 2, d2)
-            np.multiply(V, _ifft(d1, out=d1), out=d1)
-            lhs = _apply_rows(K1, a, 1, d2)
-            s2 -= a
-            a *= -2 * m1
-            lhs += a
-            lhs -= _apply_rows(K2, b, 2, a)
+            K1, K2 = _symbol_parts(g, 1, p1_0), _symbol_parts(g, 2, p2_0)
+            terms = [(1, -m1 * K1, False), (2, -m2 * K2, False), (1, -m2 * K1, True), (2, -m1 * K2, True)]
+            third -= _coefficients(terms, kappa, c, scalar=2 * P0 * p0)
+        coefficients = np.stack([D1, D2, third]).transpose(0, 3, 4, 1, 2).reshape(48, 5 * U)
+        np.matmul(coefficients, _basis(grid, V, h, rows, k, basis[: 5 * U]).reshape(5 * U, n**3), out=work.reshape(48, -1))
+        d1, d2, rest = work
+        rest *= V
+        if not composed:
+            # rhs = -[K_1, V] d_1 + [K_2, V] d_2 is subtracted
+            _apply_rows(commutator, d1, 1, rest, add=True)
+            _apply_rows(commutator, d2, 2, rest, add=True)
+        # A = -F(V d_1), B = F(V d_2)
+        A = _fft(np.multiply(d1, minus_V, out=d1), out=d1)
+        B = _fft(np.multiply(d2, V, out=d2), out=d2)
+        if composed:
+            lhs = A
+            A *= m1
+            lhs -= np.multiply(B, m2, out=B)
         else:
-            s2 -= a
-            lhs = a
-            lhs *= -2 * m1
-        b -= s1
-        s1 *= 2 * m2
-        lhs -= s1
-        _apply_rows(_symbol_rows(g, 1, p1_0, table, -m1), s2, 1, lhs, add=True)
-        _apply_rows(_symbol_rows(g, 2, p2_0, table, -m2), b, 2, lhs, add=True)
+            lhs = basis[:16].reshape(4, 4, n, n, n)
+            _apply_rows(_symbol_rows(g, 2, p2_0, table, -m2), B, 2, lhs)
+            _apply_rows(_symbol_rows(g, 1, p1_0, table, m1), A, 1, lhs, add=True)
         diff = _ifft(lhs, out=lhs)
-        if composed:
-            diff -= d1
-        else:
-            # lhs - rhs with rhs = -[K_1, V] d_1 + [K_2, V] d_2
-            _apply_rows(commutator, d1, 1, diff, add=True)
-            _apply_rows(commutator, d2, 2, diff, add=True)
-        # s_1 is spent: its floats take the squares of diff's
-        total += np.sum(np.square(diff.view(float), out=s1.view(float)))
+        diff += rest
+        # B is spent: its floats take the squares of diff's
+        total += np.sum(np.square(diff.view(float), out=B.view(float)))
     if not math.isfinite(total):
         raise ValueError(f"masses ({m1!r}, {m2!r}) and P0 = {float(P0)!r} overflow the compatibility residual")
     return float(np.sqrt(total * grid.h**3)) / fld.norm()

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -79,22 +80,21 @@ def modes_norm(grid, modes):
 
 def apply_D(system, fld, which):
     """D_which on every mode as a mode list, from the pieces
-    compatibility_residual runs: the potential and its transform, the
-    wavenumber table, the mode's points, the product F(V chi), the D
-    spectrum and the inverse transform."""
+    compatibility_residual runs: the potential, the dictionary of scalar
+    fields shared by the modes, each mode's points and basis, and the
+    product of D's coefficients with the basis."""
     grid, n, P0 = fld.grid, fld.grid.n, fld.P[0]
     r2, index = grid.radial
     V = eval_V(system.potential, -r2, minkowski_sq(fld.P))[index]
-    table = operators._gamma_table(system.gammas, np.ix_(*[grid.wavenumbers] * 3))
-    FV2 = np.tile(operators._fft(V), (2, 2, 2))
+    points = [operators._mode_points(grid, m, amps) for _, m, amps in fld.modes]
+    h, rows = operators._dictionary(grid, V, points)
     out = []
-    for p0, m, amps in fld.modes:
-        k, c = operators._mode_points(grid, m, amps)
-        F_chi = (np.ravel_multi_index(k.T, (n, n, n)), grid.wavenumbers[k], n**3 * c.T.reshape(4, 4, -1))
-        work = np.empty((2, 4, 4, n, n, n), complex)
-        F_Vchi = operators._V_times(FV2, k, c, np.empty((len(k), n, n, n), complex), work[0])
-        spec = operators._D_spectrum(system, which, P0 / 2 + p0, P0 / 2 - p0, table, F_chi, F_Vchi, work[1])
-        out.append((p0, operators._ifft(spec, out=spec).reshape(16, n, n, n)))
+    for (p0, _, _), (k, c) in zip(fld.modes, points):
+        U = len(k)
+        terms = operators._D_terms(system, P0 / 2 + p0, P0 / 2 - p0)[which - 1]
+        coefficients = operators._coefficients(terms, grid.wavenumbers[k], c.reshape(U, 4, 4))
+        basis = operators._basis(grid, V, h, rows, k, np.empty((5 * U, n, n, n), complex))
+        out.append((p0, (coefficients.transpose(2, 3, 0, 1).reshape(16, 5 * U) @ basis.reshape(5 * U, n**3)).reshape(16, n, n, n)))
     return out
 
 
@@ -272,12 +272,14 @@ def _gamma(d):
     return d * u / (1.0 - d * u)
 
 
-def _spectrum_bounds(grid, m, amps, n_points):
-    """Relative bounds, as multiples of the scale N ||A||_2 (N = n^3,
-    A_c = sum_w |amp_wc|, F chi's 2-norm is at most N ||A||_2), on the
-    2-norm gap between the mode's spectrum from its waves and the
-    transform of its samples, for F chi and, in units of N max|V|
-    ||A||_2, for F(V chi). With Theta = pi max_w ||m_w||_1:
+def _spectrum_bounds(grid, m, amps):
+    """Relative bounds, as multiples of a scale, on 2-norm gaps. First,
+    in units of N ||A||_2 (N = n^3, A_c = sum_w |amp_wc|, F chi's 2-norm
+    is at most N ||A||_2), between the mode's spectrum from its waves
+    and the transform of its samples. Then, in units of
+    max|kappa_j| sqrt(N) ||V||_2 (||kappa_j F V||_2 at most), between the
+    transform of a basis field e_u h_{j,s} and kappa_j F V(. - k_u) taken
+    from the transform of V. With Theta = pi max_w ||m_w||_1:
 
     - samples (_wave_sum): each axis's phase argument 2 pi m x_j / L
       carries the rounding of x_j (at most gamma_4 L) and of its three
@@ -291,8 +293,13 @@ def _spectrum_bounds(grid, m, amps, n_points):
       Cooley-Tukey FFT (Higham, Accuracy and Stability of Numerical
       Algorithms, 2nd ed., thm 24.2): 3 log2(n) eta with
       eta = u + gamma_4 (sqrt 2 + u), twiddles taken as accurate to u;
-    - the product: V times the samples, gamma_1; on the other side the
-      (16 x U) @ (U x N) product, gamma_(2U), and F V's transform.
+    - the shift theorem (_dictionary, _basis): F V, the product with the
+      shifted kappa_j (u), the inverse transform and its 1/N (u), e_u
+      from three roots of unity exp(i theta), theta = 2 pi m / n off by
+      gamma_5 2 pi and each root by 2 sqrt(2) u more (an ulp of cos and
+      of sin), multiplied by two complex products, 2 sqrt(2) gamma_2,
+      then the product e_u h (sqrt(2) gamma_2) and its transform; on
+      the other side F V again and the product with kappa_j (u).
 
     A transform's 2-norm error carries over unscaled and a sample
     error's by sqrt(N) times sqrt(N) samples, so each term is a
@@ -304,8 +311,9 @@ def _spectrum_bounds(grid, m, amps, n_points):
     sampled = _gamma(11) * theta + 6 * u + _gamma(W + 5)
     pointwise = _gamma(4) * theta + 2 * u + _gamma(W + 1)
     F_chi = sampled + fft + pointwise
-    F_Vchi = sampled + _gamma(1) + fft + pointwise + fft + _gamma(2 * n_points)
-    return F_chi, F_Vchi, sampled + pointwise
+    e_u = 3 * (2 * math.pi * _gamma(5) + 2 * math.sqrt(2.0) * u) + 2 * math.sqrt(2.0) * _gamma(2)
+    shifted = 4 * fft + 3 * u + e_u + math.sqrt(2.0) * _gamma(2)
+    return F_chi, shifted, sampled + pointwise
 
 
 def test_mode_spectrum_matches_transform_of_samples(gammas, reference_radius_sq):
@@ -326,17 +334,25 @@ def test_mode_spectrum_matches_transform_of_samples(gammas, reference_radius_sq)
     k, c = operators._mode_points(grid, m, a)
     assert sorted(map(tuple, k)) == [(1, 6, 0), (5, 0, 7)]
     scale = N * np.linalg.norm(np.sum(np.abs(a), axis=0))
-    F_chi_bound, F_Vchi_bound, norm_bound = _spectrum_bounds(grid, m, a, len(k))
+    F_chi_bound, shifted_bound, norm_bound = _spectrum_bounds(grid, m, a)
 
     scattered = np.zeros((16, n, n, n), complex)
     scattered[:, k[:, 0], k[:, 1], k[:, 2]] = N * c.T
     assert np.linalg.norm(scattered - np.fft.fftn(chi, axes=(1, 2, 3))) <= F_chi_bound * scale
 
+    # the shift theorem on each point's basis fields:
+    # F(e_u h_{j,(k_u)_j}) = kappa_j F V(. - k_u) on every axis j
     V = eval_V(system.potential, -reference_radius_sq(grid), minkowski_sq(fld.P))
-    work = np.empty((4, 4, n, n, n), complex)
-    product = operators._V_times(np.tile(np.fft.fftn(V), (2, 2, 2)), k, c, np.empty((len(k), n, n, n), complex), work)
-    expect = np.fft.fftn(V * chi, axes=(1, 2, 3))
-    assert np.linalg.norm(product.reshape(16, n, n, n) - expect) <= F_Vchi_bound * np.max(np.abs(V)) * scale
+    FV = np.fft.fftn(V)
+    h, rows = operators._dictionary(grid, V, [(k, c)])
+    U = len(k)
+    basis = operators._basis(grid, V, h, rows, k, np.empty((5 * U, n, n, n), complex))
+    for j in range(3):
+        kappa = grid.wavenumbers.reshape([-1 if axis == j else 1 for axis in range(3)])
+        bound = shifted_bound * np.max(np.abs(kappa)) * math.sqrt(N) * np.linalg.norm(V)
+        for u, point in enumerate(k):
+            want = kappa * np.roll(FV, tuple(point), axis=(0, 1, 2))
+            assert np.linalg.norm(np.fft.fftn(basis[(2 + j) * U + u]) - want) <= bound
 
     # norm by Parseval against the samples' sum of squares, each rounded
     # to within gamma_(log2(16 N) + 16) of its square (pairwise sums)
@@ -462,6 +478,15 @@ def test_compatibility_zero_potential():
     grid = Grid(n=16, L=10.5)
     fld = random_band_limited_field(P_REST, grid, np.random.default_rng(11))
     assert compatibility_residual(system, fld) < 1e-13
+
+
+def test_compatibility_residual_is_unchanged_by_a_mode_with_no_waves():
+    # an empty mode is the zero field: it adds nothing to either sum
+    system = TwoBodyDiracSystem(MASSES, BUMP, build_gammas("dirac"))
+    fld = random_band_limited_field(P_REST, Grid(n=8, L=10.5), np.random.default_rng(12), max_index=1)
+    padded = replace(fld, modes=(fld.modes[0], (0.2, np.zeros((0, 3), int), np.zeros((0, 16))), *fld.modes[1:]))
+    for realization in ("analytic", "composed"):
+        assert compatibility_residual(system, padded, realization) == compatibility_residual(system, fld, realization)
 
 
 def test_compatibility_composed_realization_is_discrete_identity():
@@ -591,6 +616,30 @@ def test_apply_D_matches_dense_oracle(gammas, which, n, reference_radius_sq):
         assert np.max(np.abs(got - want)) <= 1e-13 * scale
 
 
+# wave indices at the wrap edges of the band, per axis: 0, n/2 - 1,
+# -n/2 and n - 1 (which aliases onto -1)
+@settings(max_examples=12, deadline=None)
+@given(
+    n=st.sampled_from([8, 10, 16]),
+    edges=st.lists(st.tuples(*[st.sampled_from([0, 1, 2, 3])] * 3), min_size=1, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+    which=st.sampled_from([1, 2]),
+)
+def test_D_from_the_dictionary_matches_dense_oracle_at_band_edges(n, edges, seed, which, reference_radius_sq):
+    system = TwoBodyDiracSystem(MASSES, BUMP, build_gammas("dirac"))
+    rng = np.random.default_rng(seed)
+    m = np.array([[(0, n // 2 - 1, -n // 2, n - 1)[e] for e in edge] for edge in edges])
+    amps = rng.standard_normal((len(m), 16)) + 1j * rng.standard_normal((len(m), 16))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AliasingWarning)
+        fld = InternalField(P=P_REST, grid=Grid(n=n, L=10.5), modes=((0.17, m, amps), (-0.4, m[::-1], 0.5j * amps)))
+    out = apply_D(system, fld, which)
+    oracle = _D_oracle(system, fld, samples(fld), which, reference_radius_sq(fld.grid))
+    scale = max(np.max(np.abs(chi)) for _, chi in oracle)
+    for (_, got), (_, want) in zip(out, oracle, strict=True):
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+
 def _commutator_oracle(system, fld, psi, particle, realization, r_sq):
     """[K_i, V] psi, composed from the grid operators or from the gradient."""
     grid = fld.grid
@@ -636,10 +685,11 @@ def test_compatibility_residual_matches_unshared_oracle(gammas, realization, n, 
     assert fused == pytest.approx(oracle, abs=1e-12)
 
 
-@pytest.mark.parametrize("realization, per_mode", [("analytic", 5), ("composed", 6)])
-def test_compatibility_residual_transform_and_potential_counts(monkeypatch, realization, per_mode):
-    # per mode: d_1, d_2, F(V d_1), F(V d_2) and the left side's inverse,
-    # plus V IFFT[K_1 s_1 - K_2 s_2] when composed; F V once per residual
+@pytest.mark.parametrize("realization", ["analytic", "composed"])
+def test_compatibility_residual_transform_and_potential_counts(monkeypatch, realization):
+    # per mode: F(V d_1), F(V d_2) and the left side's inverse; per
+    # residual: F V and one batched inverse transform of the dictionary's
+    # shifted kappa_k F V
     system = TwoBodyDiracSystem(MASSES, BUMP, build_gammas("dirac"))
     fld = random_band_limited_field(P_REST, Grid(n=8, L=10.5), np.random.default_rng(61))
     assert len(fld.modes) == 3
@@ -656,7 +706,7 @@ def test_compatibility_residual_transform_and_potential_counts(monkeypatch, real
     monkeypatch.setattr(np.fft, "ifftn", counted("fft", np.fft.ifftn))
     monkeypatch.setattr(operators, "eval_V", counted("eval_V", operators.eval_V))
     compatibility_residual(system, fld, realization)
-    assert calls == {"fft": per_mode * 3 + 1, "eval_V": 1}
+    assert calls == {"fft": 3 * 3 + 2, "eval_V": 1}
 
 
 def test_operators_leave_the_input_field_unchanged():
