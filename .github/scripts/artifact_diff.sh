@@ -6,7 +6,10 @@
 # (yukawa_kernel_n24/, so that a change to how grid points are grouped by
 # radius shows as a CSV diff) and radius on the same coupling with the
 # crater flavor (crater_radius/), so that both flavors' violating radii
-# are compared, and name every artifact that differs between them (by
+# are compared, and compat twice more: composed at n = 16
+# (compat_composed/) and the analytic default at n = 24 (compat_n24/, a
+# mixed-radix grid whose residuals lie above the default 1e-8, so both
+# sides exit 1 there). Name every artifact that differs between them (by
 # cmp).
 # For a JSON artifact present on both sides, each dotted path whose value
 # differs is named instead (e.g. "conserve.json: report.residual"). Lists
@@ -28,6 +31,10 @@ cat > "$yukawa" <<'EOF'
 EOF
 yukawa24=$out/yukawa_kernel_n24_config.json
 sed 's/"n": 32, "L": 4.0/"n": 24, "L": 5.0/' "$yukawa" > "$yukawa24"
+compat_composed=$out/compat_composed_config.json
+echo '{"schema": "tbdkit-config/1", "realization": "composed", "grid": {"n": 16, "L": 10.5}}' > "$compat_composed"
+compat24=$out/compat_n24_config.json
+echo '{"schema": "tbdkit-config/1", "grid": {"n": 24, "L": 10.5}}' > "$compat24"
 crater=$out/crater_radius_config.json
 cat > "$crater" <<'EOF'
 {"schema": "tbdkit-config/1", "flavor": "crater",
@@ -47,6 +54,10 @@ for side in base head; do
     --out "$out/$side/yukawa_kernel_n24" --quiet || echo "$side: tbdkit kernel (yukawa, n = 24) exited $?"
   TBDKIT_THREADS=1 PYTHONPATH="$tree/src" python -m tbdkit.cli radius --config "$crater" \
     --out "$out/$side/crater_radius" --quiet || echo "$side: tbdkit radius (crater) exited $?"
+  TBDKIT_THREADS=1 PYTHONPATH="$tree/src" python -m tbdkit.cli compat --config "$compat_composed" \
+    --out "$out/$side/compat_composed" --quiet || echo "$side: tbdkit compat (composed) exited $?"
+  TBDKIT_THREADS=1 PYTHONPATH="$tree/src" python -m tbdkit.cli compat --config "$compat24" \
+    --out "$out/$side/compat_n24" --quiet || echo "$side: tbdkit compat (n = 24) exited $?"
 done
 json_paths() {
   python - "$@" <<'EOF' || echo "differs: $3"

@@ -34,11 +34,13 @@ therefore a Fourier multiplier with the 4x4 symbol
     K_2(kappa) = p_2^0 gamma_2^0 + sum_k gamma_2^k kappa_k
 
 and a mode of D_1 chi is IFFT[(K_1 - m_1) F chi + (K_2 - m_2) F(V chi)]
-(D_2 likewise). On a spectrum a symbol is applied entry by entry on one
-spinor index of a (4, 4, n, n, n) view: out[a] = sum_b S[a, b] x[b]
-over the nonzero entries only. The entries of sum_k gamma^k kappa_k are
-read off the gammas (two per row for Dirac and Weyl) and broadcast
-over the wavenumber grid; the gamma^0 and mass part is a constant.
+(D_2 likewise). kappa_k acts along axis k alone, so the 3-D transforms
+of the other two axes cancel: IFFT[kappa_k F f] is the n x n matrix
+F^-1 diag(kappa) F (Trefethen, Spectral Methods in MATLAB, ch. 3)
+applied along axis k, a matrix product, with the grid's wavenumbers,
+Nyquist entry included, so it is the same discrete operator. On a mode
+the gamma^0, mass and gamma^k parts of a symbol are 4x4 matrices acting
+on the coefficients of its waves, never on a field.
 
 Compatibility. The necessary consistency condition for the pair is the
 operator identity
@@ -62,23 +64,28 @@ half-cell-offset grid a wave e^{+i 2 pi m.x / L} is
 e^{i pi m (1/n - 1)} e^{+i 2 pi m.j / n} per axis at sample j, so a mode
 is chi = sum_u c_u e_u with e_u = e^{+i 2 pi k_u.j / n} at its distinct
 indices k_u = m mod n, and F(V chi) = sum_u c_u F V(. - k_u). By the DFT
-shift theorem (Trefethen, Spectral Methods in MATLAB, ch. 3)
-IFFT[kappa_k F V(. - k_u)] = e_u h_{k,(k_u)_k} with
-h_{k,s} = IFFT[kappa_k(. + s e_k) F V], so D_1 chi and D_2 chi are
-sums over the basis [e_u, e_u V, e_u h_1, e_u h_2, e_u h_3] with
-coefficients from the gammas: one matrix product per mode. There is
-one h per axis and index value that the modes' points take on it (15
-for the test field's indices in [-2, 2]), and all of them take one
-batched inverse transform after F V, once per residual. Because K_1
-and K_2 commute and K_1^2 - K_2^2 = (p_1^0)^2 - (p_2^0)^2 = 2 P0 p0
-(Sazdjian, Phys. Rev. D 33 (1986) 3401), the left side [D_1, D_2] chi
-is IFFT[(K_2 - m_2) F(V d_2) - (K_1 + m_1) F(V d_1)] +
-(2 P0 p0 + m_2^2 - m_1^2) V chi with d_i = D_i chi: 3 FFTs per mode for
-either realization, plus 2 per residual. The composed realization
-takes the same path: its commutators cancel the K_i parts of that
-spectrum, and it compares what is left with V (K_1 d_1 - K_2 d_2), whose
-closed form is a third coefficient matrix on the same basis; so it
-checks the coefficients and the transforms to roundoff.
+shift theorem IFFT[kappa_k F V(. - k_u)] = e_u h_{k,(k_u)_k} with
+h_{k,s} = IFFT[kappa_k(. + s e_k) F V], the axis matrix of the shifted
+multiplier applied to V along axis k; so D_1 chi and D_2 chi are sums
+over the basis [e_u, e_u V, e_u h_1, e_u h_2, e_u h_3] with coefficients
+from the gammas. There is one h per axis and index value that the
+modes' points take on it (15 for the test field's indices in [-2, 2]),
+made once per residual. Both sides of the identity reach the spatial
+symbol only through Q_k = gamma_1^k d_1 + gamma_2^k d_2 (d_i = D_i chi):
+because K_1 and K_2 commute and K_1^2 - K_2^2 = (p_1^0)^2 - (p_2^0)^2 =
+2 P0 p0 (Sazdjian, Phys. Rev. D 33 (1986) 3401), the left side is
+
+    [D_1, D_2] chi = V T + sum_k IFFT[kappa_k F(V Q_k)],
+    T = (p_2^0 gamma_2^0 - m_2) d_2 - (p_1^0 gamma_1^0 + m_1) d_1
+        + (2 P0 p0 + m_2^2 - m_1^2) chi,
+
+and the analytic right side is -i sum_k (d_k V) Q_k. The composed one
+is sum_k (IFFT[kappa_k F(V Q_k)] - V IFFT[kappa_k F Q_k]): the
+kappa_k (V Q_k) terms cancel exactly and the difference is
+V (T + sum_k IFFT[kappa_k F Q_k]). T and the three Q_k are one matrix
+product per mode, coefficients times the mode's basis; then each Q_k
+takes one axis matrix product along axis k, and no 3-D transform runs
+in either realization.
 
 Plane waves. For a constant potential v the first equation is the
 linear matrix pencil M_1(p0) = A + p0 B with B = gamma_1^0 - v gamma_2^0,
@@ -254,63 +261,28 @@ class TwoBodyDiracSystem:
 # Grid application of the operators
 
 
-_AXES = (-3, -2, -1)  # the spatial axes of a (4, 4, n, n, n) field
+def _axis_matrices(grid: Grid) -> np.ndarray:
+    """M (n, n, n) with M[s] = F^-1 diag(kappa(. + s)) F along one axis as
+    an n x n matrix, for every shift s mod n (M[0] is kappa itself, and
+    M[-s] the shift -s): the grid's spectral multiplier, Nyquist entry
+    included. Two 1-D transforms: F of the identity, and one inverse
+    over all the shifted products."""
+    n = grid.n
+    kappa = grid.wavenumbers[(np.arange(n) + np.arange(n)[:, None]) % n]  # kappa[s, m] = kappa(m + s)
+    return np.fft.ifft(kappa[:, :, None] * np.fft.fft(np.eye(n), axis=0), axis=1)
 
 
-# numpy allocates a fresh output on each axis pass of fftn unless it is
-# given one: every transform gets an out, a new array (F V) or a work
-# array, often its own input, which transforms it in place.
-def _fft(x, out=None):
-    return np.fft.fftn(x, axes=_AXES, out=np.empty(x.shape, complex) if out is None else out)
-
-
-def _ifft(x, out):
-    return np.fft.ifftn(x, axes=_AXES, out=out)
-
-
-def _gamma_table(gammas: GammaSet, c):
-    """Nonzero entries of sum_k gamma^k[a, b] c_k as rows: table[a]
-    lists (b, entry), each entry in the broadcast shape of its c_k. The
-    pattern comes from the gammas: 2 entries a row for Dirac and Weyl,
-    4 for a dense representation."""
-    g = gammas.gamma[1:]
-    return [
-        [(b, sum(g[j, a, b] * c[j] for j in np.flatnonzero(g[:, a, b]))) for b in range(4) if g[:, a, b].any()]
-        for a in range(4)
-    ]
-
-
-def _apply_rows(rows, x, particle: int, out, add: bool = False):
-    """out[a] = sum of s x[b] over (b, s) in rows[a], on the particle's
-    spinor index (axis 0 of x, or 1 for particle 2), written over out or,
-    with add, added to it. Returns out."""
-    xv, ov = (x, out) if particle == 1 else (x.swapaxes(0, 1), out.swapaxes(0, 1))
-    tmp = np.empty_like(xv[0])
-    for a, row in enumerate(rows):
-        if not (add or row):
-            ov[a] = 0
-        for j, (b, s) in enumerate(row):
-            if j == 0 and not add:
-                np.multiply(xv[b], s, out=ov[a])
-            else:
-                ov[a] += np.multiply(xv[b], s, out=tmp)
+def _along(M, x, axis: int, out):
+    """M applied along the grid axis (0, 1 or 2) of x, whose last three
+    axes are the grid's: out[..., i, ...] = sum_j M[i, j] x[..., j, ...],
+    as matrix products on views of x and out. Returns out."""
+    n = len(M)
+    if axis == 2:
+        np.matmul(x.reshape(-1, n), M.T, out=out.reshape(-1, n))
+    else:
+        shape = (-1, n, n ** (2 - axis))
+        np.matmul(M, x.reshape(shape), out=out.reshape(shape))
     return out
-
-
-def _symbol_rows(gammas: GammaSet, particle: int, p_0: float, table, shift: float = 0.0):
-    """Rows (see _apply_rows) of the symbol of K_i + shift,
-    S = p_i^0 gamma^0 + shift -+ sum_k gamma^k kappa_k, minus for
-    particle 1 (momentum P/2 + p), plus for particle 2. The constant
-    4x4 part is merged into the rows of the kappa table."""
-    const = p_0 * gammas.gamma[0] + shift * np.eye(4)
-    sign = 1.0 if particle == 1 else -1.0
-    rows = []
-    for a, row in enumerate(table):
-        merged = {b: const[a, b] for b in np.flatnonzero(const[a])}
-        for b, t in row:
-            merged[b] = merged.get(b, 0.0) - sign * t
-        rows.append(list(merged.items()))
-    return rows
 
 
 def _symbol_parts(gammas: GammaSet, particle: int, p_0: float, shift: float = 0.0) -> np.ndarray:
@@ -347,27 +319,33 @@ def _coefficients(terms, kappa, c, scalar: float = 0.0) -> np.ndarray:
             S, block = S[:, None], out[1:]
         else:
             S, block = S[0] + np.tensordot(kappa, S[1:], axes=1), out[0]
-        block += S @ c if particle == 1 else c @ np.swapaxes(S, -1, -2)
+        block += _on(particle, S, c)
     return out
 
 
-def _dictionary(grid: Grid, V, points):
+def _on(particle: int, S, x):
+    """S (..., 4, 4) acting on the particle's spinor index of x (..., 4, 4)."""
+    return S @ x if particle == 1 else x @ np.swapaxes(S, -1, -2)
+
+
+def _dictionary(V, points, M):
     """The scalar fields that every mode's basis shares: h (H, n, n, n)
     with h_{k,s} = IFFT[kappa_k(. + s e_k) F V] for each axis k and each
     index s that a point of the modes has on that axis, and rows (3, n),
     rows[k, s] the row of h_{k,s}. By the shift theorem
     IFFT[kappa_k F V(. - k_u)] = e_u h_{k,(k_u)_k}, e_u = e^{+i 2 pi k_u.j / n}.
-    Two transforms: F V, and one inverse over all of h."""
-    n = grid.n
+    The shifted multiplier acts along axis k alone, so the 3-D transforms
+    of the other two axes cancel and h_{k,s} is M[s] (_axis_matrices)
+    applied to V along axis k: no 3-D transform."""
+    n = len(M)
     used = np.zeros((3, n), bool)
     for k, _ in points:
         used[np.arange(3), k] = True
     rows = np.cumsum(used).reshape(3, n) - 1
-    FV = _fft(V)
     h = np.empty((np.count_nonzero(used), n, n, n), complex)
     for (axis, s), row in zip(np.argwhere(used), h):
-        np.multiply(FV, np.roll(grid.wavenumbers, -s).reshape([-1 if a == axis else 1 for a in range(3)]), out=row)
-    return _ifft(h, out=h), rows
+        _along(M[s], V, axis, row)
+    return h, rows
 
 
 def _basis(grid: Grid, V, h, rows, k, out):
@@ -493,87 +471,72 @@ def compatibility_residual(
     error of the product spectra and decays at spectral rate on smooth
     band-limited fields.
 
-    D_1 chi, D_2 chi and a third field come from one product per
-    relative-energy mode: the coefficients of _coefficients times the
-    mode's basis (_basis), whose scalar fields are built from the
-    dictionary h that _dictionary makes once. Since K_1 K_2 = K_2 K_1 and
-    K_i^2 = (p_i^0)^2 - |kappa|^2, with d_i = D_i chi the left side is
+    With d_i = D_i chi and Q_k = gamma_1^k d_1 + gamma_2^k d_2, T and the
+    three Q_k (see the module docstring) come from one product per
+    relative-energy mode: 64 coefficient rows, made from the D_i
+    coefficients of _coefficients by the 4x4 gammas, times the mode's
+    basis (_basis), whose scalar fields are built from the dictionary h
+    that _dictionary makes once. With kappa_k the axis matrix
+    F^-1 diag(kappa) F along axis k (_axis_matrices, _along) the
+    difference of the two sides is
 
-        [D_1, D_2] chi = IFFT[(K_2 - m_2) F(V d_2) - (K_1 + m_1) F(V d_1)]
-                         + (2 P0 p0 + m_2^2 - m_1^2) V chi,
+        analytic:  V T + sum_k [(i d_k V) Q_k + kappa_k (V Q_k)]
+        composed:  V (T + sum_k kappa_k Q_k),
 
-    the third field being that constant times chi, so three transforms
-    per mode: F(V d_1), F(V d_2) and one inverse. The analytic
-    commutators then act pointwise on d_1 and d_2. The composed ones
-    cancel the K_i parts of the left spectrum, leaving
-    IFFT[-m_1 F(V d_1) - m_2 F(V d_2)], and subtract V (K_1 d_1 - K_2 d_2),
-    a third coefficient matrix on the same basis from
-    K_1 d_1 - K_2 d_2 = (2 P0 p0 - m_1 K_1 - m_2 K_2) chi
-    - (m_2 K_1 + m_1 K_2)(V chi). The squared difference is summed mode
-    by mode. Masses and P0 that overflow it raise a ValueError naming
-    them.
+    three axis products per mode and no 3-D transform. The spent basis
+    takes each term added to the difference and then its squares,
+    which are summed mode by mode. Masses and P0 that overflow the sum
+    raise a ValueError naming them.
     """
     if commutator_realization not in ("analytic", "composed"):
         raise ValueError(f"unknown commutator realization: {commutator_realization!r}")
     composed = commutator_realization == "composed"
     m1, m2 = system.masses.m1, system.masses.m2
-    g = system.gammas
+    g = system.gammas.gamma
     grid = fld.grid
     n = grid.n
     P0, P_sq = fld.P[0], minkowski_sq(fld.P)
     # V and dV/dxperp^2 on the grid's distinct radii, taken at each point's radius
     r2, index = grid.radial
     V = eval_V(system.potential, -r2, P_sq)[index]
-    minus_V = np.negative(V)
     if not composed:
-        table = _gamma_table(g, np.ix_(*[grid.wavenumbers] * 3))
-        # [K_1, V] = +i gamma_1^k (d_k V), [K_2, V] = -i gamma_2^k (d_k V),
-        # with d_k V = dV/dxperp^2 * (-2 x^k); the table holds i gamma^k d_k V,
-        # x^k broadcast along its own axis
-        idV = 1j * eval_dV_dxperp_sq(system.potential, -r2, P_sq)[index]
+        # i d_k V = i dV/dxperp^2 (-2 x^k), x^k broadcast along its own axis
+        dV = 1j * eval_dV_dxperp_sq(system.potential, -r2, P_sq)[index]
         x = grid.axis
-        commutator = _gamma_table(g, [idV * (-2.0 * xk) for xk in (x[:, None, None], x[:, None], x)])
+        idV = [dV * (-2.0 * xk) for xk in (x[:, None, None], x[:, None], x)]
     points = [_mode_points(grid, m, amps) for _, m, amps in fld.modes]
-    h, rows = _dictionary(grid, V, points)
+    M = _axis_matrices(grid)
+    h, rows = _dictionary(V, points, M)
     # the basis is spent after each mode's product; its first 16 rows then
-    # take the analytic left side's spectrum
+    # take each term added to diff and, last, the squares of diff
     basis = np.empty((max(5 * max((len(k) for k, _ in points), default=0), 16), n, n, n), complex)
-    work = np.empty((3, 4, 4, n, n, n), complex)
+    scratch = basis[:16]
+    work = np.empty((4, 16, n, n, n), complex)
+    eye = np.eye(4)
     total = 0.0
     for (p0, _, _), (k, c) in zip(fld.modes, points):
         _band_limit_guard(n, k, c)
         U = len(k)
         p1_0, p2_0 = P0 / 2 + p0, P0 / 2 - p0
-        kappa, c = grid.wavenumbers[k], c.reshape(U, 4, 4)
-        D1, D2 = (_coefficients(terms, kappa, c) for terms in _D_terms(system, p1_0, p2_0))
-        third = _coefficients([], kappa, c, scalar=2 * P0 * p0 + (m2 - m1) * (m2 + m1))
-        if composed:
-            K1, K2 = _symbol_parts(g, 1, p1_0), _symbol_parts(g, 2, p2_0)
-            terms = [(1, -m1 * K1, False), (2, -m2 * K2, False), (1, -m2 * K1, True), (2, -m1 * K2, True)]
-            third -= _coefficients(terms, kappa, c, scalar=2 * P0 * p0)
-        coefficients = np.stack([D1, D2, third]).transpose(0, 3, 4, 1, 2).reshape(48, 5 * U)
-        np.matmul(coefficients, _basis(grid, V, h, rows, k, basis[: 5 * U]).reshape(5 * U, n**3), out=work.reshape(48, -1))
-        d1, d2, rest = work
-        rest *= V
+        c = c.reshape(U, 4, 4)
+        # the coefficients of d_1 and d_2 on the basis, then of T and the Q_k
+        d1, d2 = (_coefficients(terms, grid.wavenumbers[k], c) for terms in _D_terms(system, p1_0, p2_0))
+        T = _on(2, p2_0 * g[0] - m2 * eye, d2) - _on(1, p1_0 * g[0] + m1 * eye, d1)
+        T[0] += (2 * P0 * p0 + (m2 - m1) * (m2 + m1)) * c
+        Q = [_on(1, g[j], d1) + _on(2, g[j], d2) for j in (1, 2, 3)]
+        coefficients = np.stack([T, *Q]).transpose(0, 3, 4, 1, 2).reshape(64, 5 * U)
+        np.matmul(coefficients, _basis(grid, V, h, rows, k, basis[: 5 * U]).reshape(5 * U, n**3), out=work.reshape(64, -1))
+        diff = work[0]
         if not composed:
-            # rhs = -[K_1, V] d_1 + [K_2, V] d_2 is subtracted
-            _apply_rows(commutator, d1, 1, rest, add=True)
-            _apply_rows(commutator, d2, 2, rest, add=True)
-        # A = -F(V d_1), B = F(V d_2)
-        A = _fft(np.multiply(d1, minus_V, out=d1), out=d1)
-        B = _fft(np.multiply(d2, V, out=d2), out=d2)
+            diff *= V
+        for axis, q in enumerate(work[1:]):
+            if not composed:
+                diff += np.multiply(q, idV[axis], out=scratch)
+                q *= V
+            diff += _along(M[0], q, axis, scratch)
         if composed:
-            lhs = A
-            A *= m1
-            lhs -= np.multiply(B, m2, out=B)
-        else:
-            lhs = basis[:16].reshape(4, 4, n, n, n)
-            _apply_rows(_symbol_rows(g, 2, p2_0, table, -m2), B, 2, lhs)
-            _apply_rows(_symbol_rows(g, 1, p1_0, table, m1), A, 1, lhs, add=True)
-        diff = _ifft(lhs, out=lhs)
-        diff += rest
-        # B is spent: its floats take the squares of diff's
-        total += np.sum(np.square(diff.view(float), out=B.view(float)))
+            diff *= V
+        total += np.sum(np.square(diff.view(float), out=scratch.view(float)))
     if not math.isfinite(total):
         raise ValueError(f"masses ({m1!r}, {m2!r}) and P0 = {float(P0)!r} overflow the compatibility residual")
     return float(np.sqrt(total * grid.h**3)) / fld.norm()

@@ -87,7 +87,7 @@ def apply_D(system, fld, which):
     r2, index = grid.radial
     V = eval_V(system.potential, -r2, minkowski_sq(fld.P))[index]
     points = [operators._mode_points(grid, m, amps) for _, m, amps in fld.modes]
-    h, rows = operators._dictionary(grid, V, points)
+    h, rows = operators._dictionary(V, points, operators._axis_matrices(grid))
     out = []
     for (p0, _, _), (k, c) in zip(fld.modes, points):
         U = len(k)
@@ -272,6 +272,41 @@ def _gamma(d):
     return d * u / (1.0 - d * u)
 
 
+def _transform(n):
+    """Relative 2-norm error bound of a length-n transform, taken as one
+    pass per prime factor p of n (pocketfft's radix-4 and radix-8
+    passes are two and three radix-2 stages), each a p-term sum of
+    products with twiddles taken as accurate to u:
+    eta_p = u + gamma_(p + 2) (sqrt p + u). For p = 2 it is Higham's eta
+    (Accuracy and Stability of Numerical Algorithms, 2nd ed., thm 24.2),
+    so a power of two reads log2(n) eta. Below length 50 pocketfft runs
+    these passes and no Bluestein transform."""
+    u = np.finfo(float).eps / 2
+    total, p = 0.0, 2
+    while n > 1:
+        while n % p == 0:
+            total += u + _gamma(p + 2) * (math.sqrt(p) + u)
+            n //= p
+        p += 1
+    return total
+
+
+def _axis_matrix_bound(n):
+    """Bound, in units of max|kappa| ||x||_2, on the 2-norm gap between
+    _along(_axis_matrices(grid)[s], x, k) and the exact
+    F^-1 diag(kappa(. + s)) F along axis k. The build: each column is
+    the transform of a unit vector (norm sqrt n, off by _transform(n)
+    of it), the product with the shifted kappa (u) and the inverse
+    transform with its 1/n (_transform(n) + u), so a column of norm at
+    most max|kappa| is off by 2 (_transform(n) + u) max|kappa| and the
+    matrix, in its Frobenius norm, by sqrt(n) times that. The product:
+    n-term complex dot products, sqrt(2) gamma_(n + 2) |M| |x| each
+    (Higham, sec. 3.6, in any summation order), with ||M||_F at most
+    sqrt(n) max|kappa|."""
+    build = 2 * (_transform(n) + np.finfo(float).eps / 2)
+    return math.sqrt(n) * (build + math.sqrt(2.0) * _gamma(n + 2))
+
+
 def _spectrum_bounds(grid, m, amps):
     """Relative bounds, as multiples of a scale, on 2-norm gaps. First,
     in units of N ||A||_2 (N = n^3, A_c = sum_w |amp_wc|, F chi's 2-norm
@@ -293,13 +328,15 @@ def _spectrum_bounds(grid, m, amps):
       Cooley-Tukey FFT (Higham, Accuracy and Stability of Numerical
       Algorithms, 2nd ed., thm 24.2): 3 log2(n) eta with
       eta = u + gamma_4 (sqrt 2 + u), twiddles taken as accurate to u;
-    - the shift theorem (_dictionary, _basis): F V, the product with the
-      shifted kappa_j (u), the inverse transform and its 1/N (u), e_u
-      from three roots of unity exp(i theta), theta = 2 pi m / n off by
-      gamma_5 2 pi and each root by 2 sqrt(2) u more (an ulp of cos and
-      of sin), multiplied by two complex products, 2 sqrt(2) gamma_2,
-      then the product e_u h (sqrt(2) gamma_2) and its transform; on
-      the other side F V again and the product with kappa_j (u).
+    - the shift theorem (_dictionary, _basis): h_{j,s} is the axis
+      matrix of kappa_j(. + s) applied to V along axis j
+      (_axis_matrix_bound, in units of max|kappa_j| ||V||_2, which the
+      transform's sqrt(N) carries into these units), e_u from three
+      roots of unity exp(i theta), theta = 2 pi m / n off by gamma_5 2 pi
+      and each root by 2 sqrt(2) u more (an ulp of cos and of sin),
+      multiplied by two complex products, 2 sqrt(2) gamma_2, then the
+      product e_u h (sqrt(2) gamma_2) and its transform; on the other
+      side F V and the product with kappa_j (u).
 
     A transform's 2-norm error carries over unscaled and a sample
     error's by sqrt(N) times sqrt(N) samples, so each term is a
@@ -312,8 +349,36 @@ def _spectrum_bounds(grid, m, amps):
     pointwise = _gamma(4) * theta + 2 * u + _gamma(W + 1)
     F_chi = sampled + fft + pointwise
     e_u = 3 * (2 * math.pi * _gamma(5) + 2 * math.sqrt(2.0) * u) + 2 * math.sqrt(2.0) * _gamma(2)
-    shifted = 4 * fft + 3 * u + e_u + math.sqrt(2.0) * _gamma(2)
+    shifted = _axis_matrix_bound(grid.n) + 2 * fft + u + e_u + math.sqrt(2.0) * _gamma(2)
     return F_chi, shifted, sampled + pointwise
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    # an even n in [2, 48] and a shift s in [-n/2, n/2)
+    n_s=st.integers(1, 24).flatmap(lambda h: st.tuples(st.just(2 * h), st.integers(-h, h - 1))),
+    L=st.floats(-2.0, 2.0).map(lambda e: 10.0**e),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n_s=(10, -5), L=10.5, seed=1)  # the Nyquist entry moves to index 0
+@example(n_s=(46, 0), L=0.01, seed=2)  # a radix-23 pass
+def test_axis_matrix_is_the_shifted_spectral_multiplier(n_s, L, seed):
+    # on every axis k, the n x n matrix of kappa(. + s) applied along k is
+    # the 3-D transform pair with kappa rolled by -s on axis k
+    n, s = n_s
+    grid = Grid(n=n, L=L)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n))
+    M = operators._axis_matrices(grid)[s]
+    kappa = np.roll(grid.wavenumbers, -s)
+    u = np.finfo(float).eps / 2
+    # the transform pair: two 3-D transforms (3 _transform(n) each), the
+    # product with kappa (u) and the 1/n of each axis's inverse (3u)
+    bound = (_axis_matrix_bound(n) + 6 * _transform(n) + 4 * u) * np.max(np.abs(kappa)) * np.linalg.norm(x)
+    for k in range(3):
+        want = np.fft.ifftn(kappa.reshape([-1 if a == k else 1 for a in range(3)]) * np.fft.fftn(x))
+        got = operators._along(M, x, k, np.empty_like(x))
+        assert np.linalg.norm(got - want) <= bound
 
 
 def test_mode_spectrum_matches_transform_of_samples(gammas, reference_radius_sq):
@@ -344,7 +409,7 @@ def test_mode_spectrum_matches_transform_of_samples(gammas, reference_radius_sq)
     # F(e_u h_{j,(k_u)_j}) = kappa_j F V(. - k_u) on every axis j
     V = eval_V(system.potential, -reference_radius_sq(grid), minkowski_sq(fld.P))
     FV = np.fft.fftn(V)
-    h, rows = operators._dictionary(grid, V, [(k, c)])
+    h, rows = operators._dictionary(V, [(k, c)], operators._axis_matrices(grid))
     U = len(k)
     basis = operators._basis(grid, V, h, rows, k, np.empty((5 * U, n, n, n), complex))
     for j in range(3):
@@ -604,7 +669,8 @@ def _D_oracle(system, fld, psi, which, r_sq):
     return combine((1.0, K(2, psi)), (m2, psi), (1.0, K(1, Vpsi)), (m1, Vpsi))
 
 
-@pytest.mark.parametrize("n", [8, 16])
+# n = 10: n/2 is odd and the transforms are mixed-radix
+@pytest.mark.parametrize("n", [8, 10, 16])
 @pytest.mark.parametrize("which", [1, 2])
 def test_apply_D_matches_dense_oracle(gammas, which, n, reference_radius_sq):
     system = TwoBodyDiracSystem(MASSES, BUMP, gammas)
@@ -675,7 +741,9 @@ def _residual_oracle(system, fld, realization, r_sq):
     return modes_norm(fld.grid, combine((1.0, lhs), (-1.0, rhs))) / modes_norm(fld.grid, psi)
 
 
-@pytest.mark.parametrize("n", [8, 16])
+# n = 10 as in test_apply_D_matches_dense_oracle: a slip in the axis
+# matrices' Nyquist column or in the axis order shows there
+@pytest.mark.parametrize("n", [8, 10, 16])
 @pytest.mark.parametrize("realization", ["analytic", "composed"])
 def test_compatibility_residual_matches_unshared_oracle(gammas, realization, n, reference_radius_sq):
     system = TwoBodyDiracSystem(MASSES, BUMP, gammas)
@@ -687,13 +755,13 @@ def test_compatibility_residual_matches_unshared_oracle(gammas, realization, n, 
 
 @pytest.mark.parametrize("realization", ["analytic", "composed"])
 def test_compatibility_residual_transform_and_potential_counts(monkeypatch, realization):
-    # per mode: F(V d_1), F(V d_2) and the left side's inverse; per
-    # residual: F V and one batched inverse transform of the dictionary's
-    # shifted kappa_k F V
+    # no 3-D transform: every spectral derivative is an n x n axis matrix
+    # applied as a matrix product; the potential is evaluated once, and
+    # its gradient once for the analytic commutators only
     system = TwoBodyDiracSystem(MASSES, BUMP, build_gammas("dirac"))
     fld = random_band_limited_field(P_REST, Grid(n=8, L=10.5), np.random.default_rng(61))
     assert len(fld.modes) == 3
-    calls = {"fft": 0, "eval_V": 0}
+    calls = {"fft": 0, "eval_V": 0, "eval_dV_dxperp_sq": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -705,12 +773,13 @@ def test_compatibility_residual_transform_and_potential_counts(monkeypatch, real
     monkeypatch.setattr(np.fft, "fftn", counted("fft", np.fft.fftn))
     monkeypatch.setattr(np.fft, "ifftn", counted("fft", np.fft.ifftn))
     monkeypatch.setattr(operators, "eval_V", counted("eval_V", operators.eval_V))
+    monkeypatch.setattr(operators, "eval_dV_dxperp_sq", counted("eval_dV_dxperp_sq", operators.eval_dV_dxperp_sq))
     compatibility_residual(system, fld, realization)
-    assert calls == {"fft": 3 * 3 + 2, "eval_V": 1}
+    assert calls == {"fft": 0, "eval_V": 1, "eval_dV_dxperp_sq": int(realization == "analytic")}
 
 
 def test_operators_leave_the_input_field_unchanged():
-    # the transforms run in place on work arrays, never on the field's waves
+    # the products run on work arrays, never on the field's waves
     system = TwoBodyDiracSystem(MASSES, BUMP, build_gammas("dirac"))
     fld = random_band_limited_field(P_REST, Grid(n=8, L=10.5), np.random.default_rng(62))
     before = [(m.tobytes(), amps.tobytes()) for _, m, amps in fld.modes]
