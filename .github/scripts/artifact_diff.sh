@@ -6,11 +6,13 @@
 # (yukawa_kernel_n24/, so that a change to how grid points are grouped by
 # radius shows as a CSV diff) and radius on the same coupling with the
 # crater flavor (crater_radius/), so that both flavors' violating radii
-# are compared, and compat twice more: composed at n = 16
-# (compat_composed/) and the analytic default at n = 24 (compat_n24/, a
+# are compared, and compat three times more: composed at n = 16
+# (compat_composed/), the analytic default at n = 24 (compat_n24/, a
 # mixed-radix grid whose residuals lie above the default 1e-8, so both
-# sides exit 1 there). Name every artifact that differs between them (by
-# cmp).
+# sides exit 1 there) and one analytic field at n = 12 (compat_n12/, a
+# grid that the residual's slabs of planes and blocks of columns split
+# unevenly; it also exits 1). Name every artifact that differs between
+# them (by cmp).
 # For a JSON artifact present on both sides, each dotted path whose value
 # differs is named instead (e.g. "conserve.json: report.residual"). Lists
 # of one length on both sides are compared item by item ("residuals[3]"),
@@ -35,6 +37,8 @@ compat_composed=$out/compat_composed_config.json
 echo '{"schema": "tbdkit-config/1", "realization": "composed", "grid": {"n": 16, "L": 10.5}}' > "$compat_composed"
 compat24=$out/compat_n24_config.json
 echo '{"schema": "tbdkit-config/1", "grid": {"n": 24, "L": 10.5}}' > "$compat24"
+compat12=$out/compat_n12_config.json
+echo '{"schema": "tbdkit-config/1", "grid": {"n": 12, "L": 10.5}, "n_fields": 1}' > "$compat12"
 crater=$out/crater_radius_config.json
 cat > "$crater" <<'EOF'
 {"schema": "tbdkit-config/1", "flavor": "crater",
@@ -58,6 +62,8 @@ for side in base head; do
     --out "$out/$side/compat_composed" --quiet || echo "$side: tbdkit compat (composed) exited $?"
   TBDKIT_THREADS=1 PYTHONPATH="$tree/src" python -m tbdkit.cli compat --config "$compat24" \
     --out "$out/$side/compat_n24" --quiet || echo "$side: tbdkit compat (n = 24) exited $?"
+  TBDKIT_THREADS=1 PYTHONPATH="$tree/src" python -m tbdkit.cli compat --config "$compat12" \
+    --out "$out/$side/compat_n12" --quiet || echo "$side: tbdkit compat (n = 12) exited $?"
 done
 json_paths() {
   python - "$@" <<'EOF' || echo "differs: $3"

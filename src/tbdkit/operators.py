@@ -83,9 +83,13 @@ and the analytic right side is -i sum_k (d_k V) Q_k. The composed one
 is sum_k (IFFT[kappa_k F(V Q_k)] - V IFFT[kappa_k F Q_k]): the
 kappa_k (V Q_k) terms cancel exactly and the difference is
 V (T + sum_k IFFT[kappa_k F Q_k]). T and the three Q_k are one matrix
-product per mode, coefficients times the mode's basis; then each Q_k
-takes one axis matrix product along axis k, and no 3-D transform runs
-in either realization.
+product, coefficients times the mode's basis, and each Q_k takes one
+axis matrix product along axis k; no 3-D transform runs in either
+realization. The mode is worked in slabs of whole axis-0 planes, each
+small enough for its basis and product to stay in cache: a slab's
+basis, its product, the pointwise terms and the axis-1 and axis-2
+products, after which only the axis-0 product, across the slabs, is
+left.
 
 Plane waves. For a constant potential v the first equation is the
 linear matrix pencil M_1(p0) = A + p0 B with B = gamma_1^0 - v gamma_2^0,
@@ -226,8 +230,7 @@ class InternalField:
         object.__setattr__(self, "modes", tuple(checked))
 
     def norm(self) -> float:
-        total = sum(np.sum(np.abs(_mode_points(self.grid, m, amps)[1]) ** 2) for _, m, amps in self.modes)
-        return float(np.sqrt(total * self.grid.n**3 * self.grid.h**3))
+        return _points_norm(self.grid, [_mode_points(self.grid, m, amps) for _, m, amps in self.modes])
 
 
 @dataclass(frozen=True)
@@ -275,7 +278,9 @@ def _axis_matrices(grid: Grid) -> np.ndarray:
 def _along(M, x, axis: int, out):
     """M applied along the grid axis (0, 1 or 2) of x, whose last three
     axes are the grid's: out[..., i, ...] = sum_j M[i, j] x[..., j, ...],
-    as matrix products on views of x and out. Returns out."""
+    as matrix products on views of x and out. out must be contiguous,
+    or its reshape may be a copy that takes the product in its place.
+    Returns out."""
     n = len(M)
     if axis == 2:
         np.matmul(x.reshape(-1, n), M.T, out=out.reshape(-1, n))
@@ -348,19 +353,19 @@ def _dictionary(V, points, M):
     return h, rows
 
 
-def _basis(grid: Grid, V, h, rows, k, out):
-    """A mode's basis into out (5U, n, n, n), in blocks of U rows in the
+def _basis(grid: Grid, V, h, rows, k, planes: slice, out):
+    """A mode's basis on the axis-0 planes that the slice planes selects,
+    into out (5U, p, n, n) for p planes, in blocks of U rows in the
     order of its grid indices k (U, 3): e_u, e_u V, then e_u h_{j,(k_u)_j}
     for the axes j (h and rows from _dictionary). e_u is the product of
     its axes' n-th roots of unity, read at k_u j mod n. Returns out."""
     n, U = grid.n, len(k)
     roots = np.exp(2j * np.pi / n * np.arange(n))
     ex, ey, ez = roots[k.T[:, :, None] * np.arange(n) % n]  # each (U, n)
-    e = np.multiply(ex[:, :, None, None], (ey[:, :, None] * ez[:, None, :])[:, None], out=out[:U])
-    np.multiply(e, V, out=out[U : 2 * U])
+    e = np.multiply(ex[:, planes, None, None], (ey[:, :, None] * ez[:, None, :])[:, None], out=out[:U])
+    np.multiply(e, V[planes], out=out[U : 2 * U])
     for axis in range(3):
-        for u in range(U):
-            np.multiply(e[u], h[rows[axis, k[u, axis]]], out=out[(2 + axis) * U + u])
+        np.multiply(e, h[rows[axis, k[:, axis]], planes], out=out[(2 + axis) * U : (3 + axis) * U])
     return out
 
 
@@ -401,6 +406,14 @@ def _mode_points(grid: Grid, m, amps):
     return np.stack(np.unravel_index(flat, (n, n, n)), axis=1), c
 
 
+def _points_norm(grid: Grid, points) -> float:
+    """The field norm sqrt(sum_modes ||chi||^2 h^3) from each mode's
+    points (k, c) of _mode_points: ||chi||^2 = n^3 sum_u |c_u|^2 by
+    Parseval."""
+    total = sum(np.sum(np.abs(c) ** 2) for _, c in points)
+    return float(np.sqrt(total * grid.n**3 * grid.h**3))
+
+
 def equal_time_profile(fld: InternalField) -> np.ndarray:
     """phi(0, x) of the field sampled on its grid: every relative-energy
     phase is 1 at t = 0, so it is the sum of all the field's waves, one
@@ -438,6 +451,24 @@ def random_band_limited_field(P, grid: Grid, rng: np.random.Generator, max_index
 # Compatibility identity
 
 
+# The residual runs over slabs of whole axis-0 planes of about
+# _SLAB_POINTS points each, and applies kappa_0 in column blocks of about
+# as many: a slab's product of 64 rows (1 MiB of complex numbers) and its
+# basis (0.5 MiB at 6 waves) fit a 2 MiB L2 cache together.
+_SLAB_POINTS = 1024
+
+
+def _slab_sizes(n: int) -> tuple[int, int]:
+    """Axis-0 planes per slab and columns (axes 1 and 2 flattened) per
+    block of the residual on an n^3 grid."""
+    return min(n, max(1, round(_SLAB_POINTS / n**2))), min(n**2, max(1, round(_SLAB_POINTS / n)))
+
+
+def _prefix(buf, shape):
+    """The first prod(shape) entries of the flat buffer buf, shaped."""
+    return buf[: math.prod(shape)].reshape(shape)
+
+
 def _band_limit_guard(n: int, k, c, threshold: float = 1e-10):
     """Warn if a mode carries noticeable weight in the top third of the
     band, read from its coefficients c at its grid indices k; the
@@ -472,20 +503,24 @@ def compatibility_residual(
     band-limited fields.
 
     With d_i = D_i chi and Q_k = gamma_1^k d_1 + gamma_2^k d_2, T and the
-    three Q_k (see the module docstring) come from one product per
-    relative-energy mode: 64 coefficient rows, made from the D_i
-    coefficients of _coefficients by the 4x4 gammas, times the mode's
-    basis (_basis), whose scalar fields are built from the dictionary h
-    that _dictionary makes once. With kappa_k the axis matrix
-    F^-1 diag(kappa) F along axis k (_axis_matrices, _along) the
-    difference of the two sides is
+    three Q_k (see the module docstring) are 64 coefficient rows per
+    relative-energy mode, made from the D_i coefficients of
+    _coefficients by the 4x4 gammas, times the mode's basis (_basis),
+    whose scalar fields are built from the dictionary h that _dictionary
+    makes once. With kappa_k the axis matrix F^-1 diag(kappa) F along
+    axis k (_axis_matrices, _along) the difference of the two sides is
 
         analytic:  V T + sum_k [(i d_k V) Q_k + kappa_k (V Q_k)]
         composed:  V (T + sum_k kappa_k Q_k),
 
-    three axis products per mode and no 3-D transform. The spent basis
-    takes each term added to the difference and then its squares,
-    which are summed mode by mode. Masses and P0 that overflow the sum
+    three axis products per mode and no 3-D transform. A mode runs in
+    slabs of whole axis-0 planes (_slab_sizes): each slab's basis and
+    product, then every term but kappa_0's, summed into one array of
+    the mode's size, while V Q_0 (Q_0 for composed) goes into a second.
+    kappa_0 then acts on the second in blocks of columns; each block is
+    added to its part of the first (and multiplied by V for composed),
+    squared and summed. The norm is read from the points the residual
+    already holds (_points_norm). Masses and P0 that overflow the sum
     raise a ValueError naming them.
     """
     if commutator_realization not in ("analytic", "composed"):
@@ -507,11 +542,14 @@ def compatibility_residual(
     points = [_mode_points(grid, m, amps) for _, m, amps in fld.modes]
     M = _axis_matrices(grid)
     h, rows = _dictionary(V, points, M)
-    # the basis is spent after each mode's product; its first 16 rows then
-    # take each term added to diff and, last, the squares of diff
-    basis = np.empty((max(5 * max((len(k) for k, _ in points), default=0), 16), n, n, n), complex)
-    scratch = basis[:16]
-    work = np.empty((4, 16, n, n, n), complex)
+    planes, cols = _slab_sizes(n)
+    # a slab's basis, spent after its product and then scratch for each
+    # term, and the slab's product, whose buffer the column blocks reuse;
+    # every array is a prefix of its buffer, so it is contiguous
+    basis_buf = np.empty(max(5 * max((len(k) for k, _ in points), default=0), 16) * planes * n * n, complex)
+    work_buf = np.empty(max(64 * planes * n, 16 * cols) * n, complex)
+    # the difference but for kappa_0 (V Q_0), and V Q_0 (Q_0 for composed)
+    diff, Y = np.empty((2, 16, n, n, n), complex)
     eye = np.eye(4)
     total = 0.0
     for (p0, _, _), (k, c) in zip(fld.modes, points):
@@ -525,21 +563,37 @@ def compatibility_residual(
         T[0] += (2 * P0 * p0 + (m2 - m1) * (m2 + m1)) * c
         Q = [_on(1, g[j], d1) + _on(2, g[j], d2) for j in (1, 2, 3)]
         coefficients = np.stack([T, *Q]).transpose(0, 3, 4, 1, 2).reshape(64, 5 * U)
-        np.matmul(coefficients, _basis(grid, V, h, rows, k, basis[: 5 * U]).reshape(5 * U, n**3), out=work.reshape(64, -1))
-        diff = work[0]
-        if not composed:
-            diff *= V
-        for axis, q in enumerate(work[1:]):
-            if not composed:
-                diff += np.multiply(q, idV[axis], out=scratch)
-                q *= V
-            diff += _along(M[0], q, axis, scratch)
-        if composed:
-            diff *= V
-        total += np.sum(np.square(diff.view(float), out=scratch.view(float)))
+        for a in range(0, n, planes):
+            s = slice(a, min(a + planes, n))
+            p = s.stop - a
+            basis = _basis(grid, V, h, rows, k, s, _prefix(basis_buf, (5 * U, p, n, n)))
+            work = _prefix(work_buf, (4, 16, p, n, n))
+            np.matmul(coefficients, basis.reshape(5 * U, p * n * n), out=work.reshape(64, -1))
+            t, qs = work[0], work[1:]  # T and the Q_k on the slab
+            scratch = _prefix(basis_buf, t.shape)
+            if composed:
+                Y[:, s] = qs[0]
+            else:
+                t *= V[s]
+                for axis, q in enumerate(qs):
+                    t += np.multiply(q, idV[axis][s], out=scratch)
+                np.multiply(qs[0], V[s], out=Y[:, s])
+                qs[1:] *= V[s]
+            t += _along(M[0], qs[1], 1, scratch)
+            np.add(t, _along(M[0], qs[2], 2, scratch), out=diff[:, s])
+        # kappa_0 acts across the slabs: in blocks of columns (axis 1 and 2
+        # flattened), each added to its part of diff, then squared and summed
+        for a in range(0, n * n, cols):
+            s = slice(a, min(a + cols, n * n))
+            block = _prefix(work_buf, (16, n, s.stop - a))
+            np.matmul(M[0], Y.reshape(16, n, -1)[:, :, s], out=block)
+            block += diff.reshape(16, n, -1)[:, :, s]
+            if composed:
+                block *= V.reshape(n, -1)[:, s]
+            total += np.sum(np.square(block.view(float), out=block.view(float)))
     if not math.isfinite(total):
         raise ValueError(f"masses ({m1!r}, {m2!r}) and P0 = {float(P0)!r} overflow the compatibility residual")
-    return float(np.sqrt(total * grid.h**3)) / fld.norm()
+    return float(np.sqrt(total * grid.h**3)) / _points_norm(grid, points)
 
 
 # ---------------------------------------------------------------------------

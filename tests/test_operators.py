@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -93,7 +94,7 @@ def apply_D(system, fld, which):
         U = len(k)
         terms = operators._D_terms(system, P0 / 2 + p0, P0 / 2 - p0)[which - 1]
         coefficients = operators._coefficients(terms, grid.wavenumbers[k], c.reshape(U, 4, 4))
-        basis = operators._basis(grid, V, h, rows, k, np.empty((5 * U, n, n, n), complex))
+        basis = operators._basis(grid, V, h, rows, k, slice(None), np.empty((5 * U, n, n, n), complex))
         out.append((p0, (coefficients.transpose(2, 3, 0, 1).reshape(16, 5 * U) @ basis.reshape(5 * U, n**3)).reshape(16, n, n, n)))
     return out
 
@@ -411,7 +412,7 @@ def test_mode_spectrum_matches_transform_of_samples(gammas, reference_radius_sq)
     FV = np.fft.fftn(V)
     h, rows = operators._dictionary(V, [(k, c)], operators._axis_matrices(grid))
     U = len(k)
-    basis = operators._basis(grid, V, h, rows, k, np.empty((5 * U, n, n, n), complex))
+    basis = operators._basis(grid, V, h, rows, k, slice(None), np.empty((5 * U, n, n, n), complex))
     for j in range(3):
         kappa = grid.wavenumbers.reshape([-1 if axis == j else 1 for axis in range(3)])
         bound = shifted_bound * np.max(np.abs(kappa)) * math.sqrt(N) * np.linalg.norm(V)
@@ -742,15 +743,49 @@ def _residual_oracle(system, fld, realization, r_sq):
 
 
 # n = 10 as in test_apply_D_matches_dense_oracle: a slip in the axis
-# matrices' Nyquist column or in the axis order shows there
-@pytest.mark.parametrize("n", [8, 10, 16])
+# matrices' Nyquist column or in the axis order shows there. n = 12 splits
+# into a partial last slab of planes and a partial last column block
+@pytest.mark.parametrize("n", [8, 10, 12, 16])
 @pytest.mark.parametrize("realization", ["analytic", "composed"])
 def test_compatibility_residual_matches_unshared_oracle(gammas, realization, n, reference_radius_sq):
+    if n == 12:
+        planes, cols = operators._slab_sizes(n)
+        assert n % planes and (n * n) % cols
     system = TwoBodyDiracSystem(MASSES, BUMP, gammas)
     fld = random_band_limited_field(P_REST, Grid(n=n, L=10.5), np.random.default_rng(51))
     fused = compatibility_residual(system, fld, realization)
     oracle = _residual_oracle(system, fld, realization, reference_radius_sq(fld.grid))
     assert fused == pytest.approx(oracle, abs=1e-12)
+
+
+@pytest.mark.parametrize("realization", ["analytic", "composed"])
+def test_compatibility_residual_does_not_depend_on_the_slab_size(monkeypatch, realization):
+    # one plane per slab and one column per block, then the whole grid
+    # as one slab and one block: the same sums in another order
+    n = 12
+    system = TwoBodyDiracSystem(MASSES, BUMP, build_gammas("dirac"))
+    fld = random_band_limited_field(P_REST, Grid(n=n, L=10.5), np.random.default_rng(52))
+    default = compatibility_residual(system, fld, realization)
+    for points, sizes in ((1, (1, 1)), (n**3, (n, n * n))):
+        monkeypatch.setattr(operators, "_SLAB_POINTS", points)
+        assert operators._slab_sizes(n) == sizes
+        assert compatibility_residual(system, fld, realization) == pytest.approx(default, rel=1e-12)
+
+
+def test_compatibility_residual_working_set():
+    # the mode's product lives in slabs; what spans the grid is V, its
+    # gradient, the dictionary and the two arrays that the axis-0 product
+    # joins, about 3.5 arrays of 16 x n^3 complex (7.2 for whole-grid passes)
+    system = TwoBodyDiracSystem(MASSES, BUMP, build_gammas("dirac"))
+    grid = Grid(n=32, L=10.5)
+    fld = random_band_limited_field(P_REST, grid, np.random.default_rng(53))
+    tracemalloc.start()
+    try:
+        compatibility_residual(system, fld)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 16 * grid.n**3 * 16
 
 
 @pytest.mark.parametrize("realization", ["analytic", "composed"])
