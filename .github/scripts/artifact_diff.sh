@@ -11,8 +11,12 @@
 # mixed-radix grid whose residuals lie above the default 1e-8, so both
 # sides exit 1 there) and one analytic field at n = 12 (compat_n12/, a
 # grid that the residual's slabs of planes and blocks of columns split
-# unevenly; it also exits 1). Name every artifact that differs between
-# them (by cmp).
+# unevenly; it also exits 1). claim1 and conserve run once more each away
+# from their defaults, so that a change to how the currents contract
+# spinors is compared on other roots: claim1 at v = 0.2, P0 = 2.9
+# (claim1_v02/) and conserve at v = 0.25 with an off-axis second state
+# and the retarded Green's function (conserve_offaxis/). Name every
+# artifact that differs between them (by cmp).
 # For a JSON artifact present on both sides, each dotted path whose value
 # differs is named instead (e.g. "conserve.json: report.residual"). Lists
 # of one length on both sides are compared item by item ("residuals[3]"),
@@ -39,6 +43,10 @@ compat24=$out/compat_n24_config.json
 echo '{"schema": "tbdkit-config/1", "grid": {"n": 24, "L": 10.5}}' > "$compat24"
 compat12=$out/compat_n12_config.json
 echo '{"schema": "tbdkit-config/1", "grid": {"n": 12, "L": 10.5}, "n_fields": 1}' > "$compat12"
+claim1_v02=$out/claim1_v02_config.json
+echo '{"schema": "tbdkit-config/1", "v": 0.2, "P0": 2.9}' > "$claim1_v02"
+conserve_offaxis=$out/conserve_offaxis_config.json
+echo '{"schema": "tbdkit-config/1", "v": 0.25, "p_spatial_b": [0.3, 0.2, 0.1], "green_choice": "retarded"}' > "$conserve_offaxis"
 crater=$out/crater_radius_config.json
 cat > "$crater" <<'EOF'
 {"schema": "tbdkit-config/1", "flavor": "crater",
@@ -64,6 +72,10 @@ for side in base head; do
     --out "$out/$side/compat_n24" --quiet || echo "$side: tbdkit compat (n = 24) exited $?"
   TBDKIT_THREADS=1 PYTHONPATH="$tree/src" python -m tbdkit.cli compat --config "$compat12" \
     --out "$out/$side/compat_n12" --quiet || echo "$side: tbdkit compat (n = 12) exited $?"
+  TBDKIT_THREADS=1 PYTHONPATH="$tree/src" python -m tbdkit.cli claim1 --config "$claim1_v02" \
+    --out "$out/$side/claim1_v02" --quiet || echo "$side: tbdkit claim1 (v = 0.2) exited $?"
+  TBDKIT_THREADS=1 PYTHONPATH="$tree/src" python -m tbdkit.cli conserve --config "$conserve_offaxis" \
+    --out "$out/$side/conserve_offaxis" --quiet || echo "$side: tbdkit conserve (off axis) exited $?"
 done
 json_paths() {
   python - "$@" <<'EOF' || echo "differs: $3"

@@ -4,7 +4,7 @@ constraint equations.
 Submodules (import what you need; this package root stays import-light
 so the CLI can configure threading before numpy loads):
 
-  spinor_algebra   gamma matrices and their two-body lifts
+  spinor_algebra   gamma matrices, one-particle operators on two-body spinors
   kinematics       four-vectors, transverse projector, rest frame
   potentials       the scalar V(x_perp^2, P^2) family
   operators        D_1/D_2 on internal fields, compatibility identity

@@ -69,7 +69,7 @@ from .positivity import (  # noqa: E402
 from .potentials import Constant, GaussianG, TanhOfG, YukawaTanh  # noqa: E402
 from .scalar_product import form_pair  # noqa: E402
 from .serialize import write_csv, write_json  # noqa: E402
-from .spinor_algebra import build_gammas, lift1, lift2  # noqa: E402
+from .spinor_algebra import build_gammas, lift  # noqa: E402
 from .toy_model import (  # noqa: E402
     a_product,
     evolve,
@@ -481,7 +481,8 @@ def _algebra_battery():
                 worst = max(worst, float(np.max(np.abs(anti - target))))
             herm = gam.gamma[mu].conj().T - gam.gamma[0] @ gam.gamma[mu] @ gam.gamma[0]
             worst = max(worst, float(np.max(np.abs(herm))))
-        worst = max(worst, float(np.max(np.abs(lift1(gam, 0) @ lift2(gam, 1) - lift2(gam, 1) @ lift1(gam, 0)))))
+        a, b = lift(1, gam.gamma[0]), lift(2, gam.gamma[1])
+        worst = max(worst, float(np.max(np.abs(a @ b - b @ a))))
     rng = np.random.default_rng(3)
     proj_worst = 0.0
     for _ in range(50):

@@ -41,7 +41,7 @@ from .kinematics import FourVector, as_four_vector, check_rest_frame, minkowski_
 from .operators import InternalField, PlaneWaveState, TwoBodyDiracSystem, equal_time_profile, first_equation_residual
 from .potentials import eval_V
 from .scalar_product import densities, form_pair, form_value
-from .spinor_algebra import GammaSet, gamma0_pair, kron, lift2, slash2
+from .spinor_algebra import GammaSet, on, slash
 
 __all__ = [
     "PlaneWaveCurrent",
@@ -104,17 +104,18 @@ class DefectFields:
 
 
 def _ubar(gammas: GammaSet, state: PlaneWaveState):
-    return state.u.conj() @ gamma0_pair(gammas)
+    """u_bar = u^dagger gamma_1^0 gamma_2^0 as a flat 16-vector: the
+    conjugate of gamma_1^0 gamma_2^0 u, gamma^0 being Hermitian."""
+    g0 = gammas.gamma[0]
+    return on(1, g0, on(2, g0, state.u.reshape(4, 4))).conj().reshape(16)
 
 
 def j_free_current(gammas: GammaSet, state_a: PlaneWaveState, state_b: PlaneWaveState) -> PlaneWaveCurrent:
     """Full 4x4 coefficient tensor of the free current for the pair of
-    plane-wave states, with its momentum transfers."""
-    ub = _ubar(gammas, state_a)
-    J = np.empty((4, 4), dtype=complex)
-    for mu in range(4):
-        for nu in range(4):
-            J[mu, nu] = ub @ kron(gammas.gamma[mu], gammas.gamma[nu]) @ state_b.u
+    plane-wave states, with its momentum transfers: J[mu, nu] is u_bar_a
+    times gamma_1^mu gamma_2^nu u_b, for all mu, nu in one broadcast."""
+    g = gammas.gamma
+    J = on(1, g[:, None], on(2, g, state_b.u.reshape(4, 4))).reshape(4, 4, 16) @ _ubar(gammas, state_a)
     return PlaneWaveCurrent(
         J=J, k1=state_a.p1 - state_b.p1, k2=state_a.p2 - state_b.p2
     )
@@ -148,15 +149,11 @@ def surviving_divergence_term(
     v = system.potential.constant_value()
     g = system.gammas
     m2 = system.masses.m2
-    ub = _ubar(g, state_a)
-    eye = np.eye(16)
-    out = np.empty(4, dtype=complex)
-    Qa = m2 * eye - slash2(g, state_a.p2)
-    Qb = m2 * eye - slash2(g, state_b.p2)
-    for nu in range(4):
-        G2 = lift2(g, nu)
-        out[nu] = -1j * v * (ub @ (-Qa @ G2 + G2 @ Qb) @ state_b.u)
-    return out
+    eye = np.eye(4)
+    Qa = m2 * eye - slash(g, state_a.p2)
+    Qb = m2 * eye - slash(g, state_b.p2)
+    bracket = -Qa @ g.gamma + g.gamma @ Qb
+    return -1j * v * (on(2, bracket, state_b.u.reshape(4, 4)).reshape(4, 16) @ _ubar(g, state_a))
 
 
 # Equation residual above which a state is not accepted as a solution.

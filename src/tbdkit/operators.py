@@ -111,7 +111,7 @@ import numpy as np
 
 from .kinematics import FourVector, MassPair, as_four_vector, check_rest_frame, minkowski_sq
 from .potentials import eval_V, eval_dV_dxperp_sq
-from .spinor_algebra import GammaSet, lift1, lift2, slash, slash1, slash2
+from .spinor_algebra import GammaSet, lift, on, slash
 
 __all__ = [
     "AliasingWarning",
@@ -309,28 +309,22 @@ def _D_terms(system: TwoBodyDiracSystem, p1_0: float, p2_0: float):
     )
 
 
-def _coefficients(terms, kappa, c, scalar: float = 0.0) -> np.ndarray:
-    """Coefficients (5, U, 4, 4) on the mode's basis (see _basis) of
-    scalar chi plus, for each term (particle, S, times_V), S chi or, with
-    times_V, S (V chi), S acting on the particle's spinor index; the
+def _coefficients(terms, kappa, c) -> np.ndarray:
+    """Coefficients (5, U, 4, 4) on the mode's basis (see _basis) of the
+    sum over terms (particle, S, times_V) of S chi or, with times_V,
+    S (V chi), S acting on the particle's spinor index; the
     mode is chi = sum_u c_u e_u, c (U, 4, 4), at wavevectors kappa (U, 3).
     S chi takes S(kappa_u) c_u on e_u. S (V chi) takes S[0] c_u on e_u V
     and S[k] c_u on e_u h_k, because IFFT[kappa_k F V(. - k_u)] = e_u h_k
     (see _dictionary)."""
     out = np.zeros((5, *c.shape), complex)
-    out[0] = scalar * c
     for particle, S, times_V in terms:
         if times_V:
             S, block = S[:, None], out[1:]
         else:
             S, block = S[0] + np.tensordot(kappa, S[1:], axes=1), out[0]
-        block += _on(particle, S, c)
+        block += on(particle, S, c)
     return out
-
-
-def _on(particle: int, S, x):
-    """S (..., 4, 4) acting on the particle's spinor index of x (..., 4, 4)."""
-    return S @ x if particle == 1 else x @ np.swapaxes(S, -1, -2)
 
 
 def _dictionary(V, points, M):
@@ -559,9 +553,9 @@ def compatibility_residual(
         c = c.reshape(U, 4, 4)
         # the coefficients of d_1 and d_2 on the basis, then of T and the Q_k
         d1, d2 = (_coefficients(terms, grid.wavenumbers[k], c) for terms in _D_terms(system, p1_0, p2_0))
-        T = _on(2, p2_0 * g[0] - m2 * eye, d2) - _on(1, p1_0 * g[0] + m1 * eye, d1)
+        T = on(2, p2_0 * g[0] - m2 * eye, d2) - on(1, p1_0 * g[0] + m1 * eye, d1)
         T[0] += (2 * P0 * p0 + (m2 - m1) * (m2 + m1)) * c
-        Q = [_on(1, g[j], d1) + _on(2, g[j], d2) for j in (1, 2, 3)]
+        Q = [on(1, g[j], d1) + on(2, g[j], d2) for j in (1, 2, 3)]
         coefficients = np.stack([T, *Q]).transpose(0, 3, 4, 1, 2).reshape(64, 5 * U)
         for a in range(0, n, planes):
             s = slice(a, min(a + planes, n))
@@ -613,7 +607,7 @@ def _first_equation_matrix(system, p1, p2):
     v = system.potential.constant_value()
     m1, m2 = system.masses.m1, system.masses.m2
     eye = np.eye(16)
-    return slash1(system.gammas, p1) - m1 * eye + (slash2(system.gammas, p2) - m2 * eye) * v
+    return lift(1, slash(system.gammas, p1)) - m1 * eye + (lift(2, slash(system.gammas, p2)) - m2 * eye) * v
 
 
 def _dispersion_matrix(system, P, p_spatial, p0):
@@ -641,7 +635,7 @@ def plane_wave_solutions(system: TwoBodyDiracSystem, P, p_spatial, p0_window=(-3
     P = as_four_vector(P)
     v = system.potential.constant_value()
     A = _dispersion_matrix(system, P, p_spatial, 0.0)
-    B = lift1(system.gammas, 0) - v * lift2(system.gammas, 0)
+    B = lift(1, system.gammas.gamma[0]) - v * lift(2, system.gammas.gamma[0])
     pencil = np.linalg.solve(B, -A)
     if not np.isfinite(pencil).all():
         m1, m2, P0 = system.masses.m1, system.masses.m2, float(P[0])
@@ -696,5 +690,8 @@ def free_product_state(gammas: GammaSet, masses: MassPair, p_spatial) -> PlaneWa
 
 
 def first_equation_residual(system: TwoBodyDiracSystem, state: PlaneWaveState) -> float:
-    """Norm ||M_1 u|| of the first equation's residual on the state."""
-    return float(np.linalg.norm(_first_equation_matrix(system, state.p1, state.p2) @ state.u))
+    """Norm ||M_1 u|| of the first equation's residual on the state, each
+    term applied to the state by on, not by the pencil's matrix M_1."""
+    g, v, eye = system.gammas, system.potential.constant_value(), np.eye(4)
+    u, m1, m2 = state.u.reshape(4, 4), system.masses.m1, system.masses.m2
+    return float(np.linalg.norm(on(1, slash(g, state.p1) - m1 * eye, u) + v * on(2, slash(g, state.p2) - m2 * eye, u)))

@@ -48,7 +48,7 @@ import numpy as np
 
 from .operators import Grid
 from .potentials import eval_ddelta_dP2, eval_delta
-from .spinor_algebra import GammaSet, gamma0_pair
+from .spinor_algebra import GammaSet, lift
 
 FLAVORS = ("free", "sazdjian", "crater")
 
@@ -91,7 +91,7 @@ def densities(gammas: GammaSet, pa: np.ndarray, pb: np.ndarray):
     profiles, through which every kernel's quadratic form reads them."""
     a, b = pa.reshape(16, -1), pb.reshape(16, -1)
     rho = np.vecdot(a, b, axis=0)
-    sigma = np.vecdot(a, gamma0_pair(gammas) @ b, axis=0)
+    sigma = np.vecdot(a, lift(1, gammas.gamma[0]) @ lift(2, gammas.gamma[0]) @ b, axis=0)
     return rho.reshape(pa.shape[1:]), sigma.reshape(pa.shape[1:])
 
 

@@ -9,8 +9,14 @@ Conventions, fixed once here and relied on everywhere else:
 
 Two representations are provided behind the same tag interface so that
 representation independence can be asserted by re-running checks under a
-second tag. All matrices are dense complex 4x4 (or 16x16 after lifting);
-nothing here is large enough to warrant sparsity.
+second tag. All matrices are dense complex 4x4; nothing here is large
+enough to warrant sparsity.
+
+Two-body spinors: this module alone knows their layout. A 16-component
+spinor u is held as the row-major 4x4 array U[a, b] = u[4 a + b], particle
+1's index on the rows. on(particle, S, U) applies a one-particle operator
+S (S U or U S^T, batched); lift(particle, S) is its 16x16 matrix, for a
+solve, an SVD or a product with a (16, ...) grid array.
 """
 
 from __future__ import annotations
@@ -20,10 +26,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
-
-# TwoBodySpinOp is a plain 16x16 complex ndarray; no wrapper class is
-# needed because every consumer treats it as a matrix.
-TwoBodySpinOp = np.ndarray
 
 _ID2 = np.eye(2)
 _ID4 = np.eye(4)
@@ -37,7 +39,7 @@ _SIGMA = np.array(
 )
 
 
-def kron(a, b) -> np.ndarray:
+def _kron(a, b) -> np.ndarray:
     """Kronecker product of two matrices: each entry a[i, j] * b[k, l] of
     np.kron by the same single multiply, without its generic set-up."""
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
@@ -81,20 +83,6 @@ def build_gammas(representation_tag: str = "dirac") -> GammaSet:
     return GammaSet(tag=representation_tag, gamma=g)
 
 
-def lift1(gammas: GammaSet, mu: int) -> TwoBodySpinOp:
-    """gamma^mu acting on the first spinor factor: gamma^mu x 1_4."""
-    if mu not in range(4):
-        raise IndexError(f"Lorentz index out of range: {mu}")
-    return kron(gammas.gamma[mu], _ID4)
-
-
-def lift2(gammas: GammaSet, nu: int) -> TwoBodySpinOp:
-    """gamma^nu acting on the second spinor factor: 1_4 x gamma^nu."""
-    if nu not in range(4):
-        raise IndexError(f"Lorentz index out of range: {nu}")
-    return kron(_ID4, gammas.gamma[nu])
-
-
 def slash(gammas: GammaSet, q) -> np.ndarray:
     """The 4x4 contraction q.gamma on one spinor factor."""
     q = np.asarray(q)
@@ -106,16 +94,14 @@ def slash(gammas: GammaSet, q) -> np.ndarray:
     return out
 
 
-def slash1(gammas: GammaSet, q) -> TwoBodySpinOp:
-    """Contraction q.gamma_1 = q^0 gamma_1^0 - sum_k q^k gamma_1^k."""
-    return kron(slash(gammas, q), _ID4)
+def on(particle: int, S, x):
+    """S (..., 4, 4) acting on the particle's spinor index of two-body
+    spinors x (..., 4, 4) in the row-major 4x4 form: S x for particle 1,
+    x S^T for particle 2."""
+    return S @ x if particle == 1 else x @ np.swapaxes(S, -1, -2)
 
 
-def slash2(gammas: GammaSet, q) -> TwoBodySpinOp:
-    """Contraction q.gamma_2 on the second factor."""
-    return kron(_ID4, slash(gammas, q))
-
-
-def gamma0_pair(gammas: GammaSet) -> TwoBodySpinOp:
-    """The frequently needed product gamma_1^0 gamma_2^0."""
-    return kron(gammas.gamma[0], gammas.gamma[0])
+def lift(particle: int, S) -> np.ndarray:
+    """The 16x16 matrix of on(particle, S, .) on the flat 16-vector:
+    S x 1_4 for particle 1, 1_4 x S for particle 2."""
+    return _kron(S, _ID4) if particle == 1 else _kron(_ID4, S)

@@ -6,7 +6,7 @@ import pytest
 
 from tbdkit.potentials import eval_ddelta_dP2, eval_delta
 from tbdkit.serialize import _format_float
-from tbdkit.spinor_algebra import build_gammas, slash1, slash2
+from tbdkit.spinor_algebra import build_gammas, slash
 
 
 @pytest.fixture(scope="session")
@@ -122,10 +122,10 @@ def reference_dV_dP2():
 
 def _first_equation_matrices(system, P, p_spatial, p0s):
     """M_1 = (p1.gamma_1 - m1) + v (p2.gamma_2 - m2) at p1 = P/2 + p,
-    p2 = P/2 - p, p = (p0, p_spatial), for every p0 of p0s at once. The
-    elementwise operations are those of slash1/slash2 and the solver's
-    per-p0 build, in the same order, so each matrix is bit-equal to the
-    one built for its p0 alone."""
+    p2 = P/2 - p, p = (p0, p_spatial), for every p0 of p0s at once, with
+    np.kron for the lifts. The elementwise operations are those of
+    lift(i, slash(...)) and the solver's per-p0 build, in the same order,
+    so each matrix is bit-equal to the one built for its p0 alone."""
     g = system.gammas.gamma
     v = system.potential.constant_value()
     P = np.asarray(P, dtype=float)
@@ -155,8 +155,10 @@ def reference_first_equation_matrices():
 def _second_equation_matrix(system, p1, p2):
     v = system.potential.constant_value()
     m1, m2 = system.masses.m1, system.masses.m2
-    eye = np.eye(16)
-    return slash2(system.gammas, p2) + m2 * eye + (slash1(system.gammas, p1) + m1 * eye) * v
+    eye4, eye = np.eye(4), np.eye(16)
+    S1 = np.kron(slash(system.gammas, p1), eye4)
+    S2 = np.kron(eye4, slash(system.gammas, p2))
+    return S2 + m2 * eye + (S1 + m1 * eye) * v
 
 
 @pytest.fixture(scope="session")

@@ -47,7 +47,7 @@ from tbdkit.potentials import (
     YukawaTanh,
 )
 from tbdkit.scalar_product import form_pair
-from tbdkit.spinor_algebra import build_gammas, lift1, lift2
+from tbdkit.spinor_algebra import build_gammas, lift
 from tbdkit.toy_model import a_product, evolve, positivity_breakdown_search
 
 MASSES = MassPair(1.0, 1.3)
@@ -80,7 +80,8 @@ def test_criterion_01_algebra_foundations():
             for nu in range(4):
                 anti = gam.gamma[mu] @ gam.gamma[nu] + gam.gamma[nu] @ gam.gamma[mu]
                 worst = max(worst, float(np.max(np.abs(anti - 2.0 * gam.metric[mu, nu] * eye4))))
-                lifted = lift1(gam, mu) @ lift2(gam, nu) - lift2(gam, nu) @ lift1(gam, mu)
+                a, b = lift(1, gam.gamma[mu]), lift(2, gam.gamma[nu])
+                lifted = a @ b - b @ a
                 worst = max(worst, float(np.max(np.abs(lifted))))
             herm = gam.gamma[mu].conj().T - gam.gamma[0] @ gam.gamma[mu] @ gam.gamma[0]
             worst = max(worst, float(np.max(np.abs(herm))))

@@ -37,7 +37,7 @@ from tbdkit.potentials import (
     YukawaTanh,
 )
 from tbdkit.scalar_product import densities, form_pair, form_value
-from tbdkit.spinor_algebra import build_gammas, gamma0_pair, lift1, lift2
+from tbdkit.spinor_algebra import GammaSet, build_gammas
 
 MASSES = MassPair(1.0, 1.3)
 P_REST = np.array([3.0, 0.0, 0.0, 0.0])
@@ -81,12 +81,14 @@ def free_pair(gam):
 
 
 def test_j_free_matches_manual_bilinear(gam, state_pair):
+    # the 16x16 lifts built here with np.kron, not through the package
     a, b = state_pair
-    ubar = a.u.conj() @ gamma0_pair(gam)
+    g, eye4 = gam.gamma, np.eye(4)
+    ubar = a.u.conj() @ np.kron(g[0], g[0])
     J = j_free_current(gam, a, b).J
     for mu in range(4):
         for nu in range(4):
-            manual = ubar @ lift1(gam, mu) @ lift2(gam, nu) @ b.u
+            manual = ubar @ np.kron(g[mu], eye4) @ np.kron(eye4, g[nu]) @ b.u
             assert J[mu, nu] == pytest.approx(manual, abs=1e-14)
 
 
@@ -156,6 +158,41 @@ def test_divergence_matches_closed_form_surviving_term(gam, constant_v_system):
 def test_closed_form_vanishes_for_free_states(free_pair):
     free, a, b = free_pair
     assert np.max(np.abs(surviving_divergence_term(free, a, b))) < 1e-12
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_currents_do_not_depend_on_a_dense_representation(gam, constant_v_system, state_pair, seed):
+    # a random unitary U makes U gamma^mu U^dagger a representation with
+    # no zero entries, so no contraction can lean on a sparsity pattern;
+    # the states rotate with kron(U, U) and J and the surviving term stay
+    # the Dirac ones. The longest chain of rounded operations behind a
+    # rotated value (the rotations of four gammas and of the state, u_bar
+    # and the contraction) has under 90 of them, each within sqrt(2) u of
+    # its magnitude sum; the bound is 128 ulps of the chain's magnitude
+    # sum, taken through |U| |gamma| |U|^T and |kron(U, U)| |u|
+    rng = np.random.default_rng(seed)
+    U, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    dense = GammaSet("dense", np.stack([U @ g @ U.conj().T for g in gam.gamma]))
+    assert np.all(dense.gamma != 0)
+    U16 = np.kron(U, U)
+    a, b = (replace(s, u=U16 @ s.u) for s in state_pair)
+    sys_u = replace(constant_v_system, gammas=dense)
+    g_abs = np.stack([np.abs(U) @ np.abs(g) @ np.abs(U).T for g in gam.gamma])
+    ua_abs, ub_abs = ((np.abs(U16) @ np.abs(s.u)).reshape(4, 4) for s in state_pair)
+    ubar_abs = g_abs[0] @ ua_abs @ g_abs[0].T
+    bound = 128 * np.finfo(float).eps
+
+    J = j_free_current(gam, *state_pair).J
+    J_scale = np.einsum("ab,mac,cd,nbd->mn", ubar_abs, g_abs, ub_abs, g_abs)
+    assert np.all(np.abs(j_free_current(dense, a, b).J - J) <= bound * J_scale)
+
+    v, m2 = constant_v_system.potential.constant_value(), MASSES.m2
+    Qa, Qb = (m2 * np.eye(4) + np.tensordot(np.abs(s.p2), g_abs, axes=1) for s in state_pair)
+    bracket = Qa @ g_abs + g_abs @ Qb
+    d_scale = abs(v) * np.einsum("ab,ad,nbd->n", ubar_abs, ub_abs, bracket)
+    d = surviving_divergence_term(constant_v_system, *state_pair)
+    assert np.all(np.abs(surviving_divergence_term(sys_u, a, b) - d) <= bound * d_scale)
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +436,7 @@ def _phase_rounding(potential, gammas, fld, parts):
     """
     A, B = _kernel(potential, fld)
     Q = sum(np.abs(q) for q in parts)
-    abs_gamma_Q = (np.abs(gamma0_pair(gammas)) @ Q.reshape(16, -1)).reshape(Q.shape)
+    abs_gamma_Q = (np.abs(np.kron(gammas.gamma[0], gammas.gamma[0])) @ Q.reshape(16, -1)).reshape(Q.shape)
     R = np.sum(Q**2, axis=0)
     R_sigma = np.sum(Q * abs_gamma_Q, axis=0)
     S = float(np.sum(np.abs(A) * R + np.abs(B) * R_sigma) * fld.grid.h**3)

@@ -24,7 +24,7 @@ from tbdkit.potentials import (
 )
 from tbdkit.positivity import violation_radius
 from tbdkit.scalar_product import densities, form_pair, form_value
-from tbdkit.spinor_algebra import GammaSet, build_gammas, gamma0_pair
+from tbdkit.spinor_algebra import GammaSet, build_gammas
 
 P2 = np.array([2.0, 0.0, 0.0, 0.0])
 P2_SQ = 4.0  # minkowski_sq(P2)
@@ -224,7 +224,7 @@ def test_sazdjian_A_does_not_cancel_in_the_core():
 
 def test_kernel_form_matrix_is_hermitian(gam):
     # A 1 + B gamma_1^0 gamma_2^0 is Hermitian when A and B are real
-    g = gamma0_pair(gam)
+    g = np.kron(gam.gamma[0], gam.gamma[0])
     assert np.array_equal(g, g.conj().T)
     grid = Grid(n=8, L=4.0)
     for flavor in ("free", "sazdjian", "crater"):
@@ -297,7 +297,7 @@ def test_negative_norm_state_inside_violation_ball(gam):
     grid = Grid(n=32, L=4.0)
     P = np.array([1.0, 0.0, 0.0, 0.0])
     pair = grid_pair("sazdjian", YUKAWA, minkowski_sq(P), grid)
-    gp = np.real(np.diag(gamma0_pair(gam)))
+    gp = np.real(np.diag(np.kron(gam.gamma[0], gam.gamma[0])))
     component = int(np.argmin(gp))
     assert gp[component] == -1.0
     modes = gaussian_profile_modes(grid, width=0.15, component=component)
@@ -323,7 +323,7 @@ def _per_component_form(pair, grid, gammas, pa, pb):
     and the magnitude sum S = h^3 sum |pa| (|A| |pb| + |B| |Gamma| |pb|)
     of its terms."""
     A, B = pair
-    g = gamma0_pair(gammas)
+    g = np.kron(gammas.gamma[0], gammas.gamma[0])
     g_pb = (g @ pb.reshape(16, -1)).reshape(pb.shape)
     terms = pa.conj() * (A[None] * pb + B[None] * g_pb)
     abs_g_pb = (np.abs(g) @ np.abs(pb).reshape(16, -1)).reshape(pb.shape)

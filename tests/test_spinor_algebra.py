@@ -3,16 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tbdkit.spinor_algebra import (
-    build_gammas,
-    gamma0_pair,
-    lift1,
-    lift2,
-    slash1,
-    slash2,
-)
+from tbdkit.spinor_algebra import build_gammas, lift, on, slash
 
 METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
+EPS = 2.0**-52
 
 four_vectors = st.lists(
     st.floats(min_value=-5.0, max_value=5.0, allow_nan=False), min_size=4, max_size=4
@@ -86,47 +80,61 @@ def test_unknown_tag_rejected():
         build_gammas("euclidean")
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    tag=st.sampled_from(["dirac", "weyl"]),
+    batch=st.integers(min_value=1, max_value=3),
+)
+def test_lift_is_the_matrix_of_on(seed, tag, batch):
+    # lift(p, S) @ x.ravel() is on(p, S, x).ravel() for a random S, the
+    # representation's gammas and a random slash, on a batch of random
+    # two-body spinors x in the row-major 4x4 form; both sides sum the
+    # same four complex products per entry (the lift's other twelve are
+    # exact zeros), each within 8 ulps of their magnitude sum
+    rng = np.random.default_rng(seed)
+    gammas = build_gammas(tag)
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    x = cplx(batch, 4, 4)
+    for S in (cplx(4, 4), *gammas.gamma, slash(gammas, rng.standard_normal(4))):
+        for particle in (1, 2):
+            want = on(particle, S, x).reshape(batch, 16)
+            got = x.reshape(batch, 16) @ lift(particle, S).T
+            scale = on(particle, np.abs(S), np.abs(x)).reshape(batch, 16)
+            assert np.all(np.abs(got - want) <= 16 * EPS * scale)
+
+
 def test_lifted_copies_commute(gammas):
     for mu in range(4):
         for nu in range(4):
-            a = lift1(gammas, mu)
-            b = lift2(gammas, nu)
+            a = lift(1, gammas.gamma[mu])
+            b = lift(2, gammas.gamma[nu])
             assert np.allclose(a @ b - b @ a, 0.0, atol=1e-14)
 
 
 def test_lifted_copies_satisfy_clifford(gammas):
     eye = np.eye(16)
-    for lift in (lift1, lift2):
+    for particle in (1, 2):
         for mu in range(4):
             for nu in range(4):
-                a, b = lift(gammas, mu), lift(gammas, nu)
+                a, b = lift(particle, gammas.gamma[mu]), lift(particle, gammas.gamma[nu])
                 assert np.allclose(a @ b + b @ a, 2.0 * METRIC[mu, nu] * eye, atol=1e-14)
-
-
-def test_lift_index_range(gammas):
-    with pytest.raises(IndexError):
-        lift1(gammas, 4)
-    with pytest.raises(IndexError):
-        lift2(gammas, -5)
 
 
 def test_trace_normalization(gammas):
     # a quarter of the 16x16 trace plays the single-particle spinor trace
     assert np.trace(np.eye(16)) / 4 == pytest.approx(4.0)
     for mu in range(4):
-        assert np.trace(lift1(gammas, mu)) / 4 == pytest.approx(0.0, abs=1e-14)
+        assert np.trace(lift(1, gammas.gamma[mu])) / 4 == pytest.approx(0.0, abs=1e-14)
         for nu in range(4):
             # Tr(Gamma_1^mu Gamma_1^nu)/4 = 4 eta^{mu nu}; mixed lifts trace to zero
-            t11 = np.trace(lift1(gammas, mu) @ lift1(gammas, nu)) / 4
+            t11 = np.trace(lift(1, gammas.gamma[mu]) @ lift(1, gammas.gamma[nu])) / 4
             assert t11 == pytest.approx(4.0 * METRIC[mu, nu], abs=1e-13)
-            t12 = np.trace(lift1(gammas, mu) @ lift2(gammas, nu)) / 4
+            t12 = np.trace(lift(1, gammas.gamma[mu]) @ lift(2, gammas.gamma[nu])) / 4
             assert t12 == pytest.approx(0.0, abs=1e-13)
-
-
-def test_gamma0_pair_is_product_of_lifts(gammas):
-    assert np.allclose(
-        gamma0_pair(gammas), lift1(gammas, 0) @ lift2(gammas, 0), atol=1e-14
-    )
 
 
 @settings(max_examples=30, deadline=None)
@@ -135,8 +143,8 @@ def test_slash_squares_to_invariant(q):
     gam = build_gammas("dirac")
     q = np.asarray(q)
     q_sq = q[0] ** 2 - np.sum(q[1:] ** 2)
-    for slash in (slash1, slash2):
-        s = slash(gam, q)
+    for particle in (1, 2):
+        s = lift(particle, slash(gam, q))
         assert np.allclose(s @ s, q_sq * np.eye(16), atol=1e-10)
 
 
@@ -144,14 +152,14 @@ def test_slash_squares_to_invariant(q):
 @given(q=four_vectors, r=four_vectors)
 def test_slash_different_particles_commute(q, r):
     gam = build_gammas("dirac")
-    a = slash1(gam, q)
-    b = slash2(gam, r)
+    a = lift(1, slash(gam, q))
+    b = lift(2, slash(gam, r))
     assert np.allclose(a @ b, b @ a, atol=1e-10)
 
 
 def test_slash_is_linear_contraction(gammas, rng):
     q = rng.standard_normal(4)
-    expect = q[0] * lift1(gammas, 0)
+    expect = q[0] * lift(1, gammas.gamma[0])
     for k in range(1, 4):
-        expect = expect - q[k] * lift1(gammas, k)
-    assert np.allclose(slash1(gammas, q), expect, atol=1e-14)
+        expect = expect - q[k] * lift(1, gammas.gamma[k])
+    assert np.allclose(lift(1, slash(gammas, q)), expect, atol=1e-14)
