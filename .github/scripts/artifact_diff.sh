@@ -24,10 +24,31 @@
 # its head value and the relative change, so that a move at roundoff
 # (about 1e-16) can be told from a real one. It only reports: a run that
 # fails or a file that moved is printed, and the script exits 0.
+# Each side's default compat run also prints its peak resident set, so
+# that a change to the residual's memory shows in the report.
 #
 #   artifact_diff.sh BASE_TREE HEAD_TREE OUT_DIR
 set -u
 base=$1 head=$2 out=$3
+# Run python -m tbdkit.cli with the arguments after LABEL and print
+# "LABEL: peak resident set ... MB" when it exits. The peak is VmHWM of
+# /proc/self/status, which exec resets; getrusage's ru_maxrss keeps the
+# peak of the process that launched the run whenever that is larger.
+peak_rss() {
+  python - "$@" <<'EOF'
+import runpy
+import sys
+
+label = sys.argv[1]
+sys.argv = ["tbdkit", *sys.argv[2:]]
+try:
+    runpy.run_module("tbdkit.cli", run_name="__main__", alter_sys=True)
+finally:
+    with open("/proc/self/status") as status:
+        kb = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+    print(f"{label}: peak resident set {kb / 1024:.1f} MB")
+EOF
+}
 mkdir -p "$out"
 yukawa=$out/yukawa_kernel_config.json
 cat > "$yukawa" <<'EOF'
@@ -56,7 +77,9 @@ EOF
 for side in base head; do
   tree=${!side}
   mkdir -p "$out/$side"
-  for cmd in compat claim1 conserve kernel radius toy gauge selfcheck; do
+  TBDKIT_THREADS=1 PYTHONPATH="$tree/src" peak_rss "$side: tbdkit compat" compat --out "$out/$side" --quiet \
+    || echo "$side: tbdkit compat exited $?"
+  for cmd in claim1 conserve kernel radius toy gauge selfcheck; do
     TBDKIT_THREADS=1 PYTHONPATH="$tree/src" python -m tbdkit.cli "$cmd" --out "$out/$side" --quiet \
       || echo "$side: tbdkit $cmd exited $?"
   done

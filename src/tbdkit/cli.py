@@ -49,7 +49,7 @@ from .currents import (  # noqa: E402
     j_free_current,
     surviving_divergence_term,
 )
-from .kinematics import MassPair, projector, x_perp  # noqa: E402
+from .kinematics import MassPair, check_rest_frame, projector, x_perp  # noqa: E402
 from .operators import (  # noqa: E402
     Grid,
     TwoBodyDiracSystem,
@@ -252,11 +252,20 @@ def load_config(command: str, path):
 # extra_artifacts a dict filename -> (header, rows).
 
 
+def _total_momentum(P0):
+    """The rest-frame total momentum (P0, 0, 0, 0) of the test field that
+    compat and gauge draw, with P0 named if it is not timelike."""
+    try:
+        return check_rest_frame([P0, 0.0, 0.0, 0.0])
+    except ValueError as e:
+        raise ConfigError(f"P0 = {P0!r}: {e}") from None
+
+
 def run_compat(cfg):
     grid = Grid(**cfg["grid"])
     system = TwoBodyDiracSystem(MassPair(**cfg["masses"]), parse_potential(cfg["potential"]), build_gammas("dirac"))
     rng = np.random.default_rng(cfg["seed"])
-    P = np.array([cfg["P0"], 0.0, 0.0, 0.0])
+    P = _total_momentum(cfg["P0"])
     if cfg["n_fields"] < 1:
         raise ConfigError(f"n_fields must be at least 1, got {cfg['n_fields']}")
     residuals = []
@@ -456,7 +465,7 @@ def run_toy(cfg):
 def run_gauge(cfg):
     grid = Grid(**cfg["grid"])
     potential = parse_potential(cfg["potential"])
-    P = np.array([cfg["P0"], 0.0, 0.0, 0.0])
+    P = _total_momentum(cfg["P0"])
     # the compat test field's draw; gauge_check reads only its t = 0 profile
     fld = random_band_limited_field(P, grid, np.random.default_rng(cfg["seed"]))
     rel, tot = gauge_check(potential, build_gammas("dirac"), fld, cfg["c"], cfg["a"], flavor=cfg["flavor"])

@@ -359,8 +359,11 @@ def gauge_check(
     A value that overflows raises a ValueError naming the inputs that
     can cause it.
     """
-    P, grid = fld.P, fld.grid
-    P_after = check_rest_frame(P + as_four_vector(a))
+    P, grid, a = fld.P, fld.grid, as_four_vector(a)
+    try:
+        P_after = check_rest_frame(P + a)
+    except ValueError as e:
+        raise ValueError(f"a = {a.tolist()} shifts the total momentum to P + a = {(P + a).tolist()}: {e}") from None
     r2, index = grid.radial
     kernel_before = tuple(x[index] for x in form_pair(flavor, potential, minkowski_sq(P), -r2))
     kernel_after = tuple(x[index] for x in form_pair(flavor, potential, minkowski_sq(P_after), -r2))
@@ -385,7 +388,7 @@ def gauge_check(
     if not (cmath.isfinite(value_relative) and cmath.isfinite(drift)):
         raise ValueError(f"c = {[float(x) for x in as_four_vector(c)]} and grid.L overflow the relative phase")
     if not (cmath.isfinite(value_total) and cmath.isfinite(shift)):
-        raise ValueError(f"the potential and a = {[float(x) for x in as_four_vector(a)]} overflow the norm at P + a")
+        raise ValueError(f"the potential and a = {a.tolist()} overflow the norm at P + a")
     relative = GaugeReport(
         kind="relative_only",
         P_before=P,

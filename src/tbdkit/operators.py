@@ -82,14 +82,17 @@ because K_1 and K_2 commute and K_1^2 - K_2^2 = (p_1^0)^2 - (p_2^0)^2 =
 and the analytic right side is -i sum_k (d_k V) Q_k. The composed one
 is sum_k (IFFT[kappa_k F(V Q_k)] - V IFFT[kappa_k F Q_k]): the
 kappa_k (V Q_k) terms cancel exactly and the difference is
-V (T + sum_k IFFT[kappa_k F Q_k]). T and the three Q_k are one matrix
-product, coefficients times the mode's basis, and each Q_k takes one
-axis matrix product along axis k; no 3-D transform runs in either
-realization. The mode is worked in slabs of whole axis-0 planes, each
-small enough for its basis and product to stay in cache: a slab's
-basis, its product, the pointwise terms and the axis-1 and axis-2
-products, after which only the axis-0 product, across the slabs, is
-left.
+V (T + sum_k IFFT[kappa_k F Q_k]). T and the three Q_k are coefficient
+rows times the mode's basis, and each Q_k takes one axis matrix product
+along axis k; no 3-D transform runs in either realization. The mode is
+worked in two stages, each in pieces small enough for their basis and
+product to stay in cache, and the basis is built on each piece: slabs
+of whole axis-0 planes take T and the axis-1 and axis-2 terms into one
+array of the mode's size, then blocks of columns across all planes
+take the axis-0 terms, which need whole columns, and finish the sum.
+That array is the only one of the mode's size; the factor i of the
+gradient term rides in the Q_k rows, so d_k V enters as a real
+multiplier formed per slab and block.
 
 Plane waves. For a constant potential v the first equation is the
 linear matrix pencil M_1(p0) = A + p0 B with B = gamma_1^0 - v gamma_2^0,
@@ -290,7 +293,7 @@ def _along(M, x, axis: int, out):
     return out
 
 
-def _symbol_parts(gammas: GammaSet, particle: int, p_0: float, shift: float = 0.0) -> np.ndarray:
+def _symbol_parts(gammas: GammaSet, particle: int, p_0: float, shift: float) -> np.ndarray:
     """The symbol of K_i + shift as parts S (4, 4, 4): S(kappa) =
     S[0] + sum_k kappa_k S[k] with S[0] = p_i^0 gamma^0 + shift and
     S[k] = -+ gamma^k, minus for particle 1 (momentum P/2 + p), plus for
@@ -347,19 +350,29 @@ def _dictionary(V, points, M):
     return h, rows
 
 
-def _basis(grid: Grid, V, h, rows, k, planes: slice, out):
-    """A mode's basis on the axis-0 planes that the slice planes selects,
-    into out (5U, p, n, n) for p planes, in blocks of U rows in the
-    order of its grid indices k (U, 3): e_u, e_u V, then e_u h_{j,(k_u)_j}
-    for the axes j (h and rows from _dictionary). e_u is the product of
-    its axes' n-th roots of unity, read at k_u j mod n. Returns out."""
-    n, U = grid.n, len(k)
+def _phases(n: int, k):
+    """The factors of e_u = e^{+i 2 pi k_u.j / n} at a mode's grid indices
+    k (U, 3) on the grid's (n, n^2) view: ex (U, n) along axis 0 and
+    eyz (U, n^2) over the flattened columns (axes 1 and 2), each read
+    from the n-th roots of unity at k_u j mod n."""
     roots = np.exp(2j * np.pi / n * np.arange(n))
     ex, ey, ez = roots[k.T[:, :, None] * np.arange(n) % n]  # each (U, n)
-    e = np.multiply(ex[:, planes, None, None], (ey[:, :, None] * ez[:, None, :])[:, None], out=out[:U])
-    np.multiply(e, V[planes], out=out[U : 2 * U])
+    return ex, (ey[:, :, None] * ez[:, None, :]).reshape(len(k), n * n)
+
+
+def _basis(V, h, rows, k, phases, planes: slice, cols: slice, out):
+    """A mode's basis on the rectangle planes x cols of the grid's (n, n^2)
+    view (axis-0 planes by flattened columns), into out (5U, p, c), in
+    blocks of U rows in the order of its grid indices k (U, 3): e_u,
+    e_u V, then e_u h_{j,(k_u)_j} for the axes j (h and rows from
+    _dictionary, phases from _phases). Returns out."""
+    n, U = len(V), len(k)
+    ex, eyz = phases
+    e = np.multiply(ex[:, planes, None], eyz[:, None, cols], out=out[:U])
+    np.multiply(e, V.reshape(n, -1)[planes, cols], out=out[U : 2 * U])
+    h = h.reshape(len(h), n, -1)
     for axis in range(3):
-        np.multiply(e, h[rows[axis, k[:, axis]], planes], out=out[(2 + axis) * U : (3 + axis) * U])
+        np.multiply(e, h[rows[axis, k[:, axis]], planes, cols], out=out[(2 + axis) * U : (3 + axis) * U])
     return out
 
 
@@ -446,10 +459,15 @@ def random_band_limited_field(P, grid: Grid, rng: np.random.Generator, max_index
 
 
 # The residual runs over slabs of whole axis-0 planes of about
-# _SLAB_POINTS points each, and applies kappa_0 in column blocks of about
-# as many: a slab's product of 64 rows (1 MiB of complex numbers) and its
-# basis (0.5 MiB at 6 waves) fit a 2 MiB L2 cache together.
+# _SLAB_POINTS points each, then over blocks of about as many columns
+# across all planes: a slab's product of 48 rows (0.75 MiB of complex
+# numbers) or a block's of 16, with its basis (0.5 MiB at 6 waves), fits
+# a 2 MiB L2 cache.
 _SLAB_POINTS = 1024
+
+# A mode with more than this fraction of its spectral weight in the top
+# third of the band warns that its residual is aliasing-dominated.
+_BAND_EDGE_WEIGHT = 1e-10
 
 
 def _slab_sizes(n: int) -> tuple[int, int]:
@@ -463,7 +481,7 @@ def _prefix(buf, shape):
     return buf[: math.prod(shape)].reshape(shape)
 
 
-def _band_limit_guard(n: int, k, c, threshold: float = 1e-10):
+def _band_limit_guard(n: int, k, c):
     """Warn if a mode carries noticeable weight in the top third of the
     band, read from its coefficients c at its grid indices k; the
     residual measurement presumes smoothness."""
@@ -473,7 +491,7 @@ def _band_limit_guard(n: int, k, c, threshold: float = 1e-10):
         return
     signed = np.where(k >= n // 2, k - n, k)  # fftfreq's signed index
     frac = np.sum(power[np.any(np.abs(signed) > n / 3.0, axis=1)]) / total
-    if frac > threshold:
+    if frac > _BAND_EDGE_WEIGHT:
         warnings.warn(
             f"field has fraction {frac:.2e} of spectral weight in the "
             "top third of the band; residual will be aliasing-dominated",
@@ -507,15 +525,21 @@ def compatibility_residual(
         analytic:  V T + sum_k [(i d_k V) Q_k + kappa_k (V Q_k)]
         composed:  V (T + sum_k kappa_k Q_k),
 
-    three axis products per mode and no 3-D transform. A mode runs in
-    slabs of whole axis-0 planes (_slab_sizes): each slab's basis and
-    product, then every term but kappa_0's, summed into one array of
-    the mode's size, while V Q_0 (Q_0 for composed) goes into a second.
-    kappa_0 then acts on the second in blocks of columns; each block is
-    added to its part of the first (and multiplied by V for composed),
-    squared and summed. The norm is read from the points the residual
-    already holds (_points_norm). Masses and P0 that overflow the sum
-    raise a ValueError naming them.
+    three axis products per mode and no 3-D transform. The factor i sits
+    in the Q_k rows, so the gradient multipliers d_k V = dV/dxperp^2
+    (-2 x^k) are real and the axis matrix is -i kappa_k.
+
+    A mode runs in two stages over the grid's (n, n^2) view (gamma^k
+    pairs with grid axis k - 1). Over slabs of whole axis-0 planes
+    (_slab_sizes): each slab's basis and 48-row product, T and Q_2, Q_3,
+    then the V T term and every term of Q_2 and Q_3 (T and the kappa
+    terms for composed), written into the one array of the mode's size.
+    Then over blocks of columns, all planes: each block's basis and
+    16-row product Q_1, its terms added to the block's part of that
+    array (the sum multiplied by V for composed), squared and summed.
+    The norm is read from the points the
+    residual already holds (_points_norm). Masses and P0 that overflow
+    the sum raise a ValueError naming them.
     """
     if commutator_realization not in ("analytic", "composed"):
         raise ValueError(f"unknown commutator realization: {commutator_realization!r}")
@@ -529,21 +553,21 @@ def compatibility_residual(
     r2, index = grid.radial
     V = eval_V(system.potential, -r2, P_sq)[index]
     if not composed:
-        # i d_k V = i dV/dxperp^2 (-2 x^k), x^k broadcast along its own axis
-        dV = 1j * eval_dV_dxperp_sq(system.potential, -r2, P_sq)[index]
-        x = grid.axis
-        idV = [dV * (-2.0 * xk) for xk in (x[:, None, None], x[:, None], x)]
+        # d_k V = dV/dxperp^2 (-2 x^k), formed per slab and block
+        dV = eval_dV_dxperp_sq(system.potential, -r2, P_sq)[index]
+        minus_2x = -2.0 * grid.axis
     points = [_mode_points(grid, m, amps) for _, m, amps in fld.modes]
     M = _axis_matrices(grid)
+    K = -1j * M[0]  # kappa_k Q_k = (-i kappa_k)(i Q_k)
     h, rows = _dictionary(V, points, M)
     planes, cols = _slab_sizes(n)
-    # a slab's basis, spent after its product and then scratch for each
-    # term, and the slab's product, whose buffer the column blocks reuse;
-    # every array is a prefix of its buffer, so it is contiguous
-    basis_buf = np.empty(max(5 * max((len(k) for k, _ in points), default=0), 16) * planes * n * n, complex)
-    work_buf = np.empty(max(64 * planes * n, 16 * cols) * n, complex)
-    # the difference but for kappa_0 (V Q_0), and V Q_0 (Q_0 for composed)
-    diff, Y = np.empty((2, 16, n, n, n), complex)
+    # a slab's or block's basis, spent after its product and then
+    # scratch for each term, and the product: T and i Q_2, i Q_3 of a
+    # slab, or i Q_1 of a block with the block's sum; every array is a
+    # prefix of its buffer, so it is contiguous
+    basis_buf = np.empty(max(5 * max((len(k) for k, _ in points), default=0), 16) * max(planes * n * n, n * cols), complex)
+    work_buf = np.empty(max(48 * planes * n * n, 32 * n * cols), complex)
+    diff = np.empty((16, n, n, n), complex)  # the difference but for Q_1's terms
     eye = np.eye(4)
     total = 0.0
     for (p0, _, _), (k, c) in zip(fld.modes, points):
@@ -551,39 +575,44 @@ def compatibility_residual(
         U = len(k)
         p1_0, p2_0 = P0 / 2 + p0, P0 / 2 - p0
         c = c.reshape(U, 4, 4)
-        # the coefficients of d_1 and d_2 on the basis, then of T and the Q_k
+        # the coefficients of d_1 and d_2 on the basis, then of T and the
+        # i Q_k: Q_2, Q_3 (axes 1 and 2) for the slabs, Q_1 (axis 0) for the blocks
         d1, d2 = (_coefficients(terms, grid.wavenumbers[k], c) for terms in _D_terms(system, p1_0, p2_0))
         T = on(2, p2_0 * g[0] - m2 * eye, d2) - on(1, p1_0 * g[0] + m1 * eye, d1)
         T[0] += (2 * P0 * p0 + (m2 - m1) * (m2 + m1)) * c
-        Q = [on(1, g[j], d1) + on(2, g[j], d2) for j in (1, 2, 3)]
-        coefficients = np.stack([T, *Q]).transpose(0, 3, 4, 1, 2).reshape(64, 5 * U)
+        iQ = [1j * (on(1, g[j], d1) + on(2, g[j], d2)) for j in (2, 3, 1)]
+        coefficients = np.stack([T, *iQ]).transpose(0, 3, 4, 1, 2).reshape(64, 5 * U)
+        phases = _phases(n, k)
         for a in range(0, n, planes):
             s = slice(a, min(a + planes, n))
             p = s.stop - a
-            basis = _basis(grid, V, h, rows, k, s, _prefix(basis_buf, (5 * U, p, n, n)))
-            work = _prefix(work_buf, (4, 16, p, n, n))
-            np.matmul(coefficients, basis.reshape(5 * U, p * n * n), out=work.reshape(64, -1))
-            t, qs = work[0], work[1:]  # T and the Q_k on the slab
+            basis = _basis(V, h, rows, k, phases, s, slice(None), _prefix(basis_buf, (5 * U, p, n * n)))
+            work = _prefix(work_buf, (3, 16, p, n, n))
+            np.matmul(coefficients[:48], basis.reshape(5 * U, p * n * n), out=work.reshape(48, -1))
+            t, qs = work[0], work[1:]  # T and i Q_2, i Q_3 on the slab
             scratch = _prefix(basis_buf, t.shape)
-            if composed:
-                Y[:, s] = qs[0]
-            else:
+            if not composed:
                 t *= V[s]
-                for axis, q in enumerate(qs):
-                    t += np.multiply(q, idV[axis][s], out=scratch)
-                np.multiply(qs[0], V[s], out=Y[:, s])
-                qs[1:] *= V[s]
-            t += _along(M[0], qs[1], 1, scratch)
-            np.add(t, _along(M[0], qs[2], 2, scratch), out=diff[:, s])
-        # kappa_0 acts across the slabs: in blocks of columns (axis 1 and 2
-        # flattened), each added to its part of diff, then squared and summed
+                for q, xk in zip(qs, (minus_2x[:, None], minus_2x)):
+                    t += np.multiply(q, dV[s] * xk, out=scratch)
+                qs *= V[s]
+            t += _along(K, qs[0], 1, scratch)
+            np.add(t, _along(K, qs[1], 2, scratch), out=diff[:, s])
+        # Q_1's terms in blocks of columns (axes 1 and 2 flattened) across
+        # all planes, each added to its part of diff, then squared and summed
         for a in range(0, n * n, cols):
             s = slice(a, min(a + cols, n * n))
-            block = _prefix(work_buf, (16, n, s.stop - a))
-            np.matmul(M[0], Y.reshape(16, n, -1)[:, :, s], out=block)
+            basis = _basis(V, h, rows, k, phases, slice(None), s, _prefix(basis_buf, (5 * U, n, s.stop - a)))
+            q, block = _prefix(work_buf, (2, 16, n, s.stop - a))
+            np.matmul(coefficients[48:], basis.reshape(5 * U, q[0].size), out=q.reshape(16, -1))
+            scratch = _prefix(basis_buf, q.shape)
+            V_s = V.reshape(n, -1)[:, s]
+            np.matmul(K, q if composed else np.multiply(q, V_s, out=scratch), out=block)
             block += diff.reshape(16, n, -1)[:, :, s]
             if composed:
-                block *= V.reshape(n, -1)[:, s]
+                block *= V_s
+            else:
+                block += np.multiply(q, dV.reshape(n, -1)[:, s] * minus_2x[:, None], out=scratch)
             total += np.sum(np.square(block.view(float), out=block.view(float)))
     if not math.isfinite(total):
         raise ValueError(f"masses ({m1!r}, {m2!r}) and P0 = {float(P0)!r} overflow the compatibility residual")

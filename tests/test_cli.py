@@ -504,6 +504,18 @@ def _run_config(tmp_path, command, override, timeout=None):
         ("gauge", {"c": [0.37, 0.21, -0.4]}, "c must be a list of 4 numbers, got [0.37, 0.21, -0.4]"),
         ("gauge", {"a": [0.5]}, "a must be a list of 4 numbers, got [0.5]"),
         ("claim1", {"p0_window": [-1.2, 0.0, 0.5]}, "p0_window must be a list of 2 numbers, got [-1.2, 0.0, 0.5]"),
+        # a total momentum outside the rest frame names the key that made it
+        ("compat", {"P0": 0.0}, "invalid configuration: P0 = 0.0: total momentum must be timelike"),
+        (
+            "gauge",
+            {"a": [0.5, 0.1, 0, 0]},
+            "a = [0.5, 0.1, 0.0, 0.0] shifts the total momentum to P + a = [2.5, 0.1, 0.0, 0.0]: rest frame requires",
+        ),
+        (
+            "gauge",
+            {"a": [-2.0, 0, 0, 0]},
+            "a = [-2.0, 0.0, 0.0, 0.0] shifts the total momentum to P + a = [0.0, 0.0, 0.0, 0.0]: total momentum must be timelike",
+        ),
     ],
     ids=[
         "claim1_empty_window",
@@ -550,6 +562,9 @@ def _run_config(tmp_path, command, override, timeout=None):
         "gauge_c_three_entries",
         "gauge_a_one_entry",
         "claim1_window_three_entries",
+        "compat_P0_not_timelike",
+        "gauge_a_spatial",
+        "gauge_a_not_timelike",
     ],
 )
 def test_unusable_config_exits_2_without_traceback(tmp_path, command, override, message):

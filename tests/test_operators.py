@@ -94,7 +94,8 @@ def apply_D(system, fld, which):
         U = len(k)
         terms = operators._D_terms(system, P0 / 2 + p0, P0 / 2 - p0)[which - 1]
         coefficients = operators._coefficients(terms, grid.wavenumbers[k], c.reshape(U, 4, 4))
-        basis = operators._basis(grid, V, h, rows, k, slice(None), np.empty((5 * U, n, n, n), complex))
+        phases = operators._phases(n, k)
+        basis = operators._basis(V, h, rows, k, phases, slice(None), slice(None), np.empty((5 * U, n, n * n), complex))
         out.append((p0, (coefficients.transpose(2, 3, 0, 1).reshape(16, 5 * U) @ basis.reshape(5 * U, n**3)).reshape(16, n, n, n)))
     return out
 
@@ -412,13 +413,13 @@ def test_mode_spectrum_matches_transform_of_samples(gammas, reference_radius_sq)
     FV = np.fft.fftn(V)
     h, rows = operators._dictionary(V, [(k, c)], operators._axis_matrices(grid))
     U = len(k)
-    basis = operators._basis(grid, V, h, rows, k, slice(None), np.empty((5 * U, n, n, n), complex))
+    basis = operators._basis(V, h, rows, k, operators._phases(n, k), slice(None), slice(None), np.empty((5 * U, n, n * n), complex))
     for j in range(3):
         kappa = grid.wavenumbers.reshape([-1 if axis == j else 1 for axis in range(3)])
         bound = shifted_bound * np.max(np.abs(kappa)) * math.sqrt(N) * np.linalg.norm(V)
         for u, point in enumerate(k):
             want = kappa * np.roll(FV, tuple(point), axis=(0, 1, 2))
-            assert np.linalg.norm(np.fft.fftn(basis[(2 + j) * U + u]) - want) <= bound
+            assert np.linalg.norm(np.fft.fftn(basis[(2 + j) * U + u].reshape(n, n, n)) - want) <= bound
 
     # norm by Parseval against the samples' sum of squares, each rounded
     # to within gamma_(log2(16 N) + 16) of its square (pairwise sums)
@@ -772,20 +773,47 @@ def test_compatibility_residual_does_not_depend_on_the_slab_size(monkeypatch, re
         assert compatibility_residual(system, fld, realization) == pytest.approx(default, rel=1e-12)
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    # an even n in [4, 16] and a split size in [1, n^3]
+    n_points=st.integers(2, 8).flatmap(lambda h: st.tuples(st.just(2 * h), st.integers(1, (2 * h) ** 3))),
+    realization=st.sampled_from(["analytic", "composed"]),
+)
+@example(n_points=(10, 300), realization="analytic")  # 3 of 10 planes, 30 of 100 columns
+@example(n_points=(16, 1), realization="composed")  # one plane, one column
+def test_compatibility_residual_does_not_depend_on_the_split(n_points, realization):
+    # the slab stage and the column stage split the grid independently,
+    # either with a partial last slab or block: the same sums in another
+    # order. The composed residual is itself roundoff (about 1e-17) and
+    # moves with the order by a few percent of itself, so it is held to
+    # 1e-15 of the field norm, the unit of the residual; a term lost at a
+    # partial slab or block would leave a residual of order 1
+    n, points = n_points
+    system = TwoBodyDiracSystem(MASSES, BUMP, build_gammas("dirac"))
+    fld = random_band_limited_field(P_REST, Grid(n=n, L=10.5), np.random.default_rng(54), max_index=n // 4)
+    default = compatibility_residual(system, fld, realization)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(operators, "_SLAB_POINTS", points)
+        split = compatibility_residual(system, fld, realization)
+    assert split == pytest.approx(default, rel=1e-12, abs=1e-15 if realization == "composed" else 0.0)
+
+
 def test_compatibility_residual_working_set():
-    # the mode's product lives in slabs; what spans the grid is V, its
-    # gradient, the dictionary and the two arrays that the axis-0 product
-    # joins, about 3.5 arrays of 16 x n^3 complex (7.2 for whole-grid passes)
+    # slabs and blocks hold the mode's basis and products; what spans the
+    # grid is V, dV/dxperp^2 (analytic), the dictionary and the one
+    # difference array, about 2.3 arrays of 16 x n^3 complex (3.5 while
+    # the axis-0 terms had an array of their own, 7.2 for whole-grid passes)
     system = TwoBodyDiracSystem(MASSES, BUMP, build_gammas("dirac"))
     grid = Grid(n=32, L=10.5)
     fld = random_band_limited_field(P_REST, grid, np.random.default_rng(53))
-    tracemalloc.start()
-    try:
-        compatibility_residual(system, fld)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4 * 16 * grid.n**3 * 16
+    for realization in ("analytic", "composed"):
+        tracemalloc.start()
+        try:
+            compatibility_residual(system, fld, realization)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 16 * grid.n**3 * 16, realization
 
 
 @pytest.mark.parametrize("realization", ["analytic", "composed"])
